@@ -78,11 +78,10 @@ disables the disk cache for the invocation, and ``--store
 ``REPRO_STORE``; see docs/ARCHITECTURE.md).
 
 ``run``, ``report``, and ``bench`` take ``--backend
-{python,compiled,lanes,auto}`` to select the simulation backend (default
+{python,compiled,auto}`` to select the simulation backend (default
 ``$REPRO_BACKEND`` or pure Python); ``compiled`` uses the C hot core
-built by ``scripts/build_accel.py``, ``lanes`` batches seed-sibling
-sweeps, and every backend produces byte-identical results (see
-docs/PERFORMANCE.md).
+built by ``scripts/build_accel.py``, and every backend produces
+byte-identical results (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -731,11 +730,11 @@ def build_parser() -> argparse.ArgumentParser:
     backend_flags = argparse.ArgumentParser(add_help=False)
     backend_flags.add_argument(
         "--backend",
-        choices=("python", "compiled", "lanes", "auto"),
+        choices=("python", "compiled", "auto"),
         default=None,
         help="simulation backend: pure Python (default), the compiled hot "
-        "core, numpy seed-lane batching, or auto (fastest available; "
-        "falls back to python with a warning).  Overrides $REPRO_BACKEND",
+        "core, or auto (fastest available; falls back to python with a "
+        "warning).  Overrides $REPRO_BACKEND",
     )
 
     telemetry_flags = argparse.ArgumentParser(add_help=False)

@@ -25,8 +25,8 @@ can never survive a code change.
 
 :func:`run_many` fans a batch of configurations out over a
 ``ProcessPoolExecutor`` (``REPRO_WORKERS`` processes, default 1 = serial),
-deduplicating identical configs before dispatch; a crashed worker is
-retried once and then surfaced with the offending configuration.
+deduplicating identical configs before dispatch; each config gets at most
+two attempts, and a second failure surfaces the offending configuration.
 
 Environment knobs:
 
@@ -50,11 +50,18 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from collections import deque
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Executor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
 from .. import accel
 from .. import store as store_pkg
@@ -185,16 +192,18 @@ _CODE_FINGERPRINT: Optional[str] = None
 
 
 def _code_fingerprint() -> str:
-    """SHA-256 over the package's source files.
+    """SHA-256 over the package's source files, Python and C.
 
-    Any edit to the simulator invalidates every disk-cache entry, so a
-    cached result can never silently disagree with the current code.
+    Any edit to the simulator (the ``_hotcore.c`` hot core included)
+    invalidates every disk-cache entry, so a cached result can never
+    silently disagree with the current code.
     """
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
         root = Path(__file__).resolve().parent.parent
         digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
+        sources = [*root.rglob("*.py"), *root.rglob("*.c")]
+        for path in sorted(sources):
             digest.update(str(path.relative_to(root)).encode("utf-8"))
             digest.update(path.read_bytes())
         _CODE_FINGERPRINT = digest.hexdigest()
@@ -421,21 +430,23 @@ def result_store() -> "store_pkg.ResultStore":
     return store_pkg.store_for(cache_dir())
 
 
-def _disk_load(
-    cfg: RunConfig, key: Optional[str] = None
-) -> Optional[SimulationResult]:
-    key = key if key is not None else cfg.key()
+def _disk_hit(key: str) -> Optional[SimulationResult]:
+    """The stored result for ``key``, counted as a disk hit and promoted
+    to the in-process cache; ``None`` on a miss or an unreadable entry."""
     store = result_store()
     payload = store.get_json(result_key(key))
     if payload is None:
         return None  # missing or byte-corrupt (store already counted it)
     try:
-        return SimulationResult.from_dict(payload["result"])
+        result = SimulationResult.from_dict(payload["result"])
     except (KeyError, TypeError, ValueError) as exc:
         # Valid JSON that no longer matches the result schema: same
         # warn-once miss policy as byte-level corruption.
         store.note_corrupt(result_key(key), f"result schema mismatch: {exc}")
         return None
+    COUNTERS.disk_hits += 1
+    _CACHE[key] = result
+    return result
 
 
 def _result_payload(cfg: RunConfig, result: SimulationResult) -> bytes:
@@ -449,9 +460,9 @@ def _result_payload(cfg: RunConfig, result: SimulationResult) -> bytes:
     ).encode("utf-8")
 
 
-def _disk_store(cfg: RunConfig, result: SimulationResult) -> None:
+def _disk_store(cfg: RunConfig, key: str, result: SimulationResult) -> None:
     try:
-        result_store().put(result_key(cfg.key()), _result_payload(cfg, result))
+        result_store().put(result_key(key), _result_payload(cfg, result))
     except OSError:
         pass  # a read-only cache dir degrades to compute-only
 
@@ -521,13 +532,20 @@ def _worker_resources(
     }
 
 
-def _execute_timed(cfg: RunConfig) -> ExecOutcome:
+def _execute_timed(cfg: RunConfig, forensics: bool = False) -> ExecOutcome:
     """``_execute`` plus wall-time and resource accounting, measured
-    inside the worker process."""
+    inside the worker process.  ``forensics=True`` attaches a transaction
+    ledger and returns the run's forensic digest alongside — a plain dict,
+    so it travels through the worker-pool pickling unchanged."""
+    if forensics:
+        from ..analysis.forensics import report_for_config
     started = time.time()
     cpu0 = time.process_time()
     t0 = time.perf_counter()
-    result = _execute(cfg)
+    if forensics:
+        result, report = report_for_config(cfg)
+    else:
+        result, report = _execute(cfg), None
     wall = time.perf_counter() - t0
     resources = _worker_resources(
         result,
@@ -535,55 +553,30 @@ def _execute_timed(cfg: RunConfig) -> ExecOutcome:
         wall_seconds=wall,
         cpu_seconds=time.process_time() - cpu0,
     )
-    return result, wall, None, resources
+    return result, wall, report.digest() if forensics else None, resources
 
 
-def _execute_forensic_timed(cfg: RunConfig) -> ExecOutcome:
-    """Like :func:`_execute_timed`, but with a transaction ledger attached
-    and the run's forensic digest returned alongside (``forensics=True``
-    batches).  The digest is a plain dict, so it travels through the
-    worker-pool pickling unchanged."""
-    from ..analysis.forensics import report_for_config
-
-    started = time.time()
-    cpu0 = time.process_time()
-    t0 = time.perf_counter()
-    result, report = report_for_config(cfg)
-    wall = time.perf_counter() - t0
-    resources = _worker_resources(
-        result,
-        started_unix=started,
-        wall_seconds=wall,
-        cpu_seconds=time.process_time() - cpu0,
-    )
-    return result, wall, report.digest(), resources
-
-
-def _lookup(cfg: RunConfig, key: str) -> Optional[SimulationResult]:
+def _lookup(key: str) -> Optional[SimulationResult]:
     hit = _CACHE.get(key)
     if hit is not None:
         COUNTERS.memory_hits += 1
         return hit
     if disk_cache_enabled():
-        result = _disk_load(cfg)
-        if result is not None:
-            COUNTERS.disk_hits += 1
-            _CACHE[key] = result
-            return result
+        return _disk_hit(key)
     return None
 
 
 def _store(cfg: RunConfig, key: str, result: SimulationResult) -> None:
     _CACHE[key] = result
     if disk_cache_enabled():
-        _disk_store(cfg, result)
+        _disk_store(cfg, key, result)
 
 
 def run_config(cfg: RunConfig, *, use_cache: bool = True) -> SimulationResult:
     """Run (or fetch) the simulation described by ``cfg``."""
     key = cfg.key()
     if use_cache:
-        hit = _lookup(cfg, key)
+        hit = _lookup(key)
         if hit is not None:
             return hit
     result = _execute(cfg)
@@ -631,23 +624,42 @@ def _notify(
         progress(done, total, cfg, source)
 
 
-def _retry_serial(
-    cfg: RunConfig,
-    cause: BaseException,
-    exec_timed: Callable[[RunConfig], ExecOutcome],
-) -> ExecOutcome:
-    """Second (and last) attempt for a config whose first run failed.
+class _InProcess(Executor):
+    """Executor that runs each task at submit time, in this process."""
 
-    Runs through the same ``exec_timed`` callable as the first attempt so
-    a forensics-mode retry keeps its ledger (and therefore its manifest
-    digest), and so the returned wall-time covers only the successful
-    attempt — not the failed one."""
-    try:
-        return exec_timed(cfg)
-    except Exception as exc:
-        raise RuntimeError(
-            f"simulation failed twice for config [{cfg.describe()}]: {exc}"
-        ) from cause
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+_IN_PROCESS = _InProcess()
+
+
+def _await_peer(
+    store: "store_pkg.ResultStore", key: str
+) -> Tuple[Optional[SimulationResult], Optional["store_pkg.Claim"]]:
+    """Wait for the live peer that claimed ``key`` to store its result.
+
+    Returns ``(result, None)`` on a hit.  Otherwise returns ``(None,
+    claim)`` for the caller to execute under: the peer gave up, so we
+    re-claimed the key.  A re-claim lost to another live peer waits
+    again.  The claim is ``None`` only after the timeout backstop, or
+    when the stored entry is unreadable and another peer holds the key.
+    """
+    while True:
+        t0 = time.monotonic()
+        raw = store.wait_for(result_key(key))
+        hit = _disk_hit(key) if raw is not None else None
+        if hit is not None:
+            return hit, None
+        claim = store.claim(result_key(key))
+        timed_out = time.monotonic() - t0 >= store_pkg.WAIT_TIMEOUT_SECONDS
+        if claim is not None or raw is not None or timed_out:
+            return None, claim
 
 
 def run_many(
@@ -662,9 +674,13 @@ def run_many(
 
     Identical configs are deduplicated before dispatch and each distinct
     simulation runs exactly once; results come back in input order.  With
-    ``workers=1`` (the ``REPRO_WORKERS`` default) everything runs serially
-    in-process.  A worker that dies is retried once; a second failure
-    raises with the offending configuration.
+    one worker (the ``REPRO_WORKERS`` default) or one miss, everything
+    runs in-process, one config at a time; otherwise every miss is queued
+    on a process pool at once.  Each config gets at most two attempts: a
+    failed first attempt is resubmitted, and a second failure raises with
+    the offending configuration.  A worker that dies hard (a broken pool)
+    counts as a failed attempt for every config in flight, and the rest
+    of the batch runs in-process.
 
     ``forensics=True`` attaches a transaction ledger to every simulation
     that actually executes and records each run's forensic digest on its
@@ -678,7 +694,6 @@ def run_many(
     if workers is None:
         workers = default_workers()
     workers = max(1, min(workers, os.cpu_count() or 1))
-    exec_timed = _execute_forensic_timed if forensics else _execute_timed
     manifest = RunManifest()
     _LAST_MANIFEST = manifest
     # Batch telemetry: the shared no-op recorder when no session is
@@ -689,80 +704,36 @@ def run_many(
     unique: Dict[str, RunConfig] = {}
     for cfg in configs:
         unique.setdefault(cfg.key(), cfg)
-    batch.open(
-        configs=len(configs),
-        unique=len(unique),
-        workers=workers,
-        backend=manifest.backend,
-    )
-
+    batch.open(configs=len(configs), unique=len(unique), workers=workers,
+               backend=manifest.backend)
     store = result_store() if disk_cache_enabled() else None
+    store_kind = store.kind if store is not None else None
 
     results: Dict[str, SimulationResult] = {}
-    misses: List[RunConfig] = []
-    total = len(unique)
-    done = 0
-    for key, cfg in unique.items():
-        start = time.perf_counter()
-        mem_before, disk_before = COUNTERS.memory_hits, COUNTERS.disk_hits
-        hit = _lookup(cfg, key) if use_cache else None
-        probe_seconds = time.perf_counter() - start
-        if use_cache:
-            batch.probe(
-                cfg,
-                key,
-                outcome="hit" if hit is not None else "miss",
-                layer=(
-                    "memory"
-                    if COUNTERS.memory_hits > mem_before
-                    else "disk"
-                    if COUNTERS.disk_hits > disk_before
-                    else "none"
-                ),
-                seconds=probe_seconds,
-                store=store.kind if store is not None else None,
-            )
-        if hit is not None:
-            results[key] = hit
-            done += 1
-            manifest.record(cfg, "cached", probe_seconds)
-            _notify(progress, done, total, cfg, "cached")
-        else:
-            misses.append(cfg)
-
-    # Cross-process dedup: claim each miss so N ``run_many`` processes
-    # sharing one cache directory never simulate the same key twice.  A
-    # key a *live* peer already claimed goes to ``foreign`` — we wait
-    # for the peer's entry after our own work, overlapping the wait.
     claims: Dict[str, store_pkg.Claim] = {}
-    foreign: List[RunConfig] = []
-    if use_cache and store is not None:
-        mine: List[RunConfig] = []
-        for cfg in misses:
-            key = cfg.key()
-            claim = store.claim(result_key(key))
-            if claim is None:
-                foreign.append(cfg)
-                continue
-            # Won the claim — but the previous holder may have stored
-            # the result between our probe and now.
-            hit = _disk_load(cfg, key)
-            if hit is not None:
-                COUNTERS.disk_hits += 1
-                _CACHE[key] = hit
-                results[key] = hit
-                done += 1
-                manifest.record(cfg, "cached", 0.0)
-                _notify(progress, done, total, cfg, "cached")
-                claim.release()
-                continue
-            claims[key] = claim
-            mine.append(cfg)
-        misses = mine
+    failed_once: set = set()  # keys whose first attempt failed
+    total, done = len(unique), 0
 
-    def _commit(cfg, key, result):
-        """Completion site for every execution path: persist the result
-        and release the key's claim so cross-process waiters unblock."""
+    def _hit(key, cfg, result, seconds, layer):
+        """The one site that records a cache hit."""
+        nonlocal done
+        results[key] = result
+        done += 1
+        manifest.record(cfg, "cached", seconds)
+        batch.probe(cfg, key, outcome="hit", layer=layer, seconds=seconds,
+                    store=store_kind)
+        _notify(progress, done, total, cfg, "cached")
+
+    def _complete(key, cfg, outcome, retried):
+        """The one site that records an executed run: count it, persist
+        it, and release its claim so cross-process waiters unblock."""
+        nonlocal done
+        result, seconds, digest, resources = outcome
+        COUNTERS.simulations += 1
+        results[key] = result
+        done += 1
+        manifest.record(cfg, "run", seconds, forensics=digest, resources=resources)
+        batch.finished(cfg, key, resources, retried=retried)
         if use_cache:
             t0 = time.perf_counter()
             _store(cfg, key, result)
@@ -770,230 +741,98 @@ def run_many(
         claim = claims.pop(key, None)
         if claim is not None:
             claim.release()
+        _notify(progress, done, total, cfg, "run")
 
-    def _record_lane(lane, outcomes, retried_lane):
-        nonlocal done
-        for cfg, outcome in zip(lane, outcomes):
-            result, seconds, digest, resources = outcome
-            COUNTERS.simulations += 1
-            results[cfg.key()] = result
-            done += 1
-            manifest.record(
-                cfg, "run", seconds, forensics=digest, resources=resources
-            )
-            batch.finished(cfg, cfg.key(), resources, retried=retried_lane)
-            _commit(cfg, cfg.key(), result)
-            _notify(progress, done, total, cfg, "run")
-
+    queue: Deque[Tuple[str, RunConfig]] = deque()  # misses awaiting dispatch
+    foreign: Deque[Tuple[str, RunConfig]] = deque()  # claimed by a live peer
+    pool: Optional[ProcessPoolExecutor] = None
     try:
-        if manifest.backend == "lanes" and len(misses) > 1:
-            # Lane executor: seed-sibling configs share one task each,
-            # amortizing dispatch/pickling overhead across the lane.  A lane
-            # failure retries its members serially (retry-once per config).
-            # With one worker (or a single lane) the lanes run in-process —
-            # batching semantics and lane statistics stay identical either
-            # way, only the dispatch differs.
-            from ..accel import lanes as lanes_mod
-
-            lanes = lanes_mod.group_into_lanes(misses)
-            if workers <= 1 or len(lanes) <= 1:
-                for lane in lanes:
-                    for cfg in lane:
-                        batch.submitted(cfg, cfg.key())
-                    try:
-                        outcomes = lanes_mod.execute_lane(lane, forensics)
-                    except Exception as exc:
-                        outcomes = []
-                        for cfg in lane:
-                            batch.failed(cfg, cfg.key(), exc)
-                            outcomes.append(_retry_serial(cfg, exc, exec_timed))
-                        retried_lane = True
-                    else:
-                        retried_lane = False
-                    _record_lane(lane, outcomes, retried_lane)
-            else:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(lanes))
-                ) as pool:
-                    lane_futures = {}
-                    for lane in lanes:
-                        for cfg in lane:
-                            batch.submitted(cfg, cfg.key())
-                        lane_futures[
-                            pool.submit(lanes_mod.execute_lane, lane, forensics)
-                        ] = lane
-                    pending = set(lane_futures)
-                    while pending:
-                        finished, pending = wait(
-                            pending, return_when=FIRST_COMPLETED
-                        )
-                        for fut in finished:
-                            lane = lane_futures.pop(fut)
-                            try:
-                                outcomes = fut.result()
-                            except Exception as exc:
-                                # Includes a BrokenProcessPool: every
-                                # remaining lane future then fails the same
-                                # way and its members finish serially here.
-                                outcomes = []
-                                for cfg in lane:
-                                    batch.failed(cfg, cfg.key(), exc)
-                                    outcomes.append(
-                                        _retry_serial(cfg, exc, exec_timed)
-                                    )
-                                retried_lane = True
-                            else:
-                                retried_lane = False
-                            _record_lane(lane, outcomes, retried_lane)
-        elif workers <= 1 or len(misses) <= 1:
-            for cfg in misses:
-                key = cfg.key()
-                batch.submitted(cfg, key)
-                retried_once = False
-                try:
-                    result, seconds, digest, resources = exec_timed(cfg)
-                except Exception as exc:
-                    batch.failed(cfg, key, exc)
-                    retried_once = True
-                    result, seconds, digest, resources = _retry_serial(
-                        cfg, exc, exec_timed
-                    )
-                COUNTERS.simulations += 1
-                results[key] = result
-                done += 1
-                manifest.record(
-                    cfg, "run", seconds, forensics=digest, resources=resources
-                )
-                batch.finished(cfg, key, resources, retried=retried_once)
-                _commit(cfg, key, result)
-                _notify(progress, done, total, cfg, "run")
-        elif misses:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, len(misses))
-                ) as pool:
-                    futures = {}
-                    for cfg in misses:
-                        batch.submitted(cfg, cfg.key())
-                        futures[pool.submit(exec_timed, cfg)] = cfg
-                    retried: set = set()
-                    pending = set(futures)
-                    while pending:
-                        finished, pending = wait(
-                            pending, return_when=FIRST_COMPLETED
-                        )
-                        for fut in finished:
-                            cfg = futures.pop(fut)
-                            try:
-                                result, seconds, digest, resources = fut.result()
-                            except BrokenProcessPool:
-                                raise  # pool is gone: fall back to serial below
-                            except Exception as exc:
-                                batch.failed(cfg, cfg.key(), exc)
-                                if cfg.key() in retried:
-                                    pool.shutdown(wait=False, cancel_futures=True)
-                                    raise RuntimeError(
-                                        "simulation failed twice for config "
-                                        f"[{cfg.describe()}]: {exc}"
-                                    ) from exc
-                                retried.add(cfg.key())
-                                retry = pool.submit(exec_timed, cfg)
-                                futures[retry] = cfg
-                                pending.add(retry)
-                                continue
-                            COUNTERS.simulations += 1
-                            results[cfg.key()] = result
-                            done += 1
-                            manifest.record(
-                                cfg,
-                                "run",
-                                seconds,
-                                forensics=digest,
-                                resources=resources,
-                            )
-                            batch.finished(
-                                cfg,
-                                cfg.key(),
-                                resources,
-                                retried=cfg.key() in retried,
-                            )
-                            _commit(cfg, cfg.key(), result)
-                            _notify(progress, done, total, cfg, "run")
-            except BrokenProcessPool as crash:
-                # A worker died hard (signal/OOM): finish the remainder
-                # serially, retrying each config at most once in total.
-                for cfg in misses:
-                    if cfg.key() in results:
-                        continue
-                    batch.failed(cfg, cfg.key(), crash)
-                    result, seconds, digest, resources = _retry_serial(
-                        cfg, crash, exec_timed
-                    )
-                    COUNTERS.simulations += 1
-                    results[cfg.key()] = result
-                    done += 1
-                    manifest.record(
-                        cfg, "run", seconds, forensics=digest, resources=resources
-                    )
-                    batch.finished(cfg, cfg.key(), resources, retried=True)
-                    _commit(cfg, cfg.key(), result)
-                    _notify(progress, done, total, cfg, "run")
-
-        # Configs a live peer process claimed: wait for its entry instead
-        # of recomputing (our own misses above overlapped the wait).  A
-        # peer that died — or released — without storing falls back to
-        # executing here.
-        for cfg in foreign:
-            key = cfg.key()
-            t0 = time.perf_counter()
-            raw = store.wait_for(result_key(key))
-            hit = _disk_load(cfg, key) if raw is not None else None
-            if hit is not None:
-                COUNTERS.disk_hits += 1
-                _CACHE[key] = hit
-                results[key] = hit
-                done += 1
+        for key, cfg in unique.items():
+            if use_cache:
+                t0 = time.perf_counter()
+                layer = "memory" if key in _CACHE else "disk"
+                hit = _lookup(key)
                 seconds = time.perf_counter() - t0
-                manifest.record(cfg, "cached", seconds)
-                batch.probe(
-                    cfg,
-                    key,
-                    outcome="hit",
-                    layer="disk",
-                    seconds=seconds,
-                    store=store.kind,
-                )
-                _notify(progress, done, total, cfg, "cached")
-                continue
-            claim = store.claim(result_key(key))
-            if claim is not None:
+                if hit is not None:
+                    _hit(key, cfg, hit, seconds, layer)
+                    continue
+                batch.probe(cfg, key, outcome="miss", layer="none",
+                            seconds=seconds, store=store_kind)
+            if use_cache and store is not None:
+                # Cross-process dedup: claim each miss so N ``run_many``
+                # processes sharing one cache directory never simulate
+                # the same key twice.  A key a live peer already claimed
+                # is awaited after our own work, overlapping the wait.
+                claim = store.claim(result_key(key))
+                if claim is None:
+                    foreign.append((key, cfg))
+                    continue
+                # The previous holder may have stored the result between
+                # our probe and our claim.
+                t0 = time.perf_counter()
+                hit = _disk_hit(key)
+                if hit is not None:
+                    claim.release()
+                    _hit(key, cfg, hit, time.perf_counter() - t0, "disk")
+                    continue
                 claims[key] = claim
-            batch.submitted(cfg, key)
-            retried_once = False
-            try:
-                result, seconds, digest, resources = exec_timed(cfg)
-            except Exception as exc:
-                batch.failed(cfg, key, exc)
-                retried_once = True
-                result, seconds, digest, resources = _retry_serial(
-                    cfg, exc, exec_timed
-                )
-            COUNTERS.simulations += 1
-            results[key] = result
-            done += 1
-            manifest.record(
-                cfg, "run", seconds, forensics=digest, resources=resources
-            )
-            batch.finished(cfg, key, resources, retried=retried_once)
-            _commit(cfg, key, result)
-            _notify(progress, done, total, cfg, "run")
+            queue.append((key, cfg))
+
+        if workers > 1 and len(queue) > 1:
+            pool = ProcessPoolExecutor(max_workers=min(workers, len(queue)))
+        executor: Executor = _IN_PROCESS if pool is None else pool
+        pending: Dict[Future, Tuple[str, RunConfig]] = {}
+        while queue or pending or foreign:
+            if not queue and not pending:
+                key, cfg = foreign.popleft()
+                t0 = time.perf_counter()
+                hit, claim = _await_peer(store, key)
+                if hit is not None:
+                    _hit(key, cfg, hit, time.perf_counter() - t0, "disk")
+                    continue
+                if claim is not None:
+                    claims[key] = claim
+                queue.append((key, cfg))
+            # In-process runs one config at a time; a pool takes every
+            # queued config at once so workers never wait on the parent.
+            while queue and (executor is pool or not pending):
+                key, cfg = queue.popleft()
+                if key not in failed_once:  # a retry nests under its submit
+                    batch.submitted(cfg, key)
+                try:
+                    future = executor.submit(_execute_timed, cfg, forensics)
+                except BrokenProcessPool:  # broke before taking this one
+                    executor = _IN_PROCESS
+                    future = executor.submit(_execute_timed, cfg, forensics)
+                pending[future] = (key, cfg)
+            finished, _ = wait(pending, return_when=FIRST_COMPLETED)
+            for future in finished:
+                key, cfg = pending.pop(future)
+                try:
+                    outcome = future.result()
+                except Exception as exc:
+                    if isinstance(exc, BrokenProcessPool):
+                        # A worker died hard: every config in flight lost
+                        # an attempt, and the rest of the batch runs here.
+                        executor = _IN_PROCESS
+                    batch.failed(cfg, key, exc)
+                    if key in failed_once:
+                        raise RuntimeError(
+                            "simulation failed twice for config "
+                            f"[{cfg.describe()}]: {exc}"
+                        ) from exc
+                    failed_once.add(key)
+                    queue.appendleft((key, cfg))
+                else:
+                    _complete(key, cfg, outcome, key in failed_once)
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         # A batch that raises (simulation failed twice) must not leave
         # its claims behind: peers would block on them until the claim
         # TTL or our process exit.
         for claim in claims.values():
             claim.release()
-        claims.clear()
 
     batch.close(manifest.to_dict(), store)
     return [results[cfg.key()] for cfg in configs]

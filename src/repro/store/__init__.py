@@ -45,6 +45,7 @@ from .base import (  # noqa: F401  (re-exported API surface)
     StoreCounters,
     StoreError,
     StoreInitError,
+    WAIT_TIMEOUT_SECONDS,
 )
 from .legacy import LegacyJsonStore, looks_like_legacy_cache
 from .migrate import migrate_cache  # noqa: F401

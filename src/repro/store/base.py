@@ -45,6 +45,10 @@ STORE_SCHEMA = "repro-store/1"
 #: owner pid cannot be probed (e.g. pid recycled by another user).
 CLAIM_TTL_SECONDS = 3600.0
 
+#: Deadlock backstop of :meth:`ResultStore.wait_for`: how long a waiter
+#: polls a key another live process holds the claim on.
+WAIT_TIMEOUT_SECONDS = 300.0
+
 
 class StoreError(Exception):
     """Base class for store failures the caller should see."""
@@ -333,7 +337,7 @@ class ResultStore:
         self,
         key: str,
         *,
-        timeout: float = 300.0,
+        timeout: float = WAIT_TIMEOUT_SECONDS,
         poll: float = 0.02,
     ) -> Optional[bytes]:
         """Block until ``key`` appears (another process is computing it

@@ -4,12 +4,10 @@ Cross-backend *behavioural* identity is enforced by the golden suite
 (``test_golden_determinism.py`` runs all 42 digests under every
 available backend); this module covers the selection machinery itself —
 resolution, fallback warnings, component factories — plus fine-grained
-parity of the compiled engine/message primitives and the lanes
-executor's grouping/statistics, which the digests exercise only
-end-to-end.
+parity of the compiled engine/message primitives, which the digests
+exercise only end-to-end.
 """
 
-import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -21,9 +19,6 @@ from repro import accel
 needs_compiled = pytest.mark.skipif(
     not accel.compiled_available(),
     reason="compiled backend not built (scripts/build_accel.py)",
-)
-needs_numpy = pytest.mark.skipif(
-    not accel.lanes_available(), reason="lanes backend needs numpy"
 )
 
 
@@ -60,6 +55,16 @@ class TestSelection:
 
     def test_unknown_env_value_rejected(self, pristine_selection, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "fortran")
+        with pytest.raises(accel.UnknownBackendError):
+            accel.current_backend()
+
+    def test_lanes_backend_is_gone(self, pristine_selection, monkeypatch):
+        from repro.__main__ import build_parser
+
+        assert accel.BACKENDS == ("python", "compiled", "auto")
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "counter", "--backend", "lanes"])
+        monkeypatch.setenv("REPRO_BACKEND", "lanes")
         with pytest.raises(accel.UnknownBackendError):
             accel.current_backend()
 
@@ -278,74 +283,6 @@ class TestCompiledMessageParity:
             kind=MessageKind.DATA, src=0, dst=1, block=1
         )
         assert py.kind.carries_data == c.kind.carries_data
-
-
-# ----------------------------------------------------------------------
-# Lanes executor
-# ----------------------------------------------------------------------
-
-
-@needs_numpy
-class TestLanes:
-    def configs(self, seeds=(1, 2, 3), scale=0.05):
-        from repro.experiments.runner import RunConfig
-
-        return [
-            RunConfig.make("synth", "chats", threads=2, seed=s, scale=scale)
-            for s in seeds
-        ]
-
-    def test_grouping_by_seedless_key(self):
-        from repro.accel import lanes
-
-        cfgs = self.configs((1, 2, 3))
-        other = [
-            dataclasses.replace(c, workload="counter") for c in cfgs[:2]
-        ]
-        grouped = lanes.group_into_lanes(cfgs + other, width=8)
-        assert [len(g) for g in grouped] == [3, 2]
-        assert [c.seed for c in grouped[0]] == [1, 2, 3]
-
-    def test_width_splits_lanes(self):
-        from repro.accel import lanes
-
-        grouped = lanes.group_into_lanes(self.configs((1, 2, 3, 4, 5)), width=2)
-        assert [len(g) for g in grouped] == [2, 2, 1]
-
-    def test_fold_statistics(self):
-        from repro.accel import lanes
-
-        stats = lanes.fold_lane_resources(
-            [
-                {"events": 100, "wall_seconds": 0.5, "cpu_seconds": 0.4},
-                {"events": 300, "wall_seconds": 1.5, "cpu_seconds": 1.2},
-            ]
-        )
-        assert stats["width"] == 2
-        assert stats["events_total"] == 400
-        assert stats["wall_seconds_total"] == pytest.approx(2.0)
-        assert stats["events_per_sec_lane"] == pytest.approx(200.0)
-        assert stats["wall_seconds_max"] == pytest.approx(1.5)
-
-    def test_run_many_parity_and_lane_stats(self, pristine_selection):
-        from repro.experiments import runner
-
-        cfgs = self.configs((1, 2, 3))
-        with accel.use("python"):
-            baseline = runner.run_many(cfgs, workers=1, use_cache=False)
-        with accel.use("lanes"):
-            result = runner.run_many(cfgs, workers=1, use_cache=False)
-            manifest = runner.last_manifest()
-
-        assert [
-            json.dumps(r.to_dict(), sort_keys=True) for r in result
-        ] == [json.dumps(r.to_dict(), sort_keys=True) for r in baseline]
-        assert manifest.backend == "lanes"
-        for index, entry in enumerate(manifest.entries):
-            lane = entry.resources["lane"]
-            assert lane["width"] == 3
-            assert lane["index"] == index
-            assert lane["events_total"] > 0
 
 
 # ----------------------------------------------------------------------

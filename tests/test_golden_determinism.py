@@ -38,7 +38,7 @@ CASES = [
 #: Every selectable backend must reproduce the same digests ("auto" is
 #: just an alias for one of these).  Unbuilt/unavailable backends skip
 #: cleanly so the suite passes on a pure-Python checkout.
-BACKENDS = ("python", "compiled", "lanes")
+BACKENDS = ("python", "compiled")
 
 
 @pytest.fixture(params=BACKENDS)
@@ -50,8 +50,6 @@ def backend(request):
         pytest.skip(
             "compiled backend not built (scripts/build_accel.py)"
         )
-    if name == "lanes" and not accel.lanes_available():
-        pytest.skip("lanes backend needs numpy")
     with accel.use(name):
         yield name
 

@@ -4,6 +4,8 @@ the parallel ``run_many`` fan-out."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro import store as store_pkg
@@ -252,3 +254,46 @@ class TestExperimentConfigs:
         ).fig11
         fig11(workloads=("counter",))
         assert counters().simulations == ran
+
+
+class TestCodeFingerprint:
+    def test_covers_the_c_hot_core(self, monkeypatch):
+        """Results cached under an older ``_hotcore.c`` must miss."""
+        monkeypatch.setattr(runner, "_CODE_FINGERPRINT", None)
+        before = runner._code_fingerprint()
+        read_bytes = Path.read_bytes
+
+        def edited(path):
+            data = read_bytes(path)
+            return data + b"/* edited */" if path.name == "_hotcore.c" else data
+
+        monkeypatch.setattr(Path, "read_bytes", edited)
+        monkeypatch.setattr(runner, "_CODE_FINGERPRINT", None)
+        assert runner._code_fingerprint() != before
+
+
+class TestForeignClaims:
+    def test_lost_reclaim_waits_instead_of_executing(self, monkeypatch):
+        """A peer holds the claim, gives it up without storing, and a
+        third live peer wins the re-claim: ``run_many`` waits for that
+        peer's result instead of simulating the config itself."""
+        cfg = RunConfig.make("counter", SystemKind.BASELINE, **FAST)
+        key = runner.result_key(cfg.key())
+        peer_result = runner._execute(cfg)
+        store = runner.result_store()
+        waits = []
+
+        def wait_for(store_key, **kwargs):
+            waits.append(store_key)
+            if len(waits) == 1:
+                return None  # the first holder released without storing
+            store.put(store_key, runner._result_payload(cfg, peer_result))
+            return store.get(store_key)
+
+        monkeypatch.setattr(store, "claim", lambda store_key: None)
+        monkeypatch.setattr(store, "wait_for", wait_for)
+        (result,) = run_many([cfg], workers=1)
+        assert counters().simulations == 0
+        assert waits == [key, key]
+        assert result.to_dict() == peer_result.to_dict()
+        assert runner.last_manifest().entry_for(cfg).source == "cached"

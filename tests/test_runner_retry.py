@@ -168,3 +168,136 @@ class TestForensicsRetry:
         # first attempt, so the digest survives the failure.
         assert entry.forensics is not None
         assert entry.forensics.get("aborts") is not None
+
+
+# ----------------------------------------------------------------------
+# Broken pools: a worker that dies hard costs every config in flight one
+# of its two attempts.
+# ----------------------------------------------------------------------
+
+#: Env var naming the marker directory of the worker-killing workloads;
+#: one ``<name>-attempt-<n>`` file per attempt, so tests count attempts.
+CRASH_DIR_ENV = "REPRO_TEST_CRASH_DIR"
+
+#: Pid of the test process: the workloads below kill pool workers only,
+#: never the process running the tests.
+PARENT_PID_ENV = "REPRO_TEST_PARENT_PID"
+
+
+def _record_attempt(marker_dir: Path, name: str) -> int:
+    """Record one attempt of ``name``; returns its 1-based number."""
+    n = 1
+    while True:
+        try:
+            (marker_dir / f"{name}-attempt-{n}").touch(exist_ok=False)
+            return n
+        except FileExistsError:
+            n += 1
+
+
+def _await_markers(marker_dir: Path, pattern: str, count: int) -> None:
+    deadline = time.monotonic() + 30.0
+    while len(list(marker_dir.glob(pattern))) < count:
+        if time.monotonic() > deadline:
+            return
+        time.sleep(0.01)
+
+
+def _in_pool_worker() -> bool:
+    return os.environ.get(PARENT_PID_ENV) not in (None, str(os.getpid()))
+
+
+@register
+class WorkerKillingCounter(CounterWorkload):
+    """Counter workload whose first attempt per seed kills its pool
+    worker, once both seeds' first attempts are running."""
+
+    name = "worker-killing-counter"
+
+    def __init__(self, *, threads: int = 16, seed: int = 1, scale: float = 1.0):
+        marker_dir = os.environ.get(CRASH_DIR_ENV)
+        if marker_dir:
+            marker_dir = Path(marker_dir)
+            attempt = _record_attempt(marker_dir, f"kill-{seed}")
+            if attempt == 1 and _in_pool_worker():
+                _await_markers(marker_dir, "kill-*-attempt-1", 2)
+                os._exit(1)
+        super().__init__(threads=threads, seed=seed, scale=scale)
+
+
+@register
+class RetryThenBreakCounter(CounterWorkload):
+    """Seed 1 (config A) raises on its first pool attempt and keeps its
+    resubmitted attempt running; seed 2 (config B) kills its worker once
+    A's resubmitted attempt has started."""
+
+    name = "retry-then-break-counter"
+
+    def __init__(self, *, threads: int = 16, seed: int = 1, scale: float = 1.0):
+        marker_dir = os.environ.get(CRASH_DIR_ENV)
+        if marker_dir:
+            marker_dir = Path(marker_dir)
+            attempt = _record_attempt(marker_dir, f"break-{seed}")
+            if _in_pool_worker() and seed == 1:
+                if attempt == 1:
+                    raise RuntimeError("injected first-attempt failure")
+                time.sleep(10.0)  # the pool breaks (and kills us) meanwhile
+            elif _in_pool_worker() and attempt == 1:
+                _await_markers(marker_dir, "break-1-attempt-2", 1)
+                os._exit(1)
+        super().__init__(threads=threads, seed=seed, scale=scale)
+
+
+@pytest.fixture
+def crash_markers(tmp_path, monkeypatch):
+    """Arm the worker-killing workloads; returns the marker directory."""
+    marker_dir = tmp_path / "crash"
+    marker_dir.mkdir()
+    monkeypatch.setenv(CRASH_DIR_ENV, str(marker_dir))
+    monkeypatch.setenv(PARENT_PID_ENV, str(os.getpid()))
+    yield marker_dir
+
+
+def _attempts(marker_dir: Path, name: str) -> int:
+    return len(list(marker_dir.glob(f"{name}-attempt-*")))
+
+
+class TestBrokenPool:
+    def test_killed_workers_cost_one_attempt_each(self, crash_markers):
+        from repro.obs import telemetry as fleet
+
+        cfgs = [
+            RunConfig.make("worker-killing-counter", "htm-be", seed=s, **FAST)
+            for s in (1, 2)
+        ]
+        with fleet.session_scope() as session:
+            results = run_many(cfgs, workers=2, use_cache=False)
+        assert _attempts(crash_markers, "kill-1") == 2
+        assert _attempts(crash_markers, "kill-2") == 2
+        assert counters().simulations == 2
+        for cfg, result in zip(cfgs, results):
+            clean = run_many(
+                [RunConfig.make("counter", "htm-be", seed=cfg.seed, **FAST)],
+                workers=1,
+                use_cache=False,
+            )[0]
+            assert result.cycles == clean.cycles
+            assert result.stats == clean.stats
+
+        spans = session.spans
+        retries = [s for s in spans if s.name == "retry"]
+        submits = [s for s in spans if s.name == "submit"]
+        succeeded = [s for s in spans if s.name == "execute" and s.status == "ok"]
+        assert len(retries) == len(submits) == len(succeeded) == 2
+        assert {r.parent_id for r in retries} == {s.span_id for s in submits}
+        assert {s.parent_id for s in succeeded} == {r.span_id for r in retries}
+
+    def test_pool_break_during_a_retry_is_the_second_failure(self, crash_markers):
+        a, b = (
+            RunConfig.make("retry-then-break-counter", "htm-be", seed=s, **FAST)
+            for s in (1, 2)
+        )
+        with pytest.raises(RuntimeError, match="failed twice") as exc:
+            run_many([a, b], workers=2, use_cache=False)
+        assert f"seed={a.seed} " in str(exc.value)
+        assert _attempts(crash_markers, "break-1") <= 2
