@@ -6,17 +6,17 @@ Checks the ``repro-store/1`` schema structurally:
 
 * every top-level key present with the right type, byte/entry counts
   non-negative;
-* ``kind`` one of the registered backends;
+* ``kind`` is ``sharded``;
 * the namespace histogram summing to the entry count, namespace names
   drawn from the runner's key namespaces;
 * the counters block complete (hits/misses/puts/deletes/evictions/
   corrupt, all non-negative ints);
-* sharded extras (``stored_bytes``/``dead_bytes``/``shard_count``)
+* the sharded extras (``stored_bytes``/``dead_bytes``/``shard_count``)
   internally consistent — stored bytes cannot exceed physical bytes,
   live shards cannot exceed the configured shard count.
 
-``--expect-entries N`` / ``--expect-kind K`` additionally pin values
-the CI smoke run knows (e.g. after migrating a fixture of N entries).
+``--expect-entries N`` additionally pins the entry count the CI smoke
+run knows (e.g. after seeding a sweep of N cells).
 
 Exit status 0 iff the document is valid.
 """
@@ -31,8 +31,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.store import STORE_SCHEMA  # noqa: E402
-
-_BACKENDS = ("legacy", "sharded")
 
 #: Namespaces the toolkit writes today; the histogram may only use these.
 _KNOWN_NAMESPACES = {"result", "manifest", "forensics", "figure", "(flat)"}
@@ -58,12 +56,7 @@ def fail(msg: str) -> int:
     return 1
 
 
-def check(
-    doc: dict,
-    *,
-    expect_entries: int | None,
-    expect_kind: str | None,
-) -> int:
+def check(doc: dict, *, expect_entries: int | None) -> int:
     for key, want in _TOP_KEYS.items():
         if key not in doc:
             return fail(f"missing top-level key {key!r}")
@@ -71,8 +64,8 @@ def check(
             return fail(f"{key} is {type(doc[key]).__name__}, want {want}")
     if doc["schema"] != STORE_SCHEMA:
         return fail(f"schema {doc['schema']!r} != {STORE_SCHEMA!r}")
-    if doc["kind"] not in _BACKENDS:
-        return fail(f"kind {doc['kind']!r} not in {_BACKENDS}")
+    if doc["kind"] != "sharded":
+        return fail(f"kind {doc['kind']!r}, want 'sharded'")
     for key in ("entries", "shards", "segments", "logical_bytes",
                 "physical_bytes"):
         if doc[key] < 0:
@@ -97,28 +90,22 @@ def check(
         if not isinstance(value, int) or value < 0:
             return fail(f"counters.{key} is {value!r}")
 
-    if doc["kind"] == "sharded":
-        for key in ("stored_bytes", "dead_bytes", "shard_count"):
-            if not isinstance(doc.get(key), int) or doc[key] < 0:
-                return fail(f"sharded stats: bad {key} {doc.get(key)!r}")
-        if doc["stored_bytes"] > doc["physical_bytes"]:
-            return fail(
-                f"stored_bytes {doc['stored_bytes']} exceeds "
-                f"physical_bytes {doc['physical_bytes']}"
-            )
-        if doc["shards"] > doc["shard_count"]:
-            return fail(
-                f"{doc['shards']} live shards exceed shard_count "
-                f"{doc['shard_count']}"
-            )
-        if doc["entries"] and not doc["segments"]:
-            return fail("entries present but no segment files")
-    else:
-        if doc["shards"] != 0:
-            return fail(f"legacy store reports {doc['shards']} shards")
+    for key in ("stored_bytes", "dead_bytes", "shard_count"):
+        if not isinstance(doc.get(key), int) or doc[key] < 0:
+            return fail(f"sharded stats: bad {key} {doc.get(key)!r}")
+    if doc["stored_bytes"] > doc["physical_bytes"]:
+        return fail(
+            f"stored_bytes {doc['stored_bytes']} exceeds "
+            f"physical_bytes {doc['physical_bytes']}"
+        )
+    if doc["shards"] > doc["shard_count"]:
+        return fail(
+            f"{doc['shards']} live shards exceed shard_count "
+            f"{doc['shard_count']}"
+        )
+    if doc["entries"] and not doc["segments"]:
+        return fail("entries present but no segment files")
 
-    if expect_kind is not None and doc["kind"] != expect_kind:
-        return fail(f"kind {doc['kind']!r}, expected {expect_kind!r}")
     if expect_entries is not None and doc["entries"] != expect_entries:
         return fail(
             f"{doc['entries']} entries, expected {expect_entries}"
@@ -143,12 +130,6 @@ def main(argv=None) -> int:
         metavar="N",
         help="fail unless the store holds exactly N entries",
     )
-    parser.add_argument(
-        "--expect-kind",
-        choices=_BACKENDS,
-        default=None,
-        help="fail unless the backend is this kind",
-    )
     args = parser.parse_args(argv)
     try:
         doc = json.loads(Path(args.stats).read_text("utf-8"))
@@ -156,11 +137,7 @@ def main(argv=None) -> int:
         return fail(f"cannot read {args.stats}: {exc}")
     if not isinstance(doc, dict):
         return fail("document is not a JSON object")
-    return check(
-        doc,
-        expect_entries=args.expect_entries,
-        expect_kind=args.expect_kind,
-    )
+    return check(doc, expect_entries=args.expect_entries)
 
 
 if __name__ == "__main__":

@@ -47,11 +47,10 @@ Subcommands:
 
 * ``cache`` — inspect and maintain the on-disk result store:
   ``stats`` (``--json`` emits the ``repro-store/1`` document),
-  ``verify``, ``compact``, ``gc SIZE``, and ``migrate`` (legacy
-  one-JSON-per-result cache -> sharded store, verified in place)::
+  ``verify``, ``compact`` and ``gc SIZE``; each takes only
+  ``--cache-dir``::
 
       python -m repro cache stats --json
-      python -m repro cache migrate
       python -m repro cache gc 512M
 
 * ``list`` — list registered workloads, systems, and experiments.
@@ -72,10 +71,10 @@ per-``W``-cycle activity table from the run's interval metrics.
 ``run``, ``figure``, and ``report`` share the experiment runner's cache
 and parallelism flags: ``--workers N`` fans simulations out over N
 processes (default ``REPRO_WORKERS``), ``--cache-dir`` relocates the disk
-cache (default ``.repro_cache``, env ``REPRO_CACHE_DIR``), ``--no-cache``
-disables the disk cache for the invocation, and ``--store
-{legacy,sharded,auto}`` picks the result-store backend (env
-``REPRO_STORE``; see docs/ARCHITECTURE.md).
+cache (default ``.repro_cache``, env ``REPRO_CACHE_DIR``), and
+``--no-cache`` disables the disk cache for the invocation.  A cache
+directory the result store cannot open on (see docs/ARCHITECTURE.md §6a)
+is an error: ``repro`` prints one line naming it and exits 2.
 
 ``run``, ``report``, and ``bench`` take ``--backend
 {python,compiled,auto}`` to select the simulation backend (default
@@ -88,6 +87,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import os
 import sys
 
@@ -137,8 +137,6 @@ def _apply_runner_flags(
 ) -> None:
     """Propagate the shared cache/parallelism flags to the runner."""
     _apply_backend_flag(args)
-    if getattr(args, "store", None) is not None:
-        store_pkg.select_store(args.store)
     if getattr(args, "scale", None) is not None:
         os.environ["REPRO_SCALE"] = str(args.scale)
     if getattr(args, "workers", None) is not None:
@@ -476,17 +474,22 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def _parse_size(text: str) -> int:
     """``512M``-style sizes for ``cache gc`` (plain bytes, K/M/G suffix)."""
     units = {"K": 1 << 10, "M": 1 << 20, "G": 1 << 30}
-    text = text.strip().upper()
+    digits = text.strip().upper()
     mult = 1
-    if text and text[-1] in units:
-        mult = units[text[-1]]
-        text = text[:-1]
+    if digits and digits[-1] in units:
+        mult = units[digits[-1]]
+        digits = digits[:-1]
     try:
-        return int(float(text) * mult)
+        size = float(digits) * mult
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a size: {text!r} (want bytes or K/M/G suffix)"
         ) from None
+    if not math.isfinite(size) or size < 0:
+        raise argparse.ArgumentTypeError(
+            f"not a size: {text!r} (want a finite, non-negative size)"
+        )
+    return int(size)
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -494,36 +497,6 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
     _apply_runner_flags(args)
     root = runner.cache_dir()
-
-    if args.action == "migrate":
-        from .store.migrate import MigrationError, migrate_cache
-
-        def progress(i: int, total: int, key: str) -> None:
-            print(f"  [migrate] {i}/{total} {key}", file=sys.stderr)
-
-        try:
-            summary = migrate_cache(
-                root,
-                keep_legacy=args.keep_legacy,
-                progress=progress if args.verbose else None,
-            )
-        except MigrationError as exc:
-            print(f"migrate: {exc}", file=sys.stderr)
-            return 1
-        if not summary["was_legacy_layout"]:
-            print(f"migrate          : {root} is not a legacy cache "
-                  "(nothing to do)")
-            return 0
-        print(f"migrate          : {root} -> sharded store")
-        print(f"  entries          {summary['entries']}")
-        print(f"  migrated         {summary['migrated']} "
-              f"(verified {summary['verified']}, "
-              f"skipped {summary['skipped']})")
-        print(f"  bytes migrated   {summary['bytes_migrated']:,}")
-        print(f"  legacy removed   {summary['legacy_files_removed']} "
-              f"file(s){' (kept: --keep-legacy)' if args.keep_legacy else ''}")
-        return 0
-
     store = runner.result_store()
     if args.action == "stats":
         doc = store.stats()
@@ -696,7 +669,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    cache_flags = argparse.ArgumentParser(add_help=False)
+    cache_dir_flag = argparse.ArgumentParser(add_help=False)
+    cache_dir_flag.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="disk cache location (default: $REPRO_CACHE_DIR or "
+        ".repro_cache)",
+    )
+
+    cache_flags = argparse.ArgumentParser(
+        add_help=False, parents=[cache_dir_flag]
+    )
     cache_flags.add_argument(
         "--workers",
         type=int,
@@ -709,22 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache",
         action="store_true",
         help="disable the on-disk result cache for this invocation",
-    )
-    cache_flags.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="disk cache location (default: $REPRO_CACHE_DIR or "
-        ".repro_cache)",
-    )
-    cache_flags.add_argument(
-        "--store",
-        choices=store_pkg.STORES,
-        default=None,
-        help="result-store backend: the sharded segment store, the "
-        "legacy one-JSON-per-result layout, or auto (existing legacy "
-        "caches stay legacy, everything else sharded).  Overrides "
-        "$REPRO_STORE",
     )
 
     backend_flags = argparse.ArgumentParser(add_help=False)
@@ -965,17 +933,15 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Operate on the result store under the cache directory: "
             "print a repro-store/1 stats document, read back every entry "
-            "(verify), reclaim dead segment space (compact), evict "
-            "least-recently-read entries to a byte budget (gc), or "
-            "convert a legacy one-JSON-per-result cache to the sharded "
-            "layout in place with a verified round-trip (migrate)."
+            "(verify), reclaim dead segment space (compact), or evict "
+            "least-recently-read entries to a byte budget (gc)."
         ),
     )
     cache_sub = p_cache.add_subparsers(dest="action", required=True)
     c_stats = cache_sub.add_parser(
         "stats",
         help="entry/shard/segment counts and byte totals",
-        parents=[cache_flags],
+        parents=[cache_dir_flag],
     )
     c_stats.add_argument(
         "--json",
@@ -986,17 +952,17 @@ def build_parser() -> argparse.ArgumentParser:
     c_verify = cache_sub.add_parser(
         "verify",
         help="read back every entry; exit 1 on any corruption",
-        parents=[cache_flags],
+        parents=[cache_dir_flag],
     )
     c_compact = cache_sub.add_parser(
         "compact",
         help="rewrite segments without dead records; sweep tmp litter",
-        parents=[cache_flags],
+        parents=[cache_dir_flag],
     )
     c_gc = cache_sub.add_parser(
         "gc",
         help="evict least-recently-read entries to fit a byte budget",
-        parents=[cache_flags],
+        parents=[cache_dir_flag],
     )
     c_gc.add_argument(
         "max_bytes",
@@ -1004,23 +970,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SIZE",
         help="target payload footprint: bytes or K/M/G suffix (e.g. 512M)",
     )
-    c_migrate = cache_sub.add_parser(
-        "migrate",
-        help="convert a legacy cache to the sharded layout in place",
-        parents=[cache_flags],
-    )
-    c_migrate.add_argument(
-        "--keep-legacy",
-        action="store_true",
-        help="leave the legacy files in place after the verified copy "
-        "(default: remove them)",
-    )
-    c_migrate.add_argument(
-        "--verbose",
-        action="store_true",
-        help="print each migrated key",
-    )
-    for sp in (c_stats, c_verify, c_compact, c_gc, c_migrate):
+    for sp in (c_stats, c_verify, c_compact, c_gc):
         sp.set_defaults(fn=cmd_cache)
 
     p_list = sub.add_parser("list", help="list workloads/systems/experiments")
@@ -1092,7 +1042,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except store_pkg.StoreInitError as exc:
+        print(
+            f"repro: cannot open the result store: {exc} "
+            "(use --cache-dir DIR or --no-cache)",
+            file=sys.stderr,
+        )
+        return 2
 
 
 if __name__ == "__main__":

@@ -8,9 +8,10 @@ cached at two levels:
   (:class:`RunConfig`), and
 * a persistent on-disk **result store** (:mod:`repro.store`) under
   ``.repro_cache/`` (override with ``REPRO_CACHE_DIR``), so a figure
-  sweep re-run in a new process costs zero simulations.  The backend is
-  selected by ``REPRO_STORE``/``--store``: the sharded segment store by
-  default, the legacy one-JSON-per-result layout for pre-store caches.
+  sweep re-run in a new process costs zero simulations.  A cache
+  directory the store cannot open on raises
+  :class:`~repro.store.StoreInitError`; a store that opens but cannot be
+  written degrades to compute-only.
   Concurrent ``run_many`` processes sharing one cache directory
   deduplicate *across processes* through store claims: each miss is
   claimed before execution, and a key some live peer already claimed is
@@ -38,8 +39,6 @@ Environment knobs:
 * ``REPRO_WORKERS`` — worker processes for :func:`run_many` (default 1).
 * ``REPRO_CACHE_DIR`` — disk cache location (default ``.repro_cache``).
 * ``REPRO_NO_CACHE`` — set to ``1`` to disable the disk cache.
-* ``REPRO_STORE`` — result-store backend: ``sharded``, ``legacy``, or
-  ``auto`` (the default; see :mod:`repro.store`).
 """
 
 from __future__ import annotations
@@ -416,9 +415,8 @@ def cache_size() -> int:
 
 
 # ----------------------------------------------------------------------
-# Disk cache: everything persistent goes through the result store
-# (``repro.store``) — legacy flat-JSON or sharded segments, selected by
-# ``REPRO_STORE``/``--store`` with ``auto`` keeping old caches hitting.
+# Disk cache: everything persistent goes through the sharded result
+# store (``repro.store``), one shared instance per cache directory.
 # ----------------------------------------------------------------------
 def result_key(key: str) -> str:
     """Store key for one simulation result (``result/<sha256>``)."""

@@ -496,8 +496,8 @@ class RunBatch(NullBatch):
             "layer": layer,
         }
         if store is not None:
-            # Which store backend answered the disk layer (legacy |
-            # sharded) — attribution for probe-latency regressions.
+            # Which store answered the disk layer (always ``sharded``)
+            # — attribution for probe-latency regressions.
             attrs["store"] = store
         self._session.add(
             "cache-probe",

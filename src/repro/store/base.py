@@ -1,14 +1,13 @@
-"""The :class:`ResultStore` contract shared by both store backends.
+"""The :class:`ResultStore` contract: the part of the result store that
+does not depend on its on-disk format.
 
 A store is a flat keyed blob space under one cache directory.  Keys are
 namespaced paths (``result/<sha>``, ``manifest/<name>``,
 ``forensics/<sha>``, ``figure/<id>/<sha>``); payloads are opaque bytes —
 by convention UTF-8 JSON documents, which is what the
 :meth:`ResultStore.get_json` / :meth:`ResultStore.put_json` helpers
-speak.
-
-Shared machinery lives here so both backends behave identically where
-behaviour is a correctness contract:
+speak.  :class:`~repro.store.sharded.ShardedStore` supplies the byte
+plane; this module supplies the rest:
 
 * **Corrupt entries are misses, not crashes.**  :meth:`get_json` returns
   ``None`` for an entry whose payload does not parse, warns once per
@@ -16,26 +15,31 @@ behaviour is a correctness contract:
   writer can never poison later reads (the runner re-simulates instead).
 
 * **Claims.**  :meth:`ResultStore.claim` hands out cross-process
-  execution claims (O_EXCL claim files carrying the owner pid), so N
-  ``run_many`` processes sharing one cache dir never simulate the same
-  key twice; losers :meth:`wait_for` the winner's entry.  Claims from
-  dead processes are detected and broken.
+  execution claims, so N ``run_many`` processes sharing one cache dir
+  never simulate the same key twice; losers :meth:`wait_for` the
+  winner's entry.  A claim file is written whole to a temp file and
+  hard-linked into place, so it never exists without its owner's pid
+  and token.  Claims from dead processes are broken, and a claim is
+  released only by the claim whose token it carries; both happen under
+  one lock on the claims directory.
 
 * **Metrics.**  Every hit/miss/eviction/corrupt observation increments
   both the store's local :class:`StoreCounters` and — when a fleet
   telemetry session is installed — the ``repro_store_*`` counters of its
-  :class:`~repro.obs.telemetry.MetricsRegistry`, labelled by store kind.
+  :class:`~repro.obs.telemetry.MetricsRegistry`, labelled
+  ``store="sharded"``.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import secrets
 import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 #: Schema tag of the ``stats()`` document (validated by
 #: ``scripts/check_store.py``).
@@ -55,12 +59,8 @@ class StoreError(Exception):
 
 
 class StoreInitError(StoreError):
-    """The backend cannot initialise on this cache directory (the
-    selection layer degrades to the legacy store with one warning)."""
-
-
-class MigrationError(StoreError):
-    """A legacy entry failed its verified round-trip during migration."""
+    """The store cannot open on this cache directory (``repro`` reports
+    it and exits 2)."""
 
 
 @dataclass
@@ -131,12 +131,54 @@ class Claim:
     key: str
     path: Path
     pid: int
+    token: str
 
     def release(self) -> None:
+        """Delete the claim file if it still carries this claim's token;
+        a successor's claim (ours was broken as stale) is left alone."""
         try:
-            self.path.unlink()
+            with _claims_lock(self.path.parent):
+                holder = _read_claim(self.path)
+                if holder is not None and holder.get("token") == self.token:
+                    self.path.unlink()
         except OSError:
-            pass  # already broken / dir removed
+            pass  # claims dir removed or unwritable
+
+
+def _claims_lock(claims_dir: Path) -> "FileLock":
+    """The lock that serialises breaking and releasing claims."""
+    return FileLock(claims_dir / "LOCK")
+
+
+def _read_claim(path: Path) -> Optional[Dict[str, object]]:
+    """The claim file's content; ``None`` when there is no claim file."""
+    try:
+        return json.loads(path.read_text("utf-8"))
+    except (OSError, ValueError):
+        try:
+            # Unreadable claim file: treat as stale if it exists.
+            return {"pid": -1, "unix": 0.0} if path.exists() else None
+        except OSError:
+            return None
+
+
+def _publish_claim(path: Path, payload: bytes, token: str) -> bool:
+    """Hard-link a fully written claim file into place at ``path``;
+    ``False`` when a claim file already exists there."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{token}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.link(tmp, path)
+        return True
+    except FileExistsError:
+        return False
+    finally:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
 
 
 def _pid_alive(pid: int) -> bool:
@@ -171,7 +213,7 @@ class ResultStore:
         self.counters = StoreCounters()
         self._warned_corrupt = False
 
-    # -- raw byte plane (backend-specific) ------------------------------
+    # -- raw byte plane (format-specific) -------------------------------
     def get(self, key: str) -> Optional[bytes]:
         raise NotImplementedError
 
@@ -208,9 +250,6 @@ class ResultStore:
 
     def flush(self) -> None:
         """Persist any write-behind state (lazy atimes)."""
-
-    def close(self) -> None:
-        self.flush()
 
     # -- shared observability -------------------------------------------
     def _note(self, op: str, n: int = 1) -> None:
@@ -258,9 +297,6 @@ class ResultStore:
             json.dumps(obj, sort_keys=True).encode("utf-8"),
         )
 
-    def has(self, key: str) -> bool:
-        return self.get(key) is not None
-
     # -- claims ----------------------------------------------------------
     def _claims_dir(self) -> Path:
         raise NotImplementedError
@@ -279,48 +315,47 @@ class ResultStore:
         than :data:`CLAIM_TTL_SECONDS`) is broken and re-acquired.
         """
         path = self._claim_path(key)
+        token = secrets.token_hex(8)
         payload = json.dumps(
-            {"key": key, "pid": os.getpid(), "unix": round(time.time(), 3)}
+            {
+                "key": key,
+                "pid": os.getpid(),
+                "unix": round(time.time(), 3),
+                "token": token,
+            }
         ).encode("utf-8")
+        claim = Claim(key, path, os.getpid(), token)
         for _ in range(2):  # second pass after breaking a stale claim
             try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
-            except FileExistsError:
-                holder = self._read_claim(path)
-                if holder is None or self._claim_stale(holder):
-                    try:
-                        path.unlink()
-                    except OSError:
-                        pass
-                    continue
-                return None
+                if _publish_claim(path, payload, token):
+                    return claim
+                holder = _read_claim(path)
+                if holder is None:
+                    continue  # released meanwhile
+                if not self._claim_stale(holder):
+                    return None
+                self._break_stale(path, holder)
             except OSError:
-                return Claim(key, path, os.getpid())  # unclaimable dir:
-                # degrade to "claimed" so the caller still executes
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(payload)
-            return Claim(key, path, os.getpid())
+                # Unclaimable dir: degrade to "claimed" so the caller
+                # still executes.
+                return claim
         return None
 
+    def _break_stale(self, path: Path, holder: Dict[str, object]) -> None:
+        """Delete the stale claim ``holder`` unless, under the claims
+        lock, ``path`` no longer carries it (a rival broke it and
+        claimed the key in the meantime)."""
+        with _claims_lock(path.parent):
+            if _read_claim(path) == holder:
+                path.unlink()
+
     def claimed_by_other(self, key: str) -> bool:
-        holder = self._read_claim(self._claim_path(key))
+        holder = _read_claim(self._claim_path(key))
         return (
             holder is not None
             and not self._claim_stale(holder)
             and int(holder.get("pid", -1)) != os.getpid()
         )
-
-    @staticmethod
-    def _read_claim(path: Path) -> Optional[Dict[str, object]]:
-        try:
-            return json.loads(path.read_text("utf-8"))
-        except (OSError, ValueError):
-            try:
-                # Unreadable claim file: treat as stale if it exists.
-                return {"pid": -1, "unix": 0.0} if path.exists() else None
-            except OSError:
-                return None
 
     @staticmethod
     def _claim_stale(holder: Dict[str, object]) -> bool:
@@ -362,7 +397,7 @@ class ResultStore:
 
 
 # ----------------------------------------------------------------------
-# Advisory file locking (used by the sharded backend's shard mutations).
+# Advisory file locking (shard mutations; breaking and releasing claims).
 # ----------------------------------------------------------------------
 try:  # pragma: no cover - import probe
     import fcntl as _fcntl
@@ -468,8 +503,8 @@ def stats_document(
     namespaces: Dict[str, int],
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
-    """The canonical ``repro-store/1`` stats document both backends
-    emit (and ``scripts/check_store.py`` validates)."""
+    """The canonical ``repro-store/1`` stats document the store
+    emits (and ``scripts/check_store.py`` validates)."""
     doc: Dict[str, object] = {
         "schema": STORE_SCHEMA,
         "kind": store.kind,

@@ -1,4 +1,4 @@
-"""``ShardedStore``: the default compacting, concurrent-writer backend.
+"""``ShardedStore``: the compacting, concurrent-writer result store.
 
 Layout under the cache directory:
 
@@ -60,7 +60,7 @@ from .base import (
 LAYOUT_SCHEMA = "repro-store-layout/1"
 
 #: Shard count (sha256 hex nibble).  Fixed at store creation and
-#: recorded in META.json; changing it requires a migrate.
+#: recorded in META.json.
 SHARD_COUNT = 16
 
 #: Roll to a fresh segment file once the active one exceeds this.
@@ -98,7 +98,7 @@ class ShardedStore(ResultStore):
                 ) from exc
             if meta.get("schema") != LAYOUT_SCHEMA:
                 raise StoreInitError(
-                    f"incompatible store layout {meta.get('schema')!r} "
+                    f"{meta_path} has store layout {meta.get('schema')!r} "
                     f"(this build speaks {LAYOUT_SCHEMA})"
                 )
             self.shard_count = int(meta.get("shards", SHARD_COUNT))
@@ -465,7 +465,7 @@ class ShardedStore(ResultStore):
                                 pass
                 reclaimed += max(0, before - after)
         # Stale ``*.tmp`` litter from killed atomic writers (index/META
-        # commits) — same sweep the legacy backend runs.
+        # commits) and claimants.
         swept = 0
         if self.base.is_dir():
             for tmp in self.base.rglob("*.tmp"):

@@ -42,6 +42,25 @@ class TestParser:
             assert args.no_cache is False
             assert args.cache_dir is None
 
+    def test_store_flag_and_cache_migrate_are_gone(self):
+        for argv in (["run", "counter", "--store", "sharded"],
+                     ["cache", "migrate"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+
+    def test_cache_gc_rejects_sizes_it_cannot_honour(self):
+        for argv in (["cache", "gc", "inf"], ["cache", "gc", "--", "-5M"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(argv)
+            assert exc.value.code == 2
+
+    def test_cache_subcommands_take_only_cache_dir(self):
+        args = build_parser().parse_args(["cache", "stats", "--cache-dir", "d"])
+        assert args.cache_dir == "d"
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["cache", "stats", "--no-cache"])
+        assert exc.value.code == 2
+
 
 class TestExecution:
     @pytest.fixture(autouse=True)
@@ -84,3 +103,23 @@ class TestExecution:
     def test_unknown_system_exits(self):
         with pytest.raises(SystemExit, match="unknown system"):
             main(["run", "counter", "--system", "bogus"])
+
+    def test_unopenable_store_exits_2_without_writing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.experiments import runner
+
+        monkeypatch.setattr(runner, "_cache_dir_override", None)
+        cache = tmp_path / "squatted"
+        cache.mkdir()
+        (cache / "store").write_text("not a directory")
+        rc = main(
+            ["run", "counter", "--all-systems", "--threads", "2",
+             "--scale", "0.1", "--cache-dir", str(cache)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: cannot open the result store: ")
+        assert str(cache / "store") in err
+        assert err.count("\n") == 1
+        assert [p.name for p in cache.iterdir()] == ["store"]

@@ -106,26 +106,25 @@ class TestDiskCache:
         assert counters().simulations == 2
         assert counters().disk_hits == 0
 
-    @pytest.mark.parametrize("store_kind", ["legacy", "sharded"])
+    @pytest.mark.parametrize("store_kind", ["sharded"])
     def test_corrupt_entry_is_a_miss(self, store_kind, recwarn):
-        """An unparsable store entry is a warn-once miss in *both*
-        backends — never an exception, never a stale result."""
-        with store_pkg.use(store_kind):
-            cfg = RunConfig.make("counter", SystemKind.BASELINE, **FAST)
-            run_cached("counter", SystemKind.BASELINE, **FAST)
-            store = runner.result_store()
-            assert store.kind == store_kind
-            # Overwrite the entry with bytes that are not JSON.
-            store.put(runner.result_key(cfg.key()), b"{not json")
-            clear_cache()
-            run_cached("counter", SystemKind.BASELINE, **FAST)
-            assert counters().simulations == 2
-            assert store.counters.corrupt == 1
-            assert any(
-                issubclass(w.category, RuntimeWarning)
-                and "cache miss" in str(w.message)
-                for w in recwarn.list
-            )
+        """An unparsable store entry is a warn-once miss — never an
+        exception, never a stale result."""
+        cfg = RunConfig.make("counter", SystemKind.BASELINE, **FAST)
+        run_cached("counter", SystemKind.BASELINE, **FAST)
+        store = runner.result_store()
+        assert store.kind == store_kind
+        # Overwrite the entry with bytes that are not JSON.
+        store.put(runner.result_key(cfg.key()), b"{not json")
+        clear_cache()
+        run_cached("counter", SystemKind.BASELINE, **FAST)
+        assert counters().simulations == 2
+        assert store.counters.corrupt == 1
+        assert any(
+            issubclass(w.category, RuntimeWarning)
+            and "cache miss" in str(w.message)
+            for w in recwarn.list
+        )
 
 
 SWEEP = [

@@ -1,7 +1,6 @@
-"""Tests for the pluggable result store (``repro.store``): backend
-round-trips, the legacy-layout mapping, selection/fallback semantics,
-corruption handling, compaction/eviction, the in-place migration, claims,
-and the N-process concurrent-writer guarantee."""
+"""Tests for the result store (``repro.store``): round-trips, opening
+a directory, corruption handling, compaction/eviction, claims, and the
+N-process concurrent-writer guarantee."""
 
 from __future__ import annotations
 
@@ -10,22 +9,16 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 import zlib
 from pathlib import Path
 
 import pytest
 
 from repro import store as store_pkg
-from repro.store import (
-    Claim,
-    LegacyJsonStore,
-    ShardedStore,
-    StoreInitError,
-    looks_like_legacy_cache,
-    migrate_cache,
-)
+from repro.store import ShardedStore, StoreInitError
 from repro.store.base import STORE_SCHEMA
-from repro.store.migrate import MigrationError
 from repro.store.sharded import _shard_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -33,22 +26,20 @@ SRC = REPO_ROOT / "src"
 
 
 @pytest.fixture(autouse=True)
-def isolated_selection(monkeypatch):
-    """Neutral selection state and no shared instances between tests."""
-    monkeypatch.delenv("REPRO_STORE", raising=False)
-    monkeypatch.setattr(store_pkg, "_selected", None)
-    monkeypatch.setattr(store_pkg, "_warned_fallback", False)
+def isolated_instances():
+    """No shared store instances between tests."""
     store_pkg.drop_cached_instances()
     yield
     store_pkg.drop_cached_instances()
 
 
-def make_store(kind: str, root: Path):
-    return LegacyJsonStore(root) if kind == "legacy" else ShardedStore(root)
+def make_store(kind: str, root: Path) -> ShardedStore:
+    return ShardedStore(root)
 
 
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["legacy", "sharded"])
+# One store kind; the parameter keeps these tests' ids ("[sharded]").
+@pytest.mark.parametrize("kind", ["sharded"])
 class TestRoundTrip:
     def test_put_get_bytes(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
@@ -144,59 +135,18 @@ class TestRoundTrip:
 
 
 # ----------------------------------------------------------------------
-class TestLegacyLayout:
-    """The legacy backend must keep today's on-disk layout byte-for-byte
-    so pre-store caches stay hitting."""
-
-    def test_result_maps_to_top_level_json(self, tmp_path):
-        store = LegacyJsonStore(tmp_path)
-        sha = "de" * 32
-        store.put(f"result/{sha}", b'{"a": 1}')
-        assert (tmp_path / f"{sha}.json").read_bytes() == b'{"a": 1}'
-
-    def test_manifest_maps_to_manifests_dir(self, tmp_path):
-        store = LegacyJsonStore(tmp_path)
-        store.put("manifest/MANIFEST_run1_abc123", b"{}")
-        assert (tmp_path / "manifests" / "MANIFEST_run1_abc123.json").exists()
-
-    def test_looks_like_legacy_cache(self, tmp_path):
-        assert not looks_like_legacy_cache(tmp_path)
-        LegacyJsonStore(tmp_path).put("result/" + "aa" * 32, b"{}")
-        assert looks_like_legacy_cache(tmp_path)
-        ShardedStore(tmp_path)  # writes store/META.json
-        assert not looks_like_legacy_cache(tmp_path)
-
-
-# ----------------------------------------------------------------------
 class TestSelection:
-    def test_env_selection(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "legacy")
-        assert store_pkg.resolve_kind(tmp_path) == "legacy"
-        assert store_pkg.store_for(tmp_path).kind == "legacy"
+    """Which store ``store_for`` opens for a cache directory."""
 
-    def test_explicit_beats_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE", "legacy")
-        with store_pkg.use("sharded"):
-            assert store_pkg.store_for(tmp_path).kind == "sharded"
-        assert store_pkg.resolve_kind(tmp_path) == "legacy"
-
-    def test_auto_prefers_sharded_on_fresh_dir(self, tmp_path):
-        assert store_pkg.resolve_kind(tmp_path / "fresh") == "sharded"
-
-    def test_auto_keeps_existing_legacy_cache(self, tmp_path):
-        LegacyJsonStore(tmp_path).put("result/" + "aa" * 32, b"{}")
-        assert store_pkg.resolve_kind(tmp_path) == "legacy"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(store_pkg.UnknownStoreError):
-            store_pkg.select_store("flat")
-
-    def test_sharded_init_failure_falls_back_with_warning(self, tmp_path):
+    def test_unopenable_store_raises(self, tmp_path):
         (tmp_path / "store").write_text("squatted")  # not a directory
-        with store_pkg.use("sharded"):
-            with pytest.warns(RuntimeWarning, match="legacy"):
-                store = store_pkg.open_store(tmp_path)
-        assert store.kind == "legacy"
+        with pytest.raises(StoreInitError, match="not a directory"):
+            store_pkg.store_for(tmp_path)
+        assert [p.name for p in tmp_path.iterdir()] == ["store"]
+
+    def test_repro_store_env_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE", "legacy")
+        assert store_pkg.store_for(tmp_path).kind == "sharded"
 
     def test_store_for_shares_instances(self, tmp_path):
         a = store_pkg.store_for(tmp_path)
@@ -293,66 +243,6 @@ class TestShardedInternals:
 
 
 # ----------------------------------------------------------------------
-class TestMigrate:
-    def _legacy_fixture(self, root: Path) -> dict:
-        legacy = LegacyJsonStore(root)
-        payloads = {
-            "result/" + "ab" * 32: json.dumps(
-                {"schema": 1, "result": {"cycles": 123}}, sort_keys=True
-            ).encode("utf-8"),
-            "result/" + "cd" * 32: b'{"schema": 1, "result": {}}',
-            "manifest/MANIFEST_r1_aaa111": b'{"schema": "m/1", "seq": 1}',
-            "forensics/" + "ef" * 32: b'{"schema": "repro-forensics/1"}',
-        }
-        for key, payload in payloads.items():
-            legacy.put(key, payload)
-        return payloads
-
-    def test_round_trip_is_bit_identical(self, tmp_path):
-        payloads = self._legacy_fixture(tmp_path)
-        summary = migrate_cache(tmp_path)
-        assert summary["was_legacy_layout"] is True
-        assert summary["migrated"] == len(payloads)
-        assert summary["verified"] == len(payloads)
-        store = ShardedStore(tmp_path)
-        for key, payload in payloads.items():
-            assert store.get(key) == payload
-        # Legacy files removed; auto now resolves sharded.
-        assert not looks_like_legacy_cache(tmp_path)
-        assert store_pkg.resolve_kind(tmp_path) == "sharded"
-
-    def test_keep_legacy_preserves_source_files(self, tmp_path):
-        self._legacy_fixture(tmp_path)
-        summary = migrate_cache(tmp_path, keep_legacy=True)
-        assert summary["legacy_files_removed"] == 0
-        assert ("ab" * 32 + ".json") in {
-            p.name for p in tmp_path.iterdir() if p.is_file()
-        }
-
-    def test_idempotent_second_run(self, tmp_path):
-        self._legacy_fixture(tmp_path)
-        migrate_cache(tmp_path)
-        summary = migrate_cache(tmp_path)
-        assert summary["was_legacy_layout"] is False
-        assert summary["migrated"] == 0
-
-    def test_unreadable_legacy_entry_aborts_migration(self, tmp_path):
-        self._legacy_fixture(tmp_path)
-        sha = "ab" * 32
-        path = tmp_path / f"{sha}.json"
-        path.chmod(0o000)
-        if os.access(path, os.R_OK):  # running as root: chmod is a no-op
-            pytest.skip("cannot revoke read permission on this platform")
-        try:
-            with pytest.raises(MigrationError):
-                migrate_cache(tmp_path)
-            # Source files untouched: nothing was removed.
-            assert looks_like_legacy_cache(tmp_path)
-        finally:
-            path.chmod(0o644)
-
-
-# ----------------------------------------------------------------------
 class TestClaims:
     def test_claim_is_exclusive_until_released(self, tmp_path):
         store = ShardedStore(tmp_path)
@@ -376,7 +266,10 @@ class TestClaims:
         assert store.claimed_by_other(key) is True
         assert store.claim(key) is None
         claim.release()
-        assert store.claimed_by_other(key) is False
+        # Our release leaves a claim that names another owner in place.
+        assert claim.path.exists()
+        assert store.claimed_by_other(key) is True
+        claim.path.unlink()
 
     def test_stale_dead_pid_claim_is_broken(self, tmp_path):
         store = ShardedStore(tmp_path)
@@ -388,6 +281,55 @@ class TestClaims:
         claim = store.claim(key)
         assert claim is not None and claim.pid == os.getpid()
         claim.release()
+
+    def test_unclaimable_dir_degrades_to_executing(self, tmp_path):
+        store = ShardedStore(tmp_path)
+        (tmp_path / "store" / "claims").write_text("not a directory")
+        claim = store.claim("result/" + "cc" * 32)
+        assert claim is not None  # the caller executes instead of waiting
+        claim.release()
+
+    def test_concurrent_claimants_never_overlap(self, tmp_path):
+        """Two threads race claim/release on one key: at most one may
+        hold it at any time, and both must keep getting it."""
+        store = ShardedStore(tmp_path)
+        key = "result/" + "ee" * 32
+        guard = threading.Lock()
+        holders = []
+        overlaps = []
+        acquired = [0, 0]
+        deadline = time.monotonic() + 2.0
+
+        def contend(me):
+            while time.monotonic() < deadline:
+                claim = store.claim(key)
+                if claim is None:
+                    continue
+                with guard:
+                    if holders:
+                        overlaps.append((me, list(holders)))
+                    holders.append(me)
+                acquired[me] += 1
+                time.sleep(0.001)
+                with guard:
+                    holders.remove(me)
+                claim.release()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=contend, args=(i,)) for i in (0, 1)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert overlaps == []
+        assert min(acquired) >= 50, acquired
 
     def test_wait_for_returns_stored_payload(self, tmp_path):
         store = ShardedStore(tmp_path)
@@ -461,7 +403,6 @@ class TestConcurrentWriters:
         env = os.environ.copy()
         env["PYTHONPATH"] = str(SRC)
         env["REPRO_CACHE_DIR"] = str(cache_dir)
-        env["REPRO_STORE"] = "sharded"
         env.pop("REPRO_NO_CACHE", None)
         return env
 
