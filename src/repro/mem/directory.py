@@ -17,8 +17,8 @@ Hot-path notes: per-block state and invalidation rounds are ``__slots__``
 records, and the message entry point dispatches through a dense
 per-kind table (``kind.idx``) instead of an if/elif ladder.  Messages the
 directory stores past their delivery callback (queued requests,
-invalidation-round requests) are ``retain()``-ed so the interconnect's
-free list never recycles them under us.
+invalidation-round requests) are ``retain()``-ed so the router's
+post-delivery ``release()`` never poisons them under us.
 """
 
 from __future__ import annotations
@@ -317,7 +317,7 @@ class Directory:
                 self._grant_exclusive(entry, original)
             else:
                 self._grant_shared(entry, original)
-            # ``original`` never travelled the network, so recycle it
+            # ``original`` never travelled the network, so poison it
             # here (the grant paths read it synchronously).
             original.release()
         else:  # pragma: no cover - protocol violation

@@ -7,19 +7,20 @@ control-only (1 flit), mirroring Table I.
 
 Hot-path design: a :class:`Message` is created for every hop of every
 coherence exchange, so it is a ``__slots__`` class (no per-instance
-``__dict__``) backed by a bounded free-list pool — the interconnect
-recycles delivered messages unless a handler retained one (directory
-queueing, invalidation rounds).  The per-kind hot attributes
-(``carries_data``, ``idx``) are precomputed once on the enum members, so
-the send path pays plain C-speed attribute loads instead of property
-calls and enum hashing.
+``__dict__``) built by one plain allocation.  After delivery the router
+poisons each message (``release()``) unless a handler retained it
+(directory queueing, invalidation rounds), so a handler that keeps a
+message without retaining it fails loudly instead of reading stale
+fields.  The per-kind hot attributes (``carries_data``, ``idx``) are
+precomputed once on the enum members, so the send path pays plain
+C-speed attribute loads instead of property calls and enum hashing.
 """
 
 from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 
 class MessageKind(Enum):
@@ -65,10 +66,6 @@ DIRECTORY = -1
 
 _message_ids = itertools.count()
 
-#: Recycled message instances; bounded so a pathological burst cannot
-#: pin memory forever.
-_POOL_LIMIT = 512
-
 
 class Message:
     """One message on the interconnect.
@@ -102,16 +99,7 @@ class Message:
         "action",
         "uid",
         "_retained",
-        "_pooled",
     )
-
-    _pool: List["Message"] = []
-
-    def __new__(cls, *args, **kwargs):
-        pool = cls._pool
-        if pool:
-            return pool.pop()
-        return super().__new__(cls)
 
     def __init__(
         self,
@@ -161,32 +149,27 @@ class Message:
         self.action = action
         self.uid = next(_message_ids)
         self._retained = False
-        self._pooled = False
 
     # ------------------------------------------------------------------
     def retain(self) -> "Message":
-        """Opt this message out of post-delivery recycling (a handler
+        """Opt this message out of post-delivery poisoning (a handler
         stored it past the delivery callback)."""
         self._retained = True
         return self
 
     def release(self) -> None:
-        """Return the message to the free list.
+        """Poison the message once its delivery is over.
 
         No-op for retained instances (their lifetime is managed by
-        whoever stored them) and idempotent for already-released ones.
+        whoever stored them); releasing twice changes nothing.
         References are cleared so a use-after-release fails loudly on
         ``kind`` instead of silently reading stale fields.
         """
-        if self._retained or self._pooled:
+        if self._retained:
             return
-        self._pooled = True
         self.kind = None  # type: ignore[assignment]
         self.data = None
         self.action = None
-        pool = Message._pool
-        if len(pool) < _POOL_LIMIT:
-            pool.append(self)
 
     @property
     def flits(self) -> int:

@@ -120,7 +120,7 @@ class Simulator:
     # ------------------------------------------------------------------
     def _route(self, msg: Message) -> None:
         self._dst_handlers[msg.dst](msg)
-        # Recycle unless the handler retained the message past delivery.
+        # Poison unless the handler retained the message past delivery.
         msg.release()
 
     def next_timestamp(self) -> int:

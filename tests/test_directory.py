@@ -34,7 +34,7 @@ class Harness:
         if msg.dst == DIRECTORY:
             self.directory.handle(msg)
         else:
-            # The crossbar recycles messages after delivery; the harness
+            # The router poisons messages after delivery; the harness
             # keeps them for assertions, so it must retain them.
             self.delivered.append(msg.retain())
 
