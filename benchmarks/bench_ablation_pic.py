@@ -10,7 +10,8 @@ and therefore performance.
 from __future__ import annotations
 
 from repro.experiments.runner import run_cached
-from repro.sim.config import SystemKind, table2_config
+from repro.sim.config import table2_config
+from repro.systems import paper
 
 WORKLOADS = ("llb-l", "kmeans-l", "cadd")
 WIDTHS = (3, 4, 5, 7)
@@ -20,8 +21,8 @@ def test_ablation_pic_width(run_once):
     def sweep():
         out = {}
         for bits in WIDTHS:
-            htm = table2_config(SystemKind.CHATS).replace(pic_bits=bits)
-            out[bits] = {w: run_cached(w, SystemKind.CHATS, htm=htm) for w in WORKLOADS}
+            htm = table2_config(paper.CHATS).replace(pic_bits=bits)
+            out[bits] = {w: run_cached(w, paper.CHATS, htm=htm) for w in WORKLOADS}
         return out
 
     results = run_once(sweep)

@@ -11,7 +11,8 @@ capacity abort.
 from __future__ import annotations
 
 from repro.htm.stats import AbortReason
-from repro.sim.config import SystemConfig, SystemKind
+from repro.sim.config import SystemConfig
+from repro.systems import paper
 
 
 def tiny_l1(aware: bool) -> SystemConfig:
@@ -31,7 +32,7 @@ def test_ablation_write_set_aware_replacement(run_once):
         for aware in (True, False):
             out[aware] = {
                 w: run_workload(
-                    w, SystemKind.CHATS, scale=0.3, config=tiny_l1(aware)
+                    w, paper.CHATS, scale=0.3, config=tiny_l1(aware)
                 )
                 for w in ("cadd", "yada")
             }

@@ -11,7 +11,8 @@ ones converge to the perfect signature.
 from __future__ import annotations
 
 from repro.experiments.runner import run_cached
-from repro.sim.config import SystemKind, table2_config
+from repro.sim.config import table2_config
+from repro.systems import paper
 
 WORKLOADS = ("kmeans-h", "llb-l", "vacation")
 SIZES = (64, 256, 2048, None)  # None = perfect
@@ -21,9 +22,9 @@ def test_ablation_signature_size(run_once):
     def sweep():
         out = {}
         for bits in SIZES:
-            htm = table2_config(SystemKind.CHATS).replace(signature_bits=bits)
+            htm = table2_config(paper.CHATS).replace(signature_bits=bits)
             out[bits] = {
-                w: run_cached(w, SystemKind.CHATS, htm=htm) for w in WORKLOADS
+                w: run_cached(w, paper.CHATS, htm=htm) for w in WORKLOADS
             }
         return out
 

@@ -11,7 +11,8 @@ slower and blinder.
 from __future__ import annotations
 
 from repro.experiments.runner import run_cached
-from repro.sim.config import SystemKind, table2_config
+from repro.sim.config import table2_config
+from repro.systems import paper
 
 WORKLOADS = ("llb-h", "kmeans-h", "intruder")
 
@@ -19,11 +20,11 @@ WORKLOADS = ("llb-h", "kmeans-h", "intruder")
 def test_ablation_validation_pic_check(run_once):
     def sweep():
         on = {
-            w: run_cached(w, SystemKind.CHATS) for w in WORKLOADS
+            w: run_cached(w, paper.CHATS) for w in WORKLOADS
         }
-        htm = table2_config(SystemKind.CHATS).replace(validation_pic_check=False)
+        htm = table2_config(paper.CHATS).replace(validation_pic_check=False)
         off = {
-            w: run_cached(w, SystemKind.CHATS, htm=htm) for w in WORKLOADS
+            w: run_cached(w, paper.CHATS, htm=htm) for w in WORKLOADS
         }
         return on, off
 

@@ -8,7 +8,8 @@ the bench exercises a short kmeans run on the Table I machine).
 from __future__ import annotations
 
 from repro.experiments.runner import run_cached
-from repro.sim.config import SystemConfig, SystemKind
+from repro.sim.config import SystemConfig
+from repro.systems import paper
 
 
 def test_table1_machine_model(run_once):
@@ -25,7 +26,7 @@ def test_table1_machine_model(run_once):
     assert config.l3_roundtrip == 30
 
     result = run_once(
-        run_cached, "kmeans-l", SystemKind.BASELINE, scale=0.2
+        run_cached, "kmeans-l", paper.BASELINE, scale=0.2
     )
     assert result.total_commits > 0
     print()

@@ -5,7 +5,7 @@ Combines three introspection tools this library ships with:
 
 * per-transaction-site statistics (``Txn.label``): which transaction in
   the program commits/aborts how often under each system;
-* the :class:`~repro.sim.tracing.Tracer`: a structured event log of
+* the :class:`~repro.obs.tracer.Tracer`: a structured event log of
   forwards, commits, and aborts;
 * the invariant checker, scheduled mid-run as a sanity harness.
 
@@ -21,12 +21,12 @@ Usage::
 import sys
 from collections import Counter
 
-from repro import SystemKind, Tracer, check_invariants, table2_config
+from repro import Tracer, check_invariants, table2_config
 from repro.sim.simulator import Simulator
 from repro.workloads.base import make_workload
 
 
-def run_with_forensics(system: SystemKind, scale: float):
+def run_with_forensics(system: str, scale: float):
     wl = make_workload("intruder", threads=16, seed=1, scale=scale)
     sim = Simulator(wl, htm=table2_config(system))
 
@@ -45,9 +45,9 @@ def run_with_forensics(system: SystemKind, scale: float):
 def main() -> None:
     scale = float(sys.argv[1]) if len(sys.argv) > 1 else 0.3
 
-    for system in (SystemKind.BASELINE, SystemKind.CHATS, SystemKind.PCHATS):
+    for system in ("baseline", "chats", "pchats"):
         result, sim, trace = run_with_forensics(system, scale)
-        print(f"=== intruder under {system.value} ===")
+        print(f"=== intruder under {system} ===")
         print(f"execution time: {result.cycles:,} cycles; "
               f"commits {result.total_commits}, aborts {result.total_aborts}")
 

@@ -21,7 +21,7 @@ Usage::
 
 from repro.net.messages import DIRECTORY
 from repro.obs.events import MsgSent
-from repro.sim.config import SystemConfig, SystemKind, table2_config
+from repro.sim.config import SystemConfig, table2_config
 from repro.sim.ops import Read, Txn, Work, Write
 from repro.sim.simulator import Simulator
 from repro.workloads.scripted import ScriptedWorkload
@@ -64,7 +64,7 @@ def main() -> None:
     )
     sim = Simulator(
         wl,
-        htm=table2_config(SystemKind.CHATS),
+        htm=table2_config("chats"),
         config=SystemConfig(num_cores=3),
     )
 

@@ -14,7 +14,7 @@ Usage::
 
 import sys
 
-from repro import SystemKind, all_system_kinds, run_workload
+from repro import paper_systems, run_workload
 
 WORKLOADS = ("llb-l", "llb-h", "cadd")
 
@@ -31,7 +31,7 @@ def main() -> None:
         )
         print(header)
         print("-" * len(header))
-        for system in all_system_kinds():
+        for system in paper_systems():
             r = run_workload(workload, system, scale=scale)
             if baseline is None:
                 baseline = r
@@ -44,7 +44,7 @@ def main() -> None:
                 else "—"
             )
             print(
-                f"{system.value:<18s} "
+                f"{system.name:<18s} "
                 f"{r.normalized_time(baseline):>9.3f} "
                 f"{r.total_aborts:>7d} "
                 f"{r.abort_ratio:>13.2f} "

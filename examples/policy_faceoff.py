@@ -20,7 +20,7 @@ Usage::
     python examples/policy_faceoff.py
 """
 
-from repro import SystemKind, all_system_kinds
+from repro import paper_systems
 from repro.sim.config import SystemConfig, table2_config
 from repro.sim.ops import Read, Txn, Work, Write
 from repro.sim.simulator import Simulator
@@ -91,7 +91,7 @@ def main() -> None:
     print(header)
     print("-" * len(header))
 
-    for system in all_system_kinds():
+    for system in paper_systems():
         wl = ScriptedWorkload(
             [transfer_thread(t) for t in range(4)] + [auditor_thread()],
             initial={addr: INITIAL for addr in ACCOUNTS},
@@ -105,7 +105,7 @@ def main() -> None:
         result = sim.run()
         total = sum(sim.memory.read_word(a) for a in ACCOUNTS)
         print(
-            f"{system.value:<18s} {result.cycles:>8d} "
+            f"{system.name:<18s} {result.cycles:>8d} "
             f"{result.total_aborts:>7d} {sim.stats.spec_forwards:>9d} "
             f"{sim.stats.tx_fallback_commits:>9d} "
             f"{'yes' if total == expected_total else 'NO!':>9s}"

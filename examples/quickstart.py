@@ -17,7 +17,7 @@ Usage::
 
 import sys
 
-from repro import SystemKind, run_workload
+from repro import run_workload
 
 
 def main() -> None:
@@ -27,8 +27,8 @@ def main() -> None:
     print(f"workload={workload}  scale={scale}  (16 cores, Table I machine)")
     print()
 
-    baseline = run_workload(workload, SystemKind.BASELINE, scale=scale)
-    chats = run_workload(workload, SystemKind.CHATS, scale=scale)
+    baseline = run_workload(workload, "baseline", scale=scale)
+    chats = run_workload(workload, "chats", scale=scale)
 
     for name, r in (("baseline (requester-wins)", baseline), ("CHATS", chats)):
         print(f"[{name}]")

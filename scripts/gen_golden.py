@@ -56,13 +56,14 @@ def result_digest(result) -> str:
 
 
 def run_case(workload: str, system: str, seed: int):
-    from repro.sim.config import SystemKind, table2_config
+    from repro.sim.config import table2_config
     from repro.sim.simulator import run_simulation
+    from repro.systems import get_spec
     from repro.workloads.base import make_workload
 
-    kind = next(k for k in SystemKind if k.value == system)
+    spec = get_spec(system)
     wl = make_workload(workload, threads=THREADS, seed=seed, scale=SCALE)
-    return run_simulation(wl, kind, htm=table2_config(kind))
+    return run_simulation(wl, spec, htm=table2_config(spec))
 
 
 def case_key(workload: str, system: str, seed: int) -> str:

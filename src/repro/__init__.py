@@ -28,19 +28,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .sim.config import (
-    ForwardClass,
-    HTMConfig,
-    SystemConfig,
-    SystemKind,
-    all_system_kinds,
-    table2_config,
-)
+from .obs import TraceEvent, Tracer
+from .sim.config import HTMConfig, SystemConfig, table2_config
 from .sim.invariants import InvariantViolation, check_invariants, check_quiescent
 from .sim.results import SimulationResult
 from .sim.simulator import DeadlockError, Simulator, run_simulation
-from .sim.tracing import TraceEvent, Tracer
 from .systems import (
+    ForwardClass,
     SystemSpec,
     UnknownSystemError,
     get_spec,
@@ -67,13 +61,11 @@ __all__ = [
     "SimulationResult",
     "Simulator",
     "SystemConfig",
-    "SystemKind",
     "SystemSpec",
     "TraceEvent",
     "Tracer",
     "DeadlockError",
     "Workload",
-    "all_system_kinds",
     "UnknownSystemError",
     "check_invariants",
     "check_quiescent",

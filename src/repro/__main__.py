@@ -91,12 +91,12 @@ import math
 import os
 import sys
 
-from . import all_system_kinds, workload_names
+from . import workload_names
 from . import store as store_pkg
 from .experiments import runner
 from .experiments.registry import EXPERIMENTS, experiment_configs
 from .experiments.figures import FIGURES, run_figure
-from .systems import UnknownSystemError, get_spec, registered_systems
+from .systems import UnknownSystemError, get_spec, paper_systems, registered_systems
 
 
 def _system_from_name(name: str):
@@ -300,7 +300,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         progress = dash.progress if dash is not None else _progress_printer
         _apply_runner_flags(args, progress=progress)
         systems = (
-            list(all_system_kinds())
+            list(paper_systems())
             if args.all_systems
             else [_system_from_name(args.system)]
         )
@@ -325,7 +325,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             if baseline_cycles is None:
                 baseline_cycles = result.cycles
             print(
-                f"{system.value:<18s} cycles={result.cycles:>9,d} "
+                f"{system.name:<18s} cycles={result.cycles:>9,d} "
                 f"norm={result.cycles / baseline_cycles:5.3f} "
                 f"aborts={result.total_aborts:>6d} "
                 f"forwards={result.stats.spec_forwards:>7d}"
@@ -359,7 +359,7 @@ def _print_manifest_forensics(configs) -> None:
             f"{k}={v}" for k, v in d["breakdown"].items()
         ) or "none"
         print(
-            f"  {cfg.workload}/{cfg.system.value}: "
+            f"  {cfg.workload}/{cfg.system.name}: "
             f"aborts={d['aborts']} "
             f"attributed={d['attributed_fraction']:.1%} "
             f"[{breakdown}] cascades={d['cascades']} "

@@ -75,11 +75,6 @@ def compiled_available() -> bool:
     return _load_compiled() is not None
 
 
-def available_backends() -> tuple:
-    """The backends that would actually run if selected, best first."""
-    return ("compiled", "python") if compiled_available() else ("python",)
-
-
 # ----------------------------------------------------------------------
 # Selection
 # ----------------------------------------------------------------------

@@ -63,10 +63,6 @@ class PiCRegister:
     def init(self) -> int:
         return self._init
 
-    @property
-    def is_set(self) -> bool:
-        return self.value is not None
-
     def reset(self) -> None:
         """Transaction abort or commit: PiC returns to the unset encoding."""
         self.value = None

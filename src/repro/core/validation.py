@@ -27,7 +27,7 @@ from typing import Optional, TYPE_CHECKING
 from ..htm.stats import AbortReason
 from ..net.messages import Message, MessageKind
 from ..obs.events import ValidationMismatch, ValidationOk, ValidationStart, VsbDrain
-from ..sim.engine import CancelToken
+from ..sim.engine import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Core
@@ -38,7 +38,7 @@ class ValidationController:
 
     def __init__(self, core: "Core"):
         self._core = core
-        self._timer: Optional[CancelToken] = None
+        self._timer: Optional[Event] = None
         self._inflight = False
 
     # ------------------------------------------------------------------

@@ -13,13 +13,11 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis import metrics
 from ..analysis.tables import format_heatmap, format_stacked, format_table
-from ..sim.config import ForwardClass, table2_config
-from ..systems import paper
-from ..systems.capacity import CAPACITY_SWEEP
-from ..systems.spec import SystemSpec
+from ..sim.config import table2_config
 from ..sim.results import SimulationResult
+from ..systems import ForwardClass, SystemSpec, paper, paper_systems
+from ..systems.capacity import CAPACITY_SWEEP
 from .registry import (
-    ALL_SYSTEMS,
     RETRY_SWEEP,
     VALIDATION_INTERVALS,
     VSB_SIZES,
@@ -108,25 +106,20 @@ def fig1(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
 # ----------------------------------------------------------------------
 # Fig. 4 — execution time, all systems.
 # ----------------------------------------------------------------------
-#: Display labels come straight from each spec (paper systems carry the
-#: Table II names the analysis layer expects).
-_SYSTEM_LABELS = {spec: spec.label for spec in ALL_SYSTEMS}
-
-
 def fig4(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     exp = get_experiment("fig4")
     workloads = workloads or exp.workloads
     _prefetch("fig4", workloads)
-    runs = _sweep(workloads, ALL_SYSTEMS)
+    runs = _sweep(workloads, paper_systems())
     base = runs[paper.BASELINE]
     series = {
-        _SYSTEM_LABELS[s]: metrics.normalized_times(runs[s], base)
-        for s in ALL_SYSTEMS
+        s.label: metrics.normalized_times(runs[s], base)
+        for s in paper_systems()
     }
     result = FigureResult("fig4", exp.title, series, extra={"runs": runs})
     footer = {}
     for s in (paper.CHATS, paper.PCHATS):
-        label = _SYSTEM_LABELS[s]
+        label = s.label
         footer[f"STAMP mean ({label})"] = (
             f"arith {result.mean(label):.3f} / "
             f"geo {result.mean(label, geometric=True):.3f}"
@@ -147,15 +140,15 @@ def fig5(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     exp = get_experiment("fig5")
     workloads = workloads or exp.workloads
     _prefetch("fig5", workloads)
-    runs = _sweep(workloads, ALL_SYSTEMS)
+    runs = _sweep(workloads, paper_systems())
     base = runs[paper.BASELINE]
     series = {
-        _SYSTEM_LABELS[s]: metrics.normalized_aborts(runs[s], base)
-        for s in ALL_SYSTEMS
+        s.label: metrics.normalized_aborts(runs[s], base)
+        for s in paper_systems()
     }
     stacks: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for s in ALL_SYSTEMS:
-        stacks[_SYSTEM_LABELS[s]] = {
+    for s in paper_systems():
+        stacks[s.label] = {
             w: {
                 reason: count
                 for reason, count in r.stats.abort_breakdown().items()
@@ -166,7 +159,7 @@ def fig5(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     result = FigureResult(
         "fig5", exp.title, series, extra={"stacks": stacks, "runs": runs}
     )
-    chats_mean = result.mean(_SYSTEM_LABELS[paper.CHATS])
+    chats_mean = result.mean(paper.CHATS.label)
     rendering = [
         format_table(
             "Fig. 5 — Aborted transactions normalized to baseline",
@@ -199,7 +192,7 @@ def fig6(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     stacks: Dict[str, Dict[str, Dict[str, float]]] = {}
     survival: Dict[str, Dict[str, float]] = {}
     for s in exp.systems:
-        label = _SYSTEM_LABELS[s]
+        label = s.label
         stacks[label] = {}
         survival[label] = {}
         for w, r in runs[s].items():
@@ -249,11 +242,11 @@ def fig7(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     exp = get_experiment("fig7")
     workloads = workloads or exp.workloads
     _prefetch("fig7", workloads)
-    runs = _sweep(workloads, ALL_SYSTEMS)
+    runs = _sweep(workloads, paper_systems())
     base = runs[paper.BASELINE]
     series = {
-        _SYSTEM_LABELS[s]: metrics.normalized_flits(runs[s], base)
-        for s in ALL_SYSTEMS
+        s.label: metrics.normalized_flits(runs[s], base)
+        for s in paper_systems()
     }
     result = FigureResult("fig7", exp.title, series, extra={"runs": runs})
     result.rendering = format_table(
@@ -288,7 +281,7 @@ def fig8(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
         for fc in classes:
             htm = table.replace(forward_class=fc)
             runs = {w: run_cached(w, system, htm=htm) for w in workloads}
-            label = f"{_SYSTEM_LABELS[system]} {fc.value}"
+            label = f"{system.label} {fc.value}"
             series[label] = metrics.normalized_times(runs, reference)
             raw[label] = runs
     result = FigureResult("fig8", exp.title, series, extra={"runs": raw})
@@ -325,11 +318,11 @@ def fig9(
         for n in retries:
             htm = table.replace(retries=n)
             runs = {w: run_cached(w, system, htm=htm) for w in workloads}
-            label = f"{_SYSTEM_LABELS[system]} r={n}"
+            label = f"{system.label} r={n}"
             cycles = {w: float(r.cycles) for w, r in runs.items()}
             series[label] = cycles
             per_retry_mean[n] = sum(cycles.values()) / len(cycles)
-        best[_SYSTEM_LABELS[system]] = min(per_retry_mean, key=per_retry_mean.get)
+        best[system.label] = min(per_retry_mean, key=per_retry_mean.get)
     # Normalise each workload row to its own minimum across the sweep so
     # sweet spots are visible regardless of absolute magnitudes.
     normalized: Dict[str, Dict[str, float]] = {}
@@ -384,17 +377,17 @@ def fig10(
                 cycles = sum(r.cycles for r in runs.values())
                 aborts = sum(r.total_aborts for r in runs.values())
                 raw[(system, size, interval)] = runs
-                heat_time[(f"{_SYSTEM_LABELS[system]} vsb={size}", interval)] = cycles
-                heat_aborts[(f"{_SYSTEM_LABELS[system]} vsb={size}", interval)] = aborts
-        ref_time = heat_time[(f"{_SYSTEM_LABELS[system]} vsb={sizes[0]}", 50 if 50 in intervals else intervals[0])]
+                heat_time[(f"{system.label} vsb={size}", interval)] = cycles
+                heat_aborts[(f"{system.label} vsb={size}", interval)] = aborts
+        ref_time = heat_time[(f"{system.label} vsb={sizes[0]}", 50 if 50 in intervals else intervals[0])]
         ref_aborts = max(
             1.0,
-            heat_aborts[(f"{_SYSTEM_LABELS[system]} vsb={sizes[0]}", 50 if 50 in intervals else intervals[0])],
+            heat_aborts[(f"{system.label} vsb={sizes[0]}", 50 if 50 in intervals else intervals[0])],
         )
-        rows = [f"{_SYSTEM_LABELS[system]} vsb={s}" for s in sizes]
+        rows = [f"{system.label} vsb={s}" for s in sizes]
         renderings.append(
             format_heatmap(
-                f"Fig. 10 — {_SYSTEM_LABELS[system]}: execution time "
+                f"Fig. 10 — {system.label}: execution time "
                 "(normalized to vsb=1 @ 50 cycles); columns = validation "
                 "interval",
                 rows,
@@ -404,7 +397,7 @@ def fig10(
         )
         renderings.append(
             format_heatmap(
-                f"Fig. 10 — {_SYSTEM_LABELS[system]}: aborts (normalized)",
+                f"Fig. 10 — {system.label}: aborts (normalized)",
                 rows,
                 list(intervals),
                 {k: v / ref_aborts for k, v in heat_aborts.items() if k[0] in rows},
@@ -507,7 +500,7 @@ def fig11(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     systems = (paper.CHATS, paper.PCHATS, paper.LEVC)
     runs = _sweep(workloads, systems)
     series = {
-        _SYSTEM_LABELS[s]: metrics.normalized_times(runs[s], base)
+        s.label: metrics.normalized_times(runs[s], base)
         for s in systems
     }
     result = FigureResult("fig11", exp.title, series, extra={"runs": runs})

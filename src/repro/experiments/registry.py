@@ -19,11 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.metrics import EVALUATION_ORDER
-from ..sim.config import ForwardClass, table2_config
-from ..systems import paper
+from ..sim.config import table2_config
+from ..systems import ForwardClass, SystemSpec, paper, paper_systems
 from ..systems.capacity import CAPACITY_SWEEP
 from ..systems import capacity as _capacity
-from ..systems.spec import SystemSpec
 from .runner import RunConfig
 
 
@@ -39,15 +38,6 @@ class Experiment:
     parameters: str = ""
     expected_shape: str = ""
 
-
-ALL_SYSTEMS = (
-    paper.BASELINE,
-    paper.NAIVE_RS,
-    paper.CHATS,
-    paper.POWER,
-    paper.PCHATS,
-    paper.LEVC,
-)
 
 #: Contention-sensitive subset used by the sensitivity figures (running the
 #: flat workloads through parameter sweeps adds cost without information).
@@ -69,7 +59,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             id="table2",
             title="HTM system configurations",
             workloads=(),
-            systems=ALL_SYSTEMS,
+            systems=paper_systems(),
             bench="benchmarks/bench_table2_config.py",
             expected_shape="retries 6/2/32/2/1/64; VSB=4; validation 50 "
             "cycles (0 for LEVC); Rrestrict/W forwarding",
@@ -87,7 +77,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             id="fig4",
             title="Execution time normalised to baseline",
             workloads=EVALUATION_ORDER,
-            systems=ALL_SYSTEMS,
+            systems=paper_systems(),
             bench="benchmarks/bench_fig04_exec_time.py",
             expected_shape="CHATS wins on genome/kmeans/yada/llb/cadd, "
             "flat on ssca2/vacation/labyrinth, loses on intruder; PCHATS "
@@ -97,7 +87,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             id="fig5",
             title="Aborted transactions split by cause",
             workloads=EVALUATION_ORDER,
-            systems=ALL_SYSTEMS,
+            systems=paper_systems(),
             bench="benchmarks/bench_fig05_abort_reasons.py",
             expected_shape="CHATS cuts total aborts vs baseline on the "
             "forwarding-friendly workloads (~34% overall in the paper); "
@@ -121,7 +111,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             id="fig7",
             title="Normalised interconnect flits",
             workloads=EVALUATION_ORDER,
-            systems=ALL_SYSTEMS,
+            systems=paper_systems(),
             bench="benchmarks/bench_fig07_network.py",
             expected_shape="CHATS/PCHATS send fewer flits than baseline "
             "despite validation traffic (less wasted work); naive R-S "
@@ -222,7 +212,7 @@ def _fig1_configs(exp, workloads) -> List[RunConfig]:
 
 
 def _main_sweep_configs(exp, workloads) -> List[RunConfig]:
-    return _sweep_configs(workloads, ALL_SYSTEMS)
+    return _sweep_configs(workloads, paper_systems())
 
 
 def _fig6_configs(exp, workloads) -> List[RunConfig]:

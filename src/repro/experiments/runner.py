@@ -149,12 +149,12 @@ class RunConfig:
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-stable representation (used for hashing)."""
         htm = dataclasses.asdict(self.htm)
-        htm["system"] = self.htm.system.value
+        htm["system"] = self.htm.system.name
         if self.htm.forward_class is not None:
             htm["forward_class"] = self.htm.forward_class.value
         return {
             "workload": self.workload,
-            "system": self.system.value,
+            "system": self.system.name,
             "htm": htm,
             "threads": self.threads,
             "seed": self.seed,
@@ -178,7 +178,7 @@ class RunConfig:
 
     def describe(self) -> str:
         text = (
-            f"{self.workload}/{self.system.value} "
+            f"{self.workload}/{self.system.name} "
             f"threads={self.threads} seed={self.seed} scale={self.scale} "
             f"max_events={self.max_events}"
         )
@@ -399,10 +399,6 @@ def last_manifest() -> Optional[RunManifest]:
 
 def counters() -> RunnerCounters:
     return COUNTERS
-
-
-def simulations_executed() -> int:
-    return COUNTERS.simulations
 
 
 def clear_cache() -> None:

@@ -49,10 +49,6 @@ class Geometry:
         first = block * self.block_bytes // self.word_bytes
         return range(first, first + self.words_per_block)
 
-    def block_base(self, block: int) -> int:
-        """First byte address of ``block``."""
-        return block * self.block_bytes
-
     def align_word(self, addr: int) -> int:
         """Byte address of the word containing ``addr``."""
         return addr - (addr % self.word_bytes)

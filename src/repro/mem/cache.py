@@ -77,9 +77,6 @@ class L1Cache:
         # or clears the speculative bit or removes a line.
         self._spec: Dict[int, CacheLine] = {}
 
-    def _set_of(self, block: int) -> Dict[int, CacheLine]:
-        return self._sets[block % self._nsets]
-
     def lookup(self, block: int) -> Optional[CacheLine]:
         line = self._sets[block % self._nsets].get(block)
         if line is not None:

@@ -4,7 +4,7 @@ Each core owns one :class:`L1Controller`.  It performs the core's memory
 operations against the simulated machine (cache lookup, request issue,
 response handling) and services incoming probes (forwards from the
 directory, invalidations), where transactional conflicts are detected and
-resolved through the configured :class:`~repro.core.policies.ConflictPolicy`.
+resolved through the configured :class:`~repro.systems.base.ConflictPolicy`.
 
 Request/response bookkeeping uses per-request ids plus the transaction
 attempt *epoch*: responses addressed to a dead attempt are dropped, which
@@ -18,7 +18,6 @@ import itertools
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from .. import accel
-from ..core.policies import ConflictPolicy, Resolution
 from ..htm.fallback import OwnershipTable
 from ..htm.signature import FootprintOverflow
 from ..htm.stats import AbortReason, HTMStats
@@ -29,6 +28,8 @@ from ..obs.events import PicUpdate, VsbInsert
 from ..obs.probe import Probe
 from ..sim.config import HTMConfig, SystemConfig
 from ..sim.engine import Engine
+from ..systems.base import ConflictPolicy
+from ..systems.outcome import Resolution
 from .address import Geometry
 from .cache import CapacityAbort, L1Cache
 from .memory import MainMemory

@@ -105,10 +105,6 @@ class SpeculativeStore:
     def __len__(self) -> int:
         return len(self._words)
 
-    @property
-    def written_words(self) -> Dict[int, int]:
-        return self._words
-
     def read_word(self, addr: int) -> int:
         word = addr // self._wb
         value = self._words.get(word)

@@ -10,8 +10,7 @@ subscriber is attached.
 
 Shipped subscribers:
 
-* :class:`~repro.obs.tracer.Tracer` — filtered in-memory event log
-  (also re-exported from :mod:`repro.sim.tracing` for compatibility);
+* :class:`~repro.obs.tracer.Tracer` — filtered in-memory event log;
 * :class:`~repro.obs.interval.IntervalMetrics` — fixed-window time
   series, serialized into :class:`~repro.sim.results.SimulationResult`;
 * :class:`~repro.obs.trace_export.JsonlTraceWriter` /

@@ -6,9 +6,7 @@ plain frozen dataclasses so that experiment definitions can be hashed and
 cached by the experiment runner.
 
 The HTM system itself is a :class:`~repro.systems.spec.SystemSpec` from
-the composable system registry (:mod:`repro.systems`); this module
-re-exports the registry's compatibility surface (``SystemKind``,
-``ForwardClass``, ``all_system_kinds``) under its historical import path.
+the composable system registry (:mod:`repro.systems`).
 """
 
 from __future__ import annotations
@@ -17,18 +15,13 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..systems.compat import SystemKind, all_system_kinds
 from ..systems.spec import ForwardClass, SystemSpec, get_spec
 from ..systems import paper as _paper
 
 __all__ = [
-    "ForwardClass",
     "HTMConfig",
     "NOT_APPLICABLE",
     "SystemConfig",
-    "SystemKind",
-    "SystemSpec",
-    "all_system_kinds",
     "table2_config",
 ]
 

@@ -8,9 +8,8 @@ Hot-path design (this module is the innermost loop of every experiment):
 
 * One allocation per event.  An :class:`Event` is a mutable record
   ``[when, fn, args, engine]`` that is simultaneously the queue entry
-  and its own cancel handle — there is no separate ``CancelToken``
-  object.  It subclasses ``list`` (with empty ``__slots__``, so no
-  per-instance ``__dict__``).
+  and its own cancel handle.  It subclasses ``list`` (with empty
+  ``__slots__``, so no per-instance ``__dict__``).
 * Calendar-bucket queue.  Future events live in a per-cycle FIFO bucket
   (``dict`` keyed by absolute cycle); the heap orders only the *distinct*
   cycle numbers.  Typical workloads schedule many events per cycle, so
@@ -78,11 +77,6 @@ class Event(list):
             and engine._dead >= engine._live
         ):
             engine._compact()
-
-
-#: Backwards-compatible alias: ``schedule`` used to return a dedicated
-#: ``CancelToken``; the event record now plays that role itself.
-CancelToken = Event
 
 
 class Engine:

@@ -6,7 +6,6 @@ import itertools
 from typing import List, Optional
 
 from .. import accel
-from ..core.policies import make_policy
 from ..htm.fallback import FallbackLock, OwnershipTable
 from ..htm.power import PowerTokenManager
 from ..htm.stats import HTMStats
@@ -17,6 +16,7 @@ from ..net.messages import Message
 from ..net.network import Crossbar
 from ..obs.interval import IntervalMetrics
 from ..obs.probe import Probe
+from ..systems.compose import make_policy
 from ..systems.spec import SystemSpec
 from .config import HTMConfig, SystemConfig, table2_config
 from .core import Core
@@ -167,7 +167,7 @@ class Simulator:
         self.workload.verify(self.memory)
         return SimulationResult(
             workload=self.workload.name,
-            system=self.htm.system.value,
+            system=self.htm.system.name,
             cycles=cycles,
             stats=self.stats,
             network=self.network.stats(),

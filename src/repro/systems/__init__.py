@@ -22,8 +22,8 @@ point (``table2_config``, ``run_workload``, ``repro run --system``)::
 
 Only descriptor/registry modules load eagerly (they are imported by
 :mod:`repro.sim.config` very early); the policy-construction machinery
-(:func:`make_policy` and the component classes) is exposed lazily via
-module ``__getattr__`` to keep this package import-light.
+(:func:`repro.systems.compose.make_policy` and the component classes) is
+imported from its own modules, keeping this package import-light.
 """
 
 from __future__ import annotations
@@ -51,32 +51,19 @@ from . import extra as _extra  # noqa: F401
 from . import capacity as _capacity  # noqa: F401
 from . import hybrid as _hybrid  # noqa: F401
 
-from .compat import SystemKind, all_system_kinds
-
 __all__ = [
     "CONFLICT_LAYERS",
     "FALLBACK_LAYERS",
     "ForwardClass",
     "ORDERING_LAYERS",
     "PRIORITY_LAYERS",
-    "SystemKind",
     "SystemSpec",
     "UnknownSystemError",
     "VALIDATION_LAYERS",
-    "all_system_kinds",
     "get_spec",
-    "make_policy",
     "paper_systems",
     "register",
     "register_alias",
     "registered_systems",
     "system_aliases",
 ]
-
-
-def __getattr__(name: str):
-    if name == "make_policy":
-        from .compose import make_policy
-
-        return make_policy
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

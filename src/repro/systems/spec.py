@@ -21,18 +21,14 @@ cross-product of exactly these):
 
 A :class:`SystemSpec` freezes one choice per layer plus the system's
 Table II parameters.  Specs are registered under their string name in a
-process-global registry; everything that used to enumerate or dispatch on
-the old closed ``SystemKind`` enum — policy construction, the CLI, the
-experiment registry, cache keys — now goes through :func:`get_spec` /
-:func:`registered_systems`.  Registering a new system is one
-:func:`register` call; no core module needs editing.
+process-global registry; everything that enumerates or dispatches on
+systems — policy construction, the CLI, the experiment registry, cache
+keys — goes through :func:`get_spec` / :func:`registered_systems` /
+:func:`paper_systems`.  Registering a new system is one :func:`register`
+call; no core module needs editing.
 
-``SystemSpec`` deliberately quacks like the retired enum member: ``.value``
-is the registry name and ``.forwards`` / ``.powered`` are derived from the
-layers instead of hardwired membership lists, so existing call sites (VSB
-sizing, fallback-path selection, result serialization) keep working
-unchanged — byte-identically so, which the golden-determinism digests
-enforce.
+A spec serializes as its ``.name``, and ``.forwards`` / ``.powered`` are
+derived from the layers instead of hardwired membership lists.
 """
 
 from __future__ import annotations
@@ -80,8 +76,8 @@ class SystemSpec:
     by the experiment runner's content-addressed cache).
     """
 
-    #: Registry key, e.g. ``"chats"`` (doubles as the ``.value`` of the
-    #: retired enum member for serialization compatibility).
+    #: Registry key, e.g. ``"chats"``; also the serialized identity in
+    #: cache keys and result JSON.
     name: str
     #: Human-readable label used by figures and tables, e.g. ``"CHATS"``.
     label: str
@@ -162,12 +158,7 @@ class SystemSpec:
                     f"system {self.name!r} forwards but has no validation interval"
                 )
 
-    # -- enum-member compatibility surface ------------------------------
-    @property
-    def value(self) -> str:
-        """The serialized identity (the retired enum's ``.value``)."""
-        return self.name
-
+    # -- derived from the layers ----------------------------------------
     @property
     def forwards(self) -> bool:
         """Whether this system ever sends speculative responses (derived

@@ -6,8 +6,9 @@ import pytest
 
 from repro.mem.address import AddressSpace, Geometry
 from repro.mem.memory import MainMemory
-from repro.sim.config import HTMConfig, SystemConfig, SystemKind, table2_config
+from repro.sim.config import HTMConfig, SystemConfig, table2_config
 from repro.sim.simulator import Simulator
+from repro.systems import SystemSpec, paper
 from repro.workloads.scripted import ScriptedWorkload
 
 
@@ -34,7 +35,7 @@ def small_config() -> SystemConfig:
 
 def run_scripted(
     thread_fns,
-    system: SystemKind = SystemKind.BASELINE,
+    system: SystemSpec = paper.BASELINE,
     *,
     htm: HTMConfig = None,
     config: SystemConfig = None,
@@ -57,12 +58,3 @@ def run_scripted(
 def scripted():
     return run_scripted
 
-
-ALL_SYSTEMS = (
-    SystemKind.BASELINE,
-    SystemKind.NAIVE_RS,
-    SystemKind.CHATS,
-    SystemKind.POWER,
-    SystemKind.PCHATS,
-    SystemKind.LEVC,
-)

@@ -3,10 +3,11 @@ and the PiC range limit that caps chain growth."""
 
 import pytest
 
-from repro.sim.config import SystemConfig, SystemKind, table2_config
+from repro.obs import Tracer
+from repro.sim.config import SystemConfig, table2_config
 from repro.sim.ops import Read, Txn, Work, Write
 from repro.sim.simulator import Simulator
-from repro.sim.tracing import Tracer
+from repro.systems import paper
 from repro.workloads.scripted import ScriptedWorkload
 
 BASE = 0x30_0000
@@ -58,7 +59,7 @@ class TestRelayChains:
         wl = ScriptedWorkload(relay_threads(depth), check=relay_check(depth))
         sim = Simulator(
             wl,
-            htm=table2_config(SystemKind.CHATS),
+            htm=table2_config(paper.CHATS),
             config=SystemConfig(num_cores=max(2, depth)),
         )
         with Tracer(sim, kinds={"forward", "commit"}) as trace:
@@ -74,7 +75,7 @@ class TestRelayChains:
         wl = ScriptedWorkload(relay_threads(depth))
         sim = Simulator(
             wl,
-            htm=table2_config(SystemKind.CHATS),
+            htm=table2_config(paper.CHATS),
             config=SystemConfig(num_cores=depth),
         )
         with Tracer(sim, kinds={"commit"}) as trace:
@@ -90,7 +91,7 @@ class TestRelayChains:
         resolves to requester-wins but the relay must still complete with
         correct values."""
         depth = 10
-        htm = table2_config(SystemKind.CHATS).replace(pic_bits=3)
+        htm = table2_config(paper.CHATS).replace(pic_bits=3)
 
         def check(m):
             # All writes must land; a reader past the PiC range may have
@@ -145,7 +146,7 @@ class TestFanOut:
         )
         sim = Simulator(
             wl,
-            htm=table2_config(SystemKind.CHATS),
+            htm=table2_config(paper.CHATS),
             config=SystemConfig(num_cores=n + 1),
         )
         result = sim.run()
@@ -185,7 +186,7 @@ class TestFanOut:
         )
         sim = Simulator(
             wl,
-            htm=table2_config(SystemKind.LEVC),
+            htm=table2_config(paper.LEVC),
             config=SystemConfig(num_cores=n + 1),
         )
         result = sim.run()

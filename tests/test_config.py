@@ -2,14 +2,8 @@
 
 import pytest
 
-from repro.sim.config import (
-    ForwardClass,
-    HTMConfig,
-    SystemConfig,
-    SystemKind,
-    all_system_kinds,
-    table2_config,
-)
+from repro.sim.config import HTMConfig, SystemConfig, table2_config
+from repro.systems import ForwardClass, paper, paper_systems
 
 
 class TestSystemConfig:
@@ -44,17 +38,17 @@ class TestSystemConfig:
 
 class TestHTMConfig:
     def test_baseline_needs_no_vsb(self):
-        htm = HTMConfig(system=SystemKind.BASELINE)
+        htm = HTMConfig(system=paper.BASELINE)
         assert htm.vsb_size is None
 
     def test_forwarding_system_requires_vsb(self):
         with pytest.raises(ValueError):
-            HTMConfig(system=SystemKind.CHATS)
+            HTMConfig(system=paper.CHATS)
 
     def test_forwarding_system_requires_interval(self):
         with pytest.raises(ValueError):
             HTMConfig(
-                system=SystemKind.CHATS,
+                system=paper.CHATS,
                 vsb_size=4,
                 forward_class=ForwardClass.W,
             )
@@ -62,7 +56,7 @@ class TestHTMConfig:
     def test_forwarding_system_requires_class(self):
         with pytest.raises(ValueError):
             HTMConfig(
-                system=SystemKind.CHATS, vsb_size=4, validation_interval=50
+                system=paper.CHATS, vsb_size=4, validation_interval=50
             )
 
     def test_negative_retries_rejected(self):
@@ -70,7 +64,7 @@ class TestHTMConfig:
             HTMConfig(retries=-1)
 
     def test_pic_range_is_5_bits(self):
-        htm = table2_config(SystemKind.CHATS)
+        htm = table2_config(paper.CHATS)
         assert htm.pic_bits == 5
         # One encoding (all-ones) is reserved for the unset PiC.
         assert htm.pic_limit == 31
@@ -78,7 +72,7 @@ class TestHTMConfig:
         assert htm.pic_init == 15
 
     def test_replace_preserves_validation(self):
-        htm = table2_config(SystemKind.CHATS)
+        htm = table2_config(paper.CHATS)
         smaller = htm.replace(vsb_size=2)
         assert smaller.vsb_size == 2
         assert smaller.retries == htm.retries
@@ -92,43 +86,43 @@ class TestHTMConfig:
 
 class TestTable2:
     def test_all_systems_enumerated(self):
-        kinds = all_system_kinds()
-        assert len(kinds) == 6
-        assert kinds[0] is SystemKind.BASELINE
-        assert kinds[-1] is SystemKind.LEVC
+        systems = paper_systems()
+        assert len(systems) == 6
+        assert systems[0] is paper.BASELINE
+        assert systems[-1] is paper.LEVC
 
     @pytest.mark.parametrize(
         "system,retries",
         [
-            (SystemKind.BASELINE, 6),
-            (SystemKind.NAIVE_RS, 2),
-            (SystemKind.CHATS, 32),
-            (SystemKind.POWER, 2),
-            (SystemKind.PCHATS, 1),
-            (SystemKind.LEVC, 64),
+            (paper.BASELINE, 6),
+            (paper.NAIVE_RS, 2),
+            (paper.CHATS, 32),
+            (paper.POWER, 2),
+            (paper.PCHATS, 1),
+            (paper.LEVC, 64),
         ],
     )
     def test_table2_retries(self, system, retries):
         assert table2_config(system).retries == retries
 
     def test_levc_validates_continuously(self):
-        assert table2_config(SystemKind.LEVC).validation_interval == 0
+        assert table2_config(paper.LEVC).validation_interval == 0
 
     def test_forwarding_property(self):
-        assert not SystemKind.BASELINE.forwards
-        assert not SystemKind.POWER.forwards
-        assert SystemKind.CHATS.forwards
-        assert SystemKind.PCHATS.forwards
-        assert SystemKind.NAIVE_RS.forwards
-        assert SystemKind.LEVC.forwards
+        assert not paper.BASELINE.forwards
+        assert not paper.POWER.forwards
+        assert paper.CHATS.forwards
+        assert paper.PCHATS.forwards
+        assert paper.NAIVE_RS.forwards
+        assert paper.LEVC.forwards
 
     def test_powered_property(self):
-        assert SystemKind.POWER.powered
-        assert SystemKind.PCHATS.powered
-        assert not SystemKind.CHATS.powered
+        assert paper.POWER.powered
+        assert paper.PCHATS.powered
+        assert not paper.CHATS.powered
 
     def test_configs_are_hashable(self):
         # The experiment runner caches on HTMConfig instances.
-        assert hash(table2_config(SystemKind.CHATS)) == hash(
-            table2_config(SystemKind.CHATS)
+        assert hash(table2_config(paper.CHATS)) == hash(
+            table2_config(paper.CHATS)
         )

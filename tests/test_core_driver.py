@@ -4,8 +4,9 @@ decisions, commit fencing, and thread-level op handling."""
 import pytest
 
 from repro.htm.stats import AbortReason
-from repro.sim.config import SystemConfig, SystemKind, table2_config
+from repro.sim.config import SystemConfig, table2_config
 from repro.sim.ops import Abort, Read, Txn, Work, Write
+from repro.systems import paper
 from tests.conftest import run_scripted
 
 X = 0x10_0000
@@ -17,7 +18,7 @@ class TestThreadOps:
         def thread():
             yield Work(500)
 
-        result, _ = run_scripted([thread], SystemKind.BASELINE)
+        result, _ = run_scripted([thread], paper.BASELINE)
         assert result.cycles >= 500
 
     def test_nontx_read_write(self):
@@ -26,7 +27,7 @@ class TestThreadOps:
             v = yield Read(X)
             yield Write(Y, v + 1)
 
-        _, sim = run_scripted([thread], SystemKind.BASELINE)
+        _, sim = run_scripted([thread], paper.BASELINE)
         assert sim.memory.read_word(X) == 42
         assert sim.memory.read_word(Y) == 43
 
@@ -35,7 +36,7 @@ class TestThreadOps:
             yield "bogus"
 
         with pytest.raises(TypeError):
-            run_scripted([thread], SystemKind.BASELINE)
+            run_scripted([thread], paper.BASELINE)
 
     def test_txn_result_flows_back(self):
         results = []
@@ -48,7 +49,7 @@ class TestThreadOps:
             out = yield Txn(body, ())
             results.append(out)
 
-        run_scripted([thread], SystemKind.BASELINE)
+        run_scripted([thread], paper.BASELINE)
         assert results == ["the-result"]
 
     def test_txn_args_passed(self):
@@ -58,7 +59,7 @@ class TestThreadOps:
 
             yield Txn(body, (3, 4))
 
-        _, sim = run_scripted([thread], SystemKind.BASELINE)
+        _, sim = run_scripted([thread], paper.BASELINE)
         assert sim.memory.read_word(X) == 7
 
 
@@ -75,7 +76,7 @@ class TestRetryAccounting:
 
             yield Txn(body, ())
 
-        _, sim = run_scripted([thread], SystemKind.BASELINE)
+        _, sim = run_scripted([thread], paper.BASELINE)
         assert len(calls) == 3
         assert sim.memory.read_word(X) == 3
         assert sim.stats.aborts[AbortReason.EXPLICIT] == 2
@@ -83,7 +84,7 @@ class TestRetryAccounting:
     def test_retries_exhausted_takes_lock(self):
         """More explicit aborts than the threshold → fallback path."""
         calls = []
-        htm = table2_config(SystemKind.BASELINE).replace(retries=2)
+        htm = table2_config(paper.BASELINE).replace(retries=2)
 
         def thread():
             def body():
@@ -97,7 +98,7 @@ class TestRetryAccounting:
 
             yield Txn(body, ())
 
-        _, sim = run_scripted([thread], SystemKind.BASELINE, htm=htm)
+        _, sim = run_scripted([thread], paper.BASELINE, htm=htm)
         # 3 HTM attempts (1 + 2 retries), then the lock.
         assert sim.stats.tx_fallback_commits == 1
         assert sim.lock.acquisitions == 1
@@ -110,7 +111,7 @@ class TestRetryAccounting:
             yield Txn(body, ())
             yield Txn(body, ())
 
-        _, sim = run_scripted([thread], SystemKind.BASELINE)
+        _, sim = run_scripted([thread], paper.BASELINE)
         assert sim.stats.tx_attempts == 2
         assert sim.stats.tx_commits == 2
 
@@ -141,7 +142,7 @@ class TestCommitFence:
             yield Txn(body, ())
             order.append("consumer-done")
 
-        _, sim = run_scripted([producer, consumer], SystemKind.CHATS)
+        _, sim = run_scripted([producer, consumer], paper.CHATS)
         assert order == ["producer-done", "consumer-done"]
 
     def test_write_history_feeds_heuristic(self):
@@ -158,7 +159,7 @@ class TestCommitFence:
 
             yield Txn(body, ())
 
-        _, sim = run_scripted([thread], SystemKind.CHATS)
+        _, sim = run_scripted([thread], paper.CHATS)
         core = sim.cores[0]
         # History was recorded (and cleared state-wise at Txn end is fine:
         # inspect via the public probe during no-txn state).
@@ -167,7 +168,7 @@ class TestCommitFence:
 
 class TestPowerFallback:
     def test_power_system_elevates_instead_of_locking(self):
-        htm = table2_config(SystemKind.POWER).replace(retries=1)
+        htm = table2_config(paper.POWER).replace(retries=1)
         calls = []
 
         def thread():
@@ -179,7 +180,7 @@ class TestPowerFallback:
 
             yield Txn(body, ())
 
-        _, sim = run_scripted([thread], SystemKind.POWER, htm=htm)
+        _, sim = run_scripted([thread], paper.POWER, htm=htm)
         assert sim.power.grants == 1
         assert sim.stats.power_commits == 1
         assert sim.lock.acquisitions == 0
@@ -198,7 +199,7 @@ class TestPowerFallback:
             yield Txn(body, ())
 
         _, sim = run_scripted(
-            [thread], SystemKind.POWER, config=config
+            [thread], paper.POWER, config=config
         )
         assert sim.stats.tx_fallback_commits == 1
         assert sim.power.holder is None  # token was released
@@ -229,7 +230,7 @@ class TestLockSpin:
             yield Txn(body, ())
             order.append("late")
 
-        _, sim = run_scripted([locker, late], SystemKind.BASELINE)
+        _, sim = run_scripted([locker, late], paper.BASELINE)
         assert sim.memory.read_word(X) == 1
         assert sim.memory.read_word(Y) == 2
         assert sim.memory.read_word(sim.lock.addr) == 0

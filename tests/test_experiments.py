@@ -6,7 +6,7 @@ import pytest
 from repro.experiments import figures
 from repro.experiments.registry import EXPERIMENTS, get_experiment
 from repro.experiments.runner import cache_size, clear_cache, run_cached
-from repro.sim.config import SystemKind
+from repro.systems import paper
 
 
 class TestRegistry:
@@ -47,16 +47,16 @@ class TestRegistry:
 class TestRunnerCache:
     def test_cache_hit_returns_same_object(self):
         clear_cache()
-        a = run_cached("counter", SystemKind.BASELINE, threads=2, scale=0.1)
+        a = run_cached("counter", paper.BASELINE, threads=2, scale=0.1)
         n = cache_size()
-        b = run_cached("counter", SystemKind.BASELINE, threads=2, scale=0.1)
+        b = run_cached("counter", paper.BASELINE, threads=2, scale=0.1)
         assert a is b
         assert cache_size() == n
 
     def test_distinct_configs_distinct_entries(self):
         clear_cache()
-        run_cached("counter", SystemKind.BASELINE, threads=2, scale=0.1)
-        run_cached("counter", SystemKind.CHATS, threads=2, scale=0.1)
+        run_cached("counter", paper.BASELINE, threads=2, scale=0.1)
+        run_cached("counter", paper.CHATS, threads=2, scale=0.1)
         assert cache_size() == 2
 
 

@@ -4,9 +4,10 @@ configuration, ablation switches, and simulator failure modes."""
 import pytest
 
 from repro.htm.stats import HTMStats
-from repro.sim.config import SystemConfig, SystemKind, table2_config
+from repro.sim.config import SystemConfig, table2_config
 from repro.sim.ops import Abort, Read, Txn, Work, Write
 from repro.sim.simulator import DeadlockError, Simulator
+from repro.systems import paper
 from repro.workloads.scripted import ScriptedWorkload
 from tests.conftest import run_scripted
 
@@ -30,7 +31,7 @@ class TestLabelStats:
             yield Txn(hot, (), label="hot")
             yield Txn(cold, (), label="cold")
 
-        _, sim = run_scripted([thread], SystemKind.BASELINE)
+        _, sim = run_scripted([thread], paper.BASELINE)
         summary = sim.stats.label_summary()
         assert summary["hot"] == {"commits": 1, "aborts": 1}
         assert summary["cold"] == {"commits": 1, "aborts": 0}
@@ -47,7 +48,7 @@ class TestLabelStats:
 
             yield Txn(body, (), label="serialized")
 
-        _, sim = run_scripted([thread], SystemKind.BASELINE)
+        _, sim = run_scripted([thread], paper.BASELINE)
         assert sim.stats.label_summary()["serialized"]["commits"] == 1
 
     def test_merge_accumulates_labels(self):
@@ -63,7 +64,7 @@ class TestLabelStats:
         import repro
 
         r = repro.run_workload(
-            "intruder", SystemKind.BASELINE, threads=4, scale=0.1
+            "intruder", paper.BASELINE, threads=4, scale=0.1
         )
         labels = set(r.stats.label_summary())
         assert {"capture", "reassembly"} <= labels
@@ -74,9 +75,9 @@ class TestBloomSignatureConfig:
         """False positives cause extra aborts, never lost updates."""
         import repro
 
-        htm = table2_config(SystemKind.CHATS).replace(signature_bits=128)
+        htm = table2_config(paper.CHATS).replace(signature_bits=128)
         r = repro.run_workload(
-            "counter", SystemKind.CHATS, threads=8, scale=0.2, htm=htm
+            "counter", paper.CHATS, threads=8, scale=0.2, htm=htm
         )
         assert r.total_commits > 0  # oracle ran inside
 
@@ -84,15 +85,15 @@ class TestBloomSignatureConfig:
         import repro
 
         perfect = repro.run_workload(
-            "vacation", SystemKind.BASELINE, threads=8, seed=1, scale=0.2
+            "vacation", paper.BASELINE, threads=8, seed=1, scale=0.2
         )
         tiny = repro.run_workload(
             "vacation",
-            SystemKind.BASELINE,
+            paper.BASELINE,
             threads=8,
             seed=1,
             scale=0.2,
-            htm=table2_config(SystemKind.BASELINE).replace(signature_bits=32),
+            htm=table2_config(paper.BASELINE).replace(signature_bits=32),
         )
         assert tiny.total_aborts >= perfect.total_aborts
 
@@ -101,7 +102,7 @@ class TestBloomSignatureConfig:
         from repro.mem.address import Geometry
         from repro.mem.memory import MainMemory
 
-        htm = table2_config(SystemKind.CHATS).replace(signature_bits=64)
+        htm = table2_config(paper.CHATS).replace(signature_bits=64)
         tx = TxState(0, 1, MainMemory(Geometry()), htm)
         tx.track_read(5)
         tx.track_write(6)
@@ -113,11 +114,11 @@ class TestAblationSwitches:
     def test_validation_pic_check_off_still_correct(self):
         import repro
 
-        htm = table2_config(SystemKind.CHATS).replace(
+        htm = table2_config(paper.CHATS).replace(
             validation_pic_check=False
         )
         r = repro.run_workload(
-            "counter", SystemKind.CHATS, threads=6, scale=0.2, htm=htm
+            "counter", paper.CHATS, threads=6, scale=0.2, htm=htm
         )
         assert r.total_commits > 0
 
@@ -131,7 +132,7 @@ class TestAblationSwitches:
             write_set_aware_replacement=False,
         )
         r = repro.run_workload(
-            "cadd", SystemKind.CHATS, threads=8, scale=0.15, config=config
+            "cadd", paper.CHATS, threads=8, scale=0.15, config=config
         )
         assert r.total_commits > 0
 

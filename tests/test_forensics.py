@@ -27,7 +27,7 @@ from repro.obs.events import (
     TxBegin,
     ValidationMismatch,
 )
-from repro.sim.config import SystemKind, table2_config
+from repro.sim.config import table2_config
 from repro.sim.simulator import Simulator
 from repro.systems import (
     UnknownSystemError,
@@ -36,18 +36,19 @@ from repro.systems import (
     registered_systems,
     system_aliases,
 )
+from repro.systems import paper
 from repro.workloads.base import make_workload
 
 FAST = dict(threads=4, seed=2, scale=0.1)
 
 
-def _sim(system=SystemKind.CHATS, workload="counter", **kwargs):
+def _sim(system=paper.CHATS, workload="counter", **kwargs):
     params = dict(FAST, **kwargs)
     wl = make_workload(workload, **params)
     return Simulator(wl, htm=table2_config(system))
 
 
-def _ledger_run(system=SystemKind.CHATS, workload="counter", **kwargs):
+def _ledger_run(system=paper.CHATS, workload="counter", **kwargs):
     sim = _sim(system, workload, **kwargs)
     ledger = TxLedger(sim)
     with ledger:
@@ -86,7 +87,7 @@ class TestTxLedger:
     def test_fallback_spans_bracket_lock_commits(self):
         # counter/baseline at 8 threads escalates to the fallback lock.
         ledger, result = _ledger_run(
-            SystemKind.BASELINE, threads=8, scale=0.4, seed=1
+            paper.BASELINE, threads=8, scale=0.4, seed=1
         )
         assert result.stats.tx_fallback_commits > 0
         assert len(ledger.fallbacks) == result.stats.tx_fallback_commits
@@ -97,7 +98,7 @@ class TestTxLedger:
         """The ledger's per-core buckets must reproduce the simulator's
         transient cycle gauges exactly — two independent accountings of
         the same spans."""
-        for system in (SystemKind.CHATS, SystemKind.BASELINE):
+        for system in (paper.CHATS, paper.BASELINE):
             ledger, result = _ledger_run(system, threads=8, scale=0.4, seed=1)
             totals = WastedWork.from_ledger(ledger, result.cycles).totals()
             assert totals["committed"] == result.stats.committed_cycles
@@ -124,8 +125,8 @@ class TestTxLedger:
 class TestLedgerObserverEffect:
     @pytest.mark.parametrize(
         "system",
-        (SystemKind.CHATS, SystemKind.BASELINE, SystemKind.PCHATS),
-        ids=lambda s: s.value,
+        (paper.CHATS, paper.BASELINE, paper.PCHATS),
+        ids=str,
     )
     def test_ledger_subscribed_run_is_bit_identical(self, system):
         """Attaching a TxLedger must not perturb the simulation."""
@@ -188,8 +189,8 @@ class TestAttribution:
 
     @pytest.mark.parametrize(
         "system",
-        (SystemKind.CHATS, SystemKind.BASELINE, SystemKind.PCHATS),
-        ids=lambda s: s.value,
+        (paper.CHATS, paper.BASELINE, paper.PCHATS),
+        ids=str,
     )
     def test_contended_counter_attribution_floor(self, system):
         """Acceptance: ≥95% of aborts on the contended counter workload

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.forwarding import block_is_forwardable
 from repro.htm.txstate import TxState
 from repro.mem.address import Geometry
 from repro.mem.memory import MainMemory
-from repro.sim.config import ForwardClass, SystemKind, table2_config
+from repro.sim.config import table2_config
+from repro.systems import ForwardClass, paper
+from repro.systems.forwardrules import block_is_forwardable
 
 BLOCK = 9
 
@@ -17,7 +18,7 @@ def tx():
         core_id=0,
         epoch=1,
         memory=MainMemory(Geometry()),
-        htm=table2_config(SystemKind.CHATS),
+        htm=table2_config(paper.CHATS),
     )
 
 

@@ -6,14 +6,16 @@ stores, and atomic CAS operations over a handful of blocks.  Each run is
 validated three ways: the machine invariants are checked periodically
 *while running*, the quiescent invariants at the end, and the final
 memory must match a serial witness for the commutative parts (per-block
-token sums)."""
+token sums).  Every registered system runs the same generated programs."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.config import SystemConfig, SystemKind, table2_config
+from repro.sim.config import SystemConfig, table2_config
 from repro.sim.invariants import check_invariants, check_quiescent
 from repro.sim.ops import Read, Txn, Work, Write
 from repro.sim.simulator import Simulator
+from repro.systems import registered_systems
 from repro.workloads.scripted import ScriptedWorkload
 
 BASE = 0x40_0000
@@ -83,23 +85,10 @@ def build(plan):
 
 
 class TestMixedFuzz:
+    @pytest.mark.parametrize("system", registered_systems(), ids=str)
     @given(plan=program_strategy())
     @settings(max_examples=10, deadline=None)
-    def test_chats_with_live_invariants(self, plan):
-        self._run(plan, SystemKind.CHATS)
-
-    @given(plan=program_strategy())
-    @settings(max_examples=6, deadline=None)
-    def test_baseline_with_live_invariants(self, plan):
-        self._run(plan, SystemKind.BASELINE)
-
-    @given(plan=program_strategy())
-    @settings(max_examples=6, deadline=None)
-    def test_pchats_with_live_invariants(self, plan):
-        self._run(plan, SystemKind.PCHATS)
-
-    @staticmethod
-    def _run(plan, system):
+    def test_with_live_invariants(self, system, plan):
         threads, totals = build(plan)
         wl = ScriptedWorkload(threads)
         sim = Simulator(

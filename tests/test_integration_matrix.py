@@ -10,10 +10,9 @@ token released).
 import pytest
 
 import repro
-from repro.sim.config import SystemKind
 from repro.sim.simulator import Simulator
+from repro.systems import paper, paper_systems
 from repro.workloads.base import make_workload
-from tests.conftest import ALL_SYSTEMS
 
 WORKLOADS = (
     "counter",
@@ -31,7 +30,7 @@ WORKLOADS = (
 )
 
 
-@pytest.mark.parametrize("system", ALL_SYSTEMS, ids=lambda s: s.value)
+@pytest.mark.parametrize("system", paper_systems(), ids=str)
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_workload_system_cell(workload, system):
     wl = make_workload(workload, threads=8, seed=1, scale=0.15)
@@ -59,7 +58,7 @@ def test_workload_system_cell(workload, system):
 @pytest.mark.parametrize("seed", [2, 3, 4, 5])
 def test_counter_oracle_across_seeds_and_systems(seed):
     """The strictest serializability check, repeated across seeds."""
-    for system in ALL_SYSTEMS:
+    for system in paper_systems():
         result = repro.run_workload(
             "counter", system, threads=8, seed=seed, scale=0.2
         )
@@ -68,13 +67,13 @@ def test_counter_oracle_across_seeds_and_systems(seed):
 
 def test_thread_counts_below_core_count():
     result = repro.run_workload(
-        "counter", SystemKind.CHATS, threads=3, scale=0.2
+        "counter", paper.CHATS, threads=3, scale=0.2
     )
     assert result.total_commits > 0
 
 
 def test_single_thread_never_conflicts():
-    for system in ALL_SYSTEMS:
+    for system in paper_systems():
         result = repro.run_workload("counter", system, threads=1, scale=0.3)
         assert result.total_aborts == 0
         assert result.stats.tx_fallback_commits == 0

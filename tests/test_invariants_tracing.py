@@ -3,21 +3,21 @@ mid-run invariant stress over every HTM system."""
 
 import pytest
 
-from repro.sim.config import SystemConfig, SystemKind, table2_config
+from repro.obs import TraceEvent, Tracer
+from repro.sim.config import SystemConfig, table2_config
 from repro.sim.invariants import InvariantViolation, check_invariants, check_quiescent
 from repro.sim.ops import Read, Txn, Work, Write
 from repro.sim.simulator import Simulator
-from repro.sim.tracing import TraceEvent, Tracer
+from repro.systems import paper, paper_systems
 from repro.workloads.base import make_workload
 from repro.workloads.scripted import ScriptedWorkload
-from tests.conftest import ALL_SYSTEMS
 
 X = 0x10_0000
 Y = 0x10_1000
 
 
 class TestInvariantChecker:
-    @pytest.mark.parametrize("system", ALL_SYSTEMS, ids=lambda s: s.value)
+    @pytest.mark.parametrize("system", paper_systems(), ids=str)
     def test_invariants_hold_throughout_contended_runs(self, system):
         """Schedule the full checker every 500 cycles of a contended run:
         no intermediate machine state may violate it."""
@@ -95,7 +95,7 @@ class TestTracer:
         wl = ScriptedWorkload([producer, consumer])
         return Simulator(
             wl,
-            htm=table2_config(SystemKind.CHATS),
+            htm=table2_config(paper.CHATS),
             config=SystemConfig(num_cores=2),
         ), wl
 
@@ -162,7 +162,7 @@ class TestTracer:
         wl = ScriptedWorkload([a, a])
         sim = Simulator(
             wl,
-            htm=table2_config(SystemKind.BASELINE),
+            htm=table2_config(paper.BASELINE),
             config=SystemConfig(num_cores=2),
         )
         with Tracer(sim, kinds={"abort", "commit"}) as trace:

@@ -5,9 +5,10 @@ import pytest
 
 from repro.htm.stats import AbortReason
 from repro.net.messages import MessageKind
-from repro.sim.config import SystemConfig, SystemKind, table2_config
+from repro.sim.config import SystemConfig, table2_config
 from repro.sim.ops import Read, Txn, Work, Write
 from repro.sim.simulator import Simulator
+from repro.systems import paper
 from repro.workloads.scripted import ScriptedWorkload
 
 X = 0x10_0000
@@ -15,7 +16,7 @@ Y = 0x10_1000
 Z = 0x10_2000
 
 
-def build(threads, system=SystemKind.CHATS, htm=None, config=None, **kw):
+def build(threads, system=paper.CHATS, htm=None, config=None, **kw):
     wl = ScriptedWorkload(list(threads), **kw)
     return Simulator(
         wl,
@@ -36,7 +37,7 @@ class TestCachePaths:
 
             yield Txn(body, ())
 
-        sim = build([thread], SystemKind.BASELINE)
+        sim = build([thread], paper.BASELINE)
         sim.run()
         # One GETS for X, one GETX for Y, one GETS for the lock word (plus
         # their grants/unblocks) — far fewer than one request per read.
@@ -50,7 +51,7 @@ class TestCachePaths:
 
             yield Txn(body, ())
 
-        sim = build([thread], SystemKind.BASELINE)
+        sim = build([thread], paper.BASELINE)
         sim.run()
         block = sim.workload.space.geometry.block_of(X)
         assert sim.directory.owner_of(block) == 0
@@ -68,7 +69,7 @@ class TestCachePaths:
 
             yield Txn(body2, ())
 
-        sim = build([thread], SystemKind.BASELINE)
+        sim = build([thread], paper.BASELINE)
         sim.run()
         block = sim.workload.space.geometry.block_of(X)
         line = sim.l1s[0].cache.peek(block)
@@ -99,7 +100,7 @@ class TestSpecRespHandling:
         return [producer, consumer]
 
     def test_spec_block_enters_write_set_and_vsb(self):
-        sim = build(self._chain(consumer_body_extra=3000), SystemKind.CHATS)
+        sim = build(self._chain(consumer_body_extra=3000), paper.CHATS)
         block = sim.workload.space.geometry.block_of(X)
         snapshots = []
 
@@ -127,7 +128,7 @@ class TestSpecRespHandling:
         assert spec_received
 
     def test_validated_block_becomes_owned(self):
-        sim = build(self._chain(), SystemKind.CHATS)
+        sim = build(self._chain(), paper.CHATS)
         sim.run()
         block = sim.workload.space.geometry.block_of(X)
         # After validation the consumer became the real owner.
@@ -136,7 +137,7 @@ class TestSpecRespHandling:
         assert line is not None and not line.spec_received
 
     def test_validation_stats(self):
-        sim = build(self._chain(), SystemKind.CHATS)
+        sim = build(self._chain(), paper.CHATS)
         sim.run()
         assert sim.stats.validations_attempted >= 1
         assert sim.stats.validations_succeeded >= 1
@@ -146,7 +147,7 @@ class TestSpecRespHandling:
 class TestValidationInterval:
     @pytest.mark.parametrize("interval", [10, 50, 200])
     def test_interval_respected(self, interval):
-        htm = table2_config(SystemKind.CHATS).replace(
+        htm = table2_config(paper.CHATS).replace(
             validation_interval=interval
         )
 
@@ -194,7 +195,7 @@ class TestValidationInterval:
 
             yield Txn(body, ())
 
-        sim = build([producer, consumer], SystemKind.LEVC)
+        sim = build([producer, consumer], paper.LEVC)
         sim.run()
         assert sim.stats.validations_attempted >= 3
 
@@ -203,7 +204,7 @@ class TestVSBCapacity:
     def test_consumer_limited_by_vsb(self):
         """A transaction consuming more blocks than the VSB holds must
         fall back to requester-wins for the overflow blocks."""
-        htm = table2_config(SystemKind.CHATS).replace(vsb_size=2)
+        htm = table2_config(paper.CHATS).replace(vsb_size=2)
         producers = []
         blocks = [X, Y, Z, 0x10_3000]
 
@@ -247,7 +248,7 @@ class TestVSBCapacity:
         assert sim.stats.aborts[AbortReason.CONFLICT] >= 2
 
         # With 4 entries the same program chains on all four producers.
-        htm4 = table2_config(SystemKind.CHATS).replace(vsb_size=4)
+        htm4 = table2_config(paper.CHATS).replace(vsb_size=4)
         sim4 = build(
             producers + [consumer],
             htm=htm4,
@@ -268,7 +269,7 @@ class TestEvictionWriteback:
             for i in range(3):
                 yield Write(0x4000 + i * sets * 64, i)
 
-        sim = build([thread], SystemKind.BASELINE, config=config)
+        sim = build([thread], paper.BASELINE, config=config)
         sim.run()
         wb = sim.network.flits_by_kind.get(MessageKind.WRITEBACK, 0)
         assert wb > 0

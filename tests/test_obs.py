@@ -23,14 +23,15 @@ from repro.obs import (
     Tracer,
 )
 from repro.obs.trace_export import DIRECTORY_TRACK, TRACE_PID
-from repro.sim.config import SystemKind, table2_config
+from repro.sim.config import table2_config
 from repro.sim.simulator import Simulator
+from repro.systems import paper
 from repro.workloads.base import make_workload
 
 FAST = dict(threads=4, seed=2, scale=0.1)
 
 
-def _sim(system=SystemKind.CHATS, **kwargs):
+def _sim(system=paper.CHATS, **kwargs):
     params = dict(FAST, **kwargs)
     wl = make_workload("counter", **params)
     return Simulator(wl, htm=table2_config(system))
@@ -101,7 +102,7 @@ class TestProbe:
 # ----------------------------------------------------------------------
 class TestObserverEffect:
     @pytest.mark.parametrize(
-        "system", (SystemKind.CHATS, SystemKind.POWER), ids=lambda s: s.value
+        "system", (paper.CHATS, paper.POWER), ids=str
     )
     def test_traced_run_is_bit_identical_to_untraced(self, system):
         """Attaching every subscriber at once must not perturb the
@@ -358,9 +359,9 @@ class TestRunnerObservability:
         counters().reset()
 
     def test_metrics_window_is_part_of_the_cache_key(self):
-        plain = RunConfig.make("counter", SystemKind.CHATS, **FAST)
+        plain = RunConfig.make("counter", paper.CHATS, **FAST)
         binned = RunConfig.make(
-            "counter", SystemKind.CHATS, metrics_window=1_000, **FAST
+            "counter", paper.CHATS, metrics_window=1_000, **FAST
         )
         assert plain.key() != binned.key()
         assert binned.to_dict()["metrics_window"] == 1_000
@@ -368,7 +369,7 @@ class TestRunnerObservability:
 
     def test_cached_results_keep_their_intervals(self):
         cfg = RunConfig.make(
-            "counter", SystemKind.CHATS, metrics_window=500, **FAST
+            "counter", paper.CHATS, metrics_window=500, **FAST
         )
         first = run_many([cfg])[0]
         assert first.intervals is not None
@@ -379,8 +380,8 @@ class TestRunnerObservability:
 
     def test_manifest_records_runs_then_hits(self):
         configs = [
-            RunConfig.make("counter", SystemKind.BASELINE, **FAST),
-            RunConfig.make("counter", SystemKind.CHATS, **FAST),
+            RunConfig.make("counter", paper.BASELINE, **FAST),
+            RunConfig.make("counter", paper.CHATS, **FAST),
         ]
         run_many(configs)
         manifest = runner.last_manifest()

@@ -6,17 +6,16 @@ message directly and checks the decision matrix of Section VI-B.
 
 import pytest
 
-from repro.core.policies import (
-    BaselineRW,
-    Resolution,
-    make_policy,
-)
 from repro.htm.stats import AbortReason
 from repro.htm.txstate import TxState
 from repro.mem.address import Geometry
 from repro.mem.memory import MainMemory
 from repro.net.messages import Message, MessageKind
-from repro.sim.config import ForwardClass, SystemKind, table2_config
+from repro.sim.config import table2_config
+from repro.systems import ForwardClass, paper
+from repro.systems.compose import make_policy
+from repro.systems.conflict import BaselineRW
+from repro.systems.outcome import Resolution
 
 BLOCK = 42
 
@@ -24,7 +23,7 @@ BLOCK = 42
 def holder_tx(
     memory,
     *,
-    system=SystemKind.CHATS,
+    system=paper.CHATS,
     wrote=True,
     read=False,
     pic=None,
@@ -87,27 +86,27 @@ def mem():
 
 class TestBaseline:
     def test_always_requester_wins(self, mem):
-        policy = make_policy(table2_config(SystemKind.BASELINE))
+        policy = make_policy(table2_config(paper.BASELINE))
         assert isinstance(policy, BaselineRW)
-        out = policy.resolve(holder_tx(mem, system=SystemKind.BASELINE), probe(), no_inflight)
+        out = policy.resolve(holder_tx(mem, system=paper.BASELINE), probe(), no_inflight)
         assert out.resolution is Resolution.ABORT_LOCAL
         assert out.abort_reason is AbortReason.CONFLICT
 
 
 class TestNaive:
     def policy(self):
-        return make_policy(table2_config(SystemKind.NAIVE_RS))
+        return make_policy(table2_config(paper.NAIVE_RS))
 
     def test_forwards_without_restrictions(self, mem):
         out = self.policy().resolve(
-            holder_tx(mem, system=SystemKind.NAIVE_RS), probe(), no_inflight
+            holder_tx(mem, system=paper.NAIVE_RS), probe(), no_inflight
         )
         assert out.resolution is Resolution.FORWARD_SPEC
         assert out.message_pic is None  # naive carries no PiC
 
     def test_non_transactional_requests_always_win(self, mem):
         out = self.policy().resolve(
-            holder_tx(mem, system=SystemKind.NAIVE_RS),
+            holder_tx(mem, system=paper.NAIVE_RS),
             probe(non_transactional=True),
             no_inflight,
         )
@@ -115,7 +114,7 @@ class TestNaive:
 
     def test_requester_without_vsb_slot(self, mem):
         out = self.policy().resolve(
-            holder_tx(mem, system=SystemKind.NAIVE_RS),
+            holder_tx(mem, system=paper.NAIVE_RS),
             probe(can_consume=False),
             no_inflight,
         )
@@ -123,14 +122,14 @@ class TestNaive:
 
     def test_validation_budget_exhaustion(self, mem):
         policy = self.policy()
-        tx = holder_tx(mem, system=SystemKind.NAIVE_RS)
+        tx = holder_tx(mem, system=paper.NAIVE_RS)
         tx.naive_budget = 2
         assert policy.on_unsuccessful_validation(tx) is None
         assert policy.on_unsuccessful_validation(tx) is AbortReason.NAIVE_LIMIT
 
     def test_successful_validation_resets_budget(self, mem):
         policy = self.policy()
-        tx = holder_tx(mem, system=SystemKind.NAIVE_RS)
+        tx = holder_tx(mem, system=paper.NAIVE_RS)
         tx.naive_budget = 1
         policy.on_successful_validation(tx)
         assert tx.naive_budget == 16
@@ -138,7 +137,7 @@ class TestNaive:
 
 class TestCHATSPolicy:
     def policy(self):
-        return make_policy(table2_config(SystemKind.CHATS))
+        return make_policy(table2_config(paper.CHATS))
 
     def test_forward_unchained_pair(self, mem):
         tx = holder_tx(mem)
@@ -177,14 +176,14 @@ class TestCHATSPolicy:
         assert out.resolution is Resolution.FORWARD_SPEC
 
     def test_w_class_refuses_read_only_blocks(self, mem):
-        htm = table2_config(SystemKind.CHATS).replace(forward_class=ForwardClass.W)
+        htm = table2_config(paper.CHATS).replace(forward_class=ForwardClass.W)
         policy = make_policy(htm)
         tx = holder_tx(mem, wrote=False, read=True)
         out = policy.resolve(tx, probe(), no_inflight)
         assert out.resolution is Resolution.ABORT_LOCAL
 
     def test_rw_class_forwards_read_only_blocks(self, mem):
-        htm = table2_config(SystemKind.CHATS).replace(forward_class=ForwardClass.RW)
+        htm = table2_config(paper.CHATS).replace(forward_class=ForwardClass.RW)
         policy = make_policy(htm)
         tx = holder_tx(mem, wrote=False, read=True)
         out = policy.resolve(tx, probe(), lambda b: True)  # heuristic off
@@ -193,54 +192,54 @@ class TestCHATSPolicy:
 
 class TestPowerPolicy:
     def policy(self):
-        return make_policy(table2_config(SystemKind.POWER))
+        return make_policy(table2_config(paper.POWER))
 
     def test_power_holder_nacks(self, mem):
-        tx = holder_tx(mem, system=SystemKind.POWER, power=True)
+        tx = holder_tx(mem, system=paper.POWER, power=True)
         out = self.policy().resolve(tx, probe(), no_inflight)
         assert out.resolution is Resolution.NACK
 
     def test_power_requester_wins(self, mem):
-        tx = holder_tx(mem, system=SystemKind.POWER)
+        tx = holder_tx(mem, system=paper.POWER)
         out = self.policy().resolve(tx, probe(power=True), no_inflight)
         assert out.resolution is Resolution.ABORT_LOCAL
         assert out.abort_reason is AbortReason.POWER
 
     def test_plain_conflicts_use_requester_wins(self, mem):
-        tx = holder_tx(mem, system=SystemKind.POWER)
+        tx = holder_tx(mem, system=paper.POWER)
         out = self.policy().resolve(tx, probe(), no_inflight)
         assert out.resolution is Resolution.ABORT_LOCAL
 
     def test_non_tx_beats_power_holder(self, mem):
-        tx = holder_tx(mem, system=SystemKind.POWER, power=True)
+        tx = holder_tx(mem, system=paper.POWER, power=True)
         out = self.policy().resolve(tx, probe(non_transactional=True), no_inflight)
         assert out.resolution is Resolution.ABORT_LOCAL
 
 
 class TestPCHATSPolicy:
     def policy(self):
-        return make_policy(table2_config(SystemKind.PCHATS))
+        return make_policy(table2_config(paper.PCHATS))
 
     def test_power_holder_forwards_without_pic(self, mem):
-        tx = holder_tx(mem, system=SystemKind.PCHATS, power=True)
+        tx = holder_tx(mem, system=paper.PCHATS, power=True)
         out = self.policy().resolve(tx, probe(), no_inflight)
         assert out.resolution is Resolution.FORWARD_SPEC
         assert out.message_pic is None
         assert out.from_power
 
     def test_power_holder_nacks_when_unforwardable(self, mem):
-        tx = holder_tx(mem, system=SystemKind.PCHATS, power=True)
+        tx = holder_tx(mem, system=paper.PCHATS, power=True)
         out = self.policy().resolve(tx, probe(can_consume=False), no_inflight)
         assert out.resolution is Resolution.NACK
 
     def test_power_requester_never_consumes(self, mem):
-        tx = holder_tx(mem, system=SystemKind.PCHATS)
+        tx = holder_tx(mem, system=paper.PCHATS)
         out = self.policy().resolve(tx, probe(power=True), no_inflight)
         assert out.resolution is Resolution.ABORT_LOCAL
         assert out.abort_reason is AbortReason.POWER
 
     def test_plain_conflicts_fall_back_to_chats(self, mem):
-        tx = holder_tx(mem, system=SystemKind.PCHATS)
+        tx = holder_tx(mem, system=paper.PCHATS)
         out = self.policy().resolve(tx, probe(), no_inflight)
         assert out.resolution is Resolution.FORWARD_SPEC
         assert out.message_pic == 15
@@ -248,10 +247,10 @@ class TestPCHATSPolicy:
 
 class TestLEVCPolicy:
     def policy(self):
-        return make_policy(table2_config(SystemKind.LEVC))
+        return make_policy(table2_config(paper.LEVC))
 
     def fresh(self, mem, **kw):
-        return holder_tx(mem, system=SystemKind.LEVC, timestamp=10, **kw)
+        return holder_tx(mem, system=paper.LEVC, timestamp=10, **kw)
 
     def test_forwards_when_unrestricted(self, mem):
         tx = self.fresh(mem)

@@ -4,13 +4,15 @@ well-formed outcome respecting its system's defining constraints."""
 
 from hypothesis import given, strategies as st
 
-from repro.core.policies import Resolution, make_policy
 from repro.htm.stats import AbortReason
 from repro.htm.txstate import TxState
 from repro.mem.address import Geometry
 from repro.mem.memory import MainMemory
 from repro.net.messages import Message, MessageKind
-from repro.sim.config import SystemKind, table2_config
+from repro.sim.config import table2_config
+from repro.systems import paper
+from repro.systems.compose import make_policy
+from repro.systems.outcome import Resolution
 
 BLOCK = 5
 
@@ -85,12 +87,12 @@ def make_probe(p):
 
 
 ALL = (
-    SystemKind.BASELINE,
-    SystemKind.NAIVE_RS,
-    SystemKind.CHATS,
-    SystemKind.POWER,
-    SystemKind.PCHATS,
-    SystemKind.LEVC,
+    paper.BASELINE,
+    paper.NAIVE_RS,
+    paper.CHATS,
+    paper.POWER,
+    paper.PCHATS,
+    paper.LEVC,
 )
 
 
@@ -126,8 +128,8 @@ class TestUniversalProperties:
         h["wrote"] = True
         p["can_consume"] = False
         p["non_transactional"] = False
-        holder = make_holder(SystemKind.CHATS, **h)
-        policy = make_policy(table2_config(SystemKind.CHATS))
+        holder = make_holder(paper.CHATS, **h)
+        policy = make_policy(table2_config(paper.CHATS))
         out = policy.resolve(holder, make_probe(p), lambda b: False)
         assert out.resolution is Resolution.ABORT_LOCAL
 
@@ -139,8 +141,8 @@ class TestUniversalProperties:
         p["non_transactional"] = False
         p["power"] = False
         h["power"] = False
-        holder = make_holder(SystemKind.CHATS, **h)
-        policy = make_policy(table2_config(SystemKind.CHATS))
+        holder = make_holder(paper.CHATS, **h)
+        policy = make_policy(table2_config(paper.CHATS))
         out = policy.resolve(holder, make_probe(p), lambda b: False)
         if out.resolution is Resolution.FORWARD_SPEC:
             assert out.message_pic == holder.pic.value
@@ -156,7 +158,7 @@ class TestUniversalProperties:
         h["wrote"] = True
         h["power"] = True
         p["non_transactional"] = False
-        for system in (SystemKind.POWER, SystemKind.PCHATS):
+        for system in (paper.POWER, paper.PCHATS):
             holder = make_holder(system, **h)
             policy = make_policy(table2_config(system))
             out = policy.resolve(holder, make_probe(p), lambda b: False)
@@ -168,8 +170,8 @@ class TestUniversalProperties:
         h["power"] = False
         p["power"] = True
         p["non_transactional"] = False
-        holder = make_holder(SystemKind.PCHATS, **h)
-        policy = make_policy(table2_config(SystemKind.PCHATS))
+        holder = make_holder(paper.PCHATS, **h)
+        policy = make_policy(table2_config(paper.PCHATS))
         out = policy.resolve(holder, make_probe(p), lambda b: False)
         assert out.resolution is Resolution.ABORT_LOCAL
 
@@ -179,8 +181,8 @@ class TestUniversalProperties:
         has consumed, or the requester is not a chain endpoint."""
         h["wrote"] = True
         p["non_transactional"] = False
-        holder = make_holder(SystemKind.LEVC, **h)
-        policy = make_policy(table2_config(SystemKind.LEVC))
+        holder = make_holder(paper.LEVC, **h)
+        policy = make_policy(table2_config(paper.LEVC))
         out = policy.resolve(holder, make_probe(p), lambda b: False)
         if out.resolution is Resolution.FORWARD_SPEC:
             assert not h["has_consumer"]

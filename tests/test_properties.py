@@ -12,8 +12,8 @@ by all serial permutations (for small thread counts).
 from hypothesis import given, settings, strategies as st
 
 from repro.mem.address import Geometry
-from repro.sim.config import SystemKind
 from repro.sim.ops import Read, Txn, Work, Write
+from repro.systems import paper
 from tests.conftest import run_scripted
 
 GEOMETRY = Geometry()
@@ -65,7 +65,7 @@ class TestSerializabilityOfIncrements:
     @settings(max_examples=12, deadline=None)
     def test_chats_preserves_every_increment(self, plan):
         threads, totals = build_increment_threads(plan)
-        _, sim = run_scripted(threads, SystemKind.CHATS)
+        _, sim = run_scripted(threads, paper.CHATS)
         for addr, expected in totals.items():
             assert sim.memory.read_word(addr) == expected
 
@@ -73,7 +73,7 @@ class TestSerializabilityOfIncrements:
     @settings(max_examples=8, deadline=None)
     def test_naive_rs_preserves_every_increment(self, plan):
         threads, totals = build_increment_threads(plan)
-        _, sim = run_scripted(threads, SystemKind.NAIVE_RS)
+        _, sim = run_scripted(threads, paper.NAIVE_RS)
         for addr, expected in totals.items():
             assert sim.memory.read_word(addr) == expected
 
@@ -81,7 +81,7 @@ class TestSerializabilityOfIncrements:
     @settings(max_examples=8, deadline=None)
     def test_pchats_preserves_every_increment(self, plan):
         threads, totals = build_increment_threads(plan)
-        _, sim = run_scripted(threads, SystemKind.PCHATS)
+        _, sim = run_scripted(threads, paper.PCHATS)
         for addr, expected in totals.items():
             assert sim.memory.read_word(addr) == expected
 
@@ -89,7 +89,7 @@ class TestSerializabilityOfIncrements:
     @settings(max_examples=8, deadline=None)
     def test_levc_preserves_every_increment(self, plan):
         threads, totals = build_increment_threads(plan)
-        _, sim = run_scripted(threads, SystemKind.LEVC)
+        _, sim = run_scripted(threads, paper.LEVC)
         for addr, expected in totals.items():
             assert sim.memory.read_word(addr) == expected
 
@@ -154,7 +154,7 @@ class TestSerializabilityOfGeneralPrograms:
                 return thread
 
             threads.append(make_thread())
-        _, sim = run_scripted(threads, SystemKind.CHATS)
+        _, sim = run_scripted(threads, paper.CHATS)
         final = tuple(sim.memory.read_word(BLOCKS[i]) for i in range(3))
         assert final in serial_outcomes(plan), (
             f"final state {final} matches no serial execution"
@@ -167,7 +167,7 @@ class TestDeterminismProperty:
     def test_identical_runs_identical_cycles(self, plan):
         threads_a, _ = build_increment_threads(plan)
         threads_b, _ = build_increment_threads(plan)
-        res_a, _ = run_scripted(threads_a, SystemKind.CHATS)
-        res_b, _ = run_scripted(threads_b, SystemKind.CHATS)
+        res_a, _ = run_scripted(threads_a, paper.CHATS)
+        res_b, _ = run_scripted(threads_b, paper.CHATS)
         assert res_a.cycles == res_b.cycles
         assert res_a.total_aborts == res_b.total_aborts

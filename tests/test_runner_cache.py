@@ -20,8 +20,9 @@ from repro.experiments.runner import (
     run_cached,
     run_many,
 )
-from repro.sim.config import SystemKind, table2_config
+from repro.sim.config import table2_config
 from repro.sim.results import SimulationResult
+from repro.systems import paper
 
 FAST = dict(threads=2, scale=0.1)
 
@@ -48,9 +49,9 @@ class TestKeyCompleteness:
     scale) — omitting ``system`` and ``max_events``."""
 
     def test_same_htm_different_system_does_not_collide(self):
-        htm = table2_config(SystemKind.CHATS)
-        a = run_cached("counter", SystemKind.CHATS, htm=htm, **FAST)
-        b = run_cached("counter", SystemKind.LEVC, htm=htm, **FAST)
+        htm = table2_config(paper.CHATS)
+        a = run_cached("counter", paper.CHATS, htm=htm, **FAST)
+        b = run_cached("counter", paper.LEVC, htm=htm, **FAST)
         # Two distinct cache entries, two real simulations — with the old
         # key the second call silently returned the first call's result.
         assert cache_size() == 2
@@ -58,16 +59,16 @@ class TestKeyCompleteness:
         assert a is not b
 
     def test_different_max_events_reruns(self):
-        run_cached("counter", SystemKind.BASELINE, **FAST)
+        run_cached("counter", paper.BASELINE, **FAST)
         run_cached(
-            "counter", SystemKind.BASELINE, max_events=10_000_000, **FAST
+            "counter", paper.BASELINE, max_events=10_000_000, **FAST
         )
         assert counters().simulations == 2
         assert cache_size() == 2
 
     def test_identical_calls_still_hit(self):
-        a = run_cached("counter", SystemKind.BASELINE, **FAST)
-        b = run_cached("counter", SystemKind.BASELINE, **FAST)
+        a = run_cached("counter", paper.BASELINE, **FAST)
+        b = run_cached("counter", paper.BASELINE, **FAST)
         assert a is b
         assert counters().simulations == 1
         assert counters().memory_hits == 1
@@ -77,9 +78,9 @@ class TestDiskCache:
     def test_round_trip_equality(self):
         """A result reloaded from disk equals the original in every
         stats field (dataclass equality covers all counters)."""
-        original = run_cached("counter", SystemKind.CHATS, **FAST)
+        original = run_cached("counter", paper.CHATS, **FAST)
         clear_cache()  # simulate a fresh process
-        reloaded = run_cached("counter", SystemKind.CHATS, **FAST)
+        reloaded = run_cached("counter", paper.CHATS, **FAST)
         assert counters().simulations == 1
         assert counters().disk_hits == 1
         assert reloaded == original
@@ -87,22 +88,22 @@ class TestDiskCache:
         assert reloaded.to_dict() == original.to_dict()
 
     def test_serialization_is_lossless(self):
-        result = run_cached("llb-l", SystemKind.PCHATS, **FAST)
+        result = run_cached("llb-l", paper.PCHATS, **FAST)
         assert SimulationResult.from_dict(result.to_dict()) == result
 
     def test_schema_version_bump_invalidates(self, monkeypatch):
-        run_cached("counter", SystemKind.BASELINE, **FAST)
+        run_cached("counter", paper.BASELINE, **FAST)
         clear_cache()
         monkeypatch.setattr(runner, "SCHEMA_VERSION", 999)
-        run_cached("counter", SystemKind.BASELINE, **FAST)
+        run_cached("counter", paper.BASELINE, **FAST)
         assert counters().simulations == 2
         assert counters().disk_hits == 0
 
     def test_no_cache_env_disables_disk(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        run_cached("counter", SystemKind.BASELINE, **FAST)
+        run_cached("counter", paper.BASELINE, **FAST)
         clear_cache()
-        run_cached("counter", SystemKind.BASELINE, **FAST)
+        run_cached("counter", paper.BASELINE, **FAST)
         assert counters().simulations == 2
         assert counters().disk_hits == 0
 
@@ -110,14 +111,14 @@ class TestDiskCache:
     def test_corrupt_entry_is_a_miss(self, store_kind, recwarn):
         """An unparsable store entry is a warn-once miss — never an
         exception, never a stale result."""
-        cfg = RunConfig.make("counter", SystemKind.BASELINE, **FAST)
-        run_cached("counter", SystemKind.BASELINE, **FAST)
+        cfg = RunConfig.make("counter", paper.BASELINE, **FAST)
+        run_cached("counter", paper.BASELINE, **FAST)
         store = runner.result_store()
         assert store.kind == store_kind
         # Overwrite the entry with bytes that are not JSON.
         store.put(runner.result_key(cfg.key()), b"{not json")
         clear_cache()
-        run_cached("counter", SystemKind.BASELINE, **FAST)
+        run_cached("counter", paper.BASELINE, **FAST)
         assert counters().simulations == 2
         assert store.counters.corrupt == 1
         assert any(
@@ -130,7 +131,7 @@ class TestDiskCache:
 SWEEP = [
     RunConfig.make(w, s, **FAST)
     for w in ("counter", "llb-l")
-    for s in (SystemKind.BASELINE, SystemKind.CHATS, SystemKind.PCHATS)
+    for s in (paper.BASELINE, paper.CHATS, paper.PCHATS)
 ]
 
 
@@ -155,7 +156,7 @@ class TestRunMany:
         results = run_many(SWEEP, workers=2)
         for cfg, result in zip(SWEEP, results):
             assert result.workload == cfg.workload
-            assert result.system == cfg.system.value
+            assert result.system == cfg.system.name
 
     def test_populates_shared_cache(self):
         run_many(SWEEP[:3], workers=2)
@@ -171,12 +172,12 @@ class TestRunMany:
         assert counters().simulations == 3  # all warm
 
     def test_failure_surfaces_offending_config(self):
-        bad = RunConfig.make("no-such-workload", SystemKind.BASELINE, **FAST)
+        bad = RunConfig.make("no-such-workload", paper.BASELINE, **FAST)
         with pytest.raises(RuntimeError, match="no-such-workload"):
             run_many([bad] + SWEEP[:2], workers=2, use_cache=False)
 
     def test_serial_failure_surfaces_too(self):
-        bad = RunConfig.make("no-such-workload", SystemKind.BASELINE, **FAST)
+        bad = RunConfig.make("no-such-workload", paper.BASELINE, **FAST)
         with pytest.raises(RuntimeError, match="no-such-workload"):
             run_many([bad], workers=1, use_cache=False)
 
@@ -276,7 +277,7 @@ class TestForeignClaims:
         """A peer holds the claim, gives it up without storing, and a
         third live peer wins the re-claim: ``run_many`` waits for that
         peer's result instead of simulating the config itself."""
-        cfg = RunConfig.make("counter", SystemKind.BASELINE, **FAST)
+        cfg = RunConfig.make("counter", paper.BASELINE, **FAST)
         key = runner.result_key(cfg.key())
         peer_result = runner._execute(cfg)
         store = runner.result_store()

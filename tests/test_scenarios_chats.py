@@ -10,8 +10,8 @@ Sections III and IV.
 
 
 from repro.htm.stats import AbortReason
-from repro.sim.config import SystemKind
 from repro.sim.ops import Abort, Read, Txn, Work, Write
+from repro.systems import paper
 from tests.conftest import run_scripted
 
 X = 0x10_0000  # block A
@@ -42,7 +42,7 @@ class TestForwardingChain:
 
         result, sim = run_scripted(
             [producer, consumer],
-            SystemKind.CHATS,
+            paper.CHATS,
             check=lambda m: m.read_word(X) == 7 and m.read_word(Y) == 8,
         )
         assert sim.stats.spec_forwards >= 1
@@ -69,7 +69,7 @@ class TestForwardingChain:
 
             yield Txn(body, ())
 
-        _, sim = run_scripted([t0, t1], SystemKind.CHATS)
+        _, sim = run_scripted([t0, t1], paper.CHATS)
         assert sim.stats.spec_forwards == 0
 
     def test_baseline_aborts_where_chats_forwards(self):
@@ -93,7 +93,7 @@ class TestForwardingChain:
 
         _, sim = run_scripted(
             [producer, consumer],
-            SystemKind.BASELINE,
+            paper.BASELINE,
             check=lambda m: m.read_word(X) == 7,
         )
         assert sim.stats.spec_forwards == 0
@@ -126,7 +126,7 @@ class TestValidationFailures:
 
         result, sim = run_scripted(
             [producer, consumer],
-            SystemKind.CHATS,
+            paper.CHATS,
             # Serializability: the consumer eventually retries and must
             # observe the committed 2.
             check=lambda m: m.read_word(X) == 2 and m.read_word(Y) == 20,
@@ -159,7 +159,7 @@ class TestValidationFailures:
 
         result, sim = run_scripted(
             [producer, consumer],
-            SystemKind.CHATS,
+            paper.CHATS,
             check=lambda m: m.read_word(X) == 102 and m.read_word(Y) == 102,
         )
         assert sim.stats.spec_forwards >= 1
@@ -197,7 +197,7 @@ class TestMultipleConsumers:
 
         result, sim = run_scripted(
             [producer, consumer(Y), consumer(Z)],
-            SystemKind.CHATS,
+            paper.CHATS,
             check=lambda m: m.read_word(Y) == 6 and m.read_word(Z) == 6,
         )
         assert sim.stats.spec_forwards >= 2
@@ -225,7 +225,7 @@ class TestMultipleConsumers:
 
         result, sim = run_scripted(
             [producer, incrementer, incrementer],
-            SystemKind.CHATS,
+            paper.CHATS,
             check=lambda m: m.read_word(X) == 2,  # both increments land
         )
         assert result.total_commits == 3
@@ -251,7 +251,7 @@ class TestCycleAvoidance:
 
         result, sim = run_scripted(
             [make(X, Y, 1), make(Y, X, 2)],
-            SystemKind.CHATS,
+            paper.CHATS,
             check=lambda m: m.read_word(X) == 1 and m.read_word(Y) == 2,
         )
         # Both transactions completed (no deadlock) and the run ended.
@@ -278,7 +278,7 @@ class TestCycleAvoidance:
 
         result, sim = run_scripted(
             [make(0), make(1), make(2)],
-            SystemKind.CHATS,
+            paper.CHATS,
             check=lambda m: all(
                 m.read_word(b) == i + 1 for i, b in enumerate(blocks)
             ),
@@ -320,7 +320,7 @@ class TestABA:
 
         result, sim = run_scripted(
             [producer, churner, consumer],
-            SystemKind.CHATS,
+            paper.CHATS,
             check=lambda m: m.read_word(X) == 7,
         )
         final_y = sim.memory.read_word(Y)
@@ -345,6 +345,6 @@ class TestPiCLifecycle:
 
             yield Txn(body, ())
 
-        _, sim = run_scripted([producer, consumer], SystemKind.CHATS)
+        _, sim = run_scripted([producer, consumer], paper.CHATS)
         for core in sim.cores:
             assert core.tx is None  # all transactions completed

@@ -4,8 +4,9 @@ naive R-S, and LEVC behaviours."""
 
 
 from repro.htm.stats import AbortReason
-from repro.sim.config import SystemConfig, SystemKind
+from repro.sim.config import SystemConfig
 from repro.sim.ops import Abort, AtomicCAS, Read, Txn, Work, Write
+from repro.systems import paper
 from tests.conftest import run_scripted
 
 X = 0x10_0000
@@ -29,7 +30,7 @@ class TestFallbackLock:
             yield Txn(body, ())
 
         result, sim = run_scripted(
-            [thread], SystemKind.BASELINE, check=lambda m: m.read_word(X) == 2
+            [thread], paper.BASELINE, check=lambda m: m.read_word(X) == 2
         )
         assert sim.stats.tx_fallback_commits == 1
         assert sim.lock.acquisitions == 1
@@ -57,7 +58,7 @@ class TestFallbackLock:
 
         result, sim = run_scripted(
             [fallback_thread, victim],
-            SystemKind.BASELINE,
+            paper.BASELINE,
             check=lambda m: m.read_word(X) == 1 and m.read_word(Y) == 2,
         )
         assert sim.stats.aborts[AbortReason.LOCK] >= 1
@@ -91,7 +92,7 @@ class TestFallbackLock:
             out = yield Txn(body, ())
             seen.append(out)
 
-        run_scripted([thread2], SystemKind.BASELINE)
+        run_scripted([thread2], paper.BASELINE)
         assert seen == [2]
 
 
@@ -115,7 +116,7 @@ class TestPowerToken:
 
         result, sim = run_scripted(
             [thread(0), thread(1), thread(2)],
-            SystemKind.POWER,
+            paper.POWER,
             check=lambda m: m.read_word(X) == 18,
             config=SystemConfig(num_cores=3),
         )
@@ -125,7 +126,7 @@ class TestPowerToken:
     def test_power_holder_nacks_requesters(self):
         result, sim = run_scripted(
             [self._contender(), self._contender()],
-            SystemKind.POWER,
+            paper.POWER,
             check=lambda m: m.read_word(X) == 8,
         )
         # NACK-based stalling implies aborted-by-power or nacked retries.
@@ -162,7 +163,7 @@ class TestCapacityAborts:
             yield Txn(body, ())
 
         result, sim = run_scripted(
-            [thread], SystemKind.BASELINE, config=small_config
+            [thread], paper.BASELINE, config=small_config
         )
         assert sim.stats.aborts[AbortReason.CAPACITY] >= 1
         assert sim.stats.tx_fallback_commits == 1
@@ -184,7 +185,7 @@ class TestCapacityAborts:
             yield Txn(body, ())
 
         result, sim = run_scripted(
-            [thread], SystemKind.BASELINE, config=small_config
+            [thread], paper.BASELINE, config=small_config
         )
         assert sim.stats.aborts[AbortReason.CAPACITY] == 0
         assert result.total_commits == 1
@@ -208,7 +209,7 @@ class TestNonTransactionalConflicts:
 
         result, sim = run_scripted(
             [tx_thread, nontx_thread],
-            SystemKind.CHATS,
+            paper.CHATS,
             # The tx retries after the non-tx write and wins the race to
             # the final state.
             check=lambda m: m.read_word(X) == 1,
@@ -221,7 +222,7 @@ class TestNonTransactionalConflicts:
             v = yield AtomicCAS(X, 0, 10)
             yield Write(Y, v)
 
-        result, sim = run_scripted([t1], SystemKind.BASELINE)
+        result, sim = run_scripted([t1], paper.BASELINE)
         assert sim.memory.read_word(X) == 10
         assert sim.memory.read_word(Y) == 0  # observed pre-CAS value
 
@@ -231,7 +232,7 @@ class TestNonTransactionalConflicts:
             v = yield AtomicCAS(X, 0, 10)
             yield Write(Y, v)
 
-        _, sim = run_scripted([t1], SystemKind.BASELINE)
+        _, sim = run_scripted([t1], paper.BASELINE)
         assert sim.memory.read_word(X) == 5
         assert sim.memory.read_word(Y) == 5
 
@@ -256,7 +257,7 @@ class TestNaiveRS:
 
         result, sim = run_scripted(
             [make(X, Y, 1), make(Y, X, 2)],
-            SystemKind.NAIVE_RS,
+            paper.NAIVE_RS,
             check=lambda m: m.read_word(X) == 1 and m.read_word(Y) == 2,
         )
         assert result.total_commits == 2  # progress despite the cycle
@@ -280,7 +281,7 @@ class TestNaiveRS:
 
         result, sim = run_scripted(
             [producer, consumer],
-            SystemKind.NAIVE_RS,
+            paper.NAIVE_RS,
             check=lambda m: m.read_word(Y) == 3,
         )
         assert sim.stats.spec_forwards >= 1
@@ -312,7 +313,7 @@ class TestLEVC:
 
         result, sim = run_scripted(
             [producer, consumer(Y), consumer(Z)],
-            SystemKind.LEVC,
+            paper.LEVC,
             check=lambda m: m.read_word(Y) == 4 and m.read_word(Z) == 4,
         )
         # At most one SpecResp per producer: the second consumer stalls.
@@ -352,7 +353,7 @@ class TestLEVC:
 
         result, sim = run_scripted(
             [late_producer, old_holder, consumer],
-            SystemKind.LEVC,
+            paper.LEVC,
             check=lambda m: m.read_word(Z) == 1,
             config=SystemConfig(num_cores=3),
         )

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.sim.config import SystemKind
 from repro.sim.ops import Read, Work, Write
+from repro.systems import paper
 from repro.workloads.scripted import ScriptedWorkload
 from tests.conftest import run_scripted
 
@@ -27,7 +27,7 @@ class TestConstruction:
             v = yield Read(X)
             yield Write(X + 8, v * 2)
 
-        _, sim = run_scripted([t], SystemKind.BASELINE, initial={X: 21})
+        _, sim = run_scripted([t], paper.BASELINE, initial={X: 21})
         assert sim.memory.read_word(X + 8) == 42
 
     def test_check_failure_raises(self):
@@ -36,7 +36,7 @@ class TestConstruction:
 
         with pytest.raises(AssertionError, match="scripted workload check"):
             run_scripted(
-                [t], SystemKind.BASELINE, check=lambda m: m.read_word(X) == 2
+                [t], paper.BASELINE, check=lambda m: m.read_word(X) == 2
             )
 
     def test_check_success(self):
@@ -44,7 +44,7 @@ class TestConstruction:
             yield Write(X, 1)
 
         run_scripted(
-            [t], SystemKind.BASELINE, check=lambda m: m.read_word(X) == 1
+            [t], paper.BASELINE, check=lambda m: m.read_word(X) == 1
         )
 
     def test_lock_does_not_collide_with_scripted_range(self):
@@ -69,7 +69,7 @@ class TestConstruction:
 
             return thread
 
-        result, _ = run_scripted([t("a"), t("b")], SystemKind.BASELINE)
+        result, _ = run_scripted([t("a"), t("b")], paper.BASELINE)
         # Both finish around cycle 100 — concurrent, not serial.
         assert result.cycles < 150
         assert sorted(marks) == ["a", "b"]

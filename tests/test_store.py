@@ -368,12 +368,12 @@ _RUNNER_WORKER = textwrap.dedent(
     import sys
 
     from repro.experiments.runner import RunConfig, counters, run_many
-    from repro.sim.config import SystemKind
+    from repro.systems import paper
 
     sweep = [
         RunConfig.make(w, s, threads=2, scale=0.05)
         for w in ("counter", "llb-l")
-        for s in (SystemKind.BASELINE, SystemKind.CHATS, SystemKind.PCHATS)
+        for s in (paper.BASELINE, paper.CHATS, paper.PCHATS)
     ]
     results = run_many(sweep, workers=1)
     print(json.dumps({

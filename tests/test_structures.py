@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mem.address import AddressSpace
 from repro.mem.memory import MainMemory
-from repro.sim.config import SystemKind
 from repro.sim.ops import Read, Txn, Work, Write
+from repro.systems import paper
 from repro.workloads.structures import (
     NULL,
     NodePool,
@@ -336,7 +336,7 @@ class TestStructuresUnderSimulation:
         wl.setup = setup
         sim = Simulator(
             wl,
-            htm=table2_config(SystemKind.CHATS),
+            htm=table2_config(paper.CHATS),
             config=SystemConfig(num_cores=2),
         )
         sim.run(max_events=2_000_000)

@@ -3,29 +3,29 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import pytest
 
 import repro
+import repro.obs
+import repro.sim.config
+import repro.systems
 from repro.__main__ import main
-from repro.core.policies import (
-    ABORT,
-    BaselineRW,
-    PolicyOutcome,
-    RequesterSpeculates,
-    RequesterStalls,
-    make_policy,
-)
-from repro.sim.config import HTMConfig, SystemKind, all_system_kinds, table2_config
+from repro.sim.config import HTMConfig, table2_config
 from repro.systems import (
+    ForwardClass,
     SystemSpec,
     UnknownSystemError,
     get_spec,
+    paper,
     paper_systems,
     register,
     registered_systems,
 )
-from repro.systems.spec import ForwardClass
+from repro.systems.compose import make_policy
+from repro.systems.conflict import BaselineRW, RequesterSpeculates, RequesterStalls
+from repro.systems.outcome import ABORT, PolicyOutcome
 
 
 class TestRegistry:
@@ -73,25 +73,43 @@ class TestRegistry:
 
 
 class TestCompatShim:
+    """The enum-era compatibility layer is gone: each system, policy
+    class and tracer has one import path, and the public surface names
+    only what exists."""
+
     def test_system_kind_attributes_are_specs(self):
-        assert SystemKind.BASELINE is get_spec("baseline")
-        assert SystemKind.CHATS.forwards
-        assert SystemKind.POWER.powered
-        assert not SystemKind.BASELINE.forwards
-
-    def test_iteration_matches_paper_systems(self):
-        assert tuple(SystemKind) == paper_systems()
-        assert all_system_kinds()[0] is SystemKind.BASELINE
-
-    def test_table2_round_trip(self):
-        for kind in SystemKind:
-            cfg = table2_config(kind)
-            assert cfg.system is kind
-            assert table2_config(kind.value).system is kind
+        """The ``paper`` module's attributes are the registry singletons."""
+        assert paper.BASELINE is get_spec("baseline")
+        assert paper.CHATS.forwards
+        assert paper.POWER.powered
+        assert not paper.BASELINE.forwards
 
     def test_round_trip_by_name_through_registry(self):
         for spec in registered_systems():
             assert table2_config(spec.name).system is get_spec(spec.name)
+
+    def test_every_exported_name_resolves(self):
+        for module in (repro, repro.systems, repro.sim.config, repro.obs):
+            for name in module.__all__:
+                assert hasattr(module, name), f"{module.__name__}.{name}"
+
+    def test_shim_modules_are_gone(self):
+        for package, module in (
+            ("systems", "compat"),
+            ("core", "policies"),
+            ("core", "forwarding"),
+        ):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(f"repro.{package}.{module}")
+
+    def test_enum_era_names_are_gone(self):
+        # Compared case- and underscore-insensitively, so a respelling
+        # of the retired enum or its iteration helper is caught too.
+        retired = {"systemkind", "allsystemkinds"}
+        for module in (repro, repro.systems):
+            public = {name.lower().replace("_", "") for name in dir(module)}
+            assert not retired & public, module.__name__
+        assert not hasattr(SystemSpec, "value")
 
 
 class TestConfigValidation:

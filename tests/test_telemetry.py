@@ -32,8 +32,9 @@ from repro.obs.telemetry import (
     MetricsRegistry,
     TelemetrySession,
 )
-from repro.sim.config import SystemKind, table2_config
+from repro.sim.config import table2_config
 from repro.sim.simulator import Simulator
+from repro.systems import paper
 from repro.workloads.base import make_workload, register
 from repro.workloads.synth import CounterWorkload
 
@@ -401,7 +402,7 @@ class TestObserverEffect:
         probe:``, which stays False)."""
         with fleet.session_scope():
             wl = make_workload("counter", threads=2, seed=1, scale=0.1)
-            sim = Simulator(wl, htm=table2_config(SystemKind.CHATS))
+            sim = Simulator(wl, htm=table2_config(paper.CHATS))
             assert not sim.probe.active
             sim.run()
             assert not sim.probe.active

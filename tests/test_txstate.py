@@ -4,10 +4,11 @@ import pytest
 
 from repro.htm.stats import AbortReason
 from repro.htm.txstate import TxState, TxStatus
-from repro.sim.config import SystemKind, table2_config
+from repro.sim.config import table2_config
+from repro.systems import paper
 
 
-def make_tx(memory, *, system=SystemKind.CHATS, power=False) -> TxState:
+def make_tx(memory, *, system=paper.CHATS, power=False) -> TxState:
     return TxState(
         core_id=0,
         epoch=1,
@@ -134,5 +135,5 @@ class TestRoles:
         assert tx.power
 
     def test_baseline_gets_dummy_vsb(self, memory):
-        tx = make_tx(memory, system=SystemKind.BASELINE)
+        tx = make_tx(memory, system=paper.BASELINE)
         assert tx.vsb.size == 1  # placeholder; never used

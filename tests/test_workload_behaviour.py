@@ -4,7 +4,7 @@
 import pytest
 
 import repro
-from repro.sim.config import SystemKind
+from repro.systems import paper
 
 
 def run(name, system, **kw):
@@ -17,32 +17,32 @@ class TestKMeans:
     def test_migratory_pattern_forwards(self):
         """Centre updates migrate between threads; CHATS must forward
         heavily and validate a meaningful share."""
-        r = run("kmeans-h", SystemKind.CHATS)
+        r = run("kmeans-h", paper.CHATS)
         assert r.stats.spec_forwards > 50
         assert r.stats.validations_succeeded > 0
 
     def test_contention_ordering(self):
         """kmeans-h (6 centres) must conflict more than kmeans-l (32)."""
-        high = run("kmeans-h", SystemKind.BASELINE)
-        low = run("kmeans-l", SystemKind.BASELINE)
+        high = run("kmeans-h", paper.BASELINE)
+        low = run("kmeans-l", paper.BASELINE)
         assert high.total_aborts > low.total_aborts
 
     def test_chats_reduces_conflicts(self):
-        base = run("kmeans-h", SystemKind.BASELINE)
-        chats = run("kmeans-h", SystemKind.CHATS)
+        base = run("kmeans-h", paper.BASELINE)
+        chats = run("kmeans-h", paper.CHATS)
         assert chats.cycles < base.cycles
 
 
 class TestGenome:
     def test_link_phase_is_the_forwarding_site(self):
-        r = run("genome", SystemKind.CHATS)
+        r = run("genome", paper.CHATS)
         labels = r.stats.label_summary()
         assert "link" in labels and "dedup" in labels
         # Linking (chain tails) commits for every unique segment.
         assert labels["link"]["commits"] > 0
 
     def test_dedup_is_low_conflict_with_big_table(self):
-        r = run("genome", SystemKind.BASELINE)
+        r = run("genome", paper.BASELINE)
         labels = r.stats.label_summary()
         commits = labels["dedup"]["commits"]
         aborts = labels["dedup"]["aborts"]
@@ -51,14 +51,14 @@ class TestGenome:
 
 class TestIntruder:
     def test_capture_is_the_choke_point(self):
-        r = run("intruder", SystemKind.BASELINE)
+        r = run("intruder", paper.BASELINE)
         labels = r.stats.label_summary()
         assert labels["capture"]["aborts"] >= labels["reassembly"]["aborts"]
 
     def test_pchats_handles_it_best(self):
-        chats = run("intruder", SystemKind.CHATS)
-        pchats = run("intruder", SystemKind.PCHATS)
-        base = run("intruder", SystemKind.BASELINE)
+        chats = run("intruder", paper.CHATS)
+        pchats = run("intruder", paper.PCHATS)
+        base = run("intruder", paper.BASELINE)
         assert pchats.cycles <= chats.cycles * 1.15
         assert pchats.cycles < base.cycles
 
@@ -72,17 +72,17 @@ class TestLowContentionPair:
         the figure-level benches check the calibrated configuration."""
         cycles = {}
         for system in (
-            SystemKind.BASELINE,
-            SystemKind.CHATS,
-            SystemKind.PCHATS,
+            paper.BASELINE,
+            paper.CHATS,
+            paper.PCHATS,
         ):
             cycles[system] = run(name, system).cycles
-        base = cycles[SystemKind.BASELINE]
+        base = cycles[paper.BASELINE]
         for system, c in cycles.items():
-            assert abs(c - base) / base < 0.40, f"{name}/{system.value}"
+            assert abs(c - base) / base < 0.40, f"{name}/{system.name}"
 
     def test_ssca2_has_almost_no_aborts(self):
-        r = run("ssca2", SystemKind.BASELINE)
+        r = run("ssca2", paper.BASELINE)
         assert r.total_aborts <= 15  # the paper: 0-10 for the full run
 
 
@@ -90,12 +90,12 @@ class TestYada:
     def test_writes_are_write_once(self):
         """The migration pattern: generation bumps are exact, meaning no
         record was double-counted through any speculation path."""
-        for system in (SystemKind.CHATS, SystemKind.LEVC):
+        for system in (paper.CHATS, paper.LEVC):
             r = run("yada", system)  # verify() checks the exact sum
             assert r.total_commits > 0
 
     def test_long_transactions_forward(self):
-        r = run("yada", SystemKind.CHATS)
+        r = run("yada", paper.CHATS)
         assert r.stats.spec_forwards > 0
 
 
@@ -104,7 +104,7 @@ class TestLabyrinth:
         wl = repro.make_workload("labyrinth", threads=8, seed=1, scale=0.3)
         from repro.sim.simulator import Simulator
 
-        sim = Simulator(wl, htm=repro.table2_config(SystemKind.BASELINE))
+        sim = Simulator(wl, htm=repro.table2_config(paper.BASELINE))
         result = sim.run()
         routed = sim.memory.read_word(wl.routed.addr)
         requested = wl.num_threads * wl.routes_per_thread
@@ -115,19 +115,19 @@ class TestLabyrinth:
 
 class TestMicrobenchmarks:
     def test_llb_low_vs_high_contention(self):
-        low = run("llb-l", SystemKind.BASELINE)
-        high = run("llb-h", SystemKind.BASELINE)
+        low = run("llb-l", paper.BASELINE)
+        high = run("llb-h", paper.BASELINE)
         assert high.total_aborts >= low.total_aborts
 
     def test_cadd_forwarders_commit(self):
         """cadd's blind write + read tail is the ideal chain pattern: the
         overwhelming majority of forwarders must survive."""
-        r = run("cadd", SystemKind.CHATS)
+        r = run("cadd", paper.CHATS)
         fwd = r.stats.forwarder_committed + r.stats.forwarder_aborted
         assert fwd > 0
         assert r.stats.forwarder_committed / fwd > 0.7
 
     def test_chats_wins_llb_low(self):
-        base = run("llb-l", SystemKind.BASELINE)
-        chats = run("llb-l", SystemKind.CHATS)
+        base = run("llb-l", paper.BASELINE)
+        chats = run("llb-l", paper.CHATS)
         assert chats.cycles < base.cycles * 0.8

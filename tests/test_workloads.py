@@ -3,7 +3,7 @@
 import pytest
 
 import repro
-from repro.sim.config import SystemKind
+from repro.systems import paper
 from repro.workloads.base import make_workload, workload_names
 
 
@@ -45,8 +45,8 @@ class TestRegistry:
 class TestDeterminism:
     @pytest.mark.parametrize("name", ["counter", "kmeans-h", "genome", "llb-l"])
     def test_same_seed_same_cycles(self, name):
-        a = repro.run_workload(name, SystemKind.CHATS, threads=4, seed=3, scale=0.15)
-        b = repro.run_workload(name, SystemKind.CHATS, threads=4, seed=3, scale=0.15)
+        a = repro.run_workload(name, paper.CHATS, threads=4, seed=3, scale=0.15)
+        b = repro.run_workload(name, paper.CHATS, threads=4, seed=3, scale=0.15)
         assert a.cycles == b.cycles
         assert a.total_aborts == b.total_aborts
         assert a.flits == b.flits
