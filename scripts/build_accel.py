@@ -21,7 +21,6 @@ gating (the pure-Python backend never needs this to run).
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import shutil
 import subprocess

@@ -57,7 +57,7 @@ Subcommands:
 
 ``run`` and ``report`` also take the fleet-telemetry flags:
 ``--telemetry FILE`` writes the batch's span log as JSONL
-(``scripts/check_telemetry.py`` validates it), ``--telemetry-chrome
+(``scripts/check_doc.py spans`` validates it), ``--telemetry-chrome
 FILE`` exports the same spans as a Perfetto-loadable Chrome trace (one
 track per worker plus a scheduler track), ``--metrics FILE`` dumps the
 aggregated metrics registry (Prometheus text for ``.prom``, JSON
@@ -711,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="write the sweep's fleet-telemetry span log to FILE as JSONL "
-        "(validate with scripts/check_telemetry.py)",
+        "(validate with scripts/check_doc.py spans)",
     )
     telemetry_flags.add_argument(
         "--telemetry-chrome",
@@ -839,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="FILE",
         help="also write the full report as JSON "
-        "(validate with scripts/check_inspect.py)",
+        "(validate with scripts/check_doc.py forensics)",
     )
     p_insp.add_argument(
         "--html",
@@ -947,7 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json",
         action="store_true",
         help="emit the repro-store/1 stats document as JSON "
-        "(validate with scripts/check_store.py)",
+        "(validate with scripts/check_doc.py store)",
     )
     c_verify = cache_sub.add_parser(
         "verify",

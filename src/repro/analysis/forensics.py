@@ -15,7 +15,7 @@ results, not event streams) and folds the ledger into a
 The report renders three ways: an aligned terminal dump
 (:meth:`ForensicReport.render`), a versioned JSON document
 (:meth:`ForensicReport.to_dict`, schema :data:`FORENSICS_SCHEMA`,
-validated by ``scripts/check_inspect.py``), and a self-contained HTML
+validated by ``scripts/check_doc.py forensics``), and a self-contained HTML
 page (:meth:`ForensicReport.to_html`).  :func:`compare_reports` diffs two
 reports on the same workload/seed for ``repro compare``.
 """

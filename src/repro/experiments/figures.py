@@ -18,6 +18,7 @@ from ..sim.results import SimulationResult
 from ..systems import ForwardClass, SystemSpec, paper, paper_systems
 from ..systems.capacity import CAPACITY_SWEEP
 from .registry import (
+    FORWARD_CLASS_SWEEP,
     RETRY_SWEEP,
     VALIDATION_INTERVALS,
     VSB_SIZES,
@@ -268,7 +269,6 @@ def fig8(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     exp = get_experiment("fig8")
     workloads = workloads or exp.workloads
     _prefetch("fig8", workloads)
-    classes = (ForwardClass.RW, ForwardClass.W, ForwardClass.R_RESTRICT_W)
     series: Dict[str, Dict[str, float]] = {}
     raw: Dict[str, Dict[str, SimulationResult]] = {}
     for system in exp.systems:
@@ -278,7 +278,7 @@ def fig8(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
             w: run_cached(w, system, htm=table.replace(forward_class=ForwardClass.RW))
             for w in workloads
         }
-        for fc in classes:
+        for fc in FORWARD_CLASS_SWEEP:
             htm = table.replace(forward_class=fc)
             runs = {w: run_cached(w, system, htm=htm) for w in workloads}
             label = f"{system.label} {fc.value}"
@@ -286,7 +286,8 @@ def fig8(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
             raw[label] = runs
     result = FigureResult("fig8", exp.title, series, extra={"runs": raw})
     chats_best = min(
-        (sum(series[f"CHATS {fc.value}"].values()), fc.value) for fc in classes
+        (sum(series[f"CHATS {fc.value}"].values()), fc.value)
+        for fc in FORWARD_CLASS_SWEEP
     )[1]
     result.rendering = format_table(
         "Fig. 8 — Forwardable-block classes (normalized to R/W)",
@@ -300,9 +301,6 @@ def fig8(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
 # ----------------------------------------------------------------------
 # Fig. 9 — retry threshold sweep.
 # ----------------------------------------------------------------------
-RETRY_SWEEP = (1, 2, 6, 16, 32, 64)
-
-
 def fig9(
     workloads: Optional[Tuple[str, ...]] = None,
     retries: Tuple[int, ...] = RETRY_SWEEP,
@@ -326,8 +324,6 @@ def fig9(
     # Normalise each workload row to its own minimum across the sweep so
     # sweet spots are visible regardless of absolute magnitudes.
     normalized: Dict[str, Dict[str, float]] = {}
-    for label, cycles in series.items():
-        normalized[label] = cycles
     mins: Dict[str, float] = {}
     for w in workloads:
         mins[w] = min(series[label][w] for label in series)
@@ -349,10 +345,6 @@ def fig9(
 # ----------------------------------------------------------------------
 # Fig. 10 — VSB size × validation interval.
 # ----------------------------------------------------------------------
-VSB_SIZES = (1, 2, 4, 8)
-VALIDATION_INTERVALS = (25, 50, 100, 200)
-
-
 def fig10(
     workloads: Optional[Tuple[str, ...]] = None,
     *,

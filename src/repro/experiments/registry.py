@@ -207,16 +207,12 @@ def _sweep_configs(workloads, systems) -> List[RunConfig]:
     ]
 
 
-def _fig1_configs(exp, workloads) -> List[RunConfig]:
+def _own_systems_configs(exp, workloads) -> List[RunConfig]:
     return _sweep_configs(workloads, exp.systems)
 
 
 def _main_sweep_configs(exp, workloads) -> List[RunConfig]:
     return _sweep_configs(workloads, paper_systems())
-
-
-def _fig6_configs(exp, workloads) -> List[RunConfig]:
-    return _sweep_configs(workloads, exp.systems)
 
 
 def _fig8_configs(
@@ -286,10 +282,10 @@ def _fig11_configs(exp, workloads) -> List[RunConfig]:
 
 
 _CONFIG_BUILDERS: Dict[str, Callable[..., List[RunConfig]]] = {
-    "fig1": _fig1_configs,
+    "fig1": _own_systems_configs,
     "fig4": _main_sweep_configs,
     "fig5": _main_sweep_configs,
-    "fig6": _fig6_configs,
+    "fig6": _own_systems_configs,
     "fig7": _main_sweep_configs,
     "fig8": _fig8_configs,
     "fig9": _fig9_configs,

@@ -16,7 +16,7 @@ suite).
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping
 
 from .events import (
     Abort,

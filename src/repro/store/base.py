@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 #: Schema tag of the ``stats()`` document (validated by
-#: ``scripts/check_store.py``).
+#: ``scripts/check_doc.py store``).
 STORE_SCHEMA = "repro-store/1"
 
 #: Claim files older than this are considered abandoned even when the
@@ -504,7 +504,7 @@ def stats_document(
     extra: Optional[Dict[str, object]] = None,
 ) -> Dict[str, object]:
     """The canonical ``repro-store/1`` stats document the store
-    emits (and ``scripts/check_store.py`` validates)."""
+    emits (and ``scripts/check_doc.py store`` validates)."""
     doc: Dict[str, object] = {
         "schema": STORE_SCHEMA,
         "kind": store.kind,

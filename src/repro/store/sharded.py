@@ -40,7 +40,6 @@ hot read path free of index rewrites.
 from __future__ import annotations
 
 import json
-import os
 import struct
 import time
 import zlib

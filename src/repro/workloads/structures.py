@@ -484,7 +484,7 @@ class SimBST:
             depth += 1
             k = yield Read(self.pool.field(cursor, self.KEY))
             left = yield Read(self.pool.field(cursor, self.LEFT))
-            right = yield Read(self.pool.field(cursor, self.RIGHT))
+            yield Read(self.pool.field(cursor, self.RIGHT))
             if key < k:
                 if left != NULL:
                     # Right-rotate: left child becomes the subtree root.

@@ -5,6 +5,8 @@ causal abort attribution, wasted-work accounting, the ``repro inspect``/
 from __future__ import annotations
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,9 @@ from repro.systems import (
 )
 from repro.systems import paper
 from repro.workloads.base import make_workload
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import check_doc  # noqa: E402
 
 FAST = dict(threads=4, seed=2, scale=0.1)
 
@@ -207,7 +212,9 @@ class TestAttribution:
 class TestForensicReport:
     def test_schema_and_render(self):
         report = collect_forensics("counter", "chats", **FAST)
-        doc = json.loads(json.dumps(report.to_dict()))
+        text = json.dumps(report.to_dict())
+        assert check_doc.check_text("forensics", text) == []
+        doc = json.loads(text)
         assert doc["schema"] == FORENSICS_SCHEMA
         assert doc["aborts"] == report.aborts
         assert doc["gauge_mismatches"] == {}

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,6 @@ from repro.experiments import runner
 from repro.experiments.runner import RunConfig, clear_cache, counters, run_many
 from repro.htm.stats import HTMStats
 from repro.obs import (
-    EVENT_TYPES,
     ChainInspector,
     ChromeTraceExporter,
     Commit,
@@ -27,6 +28,9 @@ from repro.sim.config import table2_config
 from repro.sim.simulator import Simulator
 from repro.systems import paper
 from repro.workloads.base import make_workload
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import check_doc  # noqa: E402
 
 FAST = dict(threads=4, seed=2, scale=0.1)
 
@@ -252,12 +256,9 @@ class TestJsonlWriter:
             sim.probe.subscribe(writer)
             sim.run()
             sim.probe.unsubscribe(writer)
-        lines = buf.getvalue().splitlines()
-        assert len(lines) == writer.events_written > 0
-        for line in lines:
-            record = json.loads(line)
-            assert record["kind"] in EVENT_TYPES
-            assert isinstance(record["cycle"], int) and record["cycle"] >= 0
+        text = buf.getvalue()
+        assert len(text.splitlines()) == writer.events_written > 0
+        assert check_doc.check_text("events", text) == []
 
 
 # ----------------------------------------------------------------------
@@ -269,34 +270,25 @@ class TestChromeExport:
         sim.run()
         buf = io.StringIO()
         exporter.write(buf)
-        return json.loads(buf.getvalue())
+        return buf.getvalue()
 
     def test_valid_json_with_monotonic_tracks(self):
-        payload = self._trace()
-        events = payload["traceEvents"]
-        assert events
-        last_ts = {}
-        for ev in events:
-            if ev["ph"] == "M":
-                continue
-            assert ev["pid"] == TRACE_PID
-            assert ev["ts"] >= last_ts.get(ev["tid"], 0)
-            last_ts[ev["tid"]] = ev["ts"]
-        assert DIRECTORY_TRACK in last_ts  # directory traffic has a track
+        text = self._trace()
+        assert check_doc.check_text("chrome", text) == []
+        events = [
+            ev for ev in json.loads(text)["traceEvents"] if ev["ph"] != "M"
+        ]
+        assert events and all(ev["pid"] == TRACE_PID for ev in events)
+        # directory traffic has a track
+        assert any(ev["tid"] == DIRECTORY_TRACK for ev in events)
 
     def test_slices_balanced_per_track(self):
-        payload = self._trace()
-        depth = {}
-        for ev in payload["traceEvents"]:
-            if ev["ph"] == "B":
-                depth[ev["tid"]] = depth.get(ev["tid"], 0) + 1
-            elif ev["ph"] == "E":
-                depth[ev["tid"]] = depth.get(ev["tid"], 0) - 1
-                assert depth[ev["tid"]] >= 0, "E without matching B"
-        assert depth and all(d == 0 for d in depth.values())
+        text = self._trace()
+        assert check_doc.check_text("chrome", text) == []
+        assert any(ev["ph"] == "B" for ev in json.loads(text)["traceEvents"])
 
     def test_track_metadata_present(self):
-        payload = self._trace()
+        payload = json.loads(self._trace())
         names = {
             (ev["tid"], ev["args"]["name"])
             for ev in payload["traceEvents"]

@@ -22,8 +22,8 @@ from repro.net.network import Crossbar
 from repro.obs import events as events_mod
 from repro.obs.events import ProbeEvent
 from repro.obs.probe import Probe
-from repro.core.vsb import ValidationStateBuffer, VSBEntry
-from repro.mem.address import AddressSpace, Geometry
+from repro.core.vsb import VSBEntry
+from repro.mem.address import Geometry
 from repro.sim.config import HTMConfig, SystemConfig
 from repro.sim.engine import Engine, Event
 from repro.sim import ops as ops_mod

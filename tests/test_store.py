@@ -23,6 +23,8 @@ from repro.store.sharded import _shard_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
+sys.path.insert(0, str(REPO_ROOT / "scripts"))
+import check_doc  # noqa: E402
 
 
 @pytest.fixture(autouse=True)
@@ -116,6 +118,7 @@ class TestRoundTrip:
         assert doc["entries"] == 2
         assert doc["namespaces"] == {"result": 1, "manifest": 1}
         assert doc["logical_bytes"] >= 101
+        assert check_doc.check_text("store", json.dumps(doc)) == []
         assert store.verify() == []
 
     def test_atomic_tmp_litter_ignored(self, kind, tmp_path):

@@ -39,7 +39,7 @@ from repro.workloads.base import make_workload, register
 from repro.workloads.synth import CounterWorkload
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-import check_telemetry  # noqa: E402
+import check_doc  # noqa: E402
 
 FAST = dict(threads=2, scale=0.1)
 
@@ -252,9 +252,10 @@ class TestTelemetrySession:
         chrome = tmp_path / "fleet.json"
         session.write_jsonl(jsonl)
         session.write_chrome(chrome)
-        assert check_telemetry.check_jsonl(jsonl, 0.05) == []
-        assert check_telemetry.check_chrome(chrome) == []
-        assert check_telemetry.main([str(jsonl), "--chrome", str(chrome)]) == 0
+        assert check_doc.check_file("spans", jsonl) == []
+        assert check_doc.check_file("chrome", chrome) == []
+        assert check_doc.main(["spans", str(jsonl)]) == 0
+        assert check_doc.main(["chrome", str(chrome)]) == 0
 
     def test_checker_flags_broken_logs(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -264,13 +265,13 @@ class TestTelemetrySession:
                           "name": "mystery", "start_unix": 2.0,
                           "end_unix": 1.0, "status": "meh"}) + "\n"
         )
-        problems = check_telemetry.check_jsonl(bad, 0.05)
+        problems = check_doc.check_file("spans", bad)
         joined = "\n".join(problems)
         assert "schema" in joined
         assert "unknown span name" in joined
         assert "parent 7" in joined
         assert "ends before it starts" in joined
-        assert check_telemetry.main([str(bad)]) == 1
+        assert check_doc.main(["spans", str(bad)]) == 1
 
     def test_install_is_exclusive(self):
         with fleet.session_scope() as session:
@@ -377,8 +378,8 @@ class TestRunManyIntegration:
         chrome = tmp_path / "sweep.json"
         session.write_jsonl(jsonl)
         session.write_chrome(chrome)
-        assert check_telemetry.check_jsonl(jsonl, 0.05) == []
-        assert check_telemetry.check_chrome(chrome) == []
+        assert check_doc.check_file("spans", jsonl) == []
+        assert check_doc.check_file("chrome", chrome) == []
 
 
 # ----------------------------------------------------------------------

@@ -105,7 +105,7 @@ class TestLabyrinth:
         from repro.sim.simulator import Simulator
 
         sim = Simulator(wl, htm=repro.table2_config(paper.BASELINE))
-        result = sim.run()
+        sim.run()
         routed = sim.memory.read_word(wl.routed.addr)
         requested = wl.num_threads * wl.routes_per_thread
         # Not every route fits (cells fill up) but a healthy majority must.
