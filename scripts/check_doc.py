@@ -10,6 +10,7 @@ KIND is one of:
 
 * ``store``: the ``repro cache stats --json`` document;
 * ``forensics``: the ``repro inspect --json`` report;
+* ``compare``: the ``repro compare --json`` A/B document;
 * ``events``: the probe-event JSONL written by ``--trace``;
 * ``spans``: the fleet span log written by ``--telemetry``;
 * ``chrome``: a Chrome ``trace_event`` export, from ``--trace-format
@@ -39,7 +40,10 @@ from typing import Dict, List, Optional
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.analysis.forensics import FORENSICS_SCHEMA  # noqa: E402
+from repro.analysis.forensics import (  # noqa: E402
+    COMPARE_SCHEMA,
+    FORENSICS_SCHEMA,
+)
 from repro.obs import (  # noqa: E402
     CAUSE_KINDS,
     EVENT_TYPES,
@@ -49,7 +53,7 @@ from repro.obs.telemetry import SCHEMA as TELEMETRY_SCHEMA  # noqa: E402
 from repro.obs.telemetry import SPAN_NAMES  # noqa: E402
 from repro.store import STORE_SCHEMA, ShardedStore, StoreCounters  # noqa: E402
 
-KINDS = ("store", "forensics", "events", "spans", "chrome")
+KINDS = ("store", "forensics", "compare", "events", "spans", "chrome")
 
 #: Short reprs of offending values: nested containers print as {...}.
 _short = reprlib.Repr()
@@ -81,8 +85,9 @@ STORE_FIELDS = {
 }
 STORE_COUNTER_FIELDS = dict.fromkeys(StoreCounters().to_dict(), count)
 
-#: Key namespaces of the runner, telemetry, forensics and figure caches
-#: (``(flat)`` counts keys without one).
+#: Key namespaces of the runner, forensics and figure caches.
+#: ``(flat)`` counts keys without one; ``manifest`` holds the batch
+#: manifests older versions archived, still present in their stores.
 STORE_NAMESPACES = {"result", "manifest", "forensics", "figure", "(flat)"}
 
 FORENSICS_FIELDS = {
@@ -116,6 +121,18 @@ ABORT_FIELDS = {"kind": str, "core": int, "epoch": int, "cycle": int}
 CASCADE_FIELDS = {"root": list, "members": list, "size": int, "depth": int}
 WASTED_FIELDS = {"total_cycles": int, "per_core": dict, "totals": dict}
 BUCKET_FIELDS = dict.fromkeys(WASTED_WORK_BUCKETS, count)
+
+COMPARE_FIELDS = {
+    "schema": str,
+    "workload": str,
+    "a": dict,
+    "b": dict,
+    "cycles_delta": int,
+    "abort_breakdown": dict,
+    "wasted_totals": dict,
+}
+COMPARE_SIDE_FIELDS = {"system": str, "cycles": count, "aborts": count}
+COMPARE_CELL_FIELDS = {"a": count, "b": count, "delta": int}
 
 SESSION_FIELDS = {
     "kind": str,
@@ -395,6 +412,51 @@ def _check_wasted(wasted, problems) -> None:
         )
 
 
+def _check_compare(doc) -> List[str]:
+    problems: List[str] = []
+    v = _fields(doc, COMPARE_FIELDS, "document", problems)
+    _expect(v, "schema", COMPARE_SCHEMA, "document", problems)
+    cycles = [
+        _fields(v[s], COMPARE_SIDE_FIELDS, s, problems).get("cycles")
+        for s in "ab" if s in v
+    ]
+    if "cycles_delta" in v and len(cycles) == 2 and None not in cycles:
+        want = cycles[1] - cycles[0]
+        if v["cycles_delta"] != want:
+            problems.append(
+                f"cycles_delta {v['cycles_delta']} != b.cycles - a.cycles "
+                f"{want}"
+            )
+    if "abort_breakdown" in v:
+        _compare_cells(
+            v["abort_breakdown"], "abort_breakdown", CAUSE_KINDS, problems,
+            optional=True,
+        )
+    if "wasted_totals" in v:
+        _compare_cells(
+            v["wasted_totals"], "wasted_totals", WASTED_WORK_BUCKETS, problems
+        )
+    return problems
+
+
+def _compare_cells(rows, where, keys, problems, *, optional=False) -> None:
+    """Check one table of A/B/delta cells whose row names come from
+    ``keys`` (every one of them unless ``optional``)."""
+    rows = _fields(
+        rows, dict.fromkeys(keys, dict), where, problems,
+        optional=keys if optional else (), closed=True,
+    )
+    for key, cell in rows.items():
+        at = f"{where}.{key}"
+        c = _fields(cell, COMPARE_CELL_FIELDS, at, problems, closed=True)
+        if len(c) < len(COMPARE_CELL_FIELDS):
+            continue
+        if c["delta"] != c["b"] - c["a"]:
+            problems.append(
+                f"{at}: delta {c['delta']} != b - a {c['b'] - c['a']}"
+            )
+
+
 def _check_events(lines: List[str]) -> List[str]:
     if not lines:
         return ["no events"]
@@ -593,6 +655,8 @@ def check_text(
         return _check_store(doc, expect_entries)
     if kind == "forensics":
         return _check_forensics(doc, min_attributed)
+    if kind == "compare":
+        return _check_compare(doc)
     return _check_chrome(doc)
 
 

@@ -57,12 +57,9 @@ Subcommands:
 
 ``run`` and ``report`` also take the fleet-telemetry flags:
 ``--telemetry FILE`` writes the batch's span log as JSONL
-(``scripts/check_doc.py spans`` validates it), ``--telemetry-chrome
+(``scripts/check_doc.py spans`` validates it), and ``--telemetry-chrome
 FILE`` exports the same spans as a Perfetto-loadable Chrome trace (one
-track per worker plus a scheduler track), ``--metrics FILE`` dumps the
-aggregated metrics registry (Prometheus text for ``.prom``, JSON
-otherwise), and ``--live`` repaints a terminal dashboard (throughput,
-ETA, cache hit rate, worker lanes) while the sweep runs.
+track per worker plus a scheduler track).
 
 ``run`` also accepts ``--trace FILE`` / ``--trace-format {jsonl,chrome}``
 (shorthand for the ``trace`` subcommand) and ``--timeline W`` to print a
@@ -132,9 +129,7 @@ def _print_result(result) -> None:
             )
 
 
-def _apply_runner_flags(
-    args: argparse.Namespace, progress=None
-) -> None:
+def _apply_runner_flags(args: argparse.Namespace) -> None:
     """Propagate the shared cache/parallelism flags to the runner."""
     _apply_backend_flag(args)
     if getattr(args, "scale", None) is not None:
@@ -144,7 +139,7 @@ def _apply_runner_flags(
     runner.configure(
         cache_dir=getattr(args, "cache_dir", None),
         disk_cache=False if getattr(args, "no_cache", False) else None,
-        progress=progress if progress is not None else _progress_printer,
+        progress=_progress_printer,
     )
 
 
@@ -160,52 +155,29 @@ def _apply_backend_flag(args: argparse.Namespace) -> None:
 @contextlib.contextmanager
 def _telemetry_scope(args: argparse.Namespace):
     """Install a fleet-telemetry session for the ``--telemetry`` /
-    ``--telemetry-chrome`` / ``--metrics`` / ``--live`` flags.
-
-    Yields the :class:`~repro.obs.telemetry.LiveDashboard` (or ``None``
-    without ``--live``); on exit the session is uninstalled and the
-    requested export files are written.
-    """
+    ``--telemetry-chrome`` flags; on exit the session is uninstalled and
+    the requested span files are written."""
     from .obs import telemetry
 
-    wants = (
-        getattr(args, "telemetry", None)
-        or getattr(args, "telemetry_chrome", None)
-        or getattr(args, "metrics", None)
-        or getattr(args, "live", False)
-    )
-    if not wants:
-        yield None
+    if not (args.telemetry or args.telemetry_chrome):
+        yield
         return
     session = telemetry.install(telemetry.TelemetrySession())
-    dash = (
-        telemetry.LiveDashboard(session, stream=sys.stderr)
-        if getattr(args, "live", False)
-        else None
-    )
     try:
-        yield dash
+        yield
     finally:
         telemetry.uninstall(session)
-        if dash is not None:
-            dash.close()
-        if getattr(args, "telemetry", None):
+        if args.telemetry:
             spans = session.write_jsonl(args.telemetry)
             print(
                 f"telemetry        : {spans:,} spans -> {args.telemetry} "
                 "(jsonl)"
             )
-        if getattr(args, "telemetry_chrome", None):
+        if args.telemetry_chrome:
             session.write_chrome(args.telemetry_chrome)
             print(
                 f"telemetry        : {session.span_count:,} spans -> "
                 f"{args.telemetry_chrome} (chrome)"
-            )
-        if getattr(args, "metrics", None):
-            session.metrics.write_snapshot(args.metrics)
-            print(
-                f"metrics          : {len(session.metrics)} metrics -> "
-                f"{args.metrics}"
             )
 
 
@@ -289,16 +261,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         if args.all_systems:
             raise SystemExit("--trace records one system at a time; "
                              "drop --all-systems or pick --system")
-        if args.telemetry or args.telemetry_chrome or args.live:
+        if args.telemetry or args.telemetry_chrome:
             raise SystemExit(
-                "--telemetry/--live watch the runner fleet; --trace records "
+                "--telemetry watches the runner fleet; --trace records "
                 "one uncached simulation — drop one of them"
             )
         _apply_runner_flags(args)
         return _traced_run(args, args.trace, args.trace_format)
-    with _telemetry_scope(args) as dash:
-        progress = dash.progress if dash is not None else _progress_printer
-        _apply_runner_flags(args, progress=progress)
+    with _telemetry_scope(args):
+        _apply_runner_flags(args)
         systems = (
             list(paper_systems())
             if args.all_systems
@@ -316,9 +287,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             )
             for system in systems
         ]
-        results = runner.run_many(
-            configs, progress=progress, forensics=args.forensics
-        )
+        results = runner.run_many(configs, forensics=args.forensics)
+        manifest = runner.last_manifest()
     baseline_cycles = None
     for system, result in zip(systems, results):
         if len(systems) > 1:
@@ -336,30 +306,26 @@ def cmd_run(args: argparse.Namespace) -> int:
         if result.intervals is not None:
             _print_timeline(result)
     if args.forensics:
-        _print_manifest_forensics(configs)
+        _print_manifest_forensics(manifest)
     return 0
 
 
-def _print_manifest_forensics(configs) -> None:
-    """Digest lines for a ``--forensics`` batch (from the manifest)."""
-    manifest = runner.last_manifest()
-    if manifest is None:
-        return
+def _print_manifest_forensics(manifest) -> None:
+    """One digest line per config of a ``--forensics`` batch."""
     print("\nforensic digests :")
-    for cfg in configs:
-        entry = manifest.entry_for(cfg)
-        if entry is None or entry.forensics is None:
+    for entry in manifest.entries:
+        cfg, d = entry.config, entry.forensics
+        if d is None:
             print(
                 f"  {cfg.describe()}: (cached result — no event stream; "
                 "re-run with --no-cache or use `repro inspect`)"
             )
             continue
-        d = entry.forensics
         breakdown = ", ".join(
             f"{k}={v}" for k, v in d["breakdown"].items()
         ) or "none"
         print(
-            f"  {cfg.workload}/{cfg.system.name}: "
+            f"  {cfg.describe()}: "
             f"aborts={d['aborts']} "
             f"attributed={d['attributed_fraction']:.1%} "
             f"[{breakdown}] cascades={d['cascades']} "
@@ -541,9 +507,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    with _telemetry_scope(args) as dash:
-        progress = dash.progress if dash is not None else _progress_printer
-        _apply_runner_flags(args, progress=progress)
+    with _telemetry_scope(args):
+        _apply_runner_flags(args)
         # Batch the union of every figure's declared configs so shared
         # cells (the main six-system sweep feeds Figs. 1, 4-7, and 11)
         # run once, spread over the worker pool; rendering then hits the
@@ -551,9 +516,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         union = [
             cfg for fid in sorted(FIGURES) for cfg in experiment_configs(fid)
         ]
-        runner.run_many(
-            union, progress=progress, forensics=args.forensics
-        )
+        runner.run_many(union, forensics=args.forensics)
         sweep_manifest = runner.last_manifest()
         for fid in sorted(FIGURES):
             result = run_figure(fid)
@@ -567,10 +530,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         f"memory_hits={counters.memory_hits} disk_hits={counters.disk_hits}",
         file=sys.stderr,
     )
-    if sweep_manifest is not None and sweep_manifest.entries:
+    if sweep_manifest.entries:
         print(f"[runner] sweep: {sweep_manifest.summary()}", file=sys.stderr)
     if args.forensics:
-        _print_manifest_forensics(union)
+        _print_manifest_forensics(sweep_manifest)
     return 0
 
 
@@ -719,19 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="export the span log as a Chrome trace_event file for "
         "Perfetto: one track per worker plus a scheduler track",
-    )
-    telemetry_flags.add_argument(
-        "--metrics",
-        default=None,
-        metavar="FILE",
-        help="dump the aggregated metrics registry (Prometheus text "
-        "exposition for .prom/.txt, JSON snapshot otherwise)",
-    )
-    telemetry_flags.add_argument(
-        "--live",
-        action="store_true",
-        help="repaint a live terminal dashboard (progress, ETA, cache hit "
-        "rate, per-worker lanes) while the sweep runs",
     )
 
     p_run = sub.add_parser(

@@ -17,7 +17,8 @@ The report renders three ways: an aligned terminal dump
 (:meth:`ForensicReport.to_dict`, schema :data:`FORENSICS_SCHEMA`,
 validated by ``scripts/check_doc.py forensics``), and a self-contained HTML
 page (:meth:`ForensicReport.to_html`).  :func:`compare_reports` diffs two
-reports on the same workload/seed for ``repro compare``.
+reports on the same workload/seed for ``repro compare`` (schema
+:data:`COMPARE_SCHEMA`, validated by ``scripts/check_doc.py compare``).
 """
 
 from __future__ import annotations
@@ -29,8 +30,12 @@ from typing import Dict, List
 from ..obs.attribution import CAUSE_KINDS, AttributionReport, attribute_aborts
 from ..obs.ledger import WASTED_WORK_BUCKETS, TxLedger, WastedWork
 
-#: Version tag carried by every JSON export; bump on layout changes.
+#: Version tag of a report's JSON export and digest; bump on layout
+#: changes.
 FORENSICS_SCHEMA = "repro-forensics/1"
+
+#: Version tag of the :func:`compare_reports` document.
+COMPARE_SCHEMA = "repro-compare/1"
 
 #: Cascades shown in full by the terminal/HTML renderings.
 TOP_CASCADES = 5
@@ -429,7 +434,7 @@ def compare_reports(a: ForensicReport, b: ForensicReport) -> Dict[str, object]:
         }
 
     return {
-        "schema": FORENSICS_SCHEMA,
+        "schema": COMPARE_SCHEMA,
         "workload": a.workload,
         "a": {"system": a.system, "cycles": a.cycles, "aborts": a.aborts},
         "b": {"system": b.system, "cycles": b.cycles, "aborts": b.aborts},

@@ -285,18 +285,6 @@ class ManifestEntry:
     #: worker process by :func:`_worker_resources`.
     resources: Optional[Dict[str, object]] = None
 
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "config": self.config.describe(),
-            "source": self.source,
-            "seconds": round(self.seconds, 6),
-        }
-        if self.forensics is not None:
-            out["forensics"] = self.forensics
-        if self.resources is not None:
-            out["resources"] = dict(self.resources)
-        return out
-
 
 @dataclass
 class RunManifest:
@@ -308,9 +296,8 @@ class RunManifest:
     """
 
     entries: List[ManifestEntry] = field(default_factory=list)
-    #: The execution backend resolved when the batch started — recorded
-    #: so ``repro trend`` and the manifest archive can attribute
-    #: throughput jumps to backend changes rather than code changes.
+    #: The execution backend resolved when the batch started; stamped on
+    #: the batch's ``run_many`` telemetry span.
     backend: str = field(default_factory=accel.resolved_backend)
 
     @property
@@ -332,23 +319,6 @@ class RunManifest:
             for e in self.entries
             if e.resources
         )
-
-    @property
-    def cpu_seconds(self) -> float:
-        return sum(
-            float(e.resources.get("cpu_seconds", 0.0))
-            for e in self.entries
-            if e.resources
-        )
-
-    @property
-    def max_peak_rss_kb(self) -> Optional[int]:
-        peaks = [
-            int(e.resources["peak_rss_kb"])
-            for e in self.entries
-            if e.resources and e.resources.get("peak_rss_kb") is not None
-        ]
-        return max(peaks) if peaks else None
 
     def record(
         self,
@@ -374,18 +344,6 @@ class RunManifest:
             f"{self.cached} cached / {self.executed} run "
             f"in {self.total_seconds:.2f}s simulation wall-time"
         )
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "cached": self.cached,
-            "run": self.executed,
-            "backend": self.backend,
-            "total_seconds": round(self.total_seconds, 6),
-            "events_simulated": self.events_simulated,
-            "cpu_seconds": round(self.cpu_seconds, 6),
-            "max_peak_rss_kb": self.max_peak_rss_kb,
-            "entries": [e.to_dict() for e in self.entries],
-        }
 
 
 _LAST_MANIFEST: Optional[RunManifest] = None
@@ -701,7 +659,6 @@ def run_many(
     batch.open(configs=len(configs), unique=len(unique), workers=workers,
                backend=manifest.backend)
     store = result_store() if disk_cache_enabled() else None
-    store_kind = store.kind if store is not None else None
 
     results: Dict[str, SimulationResult] = {}
     claims: Dict[str, store_pkg.Claim] = {}
@@ -714,8 +671,7 @@ def run_many(
         results[key] = result
         done += 1
         manifest.record(cfg, "cached", seconds)
-        batch.probe(cfg, key, outcome="hit", layer=layer, seconds=seconds,
-                    store=store_kind)
+        batch.probe(cfg, key, outcome="hit", layer=layer, seconds=seconds)
         _notify(progress, done, total, cfg, "cached")
 
     def _complete(key, cfg, outcome, retried):
@@ -751,7 +707,7 @@ def run_many(
                     _hit(key, cfg, hit, seconds, layer)
                     continue
                 batch.probe(cfg, key, outcome="miss", layer="none",
-                            seconds=seconds, store=store_kind)
+                            seconds=seconds)
             if use_cache and store is not None:
                 # Cross-process dedup: claim each miss so N ``run_many``
                 # processes sharing one cache directory never simulate
@@ -828,5 +784,5 @@ def run_many(
         for claim in claims.values():
             claim.release()
 
-    batch.close(manifest.to_dict(), store)
+    batch.close(manifest)
     return [results[cfg.key()] for cfg in configs]

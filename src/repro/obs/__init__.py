@@ -25,10 +25,9 @@ Shipped subscribers:
   ``repro inspect``.
 
 One level up, :mod:`~repro.obs.telemetry` watches the *fleet* instead of
-one simulator: run-level spans for every ``run_many`` batch, per-run
-resource accounting, a :class:`~repro.obs.telemetry.MetricsRegistry`
-(JSON / Prometheus snapshots), and the ``--live`` terminal dashboard.
-Same contract: zero cost while no session is installed.
+one simulator: run-level spans for every ``run_many`` batch, with
+per-run resource accounting on each ``execute`` span.  Same contract:
+zero cost while no session is installed.
 
 See ``docs/OBSERVABILITY.md`` for the workflow.
 """
@@ -72,12 +71,6 @@ from .ledger import (
 )
 from .probe import Probe
 from .telemetry import (
-    Counter,
-    Gauge,
-    Histogram,
-    LiveDashboard,
-    MetricError,
-    MetricsRegistry,
     Span,
     TelemetrySession,
     current_session,
@@ -99,7 +92,6 @@ __all__ = [
     "ChainInspector",
     "ChromeTraceExporter",
     "Commit",
-    "Counter",
     "DEFAULT_WINDOW",
     "DirForward",
     "DirInvRound",
@@ -108,13 +100,8 @@ __all__ = [
     "FallbackCommit",
     "FallbackSpan",
     "ForwardEdge",
-    "Gauge",
-    "Histogram",
     "IntervalMetrics",
     "JsonlTraceWriter",
-    "LiveDashboard",
-    "MetricError",
-    "MetricsRegistry",
     "MsgSent",
     "PicUpdate",
     "PowerElevate",

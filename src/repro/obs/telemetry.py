@@ -1,30 +1,18 @@
-"""Fleet telemetry: run-level spans, resource metrics, and a live view.
+"""Fleet telemetry: the run-level span log.
 
 Where the rest of :mod:`repro.obs` watches *one simulation from the
 inside* (probe events at cycle granularity), this module watches *the
 fleet from the outside*: every :func:`~repro.experiments.runner.run_many`
-batch — the unit the experiment service and the ``repro explore``
-Pareto sweep will drive by the thousands — becomes a tree of structured
-spans with wall-clock timestamps, per-run resource accounting, and
-aggregate metrics.
+batch becomes a tree of structured spans with wall-clock timestamps and
+per-run resource accounting.
 
-Three pieces:
-
-* :class:`TelemetrySession` — the span collector.  Spans (``run_many``,
-  ``submit``, ``cache-probe``, ``execute``, ``retry``, ``serialize``)
-  form a tree; the session serializes them as JSONL
-  (``repro-telemetry/1``) and as a Chrome ``trace_event`` file so a
-  whole sweep opens on one Perfetto timeline — one track per worker
-  process plus a scheduler track — right next to the per-cycle
-  simulation traces from :mod:`~repro.obs.trace_export`.
-
-* :class:`MetricsRegistry` — labeled counters/gauges/histograms
-  aggregating across runs, exportable as a JSON snapshot or Prometheus
-  text exposition.  This is the seam a future ``repro serve`` exposes.
-
-* :class:`LiveDashboard` — a terminal view (throughput, ETA, cache hit
-  rate, per-worker lane status) fed by the span stream; behind the
-  ``--live`` CLI flag.
+:class:`TelemetrySession` is the span collector.  Spans (``run_many``,
+``submit``, ``cache-probe``, ``execute``, ``retry``, ``serialize``) form
+a tree; the session serializes them as JSONL (``repro-telemetry/1``) and
+as a Chrome ``trace_event`` file so a whole sweep opens on one Perfetto
+timeline — one track per worker process plus a scheduler track — right
+next to the per-cycle simulation traces from
+:mod:`~repro.obs.trace_export`.
 
 The layer follows the :class:`~repro.obs.probe.Probe` precedent: it is
 **zero-cost when no session is installed**.  The runner asks
@@ -36,26 +24,16 @@ loops are untouched (asserted by ``tests/test_telemetry.py``).
 
 from __future__ import annotations
 
-import bisect
-import hashlib
 import json
-import math
 import os
-import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, IO, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 #: JSONL schema tag written on the session header line.
 SCHEMA = "repro-telemetry/1"
-
-#: Schema tag of a persisted (enriched) run manifest.
-MANIFEST_SCHEMA = "repro-manifest/1"
-
-#: Schema tag of a metrics snapshot.
-METRICS_SCHEMA = "repro-metrics/1"
 
 #: The span vocabulary.  ``run_many`` is the root of one batch; every
 #: other span nests under it (``execute``/``retry`` under ``submit``).
@@ -117,22 +95,19 @@ class Span:
 
 
 class TelemetrySession:
-    """Collects the span tree and metrics of one CLI invocation.
+    """Collects the span tree of one CLI invocation.
 
     One session can span several ``run_many`` batches (``repro report``
     prefetches a union sweep and then re-enters the runner per figure);
     each batch contributes its own ``run_many`` root span.
     """
 
-    def __init__(self, *, registry: Optional["MetricsRegistry"] = None):
+    def __init__(self) -> None:
         self.started_unix = time.time()
         self.run_id = f"{int(self.started_unix * 1e6):x}-{os.getpid():x}"
         self.spans: List[Span] = []
-        self.metrics = registry if registry is not None else MetricsRegistry()
         self._next_id = 1
         self._lanes: Dict[int, int] = {}  # worker pid -> lane index
-        self._listeners: Tuple = ()
-        self._manifests = 0
 
     # -- span lifecycle -------------------------------------------------
     def begin(
@@ -153,7 +128,6 @@ class TelemetrySession:
         )
         self._next_id += 1
         self.spans.append(span)
-        self._notify("begin", span)
         return span
 
     def finish(self, span: Span, *, status: str = "ok", **attrs) -> Span:
@@ -161,7 +135,6 @@ class TelemetrySession:
         span.status = status
         if attrs:
             span.attrs.update(attrs)
-        self._notify("finish", span)
         return span
 
     def add(
@@ -189,7 +162,6 @@ class TelemetrySession:
         )
         self._next_id += 1
         self.spans.append(span)
-        self._notify("add", span)
         return span
 
     @contextmanager
@@ -213,51 +185,6 @@ class TelemetrySession:
             lane = len(self._lanes) + 1
             self._lanes[pid] = lane
         return lane
-
-    @property
-    def lanes(self) -> Dict[int, int]:
-        """Worker pid -> lane index mapping seen so far."""
-        return dict(self._lanes)
-
-    # -- listeners (the live dashboard) ---------------------------------
-    def add_listener(self, fn) -> None:
-        if fn not in self._listeners:
-            self._listeners = self._listeners + (fn,)
-
-    def remove_listener(self, fn) -> None:
-        self._listeners = tuple(f for f in self._listeners if f != fn)
-
-    def _notify(self, phase: str, span: Span) -> None:
-        for fn in self._listeners:
-            fn(phase, span)
-
-    # -- manifest persistence -------------------------------------------
-    def persist_manifest(
-        self, manifest_dict: Dict[str, object], store
-    ) -> str:
-        """Persist one batch's enriched manifest into the result store.
-
-        The entry name carries a content hash instead of the old
-        per-session sequence number, so concurrent sessions (or two
-        batches racing inside one session) can never overwrite each
-        other's manifest — identical payloads collapse to one entry,
-        distinct payloads always get distinct keys.  The sequence
-        number still appears *inside* the payload (and therefore in the
-        hash), ordering a session's manifests on read-back.  Returns
-        the store key."""
-        self._manifests += 1
-        payload = {
-            "schema": MANIFEST_SCHEMA,
-            "run_id": self.run_id,
-            "seq": self._manifests,
-            "created_unix": int(time.time()),
-            **manifest_dict,
-        }
-        body = json.dumps(payload, sort_keys=True)
-        digest = hashlib.sha256(body.encode("utf-8")).hexdigest()[:12]
-        key = f"manifest/MANIFEST_{self.run_id}_{digest}"
-        store.put(key, body.encode("utf-8"))
-        return key
 
     # -- export ----------------------------------------------------------
     def jsonl_lines(self) -> Iterator[str]:
@@ -374,13 +301,6 @@ class TelemetrySession:
         else:
             json.dump(payload, destination)
 
-    def summary(self) -> str:
-        names: Dict[str, int] = {}
-        for span in self.spans:
-            names[span.name] = names.get(span.name, 0) + 1
-        parts = ", ".join(f"{n}={c}" for n, c in sorted(names.items()))
-        return f"{len(self.spans)} spans ({parts}) run_id={self.run_id}"
-
 
 # ----------------------------------------------------------------------
 # Module-level session installation (the Probe-style on/off switch).
@@ -411,8 +331,8 @@ def uninstall(session: Optional[TelemetrySession] = None) -> None:
 
 
 @contextmanager
-def session_scope(**kwargs) -> Iterator[TelemetrySession]:
-    session = install(TelemetrySession(**kwargs))
+def session_scope() -> Iterator[TelemetrySession]:
+    session = install(TelemetrySession())
     try:
         yield session
     finally:
@@ -431,11 +351,11 @@ class NullBatch:
     __slots__ = ()
 
     def open(self, *, configs: int, unique: int, workers: int,
-             backend: str = "python") -> None:
+             backend: str) -> None:
         pass
 
     def probe(self, cfg, key: str, *, outcome: str, layer: str,
-              seconds: float, store: Optional[str] = None) -> None:
+              seconds: float) -> None:
         pass
 
     def submitted(self, cfg, key: str) -> None:
@@ -451,7 +371,7 @@ class NullBatch:
     def stored(self, cfg, key: str, seconds: float) -> None:
         pass
 
-    def close(self, manifest_dict, store=None) -> None:
+    def close(self, manifest) -> None:
         pass
 
 
@@ -470,7 +390,7 @@ class RunBatch(NullBatch):
         self._retries: Dict[str, Span] = {}
 
     def open(self, *, configs: int, unique: int, workers: int,
-             backend: str = "python") -> None:
+             backend: str) -> None:
         self._root = self._session.begin(
             "run_many",
             configs=configs,
@@ -478,46 +398,20 @@ class RunBatch(NullBatch):
             workers=workers,
             backend=backend,
         )
-        m = self._session.metrics
-        m.counter(
-            "repro_batches_total", "run_many batches started"
-        ).inc()
-        m.gauge(
-            "repro_batch_configs", "configurations in the latest batch"
-        ).set(unique)
 
     def probe(self, cfg, key: str, *, outcome: str, layer: str,
-              seconds: float, store: Optional[str] = None) -> None:
+              seconds: float) -> None:
         now = time.time()
-        attrs: Dict[str, object] = {
-            "config": cfg.describe(),
-            "key": key[:12],
-            "outcome": outcome,
-            "layer": layer,
-        }
-        if store is not None:
-            # Which store answered the disk layer (always ``sharded``)
-            # — attribution for probe-latency regressions.
-            attrs["store"] = store
         self._session.add(
             "cache-probe",
             now - seconds,
             now,
             parent=self._root,
-            **attrs,
+            config=cfg.describe(),
+            key=key[:12],
+            outcome=outcome,
+            layer=layer,
         )
-        m = self._session.metrics
-        m.counter(
-            "repro_cache_probes_total",
-            "result-cache probes by layer and outcome",
-            labels=("layer", "outcome"),
-        ).inc(layer=layer, outcome=outcome)
-        if outcome == "hit":
-            m.counter(
-                "repro_runs_total",
-                "configurations resolved, by source",
-                labels=("source",),
-            ).inc(source="cached")
 
     def submitted(self, cfg, key: str) -> None:
         self._submits[key] = self._session.begin(
@@ -531,7 +425,6 @@ class RunBatch(NullBatch):
                  ) -> None:
         submit = self._submits.get(key)
         parent = self._retries.get(key, submit) if retried else submit
-        m = self._session.metrics
         if resources:
             lane = self._session.lane_for(int(resources.get("pid", 0)))
             start = float(resources.get("started_unix", time.time()))
@@ -549,28 +442,6 @@ class RunBatch(NullBatch):
                     if k not in ("started_unix",) and v is not None
                 },
             )
-            m.histogram(
-                "repro_run_wall_seconds", "per-run wall time in the worker"
-            ).observe(wall)
-            m.histogram(
-                "repro_run_cpu_seconds", "per-run CPU (process) time"
-            ).observe(float(resources.get("cpu_seconds", 0.0)))
-            events = int(resources.get("events", 0))
-            m.counter(
-                "repro_events_simulated_total", "engine events simulated"
-            ).inc(events)
-            rss = resources.get("peak_rss_kb")
-            if rss is not None:
-                m.gauge(
-                    "repro_worker_peak_rss_kb",
-                    "peak resident set per worker",
-                    labels=("pid",),
-                ).set(int(rss), pid=str(resources.get("pid", 0)))
-        m.counter(
-            "repro_runs_total",
-            "configurations resolved, by source",
-            labels=("source",),
-        ).inc(source="run")
         retry = self._retries.pop(key, None)
         if retry is not None:
             self._session.finish(retry)
@@ -599,9 +470,6 @@ class RunBatch(NullBatch):
         self._retries[key] = self._session.begin(
             "retry", parent=submit, config=cfg.describe(), key=key[:12]
         )
-        self._session.metrics.counter(
-            "repro_retries_total", "configs retried after a failed attempt"
-        ).inc()
 
     def stored(self, cfg, key: str, seconds: float) -> None:
         now = time.time()
@@ -613,18 +481,13 @@ class RunBatch(NullBatch):
             key=key[:12],
         )
 
-    def close(self, manifest_dict, store=None) -> None:
+    def close(self, manifest) -> None:
+        """Finish the root span with the batch's cache accounting, read
+        from its :class:`~repro.experiments.runner.RunManifest`."""
         if self._root is not None:
             self._session.finish(
-                self._root,
-                cached=manifest_dict.get("cached"),
-                run=manifest_dict.get("run"),
+                self._root, cached=manifest.cached, run=manifest.executed
             )
-        if store is not None:
-            try:
-                self._session.persist_manifest(manifest_dict, store)
-            except OSError:
-                pass  # read-only cache dir: telemetry stays in memory
 
 
 def for_run_many() -> NullBatch:
@@ -633,371 +496,3 @@ def for_run_many() -> NullBatch:
     if session is None:
         return NULL_BATCH
     return RunBatch(session)
-
-
-# ----------------------------------------------------------------------
-# Metrics registry.
-# ----------------------------------------------------------------------
-class MetricError(ValueError):
-    """Metric re-registered with a different kind or label set."""
-
-
-#: Default histogram buckets (seconds): spans micro-runs to long sweeps.
-DEFAULT_BUCKETS = (
-    0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
-    30.0, 60.0, 120.0, 300.0,
-)
-
-
-class _Metric:
-    kind = "untyped"
-
-    def __init__(self, name: str, help_text: str, labels: Tuple[str, ...]):
-        self.name = name
-        self.help = help_text
-        self.labels = tuple(labels)
-
-    def _key(self, label_values: Dict[str, object]) -> Tuple[str, ...]:
-        if set(label_values) != set(self.labels):
-            raise MetricError(
-                f"{self.name}: expected labels {self.labels}, "
-                f"got {tuple(sorted(label_values))}"
-            )
-        return tuple(str(label_values[label]) for label in self.labels)
-
-    def _series(self):  # -> Iterable[Tuple[Tuple[str, ...], object]]
-        raise NotImplementedError
-
-
-class Counter(_Metric):
-    kind = "counter"
-
-    def __init__(self, name, help_text="", labels=()):
-        super().__init__(name, help_text, labels)
-        self._values: Dict[Tuple[str, ...], float] = {}
-
-    def inc(self, amount: float = 1, **labels) -> None:
-        if amount < 0:
-            raise MetricError(f"{self.name}: counters only go up")
-        key = self._key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
-
-    def value(self, **labels) -> float:
-        return self._values.get(self._key(labels), 0)
-
-    def _series(self):
-        return self._values.items()
-
-
-class Gauge(_Metric):
-    kind = "gauge"
-
-    def __init__(self, name, help_text="", labels=()):
-        super().__init__(name, help_text, labels)
-        self._values: Dict[Tuple[str, ...], float] = {}
-
-    def set(self, value: float, **labels) -> None:
-        self._values[self._key(labels)] = value
-
-    def set_max(self, value: float, **labels) -> None:
-        key = self._key(labels)
-        if key not in self._values or value > self._values[key]:
-            self._values[key] = value
-
-    def value(self, **labels) -> Optional[float]:
-        return self._values.get(self._key(labels))
-
-    def _series(self):
-        return self._values.items()
-
-
-class Histogram(_Metric):
-    kind = "histogram"
-
-    def __init__(self, name, help_text="", labels=(), buckets=DEFAULT_BUCKETS):
-        super().__init__(name, help_text, labels)
-        self.buckets = tuple(sorted(buckets))
-        if not self.buckets:
-            raise MetricError(f"{name}: a histogram needs buckets")
-        # key -> [per-bucket counts..., +Inf count, sum, count]
-        self._values: Dict[Tuple[str, ...], List[float]] = {}
-
-    def observe(self, value: float, **labels) -> None:
-        key = self._key(labels)
-        cells = self._values.get(key)
-        if cells is None:
-            cells = self._values[key] = [0] * (len(self.buckets) + 3)
-        idx = bisect.bisect_left(self.buckets, value)
-        cells[idx] += 1  # idx == len(buckets) is the +Inf bucket
-        cells[-2] += value
-        cells[-1] += 1
-
-    def count(self, **labels) -> int:
-        cells = self._values.get(self._key(labels))
-        return int(cells[-1]) if cells else 0
-
-    def sum(self, **labels) -> float:
-        cells = self._values.get(self._key(labels))
-        return cells[-2] if cells else 0.0
-
-    def _series(self):
-        for key, cells in self._values.items():
-            cumulative = []
-            running = 0
-            for i in range(len(self.buckets) + 1):
-                running += cells[i]
-                cumulative.append(running)
-            yield key, {
-                "buckets": cumulative,
-                "sum": cells[-2],
-                "count": int(cells[-1]),
-            }
-
-
-class MetricsRegistry:
-    """Named metrics with get-or-create registration.
-
-    Re-requesting a name with the same kind and labels returns the
-    existing metric (so call sites need no shared setup); a conflicting
-    re-registration raises :class:`MetricError`.
-    """
-
-    def __init__(self) -> None:
-        self._metrics: Dict[str, _Metric] = {}
-
-    def _get_or_create(self, cls, name, help_text, labels, **kwargs):
-        metric = self._metrics.get(name)
-        if metric is None:
-            metric = cls(name, help_text, tuple(labels), **kwargs)
-            self._metrics[name] = metric
-            return metric
-        if not isinstance(metric, cls) or metric.labels != tuple(labels):
-            raise MetricError(
-                f"metric {name!r} already registered as {metric.kind} "
-                f"with labels {metric.labels}"
-            )
-        return metric
-
-    def counter(self, name, help_text="", labels=()) -> Counter:
-        return self._get_or_create(Counter, name, help_text, labels)
-
-    def gauge(self, name, help_text="", labels=()) -> Gauge:
-        return self._get_or_create(Gauge, name, help_text, labels)
-
-    def histogram(
-        self, name, help_text="", labels=(), buckets=DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._get_or_create(
-            Histogram, name, help_text, labels, buckets=buckets
-        )
-
-    def __iter__(self):
-        return iter(self._metrics.values())
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def snapshot(self) -> Dict[str, object]:
-        """JSON-serializable dump of every metric and series."""
-        metrics: Dict[str, object] = {}
-        for metric in sorted(self._metrics.values(), key=lambda m: m.name):
-            series = []
-            for key, value in metric._series():
-                series.append(
-                    {
-                        "labels": dict(zip(metric.labels, key)),
-                        "value": value,
-                    }
-                )
-            entry: Dict[str, object] = {
-                "kind": metric.kind,
-                "help": metric.help,
-                "labels": list(metric.labels),
-                "series": series,
-            }
-            if isinstance(metric, Histogram):
-                entry["buckets"] = list(metric.buckets)
-            metrics[metric.name] = entry
-        return {"schema": METRICS_SCHEMA, "metrics": metrics}
-
-    def to_prometheus(self) -> str:
-        """Prometheus text exposition format (version 0.0.4)."""
-
-        def fmt_labels(keys: Tuple[str, ...], names: Tuple[str, ...],
-                       extra: str = "") -> str:
-            pairs = [f'{n}="{_escape(v)}"' for n, v in zip(names, keys)]
-            if extra:
-                pairs.append(extra)
-            return "{" + ",".join(pairs) + "}" if pairs else ""
-
-        def _escape(value: str) -> str:
-            return (
-                value.replace("\\", r"\\").replace('"', r"\"")
-                .replace("\n", r"\n")
-            )
-
-        def fmt_value(v: float) -> str:
-            if isinstance(v, float) and math.isinf(v):
-                return "+Inf" if v > 0 else "-Inf"
-            if float(v) == int(v):
-                return str(int(v))
-            return repr(float(v))
-
-        lines: List[str] = []
-        for metric in sorted(self._metrics.values(), key=lambda m: m.name):
-            if metric.help:
-                lines.append(f"# HELP {metric.name} {metric.help}")
-            lines.append(f"# TYPE {metric.name} {metric.kind}")
-            if isinstance(metric, Histogram):
-                bounds = [fmt_value(b) for b in metric.buckets] + ["+Inf"]
-                for key, cells in metric._series():
-                    for bound, cum in zip(bounds, cells["buckets"]):
-                        le = 'le="%s"' % bound
-                        lines.append(
-                            f"{metric.name}_bucket"
-                            f"{fmt_labels(key, metric.labels, le)}"
-                            f" {fmt_value(cum)}"
-                        )
-                    lines.append(
-                        f"{metric.name}_sum{fmt_labels(key, metric.labels)} "
-                        f"{fmt_value(cells['sum'])}"
-                    )
-                    lines.append(
-                        f"{metric.name}_count{fmt_labels(key, metric.labels)} "
-                        f"{fmt_value(cells['count'])}"
-                    )
-            else:
-                for key, value in metric._series():
-                    lines.append(
-                        f"{metric.name}{fmt_labels(key, metric.labels)} "
-                        f"{fmt_value(value)}"
-                    )
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_snapshot(self, path) -> None:
-        """Write the registry to ``path``: Prometheus text for ``.prom``
-        (and ``.txt``) suffixes, a JSON snapshot otherwise."""
-        path = Path(path)
-        if path.suffix in (".prom", ".txt"):
-            path.write_text(self.to_prometheus(), "utf-8")
-        else:
-            path.write_text(
-                json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n",
-                "utf-8",
-            )
-
-
-# ----------------------------------------------------------------------
-# Live terminal dashboard.
-# ----------------------------------------------------------------------
-class LiveDashboard:
-    """Terminal sweep view fed by the telemetry span stream.
-
-    Shows batch progress, throughput, ETA, the cache hit rate, and one
-    status line per worker lane.  Repaints in place on a TTY (ANSI
-    cursor movement); on a non-TTY stream only the final summary frame
-    is written, so piped/CI output stays readable.
-    """
-
-    def __init__(
-        self,
-        session: TelemetrySession,
-        stream: Optional[IO[str]] = None,
-        min_interval: float = 0.1,
-    ):
-        self._session = session
-        self._stream = stream if stream is not None else sys.stderr
-        self._min_interval = min_interval
-        self._t0 = time.perf_counter()
-        self._last_draw = 0.0
-        self._lines_drawn = 0
-        self._done = 0
-        self._total = 0
-        self._cached = 0
-        self._run = 0
-        self._retries = 0
-        self._events = 0
-        self._inflight = 0
-        # lane -> {"pid", "runs", "busy", "last"}
-        self._lane_state: Dict[int, Dict[str, object]] = {}
-        session.add_listener(self._on_span)
-
-    # ``ProgressFn``-compatible: plugs straight into the runner.
-    def progress(self, done: int, total: int, cfg, source: str) -> None:
-        self._done = done
-        self._total = max(self._total, total)
-        if source == "cached":
-            self._cached += 1
-        else:
-            self._run += 1
-        self._draw()
-
-    def _on_span(self, phase: str, span: Span) -> None:
-        if span.name == "submit":
-            if phase == "begin":
-                self._inflight += 1
-            elif phase == "finish":
-                self._inflight = max(0, self._inflight - 1)
-        elif span.name == "retry" and phase == "begin":
-            self._retries += 1
-        elif span.name == "execute" and phase == "add" and span.status == "ok":
-            lane = span.lane or 0
-            state = self._lane_state.setdefault(
-                lane, {"pid": span.attrs.get("pid"), "runs": 0,
-                       "busy": 0.0, "last": ""}
-            )
-            state["runs"] = int(state["runs"]) + 1
-            state["busy"] = float(state["busy"]) + span.seconds
-            state["last"] = str(span.attrs.get("config", ""))
-            self._events += int(span.attrs.get("events", 0) or 0)
-        self._draw()
-
-    # -- rendering -------------------------------------------------------
-    def render(self) -> str:
-        elapsed = time.perf_counter() - self._t0
-        total = max(self._total, self._done, 1)
-        frac = self._done / total
-        width = 28
-        filled = int(frac * width)
-        bar = "#" * filled + "-" * (width - filled)
-        rate = self._done / elapsed if elapsed > 0 else 0.0
-        remaining = total - self._done
-        eta = f"{remaining / rate:4.0f}s" if rate > 0 and remaining else "   -"
-        hit = self._cached / self._done if self._done else 0.0
-        evps = self._events / elapsed if elapsed > 0 else 0.0
-        lines = [
-            f"sweep [{bar}] {self._done}/{total} ({frac:4.0%})  "
-            f"elapsed {elapsed:5.1f}s  eta {eta}",
-            f"cache {self._cached} hit ({hit:4.0%})  run {self._run}  "
-            f"retries {self._retries}  in-flight {self._inflight}  "
-            f"{rate:5.2f} cfg/s  {evps:,.0f} ev/s",
-        ]
-        for lane in sorted(self._lane_state):
-            state = self._lane_state[lane]
-            lines.append(
-                f"  lane {lane} [pid {state['pid']}]: "
-                f"{state['runs']} runs  busy {float(state['busy']):6.2f}s  "
-                f"last {state['last']}"
-            )
-        return "\n".join(lines)
-
-    def _draw(self, final: bool = False) -> None:
-        interactive = getattr(self._stream, "isatty", lambda: False)()
-        if not interactive and not final:
-            return
-        now = time.perf_counter()
-        if not final and now - self._last_draw < self._min_interval:
-            return
-        self._last_draw = now
-        text = self.render()
-        if interactive and self._lines_drawn:
-            # Repaint in place: up N lines, then clear to end of screen.
-            self._stream.write(f"\x1b[{self._lines_drawn}F\x1b[J")
-        self._stream.write(text + "\n")
-        self._stream.flush()
-        self._lines_drawn = text.count("\n") + 1
-
-    def close(self) -> None:
-        """Final frame (written even on non-TTY streams)."""
-        self._draw(final=True)
-        self._session.remove_listener(self._on_span)

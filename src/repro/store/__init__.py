@@ -6,7 +6,7 @@ per-shard index, with advisory file locks, cross-process execution
 claims, ``compact``/``gc`` maintenance and an LRU-by-atime eviction
 policy.  :class:`~repro.store.base.ResultStore` holds the part that does
 not depend on that on-disk format: the JSON layer, the corrupt-entry
-policy, claims and metric fan-out.
+policy, claims and the store counters.
 
 :func:`store_for` opens the store once per cache directory.  A directory
 it cannot open on (the ``store`` path squatted by a file, a foreign

@@ -2,8 +2,8 @@
 does not depend on its on-disk format.
 
 A store is a flat keyed blob space under one cache directory.  Keys are
-namespaced paths (``result/<sha>``, ``manifest/<name>``,
-``forensics/<sha>``, ``figure/<id>/<sha>``); payloads are opaque bytes —
+namespaced paths (``result/<sha>``, ``forensics/<sha>``,
+``figure/<id>/<sha>``); payloads are opaque bytes —
 by convention UTF-8 JSON documents, which is what the
 :meth:`ResultStore.get_json` / :meth:`ResultStore.put_json` helpers
 speak.  :class:`~repro.store.sharded.ShardedStore` supplies the byte
@@ -23,11 +23,8 @@ plane; this module supplies the rest:
   released only by the claim whose token it carries; both happen under
   one lock on the claims directory.
 
-* **Metrics.**  Every hit/miss/eviction/corrupt observation increments
-  both the store's local :class:`StoreCounters` and — when a fleet
-  telemetry session is installed — the ``repro_store_*`` counters of its
-  :class:`~repro.obs.telemetry.MetricsRegistry`, labelled
-  ``store="sharded"``.
+* **Counters.**  Every hit/miss/put/delete/eviction/corrupt observation
+  increments the store's :class:`StoreCounters`.
 """
 
 from __future__ import annotations
@@ -65,8 +62,7 @@ class StoreInitError(StoreError):
 
 @dataclass
 class StoreCounters:
-    """Per-store-instance observability (mirrored into ``repro_store_*``
-    telemetry metrics when a session is installed)."""
+    """Per-store-instance observability."""
 
     hits: int = 0
     misses: int = 0
@@ -92,30 +88,6 @@ class StoreCounters:
             "evictions": self.evictions,
             "corrupt": self.corrupt,
         }
-
-
-def _telemetry_metrics():
-    """The installed telemetry session's registry, or ``None``."""
-    from ..obs import telemetry
-
-    session = telemetry.current_session()
-    return session.metrics if session is not None else None
-
-
-_OP_METRIC = {
-    "hits": ("repro_store_hits_total", "result-store entry hits"),
-    "misses": ("repro_store_misses_total", "result-store entry misses"),
-    "puts": ("repro_store_puts_total", "result-store entries written"),
-    "deletes": ("repro_store_deletes_total", "result-store entries deleted"),
-    "evictions": (
-        "repro_store_evictions_total",
-        "result-store entries evicted by gc",
-    ),
-    "corrupt": (
-        "repro_store_corrupt_total",
-        "unreadable result-store entries treated as misses",
-    ),
-}
 
 
 @dataclass(frozen=True)
@@ -201,11 +173,12 @@ class ResultStore:
     Subclasses implement the raw byte plane (:meth:`get`, :meth:`put`,
     :meth:`delete`, :meth:`keys`, :meth:`stats`, :meth:`verify`,
     :meth:`compact`, :meth:`gc`); this base provides the JSON
-    convenience layer, corrupt-entry policy, claims, and metric
-    fan-out.
+    convenience layer, corrupt-entry policy, claims, and the
+    :class:`StoreCounters`.
     """
 
-    #: Backend name recorded in stats documents and probe spans.
+    #: Backend name recorded in stats documents and corrupt-entry
+    #: warnings.
     kind: str = "abstract"
 
     def __init__(self, root: Path):
@@ -220,7 +193,7 @@ class ResultStore:
     def peek(self, key: str) -> Optional[bytes]:
         """Like :meth:`get` but without counter/atime traffic — used by
         :meth:`wait_for` polling so a 20 ms poll loop does not inflate
-        the miss metrics.  Backends override with a silent read."""
+        the miss counter.  Backends override with a silent read."""
         return self.get(key)
 
     def put(self, key: str, payload: bytes) -> None:
@@ -254,12 +227,6 @@ class ResultStore:
     # -- shared observability -------------------------------------------
     def _note(self, op: str, n: int = 1) -> None:
         setattr(self.counters, op, getattr(self.counters, op) + n)
-        metrics = _telemetry_metrics()
-        if metrics is not None:
-            name, help_text = _OP_METRIC[op]
-            metrics.counter(name, help_text, labels=("store",)).inc(
-                n, store=self.kind
-            )
 
     def note_corrupt(self, key: str, reason: str) -> None:
         """Count (and warn once per process about) an unreadable entry.

@@ -306,7 +306,6 @@ class TestStamping:
             )
             manifest = runner.last_manifest()
         assert manifest.backend == "python"
-        assert manifest.to_dict()["backend"] == "python"
         assert manifest.entries[0].resources["backend"] == "python"
 
     def test_bench_output_path_stamps_backend(self):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.forensics import collect_forensics
+from repro.analysis.forensics import collect_forensics, compare_reports
 from repro.obs import ChromeTraceExporter, JsonlTraceWriter
 from repro.obs.telemetry import TelemetrySession
 from repro.sim.config import table2_config
@@ -35,6 +35,7 @@ FAST = dict(threads=4, seed=2, scale=0.1)
 KIND = {
     "store": "store",
     "forensics": "forensics",
+    "compare": "compare",
     "events": "events",
     "spans": "spans",
     "sim-chrome": "chrome",
@@ -71,9 +72,12 @@ def docs(tmp_path_factory):
     store.put("figure/fig1/" + "bb" * 6, b"{}")
     store.flush()
 
+    chats = collect_forensics("counter", "chats", **FAST)
+    baseline = collect_forensics("counter", "baseline", **FAST)
     built = {
         "store": store.stats(),
-        "forensics": collect_forensics("counter", "chats", **FAST).to_dict(),
+        "forensics": chats.to_dict(),
+        "compare": compare_reports(chats, baseline),
         "events": lines.getvalue().splitlines(),
         "spans": list(session.jsonl_lines()),
         "sim-chrome": exporter.finalize(),
@@ -208,6 +212,19 @@ MUTATIONS = [
     ("forensics", same, "below the floor", {"min_attributed": 1.01}),
     ("forensics", setv("attribution", "attributed_fraction", float("nan")),
      "NaN is not a JSON value", {"min_attributed": 0.95}),
+    # compare
+    ("compare", setv("schema", "repro-forensics/1"), "schema", {}),
+    ("compare", drop("b", "system"), "missing 'system'", {}),
+    ("compare", setv("a", "cycles", -1), "cycles is -1", {}),
+    ("compare", bump("cycles_delta"), "!= b.cycles - a.cycles", {}),
+    ("compare", bump("wasted_totals", "stalled", "b"), "!= b - a", {}),
+    ("compare", setv("wasted_totals", "fallback", "delta", True),
+     "delta is True", {}),
+    ("compare", drop("wasted_totals", "committed"),
+     "missing 'committed'", {}),
+    ("compare", setv("abort_breakdown", "gremlins",
+                     {"a": 0, "b": 0, "delta": 0}),
+     "undeclared fields ['gremlins']", {}),
     # events
     ("events", setv(0, "kind", "gremlin"), "unknown kind", {}),
     ("events", drop(0, "cycle"), "missing 'cycle'", {}),

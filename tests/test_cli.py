@@ -1,8 +1,16 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import build_parser, main
+from repro.experiments import runner
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import check_doc  # noqa: E402
 
 
 class TestParser:
@@ -42,9 +50,11 @@ class TestParser:
             assert args.no_cache is False
             assert args.cache_dir is None
 
-    def test_store_flag_and_cache_migrate_are_gone(self):
+    def test_removed_flags_and_subcommands_are_rejected(self):
         for argv in (["run", "counter", "--store", "sharded"],
-                     ["cache", "migrate"]):
+                     ["cache", "migrate"],
+                     ["run", "counter", "--metrics", "m.prom"],
+                     ["report", "--live"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
@@ -65,14 +75,13 @@ class TestParser:
 class TestExecution:
     @pytest.fixture(autouse=True)
     def _tmp_cache(self, tmp_path, monkeypatch):
-        """Keep CLI-driven runs from writing a cache into the repo."""
+        """Keep CLI-driven runs from writing a cache into the repo, and
+        the runner settings main() makes (``--no-cache``, the progress
+        printer) from leaking into later tests."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        yield
-        # main() installs a default progress printer; don't leak it into
-        # later tests' stderr.
-        from repro.experiments import runner
-
-        runner._default_progress = None
+        for name in ("_cache_dir_override", "_disk_cache_override",
+                     "_default_progress"):
+            monkeypatch.setattr(runner, name, None)
 
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -100,16 +109,42 @@ class TestExecution:
         out = capsys.readouterr().out
         assert out.count("cycles=") == 6
 
+    def test_run_telemetry_exports_pass_the_checker(self, tmp_path, capsys):
+        spans, chrome = tmp_path / "fleet.jsonl", tmp_path / "fleet.json"
+        rc = main(
+            ["run", "counter", "--all-systems", "--threads", "2",
+             "--scale", "0.1", "--no-cache", "--telemetry", str(spans),
+             "--telemetry-chrome", str(chrome)]
+        )
+        assert rc == 0
+        assert capsys.readouterr().out.count("telemetry        :") == 2
+        assert check_doc.check_file("spans", spans) == []
+        assert check_doc.check_file("chrome", chrome) == []
+
+    def test_report_forensics_prints_one_digest_per_config(
+        self, capsys, monkeypatch
+    ):
+        """On a fresh cache every config of the sweep executes, so each
+        gets its digest, even though rendering the figures afterwards
+        re-runs the configs as cache hits."""
+        monkeypatch.setattr(cli, "FIGURES", {"fig1": cli.FIGURES["fig1"]})
+        monkeypatch.setenv("REPRO_SCALE", "0.2")
+        monkeypatch.setenv("REPRO_THREADS", "2")
+        runner.clear_cache()
+        distinct = {cfg.key() for cfg in cli.experiment_configs("fig1")}
+        assert main(["report", "--forensics"]) == 0
+        out = capsys.readouterr().out
+        digests = out.split("forensic digests :\n", 1)[1].splitlines()
+        assert len(digests) == len(distinct)
+        assert all("aborts=" in line for line in digests)
+
     def test_unknown_system_exits(self):
         with pytest.raises(SystemExit, match="unknown system"):
             main(["run", "counter", "--system", "bogus"])
 
     def test_unopenable_store_exits_2_without_writing(
-        self, tmp_path, capsys, monkeypatch
+        self, tmp_path, capsys
     ):
-        from repro.experiments import runner
-
-        monkeypatch.setattr(runner, "_cache_dir_override", None)
         cache = tmp_path / "squatted"
         cache.mkdir()
         (cache / "store").write_text("not a directory")

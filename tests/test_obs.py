@@ -385,6 +385,4 @@ class TestRunnerObservability:
         manifest = runner.last_manifest()
         assert manifest.executed == 0 and manifest.cached == 2
         assert "2 cached / 0 run" in manifest.summary()
-        payload = manifest.to_dict()
-        assert payload["cached"] == 2 and payload["run"] == 0
-        assert len(payload["entries"]) == 2
+        assert len(manifest.entries) == 2

@@ -1,7 +1,7 @@
 """Tests for the fleet-telemetry layer (``repro.obs.telemetry``):
-metrics registry semantics, span-tree structure and exports, the
-``run_many`` integration (resource accounting, manifest enrichment,
-retry-span nesting), and observer-effect freedom with telemetry off.
+span-tree structure and exports, the ``run_many`` integration (resource
+accounting, retry-span nesting), and observer-effect freedom with
+telemetry off.
 """
 
 from __future__ import annotations
@@ -26,12 +26,7 @@ from repro.experiments.runner import (
     run_many,
 )
 from repro.obs import telemetry as fleet
-from repro.obs.telemetry import (
-    LiveDashboard,
-    MetricError,
-    MetricsRegistry,
-    TelemetrySession,
-)
+from repro.obs.telemetry import TelemetrySession
 from repro.sim.config import table2_config
 from repro.sim.simulator import Simulator
 from repro.systems import paper
@@ -98,91 +93,6 @@ def _spans(session, name):
 
 
 # ----------------------------------------------------------------------
-class TestMetricsRegistry:
-    def test_counter_counts_and_rejects_negatives(self):
-        reg = MetricsRegistry()
-        c = reg.counter("jobs_total", "jobs")
-        c.inc()
-        c.inc(4)
-        assert c.value() == 5
-        with pytest.raises(MetricError):
-            c.inc(-1)
-
-    def test_labels_partition_series(self):
-        reg = MetricsRegistry()
-        c = reg.counter("hits_total", labels=("layer",))
-        c.inc(layer="memory")
-        c.inc(2, layer="disk")
-        assert c.value(layer="memory") == 1
-        assert c.value(layer="disk") == 2
-        with pytest.raises(MetricError):
-            c.inc(tier="disk")  # wrong label name
-
-    def test_get_or_create_returns_same_metric(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a_total") is reg.counter("a_total")
-        assert len(reg) == 1
-
-    def test_conflicting_reregistration_raises(self):
-        reg = MetricsRegistry()
-        reg.counter("x", labels=("k",))
-        with pytest.raises(MetricError):
-            reg.gauge("x", labels=("k",))
-        with pytest.raises(MetricError):
-            reg.counter("x", labels=("other",))
-
-    def test_gauge_set_and_set_max(self):
-        reg = MetricsRegistry()
-        g = reg.gauge("rss_kb")
-        g.set(100)
-        g.set_max(50)
-        assert g.value() == 100
-        g.set_max(200)
-        assert g.value() == 200
-
-    def test_histogram_buckets_sum_count(self):
-        reg = MetricsRegistry()
-        h = reg.histogram("wall", buckets=(0.1, 1.0, 10.0))
-        for v in (0.05, 0.5, 0.5, 5.0, 50.0):
-            h.observe(v)
-        assert h.count() == 5
-        assert h.sum() == pytest.approx(56.05)
-        ((_, series),) = list(h._series())
-        # Cumulative counts per bound (0.1, 1.0, 10.0, +Inf).
-        assert series["buckets"] == [1, 3, 4, 5]
-
-    def test_prometheus_text_format(self):
-        reg = MetricsRegistry()
-        reg.counter("runs_total", "runs by source", labels=("source",)).inc(
-            3, source="cached"
-        )
-        reg.histogram("wall_seconds", "wall", buckets=(1.0,)).observe(0.5)
-        text = reg.to_prometheus()
-        assert "# HELP runs_total runs by source" in text
-        assert "# TYPE runs_total counter" in text
-        assert 'runs_total{source="cached"} 3' in text
-        assert 'wall_seconds_bucket{le="1"} 1' in text
-        assert 'wall_seconds_bucket{le="+Inf"} 1' in text
-        assert "wall_seconds_sum 0.5" in text
-        assert "wall_seconds_count 1" in text
-
-    def test_snapshot_is_json_serializable(self):
-        reg = MetricsRegistry()
-        reg.gauge("g").set(1.5)
-        snap = json.loads(json.dumps(reg.snapshot()))
-        assert snap["schema"] == fleet.METRICS_SCHEMA
-        assert snap["metrics"]["g"]["kind"] == "gauge"
-
-    def test_write_snapshot_picks_format_by_suffix(self, tmp_path):
-        reg = MetricsRegistry()
-        reg.counter("c_total").inc()
-        reg.write_snapshot(tmp_path / "m.prom")
-        reg.write_snapshot(tmp_path / "m.json")
-        assert "# TYPE c_total counter" in (tmp_path / "m.prom").read_text()
-        assert json.loads((tmp_path / "m.json").read_text())["metrics"]
-
-
-# ----------------------------------------------------------------------
 class TestTelemetrySession:
     def test_span_tree_and_context_manager(self):
         session = TelemetrySession()
@@ -202,7 +112,6 @@ class TestTelemetrySession:
         assert session.lane_for(111) == 1
         assert session.lane_for(222) == 2
         assert session.lane_for(111) == 1
-        assert session.lanes == {111: 1, 222: 2}
 
     def test_jsonl_header_and_span_lines(self):
         session = TelemetrySession()
@@ -307,40 +216,15 @@ class TestRunManyIntegration:
             assert ex.attrs["wall_seconds"] >= 0
             assert ex.attrs["events_per_sec"] > 0
 
+        assert root.attrs["cached"] == 0 and root.attrs["run"] == 2
+
         manifest = last_manifest()
         assert manifest.events_simulated > 0
-        assert manifest.cpu_seconds >= 0
         entry = manifest.entry_for(cfgs[0])
         assert entry.resources is not None
         assert entry.resources["pid"] == os.getpid()
-        # Round-trip: resources survive to_dict (the persisted form).
-        dumped = manifest.to_dict()
-        assert all("resources" in e for e in dumped["entries"])
-        rt = dumped["entries"][0]["resources"]
-        assert rt["events"] > 0 and "peak_rss_kb" in rt
-
-    def test_manifest_persisted_beside_cache(self, tmp_path):
-        with fleet.session_scope() as session:
-            run_many([_cfg()], workers=1)
-        store = runner.result_store()
-        keys = store.keys("manifest/")
-        assert len(keys) == 1
-        # Content-hash naming: the key carries the session's run id plus
-        # a digest of the payload, not a racy per-process sequence.
-        assert keys[0].startswith(f"manifest/MANIFEST_{session.run_id}_")
-        payload = store.get_json(keys[0])
-        assert payload["schema"] == fleet.MANIFEST_SCHEMA
-        assert payload["seq"] == 1
-        assert payload["entries"][0]["resources"]["events"] > 0
-
-    def test_manifest_names_cannot_collide(self, tmp_path):
-        """Two batches in one session — and identical batches in racing
-        sessions — never overwrite each other's manifest entry."""
-        with fleet.session_scope():
-            run_many([_cfg()], workers=1)
-            run_many([_cfg(system="chats")], workers=1)
-        store = runner.result_store()
-        assert len(store.keys("manifest/")) == 2
+        assert entry.resources["events"] > 0
+        assert "peak_rss_kb" in entry.resources
 
     def test_cache_hit_probes_and_metrics(self):
         cfg = _cfg()
@@ -350,10 +234,8 @@ class TestRunManyIntegration:
         (probe,) = _spans(session, "cache-probe")
         assert probe.attrs["outcome"] == "hit"
         assert probe.attrs["layer"] in ("memory", "disk")
-        hits = session.metrics.counter(
-            "repro_cache_probes_total", labels=("layer", "outcome")
-        )
-        assert hits.value(layer=probe.attrs["layer"], outcome="hit") == 1
+        (root,) = _spans(session, "run_many")
+        assert root.attrs["cached"] == 1 and root.attrs["run"] == 0
         assert not _spans(session, "submit")  # nothing executed
 
     def test_retry_span_nests_under_the_original_submit(self, flaky_markers):
@@ -369,7 +251,6 @@ class TestRunManyIntegration:
         assert failed.parent_id == submit.span_id
         assert succeeded.status == "ok"
         assert succeeded.parent_id == retry.span_id
-        assert session.metrics.counter("repro_retries_total").value() == 1
 
     def test_exports_from_a_real_sweep_pass_the_checker(self, tmp_path):
         with fleet.session_scope() as session:
@@ -416,36 +297,3 @@ class TestObserverEffect:
         assert fleet.for_run_many() is fleet.NULL_BATCH
         assert fleet.for_run_many() is fleet.for_run_many()
         assert not hasattr(fleet.NULL_BATCH, "__dict__")
-
-
-# ----------------------------------------------------------------------
-class TestLiveDashboard:
-    def test_renders_progress_cache_rate_and_lanes(self):
-        session = TelemetrySession()
-        buf = io.StringIO()  # not a TTY: only the final frame is drawn
-        dash = LiveDashboard(session, stream=buf)
-        root = session.begin("run_many")
-        submit = session.begin("submit", parent=root)
-        t = time.time()
-        session.add("execute", t, t + 0.02, parent=submit,
-                    lane=session.lane_for(77), pid=77,
-                    config="counter/chats", events=1234)
-        session.finish(submit)
-        dash.progress(1, 4, None, "run")
-        dash.progress(2, 4, None, "cached")
-        session.finish(root)
-        frame = dash.render()
-        assert "2/4" in frame
-        assert "cache 1 hit" in frame
-        assert "lane 1 [pid 77]" in frame
-        assert "counter/chats" in frame
-        assert buf.getvalue() == ""  # nothing drawn yet off-TTY
-        dash.close()
-        assert "2/4" in buf.getvalue()  # final frame always written
-
-    def test_detaches_from_the_session_on_close(self):
-        session = TelemetrySession()
-        dash = LiveDashboard(session, stream=io.StringIO())
-        assert session._listeners
-        dash.close()
-        assert not session._listeners
