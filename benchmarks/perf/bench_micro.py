@@ -188,6 +188,50 @@ def bench_probe_emit(n):
         emit(Commit(cycle=i, core=0, epoch=i))
 
 
+def bench_holder_resolve(n):
+    """CHATS holder conflict resolution: ``policy.resolve`` on an INV
+    from a chained requester below a chained holder that read the block.
+
+    This is rule (ii) of the PiC table, which leaves the holder's
+    register unchanged, so every repeat takes the same path: the shared
+    guards, the VSB membership test, the Rrestrict/W probe and the PiC
+    decision."""
+    from repro import accel
+    from repro.htm.txstate import TxState
+    from repro.mem.address import Geometry
+    from repro.mem.memory import MainMemory
+    from repro.net.messages import DIRECTORY, MessageKind
+    from repro.sim.config import table2_config
+    from repro.systems import paper
+    from repro.systems.compose import make_policy
+
+    htm = table2_config(paper.CHATS)
+    holder = TxState(
+        core_id=0, epoch=1, memory=MainMemory(Geometry()), htm=htm
+    )
+    holder.track_read(42)
+    holder.pic.value = 20
+    msg = accel.message_factory()(
+        kind=MessageKind.INV,
+        src=DIRECTORY,
+        dst=0,
+        block=42,
+        requester=1,
+        exclusive=True,
+        pic=10,
+        epoch=1,
+        req_id=1,
+        can_consume=True,
+    )
+
+    def no_inflight_write(block):
+        return False
+
+    resolve = make_policy(htm).resolve
+    for _ in range(n):
+        resolve(holder, msg, no_inflight_write)
+
+
 BENCHES = (
     ("engine run loop (delay-1 chain)", bench_engine_throughput, 200_000),
     ("engine schedule+cancel churn", bench_engine_schedule_cancel, 200_000),
@@ -202,6 +246,7 @@ BENCHES = (
     ("L1 cache hit lookup", bench_cache_hit, 500_000),
     ("speculative store write+read", bench_spec_store, 200_000),
     ("probe emit (one subscriber)", bench_probe_emit, 200_000),
+    ("CHATS holder resolve (rule ii, INV)", bench_holder_resolve, 200_000),
 )
 
 

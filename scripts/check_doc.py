@@ -416,10 +416,11 @@ def _check_compare(doc) -> List[str]:
     problems: List[str] = []
     v = _fields(doc, COMPARE_FIELDS, "document", problems)
     _expect(v, "schema", COMPARE_SCHEMA, "document", problems)
-    cycles = [
-        _fields(v[s], COMPARE_SIDE_FIELDS, s, problems).get("cycles")
+    sides = {
+        s: _fields(v[s], COMPARE_SIDE_FIELDS, s, problems)
         for s in "ab" if s in v
-    ]
+    }
+    cycles = [side.get("cycles") for side in sides.values()]
     if "cycles_delta" in v and len(cycles) == 2 and None not in cycles:
         want = cycles[1] - cycles[0]
         if v["cycles_delta"] != want:
@@ -428,10 +429,18 @@ def _check_compare(doc) -> List[str]:
                 f"{want}"
             )
     if "abort_breakdown" in v:
-        _compare_cells(
+        cells = _compare_cells(
             v["abort_breakdown"], "abort_breakdown", CAUSE_KINDS, problems,
             optional=True,
         )
+        # Every abort of a side has exactly one cause.
+        for s, side in sides.items():
+            total = sum(cell[s] for cell in cells)
+            if "aborts" in side and total != side["aborts"]:
+                problems.append(
+                    f"abort_breakdown column {s} sums to {total} != "
+                    f"{s}.aborts {side['aborts']}"
+                )
     if "wasted_totals" in v:
         _compare_cells(
             v["wasted_totals"], "wasted_totals", WASTED_WORK_BUCKETS, problems
@@ -439,22 +448,26 @@ def _check_compare(doc) -> List[str]:
     return problems
 
 
-def _compare_cells(rows, where, keys, problems, *, optional=False) -> None:
+def _compare_cells(rows, where, keys, problems, *, optional=False):
     """Check one table of A/B/delta cells whose row names come from
-    ``keys`` (every one of them unless ``optional``)."""
+    ``keys`` (every one of them unless ``optional``); returns the cells
+    whose fields are all present and typed right."""
     rows = _fields(
         rows, dict.fromkeys(keys, dict), where, problems,
         optional=keys if optional else (), closed=True,
     )
+    complete = []
     for key, cell in rows.items():
         at = f"{where}.{key}"
         c = _fields(cell, COMPARE_CELL_FIELDS, at, problems, closed=True)
         if len(c) < len(COMPARE_CELL_FIELDS):
             continue
+        complete.append(c)
         if c["delta"] != c["b"] - c["a"]:
             problems.append(
                 f"{at}: delta {c['delta']} != b - a {c['b'] - c['a']}"
             )
+    return complete
 
 
 def _check_events(lines: List[str]) -> List[str]:

@@ -15,29 +15,16 @@ this invariant — and therefore acyclicity — is preserved whenever the
 exchanged PiCs are current.  Stale exchanges can still create cycles; those
 are caught by the validation-time check (``local >= remote`` aborts the
 validating consumer).
+
+The holder-side decision, :meth:`PiCRegister.forward_pic`, mutates the
+register: it re-anchors ``value`` in place when forwarding and returns
+only the PiC to stamp on the ``SpecResp`` (``None`` for requester-wins),
+so resolving a conflict allocates no decision record.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
-
-
-class HolderAction(Enum):
-    """What the conflicting holder should do, per the Section IV-C rules."""
-
-    FORWARD = "forward"  # requester-speculates: send SpecResp
-    ABORT_LOCAL = "abort-local"  # requester-wins: holder aborts
-
-
-@dataclass(slots=True)
-class HolderDecision:
-    action: HolderAction
-    #: New PiC for the holder when forwarding (None = leave unchanged).
-    new_local_pic: Optional[int] = None
-    #: PiC value to stamp on the SpecResp message.
-    message_pic: Optional[int] = None
 
 
 class PiCRegister:
@@ -76,57 +63,47 @@ class PiCRegister:
     # ------------------------------------------------------------------
     # Holder-side decision (Fig. 3 cases).
     # ------------------------------------------------------------------
-    def decide_as_holder(self, remote: Optional[int]) -> HolderDecision:
+    def forward_pic(self, remote: Optional[int]) -> Optional[int]:
         """Resolve a conflicting request given the requester's PiC.
 
-        Implements the five cases of Section IV-C.  Overflow/underflow of
-        either side's required update resolves to requester-wins.
+        Implements the five cases of Section IV-C; overflow/underflow of
+        either side's required update resolves to requester-wins.  When
+        the holder may forward, the register is re-anchored in place
+        where the case requires (the decision *is* the hardware update)
+        and the PiC to stamp on the ``SpecResp`` is returned.  ``None``
+        means requester-wins, and then the register is left unchanged.
         """
         local = self.value
-        if local is None and remote is None:
-            # Fig. 3A: two unconnected transactions; holder anchors the
-            # chain at the initial (mid-range) value.
-            if self._init - 1 < 0:  # pragma: no cover - init is mid-range
-                return HolderDecision(HolderAction.ABORT_LOCAL)
-            return HolderDecision(
-                HolderAction.FORWARD,
-                new_local_pic=self._init,
-                message_pic=self._init,
-            )
-        if local is None:
-            # Fig. 3C: unchained holder, chained requester: holder hooks in
-            # *above* the requester.
-            assert remote is not None
-            new_local = remote + 1
-            if new_local >= self._limit:
-                return HolderDecision(HolderAction.ABORT_LOCAL)
-            return HolderDecision(
-                HolderAction.FORWARD, new_local_pic=new_local, message_pic=new_local
-            )
         if remote is None:
-            # Fig. 3B: chained holder, unchained requester: requester will
-            # adopt local - 1, so underflow is checked here on its behalf.
-            if local - 1 < 0:
-                return HolderDecision(HolderAction.ABORT_LOCAL)
-            return HolderDecision(HolderAction.FORWARD, message_pic=local)
-        # Both set.
-        if remote < local:
-            # Rule (ii): the requester already sits below us in the chain;
-            # forwarding cannot create a cycle and nothing changes.
-            return HolderDecision(HolderAction.FORWARD, message_pic=local)
-        # remote >= local: the holder would need to raise its PiC above the
-        # requester's.  That is only safe when the holder is not currently
-        # consuming unvalidated data (else it could climb past a producer).
-        if self.cons:
-            # Fig. 3D/3E: requester-wins.
-            return HolderDecision(HolderAction.ABORT_LOCAL)
+            # Fig. 3A (two unconnected transactions: the holder anchors
+            # the chain at the mid-range initial value) and Fig. 3B
+            # (chained holder keeps its PiC).  The unchained requester
+            # adopts one below the stamped PiC, so its underflow is
+            # checked here on its behalf.
+            pic = self._init if local is None else local
+            if pic == 0:
+                return None
+            self.value = pic
+            return pic
+        if local is not None:
+            if remote < local:
+                # Rule (ii): the requester already sits below us in the
+                # chain; forwarding cannot create a cycle and nothing
+                # changes.
+                return local
+            # The holder would need to raise its PiC above the
+            # requester's.  That is only safe when it is not consuming
+            # unvalidated data (else it could climb past a producer).
+            if self.cons:
+                # Fig. 3D/3E: requester-wins.
+                return None
+        # Fig. 3C (unchained holder hooks in above the requester) and
+        # Fig. 3F (validated holder re-anchors above the requester).
         new_local = remote + 1
         if new_local >= self._limit:
-            return HolderDecision(HolderAction.ABORT_LOCAL)
-        # Fig. 3F: the holder re-anchors above the requester.
-        return HolderDecision(
-            HolderAction.FORWARD, new_local_pic=new_local, message_pic=new_local
-        )
+            return None
+        self.value = new_local
+        return new_local
 
     # ------------------------------------------------------------------
     # Requester-side update on SpecResp receipt.

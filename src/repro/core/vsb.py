@@ -9,11 +9,19 @@ walked round-robin by the validation controller.
 The storage cost dominates CHATS' 280-byte overhead:
 4 entries x (64 B data + 42-bit tag + valid bit) ~ 278 B, plus the 5-bit
 PiC and 1-bit Cons registers.
+
+Besides the fixed slots the model keeps a block → entry index, so
+membership (asked on every holder conflict, to refuse re-forwarding a
+speculatively received block), lookup and retire are O(1) instead of a
+slot scan.  The slots stay the source of truth for *order*: an insert
+takes the lowest free slot and the validation pointer walks slots
+round-robin, which fixes which block validates next and so every
+simulation's result.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 BlockValue = Tuple[int, ...]
 
@@ -35,56 +43,56 @@ class VSBEntry:
 class ValidationStateBuffer:
     """Fixed-capacity buffer of pending speculative blocks.
 
-    ``occupancy``/``empty``/``full`` are O(1) via a live-entry counter —
-    the commit fence polls ``empty`` on every response.
+    ``occupancy``/``empty``/``full`` are O(1) via the block index — the
+    commit fence polls ``empty`` on every response.
     """
 
-    __slots__ = ("_entries", "_validate_ptr", "_count")
+    __slots__ = ("_entries", "_validate_ptr", "_index")
 
     def __init__(self, size: int):
         if size < 1:
             raise ValueError("VSB needs at least one entry")
         self._entries: List[VSBEntry] = [VSBEntry() for _ in range(size)]
         self._validate_ptr = 0
-        self._count = 0
+        #: Valid entries by block; kept in step with the slots by
+        #: ``insert``, ``retire`` and ``clear``.
+        self._index: Dict[int, VSBEntry] = {}
 
     @property
     def size(self) -> int:
         return len(self._entries)
 
     def occupancy(self) -> int:
-        return self._count
+        return len(self._index)
 
     @property
     def empty(self) -> bool:
-        return self._count == 0
+        return not self._index
 
     @property
     def full(self) -> bool:
-        return self._count == len(self._entries)
+        return len(self._index) == len(self._entries)
 
     def contains(self, block: int) -> bool:
-        return any(e.valid and e.block == block for e in self._entries)
+        return block in self._index
 
     def lookup(self, block: int) -> Optional[BlockValue]:
-        for entry in self._entries:
-            if entry.valid and entry.block == block:
-                return entry.data
-        return None
+        entry = self._index.get(block)
+        return entry.data if entry is not None else None
 
     def insert(self, block: int, data: BlockValue) -> bool:
         """Record a speculatively received block.  Returns False when the
         buffer is full (the holder should then have refused to forward —
         requests advertise ``can_consume`` — but races can still deliver an
         unwanted SpecResp, which the consumer simply drops)."""
-        if self.contains(block):
+        if block in self._index:
             return True  # duplicate delivery; first copy wins
         for entry in self._entries:
             if not entry.valid:
                 entry.valid = True
                 entry.block = block
                 entry.data = data
-                self._count += 1
+                self._index[block] = entry
                 return True
         return False
 
@@ -106,21 +114,19 @@ class ValidationStateBuffer:
     def retire(self, block: int) -> None:
         """Validation succeeded: drop the buffered copy (the cache copy is
         now the authoritative, genuinely-owned version)."""
-        for entry in self._entries:
-            if entry.valid and entry.block == block:
-                entry.valid = False
-                entry.data = None
-                self._count -= 1
-                return
-        raise KeyError(f"block {block:#x} not in VSB")
+        entry = self._index.pop(block, None)
+        if entry is None:
+            raise KeyError(f"block {block:#x} not in VSB")
+        entry.valid = False
+        entry.data = None
 
     def clear(self) -> None:
         """Abort: discard all pending speculative copies immediately."""
-        for entry in self._entries:
+        for entry in self._index.values():
             entry.valid = False
             entry.data = None
+        self._index.clear()
         self._validate_ptr = 0
-        self._count = 0
 
     def blocks(self) -> List[int]:
         return [e.block for e in self._entries if e.valid]

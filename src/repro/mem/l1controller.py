@@ -114,6 +114,7 @@ class L1Controller:
         "_send",
         "_schedule",
         "_Message",
+        "_inflight_write",
     )
 
     _req_ids = itertools.count(1)
@@ -160,6 +161,9 @@ class L1Controller:
         self._send = network.send
         self._schedule = engine.schedule
         self._Message = accel.message_factory()
+        # Bound once: the policy gets the Rrestrict/W probe on every
+        # conflict.
+        self._inflight_write = self.has_inflight_exclusive
         #: Set lazily by the simulator after cores are built.
         self.core: "Core" = None  # type: ignore[assignment]
         # Dense dispatch table indexed by ``MessageKind.idx``.
@@ -190,12 +194,11 @@ class L1Controller:
         in flight or imminent?  Covers both an outstanding exclusive
         request and the store-address prediction from earlier attempts of
         the same transaction."""
-        if any(
-            o.exclusive and o.block == block and not o.is_validation
-            for o in self._outstanding.values()
-        ):
-            return True
-        return self.core is not None and self.core.write_predicted(block)
+        for o in self._outstanding.values():
+            if o.block == block and o.exclusive and not o.is_validation:
+                return True
+        core = self.core
+        return core is not None and core.write_predicted(block)
 
     def _send_request(
         self,
@@ -472,7 +475,7 @@ class L1Controller:
     ) -> None:
         """Apply the conflict policy as the holder of ``msg.block``."""
         pic_before = tx.pic.value
-        outcome = self._policy.resolve(tx, msg, self.has_inflight_exclusive)
+        outcome = self._policy.resolve(tx, msg, self._inflight_write)
         if outcome.resolution is Resolution.FORWARD_SPEC:
             tx.mark_forwarded()
             self._stats.spec_forwards += 1

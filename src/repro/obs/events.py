@@ -175,6 +175,7 @@ class Abort(ProbeEvent):
     label: str = ""
     src: Optional[int] = None  # core whose action triggered the abort
     block: Optional[int] = None  # block the triggering action touched
+    power: bool = False
 
 
 @dataclass(frozen=True, slots=True)

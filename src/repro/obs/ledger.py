@@ -241,9 +241,18 @@ class TxLedger:
             self._close(ev.core, ev.epoch, cycle=ev.cycle,
                         outcome="committed", label=ev.label)
         elif isinstance(ev, Abort):
-            self._close(ev.core, ev.epoch, cycle=ev.cycle,
-                        outcome="aborted", label=ev.label,
-                        reason=ev.reason, src=ev.src, block=ev.block)
+            open_ = self._open.get(ev.core)
+            if open_ is not None and open_.epoch == ev.epoch:
+                del self._open[ev.core]
+            else:
+                # The attempt died before its TxBegin (while its lock
+                # subscription read was in flight).  The abort still
+                # counts in the stats, so it becomes a zero-length attempt.
+                open_ = _OpenAttempt(core=ev.core, epoch=ev.epoch,
+                                     power=ev.power, begin=ev.cycle)
+            self._record(open_.close(cycle=ev.cycle, outcome="aborted",
+                                     label=ev.label, reason=ev.reason,
+                                     src=ev.src, block=ev.block))
         elif isinstance(ev, FallbackAcquire):
             self._fallback_open[ev.core] = ev.cycle
         elif isinstance(ev, FallbackCommit):
@@ -259,7 +268,9 @@ class TxLedger:
         if open_ is None or open_.epoch != epoch:
             return
         del self._open[core]
-        attempt = open_.close(**kw)
+        self._record(open_.close(**kw))
+
+    def _record(self, attempt: TxAttempt) -> None:
         self.attempts.append(attempt)
         self._index[attempt.key] = attempt
 

@@ -337,7 +337,7 @@ class Core:
                     cycle=self.engine.now, core=self.core_id, epoch=tx.epoch,
                     reason=reason.value,
                     label=self._txn.label if self._txn is not None else "",
-                    src=src, block=block,
+                    src=src, block=block, power=self._power,
                 )
             )
         if self._attempt_begin is not None:

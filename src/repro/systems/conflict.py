@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .base import ConflictPolicy
-from .outcome import ABORT, PolicyOutcome, Resolution
+from .outcome import ABORT, FORWARD_NO_PIC, NACK
 from .ordering import OrderingScheme
 from .validation import ValidationScheme
 
@@ -128,7 +128,7 @@ class RequesterStalls(ConflictPolicy):
             # The requester is older (or the order is unknown): holder
             # yields rather than risk a wait cycle.
             return ABORT
-        return PolicyOutcome(Resolution.NACK)
+        return NACK
 
 
 class LEVCBEIdealized(ConflictPolicy):
@@ -158,7 +158,7 @@ class LEVCBEIdealized(ConflictPolicy):
             and not msg.req_consumed
         )
         if restrictions_ok:
-            return PolicyOutcome(Resolution.FORWARD_SPEC, message_pic=None)
+            return FORWARD_NO_PIC
         if (
             msg.timestamp is not None
             and holder.timestamp is not None
@@ -167,7 +167,7 @@ class LEVCBEIdealized(ConflictPolicy):
             # Older requester wins: the holder is the victim, regardless of
             # any forwarding it has done (cascading aborts follow).
             return ABORT
-        return PolicyOutcome(Resolution.NACK)
+        return NACK
 
 
 __all__ = [

@@ -23,11 +23,10 @@ requester-stall fallback and lives in
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+import functools
+from typing import TYPE_CHECKING, Tuple
 
-from ..core.pic import HolderAction
-from ..htm.stats import AbortReason
-from .outcome import PolicyOutcome, Resolution
+from .outcome import ABORT_CYCLE, FORWARD_NO_PIC, PolicyOutcome, Resolution
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..htm.txstate import TxState
@@ -44,27 +43,38 @@ class OrderingScheme:
         self.htm = htm
 
     def forward_decision(self, holder: "TxState", msg: "Message") -> PolicyOutcome:
-        return PolicyOutcome(Resolution.FORWARD_SPEC, message_pic=None)
+        return FORWARD_NO_PIC
+
+
+@functools.cache
+def pic_forward_outcomes(pic_limit: int) -> Tuple[PolicyOutcome, ...]:
+    """The FORWARD outcome for every message PiC in ``[0, pic_limit)``,
+    indexed by that PiC.
+
+    Built once per register width (the PiC ablation sweeps ``pic_bits``)
+    and shared by every simulation using it."""
+    return tuple(
+        PolicyOutcome(Resolution.FORWARD_SPEC, message_pic=pic)
+        for pic in range(pic_limit)
+    )
 
 
 class PicOrdering(OrderingScheme):
     """``pic``: PiC-guided choice between requester-speculates and
-    requester-wins, mutating the holder's PiC exactly where the hardware
-    would."""
+    requester-wins.  :meth:`~repro.core.pic.PiCRegister.forward_pic`
+    mutates the holder's PiC exactly where the hardware would."""
 
     name = "pic"
 
+    def __init__(self, htm: "HTMConfig"):
+        super().__init__(htm)
+        self._forwards = pic_forward_outcomes(htm.pic_limit)
+
     def forward_decision(self, holder: "TxState", msg: "Message") -> PolicyOutcome:
-        decision = holder.pic.decide_as_holder(msg.pic)
-        if decision.action is HolderAction.ABORT_LOCAL:
-            return PolicyOutcome(
-                Resolution.ABORT_LOCAL, abort_reason=AbortReason.CYCLE
-            )
-        if decision.new_local_pic is not None:
-            holder.pic.value = decision.new_local_pic
-        return PolicyOutcome(
-            Resolution.FORWARD_SPEC, message_pic=decision.message_pic
-        )
+        pic = holder.pic.forward_pic(msg.pic)
+        if pic is None:
+            return ABORT_CYCLE
+        return self._forwards[pic]
 
 
 class TimestampOrdering(OrderingScheme):
@@ -86,7 +96,5 @@ class TimestampOrdering(OrderingScheme):
             or holder.timestamp is None
             or msg.timestamp < holder.timestamp
         ):
-            return PolicyOutcome(
-                Resolution.ABORT_LOCAL, abort_reason=AbortReason.CYCLE
-            )
-        return PolicyOutcome(Resolution.FORWARD_SPEC, message_pic=None)
+            return ABORT_CYCLE
+        return FORWARD_NO_PIC

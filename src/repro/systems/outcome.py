@@ -11,10 +11,13 @@ A policy names one of three resolutions for a conflict detected at the
 * ``NACK`` — requester-stalls: the requester receives a negative response
   and retries later.
 
-:class:`PolicyOutcome` is frozen (and slotted): the module-level ``ABORT``
-singleton is returned from every requester-wins path of every policy, so
-an accidental caller-side mutation would silently cross-contaminate later
-resolutions — freezing turns that hazard into an immediate error.
+Every outcome a policy returns is a shared instance: the module-level
+constants below, or the per-PiC forward table of
+:func:`repro.systems.ordering.pic_forward_outcomes`.  Resolving a
+conflict therefore allocates nothing.  :class:`PolicyOutcome` is frozen
+(and slotted) because of that sharing: an accidental caller-side
+mutation would silently cross-contaminate later resolutions, and
+freezing turns that hazard into an immediate error.
 """
 
 from __future__ import annotations
@@ -44,5 +47,20 @@ class PolicyOutcome:
     from_power: bool = False
 
 
-#: The shared requester-wins outcome (safe to share: frozen).
+#: Requester-wins, charged as a plain conflict.
 ABORT = PolicyOutcome(Resolution.ABORT_LOCAL)
+#: Requester-wins because forwarding could close a chain cycle.
+ABORT_CYCLE = PolicyOutcome(
+    Resolution.ABORT_LOCAL, abort_reason=AbortReason.CYCLE
+)
+#: Requester-wins against the power transaction.
+ABORT_POWER = PolicyOutcome(
+    Resolution.ABORT_LOCAL, abort_reason=AbortReason.POWER
+)
+#: Requester-stalls: the requester is NACKed and retries.
+NACK = PolicyOutcome(Resolution.NACK)
+#: Requester-speculates without a chain position (naive, LEVC, timestamps).
+FORWARD_NO_PIC = PolicyOutcome(Resolution.FORWARD_SPEC)
+#: Requester-speculates from the power transaction (PCHATS): the consumer
+#: keeps its PiC.
+FORWARD_POWER = PolicyOutcome(Resolution.FORWARD_SPEC, from_power=True)

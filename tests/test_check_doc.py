@@ -225,6 +225,7 @@ MUTATIONS = [
     ("compare", setv("abort_breakdown", "gremlins",
                      {"a": 0, "b": 0, "delta": 0}),
      "undeclared fields ['gremlins']", {}),
+    ("compare", bump("b", "aborts"), "column b sums to", {}),
     # events
     ("events", setv(0, "kind", "gremlin"), "unknown kind", {}),
     ("events", drop(0, "cycle"), "missing 'cycle'", {}),

@@ -250,6 +250,30 @@ class TestForensicReport:
         text = render_compare(chats, base)
         assert "abort causes" in text
 
+    def test_aborts_before_tx_begin_are_attributed(self):
+        """An abort landing while the attempt's lock-subscription read is
+        still in flight (before ``TxBegin``) is counted in the stats, so
+        the ledger must record it too: as a zero-length attempt."""
+        report = collect_forensics(
+            "cadd", "htm-be", threads=8, seed=1, scale=0.4
+        )
+        assert report.attribution.total == report.aborts
+        early = [
+            (rec.attempt.core, rec.attempt.epoch, rec.attempt.end,
+             rec.kind, rec.source_core)
+            for rec in report.attribution.records
+            if rec.attempt.begin == rec.attempt.end
+        ]
+        assert early == [
+            (1, 21, 11_772, "fallback-lock", 2),
+            (4, 28, 14_750, "fallback-lock", 7),
+        ]
+        assert report.gauge_mismatches == {}
+        text = json.dumps(report.to_dict())
+        assert check_doc.check_text(
+            "forensics", text, min_attributed=0.95
+        ) == []
+
     def test_manifest_records_forensic_digests(self):
         from repro.experiments.runner import RunConfig, last_manifest, run_many
 

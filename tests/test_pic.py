@@ -1,10 +1,13 @@
 """Unit + property tests for the Position in Chain register — the Fig. 3
 case analysis of Section IV-C."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.pic import HolderAction, PiCRegister
+from repro.core.pic import PiCRegister
+from repro.sim.config import HTMConfig
 
 
 def make_pic(value=None, cons=False, limit=31, init=15) -> PiCRegister:
@@ -15,74 +18,109 @@ def make_pic(value=None, cons=False, limit=31, init=15) -> PiCRegister:
 
 
 class TestFig3Cases:
+    """``forward_pic`` returns the PiC stamped on the SpecResp (None for
+    requester-wins) and re-anchors the register in place."""
+
     def test_case_a_both_unset(self):
         """Fig. 3A: two unconnected transactions; holder anchors at init."""
         pic = make_pic()
-        d = pic.decide_as_holder(None)
-        assert d.action is HolderAction.FORWARD
-        assert d.new_local_pic == 15
-        assert d.message_pic == 15
+        assert pic.forward_pic(None) == 15
+        assert pic.value == 15
 
     def test_case_b_holder_chained_requester_unset(self):
         """Fig. 3B: chained holder keeps its PiC; requester adopts below."""
         pic = make_pic(value=20)
-        d = pic.decide_as_holder(None)
-        assert d.action is HolderAction.FORWARD
-        assert d.new_local_pic is None
-        assert d.message_pic == 20
+        assert pic.forward_pic(None) == 20
+        assert pic.value == 20
 
     def test_case_c_holder_unset_requester_chained(self):
         """Fig. 3C: unchained holder hooks in above the requester."""
         pic = make_pic(value=None)
-        d = pic.decide_as_holder(12)
-        assert d.action is HolderAction.FORWARD
-        assert d.new_local_pic == 13
-        assert d.message_pic == 13
+        assert pic.forward_pic(12) == 13
+        assert pic.value == 13
 
     def test_case_d_consuming_holder_must_abort_on_higher(self):
         """Fig. 3D: remote above local while Cons is set: requester-wins."""
         pic = make_pic(value=10, cons=True)
-        d = pic.decide_as_holder(12)
-        assert d.action is HolderAction.ABORT_LOCAL
+        assert pic.forward_pic(12) is None
+        assert pic.value == 10
 
     def test_case_e_equal_pics_with_cons_abort(self):
         """Fig. 3E: identical PiCs with unvalidated data: requester-wins."""
         pic = make_pic(value=10, cons=True)
-        d = pic.decide_as_holder(10)
-        assert d.action is HolderAction.ABORT_LOCAL
+        assert pic.forward_pic(10) is None
+        assert pic.value == 10
 
     def test_case_f_validated_holder_reanchors(self):
         """Fig. 3F: Cons clear: the holder climbs above the requester."""
         pic = make_pic(value=10, cons=False)
-        d = pic.decide_as_holder(12)
-        assert d.action is HolderAction.FORWARD
-        assert d.new_local_pic == 13
+        assert pic.forward_pic(12) == 13
+        assert pic.value == 13
 
     def test_case_g_forward_to_lower(self):
         """Rule (ii): remote below local is always safe to forward."""
         pic = make_pic(value=10, cons=True)  # even while consuming
-        d = pic.decide_as_holder(7)
-        assert d.action is HolderAction.FORWARD
-        assert d.new_local_pic is None
-        assert d.message_pic == 10
+        assert pic.forward_pic(7) == 10
+        assert pic.value == 10
 
 
 class TestOverflowUnderflow:
     def test_overflow_resolves_to_requester_wins(self):
         pic = make_pic(value=None)
-        d = pic.decide_as_holder(30)  # 30 + 1 == limit
-        assert d.action is HolderAction.ABORT_LOCAL
+        assert pic.forward_pic(30) is None  # 30 + 1 == limit
+        assert pic.value is None
 
     def test_overflow_when_climbing(self):
         pic = make_pic(value=5, cons=False)
-        d = pic.decide_as_holder(30)
-        assert d.action is HolderAction.ABORT_LOCAL
+        assert pic.forward_pic(30) is None
+        assert pic.value == 5
 
     def test_underflow_checked_on_requesters_behalf(self):
         # Holder at 0: the requester would need PiC -1 — refuse.
         pic = make_pic(value=0)
-        d = pic.decide_as_holder(None)
-        assert d.action is HolderAction.ABORT_LOCAL
+        assert pic.forward_pic(None) is None
+        assert pic.value == 0
+
+    def test_unchained_pair_with_init_zero_refuses(self):
+        """Fig. 3A anchored at 0 would leave the requester no PiC below."""
+        pic = make_pic(limit=4, init=0)
+        assert pic.forward_pic(None) is None
+        assert pic.value is None
+
+
+def reference_decision(local, remote, cons, limit, init):
+    """The Section IV-C table, case by case: ``(stamped PiC, holder PiC
+    afterwards)``, with a stamped PiC of None for requester-wins (the
+    holder's PiC then stays ``local``)."""
+    refuse = (None, local)
+    if local is None and remote is None:  # Fig. 3A
+        return (init, init) if init - 1 >= 0 else refuse
+    if local is None:  # Fig. 3C
+        return (remote + 1, remote + 1) if remote + 1 < limit else refuse
+    if remote is None:  # Fig. 3B
+        return (local, local) if local - 1 >= 0 else refuse
+    if remote < local:  # rule (ii)
+        return (local, local)
+    if cons:  # Fig. 3D/3E
+        return refuse
+    return (remote + 1, remote + 1) if remote + 1 < limit else refuse  # 3F
+
+
+class TestAgainstReferenceTable:
+    @pytest.mark.parametrize("pic_bits", [2, 5])
+    def test_every_state_matches_the_table(self, pic_bits):
+        htm = HTMConfig(pic_bits=pic_bits)
+        limit, init = htm.pic_limit, htm.pic_init
+        values = [None, *range(limit)]
+        for local, remote, cons in itertools.product(
+            values, values, (False, True)
+        ):
+            pic = make_pic(value=local, cons=cons, limit=limit, init=init)
+            stamped = pic.forward_pic(remote)
+            assert (stamped, pic.value) == reference_decision(
+                local, remote, cons, limit, init
+            ), (local, remote, cons)
+            assert pic.cons is cons  # the decision never touches Cons
 
 
 class TestAdoption:
@@ -157,17 +195,15 @@ class TestInvariants:
         (possibly updated) PiC is strictly greater than the PiC the
         requester will end up with."""
         pic = make_pic(value=local, cons=cons)
-        d = pic.decide_as_holder(remote)
-        if d.action is not HolderAction.FORWARD:
+        stamped = pic.forward_pic(remote)
+        if stamped is None:
             return
-        holder_pic = d.new_local_pic if d.new_local_pic is not None else local
-        assert holder_pic is not None
-        assert d.message_pic == holder_pic
+        assert stamped == pic.value
         consumer = PiCRegister(limit=31, init=15)
         consumer.value = remote
-        consumer.adopt_from_spec_resp(d.message_pic)
+        consumer.adopt_from_spec_resp(stamped)
         assert consumer.value is not None
-        assert holder_pic > consumer.value
+        assert pic.value > consumer.value
 
     @given(
         local=st.one_of(st.none(), st.integers(0, 30)),
@@ -177,14 +213,13 @@ class TestInvariants:
         """While Cons is set, a decision may never raise the local PiC
         (it could climb past a producer)."""
         pic = make_pic(value=local, cons=True)
-        before = pic.value
-        d = pic.decide_as_holder(remote)
-        if d.action is HolderAction.FORWARD and d.new_local_pic is not None:
+        pic.forward_pic(remote)
+        if local is not None:
             # Updates are only allowed for unchained holders hooking in.
-            assert before is None
+            assert pic.value == local
 
-    @given(st.integers(0, 30), st.booleans())
-    def test_decide_is_pure_until_applied(self, remote, cons):
+    @given(st.one_of(st.none(), st.integers(0, 30)), st.booleans())
+    def test_requester_wins_leaves_register_unchanged(self, remote, cons):
         pic = make_pic(value=12, cons=cons)
-        pic.decide_as_holder(remote)
-        assert pic.value == 12  # decide() itself must not mutate
+        if pic.forward_pic(remote) is None:
+            assert pic.value == 12 and pic.cons is cons

@@ -12,7 +12,7 @@ from repro.mem.address import Geometry
 from repro.mem.memory import MainMemory
 from repro.net.messages import Message, MessageKind
 from repro.sim.config import table2_config
-from repro.systems import ForwardClass, paper
+from repro.systems import ForwardClass, paper, registered_systems
 from repro.systems.compose import make_policy
 from repro.systems.conflict import BaselineRW
 from repro.systems.outcome import Resolution
@@ -289,3 +289,43 @@ class TestLEVCPolicy:
         tx = self.fresh(mem)
         out = self.policy().resolve(tx, probe(non_transactional=True), no_inflight)
         assert out.resolution is Resolution.ABORT_LOCAL
+
+
+#: (holder state, probe) pairs reaching every branch of every policy.
+SCENARIOS = {
+    "unchained pair": ({}, {}),
+    "requester below holder": ({"pic": 10, "cons": True}, {"pic": 5}),
+    "cycle risk": ({"pic": 10, "cons": True}, {"pic": 12}),
+    "holder re-anchors": ({"pic": 10}, {"pic": 12}),
+    "unconsumable": ({}, {"can_consume": False}),
+    "power holder": ({"power": True}, {}),
+    "power requester": ({}, {"power": True}),
+    "non-transactional": ({}, {"non_transactional": True}),
+    "younger requester": ({"timestamp": 10}, {"timestamp": 20}),
+    "older requester": ({"timestamp": 10}, {"timestamp": 5}),
+    "chained requester": (
+        {"timestamp": 10},
+        {"timestamp": 20, "req_produced": True},
+    ),
+}
+
+
+class TestSharedOutcomes:
+    @pytest.mark.parametrize(
+        "system", registered_systems(), ids=lambda spec: spec.name
+    )
+    def test_same_conflict_returns_the_same_object(self, mem, system):
+        """Outcomes are shared instances, never built per conflict:
+        resolving the same holder state and probe twice returns the very
+        same object."""
+        policy = make_policy(table2_config(system))
+        for name, (holder_kw, probe_kw) in SCENARIOS.items():
+            first, again = (
+                policy.resolve(
+                    holder_tx(mem, system=system, **holder_kw),
+                    probe(**probe_kw),
+                    no_inflight,
+                )
+                for _ in range(2)
+            )
+            assert again is first, name

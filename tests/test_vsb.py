@@ -159,3 +159,102 @@ class TestProperties:
         seen = [vsb.next_to_validate().block for _ in range(2 * n)]
         assert sorted(seen[:n]) == sorted(blocks)
         assert sorted(seen[n:]) == sorted(blocks)
+
+
+class SlotScanVSB:
+    """Reference model: the VSB as a plain slot scan, with no index."""
+
+    def __init__(self, size):
+        self.slots = [None] * size  # (block, data) or None
+        self.ptr = 0
+
+    def find(self, block):
+        for i, slot in enumerate(self.slots):
+            if slot is not None and slot[0] == block:
+                return i
+        return None
+
+    def insert(self, block, data):
+        if self.find(block) is not None:
+            return True
+        for i, slot in enumerate(self.slots):
+            if slot is None:
+                self.slots[i] = (block, data)
+                return True
+        return False
+
+    def retire(self, block):
+        i = self.find(block)
+        if i is None:
+            raise KeyError(block)
+        self.slots[i] = None
+
+    def clear(self):
+        self.slots = [None] * len(self.slots)
+        self.ptr = 0
+
+    def next_to_validate(self):
+        n = len(self.slots)
+        for offset in range(n):
+            i = (self.ptr + offset) % n
+            if self.slots[i] is not None:
+                self.ptr = (i + 1) % n
+                return i
+        return None
+
+
+UNIVERSE = range(8)
+
+vsb_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("insert"), st.sampled_from(UNIVERSE)),
+        st.tuples(st.just("retire"), st.sampled_from(UNIVERSE)),
+        st.tuples(st.just("clear"), st.just(0)),
+        st.tuples(st.just("next"), st.just(0)),
+    ),
+    max_size=80,
+)
+
+
+class TestIndexAgainstSlotScan:
+    @given(ops=vsb_ops, size=st.integers(1, 5))
+    def test_index_agrees_with_slot_scan(self, ops, size):
+        """The block index must answer exactly as a scan of the slots
+        would, and leave the slot-driven validation order untouched —
+        across duplicate inserts, inserts into a full buffer, retires of
+        absent blocks, clears and validation-pointer walks."""
+        vsb = ValidationStateBuffer(size)
+        ref = SlotScanVSB(size)
+        for step, (op, block) in enumerate(ops):
+            if op == "insert":
+                data = (step,)  # distinct copies: first copy must win
+                assert vsb.insert(block, data) == ref.insert(block, data)
+            elif op == "retire":
+                if ref.find(block) is None:
+                    with pytest.raises(KeyError):
+                        vsb.retire(block)
+                else:
+                    ref.retire(block)
+                    vsb.retire(block)
+            elif op == "clear":
+                vsb.clear()
+                ref.clear()
+            else:
+                entry = vsb.next_to_validate()
+                slot = ref.next_to_validate()
+                if slot is None:
+                    assert entry is None
+                else:
+                    assert entry is vsb._entries[slot]
+                    assert entry.block == ref.slots[slot][0]
+            live = [s for s in ref.slots if s is not None]
+            for b in UNIVERSE:
+                i = ref.find(b)
+                assert vsb.contains(b) == (i is not None)
+                assert vsb.lookup(b) == (
+                    ref.slots[i][1] if i is not None else None
+                )
+            assert vsb.occupancy() == len(live)
+            assert vsb.blocks() == [s[0] for s in live]
+            assert vsb.empty == (not live)
+            assert vsb.full == (len(live) == size)
