@@ -11,10 +11,10 @@ KIND is one of:
 * ``store``: the ``repro cache stats --json`` document;
 * ``forensics``: the ``repro inspect --json`` report;
 * ``compare``: the ``repro compare --json`` A/B document;
-* ``events``: the probe-event JSONL written by ``--trace``;
+* ``events``: the probe-event JSONL written by ``repro trace``;
 * ``spans``: the fleet span log written by ``--telemetry``;
-* ``chrome``: a Chrome ``trace_event`` export, from ``--trace-format
-  chrome`` or from ``--telemetry-chrome``.
+* ``chrome``: a Chrome ``trace_event`` export, from ``repro trace
+  --format chrome`` or from ``--telemetry-chrome``.
 
 Each schema is declared once, as field -> type tables (JSON ``true`` is
 never a number), plus one small function per kind for the rules that

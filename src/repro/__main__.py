@@ -15,7 +15,9 @@ Subcommands:
 
 * ``trace`` — run one workload with the instrumentation bus recording
   every probe event, write the trace (JSONL or Chrome ``trace_event``
-  for Perfetto), and optionally dump reconstructed forwarding chains::
+  for Perfetto), and optionally dump the forwarding chains its
+  transaction ledger recorded; the only command that writes a probe
+  trace, always from a fresh simulation::
 
       python -m repro trace synth --system chats --out trace.jsonl
       python -m repro trace synth --format chrome --out trace.json --chains
@@ -61,15 +63,22 @@ Subcommands:
 FILE`` exports the same spans as a Perfetto-loadable Chrome trace (one
 track per worker plus a scheduler track).
 
-``run`` also accepts ``--trace FILE`` / ``--trace-format {jsonl,chrome}``
-(shorthand for the ``trace`` subcommand) and ``--timeline W`` to print a
+``run`` and ``trace`` also accept ``--timeline W`` to print a
 per-``W``-cycle activity table from the run's interval metrics.
+
+Every simulation a command starts is a
+:class:`~repro.experiments.runner.RunConfig`: ``run``, ``figure`` and
+``report`` batch theirs through ``run_many``, while ``trace``,
+``inspect`` and ``compare`` run one fresh through
+:func:`~repro.experiments.runner.simulate` with their subscribers
+attached.
 
 ``run``, ``figure``, and ``report`` share the experiment runner's cache
 and parallelism flags: ``--workers N`` fans simulations out over N
 processes (default ``REPRO_WORKERS``), ``--cache-dir`` relocates the disk
 cache (default ``.repro_cache``, env ``REPRO_CACHE_DIR``), and
-``--no-cache`` disables the disk cache for the invocation.  A cache
+``--no-cache`` disables the disk cache for the invocation; ``inspect``
+takes the last two for its stored forensic documents.  A cache
 directory the result store cannot open on (see docs/ARCHITECTURE.md §6a)
 is an error: ``repro`` prints one line naming it and exits 2.
 
@@ -209,65 +218,22 @@ def _print_timeline(result) -> None:
     )
 
 
-def _traced_run(args, out_path: str, fmt: str, *, chains: bool = False) -> int:
-    """Shared engine of ``run --trace`` and the ``trace`` subcommand.
-
-    Tracing wants the live event stream, so this always executes a fresh
-    simulation (the disk cache stores results, not event streams).
-    """
-    from .obs import ChainInspector, ChromeTraceExporter, JsonlTraceWriter
-    from .sim.config import table2_config
-    from .sim.simulator import Simulator
-    from .workloads.base import make_workload
-
-    system = _system_from_name(args.system)
-    workload = make_workload(
-        args.workload, threads=args.threads, seed=args.seed, scale=args.scale
+def _config(args: argparse.Namespace, system, **fields) -> "runner.RunConfig":
+    """The config a single-workload command runs: ``system``'s Table II
+    row at the command's threads/seed/scale, under the CLI's event
+    bound."""
+    return runner.RunConfig.make(
+        args.workload,
+        _system_from_name(system),
+        threads=args.threads,
+        seed=args.seed,
+        scale=args.scale,
+        max_events=80_000_000,
+        **fields,
     )
-    sim = Simulator(workload, htm=table2_config(system))
-    writer = None
-    exporter = None
-    if fmt == "chrome":
-        exporter = ChromeTraceExporter()
-        sim.probe.subscribe(exporter)
-    else:
-        writer = JsonlTraceWriter(out_path)
-        sim.probe.subscribe(writer)
-    inspector = ChainInspector(sim).attach() if chains else None
-    try:
-        result = sim.run(
-            max_events=80_000_000, metrics_window=getattr(args, "timeline", None)
-        )
-    finally:
-        if writer is not None:
-            writer.close()
-    if exporter is not None:
-        recorded = exporter.events_recorded
-        exporter.write(out_path)
-    else:
-        recorded = writer.events_written
-    _print_result(result)
-    if result.intervals is not None:
-        _print_timeline(result)
-    if inspector is not None:
-        print()
-        print(inspector.render())
-    print(f"\ntrace            : {recorded:,} events -> {out_path} ({fmt})")
-    return 0
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.trace is not None:
-        if args.all_systems:
-            raise SystemExit("--trace records one system at a time; "
-                             "drop --all-systems or pick --system")
-        if args.telemetry or args.telemetry_chrome:
-            raise SystemExit(
-                "--telemetry watches the runner fleet; --trace records "
-                "one uncached simulation — drop one of them"
-            )
-        _apply_runner_flags(args)
-        return _traced_run(args, args.trace, args.trace_format)
     with _telemetry_scope(args):
         _apply_runner_flags(args)
         systems = (
@@ -276,15 +242,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             else [_system_from_name(args.system)]
         )
         configs = [
-            runner.RunConfig.make(
-                args.workload,
-                system,
-                threads=args.threads,
-                seed=args.seed,
-                scale=args.scale,
-                max_events=80_000_000,
-                metrics_window=args.timeline,
-            )
+            _config(args, system, metrics_window=args.timeline)
             for system in systems
         ]
         results = runner.run_many(configs, forensics=args.forensics)
@@ -334,21 +292,34 @@ def _print_manifest_forensics(manifest) -> None:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    _apply_runner_flags(args)
-    return _traced_run(args, args.out, args.format, chains=args.chains)
+    """One fresh simulation with a trace sink (and, for ``--chains``, a
+    ledger) on its probe bus: the result store keeps no event streams."""
+    from .obs import ChromeTraceExporter, JsonlTraceWriter, TxLedger
+    from .obs.chains import render_chains
 
-
-def _collect(args: argparse.Namespace, system: str):
-    from .analysis.forensics import collect_forensics
-
-    spec = _system_from_name(system)
-    return collect_forensics(
-        args.workload,
-        spec,
-        threads=args.threads,
-        seed=args.seed,
-        scale=args.scale,
-    )
+    cfg = _config(args, args.system, metrics_window=args.timeline)
+    chrome = args.format == "chrome"
+    sink = ChromeTraceExporter() if chrome else JsonlTraceWriter(args.out)
+    ledger = TxLedger()
+    try:
+        result = runner.simulate(cfg, sink, *([ledger] if args.chains else []))
+    finally:
+        if not chrome:
+            sink.close()
+    if chrome:
+        recorded = sink.events_recorded  # before write() closes slices
+        sink.write(args.out)
+    else:
+        recorded = sink.events_written
+    _print_result(result)
+    if result.intervals is not None:
+        _print_timeline(result)
+    if args.chains:
+        print()
+        print(render_chains(ledger))
+    print(f"\ntrace            : {recorded:,} events -> {args.out} "
+          f"({args.format})")
+    return 0
 
 
 def cmd_inspect(args: argparse.Namespace) -> int:
@@ -356,32 +327,23 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
     from .analysis.forensics import (
         FORENSICS_SCHEMA,
-        forensics_store_key,
+        collect_forensics,
         render_document,
     )
 
     _apply_runner_flags(args)
-    spec = _system_from_name(args.system)
-    # A forensic document is fully determined by its parameters and the
-    # code fingerprint, so serve repeat inspections from the result
-    # store.  --fresh forces a re-run; --html needs the live report.
+    cfg = _config(args, args.system)
+    # A forensic document is fully determined by its config, whose key
+    # covers the code fingerprint, so serve repeat inspections from the
+    # result store.  --fresh forces a re-run; --html needs the live
+    # report.
     use_store = (
         not args.fresh
         and args.html is None
         and runner.disk_cache_enabled()
     )
     store = runner.result_store() if use_store else None
-    key = (
-        forensics_store_key(
-            args.workload,
-            spec.name,
-            threads=args.threads,
-            seed=args.seed,
-            scale=args.scale,
-        )
-        if use_store
-        else None
-    )
+    key = f"forensics/{cfg.key()}"
     doc = None
     if store is not None:
         doc = store.get_json(key)
@@ -390,7 +352,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
             doc = None
     report = None
     if doc is None:
-        report = _collect(args, args.system)
+        report = collect_forensics(cfg)[1]
         doc = report.to_dict()
         if store is not None:
             try:
@@ -415,10 +377,16 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     import json
 
-    from .analysis.forensics import compare_reports, render_compare
+    from .analysis.forensics import (
+        collect_forensics,
+        compare_reports,
+        render_compare,
+    )
 
-    report_a = _collect(args, args.system_a)
-    report_b = _collect(args, args.system_b)
+    report_a, report_b = (
+        collect_forensics(_config(args, system))[1]
+        for system in (args.system_a, args.system_b)
+    )
     print(render_compare(report_a, report_b))
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -641,8 +609,17 @@ def build_parser() -> argparse.ArgumentParser:
         ".repro_cache)",
     )
 
-    cache_flags = argparse.ArgumentParser(
+    store_flags = argparse.ArgumentParser(
         add_help=False, parents=[cache_dir_flag]
+    )
+    store_flags.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="disable the on-disk result cache for this invocation",
+    )
+
+    cache_flags = argparse.ArgumentParser(
+        add_help=False, parents=[store_flags]
     )
     cache_flags.add_argument(
         "--workers",
@@ -651,11 +628,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="worker processes for the simulation sweep "
         "(default: $REPRO_WORKERS or 1 = serial)",
-    )
-    cache_flags.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the on-disk result cache for this invocation",
     )
 
     backend_flags = argparse.ArgumentParser(add_help=False)
@@ -704,20 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, default=1)
     p_run.add_argument("--scale", type=float, default=0.4)
     p_run.add_argument(
-        "--trace",
-        default=None,
-        metavar="FILE",
-        help="record every probe event to FILE (forces a fresh, "
-        "uncached simulation)",
-    )
-    p_run.add_argument(
-        "--trace-format",
-        choices=("jsonl", "chrome"),
-        default="jsonl",
-        help="trace file format: one JSON object per line, or Chrome "
-        "trace_event JSON for Perfetto (default: jsonl)",
-    )
-    p_run.add_argument(
         "--timeline",
         type=int,
         default=None,
@@ -735,8 +693,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = sub.add_parser(
         "trace",
-        help="run one workload with full event tracing",
-        parents=[cache_flags],
+        help="run one workload with full event tracing (always a fresh "
+        "simulation)",
     )
     p_trace.add_argument("workload", choices=workload_names())
     p_trace.add_argument(
@@ -760,7 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument(
         "--chains",
         action="store_true",
-        help="reconstruct and print speculative forwarding chains",
+        help="print the speculative forwarding chains the run's "
+        "transaction ledger recorded",
     )
     p_trace.add_argument(
         "--timeline",
@@ -775,7 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         "inspect",
         help="forensic report for one run: causal abort attribution, "
         "cascades, chains, wasted work",
-        parents=[cache_flags],
+        parents=[store_flags],
     )
     p_insp.add_argument("workload", choices=workload_names())
     p_insp.add_argument(

@@ -1,6 +1,8 @@
 """Per-run forensic reports: the analysis layer behind ``repro inspect``.
 
-:func:`collect_forensics` executes one *fresh* simulation with a
+:func:`collect_forensics` executes one *fresh* simulation of a
+:class:`~repro.experiments.runner.RunConfig` through
+:func:`~repro.experiments.runner.simulate` with a
 :class:`~repro.obs.ledger.TxLedger` attached (the disk cache stores
 results, not event streams) and folds the ledger into a
 :class:`ForensicReport`:
@@ -25,10 +27,12 @@ from __future__ import annotations
 
 import html as _html
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
+from ..experiments.runner import RunConfig, simulate
 from ..obs.attribution import CAUSE_KINDS, AttributionReport, attribute_aborts
 from ..obs.ledger import WASTED_WORK_BUCKETS, TxLedger, WastedWork
+from ..sim.results import SimulationResult
 
 #: Version tag of a report's JSON export and digest; bump on layout
 #: changes.
@@ -294,46 +298,23 @@ def _render_wasted(wasted: Dict[str, object]) -> List[str]:
     return lines
 
 
-def forensics_store_key(
-    workload: str, system: str, *, threads: int, seed: int, scale: float
-) -> str:
-    """Store key for a cached forensics document.
-
-    Hashes the report parameters together with :data:`FORENSICS_SCHEMA`
-    and the runner's code fingerprint, so source edits and schema bumps
-    invalidate cached documents exactly like simulation results.
-    """
-    import hashlib
-    import json
-
-    from ..experiments import runner
-
-    blob = json.dumps(
-        {
-            "schema": FORENSICS_SCHEMA,
-            "fingerprint": runner._code_fingerprint(),
-            "workload": workload,
-            "system": system,
-            "threads": threads,
-            "seed": seed,
-            "scale": scale,
-        },
-        sort_keys=True,
-    )
-    return "forensics/" + hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 # ----------------------------------------------------------------------
-def fold_report(
-    result, ledger: TxLedger, *, threads: int, seed: int, scale: float
-) -> ForensicReport:
-    """Fold a finished run and its ledger into a :class:`ForensicReport`.
+def collect_forensics(
+    cfg: RunConfig,
+) -> Tuple[SimulationResult, ForensicReport]:
+    """Run ``cfg`` with a :class:`TxLedger` attached and fold the ledger
+    into a :class:`ForensicReport`.
 
-    The ledger's cycle buckets are cross-checked against the simulator's
-    transient gauges; any disagreement lands in
+    Always a fresh simulation: forensics needs the live event stream,
+    which the result cache does not store.  Returns the result as well,
+    which the runner caches while the batch manifest records the
+    report's digest.  The ledger's cycle buckets are cross-checked
+    against the simulator's transient gauges; any disagreement lands in
     :attr:`ForensicReport.gauge_mismatches` (rendered as a warning)
     rather than silently shipping wrong numbers.
     """
+    ledger = TxLedger()
+    result = simulate(cfg, ledger)
     attribution = attribute_aborts(ledger)
     wasted = WastedWork.from_ledger(ledger, result.cycles)
     totals = wasted.totals()
@@ -347,12 +328,12 @@ def fold_report(
         for bucket in gauges
         if totals[bucket] != gauges[bucket]
     }
-    return ForensicReport(
+    return result, ForensicReport(
         workload=result.workload,
         system=result.system,
-        threads=threads,
-        seed=seed,
-        scale=scale,
+        threads=cfg.threads,
+        seed=cfg.seed,
+        scale=cfg.scale,
         cycles=result.cycles,
         commits=result.stats.tx_commits,
         fallback_commits=result.stats.tx_fallback_commits,
@@ -362,60 +343,6 @@ def fold_report(
         attribution=attribution,
         wasted=wasted,
         gauge_mismatches=mismatches,
-    )
-
-
-def collect_forensics(
-    workload: str,
-    system,
-    *,
-    threads: int = 16,
-    seed: int = 1,
-    scale: float = 0.4,
-    max_events: int = 80_000_000,
-) -> ForensicReport:
-    """Run ``workload`` under ``system`` with a ledger attached and fold
-    the result into a :class:`ForensicReport`.
-
-    Always a fresh simulation: forensics needs the live event stream,
-    which the result cache does not store.
-    """
-    from ..sim.config import table2_config
-    from ..sim.simulator import Simulator
-    from ..systems import get_spec
-    from ..workloads.base import make_workload
-
-    spec = get_spec(system)
-    wl = make_workload(workload, threads=threads, seed=seed, scale=scale)
-    sim = Simulator(wl, htm=table2_config(spec))
-    ledger = TxLedger(sim)
-    with ledger:
-        result = sim.run(max_events=max_events)
-    return fold_report(
-        result, ledger, threads=threads, seed=seed, scale=scale
-    )
-
-
-def report_for_config(cfg):
-    """Fresh ledger-attached run of a runner :class:`RunConfig`.
-
-    Returns ``(SimulationResult, ForensicReport)`` — the runner caches
-    the former and records the latter's digest on the batch manifest.
-    """
-    from ..sim.simulator import Simulator
-    from ..workloads.base import make_workload
-
-    wl = make_workload(
-        cfg.workload, threads=cfg.threads, seed=cfg.seed, scale=cfg.scale
-    )
-    sim = Simulator(wl, htm=cfg.htm)
-    ledger = TxLedger(sim)
-    with ledger:
-        result = sim.run(
-            max_events=cfg.max_events, metrics_window=cfg.metrics_window
-        )
-    return result, fold_report(
-        result, ledger, threads=cfg.threads, seed=cfg.seed, scale=cfg.scale
     )
 
 

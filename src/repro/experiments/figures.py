@@ -1,19 +1,20 @@
 """One entry point per figure of the paper's evaluation.
 
-Each ``figN()`` function runs (or fetches from the cache) the simulations
-the figure needs and returns a :class:`FigureResult`: the structured data
-series plus a rendered text table.  The benches under ``benchmarks/`` are
-thin wrappers that time these functions and print the rendering.
+Each ``figN()`` function runs (or fetches from the cache) the cells its
+registry entry declares (:func:`~repro.experiments.registry.experiment_cells`),
+in one ``run_many`` batch, and returns a :class:`FigureResult`: the
+structured data series plus a rendered text table.  The benches under
+``benchmarks/`` are thin wrappers that time these functions and print the
+rendering.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Hashable, List, Optional, Tuple
 
 from ..analysis import metrics
 from ..analysis.tables import format_heatmap, format_stacked, format_table
-from ..sim.config import table2_config
 from ..sim.results import SimulationResult
 from ..systems import ForwardClass, SystemSpec, paper, paper_systems
 from ..systems.capacity import CAPACITY_SWEEP
@@ -22,10 +23,10 @@ from .registry import (
     RETRY_SWEEP,
     VALIDATION_INTERVALS,
     VSB_SIZES,
-    experiment_configs,
+    experiment_cells,
     get_experiment,
 )
-from .runner import run_cached, run_many
+from .runner import run_many
 
 
 @dataclass
@@ -47,34 +48,27 @@ class FigureResult:
         )
 
 
-def _sweep(
-    workloads,
-    systems,
-    *,
-    htm_for=None,
+#: Results of a figure's cells, grouped ``(system, variant) -> workload
+#: -> result``.
+Runs = Dict[Tuple[SystemSpec, Hashable], Dict[str, SimulationResult]]
+
+
+def _runs(figure_id: str, workloads, **params) -> Runs:
+    """Run (or fetch) every cell ``figure_id`` declares, in one
+    ``run_many`` batch (``REPRO_WORKERS``-wide)."""
+    cells = list(experiment_cells(figure_id, workloads, **params))
+    results = run_many([cfg for _, cfg in cells])
+    runs: Runs = {}
+    for ((system, variant, w), _), result in zip(cells, results):
+        runs.setdefault((system, variant), {})[w] = result
+    return runs
+
+
+def _system_runs(
+    figure_id: str, workloads
 ) -> Dict[SystemSpec, Dict[str, SimulationResult]]:
-    out: Dict[SystemSpec, Dict[str, SimulationResult]] = {}
-    for system in systems:
-        htm = htm_for(system) if htm_for is not None else None
-        out[system] = {
-            w: run_cached(w, system, htm=htm) for w in workloads
-        }
-    return out
-
-
-def _baselines(workloads) -> Dict[str, SimulationResult]:
-    return {w: run_cached(w, paper.BASELINE) for w in workloads}
-
-
-def _prefetch(figure_id: str, workloads, **params) -> None:
-    """Batch-run a figure's declared config set before assembly.
-
-    Every figure declares its cells up front (see
-    :func:`repro.experiments.registry.experiment_configs`), so the
-    parallel runner can execute them ``REPRO_WORKERS``-wide; the
-    ``run_cached`` calls that build the series then hit the warm cache.
-    """
-    run_many(experiment_configs(figure_id, workloads, **params))
+    """:func:`_runs` of a figure that sweeps systems only."""
+    return {system: r for (system, _), r in _runs(figure_id, workloads).items()}
 
 
 # ----------------------------------------------------------------------
@@ -83,9 +77,9 @@ def _prefetch(figure_id: str, workloads, **params) -> None:
 def fig1(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     exp = get_experiment("fig1")
     workloads = workloads or exp.workloads
-    _prefetch("fig1", workloads)
-    base = _baselines(workloads)
-    naive = {w: run_cached(w, paper.NAIVE_RS) for w in workloads}
+    runs = _system_runs("fig1", workloads)
+    base = runs[paper.BASELINE]
+    naive = runs[paper.NAIVE_RS]
     series = {
         "Baseline": {w: 1.0 for w in workloads},
         "Naive R-S": metrics.normalized_times(naive, base),
@@ -110,8 +104,7 @@ def fig1(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
 def fig4(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     exp = get_experiment("fig4")
     workloads = workloads or exp.workloads
-    _prefetch("fig4", workloads)
-    runs = _sweep(workloads, paper_systems())
+    runs = _system_runs("fig4", workloads)
     base = runs[paper.BASELINE]
     series = {
         s.label: metrics.normalized_times(runs[s], base)
@@ -140,8 +133,7 @@ def fig4(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
 def fig5(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     exp = get_experiment("fig5")
     workloads = workloads or exp.workloads
-    _prefetch("fig5", workloads)
-    runs = _sweep(workloads, paper_systems())
+    runs = _system_runs("fig5", workloads)
     base = runs[paper.BASELINE]
     series = {
         s.label: metrics.normalized_aborts(runs[s], base)
@@ -188,8 +180,7 @@ def fig5(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
 def fig6(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     exp = get_experiment("fig6")
     workloads = workloads or exp.workloads
-    _prefetch("fig6", workloads)
-    runs = _sweep(workloads, exp.systems)
+    runs = _system_runs("fig6", workloads)
     stacks: Dict[str, Dict[str, Dict[str, float]]] = {}
     survival: Dict[str, Dict[str, float]] = {}
     for s in exp.systems:
@@ -242,8 +233,7 @@ def fig6(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
 def fig7(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     exp = get_experiment("fig7")
     workloads = workloads or exp.workloads
-    _prefetch("fig7", workloads)
-    runs = _sweep(workloads, paper_systems())
+    runs = _system_runs("fig7", workloads)
     base = runs[paper.BASELINE]
     series = {
         s.label: metrics.normalized_flits(runs[s], base)
@@ -268,19 +258,14 @@ def fig7(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
 def fig8(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     exp = get_experiment("fig8")
     workloads = workloads or exp.workloads
-    _prefetch("fig8", workloads)
+    sweep = _runs("fig8", workloads)
     series: Dict[str, Dict[str, float]] = {}
     raw: Dict[str, Dict[str, SimulationResult]] = {}
     for system in exp.systems:
         # Reference: R/W (Fig. 8 normalizes to CHATS with R/W).
-        table = table2_config(system)
-        reference = {
-            w: run_cached(w, system, htm=table.replace(forward_class=ForwardClass.RW))
-            for w in workloads
-        }
+        reference = sweep[system, ForwardClass.RW]
         for fc in FORWARD_CLASS_SWEEP:
-            htm = table.replace(forward_class=fc)
-            runs = {w: run_cached(w, system, htm=htm) for w in workloads}
+            runs = sweep[system, fc]
             label = f"{system.label} {fc.value}"
             series[label] = metrics.normalized_times(runs, reference)
             raw[label] = runs
@@ -307,15 +292,13 @@ def fig9(
 ) -> FigureResult:
     exp = get_experiment("fig9")
     workloads = workloads or exp.workloads
-    _prefetch("fig9", workloads, retries=retries)
+    sweep = _runs("fig9", workloads, retries=retries)
     series: Dict[str, Dict[str, float]] = {}
     best: Dict[str, int] = {}
     for system in exp.systems:
-        table = table2_config(system)
         per_retry_mean: Dict[int, float] = {}
         for n in retries:
-            htm = table.replace(retries=n)
-            runs = {w: run_cached(w, system, htm=htm) for w in workloads}
+            runs = sweep[system, n]
             label = f"{system.label} r={n}"
             cycles = {w: float(r.cycles) for w, r in runs.items()}
             series[label] = cycles
@@ -353,19 +336,17 @@ def fig10(
 ) -> FigureResult:
     exp = get_experiment("fig10")
     workloads = workloads or exp.workloads
-    _prefetch("fig10", workloads, sizes=sizes, intervals=intervals)
+    sweep = _runs("fig10", workloads, sizes=sizes, intervals=intervals)
     heat_time: Dict[tuple, float] = {}
     heat_aborts: Dict[tuple, float] = {}
     renderings: List[str] = []
     raw = {}
     for system in exp.systems:
-        table = table2_config(system)
         # Reference cell: smallest VSB, shortest interval (the paper
         # normalizes to the bottom-left square: 50 cycles / 1 entry).
         for size in sizes:
             for interval in intervals:
-                htm = table.replace(vsb_size=size, validation_interval=interval)
-                runs = {w: run_cached(w, system, htm=htm) for w in workloads}
+                runs = sweep[system, (size, interval)]
                 cycles = sum(r.cycles for r in runs.values())
                 aborts = sum(r.total_aborts for r in runs.values())
                 raw[(system, size, interval)] = runs
@@ -420,18 +401,16 @@ def figcap(
     """
     exp = get_experiment("figcap")
     workloads = workloads or exp.workloads
-    _prefetch("figcap", workloads, limits=limits)
+    sweep = _runs("figcap", workloads, limits=limits)
     cap_series: Dict[str, Dict[str, float]] = {}
     time_series: Dict[str, Dict[str, float]] = {}
     raw: Dict[str, Dict[str, SimulationResult]] = {}
     capacity_by_limit: Dict[str, Dict[int, int]] = {}
     for system in exp.systems:
-        table = table2_config(system)
         reference: Dict[str, SimulationResult] = {}
         capacity_by_limit[system.label] = {}
         for n in limits:
-            htm = table.replace(read_set_limit=n)
-            runs = {w: run_cached(w, system, htm=htm) for w in workloads}
+            runs = sweep[system, n]
             label = f"{system.label} rs={n}"
             raw[label] = runs
             cap_series[label] = {
@@ -487,13 +466,11 @@ def figcap(
 def fig11(workloads: Optional[Tuple[str, ...]] = None) -> FigureResult:
     exp = get_experiment("fig11")
     workloads = workloads or exp.workloads
-    _prefetch("fig11", workloads)
-    base = _baselines(workloads)
-    systems = (paper.CHATS, paper.PCHATS, paper.LEVC)
-    runs = _sweep(workloads, systems)
+    runs = _system_runs("fig11", workloads)
+    base = runs.pop(paper.BASELINE)
     series = {
         s.label: metrics.normalized_times(runs[s], base)
-        for s in systems
+        for s in exp.systems
     }
     result = FigureResult("fig11", exp.title, series, extra={"runs": runs})
     chats = result.mean("CHATS")

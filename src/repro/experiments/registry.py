@@ -5,18 +5,20 @@ involved, and which bench target regenerates it — the per-experiment index
 required by DESIGN.md.  The figure functions themselves live in
 :mod:`repro.experiments.figures`.
 
-Every figure also declares its *configuration set* up front
-(:func:`experiment_configs`): the exact list of
-:class:`~repro.experiments.runner.RunConfig` cells the figure consumes.
-The parallel runner batches these — per figure, or the union across
-figures for a full report — so a multi-seed/multi-system sweep is
+Every figure also declares its cells up front (:func:`experiment_cells`):
+each ``(system, variant, workload)`` cell the figure consumes, paired
+with the :class:`~repro.experiments.runner.RunConfig` that computes it.
+This is the only enumeration of a figure's simulations: the figure reads
+its results from one ``run_many`` batch over these configs, and
+``repro report`` batches the union of every figure's
+:func:`experiment_configs`, so a multi-seed/multi-system sweep is
 wall-clock-bounded by cores instead of configs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from ..analysis.metrics import EVALUATION_ORDER
 from ..sim.config import table2_config
@@ -201,98 +203,109 @@ VSB_SIZES = (1, 2, 4, 8)
 VALIDATION_INTERVALS = (25, 50, 100, 200)
 
 
-def _sweep_configs(workloads, systems) -> List[RunConfig]:
-    return [
-        RunConfig.make(w, system) for system in systems for w in workloads
-    ]
+#: One figure cell: ``(system, variant, workload)``, where ``variant`` is
+#: the swept parameter value (``None`` for the plain system sweeps).
+Cell = Tuple[SystemSpec, Hashable, str]
+CellConfigs = Iterator[Tuple[Cell, RunConfig]]
 
 
-def _own_systems_configs(exp, workloads) -> List[RunConfig]:
-    return _sweep_configs(workloads, exp.systems)
+def _cells(systems, workloads, variants=(None,), vary=None) -> CellConfigs:
+    """Every cell of ``systems`` x ``variants`` x ``workloads``, in that
+    nesting order; ``vary(table, variant)`` derives a variant's HTM
+    configuration from the system's Table II row."""
+    for system in systems:
+        table = table2_config(system)
+        for variant in variants:
+            htm = table if vary is None else vary(table, variant)
+            for w in workloads:
+                yield (system, variant, w), RunConfig.make(w, system, htm=htm)
 
 
-def _main_sweep_configs(exp, workloads) -> List[RunConfig]:
-    return _sweep_configs(workloads, paper_systems())
+def _own_systems_cells(exp, workloads) -> CellConfigs:
+    return _cells(exp.systems, workloads)
 
 
-def _fig8_configs(
-    exp, workloads, classes: Tuple[ForwardClass, ...] = FORWARD_CLASS_SWEEP
-) -> List[RunConfig]:
-    return [
-        RunConfig.make(
-            w, system, htm=table2_config(system).replace(forward_class=fc)
-        )
-        for system in exp.systems
-        for fc in classes
-        for w in workloads
-    ]
+def _main_sweep_cells(exp, workloads) -> CellConfigs:
+    return _cells(paper_systems(), workloads)
 
 
-def _fig9_configs(
+def _fig8_cells(exp, workloads) -> CellConfigs:
+    return _cells(
+        exp.systems, workloads, FORWARD_CLASS_SWEEP,
+        lambda table, fc: table.replace(forward_class=fc),
+    )
+
+
+def _fig9_cells(
     exp, workloads, retries: Tuple[int, ...] = RETRY_SWEEP
-) -> List[RunConfig]:
-    return [
-        RunConfig.make(
-            w, system, htm=table2_config(system).replace(retries=n)
-        )
-        for system in exp.systems
-        for n in retries
-        for w in workloads
-    ]
+) -> CellConfigs:
+    return _cells(
+        exp.systems, workloads, retries,
+        lambda table, n: table.replace(retries=n),
+    )
 
 
-def _fig10_configs(
+def _fig10_cells(
     exp,
     workloads,
     sizes: Tuple[int, ...] = VSB_SIZES,
     intervals: Tuple[int, ...] = VALIDATION_INTERVALS,
-) -> List[RunConfig]:
-    return [
-        RunConfig.make(
-            w,
-            system,
-            htm=table2_config(system).replace(
-                vsb_size=size, validation_interval=interval
-            ),
-        )
-        for system in exp.systems
-        for size in sizes
-        for interval in intervals
-        for w in workloads
-    ]
-
-
-def _figcap_configs(
-    exp, workloads, limits: Tuple[int, ...] = CAPACITY_SWEEP
-) -> List[RunConfig]:
-    return [
-        RunConfig.make(
-            w, system, htm=table2_config(system).replace(read_set_limit=n)
-        )
-        for system in exp.systems
-        for n in limits
-        for w in workloads
-    ]
-
-
-def _fig11_configs(exp, workloads) -> List[RunConfig]:
-    return _sweep_configs(
-        workloads, (paper.BASELINE,) + tuple(exp.systems)
+) -> CellConfigs:
+    return _cells(
+        exp.systems, workloads,
+        [(size, interval) for size in sizes for interval in intervals],
+        lambda table, v: table.replace(
+            vsb_size=v[0], validation_interval=v[1]
+        ),
     )
 
 
-_CONFIG_BUILDERS: Dict[str, Callable[..., List[RunConfig]]] = {
-    "fig1": _own_systems_configs,
-    "fig4": _main_sweep_configs,
-    "fig5": _main_sweep_configs,
-    "fig6": _own_systems_configs,
-    "fig7": _main_sweep_configs,
-    "fig8": _fig8_configs,
-    "fig9": _fig9_configs,
-    "fig10": _fig10_configs,
-    "fig11": _fig11_configs,
-    "figcap": _figcap_configs,
+def _figcap_cells(
+    exp, workloads, limits: Tuple[int, ...] = CAPACITY_SWEEP
+) -> CellConfigs:
+    return _cells(
+        exp.systems, workloads, limits,
+        lambda table, n: table.replace(read_set_limit=n),
+    )
+
+
+def _fig11_cells(exp, workloads) -> CellConfigs:
+    return _cells((paper.BASELINE,) + tuple(exp.systems), workloads)
+
+
+_CELL_BUILDERS: Dict[str, Callable[..., CellConfigs]] = {
+    "fig1": _own_systems_cells,
+    "fig4": _main_sweep_cells,
+    "fig5": _main_sweep_cells,
+    "fig6": _own_systems_cells,
+    "fig7": _main_sweep_cells,
+    "fig8": _fig8_cells,
+    "fig9": _fig9_cells,
+    "fig10": _fig10_cells,
+    "fig11": _fig11_cells,
+    "figcap": _figcap_cells,
 }
+
+
+def experiment_cells(
+    exp_id: str,
+    workloads: Optional[Tuple[str, ...]] = None,
+    **params,
+) -> CellConfigs:
+    """Every ``(cell, RunConfig)`` pair ``exp_id`` consumes (none for
+    tables), system-major, then variant, then workload.
+
+    ``params`` forwards sweep overrides to the sensitivity figures
+    (``retries`` for fig9, ``sizes``/``intervals`` for fig10, ``limits``
+    for figcap).  Configurations honour the ``REPRO_*`` bench defaults
+    at call time, exactly like
+    :func:`~repro.experiments.runner.run_cached`.
+    """
+    exp = get_experiment(exp_id)
+    builder = _CELL_BUILDERS.get(exp_id)
+    if builder is None:
+        return iter(())
+    return builder(exp, tuple(workloads or exp.workloads), **params)
 
 
 def experiment_configs(
@@ -300,15 +313,5 @@ def experiment_configs(
     workloads: Optional[Tuple[str, ...]] = None,
     **params,
 ) -> List[RunConfig]:
-    """The exact simulation cells ``exp_id`` consumes (empty for tables).
-
-    ``params`` forwards sweep overrides to the sensitivity figures
-    (``classes`` for fig8, ``retries`` for fig9, ``sizes``/``intervals``
-    for fig10, ``limits`` for figcap).  Configurations honour the ``REPRO_*`` bench defaults at
-    call time, exactly like :func:`~repro.experiments.runner.run_cached`.
-    """
-    exp = get_experiment(exp_id)
-    builder = _CONFIG_BUILDERS.get(exp_id)
-    if builder is None:
-        return []
-    return builder(exp, tuple(workloads or exp.workloads), **params)
+    """The configs of :func:`experiment_cells`, in the same order."""
+    return [cfg for _, cfg in experiment_cells(exp_id, workloads, **params)]

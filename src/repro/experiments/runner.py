@@ -1,5 +1,11 @@
 """Cached, parallel experiment runner.
 
+A :class:`RunConfig` is the whole description of one simulation, and
+:func:`simulate` is the one place a simulation starts: pool workers,
+forensic batches, ``repro trace``, ``repro inspect`` and ``repro
+compare`` all go through it, passing any probe subscribers they want
+attached.
+
 Several figures are computed from the same simulations (Figs. 1, 4, 5, 6,
 7, and 11 all derive from the main six-system sweep), so results are
 cached at two levels:
@@ -68,7 +74,7 @@ from ..obs import telemetry as fleet
 from ..sim.config import HTMConfig, table2_config
 from ..systems.spec import SystemSpec, get_spec
 from ..sim.results import SimulationResult
-from ..sim.simulator import run_simulation
+from ..sim.simulator import Simulator
 from ..workloads.base import make_workload
 
 #: Bump when the meaning of cached payloads changes (serialization layout,
@@ -382,20 +388,30 @@ def result_store() -> "store_pkg.ResultStore":
     return store_pkg.store_for(cache_dir())
 
 
-def _disk_hit(key: str) -> Optional[SimulationResult]:
+def _disk_hit(key: str, *, recheck: bool = False) -> Optional[SimulationResult]:
     """The stored result for ``key``, counted as a disk hit and promoted
-    to the in-process cache; ``None`` on a miss or an unreadable entry."""
+    to the in-process cache; ``None`` on a miss or an unreadable entry.
+
+    ``recheck=True`` re-reads a key whose probe already counted its miss
+    or corrupt read: it reads with ``peek`` and counts only an entry that
+    decodes.
+    """
     store = result_store()
-    payload = store.get_json(result_key(key))
-    if payload is None:
-        return None  # missing or byte-corrupt (store already counted it)
+    store_key = result_key(key)
+    raw = store.peek(store_key) if recheck else store.get(store_key)
+    if raw is None:
+        return None  # missing or byte-corrupt (the probe counted it)
     try:
+        payload = json.loads(raw.decode("utf-8"))
         result = SimulationResult.from_dict(payload["result"])
     except (KeyError, TypeError, ValueError) as exc:
-        # Valid JSON that no longer matches the result schema: same
-        # warn-once miss policy as byte-level corruption.
-        store.note_corrupt(result_key(key), f"result schema mismatch: {exc}")
+        # Not JSON, or JSON that no longer matches the result schema:
+        # same warn-once miss policy as byte-level corruption.
+        if not recheck:
+            store.note_corrupt(store_key, f"unreadable result: {exc}")
         return None
+    if recheck:
+        store.counters.hits += 1
     COUNTERS.disk_hits += 1
     _CACHE[key] = result
     return result
@@ -422,17 +438,24 @@ def _disk_store(cfg: RunConfig, key: str, result: SimulationResult) -> None:
 # ----------------------------------------------------------------------
 # Execution.
 # ----------------------------------------------------------------------
-def _execute(cfg: RunConfig) -> SimulationResult:
-    """Run one simulation (also the worker-process entry point)."""
+def simulate(
+    cfg: RunConfig, *subscribers: Callable[..., None]
+) -> SimulationResult:
+    """Run the simulation ``cfg`` describes, fresh, with each of
+    ``subscribers`` on its probe bus.
+
+    The only place a :class:`RunConfig` becomes a
+    :class:`~repro.sim.simulator.Simulator`.  Subscribers only read
+    events, so they never change the result.
+    """
     wl = make_workload(
         cfg.workload, threads=cfg.threads, seed=cfg.seed, scale=cfg.scale
     )
-    return run_simulation(
-        wl,
-        cfg.system,
-        htm=cfg.htm,
-        max_events=cfg.max_events,
-        metrics_window=cfg.metrics_window,
+    sim = Simulator(wl, htm=cfg.htm)
+    for subscriber in subscribers:
+        sim.probe.subscribe(subscriber)
+    return sim.run(
+        max_events=cfg.max_events, metrics_window=cfg.metrics_window
     )
 
 
@@ -485,19 +508,20 @@ def _worker_resources(
 
 
 def _execute_timed(cfg: RunConfig, forensics: bool = False) -> ExecOutcome:
-    """``_execute`` plus wall-time and resource accounting, measured
-    inside the worker process.  ``forensics=True`` attaches a transaction
-    ledger and returns the run's forensic digest alongside — a plain dict,
-    so it travels through the worker-pool pickling unchanged."""
+    """:func:`simulate` plus wall-time and resource accounting, measured
+    inside the worker process (the pool's entry point).
+    ``forensics=True`` attaches a transaction ledger and returns the
+    run's forensic digest alongside — a plain dict, so it travels through
+    the worker-pool pickling unchanged."""
     if forensics:
-        from ..analysis.forensics import report_for_config
+        from ..analysis.forensics import collect_forensics
     started = time.time()
     cpu0 = time.process_time()
     t0 = time.perf_counter()
     if forensics:
-        result, report = report_for_config(cfg)
+        result, report = collect_forensics(cfg)
     else:
-        result, report = _execute(cfg), None
+        result, report = simulate(cfg), None
     wall = time.perf_counter() - t0
     resources = _worker_resources(
         result,
@@ -524,20 +548,6 @@ def _store(cfg: RunConfig, key: str, result: SimulationResult) -> None:
         _disk_store(cfg, key, result)
 
 
-def run_config(cfg: RunConfig, *, use_cache: bool = True) -> SimulationResult:
-    """Run (or fetch) the simulation described by ``cfg``."""
-    key = cfg.key()
-    if use_cache:
-        hit = _lookup(key)
-        if hit is not None:
-            return hit
-    result = _execute(cfg)
-    COUNTERS.simulations += 1
-    if use_cache:
-        _store(cfg, key, result)
-    return result
-
-
 def run_cached(
     workload: str,
     system: "SystemSpec | str",
@@ -548,18 +558,18 @@ def run_cached(
     scale: Optional[float] = None,
     max_events: int = DEFAULT_MAX_EVENTS,
 ) -> SimulationResult:
-    """Run (or fetch) one simulation with bench defaults."""
-    return run_config(
-        RunConfig.make(
-            workload,
-            system,
-            htm=htm,
-            threads=threads,
-            seed=seed,
-            scale=scale,
-            max_events=max_events,
-        )
+    """Run (or fetch) one simulation with bench defaults: a one-config
+    :func:`run_many` batch."""
+    cfg = RunConfig.make(
+        workload,
+        system,
+        htm=htm,
+        threads=threads,
+        seed=seed,
+        scale=scale,
+        max_events=max_events,
     )
+    return run_many([cfg])[0]
 
 
 # ----------------------------------------------------------------------
@@ -720,7 +730,7 @@ def run_many(
                 # The previous holder may have stored the result between
                 # our probe and our claim.
                 t0 = time.perf_counter()
-                hit = _disk_hit(key)
+                hit = _disk_hit(key, recheck=True)
                 if hit is not None:
                     claim.release()
                     _hit(key, cfg, hit, time.perf_counter() - t0, "disk")

@@ -16,13 +16,16 @@ Shipped subscribers:
 * :class:`~repro.obs.trace_export.JsonlTraceWriter` /
   :class:`~repro.obs.trace_export.ChromeTraceExporter` — on-disk traces
   (JSONL, Perfetto-loadable Chrome ``trace_event``);
-* :class:`~repro.obs.chains.ChainInspector` — forwarding-chain
-  reconstruction for post-mortem debugging;
 * :class:`~repro.obs.ledger.TxLedger` — per-attempt lifecycle ledger,
   the substrate for causal abort attribution
-  (:func:`~repro.obs.attribution.attribute_aborts`) and wasted-work
+  (:func:`~repro.obs.attribution.attribute_aborts`), wasted-work
   accounting (:class:`~repro.obs.ledger.WastedWork`) behind
-  ``repro inspect``.
+  ``repro inspect``, and forwarding-chain reconstruction
+  (:func:`~repro.obs.chains.render_chains`) behind
+  ``repro trace --chains``.
+
+Runs built from a :class:`~repro.experiments.runner.RunConfig` get their
+subscribers through :func:`~repro.experiments.runner.simulate`.
 
 One level up, :mod:`~repro.obs.telemetry` watches the *fleet* instead of
 one simulator: run-level spans for every ``run_many`` batch, with
@@ -39,7 +42,7 @@ from .attribution import (
     Cascade,
     attribute_aborts,
 )
-from .chains import Chain, ChainEdge, ChainInspector, link_chains
+from .chains import Chain, link_chains, render_chains
 from .events import (
     EVENT_TYPES,
     Abort,
@@ -88,8 +91,6 @@ __all__ = [
     "CAUSE_KINDS",
     "Cascade",
     "Chain",
-    "ChainEdge",
-    "ChainInspector",
     "ChromeTraceExporter",
     "Commit",
     "DEFAULT_WINDOW",
@@ -126,6 +127,7 @@ __all__ = [
     "current_session",
     "install",
     "link_chains",
+    "render_chains",
     "session_scope",
     "timeline_rows",
     "uninstall",

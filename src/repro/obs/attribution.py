@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .chains import ChainEdge, link_chains
+from .chains import link_chains
 from .ledger import ForwardEdge, TxAttempt, TxLedger
 
 #: Every cause kind :func:`attribute_aborts` can assign, in display order.
@@ -199,12 +199,7 @@ def attribute_aborts(ledger: TxLedger) -> AttributionReport:
         records.append(_attribute_one(ledger, attempt))
     cascades = _build_cascades(records)
     depths: Dict[int, int] = {}
-    chain_edges = [
-        ChainEdge(cycle=e.cycle, producer=e.producer, consumer=e.consumer,
-                  block=e.block, pic=e.pic)
-        for e in ledger.edges
-    ]
-    for chain in link_chains(chain_edges):
+    for chain in link_chains(ledger.edges):
         depths[chain.depth] = depths.get(chain.depth, 0) + 1
     return AttributionReport(
         records=tuple(records), cascades=tuple(cascades), chain_depths=depths

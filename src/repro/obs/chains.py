@@ -6,45 +6,32 @@ When a run misbehaves (cycle aborts, cascading validation failures) the
 question is always "what did the chain look like?" — which no aggregate
 counter answers.
 
-:class:`ChainInspector` subscribes to the bus, collects every
-:class:`~repro.obs.events.SpecForward` edge (with the PiC stamped on the
-SpecResp at forward time) and every abort, then reconstructs linear
-chains by linking edges whose consumer later acts as a producer.  A
-producer forwarding to several consumers forks: the first consumer
-extends the chain, later ones start new chains anchored at the fork.
+A :class:`~repro.obs.ledger.TxLedger` records every forwarding edge
+(with the PiC stamped on the SpecResp at forward time) and every abort.
+:func:`link_chains` links its edges into linear chains, and
+:func:`render_chains` dumps them with the consumer aborts that followed
+(``repro trace --chains``).
 
 Example::
 
-    inspector = ChainInspector(sim)
-    with inspector:
-        sim.run()
-    print(inspector.render())
+    ledger = TxLedger()
+    runner.simulate(cfg, ledger)
+    print(render_chains(ledger))
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Tuple
 
-from .events import Abort, ProbeEvent, SpecForward
-
-
-@dataclass(frozen=True)
-class ChainEdge:
-    """One producer→consumer forwarding, with PiC at forward time."""
-
-    cycle: int
-    producer: int
-    consumer: int
-    block: int
-    pic: Optional[int]
+from .ledger import ForwardEdge, TxLedger
 
 
 @dataclass
 class Chain:
     """A maximal linear sequence of forwarding edges."""
 
-    edges: List[ChainEdge]
+    edges: List[ForwardEdge]
 
     @property
     def depth(self) -> int:
@@ -69,12 +56,12 @@ class Chain:
         return self.edges[-1].cycle
 
 
-def link_chains(edges: Iterable[ChainEdge]) -> List[Chain]:
+def link_chains(edges: Iterable[ForwardEdge]) -> List[Chain]:
     """Link forwarding edges (in cycle order) into maximal linear chains.
 
     A producer forwarding to several consumers forks: the first consumer
     extends the chain, later ones start new chains anchored at the fork.
-    Shared by :class:`ChainInspector` and the forensics attribution pass
+    Shared by :func:`render_chains` and the forensics attribution pass
     (:mod:`repro.obs.attribution`), so both agree on what a chain is.
     """
     chains: List[Chain] = []
@@ -91,81 +78,36 @@ def link_chains(edges: Iterable[ChainEdge]) -> List[Chain]:
     return chains
 
 
-class ChainInspector:
-    """Probe subscriber reconstructing speculative forwarding chains."""
-
-    def __init__(self, sim=None):
-        self.sim = sim
-        self.edges: List[ChainEdge] = []
-        #: core -> list of (cycle, reason) aborts, for attribution.
-        self.aborts: Dict[int, List[tuple]] = {}
-
-    # ------------------------------------------------------------------
-    def __call__(self, ev: ProbeEvent) -> None:
-        if isinstance(ev, SpecForward):
-            self.edges.append(
-                ChainEdge(
-                    cycle=ev.cycle,
-                    producer=ev.producer,
-                    consumer=ev.consumer,
-                    block=ev.block,
-                    pic=ev.pic,
-                )
-            )
-        elif isinstance(ev, Abort):
-            self.aborts.setdefault(ev.core, []).append((ev.cycle, ev.reason))
-
-    def attach(self) -> "ChainInspector":
-        if self.sim is None:
-            raise RuntimeError("no simulator bound; subscribe manually")
-        self.sim.probe.subscribe(self)
-        return self
-
-    def detach(self) -> None:
-        if self.sim is not None:
-            self.sim.probe.unsubscribe(self)
-
-    def __enter__(self) -> "ChainInspector":
-        return self.attach()
-
-    def __exit__(self, *exc) -> None:
-        self.detach()
-
-    # ------------------------------------------------------------------
-    def chains(self) -> List[Chain]:
-        """Link edges (in cycle order) into maximal linear chains."""
-        return link_chains(self.edges)
-
-    def _abort_after(self, core: int, cycle: int) -> Optional[tuple]:
-        """First abort of ``core`` at or after ``cycle`` (if any)."""
-        for when, reason in sorted(self.aborts.get(core, [])):
-            if when >= cycle:
-                return when, reason
-        return None
-
-    # ------------------------------------------------------------------
-    def render(self) -> str:
-        """Human-readable chain dump for post-mortem debugging."""
-        chains = self.chains()
-        if not chains:
-            return "no speculative forwarding observed"
-        lines = [f"{len(chains)} chain(s), {len(self.edges)} forward(s)"]
-        for i, chain in enumerate(chains, 1):
-            lines.append(
-                f"chain #{i}: depth={chain.depth} "
-                f"cycles={chain.start_cycle}..{chain.end_cycle}"
-            )
-            hops = [f"T{chain.edges[0].producer}"]
-            for e in chain.edges:
-                pic = "power" if e.pic is None else f"PiC={e.pic}"
-                hops.append(f"-[blk={e.block:#x} {pic} @{e.cycle}]-> T{e.consumer}")
-            lines.append("  " + " ".join(hops))
-            for e in chain.edges:
-                hit = self._abort_after(e.consumer, e.cycle)
-                if hit is not None:
-                    when, reason = hit
+def render_chains(ledger: TxLedger) -> str:
+    """Human-readable dump of ``ledger``'s forwarding chains; each hop is
+    followed by its consumer's first abort at or after the forward."""
+    chains = link_chains(ledger.edges)
+    if not chains:
+        return "no speculative forwarding observed"
+    aborts: Dict[int, List[Tuple[int, str]]] = {}
+    for attempt in ledger.aborts:
+        aborts.setdefault(attempt.core, []).append(
+            (attempt.end, attempt.reason)
+        )
+    for per_core in aborts.values():
+        per_core.sort()
+    lines = [f"{len(chains)} chain(s), {len(ledger.edges)} forward(s)"]
+    for i, chain in enumerate(chains, 1):
+        lines.append(
+            f"chain #{i}: depth={chain.depth} "
+            f"cycles={chain.start_cycle}..{chain.end_cycle}"
+        )
+        hops = [f"T{chain.edges[0].producer}"]
+        for e in chain.edges:
+            pic = "power" if e.pic is None else f"PiC={e.pic}"
+            hops.append(f"-[blk={e.block:#x} {pic} @{e.cycle}]-> T{e.consumer}")
+        lines.append("  " + " ".join(hops))
+        for e in chain.edges:
+            for when, reason in aborts.get(e.consumer, ()):
+                if when >= e.cycle:
                     lines.append(
                         f"  ! consumer T{e.consumer} aborted "
                         f"({reason}) at cycle {when}"
                     )
-        return "\n".join(lines)
+                    break
+    return "\n".join(lines)

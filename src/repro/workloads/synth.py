@@ -86,7 +86,7 @@ class SynthWorkload(CounterWorkload):
     """Alias of :class:`CounterWorkload` under the name ``synth``.
 
     The docs and CI use ``synth`` as the canonical tiny smoke workload
-    for tracing (``repro run synth --trace ...``); it is byte-for-byte
+    for tracing (``repro trace synth ...``); it is byte-for-byte
     the shared-counter benchmark.
     """
 

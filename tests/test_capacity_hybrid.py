@@ -18,6 +18,7 @@ import pytest
 
 from repro import run_workload
 from repro.analysis.forensics import collect_forensics
+from repro.experiments.runner import RunConfig
 from repro.htm.signature import BoundedPerfectSignature, FootprintOverflow
 from repro.htm.stats import AbortReason
 from repro.sim.config import table2_config
@@ -136,7 +137,9 @@ class TestCapacitySystems:
         assert a.to_dict() == b.to_dict()
 
     def test_capacity_aborts_are_attributed(self):
-        report = collect_forensics("llb-l", "cap-be", **FAST)
+        _, report = collect_forensics(
+            RunConfig.make("llb-l", "cap-be", **FAST)
+        )
         breakdown = report.attribution.breakdown()
         assert breakdown["capacity"] > 0
         assert report.attribution.attributed_fraction >= 0.95
@@ -184,7 +187,9 @@ class TestHybridSystems:
         )
 
     def test_hybrid_aborts_are_attributed(self):
-        report = collect_forensics("cadd", "hybrid-be", **FAST)
+        _, report = collect_forensics(
+            RunConfig.make("cadd", "hybrid-be", **FAST)
+        )
         breakdown = report.attribution.breakdown()
         assert breakdown["hybrid-slowpath"] > 0
         assert report.attribution.attributed_fraction >= 0.95

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.forensics import collect_forensics, compare_reports
+from repro.experiments.runner import RunConfig
 from repro.obs import ChromeTraceExporter, JsonlTraceWriter
 from repro.obs.telemetry import TelemetrySession
 from repro.sim.config import table2_config
@@ -72,8 +73,10 @@ def docs(tmp_path_factory):
     store.put("figure/fig1/" + "bb" * 6, b"{}")
     store.flush()
 
-    chats = collect_forensics("counter", "chats", **FAST)
-    baseline = collect_forensics("counter", "baseline", **FAST)
+    chats, baseline = (
+        collect_forensics(RunConfig.make("counter", system, **FAST))[1]
+        for system in ("chats", "baseline")
+    )
     built = {
         "store": store.stats(),
         "forensics": chats.to_dict(),

@@ -54,7 +54,13 @@ class TestParser:
         for argv in (["run", "counter", "--store", "sharded"],
                      ["cache", "migrate"],
                      ["run", "counter", "--metrics", "m.prom"],
-                     ["report", "--live"]):
+                     ["report", "--live"],
+                     ["run", "counter", "--trace", "t.jsonl"],
+                     ["run", "counter", "--trace-format", "chrome"],
+                     ["trace", "counter", "--workers", "2"],
+                     ["trace", "counter", "--no-cache"],
+                     ["trace", "counter", "--cache-dir", "d"],
+                     ["inspect", "counter", "--workers", "2"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
@@ -137,6 +143,35 @@ class TestExecution:
         digests = out.split("forensic digests :\n", 1)[1].splitlines()
         assert len(digests) == len(distinct)
         assert all("aborts=" in line for line in digests)
+
+    def test_trace_writes_checked_documents(self, tmp_path, capsys):
+        jsonl, chrome = tmp_path / "t.jsonl", tmp_path / "t.json"
+        base = ["trace", "counter", "--threads", "4", "--scale", "0.1"]
+        assert main(base + ["--out", str(jsonl)]) == 0
+        assert main(
+            base + ["--out", str(chrome), "--format", "chrome", "--chains"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert check_doc.check_file("events", jsonl) == []
+        assert check_doc.check_file("chrome", chrome) == []
+        assert "chain #1" in out
+        assert out.count("trace            :") == 2
+
+    def test_inspect_serves_a_repeat_from_the_store(self, capsys):
+        argv = ["inspect", "counter", "--threads", "4", "--scale", "0.1"]
+        assert main(argv) == 0
+        first = capsys.readouterr()
+        assert "cached report" not in first.err
+        cfg = runner.RunConfig.make(
+            "counter", "chats", threads=4, seed=1, scale=0.1,
+            max_events=80_000_000,
+        )
+        key = f"forensics/{cfg.key()}"
+        assert runner.result_store().get_json(key) is not None
+        assert main(argv) == 0
+        second = capsys.readouterr()
+        assert "cached report" in second.err
+        assert second.out == first.out
 
     def test_unknown_system_exits(self):
         with pytest.raises(SystemExit, match="unknown system"):

@@ -16,6 +16,7 @@ from repro.analysis.forensics import (
     compare_reports,
     render_compare,
 )
+from repro.experiments.runner import RunConfig, last_manifest, run_many
 from repro.obs import (
     CAUSE_KINDS,
     TxLedger,
@@ -211,7 +212,9 @@ class TestAttribution:
 # ----------------------------------------------------------------------
 class TestForensicReport:
     def test_schema_and_render(self):
-        report = collect_forensics("counter", "chats", **FAST)
+        _, report = collect_forensics(
+            RunConfig.make("counter", "chats", **FAST)
+        )
         text = json.dumps(report.to_dict())
         assert check_doc.check_text("forensics", text) == []
         doc = json.loads(text)
@@ -230,11 +233,11 @@ class TestForensicReport:
         """Acceptance: chats vs htm-be on the forwardable contended
         workload shows fewer conflict aborts, nonzero validation aborts,
         and lower wasted-speculative cycles for CHATS."""
-        chats = collect_forensics(
-            "cadd", "chats", threads=8, seed=1, scale=0.4
-        )
-        base = collect_forensics(
-            "cadd", "htm-be", threads=8, seed=1, scale=0.4
+        chats, base = (
+            collect_forensics(
+                RunConfig.make("cadd", system, threads=8, seed=1, scale=0.4)
+            )[1]
+            for system in ("chats", "htm-be")
         )
         assert base.system == "baseline"  # alias resolved
         chats_b = chats.attribution.breakdown()
@@ -254,8 +257,8 @@ class TestForensicReport:
         """An abort landing while the attempt's lock-subscription read is
         still in flight (before ``TxBegin``) is counted in the stats, so
         the ledger must record it too: as a zero-length attempt."""
-        report = collect_forensics(
-            "cadd", "htm-be", threads=8, seed=1, scale=0.4
+        _, report = collect_forensics(
+            RunConfig.make("cadd", "htm-be", threads=8, seed=1, scale=0.4)
         )
         assert report.attribution.total == report.aborts
         early = [
@@ -275,8 +278,6 @@ class TestForensicReport:
         ) == []
 
     def test_manifest_records_forensic_digests(self):
-        from repro.experiments.runner import RunConfig, last_manifest, run_many
-
         cfg = RunConfig.make("counter", "chats", **FAST)
         run_many([cfg], use_cache=False, workers=1, forensics=True)
         manifest = last_manifest()
@@ -290,8 +291,6 @@ class TestForensicReport:
         """A forensics batch must cache the same result a plain batch
         would have produced (the ledger is observer-effect free end to
         end through the runner)."""
-        from repro.experiments.runner import RunConfig, run_many
-
         cfg = RunConfig.make("counter", "chats", **FAST)
         plain = run_many([cfg], use_cache=False, workers=1)[0]
         forensic = run_many(

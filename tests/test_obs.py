@@ -15,13 +15,15 @@ from repro.experiments import runner
 from repro.experiments.runner import RunConfig, clear_cache, counters, run_many
 from repro.htm.stats import HTMStats
 from repro.obs import (
-    ChainInspector,
     ChromeTraceExporter,
     Commit,
     IntervalMetrics,
     JsonlTraceWriter,
     Probe,
     Tracer,
+    TxLedger,
+    link_chains,
+    render_chains,
 )
 from repro.obs.trace_export import DIRECTORY_TRACK, TRACE_PID
 from repro.sim.config import table2_config
@@ -117,12 +119,12 @@ class TestObserverEffect:
         tracer = Tracer(sim).attach()
         writer = JsonlTraceWriter(io.StringIO())
         exporter = ChromeTraceExporter()
-        inspector = ChainInspector(sim).attach()
+        ledger = TxLedger(sim).attach()
         sim.probe.subscribe(writer)
         sim.probe.subscribe(exporter)
         traced = sim.run(metrics_window=1_000)
         tracer.detach()
-        inspector.detach()
+        ledger.detach()
 
         assert traced.cycles == bare.cycles
         assert traced.events == bare.events
@@ -299,22 +301,23 @@ class TestChromeExport:
 
 
 # ----------------------------------------------------------------------
-class TestChainInspector:
+class TestChains:
     def test_reconstructs_forwarding_chains(self):
-        sim = _sim()
-        with ChainInspector(sim) as inspector:
-            result = sim.run()
+        ledger = TxLedger()
+        result = runner.simulate(
+            RunConfig.make("counter", paper.CHATS, **FAST), ledger
+        )
         assert result.stats.spec_forwards > 0
-        assert len(inspector.edges) == result.stats.spec_forwards
-        chains = inspector.chains()
+        assert len(ledger.edges) == result.stats.spec_forwards
+        chains = link_chains(ledger.edges)
         assert chains
-        assert sum(c.depth for c in chains) == len(inspector.edges)
-        text = inspector.render()
+        assert sum(c.depth for c in chains) == len(ledger.edges)
+        text = render_chains(ledger)
         assert "chain #1" in text and "-[blk=" in text
+        assert "! consumer T" in text
 
     def test_render_without_forwards(self):
-        inspector = ChainInspector()
-        assert "no speculative forwarding" in inspector.render()
+        assert "no speculative forwarding" in render_chains(TxLedger())
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from repro import store as store_pkg
 from repro.experiments import runner
-from repro.experiments.figures import fig1
+from repro.experiments.figures import FIGURES, fig1
 from repro.experiments.registry import experiment_configs
 from repro.experiments.runner import (
     RunConfig,
@@ -145,6 +145,15 @@ class TestRunMany:
             r.to_dict() for r in parallel
         ]
 
+    def test_each_executed_config_is_one_store_miss(self):
+        """The re-check after claiming a miss must not count the key's
+        lookup a second time."""
+        run_many(SWEEP[:3], workers=1)
+        store = runner.result_store()
+        assert store.counters.misses == 3
+        assert store.counters.puts == 3
+        assert store.counters.hits == 0
+
     def test_deduplicates_before_dispatch(self):
         cfg = SWEEP[0]
         results = run_many([cfg, cfg, cfg], workers=2, use_cache=False)
@@ -242,18 +251,16 @@ class TestExperimentConfigs:
         assert experiment_configs("table1") == []
 
     def test_figure_prefetch_covers_figure_needs(self, monkeypatch):
-        """The declared set must be a superset of what the figure
-        actually consumes: after run_many(configs), assembling the
-        figure triggers zero additional simulations."""
+        """Every figure's declared set must be a superset of what the
+        figure actually consumes: after run_many(configs), assembling
+        the figure triggers zero additional simulations."""
         monkeypatch.setenv("REPRO_SCALE", "0.1")
         monkeypatch.setenv("REPRO_THREADS", "4")
-        run_many(experiment_configs("fig11", workloads=("counter",)))
-        ran = counters().simulations
-        fig11 = __import__(
-            "repro.experiments.figures", fromlist=["fig11"]
-        ).fig11
-        fig11(workloads=("counter",))
-        assert counters().simulations == ran
+        for figure_id, figure in sorted(FIGURES.items()):
+            run_many(experiment_configs(figure_id, workloads=("counter",)))
+            ran = counters().simulations
+            figure(workloads=("counter",))
+            assert counters().simulations == ran, figure_id
 
 
 class TestCodeFingerprint:
@@ -279,7 +286,7 @@ class TestForeignClaims:
         peer's result instead of simulating the config itself."""
         cfg = RunConfig.make("counter", paper.BASELINE, **FAST)
         key = runner.result_key(cfg.key())
-        peer_result = runner._execute(cfg)
+        peer_result = runner.simulate(cfg)
         store = runner.result_store()
         waits = []
 
