@@ -18,8 +18,18 @@ figure's declared config set over N worker processes.
 from __future__ import annotations
 
 import os
+from collections import Counter
 
 import pytest
+
+#: Configs of every bench's ``run_many`` batches by manifest source
+#: (``run``, ``memory`` or ``disk``), tallied through the runner's
+#: progress hook for the closing summary.
+_SOURCES: Counter = Counter()
+
+
+def _tally(done, total, cfg, source) -> None:
+    _SOURCES[source] += 1
 
 
 def pytest_addoption(parser):
@@ -57,6 +67,7 @@ def pytest_configure(config):
             if config.getoption("--repro-no-cache", default=False)
             else None
         ),
+        progress=_tally,
     )
 
 
@@ -73,14 +84,13 @@ def run_once(benchmark):
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     from repro.experiments import runner
 
-    counters = runner.counters()
     terminalreporter.write_line(
         "repro benches regenerate every table/figure of the CHATS paper; "
         "see EXPERIMENTS.md for the paper-vs-measured comparison."
     )
     terminalreporter.write_line(
-        f"repro runner: {counters.simulations} simulations executed, "
-        f"{counters.memory_hits} memory hits, {counters.disk_hits} disk "
+        f"repro runner: {_SOURCES['run']} simulations executed, "
+        f"{_SOURCES['memory']} memory hits, {_SOURCES['disk']} disk "
         f"hits (workers={runner.default_workers()}, "
         f"cache={'on' if runner.disk_cache_enabled() else 'off'} at "
         f"{runner.cache_dir()})"

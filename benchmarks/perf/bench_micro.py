@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=3)
     parser.add_argument(
         "--backend",
-        choices=("python", "compiled", "auto"),
+        choices=("python", "compiled"),
         default=None,
         help="engine/message implementation under test "
         "(default: $REPRO_BACKEND or python)",

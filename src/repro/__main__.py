@@ -83,7 +83,7 @@ directory the result store cannot open on (see docs/ARCHITECTURE.md §6a)
 is an error: ``repro`` prints one line naming it and exits 2.
 
 ``run``, ``report``, and ``bench`` take ``--backend
-{python,compiled,auto}`` to select the simulation backend (default
+{python,compiled}`` to select the simulation backend (default
 ``$REPRO_BACKEND`` or pure Python); ``compiled`` uses the C hot core
 built by ``scripts/build_accel.py``, and every backend produces
 byte-identical results (see docs/PERFORMANCE.md).
@@ -97,7 +97,7 @@ import math
 import os
 import sys
 
-from . import workload_names
+from . import accel, workload_names
 from . import store as store_pkg
 from .experiments import runner
 from .experiments.registry import EXPERIMENTS, experiment_configs
@@ -156,8 +156,6 @@ def _apply_backend_flag(args: argparse.Namespace) -> None:
     """Select the simulation backend for ``--backend`` (or leave the
     ``REPRO_BACKEND`` environment selection untouched without it)."""
     if getattr(args, "backend", None) is not None:
-        from . import accel
-
         accel.select_backend(args.backend)
 
 
@@ -329,39 +327,24 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         FORENSICS_SCHEMA,
         collect_forensics,
         render_document,
+        render_html,
     )
 
     _apply_runner_flags(args)
     cfg = _config(args, args.system)
     # A forensic document is fully determined by its config, whose key
-    # covers the code fingerprint, so serve repeat inspections from the
-    # result store.  --fresh forces a re-run; --html needs the live
-    # report.
-    use_store = (
-        not args.fresh
-        and args.html is None
-        and runner.disk_cache_enabled()
-    )
-    store = runner.result_store() if use_store else None
+    # covers the code fingerprint, so repeat inspections are served from
+    # the result store, every output rendered from the document.
+    store = runner.result_store() if runner.disk_cache_enabled() else None
     key = f"forensics/{cfg.key()}"
-    doc = None
-    if store is not None:
-        doc = store.get_json(key)
-        if doc is not None and doc.get("schema") != FORENSICS_SCHEMA:
-            store.note_corrupt(key, "forensics document schema mismatch")
-            doc = None
-    report = None
+    doc = store.load(key, FORENSICS_SCHEMA) if store is not None else None
     if doc is None:
-        report = collect_forensics(cfg)[1]
-        doc = report.to_dict()
+        doc = collect_forensics(cfg)[1].to_dict()
         if store is not None:
-            try:
-                store.put_json(key, doc)
-            except OSError:
-                pass
+            store.save(key, doc)
     else:
         print(f"  [inspect] cached report ({store.kind} store; "
-              "--fresh re-runs)", file=sys.stderr)
+              "--no-cache re-runs)", file=sys.stderr)
     print(render_document(doc))
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -369,7 +352,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         print(f"\njson             : {args.json}")
     if args.html is not None:
         with open(args.html, "w", encoding="utf-8") as fh:
-            fh.write(report.to_html())
+            fh.write(render_html(doc))
         print(f"html             : {args.html}")
     return 0
 
@@ -492,14 +475,9 @@ def cmd_report(args: argparse.Namespace) -> int:
             print("#" * 72)
             print()
             print(result.rendering)
-    counters = runner.counters()
-    print(
-        f"\n[runner] simulations={counters.simulations} "
-        f"memory_hits={counters.memory_hits} disk_hits={counters.disk_hits}",
-        file=sys.stderr,
-    )
     if sweep_manifest.entries:
-        print(f"[runner] sweep: {sweep_manifest.summary()}", file=sys.stderr)
+        print(f"\n[runner] sweep: {sweep_manifest.summary()}",
+              file=sys.stderr)
     if args.forensics:
         _print_manifest_forensics(sweep_manifest)
     return 0
@@ -633,11 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
     backend_flags = argparse.ArgumentParser(add_help=False)
     backend_flags.add_argument(
         "--backend",
-        choices=("python", "compiled", "auto"),
+        choices=accel.BACKENDS,
         default=None,
-        help="simulation backend: pure Python (default), the compiled hot "
-        "core, or auto (fastest available; falls back to python with a "
-        "warning).  Overrides $REPRO_BACKEND",
+        help="simulation backend: pure Python (default) or the compiled "
+        "hot core (falls back to python with a warning when it is not "
+        "built).  Overrides $REPRO_BACKEND",
     )
 
     telemetry_flags = argparse.ArgumentParser(add_help=False)
@@ -754,14 +732,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--html",
         default=None,
         metavar="FILE",
-        help="also write a self-contained HTML report (forces a fresh "
-        "simulation)",
-    )
-    p_insp.add_argument(
-        "--fresh",
-        action="store_true",
-        help="re-simulate even when the result store holds a cached "
-        "forensic document for these parameters",
+        help="also write a self-contained HTML report",
     )
     p_insp.set_defaults(fn=cmd_inspect)
 

@@ -14,10 +14,8 @@ Two execution backends sit behind one interface:
 
 Selection order: an explicit :func:`select_backend` call (the CLI's
 ``--backend``) wins, else the ``REPRO_BACKEND`` environment variable,
-else ``python``.  ``auto`` resolves to ``compiled`` when the extension
-is importable and degrades to ``python`` otherwise.  Selection also
-writes ``REPRO_BACKEND`` so ``ProcessPoolExecutor`` workers inherit the
-choice.
+else ``python``.  Selection also writes ``REPRO_BACKEND`` so
+``ProcessPoolExecutor`` workers inherit the choice.
 
 Every backend produces byte-identical :class:`SimulationResult`s — the
 golden-determinism suite is parametrized over the available backends,
@@ -32,7 +30,7 @@ import warnings
 from typing import Iterator, Optional
 
 #: Names accepted by ``select_backend`` / ``--backend`` / REPRO_BACKEND.
-BACKENDS = ("python", "compiled", "auto")
+BACKENDS = ("python", "compiled")
 
 _ENV_VAR = "REPRO_BACKEND"
 _selected: Optional[str] = None  # None -> read from the environment
@@ -92,7 +90,7 @@ def select_backend(name: str) -> str:
 
 
 def current_backend() -> str:
-    """The *requested* backend (may be ``auto``; may be unavailable)."""
+    """The *requested* backend (may be unavailable)."""
     if _selected is not None:
         return _selected
     env = os.environ.get(_ENV_VAR, "").strip()
@@ -118,9 +116,8 @@ def _warn_fallback(requested: str, reason: str) -> None:
 
 def resolved_backend() -> str:
     """The backend that actually executes: ``python`` or ``compiled``.
-    ``auto`` resolves silently to ``compiled`` when built and to
-    ``python`` (with one warning) when not; an unavailable explicit
-    choice also degrades to ``python`` with one warning."""
+    ``compiled`` degrades to ``python``, with one warning, when the
+    extension is not built."""
     requested = current_backend()
     if requested == "python":
         return "python"

@@ -14,11 +14,12 @@ results, not event streams) and folds the ledger into a
   simulator's transient wasted-cycle gauges;
 * forwarding-chain depth statistics.
 
-The report renders three ways: an aligned terminal dump
-(:meth:`ForensicReport.render`), a versioned JSON document
-(:meth:`ForensicReport.to_dict`, schema :data:`FORENSICS_SCHEMA`,
-validated by ``scripts/check_doc.py forensics``), and a self-contained HTML
-page (:meth:`ForensicReport.to_html`).  :func:`compare_reports` diffs two
+The report's versioned JSON document (:meth:`ForensicReport.to_dict`,
+schema :data:`FORENSICS_SCHEMA`, validated by ``scripts/check_doc.py
+forensics``) is what ``repro inspect`` stores, and both of its
+renderings read only that document: an aligned terminal dump
+(:func:`render_document`) and a self-contained HTML page
+(:func:`render_html`).  :func:`compare_reports` diffs two
 reports on the same workload/seed for ``repro compare`` (schema
 :data:`COMPARE_SCHEMA`, validated by ``scripts/check_doc.py compare``).
 """
@@ -119,63 +120,6 @@ class ForensicReport:
         """
         return render_document(self.to_dict())
 
-    # ------------------------------------------------------------------
-    def to_html(self) -> str:
-        """Self-contained single-page HTML rendering (no assets)."""
-        esc = _html.escape
-        breakdown = self.attribution.breakdown()
-        rows = "\n".join(
-            f"<tr><td>{esc(kind)}</td><td>{count}</td>"
-            f"<td>{count / self.attribution.total:.1%}</td></tr>"
-            for kind, count in breakdown.items()
-            if count and self.attribution.total
-        )
-        cascade_rows = "\n".join(
-            f"<tr><td>T{c.root[0]}#{c.root[1]}</td>"
-            f"<td>{c.size}</td><td>{c.depth}</td></tr>"
-            for c in self.attribution.cascades[:TOP_CASCADES]
-        )
-        wasted_rows = "\n".join(
-            "<tr><td>core {}</td>{}</tr>".format(
-                core,
-                "".join(
-                    f"<td>{buckets[b]:,}</td>" for b in WASTED_WORK_BUCKETS
-                ),
-            )
-            for core, buckets in sorted(self.wasted.per_core.items())
-        )
-        chain = self.attribution.chain_stats()
-        return f"""<!doctype html>
-<html><head><meta charset="utf-8">
-<title>Forensics — {esc(self.workload)}/{esc(self.system)}</title>
-<style>
-body {{ font: 14px/1.5 sans-serif; margin: 2em auto; max-width: 60em; }}
-table {{ border-collapse: collapse; margin: 0.5em 0 1.5em; }}
-td, th {{ border: 1px solid #999; padding: 0.25em 0.75em; text-align: right; }}
-td:first-child, th:first-child {{ text-align: left; }}
-</style></head><body>
-<h1>Forensics — {esc(self.workload)}/{esc(self.system)}</h1>
-<p>threads={self.threads} seed={self.seed} scale={self.scale} —
-cycles={self.cycles:,}, attempts={self.attempts},
-commits={self.commits} (+{self.fallback_commits} fallback),
-aborts={self.aborts}, forwards={self.forwards}</p>
-<h2>Abort attribution
-({self.attribution.attributed}/{self.attribution.total} attributed,
-{self.attribution.attributed_fraction:.1%})</h2>
-<table><tr><th>cause</th><th>count</th><th>share</th></tr>
-{rows or '<tr><td colspan="3">no aborts</td></tr>'}</table>
-<h2>Abort cascades ({len(self.attribution.cascades)})</h2>
-<table><tr><th>root</th><th>size</th><th>depth</th></tr>
-{cascade_rows or '<tr><td colspan="3">none</td></tr>'}</table>
-<h2>Forwarding chains</h2>
-<p>{chain['chains']} chains, {chain['forwards']} forwards,
-max depth {chain['max_depth']}, mean depth {chain['mean_depth']:.2f}</p>
-<h2>Wasted work (cycles per core)</h2>
-<table><tr><th>core</th>{''.join(f'<th>{b}</th>' for b in WASTED_WORK_BUCKETS)}</tr>
-{wasted_rows}</table>
-</body></html>
-"""
-
 
 # ----------------------------------------------------------------------
 def render_document(doc: Dict[str, object]) -> str:
@@ -214,6 +158,72 @@ def render_document(doc: Dict[str, object]) -> str:
             f"cycle gauges: {doc['gauge_mismatches']}"
         )
     return "\n".join(lines)
+
+
+def render_html(doc: Dict[str, object]) -> str:
+    """Self-contained single-page HTML rendering (no assets) of a
+    :meth:`ForensicReport.to_dict` document, live or store-cached.
+
+    A stored document comes back with sorted keys, so rows follow
+    :data:`CAUSE_KINDS` and cores sort numerically.
+    """
+    esc = _html.escape
+    att = doc["attribution"]
+    total = att["total_aborts"]
+    breakdown = att["breakdown"]
+    rows = "\n".join(
+        f"<tr><td>{esc(kind)}</td><td>{breakdown[kind]}</td>"
+        f"<td>{breakdown[kind] / total:.1%}</td></tr>"
+        for kind in CAUSE_KINDS
+        if breakdown.get(kind) and total
+    )
+    cascade_rows = "\n".join(
+        f"<tr><td>T{c['root'][0]}#{c['root'][1]}</td>"
+        f"<td>{c['size']}</td><td>{c['depth']}</td></tr>"
+        for c in att["cascades"][:TOP_CASCADES]
+    )
+    per_core = doc["wasted_work"]["per_core"]
+    wasted_rows = "\n".join(
+        "<tr><td>core {}</td>{}</tr>".format(
+            core,
+            "".join(
+                f"<td>{per_core[core][b]:,}</td>" for b in WASTED_WORK_BUCKETS
+            ),
+        )
+        for core in sorted(per_core, key=int)
+    )
+    chain = att["chains"]
+    title = f"Forensics — {esc(doc['workload'])}/{esc(doc['system'])}"
+    return f"""<!doctype html>
+<html><head><meta charset="utf-8">
+<title>{title}</title>
+<style>
+body {{ font: 14px/1.5 sans-serif; margin: 2em auto; max-width: 60em; }}
+table {{ border-collapse: collapse; margin: 0.5em 0 1.5em; }}
+td, th {{ border: 1px solid #999; padding: 0.25em 0.75em; text-align: right; }}
+td:first-child, th:first-child {{ text-align: left; }}
+</style></head><body>
+<h1>{title}</h1>
+<p>threads={doc['threads']} seed={doc['seed']} scale={doc['scale']} —
+cycles={doc['cycles']:,}, attempts={doc['attempts']},
+commits={doc['commits']} (+{doc['fallback_commits']} fallback),
+aborts={doc['aborts']}, forwards={doc['forwards']}</p>
+<h2>Abort attribution
+({att['attributed']}/{total} attributed,
+{att['attributed_fraction']:.1%})</h2>
+<table><tr><th>cause</th><th>count</th><th>share</th></tr>
+{rows or '<tr><td colspan="3">no aborts</td></tr>'}</table>
+<h2>Abort cascades ({len(att['cascades'])})</h2>
+<table><tr><th>root</th><th>size</th><th>depth</th></tr>
+{cascade_rows or '<tr><td colspan="3">none</td></tr>'}</table>
+<h2>Forwarding chains</h2>
+<p>{chain['chains']} chains, {chain['forwards']} forwards,
+max depth {chain['max_depth']}, mean depth {chain['mean_depth']:.2f}</p>
+<h2>Wasted work (cycles per core)</h2>
+<table><tr><th>core</th>{''.join(f'<th>{b}</th>' for b in WASTED_WORK_BUCKETS)}</tr>
+{wasted_rows}</table>
+</body></html>
+"""
 
 
 def _render_attribution(att: Dict[str, object]) -> List[str]:
@@ -261,8 +271,9 @@ def _render_cascades(cascades: List[Dict[str, object]]) -> List[str]:
 def _render_chains(stats: Dict[str, object]) -> List[str]:
     if not stats["chains"]:
         return ["forwarding chains: none"]
+    histogram = stats["depth_histogram"]
     hist = "  ".join(
-        f"depth {d}: {n}" for d, n in stats["depth_histogram"].items()
+        f"depth {d}: {histogram[d]}" for d in sorted(histogram, key=int)
     )
     return [
         f"forwarding chains: {stats['chains']} chains, "

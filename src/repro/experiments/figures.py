@@ -538,6 +538,16 @@ def _figure_doc_key(figure_id: str, kwargs: Dict[str, object]) -> str:
     return f"figure/{figure_id}/{digest}"
 
 
+def _figure_from_doc(doc: Dict[str, object]) -> FigureResult:
+    return FigureResult(
+        experiment_id=doc["experiment_id"],
+        title=doc["title"],
+        series=doc["series"],
+        extra={},
+        rendering=doc["rendering"],
+    )
+
+
 def run_figure(
     figure_id: str, *, use_store: bool = True, **kwargs
 ) -> FigureResult:
@@ -560,37 +570,26 @@ def run_figure(
 
     from . import runner
 
-    cache = use_store and runner.disk_cache_enabled()
-    key = _figure_doc_key(figure_id, kwargs) if cache else None
-    if cache:
-        doc = runner.result_store().get_json(key)
-        if doc is not None:
-            try:
-                return FigureResult(
-                    experiment_id=doc["experiment_id"],
-                    title=doc["title"],
-                    series=doc["series"],
-                    extra={},
-                    rendering=doc["rendering"],
-                )
-            except (KeyError, TypeError):
-                runner.result_store().note_corrupt(
-                    key, "figure document schema mismatch"
-                )
-
+    store = (
+        runner.result_store()
+        if use_store and runner.disk_cache_enabled()
+        else None
+    )
+    if store is not None:
+        key = _figure_doc_key(figure_id, kwargs)
+        hit = store.load(key, FIGURE_DOC_SCHEMA, _figure_from_doc)
+        if hit is not None:
+            return hit
     result = fn(**kwargs)
-    if cache:
-        try:
-            runner.result_store().put_json(
-                key,
-                {
-                    "schema": FIGURE_DOC_SCHEMA,
-                    "experiment_id": result.experiment_id,
-                    "title": result.title,
-                    "series": result.series,
-                    "rendering": result.rendering,
-                },
-            )
-        except OSError:
-            pass
+    if store is not None:
+        store.save(
+            key,
+            {
+                "schema": FIGURE_DOC_SCHEMA,
+                "experiment_id": result.experiment_id,
+                "title": result.title,
+                "series": result.series,
+                "rendering": result.rendering,
+            },
+        )
     return result

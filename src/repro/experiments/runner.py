@@ -85,6 +85,8 @@ SCHEMA_VERSION = 1
 #: a figure cell that livelocks should fail fast).
 DEFAULT_MAX_EVENTS = 40_000_000
 
+#: ``progress(done, total, cfg, source)``, called once per config of a
+#: batch as it completes; ``source`` is its manifest entry's source.
 ProgressFn = Callable[[int, int, "RunConfig", str], None]
 
 
@@ -112,7 +114,6 @@ class RunConfig:
     """Everything that determines one simulation's outcome."""
 
     workload: str
-    system: SystemSpec
     htm: HTMConfig
     threads: int
     seed: int
@@ -138,19 +139,31 @@ class RunConfig:
     ) -> "RunConfig":
         """Build a config, filling unset fields from the bench defaults.
 
-        ``system`` accepts a registered name or a :class:`SystemSpec`.
+        ``system`` accepts a registered name or a :class:`SystemSpec`; a
+        passed ``htm`` must be configured for that system.
         """
         system = get_spec(system)
+        if htm is None:
+            htm = table2_config(system)
+        elif htm.system.name != system.name:
+            raise ValueError(
+                f"htm is configured for {htm.system.name!r}, "
+                f"not {system.name!r}"
+            )
         return cls(
             workload=workload,
-            system=system,
-            htm=htm if htm is not None else table2_config(system),
+            htm=htm,
             threads=threads if threads is not None else bench_threads(),
             seed=seed if seed is not None else bench_seed(),
             scale=scale if scale is not None else bench_scale(),
             max_events=max_events,
             metrics_window=metrics_window,
         )
+
+    @property
+    def system(self) -> SystemSpec:
+        """The simulated system: the one ``htm`` is configured for."""
+        return self.htm.system
 
     def to_dict(self) -> Dict[str, object]:
         """Canonical JSON-stable representation (used for hashing)."""
@@ -216,7 +229,7 @@ def _code_fingerprint() -> str:
 
 
 # ----------------------------------------------------------------------
-# Cache configuration and counters.
+# Cache configuration and the batch manifest.
 # ----------------------------------------------------------------------
 _CACHE: Dict[str, SimulationResult] = {}
 _cache_dir_override: Optional[str] = None
@@ -258,29 +271,14 @@ def disk_cache_enabled() -> bool:
 
 
 @dataclass
-class RunnerCounters:
-    """Observability for the cache layers (asserted by tests/benches)."""
-
-    simulations: int = 0  # actual simulator executions
-    memory_hits: int = 0
-    disk_hits: int = 0
-
-    def reset(self) -> None:
-        self.simulations = 0
-        self.memory_hits = 0
-        self.disk_hits = 0
-
-
-COUNTERS = RunnerCounters()
-
-
-@dataclass
 class ManifestEntry:
     """One configuration's fate in a :func:`run_many` batch."""
 
     config: RunConfig
-    source: str  # "cached" | "run"
-    seconds: float  # wall-time: simulation for "run", lookup for "cached"
+    #: Where the result came from: ``"memory"`` (the in-process cache),
+    #: ``"disk"`` (the result store) or ``"run"`` (executed).
+    source: str
+    seconds: float  # wall-time: simulation for "run", lookup otherwise
     #: Forensic digest (``ForensicReport.digest()``) when the batch ran
     #: with ``forensics=True`` and this config actually executed; cache
     #: hits stay ``None`` — the cache stores results, not event streams.
@@ -294,7 +292,8 @@ class ManifestEntry:
 
 @dataclass
 class RunManifest:
-    """Per-config wall-times and cache accounting for one batch.
+    """Per-config wall-times and cache accounting for one batch: the
+    runner's only tally.
 
     Populated by :func:`run_many`; the CLI reads it back through
     :func:`last_manifest` to print elapsed times next to progress lines
@@ -308,7 +307,8 @@ class RunManifest:
 
     @property
     def cached(self) -> int:
-        return sum(1 for e in self.entries if e.source == "cached")
+        """Entries served from memory or disk."""
+        return sum(1 for e in self.entries if e.source != "run")
 
     @property
     def executed(self) -> int:
@@ -361,10 +361,6 @@ def last_manifest() -> Optional[RunManifest]:
     return _LAST_MANIFEST
 
 
-def counters() -> RunnerCounters:
-    return COUNTERS
-
-
 def clear_cache() -> None:
     """Drop the in-process cache (the disk cache is left untouched)."""
     _CACHE.clear()
@@ -383,56 +379,42 @@ def result_key(key: str) -> str:
     return f"result/{key}"
 
 
-def result_store() -> "store_pkg.ResultStore":
+def result_store() -> "store_pkg.ShardedStore":
     """The shared store instance over the current cache directory."""
     return store_pkg.store_for(cache_dir())
 
 
-def _disk_hit(key: str, *, recheck: bool = False) -> Optional[SimulationResult]:
-    """The stored result for ``key``, counted as a disk hit and promoted
-    to the in-process cache; ``None`` on a miss or an unreadable entry.
+def _decode_result(doc: Dict[str, object]) -> SimulationResult:
+    return SimulationResult.from_dict(doc["result"])
 
-    ``recheck=True`` re-reads a key whose probe already counted its miss
-    or corrupt read: it reads with ``peek`` and counts only an entry that
-    decodes.
+
+def _disk_hit(key: str, *, recheck: bool = False) -> Optional[SimulationResult]:
+    """The stored result for ``key``, promoted to the in-process cache;
+    ``None`` on a miss or an unreadable entry.
+
+    ``recheck=True`` re-reads a key whose lookup the store has already
+    counted (after claiming it, or once a peer stored it), so the read is
+    not counted again.
     """
-    store = result_store()
-    store_key = result_key(key)
-    raw = store.peek(store_key) if recheck else store.get(store_key)
-    if raw is None:
-        return None  # missing or byte-corrupt (the probe counted it)
-    try:
-        payload = json.loads(raw.decode("utf-8"))
-        result = SimulationResult.from_dict(payload["result"])
-    except (KeyError, TypeError, ValueError) as exc:
-        # Not JSON, or JSON that no longer matches the result schema:
-        # same warn-once miss policy as byte-level corruption.
-        if not recheck:
-            store.note_corrupt(store_key, f"unreadable result: {exc}")
-        return None
-    if recheck:
-        store.counters.hits += 1
-    COUNTERS.disk_hits += 1
-    _CACHE[key] = result
+    result = result_store().load(
+        result_key(key), SCHEMA_VERSION, _decode_result, count=not recheck
+    )
+    if result is not None:
+        _CACHE[key] = result
     return result
 
 
-def _result_payload(cfg: RunConfig, result: SimulationResult) -> bytes:
-    return json.dumps(
-        {
-            "schema": SCHEMA_VERSION,
-            "config": cfg.to_dict(),
-            "result": result.to_dict(),
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-
-
-def _disk_store(cfg: RunConfig, key: str, result: SimulationResult) -> None:
-    try:
-        result_store().put(result_key(key), _result_payload(cfg, result))
-    except OSError:
-        pass  # a read-only cache dir degrades to compute-only
+def _store(cfg: RunConfig, key: str, result: SimulationResult) -> None:
+    _CACHE[key] = result
+    if disk_cache_enabled():
+        result_store().save(
+            result_key(key),
+            {
+                "schema": SCHEMA_VERSION,
+                "config": cfg.to_dict(),
+                "result": result.to_dict(),
+            },
+        )
 
 
 # ----------------------------------------------------------------------
@@ -532,22 +514,6 @@ def _execute_timed(cfg: RunConfig, forensics: bool = False) -> ExecOutcome:
     return result, wall, report.digest() if forensics else None, resources
 
 
-def _lookup(key: str) -> Optional[SimulationResult]:
-    hit = _CACHE.get(key)
-    if hit is not None:
-        COUNTERS.memory_hits += 1
-        return hit
-    if disk_cache_enabled():
-        return _disk_hit(key)
-    return None
-
-
-def _store(cfg: RunConfig, key: str, result: SimulationResult) -> None:
-    _CACHE[key] = result
-    if disk_cache_enabled():
-        _disk_store(cfg, key, result)
-
-
 def run_cached(
     workload: str,
     system: "SystemSpec | str",
@@ -602,7 +568,7 @@ _IN_PROCESS = _InProcess()
 
 
 def _await_peer(
-    store: "store_pkg.ResultStore", key: str
+    store: "store_pkg.ShardedStore", key: str
 ) -> Tuple[Optional[SimulationResult], Optional["store_pkg.Claim"]]:
     """Wait for the live peer that claimed ``key`` to store its result.
 
@@ -615,7 +581,7 @@ def _await_peer(
     while True:
         t0 = time.monotonic()
         raw = store.wait_for(result_key(key))
-        hit = _disk_hit(key) if raw is not None else None
+        hit = _disk_hit(key, recheck=True) if raw is not None else None
         if hit is not None:
             return hit, None
         claim = store.claim(result_key(key))
@@ -676,20 +642,20 @@ def run_many(
     total, done = len(unique), 0
 
     def _hit(key, cfg, result, seconds, layer):
-        """The one site that records a cache hit."""
+        """The one site that records a cache hit from ``layer``
+        (``memory`` or ``disk``)."""
         nonlocal done
         results[key] = result
         done += 1
-        manifest.record(cfg, "cached", seconds)
+        manifest.record(cfg, layer, seconds)
         batch.probe(cfg, key, outcome="hit", layer=layer, seconds=seconds)
-        _notify(progress, done, total, cfg, "cached")
+        _notify(progress, done, total, cfg, layer)
 
     def _complete(key, cfg, outcome, retried):
-        """The one site that records an executed run: count it, persist
-        it, and release its claim so cross-process waiters unblock."""
+        """The one site that records an executed run: persist it, and
+        release its claim so cross-process waiters unblock."""
         nonlocal done
         result, seconds, digest, resources = outcome
-        COUNTERS.simulations += 1
         results[key] = result
         done += 1
         manifest.record(cfg, "run", seconds, forensics=digest, resources=resources)
@@ -710,8 +676,9 @@ def run_many(
         for key, cfg in unique.items():
             if use_cache:
                 t0 = time.perf_counter()
-                layer = "memory" if key in _CACHE else "disk"
-                hit = _lookup(key)
+                layer, hit = "memory", _CACHE.get(key)
+                if hit is None and store is not None:
+                    layer, hit = "disk", _disk_hit(key)
                 seconds = time.perf_counter() - t0
                 if hit is not None:
                     _hit(key, cfg, hit, seconds, layer)

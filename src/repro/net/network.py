@@ -122,8 +122,8 @@ class Crossbar:
         )
 
     def _emit_traced(self, msg: Message) -> None:
-        """Probe emission for a traced send (the compiled send calls
-        this only when subscribers exist, mirroring the Python gate)."""
+        """Probe emission for a traced send; both backends' sends call
+        it only when the probe has subscribers."""
         kind = msg.kind
         now = self._engine.now
         probe = self._probe
@@ -159,33 +159,8 @@ class Crossbar:
         self.flits_sent += flits
         self.messages_sent += 1
         self._flits_by_idx[kind.idx] += flits
-        probe = self._probe
-        if probe._subscribers:
-            now = self._engine.now
-            probe.emit(
-                MsgSent(
-                    cycle=now,
-                    src=msg.src,
-                    dst=msg.dst,
-                    msg_kind=kind.value,
-                    block=msg.block,
-                    pic=msg.pic,
-                    power=msg.power,
-                    is_validation=msg.is_validation,
-                    non_transactional=msg.non_transactional,
-                    action=msg.action,
-                )
-            )
-            if kind is MessageKind.SPEC_RESP:
-                probe.emit(
-                    SpecForward(
-                        cycle=now,
-                        producer=msg.src,
-                        consumer=msg.dst,
-                        block=msg.block,
-                        pic=msg.pic,
-                    )
-                )
+        if self._probe._subscribers:
+            self._emit_traced(msg)
         if extra_delay:
             self._schedule(self._link_latency + extra_delay, self._deliver, msg)
         else:

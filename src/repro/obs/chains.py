@@ -38,16 +38,6 @@ class Chain:
         return len(self.edges)
 
     @property
-    def cores(self) -> List[int]:
-        out = [self.edges[0].producer]
-        out.extend(e.consumer for e in self.edges)
-        return out
-
-    @property
-    def blocks(self) -> List[int]:
-        return [e.block for e in self.edges]
-
-    @property
     def start_cycle(self) -> int:
         return self.edges[0].cycle
 

@@ -1,12 +1,13 @@
-"""The result store: one sharded backend behind one interface.
+"""The result store: one class, :class:`~repro.store.sharded.ShardedStore`.
 
-:class:`~repro.store.sharded.ShardedStore` keeps key-prefix shards of
-append-only segment files holding zlib-compressed payloads behind a
-per-shard index, with advisory file locks, cross-process execution
-claims, ``compact``/``gc`` maintenance and an LRU-by-atime eviction
-policy.  :class:`~repro.store.base.ResultStore` holds the part that does
-not depend on that on-disk format: the JSON layer, the corrupt-entry
-policy, claims and the store counters.
+It keeps key-prefix shards of append-only segment files holding
+zlib-compressed JSON documents behind a per-shard index, with advisory
+file locks, cross-process execution claims, ``compact``/``gc``
+maintenance and an LRU-by-atime eviction policy.  Every document goes in
+through :meth:`~repro.store.sharded.ShardedStore.save` and comes back
+through :meth:`~repro.store.sharded.ShardedStore.load`, which applies
+the one corrupt-entry policy and counts each read as exactly one hit,
+miss or corrupt entry.
 
 :func:`store_for` opens the store once per cache directory.  A directory
 it cannot open on (the ``store`` path squatted by a file, a foreign
@@ -21,10 +22,7 @@ from pathlib import Path
 from typing import Dict
 
 from .base import (  # noqa: F401  (re-exported API surface)
-    CLAIM_TTL_SECONDS,
     Claim,
-    FileLock,
-    ResultStore,
     STORE_SCHEMA,
     StoreCounters,
     StoreError,

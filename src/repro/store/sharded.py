@@ -1,5 +1,23 @@
 """``ShardedStore``: the compacting, concurrent-writer result store.
 
+A flat keyed document space under one cache directory.  Keys are
+namespaced paths (``result/<sha>``, ``forensics/<sha>``,
+``figure/<id>/<sha>``); each payload is a UTF-8 JSON document carrying a
+``schema`` tag.  :meth:`ShardedStore.save` writes one and
+:meth:`ShardedStore.load` reads one back, so every caller shares one
+policy:
+
+* **A corrupt entry is a counted miss, never a crash or a result.**  A
+  payload whose segment record fails its CRC, that does not parse, whose
+  ``schema`` tag is not the one asked for, or that the caller's
+  ``decode`` rejects is counted as ``corrupt`` and warned about once per
+  store; the caller re-computes it.  A killed writer can never poison
+  later reads.
+* **Each counted read is one lookup**: exactly one of ``hits``,
+  ``misses`` or ``corrupt``.
+* **A store that opens but cannot be written runs compute-only**:
+  :meth:`ShardedStore.save` drops the write.
+
 Layout under the cache directory:
 
 .. code-block:: text
@@ -39,20 +57,30 @@ hot read path free of index rewrites.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import secrets
 import struct
 import time
+import warnings
 import zlib
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .base import (
+    CLAIM_TTL_SECONDS,
+    STORE_SCHEMA,
+    WAIT_TIMEOUT_SECONDS,
+    Claim,
     FileLock,
-    ResultStore,
+    StoreCounters,
     StoreInitError,
+    _claims_lock,
+    _pid_alive,
+    _publish_claim,
+    _read_claim,
     atomic_write_bytes,
-    namespace_histogram,
-    stats_document,
 )
 
 #: Layout version of META.json / index.json (not the stats document).
@@ -69,19 +97,24 @@ _MAGIC = b"RST1"
 _HEADER = struct.Struct("<4sIIII")  # magic, key_len, stored_len, raw_len, crc
 
 
-def _shard_of(key: str) -> str:
-    import hashlib
+T = TypeVar("T")
 
+
+def _shard_of(key: str) -> str:
     return hashlib.sha256(key.encode("utf-8")).hexdigest()[0]
 
 
-class ShardedStore(ResultStore):
+class ShardedStore:
     """Key-prefix-sharded append-only segment store."""
 
+    #: Backend name recorded in stats documents and corrupt-entry
+    #: warnings.
     kind = "sharded"
 
     def __init__(self, root: Path):
-        super().__init__(root)
+        self.root = Path(root)
+        self.counters = StoreCounters()
+        self._warned_corrupt = False
         self.base = self.root / "store"
         meta_path = self.base / "META.json"
         if self.base.exists() and not self.base.is_dir():
@@ -136,9 +169,6 @@ class ShardedStore(ResultStore):
 
     def _lock(self, shard: str) -> FileLock:
         return FileLock(self._shard_dir(shard) / "LOCK")
-
-    def _claims_dir(self) -> Path:
-        return self.base / "claims"
 
     # -- index -----------------------------------------------------------
     @staticmethod
@@ -261,7 +291,10 @@ class ShardedStore(ResultStore):
         return payload
 
     # -- byte plane ------------------------------------------------------
-    def _read(self, key: str, *, count: bool) -> Optional[bytes]:
+    def _read(self, key: str) -> Tuple[Optional[bytes], Optional[str]]:
+        """``(payload, None)`` for a stored entry, ``(None, None)`` for a
+        missing one and ``(None, reason)`` for a record that fails its
+        CRC or length check.  Counts nothing."""
         shard = _shard_of(key)
         index = self._load_index(shard)
         entry = index["entries"].get(key)
@@ -271,9 +304,7 @@ class ShardedStore(ResultStore):
             index = self._load_index(shard, fresh=True)
             entry = index["entries"].get(key)
             if entry is None:
-                if count:
-                    self._note("misses")
-                return None
+                return None, None
         payload = self._read_record(shard, key, entry)
         if payload is None:
             # Lost a race against compact (segment replaced underfoot)?
@@ -281,26 +312,16 @@ class ShardedStore(ResultStore):
             index = self._load_index(shard, fresh=True)
             entry = index["entries"].get(key)
             if entry is None:
-                if count:
-                    self._note("misses")
-                return None
+                return None, None
             payload = self._read_record(shard, key, entry)
             if payload is None:
-                if count:
-                    self.note_corrupt(
-                        key, "segment record failed crc/length"
-                    )
-                return None
-        if count:
-            self._pending_atimes[key] = time.time()
-            self._note("hits")
-        return payload
-
-    def get(self, key: str) -> Optional[bytes]:
-        return self._read(key, count=True)
+                return None, "segment record failed crc/length"
+        return payload, None
 
     def peek(self, key: str) -> Optional[bytes]:
-        return self._read(key, count=False)
+        """The raw payload of ``key``, without counting the read (the
+        :meth:`wait_for` poll)."""
+        return self._read(key)[0]
 
     def put(self, key: str, payload: bytes) -> None:
         shard = _shard_of(key)
@@ -311,7 +332,7 @@ class ShardedStore(ResultStore):
             )
             self._fold_atimes(shard, index)
             self._write_index(shard, index)
-        self._note("puts")
+        self.counters.puts += 1
 
     def delete(self, key: str, *, _count: bool = True) -> bool:
         shard = _shard_of(key)
@@ -323,7 +344,7 @@ class ShardedStore(ResultStore):
             self._fold_atimes(shard, index)
             self._write_index(shard, index)
         if _count:
-            self._note("deletes")
+            self.counters.deletes += 1
         return True
 
     def keys(self, prefix: str = "") -> List[str]:
@@ -341,6 +362,163 @@ class ShardedStore(ResultStore):
         if not base.is_dir():
             return []
         return sorted(p.name for p in base.iterdir() if p.is_dir())
+
+    # -- documents -------------------------------------------------------
+    def load(
+        self,
+        key: str,
+        schema: object,
+        decode: Optional[Callable[[Dict], T]] = None,
+        *,
+        count: bool = True,
+    ) -> Optional[T]:
+        """The document stored under ``key``, or ``None``.
+
+        Parses the payload, checks that its ``schema`` tag is ``schema``
+        and returns ``decode(doc)``, or the parsed dict when ``decode``
+        is omitted.  ``decode`` rejects a document it cannot use by
+        raising ``AttributeError``, ``KeyError``, ``TypeError`` or
+        ``ValueError``.  An entry that fails any step is a corrupt miss,
+        never an exception.  Counts exactly one of ``hits``, ``misses``
+        or ``corrupt``; ``count=False`` counts nothing, for a re-read of
+        a key whose lookup the caller has already counted.
+        """
+        payload, problem = self._read(key)
+        doc = None
+        if payload is not None:
+            try:
+                doc = json.loads(payload)
+                tag = doc.get("schema") if isinstance(doc, dict) else None
+                if tag != schema:
+                    raise ValueError(f"schema tag {tag!r} is not {schema!r}")
+                if decode is not None:
+                    doc = decode(doc)
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                doc, problem = None, f"unreadable document: {exc}"
+        if count:
+            if doc is not None:
+                self.counters.hits += 1
+                self._pending_atimes[key] = time.time()
+            elif problem is None:
+                self.counters.misses += 1
+            else:
+                self._corrupt(key, problem)
+        return doc
+
+    def save(self, key: str, doc: Dict[str, object]) -> None:
+        """Store ``doc``, which carries its ``schema`` tag, under
+        ``key``.  A store that cannot be written drops it: the caller
+        keeps its result, compute-only."""
+        try:
+            self.put(key, json.dumps(doc, sort_keys=True).encode("utf-8"))
+        except OSError:
+            pass
+
+    def _corrupt(self, key: str, reason: str) -> None:
+        """Count an unreadable entry, and warn about the first one."""
+        self.counters.corrupt += 1
+        if not self._warned_corrupt:
+            self._warned_corrupt = True
+            warnings.warn(
+                f"{self.kind} store: unreadable entry {key!r} treated as a "
+                f"cache miss ({reason}); further corrupt entries are "
+                "counted silently — run `repro cache verify`",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+
+    # -- claims ----------------------------------------------------------
+    def _claim_path(self, key: str) -> Path:
+        name = hashlib.sha1(key.encode("utf-8")).hexdigest()
+        return self.base / "claims" / f"{name}.claim"
+
+    def claim(self, key: str) -> Optional[Claim]:
+        """Try to acquire the exclusive right to compute ``key``.
+
+        Returns a :class:`Claim` on success and ``None`` when another
+        *live* process holds it.  A stale claim (dead owner, or older
+        than :data:`CLAIM_TTL_SECONDS`) is broken and re-acquired.
+        """
+        path = self._claim_path(key)
+        token = secrets.token_hex(8)
+        payload = json.dumps(
+            {
+                "key": key,
+                "pid": os.getpid(),
+                "unix": round(time.time(), 3),
+                "token": token,
+            }
+        ).encode("utf-8")
+        claim = Claim(key, path, os.getpid(), token)
+        for _ in range(2):  # second pass after breaking a stale claim
+            try:
+                if _publish_claim(path, payload, token):
+                    return claim
+                holder = _read_claim(path)
+                if holder is None:
+                    continue  # released meanwhile
+                if not self._claim_stale(holder):
+                    return None
+                self._break_stale(path, holder)
+            except OSError:
+                # Unclaimable dir: degrade to "claimed" so the caller
+                # still executes.
+                return claim
+        return None
+
+    def _break_stale(self, path: Path, holder: Dict[str, object]) -> None:
+        """Delete the stale claim ``holder`` unless, under the claims
+        lock, ``path`` no longer carries it (a rival broke it and
+        claimed the key in the meantime)."""
+        with _claims_lock(path.parent):
+            if _read_claim(path) == holder:
+                path.unlink()
+
+    def claimed_by_other(self, key: str) -> bool:
+        holder = _read_claim(self._claim_path(key))
+        return (
+            holder is not None
+            and not self._claim_stale(holder)
+            and int(holder.get("pid", -1)) != os.getpid()
+        )
+
+    @staticmethod
+    def _claim_stale(holder: Dict[str, object]) -> bool:
+        try:
+            pid = int(holder.get("pid", -1))
+            unix = float(holder.get("unix", 0.0))
+        except (TypeError, ValueError):
+            return True
+        if time.time() - unix > CLAIM_TTL_SECONDS:
+            return True
+        return not _pid_alive(pid)
+
+    def wait_for(
+        self,
+        key: str,
+        *,
+        timeout: float = WAIT_TIMEOUT_SECONDS,
+        poll: float = 0.02,
+    ) -> Optional[bytes]:
+        """Block until ``key`` appears (another process is computing it
+        under a claim) or its claim disappears/goes stale.
+
+        Returns the payload, or ``None`` when the claim was abandoned
+        without a stored result (the caller should compute the key
+        itself).  The timeout is a deadlock backstop, not a contract.
+        """
+        deadline = time.monotonic() + timeout
+        while True:
+            payload = self.peek(key)
+            if payload is not None:
+                return payload
+            if not self.claimed_by_other(key):
+                # Owner released (or died) without storing: one last
+                # look to close the release-after-put race.
+                return self.peek(key)
+            if time.monotonic() >= deadline:
+                return None
+            time.sleep(poll)
 
     # -- maintenance -----------------------------------------------------
     def flush(self) -> None:
@@ -375,20 +553,26 @@ class ShardedStore(ResultStore):
         live = len(self._shard_names())
         dead = max(0, physical - stored - entries * _HEADER.size
                    - sum(len(k.encode()) for k in keys))
-        return stats_document(
-            self,
-            entries=entries,
-            shards=live,
-            segments=segments,
-            logical_bytes=logical,
-            physical_bytes=physical,
-            namespaces=namespace_histogram(keys),
-            extra={
-                "stored_bytes": stored,
-                "dead_bytes": dead,
-                "shard_count": self.shard_count,
-            },
-        )
+        namespaces: Dict[str, int] = {}
+        for key in keys:
+            head, sep, _ = key.partition("/")
+            ns = head if sep and head else "(flat)"
+            namespaces[ns] = namespaces.get(ns, 0) + 1
+        return {
+            "schema": STORE_SCHEMA,
+            "kind": self.kind,
+            "root": str(self.root),
+            "entries": entries,
+            "shards": live,
+            "segments": segments,
+            "logical_bytes": logical,
+            "physical_bytes": physical,
+            "namespaces": dict(sorted(namespaces.items())),
+            "counters": self.counters.to_dict(),
+            "stored_bytes": stored,
+            "dead_bytes": dead,
+            "shard_count": self.shard_count,
+        }
 
     def verify(self) -> List[str]:
         problems: List[str] = []
@@ -502,7 +686,7 @@ class ShardedStore(ResultStore):
             if self.delete(key, _count=False):
                 total -= size
                 evicted.append(key)
-                self._note("evictions")
+                self.counters.evictions += 1
         if evicted:
             self.compact()
         return evicted

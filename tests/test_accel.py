@@ -58,10 +58,18 @@ class TestSelection:
         with pytest.raises(accel.UnknownBackendError):
             accel.current_backend()
 
+    def test_auto_is_an_unknown_backend(self, pristine_selection, monkeypatch):
+        """``auto`` was ``compiled`` under a second name; it is gone."""
+        monkeypatch.setenv("REPRO_BACKEND", "auto")
+        with pytest.raises(accel.UnknownBackendError):
+            accel.current_backend()
+        with pytest.raises(accel.UnknownBackendError):
+            accel.select_backend("auto")
+
     def test_lanes_backend_is_gone(self, pristine_selection, monkeypatch):
         from repro.__main__ import build_parser
 
-        assert accel.BACKENDS == ("python", "compiled", "auto")
+        assert accel.BACKENDS == ("python", "compiled")
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "counter", "--backend", "lanes"])
         monkeypatch.setenv("REPRO_BACKEND", "lanes")
@@ -81,13 +89,15 @@ class TestSelection:
 
     def test_use_restores_prior_selection(self, pristine_selection):
         accel.select_backend("python")
-        with accel.use("auto"):
-            assert accel.current_backend() == "auto"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # compiled may be unbuilt
+            with accel.use("compiled"):
+                assert accel.current_backend() == "compiled"
         assert accel.current_backend() == "python"
 
     @needs_compiled
-    def test_auto_resolves_to_compiled_when_built(self, pristine_selection):
-        with accel.use("auto"):
+    def test_compiled_resolves_when_built(self, pristine_selection):
+        with accel.use("compiled"):
             assert accel.resolved_backend() == "compiled"
             assert accel.compiled_active()
 
@@ -103,10 +113,10 @@ class TestSelection:
 
 
 class TestFallback:
-    def test_auto_degrades_with_single_warning(self, no_compiled):
+    def test_explicit_compiled_degrades_with_warning(self, no_compiled):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            with accel.use("auto"):
+            with accel.use("compiled"):
                 assert accel.resolved_backend() == "python"
                 # Repeated resolution must not warn again.
                 assert accel.resolved_backend() == "python"
@@ -115,22 +125,13 @@ class TestFallback:
         assert len(fallback) == 1
         assert "falling back" in str(fallback[0].message)
 
-    def test_explicit_compiled_degrades_with_warning(self, no_compiled):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with accel.use("compiled"):
-                assert accel.resolved_backend() == "python"
-        assert any(
-            issubclass(w.category, RuntimeWarning) for w in caught
-        )
-
-    def test_degraded_auto_still_runs_simulations(self, no_compiled):
+    def test_degraded_compiled_still_runs_simulations(self, no_compiled):
         from repro.sim.simulator import run_simulation
         from repro.workloads.base import make_workload
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            with accel.use("auto"):
+            with accel.use("compiled"):
                 result = run_simulation(
                     make_workload("synth", threads=2, seed=1, scale=0.05),
                     "chats",

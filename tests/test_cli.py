@@ -7,6 +7,7 @@ import pytest
 
 import repro.__main__ as cli
 from repro.__main__ import build_parser, main
+from repro.analysis.forensics import FORENSICS_SCHEMA
 from repro.experiments import runner
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -60,7 +61,9 @@ class TestParser:
                      ["trace", "counter", "--workers", "2"],
                      ["trace", "counter", "--no-cache"],
                      ["trace", "counter", "--cache-dir", "d"],
-                     ["inspect", "counter", "--workers", "2"]):
+                     ["inspect", "counter", "--workers", "2"],
+                     ["inspect", "counter", "--fresh"],
+                     ["run", "counter", "--backend", "auto"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 
@@ -167,11 +170,24 @@ class TestExecution:
             max_events=80_000_000,
         )
         key = f"forensics/{cfg.key()}"
-        assert runner.result_store().get_json(key) is not None
+        assert runner.result_store().load(key, FORENSICS_SCHEMA) is not None
         assert main(argv) == 0
         second = capsys.readouterr()
         assert "cached report" in second.err
         assert second.out == first.out
+
+    def test_inspect_html_comes_from_the_document(self, tmp_path, capsys):
+        """``--html`` renders the document, so it no longer forces a
+        fresh run: a repeat is served from the store, and its page is
+        byte-identical to the live run's."""
+        argv = ["inspect", "counter", "--threads", "4", "--scale", "0.1"]
+        live, cached = tmp_path / "live.html", tmp_path / "cached.html"
+        assert main(argv + ["--html", str(live)]) == 0
+        assert "cached report" not in capsys.readouterr().err
+        assert main(argv + ["--html", str(cached)]) == 0
+        assert "cached report" in capsys.readouterr().err
+        assert cached.read_bytes() == live.read_bytes()
+        assert live.read_text().startswith("<!doctype html>")
 
     def test_unknown_system_exits(self):
         with pytest.raises(SystemExit, match="unknown system"):

@@ -15,6 +15,8 @@ from repro.analysis.forensics import (
     collect_forensics,
     compare_reports,
     render_compare,
+    render_document,
+    render_html,
 )
 from repro.experiments.runner import RunConfig, last_manifest, run_many
 from repro.obs import (
@@ -224,8 +226,25 @@ class TestForensicReport:
         text = report.render()
         assert "abort attribution" in text
         assert "wasted work" in text
-        html = report.to_html()
+        html = render_html(report.to_dict())
         assert html.startswith("<!doctype html>")
+        # A stored document (sorted keys, string cores) renders alike.
+        assert render_html(json.loads(json.dumps(doc, sort_keys=True))) == html
+
+    def test_stored_document_renders_like_the_live_one(self):
+        """A document read back from the store has sorted string keys;
+        chain depths still render in numeric order."""
+        _, report = collect_forensics(
+            RunConfig.make("counter", "chats", **FAST)
+        )
+        doc = report.to_dict()
+        doc["attribution"]["chains"].update(
+            chains=2, max_depth=10, depth_histogram={"2": 1, "10": 1}
+        )
+        stored = json.loads(json.dumps(doc, sort_keys=True))
+        assert "depth 2: 1  depth 10: 1" in render_document(doc)
+        assert render_document(stored) == render_document(doc)
+        assert render_html(stored) == render_html(doc)
         digest = report.digest()
         assert 0.0 <= digest["attributed_fraction"] <= 1.0
 

@@ -35,9 +35,9 @@ CASES = [
 ]
 
 
-#: Every selectable backend must reproduce the same digests ("auto" is
-#: just an alias for one of these).  Unbuilt/unavailable backends skip
-#: cleanly so the suite passes on a pure-Python checkout.
+#: Every selectable backend must reproduce the same digests.
+#: Unbuilt/unavailable backends skip cleanly so the suite passes on a
+#: pure-Python checkout.
 BACKENDS = ("python", "compiled")
 
 

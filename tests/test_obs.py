@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.runner import RunConfig, clear_cache, counters, run_many
+from repro.experiments.runner import RunConfig, clear_cache, run_many
 from repro.htm.stats import HTMStats
 from repro.obs import (
     ChromeTraceExporter,
@@ -348,10 +348,8 @@ class TestRunnerObservability:
         monkeypatch.setattr(runner, "_default_progress", None)
         monkeypatch.setattr(runner, "_LAST_MANIFEST", None)
         clear_cache()
-        counters().reset()
         yield
         clear_cache()
-        counters().reset()
 
     def test_metrics_window_is_part_of_the_cache_key(self):
         plain = RunConfig.make("counter", paper.CHATS, **FAST)
@@ -370,7 +368,7 @@ class TestRunnerObservability:
         assert first.intervals is not None
         clear_cache()  # force the disk-cache path
         second = run_many([cfg])[0]
-        assert counters().simulations == 1
+        assert runner.last_manifest().entry_for(cfg).source == "disk"
         assert second.intervals == first.intervals
 
     def test_manifest_records_runs_then_hits(self):
@@ -388,4 +386,4 @@ class TestRunnerObservability:
         manifest = runner.last_manifest()
         assert manifest.executed == 0 and manifest.cached == 2
         assert "2 cached / 0 run" in manifest.summary()
-        assert len(manifest.entries) == 2
+        assert [e.source for e in manifest.entries] == ["memory", "memory"]

@@ -4,19 +4,26 @@ the parallel ``run_many`` fan-out."""
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro import store as store_pkg
 from repro.experiments import runner
-from repro.experiments.figures import FIGURES, fig1
+from repro.experiments.figures import (
+    FIGURE_DOC_SCHEMA,
+    FIGURES,
+    _figure_doc_key,
+    fig1,
+    run_figure,
+)
 from repro.experiments.registry import experiment_configs
 from repro.experiments.runner import (
     RunConfig,
     cache_size,
     clear_cache,
-    counters,
+    last_manifest,
     run_cached,
     run_many,
 )
@@ -29,7 +36,7 @@ FAST = dict(threads=2, scale=0.1)
 
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
-    """Point the disk cache at a fresh tmp dir and zero all counters."""
+    """Point the disk cache at a fresh tmp dir with no shared state."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     monkeypatch.setattr(runner, "_cache_dir_override", None)
@@ -37,11 +44,14 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "_default_progress", None)
     store_pkg.drop_cached_instances()
     clear_cache()
-    counters().reset()
     yield
     store_pkg.drop_cached_instances()
     clear_cache()
-    counters().reset()
+
+
+def sources() -> list:
+    """Manifest sources of the last batch, one per distinct config."""
+    return [e.source for e in last_manifest().entries]
 
 
 class TestKeyCompleteness:
@@ -51,27 +61,43 @@ class TestKeyCompleteness:
     def test_same_htm_different_system_does_not_collide(self):
         htm = table2_config(paper.CHATS)
         a = run_cached("counter", paper.CHATS, htm=htm, **FAST)
-        b = run_cached("counter", paper.LEVC, htm=htm, **FAST)
+        assert sources() == ["run"]
+        b = run_cached(
+            "counter", paper.LEVC, htm=htm.replace(system=paper.LEVC), **FAST
+        )
         # Two distinct cache entries, two real simulations — with the old
         # key the second call silently returned the first call's result.
         assert cache_size() == 2
-        assert counters().simulations == 2
+        assert sources() == ["run"]
         assert a is not b
+
+    def test_htm_for_another_system_is_rejected(self):
+        """A config simulates the system its ``htm`` is configured for,
+        so an ``htm`` naming a different system cannot be described as
+        this one."""
+        with pytest.raises(ValueError, match="baseline"):
+            RunConfig.make(
+                "counter", paper.CHATS, htm=table2_config(paper.BASELINE)
+            )
+        cfg = RunConfig.make(
+            "counter", "htm-be", htm=table2_config(paper.BASELINE)
+        )
+        assert cfg.system is cfg.htm.system is paper.BASELINE
 
     def test_different_max_events_reruns(self):
         run_cached("counter", paper.BASELINE, **FAST)
+        assert sources() == ["run"]
         run_cached(
             "counter", paper.BASELINE, max_events=10_000_000, **FAST
         )
-        assert counters().simulations == 2
+        assert sources() == ["run"]
         assert cache_size() == 2
 
     def test_identical_calls_still_hit(self):
         a = run_cached("counter", paper.BASELINE, **FAST)
         b = run_cached("counter", paper.BASELINE, **FAST)
         assert a is b
-        assert counters().simulations == 1
-        assert counters().memory_hits == 1
+        assert sources() == ["memory"]
 
 
 class TestDiskCache:
@@ -81,8 +107,7 @@ class TestDiskCache:
         original = run_cached("counter", paper.CHATS, **FAST)
         clear_cache()  # simulate a fresh process
         reloaded = run_cached("counter", paper.CHATS, **FAST)
-        assert counters().simulations == 1
-        assert counters().disk_hits == 1
+        assert sources() == ["disk"]
         assert reloaded == original
         assert reloaded.stats == original.stats
         assert reloaded.to_dict() == original.to_dict()
@@ -96,16 +121,14 @@ class TestDiskCache:
         clear_cache()
         monkeypatch.setattr(runner, "SCHEMA_VERSION", 999)
         run_cached("counter", paper.BASELINE, **FAST)
-        assert counters().simulations == 2
-        assert counters().disk_hits == 0
+        assert sources() == ["run"]
 
     def test_no_cache_env_disables_disk(self, monkeypatch):
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         run_cached("counter", paper.BASELINE, **FAST)
         clear_cache()
         run_cached("counter", paper.BASELINE, **FAST)
-        assert counters().simulations == 2
-        assert counters().disk_hits == 0
+        assert sources() == ["run"]
 
     @pytest.mark.parametrize("store_kind", ["sharded"])
     def test_corrupt_entry_is_a_miss(self, store_kind, recwarn):
@@ -119,13 +142,26 @@ class TestDiskCache:
         store.put(runner.result_key(cfg.key()), b"{not json")
         clear_cache()
         run_cached("counter", paper.BASELINE, **FAST)
-        assert counters().simulations == 2
+        assert sources() == ["run"]
         assert store.counters.corrupt == 1
         assert any(
             issubclass(w.category, RuntimeWarning)
             and "cache miss" in str(w.message)
             for w in recwarn.list
         )
+
+    def test_undecodable_result_is_one_corrupt_read(self, recwarn):
+        """Valid JSON with the result schema tag that holds no
+        ``SimulationResult`` is one corrupt read (not also a hit) and
+        re-simulates."""
+        cfg = RunConfig.make("counter", paper.BASELINE, **FAST)
+        store = runner.result_store()
+        doc = {"schema": runner.SCHEMA_VERSION, "result": {"cycles": 3}}
+        store.put(runner.result_key(cfg.key()), json.dumps(doc).encode())
+        result = run_cached("counter", paper.BASELINE, **FAST)
+        assert sources() == ["run"]
+        assert (store.counters.hits, store.counters.corrupt) == (0, 1)
+        assert result.cycles != 3
 
 
 SWEEP = [
@@ -157,7 +193,7 @@ class TestRunMany:
     def test_deduplicates_before_dispatch(self):
         cfg = SWEEP[0]
         results = run_many([cfg, cfg, cfg], workers=2, use_cache=False)
-        assert counters().simulations == 1
+        assert sources() == ["run"]
         assert len(results) == 3
         assert results[0] is results[1] is results[2]
 
@@ -169,7 +205,7 @@ class TestRunMany:
 
     def test_populates_shared_cache(self):
         run_many(SWEEP[:3], workers=2)
-        assert counters().simulations == 3
+        assert sources() == ["run"] * 3
         for cfg in SWEEP[:3]:
             run_cached(
                 cfg.workload,
@@ -178,7 +214,7 @@ class TestRunMany:
                 seed=cfg.seed,
                 scale=cfg.scale,
             )
-        assert counters().simulations == 3  # all warm
+            assert sources() == ["memory"]
 
     def test_failure_surfaces_offending_config(self):
         bad = RunConfig.make("no-such-workload", paper.BASELINE, **FAST)
@@ -207,7 +243,16 @@ class TestRunMany:
             workers=1,
             progress=lambda done, total, cfg, src: seen.append(src),
         )
-        assert seen == ["cached", "cached"]
+        assert seen == ["memory", "memory"]
+        # A fresh process: both now arrive from the store.
+        seen.clear()
+        clear_cache()
+        run_many(
+            SWEEP[:2],
+            workers=1,
+            progress=lambda done, total, cfg, src: seen.append(src),
+        )
+        assert seen == ["disk", "disk"]
 
 
 class TestFigureSweepCaching:
@@ -218,20 +263,36 @@ class TestFigureSweepCaching:
         monkeypatch.setenv("REPRO_SCALE", "0.1")
         monkeypatch.setenv("REPRO_THREADS", "4")
         fig1(workloads=("counter", "llb-l"))
-        first = counters().simulations
-        assert first > 0
+        assert last_manifest().executed > 0
         fig1(workloads=("counter", "llb-l"))
-        assert counters().simulations == first
+        assert last_manifest().executed == 0
 
     def test_second_run_from_disk_only(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "0.1")
         monkeypatch.setenv("REPRO_THREADS", "4")
         fig1(workloads=("counter",))
-        first = counters().simulations
         clear_cache()  # fresh process: only the disk cache survives
         fig1(workloads=("counter",))
-        assert counters().simulations == first
-        assert counters().disk_hits > 0
+        assert set(sources()) == {"disk"}
+
+    def test_foreign_figure_document_is_reassembled(self, monkeypatch):
+        """A figure document whose schema tag is not this build's is a
+        counted corrupt miss: the figure is assembled again and its
+        document replaces the foreign one."""
+        monkeypatch.setenv("REPRO_SCALE", "0.1")
+        monkeypatch.setenv("REPRO_THREADS", "4")
+        kwargs = {"workloads": ("counter",)}
+        key = _figure_doc_key("fig1", kwargs)
+        store = runner.result_store()
+        foreign = {"schema": FIGURE_DOC_SCHEMA + "-old", "experiment_id":
+                   "fig1", "title": "stale", "series": {}, "rendering": "stale"}
+        store.put(key, json.dumps(foreign).encode())
+        with pytest.warns(RuntimeWarning, match="schema tag"):
+            result = run_figure("fig1", **kwargs)
+        assert result.rendering != "stale"
+        assert (store.counters.hits, store.counters.corrupt) == (0, 1)
+        assert run_figure("fig1", **kwargs).rendering == result.rendering
+        assert store.counters.hits == 1
 
 
 class TestExperimentConfigs:
@@ -258,9 +319,8 @@ class TestExperimentConfigs:
         monkeypatch.setenv("REPRO_THREADS", "4")
         for figure_id, figure in sorted(FIGURES.items()):
             run_many(experiment_configs(figure_id, workloads=("counter",)))
-            ran = counters().simulations
             figure(workloads=("counter",))
-            assert counters().simulations == ran, figure_id
+            assert last_manifest().executed == 0, figure_id
 
 
 class TestCodeFingerprint:
@@ -294,13 +354,15 @@ class TestForeignClaims:
             waits.append(store_key)
             if len(waits) == 1:
                 return None  # the first holder released without storing
-            store.put(store_key, runner._result_payload(cfg, peer_result))
-            return store.get(store_key)
+            store.save(store_key, {"schema": runner.SCHEMA_VERSION,
+                                   "result": peer_result.to_dict()})
+            return store.peek(store_key)
 
         monkeypatch.setattr(store, "claim", lambda store_key: None)
         monkeypatch.setattr(store, "wait_for", wait_for)
         (result,) = run_many([cfg], workers=1)
-        assert counters().simulations == 0
+        assert sources() == ["disk"]
         assert waits == [key, key]
         assert result.to_dict() == peer_result.to_dict()
-        assert runner.last_manifest().entry_for(cfg).source == "cached"
+        # The key's one counted lookup is the miss before the wait.
+        assert store.counters.misses == 1 and store.counters.hits == 0

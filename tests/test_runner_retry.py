@@ -24,7 +24,6 @@ from repro.experiments import runner
 from repro.experiments.runner import (
     RunConfig,
     clear_cache,
-    counters,
     last_manifest,
     run_many,
 )
@@ -77,10 +76,8 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "_disk_cache_override", None)
     monkeypatch.setattr(runner, "_default_progress", None)
     clear_cache()
-    counters().reset()
     yield
     clear_cache()
-    counters().reset()
 
 
 @pytest.fixture
@@ -103,7 +100,7 @@ class TestSerialRetry:
         assert results[0].workload == "flaky-counter"
         # Marker proves the first attempt really failed before the retry.
         assert (flaky_markers / "attempt-1").exists()
-        assert counters().simulations == 1
+        assert last_manifest().executed == 1
 
     def test_retry_matches_clean_run(self, flaky_markers):
         flaky = run_many([_flaky()], workers=1, use_cache=False)[0]
@@ -149,7 +146,7 @@ class TestPoolRetry:
             "attempt-1",
             "attempt-2",
         }
-        assert counters().simulations == 2
+        assert last_manifest().executed == 2
 
     def test_pool_second_failure_raises_with_config(self):
         bad = RunConfig.make("broken-counter", "htm-be", **FAST)
@@ -274,7 +271,7 @@ class TestBrokenPool:
             results = run_many(cfgs, workers=2, use_cache=False)
         assert _attempts(crash_markers, "kill-1") == 2
         assert _attempts(crash_markers, "kill-2") == 2
-        assert counters().simulations == 2
+        assert last_manifest().executed == 2
         for cfg, result in zip(cfgs, results):
             clean = run_many(
                 [RunConfig.make("counter", "htm-be", seed=cfg.seed, **FAST)],

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -46,13 +47,12 @@ class TestRoundTrip:
     def test_put_get_bytes(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
         store.put("result/" + "ab" * 32, b"payload-bytes")
-        assert store.get("result/" + "ab" * 32) == b"payload-bytes"
+        assert store.peek("result/" + "ab" * 32) == b"payload-bytes"
         assert store.counters.puts == 1
-        assert store.counters.hits == 1
 
     def test_missing_key_is_counted_miss(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
-        assert store.get("result/" + "00" * 32) is None
+        assert store.load("result/" + "00" * 32, "x/1") is None
         assert store.counters.misses == 1
 
     def test_peek_does_not_count(self, kind, tmp_path):
@@ -67,21 +67,38 @@ class TestRoundTrip:
         store = make_store(kind, tmp_path)
         store.put("result/" + "cd" * 32, b"old")
         store.put("result/" + "cd" * 32, b"new")
-        assert store.get("result/" + "cd" * 32) == b"new"
+        assert store.peek("result/" + "cd" * 32) == b"new"
         assert store.stats()["entries"] == 1
 
     def test_json_round_trip(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
         doc = {"schema": "x/1", "values": [1, 2.5, None], "nested": {"a": 1}}
-        store.put_json("forensics/" + "ee" * 32, doc)
-        assert store.get_json("forensics/" + "ee" * 32) == doc
+        store.save("forensics/" + "ee" * 32, doc)
+        assert store.load("forensics/" + "ee" * 32, "x/1") == doc
+        assert store.counters.puts == 1
+        assert store.counters.hits == 1
+
+    def test_load_counts_one_outcome_per_read(self, kind, tmp_path):
+        """A foreign schema tag or a document ``decode`` rejects is a
+        corrupt miss, never also a hit; ``count=False`` counts nothing."""
+        store = make_store(kind, tmp_path)
+        key = "figure/fig1/" + "ab" * 32
+        store.save(key, {"schema": "x/1", "n": 1})
+        with pytest.warns(RuntimeWarning, match="schema tag"):
+            assert store.load(key, "x/2") is None
+        assert store.load(key, "x/1", lambda doc: doc["missing"]) is None
+        assert store.load(key, "x/1", lambda doc: doc["n"]) == 1
+        assert store.load(key, "x/1", count=False) == {"schema": "x/1", "n": 1}
+        assert store.load("figure/fig1/" + "cd" * 32, "x/1") is None
+        counts = store.counters
+        assert (counts.hits, counts.misses, counts.corrupt) == (1, 1, 2)
 
     def test_delete(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
         store.put("result/" + "0f" * 32, b"x")
         assert store.delete("result/" + "0f" * 32) is True
         assert store.delete("result/" + "0f" * 32) is False
-        assert store.get("result/" + "0f" * 32) is None
+        assert store.peek("result/" + "0f" * 32) is None
 
     def test_keys_prefix(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
@@ -99,13 +116,13 @@ class TestRoundTrip:
         store.put("result/" + "11" * 32, b"{not json")
         store.put("result/" + "22" * 32, b"also not }")
         with pytest.warns(RuntimeWarning, match="cache miss"):
-            assert store.get_json("result/" + "11" * 32) is None
+            assert store.load("result/" + "11" * 32, "x/1") is None
         # Second corrupt read: counted, but silent.
         import warnings as _w
 
         with _w.catch_warnings():
             _w.simplefilter("error")
-            assert store.get_json("result/" + "22" * 32) is None
+            assert store.load("result/" + "22" * 32, "x/1") is None
         assert store.counters.corrupt == 2
 
     def test_stats_document_shape(self, kind, tmp_path):
@@ -166,7 +183,7 @@ class TestShardedInternals:
         store.flush()
         entry = store._load_index(_shard_of(key))["entries"][key]
         assert entry["len"] < 10_000  # stored compressed
-        assert store.get(key) == b"A" * 10_000
+        assert store.peek(key) == b"A" * 10_000
 
     def test_bit_flip_detected_as_corrupt_miss(self, tmp_path):
         store = ShardedStore(tmp_path)
@@ -182,7 +199,7 @@ class TestShardedInternals:
         seg.write_bytes(blob)
         fresh = ShardedStore(tmp_path)
         with pytest.warns(RuntimeWarning):
-            assert fresh.get(key) is None
+            assert fresh.load(key, "x/1") is None
         assert fresh.counters.corrupt == 1
         assert fresh.verify() != []
 
@@ -196,7 +213,7 @@ class TestShardedInternals:
         assert before["dead_bytes"] > 0
         summary = store.compact()
         assert summary["reclaimed_bytes"] > 0
-        assert store.get_json(key)["version"] == 19
+        assert json.loads(store.peek(key))["version"] == 19
         assert store.stats()["dead_bytes"] == 0
         assert store.verify() == []
 
@@ -205,23 +222,25 @@ class TestShardedInternals:
 
         store = ShardedStore(tmp_path)
         keys = ["result/" + ("%02x" % i) * 32 for i in range(8)]
-        for i, key in enumerate(keys):
-            # Incompressible payloads so the byte budget bites.
-            payload = b"".join(
+        for key in keys:
+            # Hard-to-compress payloads so the byte budget bites.
+            pad = b"".join(
                 hashlib.sha256(key.encode() + bytes([j])).digest()
                 for j in range(16)
             )
-            store.put(key, payload)
-        # Touch half the keys so they are most-recently-read.
+            store.save(key, {"schema": "x/1", "pad": pad.hex()})
+        # Read half the keys so they are most-recently-read.
         kept = keys[4:]
         for key in kept:
-            assert store.get(key) is not None
+            assert store.load(key, "x/1") is not None
         store.flush()
-        evicted = store.gc(4 * 560)
-        assert evicted
-        assert set(evicted) <= set(keys[:4])
+        budget = sum(
+            store._load_index(_shard_of(k))["entries"][k]["len"] for k in kept
+        )
+        evicted = store.gc(budget)
+        assert sorted(evicted) == keys[:4]
         for key in kept:
-            assert store.get(key) is not None
+            assert store.load(key, "x/1") is not None
         assert store.counters.evictions == len(evicted)
 
     def test_rebuild_index_from_segments(self, tmp_path):
@@ -233,7 +252,7 @@ class TestShardedInternals:
         (store._shard_dir(shard) / "index.json").unlink()
         fresh = ShardedStore(tmp_path)
         assert fresh.rebuild_index(shard) == 1
-        assert fresh.get(key) == b"survives"
+        assert fresh.peek(key) == b"survives"
 
     def test_foreign_layout_version_refused(self, tmp_path):
         ShardedStore(tmp_path)
@@ -294,7 +313,12 @@ class TestClaims:
 
     def test_concurrent_claimants_never_overlap(self, tmp_path):
         """Two threads race claim/release on one key: at most one may
-        hold it at any time, and both must keep getting it."""
+        hold it at any time, and both must keep getting it.
+
+        A refused claimant retries after a random pause of up to 200 us.
+        Retrying at once phase-locks it with the holder's release and
+        re-claim, so it never tries while the key is free: it starves,
+        and the race this test is about never runs."""
         store = ShardedStore(tmp_path)
         key = "result/" + "ee" * 32
         guard = threading.Lock()
@@ -304,9 +328,11 @@ class TestClaims:
         deadline = time.monotonic() + 2.0
 
         def contend(me):
+            rng = random.Random(me)
             while time.monotonic() < deadline:
                 claim = store.claim(key)
                 if claim is None:
+                    time.sleep(rng.random() * 2e-4)
                     continue
                 with guard:
                     if holders:
@@ -370,7 +396,7 @@ _RUNNER_WORKER = textwrap.dedent(
     import json
     import sys
 
-    from repro.experiments.runner import RunConfig, counters, run_many
+    from repro.experiments.runner import RunConfig, last_manifest, run_many
     from repro.systems import paper
 
     sweep = [
@@ -380,8 +406,7 @@ _RUNNER_WORKER = textwrap.dedent(
     ]
     results = run_many(sweep, workers=1)
     print(json.dumps({
-        "simulations": counters().simulations,
-        "disk_hits": counters().disk_hits,
+        "simulations": last_manifest().executed,
         "cycles": [r.cycles for r in results],
     }))
     """
@@ -425,7 +450,7 @@ class TestConcurrentWriters:
         assert store.verify() == []
         for i in range(10):
             key = "result/ffff%02d" % i + "ab" * 29
-            assert store.get_json(key) == {"shared": i}
+            assert json.loads(store.peek(key)) == {"shared": i}
 
     def test_concurrent_run_many_never_double_runs(self, tmp_path):
         """Four processes race the same 6-cell sweep; the claim protocol

@@ -21,7 +21,6 @@ from repro.experiments import runner
 from repro.experiments.runner import (
     RunConfig,
     clear_cache,
-    counters,
     last_manifest,
     run_many,
 )
@@ -68,12 +67,10 @@ def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setattr(runner, "_default_progress", None)
     store_pkg.drop_cached_instances()
     clear_cache()
-    counters().reset()
     yield
     fleet.uninstall()
     store_pkg.drop_cached_instances()
     clear_cache()
-    counters().reset()
 
 
 @pytest.fixture
