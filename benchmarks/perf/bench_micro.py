@@ -74,16 +74,13 @@ def bench_engine_zero_delay(n):
 
 
 def bench_message(n):
-    """Construct + release a 6-field request (one coherence hop's worth).
-
-    The Python ``Message`` is a plain allocation; only the compiled
-    factory recycles released messages through a free list."""
+    """Construct a 6-field request (one coherence hop's worth)."""
     from repro import accel
     from repro.net.messages import DIRECTORY, MessageKind
 
     Message = accel.message_factory()
     for i in range(n):
-        msg = Message(
+        Message(
             kind=MessageKind.GETS,
             src=0,
             dst=DIRECTORY,
@@ -91,18 +88,23 @@ def bench_message(n):
             epoch=1,
             req_id=i,
         )
-        msg.release()
 
 
 def bench_directory_probe(n):
-    """Construct + release a 16-field probe built like
-    ``Directory._forward``, so the cost per keyword shows."""
+    """Construct a 16-field probe the way ``Directory._forward`` does,
+    through an attribute, so the cost per keyword shows.
+
+    CPython compiles a plain-name call with 16 keywords into a dict
+    build and ``CALL_FUNCTION_EX``, which would time the dict, not the
+    factory; an attribute call passes its keywords on the stack."""
+    from types import SimpleNamespace
+
     from repro import accel
     from repro.net.messages import DIRECTORY, MessageKind
 
-    Message = accel.message_factory()
+    site = SimpleNamespace(Message=accel.message_factory())
     for i in range(n):
-        msg = Message(
+        site.Message(
             kind=MessageKind.FWD_GETX,
             src=DIRECTORY,
             dst=1,
@@ -120,27 +122,6 @@ def bench_directory_probe(n):
             req_produced=False,
             req_consumed=False,
         )
-        msg.release()
-
-
-def bench_message_retain_release(n):
-    """Retain/release ownership churn (the handler-keeps-message path)."""
-    from repro import accel
-    from repro.net.messages import DIRECTORY, MessageKind
-
-    Message = accel.message_factory()
-    for i in range(n):
-        msg = Message(
-            kind=MessageKind.GETS,
-            src=0,
-            dst=DIRECTORY,
-            block=i & 0xFFFF,
-            epoch=1,
-            req_id=i,
-        )
-        msg.retain()
-        msg.release()
-        msg.release()
 
 
 def bench_cache_hit(n):
@@ -236,13 +217,8 @@ BENCHES = (
     ("engine run loop (delay-1 chain)", bench_engine_throughput, 200_000),
     ("engine schedule+cancel churn", bench_engine_schedule_cancel, 200_000),
     ("engine zero-delay lane chain", bench_engine_zero_delay, 200_000),
-    ("message construct+release", bench_message, 200_000),
-    (
-        "directory probe construct+release (16 fields)",
-        bench_directory_probe,
-        200_000,
-    ),
-    ("message retain+release churn", bench_message_retain_release, 200_000),
+    ("message construct", bench_message, 200_000),
+    ("directory probe construct (16 fields)", bench_directory_probe, 200_000),
     ("L1 cache hit lookup", bench_cache_hit, 500_000),
     ("speculative store write+read", bench_spec_store, 200_000),
     ("probe emit (one subscriber)", bench_probe_emit, 200_000),

@@ -7,8 +7,8 @@ Two execution backends sit behind one interface:
     ``Simulator._route``, ``Crossbar.send``).  Always available; the
     default.
 ``compiled``
-    The ``_hotcore`` C extension: compiled engine, pooled message
-    factory, delivery router, and crossbar send.  ``pip install -e .``
+    The ``_hotcore`` C extension: compiled engine, message factory,
+    delivery router, and crossbar send.  ``pip install -e .``
     builds it best-effort, ``python scripts/build_accel.py`` explicitly;
     falls back to ``python`` (with a single warning) when absent.
 
@@ -173,9 +173,9 @@ def message_factory():
 
 
 def make_router(dst_handler_tables, fallback):
-    """A delivery callable: dst index -> kind index -> handler, then
-    release.  ``dst_handler_tables`` is the list of dense per-kind
-    handler lists (directory last); ``fallback`` is the Python route."""
+    """A delivery callable: dst index -> kind index -> handler.
+    ``dst_handler_tables`` is the list of dense per-kind handler lists
+    (directory last); ``fallback`` is the Python route."""
     if compiled_active():
         return _load_compiled().Router(list(dst_handler_tables))
     return fallback

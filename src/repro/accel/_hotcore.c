@@ -11,28 +11,24 @@
  *                      (ring buffer) and a delay-1 lane, O(1) pending(),
  *                      lazy cancellation with threshold compaction.  The
  *                      run loop additionally parks the cyclic garbage
- *                      collector while it drains (allocation on the hot
- *                      path is pooled and bounded, so generational scans
- *                      are pure overhead); the previous GC state is
- *                      restored on exit, including on error.
- *   Message          — the pooled __slots__ coherence-message record of
- *                      repro/net/messages.py, with the same bounded
- *                      free-list recycling and retain/release ownership
- *                      contract.  Constructed through the make_message()
- *                      fastcall factory (no kwargs dict, no Python
- *                      __init__ frame).
+ *                      collector while it drains (see Engine_run); the
+ *                      previous GC state is restored on exit, including
+ *                      on error.
+ *   Message          — the __slots__ coherence-message record of
+ *                      repro/net/messages.py: a plain record that lives
+ *                      as long as something references it.  Constructed
+ *                      through the make_message() fastcall factory (no
+ *                      kwargs dict, no Python __init__ frame).
  *   Router           — the delivery hot path: Simulator._route plus the
  *                      per-controller dense ``handle`` dispatch collapsed
- *                      into one C call (dst index -> kind index -> handler),
- *                      releasing the message afterwards exactly like the
- *                      Python router.
+ *                      into one C call (dst index -> kind index -> handler).
  *   SendCore         — Crossbar.send: flit accounting, probe gating, and
  *                      the schedule of the delivery callback, all without
  *                      leaving C (the schedule inserts directly into the
  *                      C engine's queue).
  *
- * Everything observable (event order, counters, error messages, pool
- * semantics) matches the Python implementations; only host time differs.
+ * Everything observable (event order, counters, error messages) matches
+ * the Python implementations; only host time differs.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -704,9 +700,11 @@ Engine_run(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
         return PyLong_FromLongLong(self->now);
     }
 
-    /* Park the cyclic collector for the duration of the drain: the hot
-     * path allocates only pooled/bounded records, so generational scans
-     * are pure overhead.  Restored on every exit path. */
+    /* Park the cyclic collector for the duration of the drain.  What
+     * the drain allocates (events, messages, handler temporaries) dies
+     * by reference count, so a collection started meanwhile frees
+     * nothing; parking skips it.  A cycle made meanwhile is collected
+     * after the run.  Restored on every exit path. */
     int gc_was_enabled = PyGC_Disable();
 
     long long processed = 0;
@@ -819,27 +817,20 @@ static PyTypeObject Engine_Type = {
 
 typedef struct {
     PyObject_HEAD
-    PyObject *kind;       /* MessageKind member; None once released */
+    PyObject *kind;       /* MessageKind member */
     long src, dst, block, epoch, req_id;
     PyObject *data;       /* tuple | None */
     PyObject *requester;  /* int | None */
     PyObject *pic;        /* int | None */
     PyObject *timestamp;  /* int | None */
     PyObject *action;     /* str | None */
-    long long uid;
     char exclusive, power, can_consume, is_validation, non_transactional;
     char req_produced, req_consumed;
-    char retained, pooled;
     int kind_idx;
     char carries_data;
 } MessageObject;
 
 static PyTypeObject Message_Type;
-
-#define MSG_POOL_LIMIT 512
-static MessageObject *msg_pool[MSG_POOL_LIMIT];
-static Py_ssize_t msg_pool_len = 0;
-static long long msg_uid_counter = 0;
 
 /* Per-kind (idx, carries_data) cache keyed by the enum member pointer:
  * enum members are module-lifetime singletons, so a small linear scan
@@ -904,47 +895,8 @@ Message_dealloc(MessageObject *self)
 }
 
 static PyObject *
-Message_retain(MessageObject *self, PyObject *Py_UNUSED(ignored))
-{
-    self->retained = 1;
-    return Py_NewRef((PyObject *)self);
-}
-
-static PyObject *
-Message_release(MessageObject *self, PyObject *Py_UNUSED(ignored))
-{
-    if (self->retained || self->pooled) {
-        Py_RETURN_NONE;
-    }
-    self->pooled = 1;
-    Py_XSETREF(self->kind, Py_NewRef(Py_None));
-    Py_XSETREF(self->data, Py_NewRef(Py_None));
-    Py_XSETREF(self->action, Py_NewRef(Py_None));
-    if (msg_pool_len < MSG_POOL_LIMIT) {
-        msg_pool[msg_pool_len++] = (MessageObject *)Py_NewRef(self);
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Message_get_flits(MessageObject *self, void *Py_UNUSED(closure))
-{
-    if (self->kind == Py_None) {
-        /* Parity with the Python property, which dies loudly on
-         * ``kind.carries_data`` for a released message. */
-        PyErr_SetString(PyExc_AttributeError,
-                        "'NoneType' object has no attribute 'carries_data'");
-        return NULL;
-    }
-    return PyLong_FromLong(self->carries_data ? 5 : 1);
-}
-
-static PyObject *
 Message_repr(MessageObject *self)
 {
-    if (self->kind == Py_None) {
-        return PyUnicode_FromString("<released Message>");
-    }
     PyObject *value = PyObject_GetAttrString(self->kind, "value");
     if (value == NULL) {
         return NULL;
@@ -959,14 +911,6 @@ Message_repr(MessageObject *self)
     return out;
 }
 
-static PyMethodDef Message_methods[] = {
-    {"retain", (PyCFunction)Message_retain, METH_NOARGS,
-     "Opt this message out of post-delivery recycling."},
-    {"release", (PyCFunction)Message_release, METH_NOARGS,
-     "Return the message to the free list (no-op when retained)."},
-    {NULL, NULL, 0, NULL},
-};
-
 static PyMemberDef Message_members[] = {
     {"kind", T_OBJECT, offsetof(MessageObject, kind), 0, NULL},
     {"src", T_LONG, offsetof(MessageObject, src), 0, NULL},
@@ -979,7 +923,6 @@ static PyMemberDef Message_members[] = {
     {"pic", T_OBJECT, offsetof(MessageObject, pic), 0, NULL},
     {"timestamp", T_OBJECT, offsetof(MessageObject, timestamp), 0, NULL},
     {"action", T_OBJECT, offsetof(MessageObject, action), 0, NULL},
-    {"uid", T_LONGLONG, offsetof(MessageObject, uid), 0, NULL},
     {"exclusive", T_BOOL, offsetof(MessageObject, exclusive), 0, NULL},
     {"power", T_BOOL, offsetof(MessageObject, power), 0, NULL},
     {"can_consume", T_BOOL, offsetof(MessageObject, can_consume), 0, NULL},
@@ -989,15 +932,7 @@ static PyMemberDef Message_members[] = {
      offsetof(MessageObject, non_transactional), 0, NULL},
     {"req_produced", T_BOOL, offsetof(MessageObject, req_produced), 0, NULL},
     {"req_consumed", T_BOOL, offsetof(MessageObject, req_consumed), 0, NULL},
-    {"_retained", T_BOOL, offsetof(MessageObject, retained), 0, NULL},
-    {"_pooled", T_BOOL, offsetof(MessageObject, pooled), 0, NULL},
     {NULL, 0, 0, 0, NULL},
-};
-
-static PyGetSetDef Message_getset[] = {
-    {"flits", (getter)Message_get_flits, NULL,
-     "5 for data-bearing kinds, 1 for control.", NULL},
-    {NULL, NULL, NULL, NULL, NULL},
 };
 
 static PyTypeObject Message_Type = {
@@ -1007,11 +942,9 @@ static PyTypeObject Message_Type = {
     .tp_dealloc = (destructor)Message_dealloc,
     .tp_repr = (reprfunc)Message_repr,
     .tp_flags = Py_TPFLAGS_DEFAULT,
-    .tp_doc = "Pooled coherence message (drop-in for "
+    .tp_doc = "Coherence message record (drop-in for "
               "repro.net.messages.Message).",
-    .tp_methods = Message_methods,
     .tp_members = Message_members,
-    .tp_getset = Message_getset,
 };
 
 /* Parameter names of make_message, in the Python Message.__init__
@@ -1087,23 +1020,17 @@ make_message(PyObject *Py_UNUSED(module), PyObject *const *args,
         return NULL;
     }
 
-    MessageObject *self;
-    if (msg_pool_len > 0) {
-        self = msg_pool[--msg_pool_len];
-        /* Reuse: the pool's strong ref becomes the caller's. */
+    MessageObject *self = PyObject_New(MessageObject, &Message_Type);
+    if (self == NULL) {
+        return NULL;
     }
-    else {
-        self = PyObject_New(MessageObject, &Message_Type);
-        if (self == NULL) {
-            return NULL;
-        }
-        self->kind = NULL;
-        self->data = NULL;
-        self->requester = NULL;
-        self->pic = NULL;
-        self->timestamp = NULL;
-        self->action = NULL;
-    }
+    /* NULL until set, so a failed conversion can dealloc the record. */
+    self->kind = NULL;
+    self->data = NULL;
+    self->requester = NULL;
+    self->pic = NULL;
+    self->timestamp = NULL;
+    self->action = NULL;
 
 #define AS_LONG(slot, dflt, field)                                       \
     do {                                                                 \
@@ -1132,8 +1059,7 @@ make_message(PyObject *Py_UNUSED(module), PyObject *const *args,
         }                                                                \
     } while (0)
 #define AS_OBJ(slot, field)                                              \
-    Py_XSETREF(self->field,                                              \
-               Py_NewRef(values[slot] != NULL ? values[slot] : Py_None))
+    self->field = Py_NewRef(values[slot] != NULL ? values[slot] : Py_None)
 
     AS_LONG(P_SRC, 0, src);
     AS_LONG(P_DST, 0, dst);
@@ -1160,31 +1086,12 @@ make_message(PyObject *Py_UNUSED(module), PyObject *const *args,
         < 0) {
         goto fail;
     }
-    Py_XSETREF(self->kind, Py_NewRef(values[P_KIND]));
-    self->uid = msg_uid_counter++;
-    self->retained = 0;
-    self->pooled = 0;
+    self->kind = Py_NewRef(values[P_KIND]);
     return (PyObject *)self;
 
 fail:
     Py_DECREF(self);
     return NULL;
-}
-
-/* C-internal release used by the router (skips the method call). */
-static void
-message_release_internal(MessageObject *self)
-{
-    if (self->retained || self->pooled) {
-        return;
-    }
-    self->pooled = 1;
-    Py_XSETREF(self->kind, Py_NewRef(Py_None));
-    Py_XSETREF(self->data, Py_NewRef(Py_None));
-    Py_XSETREF(self->action, Py_NewRef(Py_None));
-    if (msg_pool_len < MSG_POOL_LIMIT) {
-        msg_pool[msg_pool_len++] = (MessageObject *)Py_NewRef(self);
-    }
 }
 
 /* ------------------------------------------------------------------ */
@@ -1214,8 +1121,7 @@ Router_call(RouterObject *self, PyObject *args, PyObject *kwds)
 
     Py_ssize_t dst;
     Py_ssize_t kind_idx;
-    int is_cmsg = PyObject_TypeCheck(msg, &Message_Type);
-    if (is_cmsg) {
+    if (PyObject_TypeCheck(msg, &Message_Type)) {
         dst = ((MessageObject *)msg)->dst;
         kind_idx = ((MessageObject *)msg)->kind_idx;
     }
@@ -1267,16 +1173,6 @@ Router_call(RouterObject *self, PyObject *args, PyObject *kwds)
         return NULL;
     }
     Py_DECREF(res);
-    if (is_cmsg) {
-        message_release_internal((MessageObject *)msg);
-    }
-    else {
-        PyObject *rel = PyObject_CallMethod(msg, "release", NULL);
-        if (rel == NULL) {
-            return NULL;
-        }
-        Py_DECREF(rel);
-    }
     Py_RETURN_NONE;
 }
 
@@ -1333,7 +1229,7 @@ static PyTypeObject Router_Type = {
     .tp_call = (ternaryfunc)Router_call,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
     .tp_doc = "Dense message-delivery router: dst index -> kind index -> "
-              "handler, then release.",
+              "handler.",
     .tp_traverse = (traverseproc)Router_traverse,
     .tp_clear = (inquiry)Router_clear_gc,
     .tp_new = Router_new,
@@ -1572,14 +1468,14 @@ static PyTypeObject SendCore_Type = {
 static PyMethodDef hotcore_methods[] = {
     {"make_message", (PyCFunction)(void (*)(void))make_message,
      METH_FASTCALL | METH_KEYWORDS,
-     "Fast pooled-message factory (drop-in for Message(...))."},
+     "Fast message factory (drop-in for Message(...))."},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef hotcore_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "repro.accel._hotcore",
-    .m_doc = "Compiled hot core: engine, pooled messages, router, and "
+    .m_doc = "Compiled hot core: engine, message factory, router, and "
              "crossbar send.",
     .m_size = -1,
     .m_methods = hotcore_methods,

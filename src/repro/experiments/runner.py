@@ -629,9 +629,10 @@ def run_many(
     batch = fleet.for_run_many()
 
     # Deduplicate, preserving first-occurrence order.
+    keys = [cfg.key() for cfg in configs]
     unique: Dict[str, RunConfig] = {}
-    for cfg in configs:
-        unique.setdefault(cfg.key(), cfg)
+    for key, cfg in zip(keys, configs):
+        unique.setdefault(key, cfg)
     batch.open(configs=len(configs), unique=len(unique), workers=workers,
                backend=manifest.backend)
     store = result_store() if disk_cache_enabled() else None
@@ -762,4 +763,4 @@ def run_many(
             claim.release()
 
     batch.close(manifest)
-    return [results[cfg.key()] for cfg in configs]
+    return [results[key] for key in keys]

@@ -15,10 +15,10 @@ oblivious to the forwarding").
 
 Hot-path notes: per-block state and invalidation rounds are ``__slots__``
 records, and the message entry point dispatches through a dense
-per-kind table (``kind.idx``) instead of an if/elif ladder.  Messages the
-directory stores past their delivery callback (queued requests,
-invalidation-round requests) are ``retain()``-ed so the router's
-post-delivery ``release()`` never poisons them under us.
+per-kind table (``kind.idx``) instead of an if/elif ladder.  Queued
+requests and invalidation-round requests are kept as the delivered
+messages themselves: a message is a plain record, so holding a
+reference is all it takes.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class Directory:
             # Strict FIFO: while older requests wait, new arrivals may not
             # jump ahead (otherwise retry convoys — e.g. CAS spinners on
             # the fallback lock — starve a queued request forever).
-            entry.queue.append(msg.retain())
+            entry.queue.append(msg)
             return
         self._process_request(entry, msg)
 
@@ -208,7 +208,7 @@ class Directory:
         others = entry.sharers - {msg.src}
         if others:
             entry.busy = True
-            entry.inv_round = _InvRound(request=msg.retain(), pending=len(others))
+            entry.inv_round = _InvRound(request=msg, pending=len(others))
             self.inv_rounds += 1
             if self._probe._subscribers:
                 self._probe.emit(
@@ -317,9 +317,6 @@ class Directory:
                 self._grant_exclusive(entry, original)
             else:
                 self._grant_shared(entry, original)
-            # ``original`` never travelled the network, so poison it
-            # here (the grant paths read it synchronously).
-            original.release()
         else:  # pragma: no cover - protocol violation
             raise RuntimeError(f"bad unblock action {action!r}")
 

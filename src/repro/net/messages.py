@@ -1,24 +1,24 @@
-"""Coherence message taxonomy and flit accounting.
+"""Coherence message taxonomy.
 
 The simplified MESI protocol exchanges the message kinds below.  For
 Fig. 7 the only property that matters is whether a message carries a data
-payload (5 flits at 16-byte flits for a 64-byte line plus header) or is
-control-only (1 flit), mirroring Table I.
+payload or is control-only (Table I); the crossbar charges each class the
+flit count its ``SystemConfig`` gives.
 
 Hot-path design: a :class:`Message` is created for every hop of every
 coherence exchange, so it is a ``__slots__`` class (no per-instance
-``__dict__``) built by one plain allocation.  After delivery the router
-poisons each message (``release()``) unless a handler retained it
-(directory queueing, invalidation rounds), so a handler that keeps a
-message without retaining it fails loudly instead of reading stale
-fields.  The per-kind hot attributes (``carries_data``, ``idx``) are
-precomputed once on the enum members, so the send path pays plain
-C-speed attribute loads instead of property calls and enum hashing.
+``__dict__``) built by one plain allocation.  A message is a plain
+record that lives as long as something references it: a handler keeps
+one past its delivery (the directory queues requests and holds
+invalidation-round requests) by holding the reference, and nothing is
+recycled or invalidated after delivery.  The per-kind hot attributes
+(``carries_data``, ``idx``) are precomputed once on the enum members, so
+the send path pays plain C-speed attribute loads instead of property
+calls and enum hashing.
 """
 
 from __future__ import annotations
 
-import itertools
 from enum import Enum
 from typing import Optional, Tuple
 
@@ -64,8 +64,6 @@ for _i, _kind in enumerate(MessageKind):
 #: Node id of the directory in message src/dst fields.
 DIRECTORY = -1
 
-_message_ids = itertools.count()
-
 
 class Message:
     """One message on the interconnect.
@@ -97,8 +95,6 @@ class Message:
         "req_produced",
         "req_consumed",
         "action",
-        "uid",
-        "_retained",
     )
 
     def __init__(
@@ -147,39 +143,8 @@ class Message:
         self.req_produced = req_produced
         self.req_consumed = req_consumed
         self.action = action
-        self.uid = next(_message_ids)
-        self._retained = False
-
-    # ------------------------------------------------------------------
-    def retain(self) -> "Message":
-        """Opt this message out of post-delivery poisoning (a handler
-        stored it past the delivery callback)."""
-        self._retained = True
-        return self
-
-    def release(self) -> None:
-        """Poison the message once its delivery is over.
-
-        No-op for retained instances (their lifetime is managed by
-        whoever stored them); releasing twice changes nothing.
-        References are cleared so a use-after-release fails loudly on
-        ``kind`` instead of silently reading stale fields.
-        """
-        if self._retained:
-            return
-        self.kind = None  # type: ignore[assignment]
-        self.data = None
-        self.action = None
-
-    @property
-    def flits(self) -> int:
-        # Resolved by the network against its configured flit counts; this
-        # property only distinguishes the payload class.
-        return 5 if self.kind.carries_data else 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self.kind is None:
-            return "<released Message>"
         return (
             f"<{self.kind.value} {self.src}->{self.dst} blk={self.block:#x}"
             f"{' V' if self.is_validation else ''}"

@@ -9,10 +9,10 @@ delivery time are broken by send order via the engine's FIFO tie-break.
 ``Engine.run``), so the per-message work is precomputed: flit counts are
 bound at construction, per-kind accounting indexes a dense list via
 ``kind.idx`` instead of hashing enum members, and the deliver callback is
-scheduled directly (no wrapper frame).  The *deliver callback* owns the
-message lifecycle: the simulator's router ``release()``s (poisons) each
-:class:`~repro.net.messages.Message` after the handler returns, unless
-the handler retained it.
+scheduled directly (no wrapper frame).  The deliver callback only
+dispatches: a :class:`~repro.net.messages.Message` is a plain record
+that lives as long as something references it, so the network never
+recycles or invalidates one after delivery.
 """
 
 from __future__ import annotations

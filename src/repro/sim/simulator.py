@@ -101,8 +101,8 @@ class Simulator:
         self._dst_handlers = [l1.handle for l1 in self.l1s]
         self._dst_handlers.append(self.directory.handle)
         # Wire the delivery callback now that the handler tables exist:
-        # the compiled dense router (dst -> kind -> handler -> release,
-        # one C call) when the compiled backend is active, else _route.
+        # the compiled dense router (dst -> kind -> handler, one C call)
+        # when the compiled backend is active, else _route.
         self.network.finalize_deliver(
             accel.make_router(
                 [l1._handlers for l1 in self.l1s]
@@ -120,8 +120,6 @@ class Simulator:
     # ------------------------------------------------------------------
     def _route(self, msg: Message) -> None:
         self._dst_handlers[msg.dst](msg)
-        # Poison unless the handler retained the message past delivery.
-        msg.release()
 
     def next_timestamp(self) -> int:
         """Ideal, never-rolling-over begin timestamps (Section VI-B) —

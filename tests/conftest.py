@@ -4,12 +4,34 @@ from __future__ import annotations
 
 import pytest
 
+from repro import accel
 from repro.mem.address import AddressSpace, Geometry
 from repro.mem.memory import MainMemory
 from repro.sim.config import HTMConfig, SystemConfig, table2_config
 from repro.sim.simulator import Simulator
 from repro.systems import SystemSpec, paper
 from repro.workloads.scripted import ScriptedWorkload
+
+
+@pytest.fixture(scope="session", autouse=True)
+def private_cache_dir(tmp_path_factory):
+    """Keep the result store out of the checkout: a test that does not
+    pick a cache directory writes into a session-wide temporary one.  A
+    test that checks the default must clear ``REPRO_CACHE_DIR`` itself."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
+        yield
+
+
+@pytest.fixture(params=accel.BACKENDS)
+def backend(request):
+    """Run the test under each backend; ``compiled`` skips when the
+    extension is not built."""
+    name = request.param
+    if name == "compiled" and not accel.compiled_available():
+        pytest.skip("compiled backend not built (scripts/build_accel.py)")
+    with accel.use(name):
+        yield name
 
 
 @pytest.fixture

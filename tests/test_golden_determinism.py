@@ -35,31 +35,13 @@ CASES = [
 ]
 
 
-#: Every selectable backend must reproduce the same digests.
-#: Unbuilt/unavailable backends skip cleanly so the suite passes on a
-#: pure-Python checkout.
-BACKENDS = ("python", "compiled")
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    from repro import accel
-
-    name = request.param
-    if name == "compiled" and not accel.compiled_available():
-        pytest.skip(
-            "compiled backend not built (scripts/build_accel.py)"
-        )
-    with accel.use(name):
-        yield name
-
-
 def test_matrix_matches_checked_in_digests():
     """The checked-in file covers exactly the generator's matrix."""
     expected = {gen_golden.case_key(w, sy, se) for (w, sy, se) in CASES}
     assert set(GOLDEN) == expected
 
 
+# ``backend`` (conftest.py) runs every case under each backend.
 @pytest.mark.parametrize(
     "workload,system,seed",
     CASES,

@@ -20,25 +20,20 @@ class TestMessageKinds:
         }
 
     def test_flit_classification(self):
-        data = Message(kind=MessageKind.SPEC_RESP, src=0, dst=1, block=1)
-        ctrl = Message(kind=MessageKind.GETS, src=0, dst=DIRECTORY, block=1)
-        assert data.flits == 5
-        assert ctrl.flits == 1
-
-    def test_unique_uids(self):
-        a = Message(kind=MessageKind.GETS, src=0, dst=1, block=1)
-        b = Message(kind=MessageKind.GETS, src=0, dst=1, block=1)
-        assert a.uid != b.uid
+        """Each class costs the flits its ``SystemConfig`` gives."""
+        config = SystemConfig(data_message_flits=9, control_message_flits=2)
+        net = Crossbar(Engine(), config, lambda m: None)
+        net.send(Message(kind=MessageKind.SPEC_RESP, src=0, dst=1, block=1))
+        net.send(Message(kind=MessageKind.GETS, src=0, dst=DIRECTORY, block=1))
+        stats = net.stats()
+        assert (stats["data_flits"], stats["control_flits"]) == (9, 2)
 
 
 class TestCrossbar:
     def _net(self):
         engine = Engine()
         delivered = []
-        # Retain on capture: the router poisons delivered messages.
-        net = Crossbar(
-            engine, SystemConfig(), lambda m: delivered.append(m.retain())
-        )
+        net = Crossbar(engine, SystemConfig(), delivered.append)
         return engine, net, delivered
 
     def test_delivery_after_link_latency(self):
@@ -82,50 +77,56 @@ class TestCrossbar:
 
 
 class TestMessageLifecycle:
-    """The Python ``Message`` is poisoned on ``release()``, never reused."""
+    """A message is a plain record: whoever keeps it can read it."""
 
-    def full_message(self, dst=5):
-        return Message(
-            kind=MessageKind.SPEC_RESP, src=3, dst=dst, block=0x40,
-            data=(1, 2), requester=3, exclusive=True, pic=7, power=True,
-            timestamp=9, epoch=2, req_id=11, can_consume=False,
-            is_validation=True, non_transactional=True, req_produced=True,
-            req_consumed=True, action="xfer",
+    SENT = dict(
+        kind=MessageKind.SPEC_RESP, src=3, dst=1, block=0x40, data=(1, 2),
+        requester=3, exclusive=True, pic=7, power=True, timestamp=9,
+        epoch=2, req_id=11, can_consume=False, is_validation=True,
+        non_transactional=True, req_produced=True, req_consumed=True,
+        action="xfer",
+    )
+
+    def test_kept_message_keeps_every_field(self, backend):
+        def idle():
+            yield from ()
+
+        sim = Simulator(
+            ScriptedWorkload([idle]), config=SystemConfig(num_cores=2)
         )
-
-    def fields(self, msg):
-        return {name: getattr(msg, name) for name in Message.__slots__}
-
-    def assert_poisoned(self, msg):
-        assert (msg.kind, msg.data, msg.action) == (None, None, None)
-        assert repr(msg) == "<released Message>"
-
-    def test_release_poisons(self):
-        msg = self.full_message()
-        msg.release()
-        self.assert_poisoned(msg)
+        make = accel.message_factory()
+        kept = []
+        spec_resp = MessageKind.SPEC_RESP.idx
+        sim.l1s[1]._handlers[spec_resp] = kept.append  # keeps, no call
+        sim.l1s[0]._handlers[spec_resp] = lambda msg: None
+        sim.network.send(make(**self.SENT))
+        sim.engine.run()
+        # More traffic, each message dropped by its handler.
+        for i in range(4):
+            sim.network.send(
+                make(kind=MessageKind.SPEC_RESP, src=2, dst=0, block=i)
+            )
+        sim.engine.run()
+        [msg] = kept
+        assert {name: getattr(msg, name) for name in self.SENT} == self.SENT
 
     def test_retained_message_keeps_every_field(self):
-        msg = self.full_message().retain()
-        before = self.fields(msg)
-        msg.release()
-        assert self.fields(msg) == before
-
-    def test_second_release_is_harmless(self):
-        msg = self.full_message()
-        msg.release()
-        msg.release()
-        self.assert_poisoned(msg)
-
-    def test_message_after_release_is_a_new_object(self):
-        stale = self.full_message()
-        stale.release()
-        fresh = Message(kind=MessageKind.GETX, src=2, dst=3, block=2)
-        assert fresh is not stale
-        assert fresh.kind is MessageKind.GETX
-        self.assert_poisoned(stale)
+        """Every slot of a ``Message`` a receiver keeps off the crossbar
+        reads as sent after more traffic."""
+        assert set(self.SENT) == set(Message.__slots__)
+        engine, kept = Engine(), []
+        net = Crossbar(engine, SystemConfig(), kept.append)
+        net.send(Message(**self.SENT))
+        for i in range(4):
+            net.send(Message(kind=MessageKind.GETS, src=0, dst=1, block=i))
+        engine.run()
+        assert {name: getattr(kept[0], name) for name in self.SENT} == self.SENT
 
     def test_router_poisons_only_unretained_deliveries(self):
+        """The router hands each delivery to its destination's handler and
+        poisons none: the one a handler keeps and the one a handler drops
+        both read as sent."""
+
         def idle():
             yield from ()
 
@@ -133,15 +134,15 @@ class TestMessageLifecycle:
             sim = Simulator(
                 ScriptedWorkload([idle]), config=SystemConfig(num_cores=2)
             )
-            kept, retained = [], []
-            sim._dst_handlers[0] = kept.append
-            sim._dst_handlers[1] = lambda m: retained.append(m.retain())
-            unretained = self.full_message(dst=0)
-            held = self.full_message(dst=1)
-            before = self.fields(held)
-            sim.network.send(unretained)
+            kept = []
+            sim._dst_handlers[0] = lambda msg: None
+            sim._dst_handlers[1] = kept.append
+            dropped = Message(**{**self.SENT, "dst": 0})
+            held = Message(**self.SENT)
+            sim.network.send(dropped)
             sim.network.send(held)
             sim.engine.run()
-        assert kept == [unretained] and retained == [held]
-        self.assert_poisoned(unretained)
-        assert self.fields(held) == {**before, "_retained": True}
+        assert kept == [held]
+        for msg, dst in ((dropped, 0), (held, 1)):
+            sent = {**self.SENT, "dst": dst}
+            assert {name: getattr(msg, name) for name in sent} == sent

@@ -197,6 +197,17 @@ class TestRunMany:
         assert len(results) == 3
         assert results[0] is results[1] is results[2]
 
+    def test_warm_batch_keys_each_config_once(self, monkeypatch):
+        run_many(SWEEP, workers=1)
+        calls = []
+        key = RunConfig.key
+        monkeypatch.setattr(
+            RunConfig, "key", lambda cfg: calls.append(cfg) or key(cfg)
+        )
+        run_many(SWEEP, workers=1)
+        assert sources() == ["memory"] * len(SWEEP)
+        assert len(calls) == len(SWEEP)
+
     def test_results_in_input_order(self):
         results = run_many(SWEEP, workers=2)
         for cfg, result in zip(SWEEP, results):
