@@ -51,7 +51,7 @@ from repro.obs import (  # noqa: E402
 )
 from repro.obs.telemetry import SCHEMA as TELEMETRY_SCHEMA  # noqa: E402
 from repro.obs.telemetry import SPAN_NAMES  # noqa: E402
-from repro.store import STORE_SCHEMA, ShardedStore, StoreCounters  # noqa: E402
+from repro.store import STORE_SCHEMA, StoreCounters  # noqa: E402
 
 KINDS = ("store", "forensics", "compare", "events", "spans", "chrome")
 
@@ -70,25 +70,18 @@ class count(int):
 # ----------------------------------------------------------------------
 STORE_FIELDS = {
     "schema": str,
-    "kind": str,
     "root": str,
     "entries": count,
-    "shards": count,
-    "segments": count,
     "logical_bytes": count,
-    "physical_bytes": count,
     "stored_bytes": count,
-    "dead_bytes": count,
-    "shard_count": count,
     "namespaces": dict,
     "counters": dict,
 }
 STORE_COUNTER_FIELDS = dict.fromkeys(StoreCounters().to_dict(), count)
 
 #: Key namespaces of the runner, forensics and figure caches.
-#: ``(flat)`` counts keys without one; ``manifest`` holds the batch
-#: manifests older versions archived, still present in their stores.
-STORE_NAMESPACES = {"result", "manifest", "forensics", "figure", "(flat)"}
+#: ``(flat)`` counts keys without one.
+STORE_NAMESPACES = {"result", "forensics", "figure", "(flat)"}
 
 FORENSICS_FIELDS = {
     "schema": str,
@@ -291,7 +284,6 @@ def _check_store(doc, expect_entries: Optional[int]) -> List[str]:
     problems: List[str] = []
     v = _fields(doc, STORE_FIELDS, "document", problems)
     _expect(v, "schema", STORE_SCHEMA, "document", problems)
-    _expect(v, "kind", ShardedStore.kind, "document", problems)
     if "counters" in v:
         _fields(v["counters"], STORE_COUNTER_FIELDS, "counters", problems)
     if "namespaces" in v:
@@ -312,19 +304,6 @@ def _check_store(doc, expect_entries: Optional[int]) -> List[str]:
                 f"namespaces sum to {sum(sizes.values())}, "
                 f"entries is {v['entries']}"
             )
-    if ({"stored_bytes", "physical_bytes"} <= v.keys()
-            and v["stored_bytes"] > v["physical_bytes"]):
-        problems.append(
-            f"stored_bytes {v['stored_bytes']} exceeds physical_bytes "
-            f"{v['physical_bytes']}"
-        )
-    if ({"shards", "shard_count"} <= v.keys()
-            and v["shards"] > v["shard_count"]):
-        problems.append(
-            f"{v['shards']} live shards exceed shard_count {v['shard_count']}"
-        )
-    if v.get("entries") and v.get("segments") == 0:
-        problems.append("entries present but no segment files")
     if (expect_entries is not None and "entries" in v
             and v["entries"] != expect_entries):
         problems.append(f"{v['entries']} entries, expected {expect_entries}")

@@ -48,9 +48,8 @@ Subcommands:
       python -m repro trend benchmarks/perf/history --json trend.json
 
 * ``cache`` — inspect and maintain the on-disk result store:
-  ``stats`` (``--json`` emits the ``repro-store/1`` document),
-  ``verify``, ``compact`` and ``gc SIZE``; each takes only
-  ``--cache-dir``::
+  ``stats`` (``--json`` emits the ``repro-store/2`` document),
+  ``verify`` and ``gc SIZE``; each takes only ``--cache-dir``::
 
       python -m repro cache stats --json
       python -m repro cache gc 512M
@@ -343,8 +342,8 @@ def cmd_inspect(args: argparse.Namespace) -> int:
         if store is not None:
             store.save(key, doc)
     else:
-        print(f"  [inspect] cached report ({store.kind} store; "
-              "--no-cache re-runs)", file=sys.stderr)
+        print("  [inspect] cached report (--no-cache re-runs)",
+              file=sys.stderr)
     print(render_document(doc))
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -420,12 +419,10 @@ def cmd_cache(args: argparse.Namespace) -> int:
         if args.json:
             print(json.dumps(doc, indent=2, sort_keys=True))
             return 0
-        print(f"store            : {store.kind} at {root}")
+        print(f"store            : {root}")
         print(f"  entries          {doc['entries']}")
-        print(f"  shards           {doc['shards']}")
-        print(f"  segments         {doc['segments']}")
         print(f"  logical bytes    {doc['logical_bytes']:,}")
-        print(f"  physical bytes   {doc['physical_bytes']:,}")
+        print(f"  stored bytes     {doc['stored_bytes']:,}")
         for ns, count in sorted(doc["namespaces"].items()):
             print(f"  ns {ns:<14s} {count}")
         return 0
@@ -435,16 +432,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"  {problem}")
         status = f"{len(problems)} problem(s)" if problems else "clean"
-        print(f"verify           : {store.kind} store at {root} — {status}")
+        print(f"verify           : store at {root} — {status}")
         return 1 if problems else 0
-
-    if args.action == "compact":
-        summary = store.compact()
-        print(f"compact          : {store.kind} store at {root}")
-        for k, v in sorted(summary.items()):
-            print(f"  {k:<16s} {v:,}" if isinstance(v, int)
-                  else f"  {k:<16s} {v}")
-        return 0
 
     if args.action == "gc":
         evicted = store.gc(args.max_bytes)
@@ -812,21 +801,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect and maintain the on-disk result store",
         description=(
             "Operate on the result store under the cache directory: "
-            "print a repro-store/1 stats document, read back every entry "
-            "(verify), reclaim dead segment space (compact), or evict "
-            "least-recently-read entries to a byte budget (gc)."
+            "print a repro-store/2 stats document, read back every entry "
+            "(verify), or sweep temp-file litter and evict "
+            "least-recently-used entries to a byte budget (gc)."
         ),
     )
     cache_sub = p_cache.add_subparsers(dest="action", required=True)
     c_stats = cache_sub.add_parser(
         "stats",
-        help="entry/shard/segment counts and byte totals",
+        help="entry count, byte totals and entries per namespace",
         parents=[cache_dir_flag],
     )
     c_stats.add_argument(
         "--json",
         action="store_true",
-        help="emit the repro-store/1 stats document as JSON "
+        help="emit the repro-store/2 stats document as JSON "
         "(validate with scripts/check_doc.py store)",
     )
     c_verify = cache_sub.add_parser(
@@ -834,23 +823,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="read back every entry; exit 1 on any corruption",
         parents=[cache_dir_flag],
     )
-    c_compact = cache_sub.add_parser(
-        "compact",
-        help="rewrite segments without dead records; sweep tmp litter",
-        parents=[cache_dir_flag],
-    )
     c_gc = cache_sub.add_parser(
         "gc",
-        help="evict least-recently-read entries to fit a byte budget",
+        help="sweep temp-file litter, then evict least-recently-used "
+        "entries to fit a byte budget",
         parents=[cache_dir_flag],
     )
     c_gc.add_argument(
         "max_bytes",
         type=_parse_size,
         metavar="SIZE",
-        help="target payload footprint: bytes or K/M/G suffix (e.g. 512M)",
+        help="target size of the record files: bytes or K/M/G suffix "
+        "(e.g. 512M)",
     )
-    for sp in (c_stats, c_verify, c_compact, c_gc):
+    for sp in (c_stats, c_verify, c_gc):
         sp.set_defaults(fn=cmd_cache)
 
     p_list = sub.add_parser("list", help="list workloads/systems/experiments")

@@ -9,11 +9,7 @@
  *                      repro/sim/engine.py: per-cycle FIFO buckets (kept
  *                      as a cycle-sorted C array), a zero-delay lane
  *                      (ring buffer) and a delay-1 lane, O(1) pending(),
- *                      lazy cancellation with threshold compaction.  The
- *                      run loop additionally parks the cyclic garbage
- *                      collector while it drains (see Engine_run); the
- *                      previous GC state is restored on exit, including
- *                      on error.
+ *                      lazy cancellation with threshold compaction.
  *   Message          — the __slots__ coherence-message record of
  *                      repro/net/messages.py: a plain record that lives
  *                      as long as something references it.  Constructed
@@ -700,13 +696,6 @@ Engine_run(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
         return PyLong_FromLongLong(self->now);
     }
 
-    /* Park the cyclic collector for the duration of the drain.  What
-     * the drain allocates (events, messages, handler temporaries) dies
-     * by reference count, so a collection started meanwhile frees
-     * nothing; parking skips it.  A cycle made meanwhile is collected
-     * after the run.  Restored on every exit path. */
-    int gc_was_enabled = PyGC_Disable();
-
     long long processed = 0;
     int failed = 0;
     for (;;) {
@@ -747,9 +736,6 @@ Engine_run(EngineObject *self, PyObject *const *args, Py_ssize_t nargs,
         }
     }
     self->events_processed += processed;
-    if (gc_was_enabled) {
-        PyGC_Enable();
-    }
     if (failed) {
         return NULL;
     }

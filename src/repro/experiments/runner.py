@@ -371,15 +371,15 @@ def cache_size() -> int:
 
 
 # ----------------------------------------------------------------------
-# Disk cache: everything persistent goes through the sharded result
-# store (``repro.store``), one shared instance per cache directory.
+# Disk cache: everything persistent goes through the result store
+# (``repro.store``), one shared instance per cache directory.
 # ----------------------------------------------------------------------
 def result_key(key: str) -> str:
     """Store key for one simulation result (``result/<sha256>``)."""
     return f"result/{key}"
 
 
-def result_store() -> "store_pkg.ShardedStore":
+def result_store() -> "store_pkg.ResultStore":
     """The shared store instance over the current cache directory."""
     return store_pkg.store_for(cache_dir())
 
@@ -568,7 +568,7 @@ _IN_PROCESS = _InProcess()
 
 
 def _await_peer(
-    store: "store_pkg.ShardedStore", key: str
+    store: "store_pkg.ResultStore", key: str
 ) -> Tuple[Optional[SimulationResult], Optional["store_pkg.Claim"]]:
     """Wait for the live peer that claimed ``key`` to store its result.
 

@@ -1,13 +1,12 @@
-"""The result store: one class, :class:`~repro.store.sharded.ShardedStore`.
+"""The result store: one class, :class:`~repro.store.result_store.ResultStore`.
 
-It keeps key-prefix shards of append-only segment files holding
-zlib-compressed JSON documents behind a per-shard index, with advisory
-file locks, cross-process execution claims, ``compact``/``gc``
-maintenance and an LRU-by-atime eviction policy.  Every document goes in
-through :meth:`~repro.store.sharded.ShardedStore.save` and comes back
-through :meth:`~repro.store.sharded.ShardedStore.load`, which applies
-the one corrupt-entry policy and counts each read as exactly one hit,
-miss or corrupt entry.
+It keeps one zlib-compressed, CRC-guarded record file per key, written
+by temp file and rename, with cross-process execution claims,
+``verify`` and an LRU-by-mtime ``gc``.  Every document goes in through
+:meth:`~repro.store.result_store.ResultStore.save` and comes back
+through :meth:`~repro.store.result_store.ResultStore.load`, which
+applies the one corrupt-entry policy and counts each read as exactly
+one hit, miss or corrupt entry.
 
 :func:`store_for` opens the store once per cache directory.  A directory
 it cannot open on (the ``store`` path squatted by a file, a foreign
@@ -29,29 +28,24 @@ from .base import (  # noqa: F401  (re-exported API surface)
     StoreInitError,
     WAIT_TIMEOUT_SECONDS,
 )
-from .sharded import ShardedStore
+from .result_store import ResultStore
 
 # One store object per cache directory, so the runner, telemetry,
-# forensics and figures share counters, index caches and pending-atime
-# state within a process.
-_instances: Dict[str, ShardedStore] = {}
+# forensics and figures share its counters and corrupt-entry warning
+# within a process.
+_instances: Dict[str, ResultStore] = {}
 
 
-def store_for(root) -> ShardedStore:
+def store_for(root) -> ResultStore:
     """The shared store instance for cache directory ``root``; raises
     :class:`StoreInitError` when the store cannot open there."""
     root = str(Path(root))
     store = _instances.get(root)
     if store is None:
-        store = _instances[root] = ShardedStore(root)
+        store = _instances[root] = ResultStore(root)
     return store
 
 
 def drop_cached_instances() -> None:
-    """Flush and forget every cached store instance (tests)."""
-    for store in list(_instances.values()):
-        try:
-            store.flush()
-        except (OSError, StoreError):
-            pass
+    """Forget every cached store instance (tests)."""
     _instances.clear()

@@ -1,17 +1,17 @@
 """The parts of the result store that do not depend on its on-disk
 format: the store's errors and counters, cross-process execution
-claims, advisory file locks and atomic file writes.
-:class:`~repro.store.sharded.ShardedStore` is built from them.
+claims, the claims lock and atomic file writes.
+:class:`~repro.store.result_store.ResultStore` is built from them.
 
-* **Claims.**  :meth:`ShardedStore.claim
-  <repro.store.sharded.ShardedStore.claim>` hands out cross-process
+* **Claims.**  :meth:`ResultStore.claim
+  <repro.store.result_store.ResultStore.claim>` hands out cross-process
   execution claims, so N ``run_many`` processes sharing one cache dir
   never simulate the same key twice; losers wait for the winner's entry.
   A claim file is written whole to a temp file and hard-linked into
   place, so it never exists without its owner's pid and token.  Claims
   from dead processes are broken, and a claim is released only by the
   claim whose token it carries; both happen under one lock on the
-  claims directory.
+  claims directory, the store's only lock.
 
 * **Counters.**  Every hit/miss/corrupt lookup and every
   put/delete/eviction increments the store's :class:`StoreCounters`.
@@ -21,20 +21,22 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 import time
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional, Union
 
 #: Schema tag of the ``stats()`` document (validated by
 #: ``scripts/check_doc.py store``).
-STORE_SCHEMA = "repro-store/1"
+STORE_SCHEMA = "repro-store/2"
 
 #: Claim files older than this are considered abandoned even when the
 #: owner pid cannot be probed (e.g. pid recycled by another user).
 CLAIM_TTL_SECONDS = 3600.0
 
-#: Deadlock backstop of ``ShardedStore.wait_for``: how long a waiter
+#: Deadlock backstop of ``ResultStore.wait_for``: how long a waiter
 #: polls a key another live process holds the claim on.
 WAIT_TIMEOUT_SECONDS = 300.0
 
@@ -51,7 +53,7 @@ class StoreInitError(StoreError):
 @dataclass
 class StoreCounters:
     """Per-store-instance observability.  Each counted
-    ``ShardedStore.load`` adds one to exactly one of ``hits``,
+    ``ResultStore.load`` adds one to exactly one of ``hits``,
     ``misses`` and ``corrupt``."""
 
     hits: int = 0
@@ -84,7 +86,7 @@ class StoreCounters:
 class Claim:
     """An exclusive cross-process right to compute one key.
 
-    Created by ``ShardedStore.claim``; the owner must
+    Created by ``ResultStore.claim``; the owner must
     :meth:`release` it after storing the result (or on failure) so
     waiters unblock.  A claim whose owner died is *stale* and can be
     broken by the next claimant.
@@ -105,11 +107,6 @@ class Claim:
                     self.path.unlink()
         except OSError:
             pass  # claims dir removed or unwritable
-
-
-def _claims_lock(claims_dir: Path) -> "FileLock":
-    """The lock that serialises breaking and releasing claims."""
-    return FileLock(claims_dir / "LOCK")
 
 
 def _read_claim(path: Path) -> Optional[Dict[str, object]]:
@@ -158,7 +155,7 @@ def _pid_alive(pid: int) -> bool:
 
 
 # ----------------------------------------------------------------------
-# Advisory file locking (shard mutations; breaking and releasing claims).
+# The claims lock: serialises breaking and releasing claims.
 # ----------------------------------------------------------------------
 try:  # pragma: no cover - import probe
     import fcntl as _fcntl
@@ -166,75 +163,60 @@ except ImportError:  # pragma: no cover - non-POSIX
     _fcntl = None
 
 
-@dataclass
-class FileLock:
-    """Advisory exclusive lock on a lock file.
+@contextmanager
+def _claims_lock(claims_dir: Path) -> Iterator[None]:
+    """Hold the exclusive lock on ``claims_dir``.
 
-    ``fcntl.flock`` where available (kernel-released on process death —
-    a crashed writer never wedges the shard); a best-effort
-    mkdir-spinlock elsewhere.  Reentrant within one instance.
+    ``fcntl.flock`` on ``claims/LOCK`` (the kernel releases it when its
+    holder dies, so a crashed claimant never wedges the others); a
+    best-effort mkdir spinlock where there is no ``fcntl``.  It never
+    nests.
     """
-
-    path: Path
-    timeout: float = 60.0
-    _fd: Optional[int] = field(default=None, repr=False)
-    _depth: int = field(default=0, repr=False)
-
-    def acquire(self) -> "FileLock":
-        if self._depth:
-            self._depth += 1
-            return self
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if _fcntl is not None:
-            fd = os.open(self.path, os.O_RDWR | os.O_CREAT, 0o644)
-            _fcntl.flock(fd, _fcntl.LOCK_EX)
-            self._fd = fd
-        else:  # pragma: no cover - non-POSIX fallback
-            lockdir = self.path.with_suffix(".lckdir")
-            deadline = time.monotonic() + self.timeout
-            while True:
-                try:
-                    os.mkdir(lockdir)
-                    break
-                except FileExistsError:
-                    if time.monotonic() >= deadline:
-                        raise StoreError(
-                            f"timed out waiting for lock {lockdir}"
-                        ) from None
-                    time.sleep(0.005)
-        self._depth = 1
-        return self
-
-    def release(self) -> None:
-        if not self._depth:
-            return
-        self._depth -= 1
-        if self._depth:
-            return
-        if _fcntl is not None:
-            if self._fd is not None:
-                _fcntl.flock(self._fd, _fcntl.LOCK_UN)
-                os.close(self._fd)
-                self._fd = None
-        else:  # pragma: no cover - non-POSIX fallback
+    claims_dir.mkdir(parents=True, exist_ok=True)
+    path = claims_dir / "LOCK"
+    if _fcntl is None:  # pragma: no cover - non-POSIX
+        deadline = time.monotonic() + 60.0
+        while True:
             try:
-                os.rmdir(self.path.with_suffix(".lckdir"))
-            except OSError:
-                pass
+                os.mkdir(path.with_suffix(".lckdir"))
+                break
+            except FileExistsError:
+                if time.monotonic() >= deadline:
+                    raise StoreError(
+                        f"timed out waiting for lock {path}"
+                    ) from None
+                time.sleep(0.005)
+        try:
+            yield
+        finally:
+            os.rmdir(path.with_suffix(".lckdir"))
+        return
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o644)
+    try:
+        _fcntl.flock(fd, _fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # closing the descriptor drops the flock
 
-    def __enter__(self) -> "FileLock":
-        return self.acquire()
 
-    def __exit__(self, *exc) -> None:
-        self.release()
-
-
-def atomic_write_bytes(path: Path, payload: bytes) -> None:
+def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> None:
     """Temp-file + ``os.replace`` write: readers never see a torn file,
-    and a killed writer leaves only an ignorable ``*.tmp``."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
-
+    and a killed writer leaves only an ignorable ``*.tmp``.  The temp
+    name is unique per write, so concurrent writers of one path never
+    share one."""
+    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    try:
+        fh = open(tmp, "wb")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(tmp), exist_ok=True)
+        fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

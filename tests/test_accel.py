@@ -251,14 +251,6 @@ class TestCompiledMessageParity:
         )
         assert repr(py) == repr(c)
 
-    def test_flits_parity(self):
-        from repro.net.messages import MessageKind
-
-        py, c = self.make_pair(
-            kind=MessageKind.DATA, src=0, dst=1, block=1
-        )
-        assert py.kind.carries_data == c.kind.carries_data
-
 
 # ----------------------------------------------------------------------
 # Stamping: manifests and bench reports

@@ -22,7 +22,7 @@ from repro.obs import ChromeTraceExporter, JsonlTraceWriter
 from repro.obs.telemetry import TelemetrySession
 from repro.sim.config import table2_config
 from repro.sim.simulator import Simulator
-from repro.store import ShardedStore
+from repro.store import ResultStore
 from repro.systems import paper
 from repro.workloads.base import make_workload
 
@@ -68,10 +68,9 @@ def docs(tmp_path_factory):
     session.finish(submit)
     session.finish(root)
 
-    store = ShardedStore(tmp_path_factory.mktemp("store"))
+    store = ResultStore(tmp_path_factory.mktemp("store"))
     store.put("result/" + "aa" * 32, b'{"pad": 1}')
     store.put("figure/fig1/" + "bb" * 6, b"{}")
-    store.flush()
 
     chats, baseline = (
         collect_forensics(RunConfig.make("counter", system, **FAST))[1]
@@ -165,9 +164,8 @@ def _overhang(doc):
 MUTATIONS = [
     # store
     ("store", setv("schema", "repro-store/0"), "schema", {}),
-    ("store", setv("kind", "legacy"), "kind", {}),
     ("store", setv("entries", True), "entries is True", {}),
-    ("store", setv("dead_bytes", -1), "non-negative", {}),
+    ("store", setv("logical_bytes", -1), "non-negative", {}),
     ("store", drop("stored_bytes"), "missing 'stored_bytes'", {}),
     ("store", setv("namespaces", []), "namespaces is []", {}),
     ("store", drop("counters", "hits"), "missing 'hits'", {}),
@@ -175,11 +173,6 @@ MUTATIONS = [
     ("store", setv("namespaces", "mystery", 0), "unknown ['mystery']", {}),
     ("store", setv("namespaces", "figure", 0), "no entries in", {}),
     ("store", bump("entries"), "namespaces sum to", {}),
-    ("store", lambda d: d.update(stored_bytes=d["physical_bytes"] + 1),
-     "exceeds physical_bytes", {}),
-    ("store", lambda d: d.update(shards=d["shard_count"] + 1),
-     "exceed shard_count", {}),
-    ("store", setv("segments", 0), "no segment files", {}),
     ("store", same, "expected 99", {"expect_entries": 99}),
     # forensics
     ("forensics", setv("schema", "repro-forensics/0"), "schema", {}),

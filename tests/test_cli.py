@@ -54,6 +54,7 @@ class TestParser:
     def test_removed_flags_and_subcommands_are_rejected(self):
         for argv in (["run", "counter", "--store", "sharded"],
                      ["cache", "migrate"],
+                     ["cache", "compact"],
                      ["run", "counter", "--metrics", "m.prom"],
                      ["report", "--live"],
                      ["run", "counter", "--trace", "t.jsonl"],

@@ -19,14 +19,18 @@ class TestMessageKinds:
             MessageKind.WRITEBACK,
         }
 
-    def test_flit_classification(self):
-        """Each class costs the flits its ``SystemConfig`` gives."""
+    def test_flit_classification(self, backend):
+        """Each kind costs the flits its class has in the
+        ``SystemConfig``, charged by ``SendCore`` under ``compiled``."""
         config = SystemConfig(data_message_flits=9, control_message_flits=2)
-        net = Crossbar(Engine(), config, lambda m: None)
-        net.send(Message(kind=MessageKind.SPEC_RESP, src=0, dst=1, block=1))
-        net.send(Message(kind=MessageKind.GETS, src=0, dst=DIRECTORY, block=1))
-        stats = net.stats()
-        assert (stats["data_flits"], stats["control_flits"]) == (9, 2)
+        make = accel.message_factory()
+        net = Crossbar(accel.make_engine(), config, lambda m: None)
+        assert (net._sendcore is not None) == (backend == "compiled")
+        for kind in MessageKind:
+            net.send(make(kind=kind, src=0, dst=1, block=1))
+        assert net.flits_by_kind == {
+            kind: 9 if kind.carries_data else 2 for kind in MessageKind
+        }
 
 
 class TestCrossbar:

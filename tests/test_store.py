@@ -1,5 +1,5 @@
 """Tests for the result store (``repro.store``): round-trips, opening
-a directory, corruption handling, compaction/eviction, claims, and the
+a directory, corruption handling, LRU eviction, claims, and the
 N-process concurrent-writer guarantee."""
 
 from __future__ import annotations
@@ -7,6 +7,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 import textwrap
@@ -18,9 +19,8 @@ from pathlib import Path
 import pytest
 
 from repro import store as store_pkg
-from repro.store import ShardedStore, StoreInitError
+from repro.store import ResultStore, StoreInitError
 from repro.store.base import STORE_SCHEMA
-from repro.store.sharded import _shard_of
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -36,8 +36,13 @@ def isolated_instances():
     store_pkg.drop_cached_instances()
 
 
-def make_store(kind: str, root: Path) -> ShardedStore:
-    return ShardedStore(root)
+def make_store(kind: str, root: Path) -> ResultStore:
+    return ResultStore(root)
+
+
+def record_path(root: Path, key: str) -> Path:
+    """Where the store keeps ``key``: each ``/`` is a directory level."""
+    return root / "store" / "entries" / f"{key}.rec"
 
 
 # ----------------------------------------------------------------------
@@ -128,30 +133,36 @@ class TestRoundTrip:
     def test_stats_document_shape(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
         store.put("result/" + "aa" * 32, b'{"pad": "%s"}' % (b"x" * 100))
-        store.put("manifest/MANIFEST_r1_abc", b"{}")
+        store.put("figure/fig1/" + "bb" * 32, b"{}")
         doc = store.stats()
         assert doc["schema"] == STORE_SCHEMA
-        assert doc["kind"] == kind
         assert doc["entries"] == 2
-        assert doc["namespaces"] == {"result": 1, "manifest": 1}
-        assert doc["logical_bytes"] >= 101
+        assert doc["namespaces"] == {"result": 1, "figure": 1}
+        assert doc["logical_bytes"] == 113
+        assert doc["stored_bytes"] == sum(
+            record_path(tmp_path, key).stat().st_size for key in store.keys()
+        )
         assert check_doc.check_text("store", json.dumps(doc)) == []
         assert store.verify() == []
 
     def test_atomic_tmp_litter_ignored(self, kind, tmp_path):
         """A writer killed mid-commit leaves only ``*.tmp`` litter, which
-        readers never parse and ``compact`` sweeps."""
+        readers never parse and ``gc`` sweeps."""
         store = make_store(kind, tmp_path)
-        store.put("result/" + "aa" * 32, b'{"good": true}')
-        # Litter where each backend actually writes its files.
-        litter_dir = tmp_path if kind == "legacy" else tmp_path / "store"
-        litter = litter_dir / "zz.json.tmp"
-        litter.write_bytes(b"half-written")
-        assert store.keys() == ["result/" + "aa" * 32]
+        key = "result/" + "aa" * 32
+        store.put(key, b'{"good": true}')
+        record = record_path(tmp_path, key)
+        litter = [
+            tmp_path / "store" / "zz.json.tmp",
+            record.with_name(record.name + ".4242.0badc0de.tmp"),
+        ]
+        for path in litter:
+            path.write_bytes(b"half-written")
+        assert store.keys() == [key]
         assert store.verify() == []
-        summary = store.compact()
-        assert summary["tmp_files_swept"] == 1
-        assert not litter.exists()
+        assert store.gc(1 << 30) == []
+        assert not any(path.exists() for path in litter)
+        assert store.peek(key) == b'{"good": true}'
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +177,7 @@ class TestSelection:
 
     def test_repro_store_env_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "legacy")
-        assert store_pkg.store_for(tmp_path).kind == "sharded"
+        assert isinstance(store_pkg.store_for(tmp_path), ResultStore)
 
     def test_store_for_shares_instances(self, tmp_path):
         a = store_pkg.store_for(tmp_path)
@@ -177,97 +188,120 @@ class TestSelection:
 # ----------------------------------------------------------------------
 class TestShardedInternals:
     def test_payloads_are_compressed_and_crc_guarded(self, tmp_path):
-        store = ShardedStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = "result/" + "ab" * 32
         store.put(key, b"A" * 10_000)  # highly compressible
-        store.flush()
-        entry = store._load_index(_shard_of(key))["entries"][key]
-        assert entry["len"] < 10_000  # stored compressed
+        record = record_path(tmp_path, key).read_bytes()
+        assert len(record) < 10_000  # stored compressed
+        magic, raw_len, crc = struct.unpack_from("<4sII", record)
+        assert (magic, raw_len) == (b"RST2", 10_000)
+        assert crc == zlib.crc32(record[12:])
+        assert zlib.decompress(record[12:]) == b"A" * 10_000
         assert store.peek(key) == b"A" * 10_000
 
     def test_bit_flip_detected_as_corrupt_miss(self, tmp_path):
-        store = ShardedStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = "result/" + "ab" * 32
         store.put(key, zlib.compress(b"x") * 50)  # incompressible-ish
-        store.flush()
-        shard = _shard_of(key)
-        entry = store._load_index(shard)["entries"][key]
-        seg = store._segment_path(shard, entry["seg"])
-        blob = bytearray(seg.read_bytes())
-        payload_off = entry["off"] + 20 + len(key.encode()) + 3
-        blob[payload_off] ^= 0xFF
-        seg.write_bytes(blob)
-        fresh = ShardedStore(tmp_path)
+        path = record_path(tmp_path, key)
+        blob = bytearray(path.read_bytes())
+        blob[12 + 3] ^= 0xFF
+        path.write_bytes(blob)
+        fresh = ResultStore(tmp_path)
         with pytest.warns(RuntimeWarning):
             assert fresh.load(key, "x/1") is None
         assert fresh.counters.corrupt == 1
         assert fresh.verify() != []
 
-    def test_compact_reclaims_dead_records(self, tmp_path):
-        store = ShardedStore(tmp_path)
+    def test_overwrite_frees_the_old_record(self, tmp_path):
+        store = ResultStore(tmp_path)
         key = "result/" + "ab" * 32
         for i in range(20):
             store.put(key, b'{"version": %d, "pad": "%s"}' % (i, b"." * 2000))
-        store.flush()
-        before = store.stats()
-        assert before["dead_bytes"] > 0
-        summary = store.compact()
-        assert summary["reclaimed_bytes"] > 0
+        on_disk = sum(
+            path.stat().st_size
+            for path in (tmp_path / "store").rglob("*")
+            if path.is_file() and path.name != "META.json"
+        )
+        assert on_disk == store.stats()["stored_bytes"]
+        assert on_disk == record_path(tmp_path, key).stat().st_size
         assert json.loads(store.peek(key))["version"] == 19
-        assert store.stats()["dead_bytes"] == 0
         assert store.verify() == []
 
     def test_gc_evicts_lru_first(self, tmp_path):
         import hashlib
 
-        store = ShardedStore(tmp_path)
+        store = ResultStore(tmp_path)
         keys = ["result/" + ("%02x" % i) * 32 for i in range(8)]
-        for key in keys:
+        old = time.time() - 3600
+        for i, key in enumerate(keys):
             # Hard-to-compress payloads so the byte budget bites.
             pad = b"".join(
                 hashlib.sha256(key.encode() + bytes([j])).digest()
                 for j in range(16)
             )
             store.save(key, {"schema": "x/1", "pad": pad.hex()})
-        # Read half the keys so they are most-recently-read.
-        kept = keys[4:]
+            # Oldest first: without the reads below, keys[:4] would go.
+            os.utime(record_path(tmp_path, key), (old + i, old + i))
+        # Read half the keys so they are most-recently-used.
+        kept = keys[:4]
         for key in kept:
             assert store.load(key, "x/1") is not None
-        store.flush()
-        budget = sum(
-            store._load_index(_shard_of(k))["entries"][k]["len"] for k in kept
-        )
+        budget = sum(record_path(tmp_path, k).stat().st_size for k in kept)
         evicted = store.gc(budget)
-        assert sorted(evicted) == keys[:4]
+        assert sorted(evicted) == keys[4:]
         for key in kept:
             assert store.load(key, "x/1") is not None
         assert store.counters.evictions == len(evicted)
 
-    def test_rebuild_index_from_segments(self, tmp_path):
-        store = ShardedStore(tmp_path)
-        key = "result/" + "ab" * 32
-        store.put(key, b"survives")
-        store.flush()
-        shard = _shard_of(key)
-        (store._shard_dir(shard) / "index.json").unlink()
-        fresh = ShardedStore(tmp_path)
-        assert fresh.rebuild_index(shard) == 1
-        assert fresh.peek(key) == b"survives"
+    def test_lru_order_survives_a_read_only_process(self, tmp_path):
+        """A read is recent use even when the process that made it never
+        writes: each instance stands in for a separate process."""
+        a, b = "result/" + "aa" * 32, "result/" + "bb" * 32
+        writer = ResultStore(tmp_path)
+        writer.save(a, {"schema": "x/1", "name": "a"})
+        one_record = writer.stats()["stored_bytes"]
+        time.sleep(0.05)  # beyond the file-timestamp granularity
+        writer.save(b, {"schema": "x/1", "name": "b"})
+        del writer
+        time.sleep(0.05)
+        reader = ResultStore(tmp_path)
+        assert reader.load(a, "x/1") == {"schema": "x/1", "name": "a"}
+        del reader
+        assert ResultStore(tmp_path).gc(one_record) == [b]
+        assert ResultStore(tmp_path).keys() == [a]
+
+    def test_keys_cannot_leave_the_store(self, tmp_path):
+        store = ResultStore(tmp_path)
+        for key in ("../escape", "result/../../escape", "/abs", "a//b", ""):
+            with pytest.raises(ValueError):
+                store.put(key, b"x")
+        assert list(tmp_path.rglob("*escape*")) == []
 
     def test_foreign_layout_version_refused(self, tmp_path):
-        ShardedStore(tmp_path)
+        ResultStore(tmp_path)
         meta_path = tmp_path / "store" / "META.json"
         meta = json.loads(meta_path.read_text("utf-8"))
         meta["schema"] = "repro-store-layout/999"
         meta_path.write_text(json.dumps(meta))
-        with pytest.raises(StoreInitError):
-            ShardedStore(tmp_path)
+        with pytest.raises(StoreInitError, match="layout/999"):
+            ResultStore(tmp_path)
+        # The segment layout older code wrote: refused, with the advice
+        # that its directory can go.
+        meta["schema"] = "repro-store-layout/1"
+        meta_path.write_text(json.dumps(meta))
+        with pytest.raises(StoreInitError) as err:
+            ResultStore(tmp_path)
+        message = str(err.value)
+        assert str(tmp_path / "store") in message
+        assert "older code" in message and "never hit" in message
+        assert "can be deleted" in message
 
 
 # ----------------------------------------------------------------------
 class TestClaims:
     def test_claim_is_exclusive_until_released(self, tmp_path):
-        store = ShardedStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = "result/" + "aa" * 32
         claim = store.claim(key)
         assert claim is not None
@@ -278,7 +312,7 @@ class TestClaims:
         reclaim.release()
 
     def test_claimed_by_other_sees_live_foreign_pid(self, tmp_path):
-        store = ShardedStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = "result/" + "aa" * 32
         claim = store.claim(key)
         # Forge a foreign live owner (pid 1 is always alive).
@@ -294,7 +328,7 @@ class TestClaims:
         claim.path.unlink()
 
     def test_stale_dead_pid_claim_is_broken(self, tmp_path):
-        store = ShardedStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = "result/" + "bb" * 32
         path = store._claim_path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -305,7 +339,7 @@ class TestClaims:
         claim.release()
 
     def test_unclaimable_dir_degrades_to_executing(self, tmp_path):
-        store = ShardedStore(tmp_path)
+        store = ResultStore(tmp_path)
         (tmp_path / "store" / "claims").write_text("not a directory")
         claim = store.claim("result/" + "cc" * 32)
         assert claim is not None  # the caller executes instead of waiting
@@ -319,7 +353,7 @@ class TestClaims:
         Retrying at once phase-locks it with the holder's release and
         re-claim, so it never tries while the key is free: it starves,
         and the race this test is about never runs."""
-        store = ShardedStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = "result/" + "ee" * 32
         guard = threading.Lock()
         holders = []
@@ -361,13 +395,13 @@ class TestClaims:
         assert min(acquired) >= 50, acquired
 
     def test_wait_for_returns_stored_payload(self, tmp_path):
-        store = ShardedStore(tmp_path)
+        store = ResultStore(tmp_path)
         key = "result/" + "cc" * 32
         store.put(key, b"done")
         assert store.wait_for(key, timeout=1.0) == b"done"
 
     def test_wait_for_unclaimed_missing_key_returns_none(self, tmp_path):
-        store = ShardedStore(tmp_path)
+        store = ResultStore(tmp_path)
         assert store.wait_for("result/" + "dd" * 32, timeout=0.2) is None
 
 
@@ -375,10 +409,10 @@ class TestClaims:
 _RAW_WRITER = textwrap.dedent(
     """
     import sys
-    from repro.store import ShardedStore
+    from repro.store import ResultStore
 
     root, worker = sys.argv[1], int(sys.argv[2])
-    store = ShardedStore(root)
+    store = ResultStore(root)
     # 20 private keys plus 10 shared keys every worker also writes.
     for i in range(20):
         key = "result/%02d%02d" % (worker, i) + "ef" * 30
@@ -386,7 +420,6 @@ _RAW_WRITER = textwrap.dedent(
     for i in range(10):
         key = "result/ffff%02d" % i + "ab" * 29
         store.put(key, b'{"shared": %d}' % i)
-    store.flush()
     print("ok")
     """
 )
@@ -444,7 +477,7 @@ class TestConcurrentWriters:
             out, err = p.communicate(timeout=120)
             assert p.returncode == 0, err
             assert out.strip() == "ok"
-        store = ShardedStore(tmp_path)
+        store = ResultStore(tmp_path)
         # 20 private keys per worker + 10 shared keys, no losses.
         assert len(store.keys()) == self.N * 20 + 10
         assert store.verify() == []
@@ -470,7 +503,7 @@ class TestConcurrentWriters:
         assert total_sims == 6, reports  # each cell executed exactly once
         # Every process saw the same bit-identical results.
         assert len({tuple(r["cycles"]) for r in reports}) == 1
-        store = ShardedStore(cache)
+        store = ResultStore(cache)
         assert len(store.keys("result/")) == 6
         assert store.verify() == []
         # No claims left behind.
