@@ -53,8 +53,9 @@ def bench_engine_schedule_cancel(n):
     from repro import accel
 
     engine = accel.make_engine()
+    schedule, cancel = engine.schedule, engine.cancel
     for _ in range(n):
-        engine.schedule(100, lambda: None).cancel()
+        cancel(schedule(100, lambda: None))
 
 
 def bench_engine_zero_delay(n):
@@ -74,13 +75,16 @@ def bench_engine_zero_delay(n):
 
 
 def bench_message(n):
-    """Construct a 6-field request (one coherence hop's worth)."""
+    """Construct a 6-field request (one coherence hop's worth) the way
+    the L1 does: through the factory it binds at construction."""
+    from types import SimpleNamespace
+
     from repro import accel
     from repro.net.messages import DIRECTORY, MessageKind
 
-    Message = accel.message_factory()
+    site = SimpleNamespace(Message=accel.message_factory())
     for i in range(n):
-        Message(
+        site.Message(
             kind=MessageKind.GETS,
             src=0,
             dst=DIRECTORY,
@@ -122,6 +126,43 @@ def bench_directory_probe(n):
             req_produced=False,
             req_consumed=False,
         )
+
+
+def bench_message_hop(n):
+    """One coherence hop end to end: build a message through the bound
+    factory, ``Crossbar.send`` it, and let ``Engine.run`` deliver it to
+    the destination's handler, which sends the next hop back.  Four
+    messages bounce at once, so each simulated cycle fires four."""
+    from types import SimpleNamespace
+
+    from repro import accel
+    from repro.net.messages import MessageKind
+    from repro.net.network import Crossbar
+    from repro.sim.config import SystemConfig
+
+    engine = accel.make_engine()
+    net = Crossbar(engine, SystemConfig(num_cores=2))
+    site = SimpleNamespace(Message=accel.message_factory(), send=net.send)
+    remaining = [n]
+
+    def bounce(msg):
+        remaining[0] -= 1
+        if remaining[0] >= 4:
+            site.send(
+                site.Message(
+                    kind=MessageKind.DATA,
+                    src=msg.dst,
+                    dst=msg.src,
+                    block=msg.block,
+                    epoch=1,
+                    req_id=remaining[0],
+                )
+            )
+
+    net.connect([[bounce] * len(MessageKind)] * 3)
+    for block in range(4):
+        site.send(site.Message(kind=MessageKind.GETS, src=0, dst=1, block=block))
+    engine.run()
 
 
 def bench_cache_hit(n):
@@ -219,6 +260,7 @@ BENCHES = (
     ("engine zero-delay lane chain", bench_engine_zero_delay, 200_000),
     ("message construct", bench_message, 200_000),
     ("directory probe construct (16 fields)", bench_directory_probe, 200_000),
+    ("message hop (construct, send, deliver)", bench_message_hop, 200_000),
     ("L1 cache hit lookup", bench_cache_hit, 500_000),
     ("speculative store write+read", bench_spec_store, 200_000),
     ("probe emit (one subscriber)", bench_probe_emit, 200_000),

@@ -3,14 +3,19 @@
 Two execution backends sit behind one interface:
 
 ``python``
-    The pure-Python hot paths (``sim/engine.py``, ``net/messages.py``,
-    ``Simulator._route``, ``Crossbar.send``).  Always available; the
-    default.
+    The pure-Python hot paths (``sim/engine.py``, ``net/messages.py``'s
+    ``make_message``, ``Crossbar.send``).  A send schedules the
+    destination's handler for the message's kind directly as the event.
+    Always available; the default.
 ``compiled``
     The ``_hotcore`` C extension: compiled engine, message factory,
-    delivery router, and crossbar send.  ``pip install -e .``
+    delivery router, and crossbar send; ``Crossbar.connect`` wraps the
+    same handler tables in the C ``Router``.  ``pip install -e .``
     builds it best-effort, ``python scripts/build_accel.py`` explicitly;
     falls back to ``python`` (with a single warning) when absent.
+
+Both engines return an opaque handle from ``schedule`` that only
+``Engine.cancel(handle)`` reads.
 
 Selection order: an explicit :func:`select_backend` call (the CLI's
 ``--backend``) wins, else the ``REPRO_BACKEND`` environment variable,
@@ -164,24 +169,16 @@ def make_engine():
 
 def message_factory():
     """The message constructor the L1/directory should bind: the C
-    ``make_message`` fastcall factory, or the Python ``Message`` class."""
+    ``make_message`` fastcall factory, or the Python ``make_message``;
+    both take the same keywords."""
     if compiled_active():
         return _load_compiled().make_message
-    from ..net.messages import Message
+    from ..net.messages import make_message
 
-    return Message
-
-
-def make_router(dst_handler_tables, fallback):
-    """A delivery callable: dst index -> kind index -> handler.
-    ``dst_handler_tables`` is the list of dense per-kind handler lists
-    (directory last); ``fallback`` is the Python route."""
-    if compiled_active():
-        return _load_compiled().Router(list(dst_handler_tables))
-    return fallback
+    return make_message
 
 
 def hotcore():
     """The raw extension module (or None) — for the crossbar's SendCore
-    wiring and for tests."""
+    and Router wiring and for tests."""
     return _load_compiled() if compiled_active() else None

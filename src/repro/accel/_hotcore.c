@@ -5,23 +5,28 @@
  * determinism suite runs the full workload matrix under both backends
  * and requires byte-identical SimulationResults):
  *
- *   Engine / Event   — the calendar-bucket discrete-event queue of
+ *   Engine           — the calendar-bucket discrete-event queue of
  *                      repro/sim/engine.py: per-cycle FIFO buckets (kept
  *                      as a cycle-sorted C array), a zero-delay lane
  *                      (ring buffer) and a delay-1 lane, O(1) pending(),
  *                      lazy cancellation with threshold compaction.
+ *                      schedule() returns an opaque Event handle that
+ *                      only Engine.cancel(handle) reads.
  *   Message          — the __slots__ coherence-message record of
  *                      repro/net/messages.py: a plain record that lives
  *                      as long as something references it.  Constructed
  *                      through the make_message() fastcall factory (no
- *                      kwargs dict, no Python __init__ frame).
- *   Router           — the delivery hot path: Simulator._route plus the
- *                      per-controller dense ``handle`` dispatch collapsed
- *                      into one C call (dst index -> kind index -> handler).
+ *                      kwargs dict, no Python frame), with the keywords
+ *                      of the Python make_message.
+ *   Router           — the delivery step: Crossbar.connect wraps the
+ *                      controllers' dense handler tables in it, and one
+ *                      C call maps dst index -> kind index -> handler
+ *                      (the Python backend schedules that handler
+ *                      directly as the event).
  *   SendCore         — Crossbar.send: flit accounting, probe gating, and
- *                      the schedule of the delivery callback, all without
- *                      leaving C (the schedule inserts directly into the
- *                      C engine's queue).
+ *                      the schedule of the Router, all without leaving C
+ *                      (the schedule inserts directly into the C
+ *                      engine's queue).
  *
  * Everything observable (event order, counters, error messages) matches
  * the Python implementations; only host time differs.
@@ -37,18 +42,15 @@
 
 #define EVENT_INLINE_ARGS 6
 
-typedef struct EngineObject EngineObject;
-
 typedef struct {
     PyObject_HEAD
     long long when;
     PyObject *fn;                       /* NULL once fired or cancelled */
     PyObject *args[EVENT_INLINE_ARGS];  /* inline positional args */
     Py_ssize_t nargs;                   /* -1: args[0] is a tuple */
-    EngineObject *engine;               /* strong ref (cancel bookkeeping) */
 } EventObject;
 
-struct EngineObject {
+typedef struct {
     PyObject_HEAD
     /* Zero-delay lane: ring buffer of strong Event refs. */
     EventObject **lane;
@@ -68,7 +70,7 @@ struct EngineObject {
     long long now;
     long long live, dead;
     long long events_processed;
-};
+} EngineObject;
 
 static PyTypeObject Engine_Type;
 static PyTypeObject Event_Type;
@@ -99,7 +101,6 @@ Event_dealloc(EventObject *self)
 {
     PyObject_GC_UnTrack(self);
     event_clear_payload(self);
-    Py_CLEAR(self->engine);
     PyObject_GC_Del(self);
 }
 
@@ -115,7 +116,6 @@ Event_traverse(EventObject *self, visitproc visit, void *arg)
             Py_VISIT(self->args[i]);
         }
     }
-    Py_VISIT((PyObject *)self->engine);
     return 0;
 }
 
@@ -123,50 +123,8 @@ static int
 Event_clear_gc(EventObject *self)
 {
     event_clear_payload(self);
-    Py_CLEAR(self->engine);
     return 0;
 }
-
-static void engine_note_dead(EngineObject *engine);
-
-static PyObject *
-Event_cancel(EventObject *self, PyObject *Py_UNUSED(ignored))
-{
-    if (self->fn == NULL) {
-        Py_RETURN_NONE;
-    }
-    event_clear_payload(self);
-    if (self->engine != NULL) {
-        engine_note_dead(self->engine);
-    }
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Event_get_when(EventObject *self, void *Py_UNUSED(closure))
-{
-    return PyLong_FromLongLong(self->when);
-}
-
-static PyObject *
-Event_get_cancelled(EventObject *self, void *Py_UNUSED(closure))
-{
-    return PyBool_FromLong(self->fn == NULL);
-}
-
-static PyMethodDef Event_methods[] = {
-    {"cancel", (PyCFunction)Event_cancel, METH_NOARGS,
-     "Mark the event dead in place; a late cancel is a no-op."},
-    {NULL, NULL, 0, NULL},
-};
-
-static PyGetSetDef Event_getset[] = {
-    {"when", (getter)Event_get_when, NULL, "Absolute cycle.", NULL},
-    {"cancelled", (getter)Event_get_cancelled, NULL,
-     "True once the event can no longer fire (cancelled *or* fired).",
-     NULL},
-    {NULL, NULL, NULL, NULL, NULL},
-};
 
 static PyTypeObject Event_Type = {
     PyVarObject_HEAD_INIT(NULL, 0)
@@ -174,11 +132,9 @@ static PyTypeObject Event_Type = {
     .tp_basicsize = sizeof(EventObject),
     .tp_dealloc = (destructor)Event_dealloc,
     .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC,
-    .tp_doc = "A scheduled event doubling as its own cancel handle.",
+    .tp_doc = "A scheduled event; opaque, the handle Engine.cancel takes.",
     .tp_traverse = (traverseproc)Event_traverse,
     .tp_clear = (inquiry)Event_clear_gc,
-    .tp_methods = Event_methods,
-    .tp_getset = Event_getset,
 };
 
 /* ------------------------------------------------------------------ */
@@ -314,20 +270,20 @@ engine_compact(EngineObject *e)
         }
     }
     e->next_len = w;
-    /* Lane: compact the ring into a left-aligned prefix. */
+    /* Lane: compact in ring order.  Logical write position `kept` never
+     * passes read position `i`, so each write lands on a slot already
+     * read, also when the ring wraps past the end of the buffer. */
     Py_ssize_t kept = 0;
     for (Py_ssize_t i = 0; i < e->lane_len; i++) {
         EventObject *ev = e->lane[(e->lane_head + i) % e->lane_cap];
         if (ev->fn != NULL) {
-            e->lane[kept++] = ev;  /* safe: writes trail reads in order */
+            e->lane[(e->lane_head + kept) % e->lane_cap] = ev;
+            kept++;
         }
         else {
             Py_DECREF(ev);
         }
     }
-    /* The in-place ring rewrite above is only safe when writes cannot
-     * overtake unread slots; rebuild defensively when the ring wraps. */
-    e->lane_head = 0;
     e->lane_len = kept;
     e->dead = 0;
 }
@@ -376,7 +332,6 @@ engine_schedule_event(EngineObject *e, long long delay, PyObject *fn,
         ev->args[0] = tup;
         ev->nargs = -1;
     }
-    ev->engine = (EngineObject *)Py_NewRef((PyObject *)e);
     PyObject_GC_Track(ev);
 
     int rc;
@@ -613,6 +568,23 @@ Engine_schedule_at(EngineObject *self, PyObject *const *args,
 }
 
 static PyObject *
+Engine_cancel(EngineObject *self, PyObject *handle)
+{
+    if (!PyObject_TypeCheck(handle, &Event_Type)) {
+        PyErr_SetString(PyExc_TypeError,
+                        "cancel() takes a handle schedule() returned");
+        return NULL;
+    }
+    EventObject *ev = (EventObject *)handle;
+    if (ev->fn == NULL) {
+        Py_RETURN_NONE;
+    }
+    event_clear_payload(ev);
+    engine_note_dead(self);
+    Py_RETURN_NONE;
+}
+
+static PyObject *
 Engine_pending(EngineObject *self, PyObject *Py_UNUSED(ignored))
 {
     return PyLong_FromLongLong(self->live);
@@ -754,11 +726,14 @@ Engine_get_now(EngineObject *self, void *Py_UNUSED(closure))
 static PyMethodDef Engine_methods[] = {
     {"schedule", (PyCFunction)(void (*)(void))Engine_schedule,
      METH_FASTCALL,
-     "schedule(delay, fn, *args) -> Event\n"
-     "Run fn(*args) after delay cycles; the event doubles as its cancel "
-     "handle."},
+     "schedule(delay, fn, *args) -> handle\n"
+     "Run fn(*args) after delay cycles; returns the opaque handle "
+     "cancel() takes."},
     {"schedule_at", (PyCFunction)(void (*)(void))Engine_schedule_at,
-     METH_FASTCALL, "schedule_at(cycle, fn, *args) -> Event"},
+     METH_FASTCALL, "schedule_at(cycle, fn, *args) -> handle"},
+    {"cancel", (PyCFunction)Engine_cancel, METH_O,
+     "cancel(handle): mark a scheduled event dead in place; cancelling "
+     "a fired or cancelled event is a no-op."},
     {"run", (PyCFunction)(void (*)(void))Engine_run,
      METH_FASTCALL | METH_KEYWORDS,
      "run(*, until=None, max_events=None) -> int\n"
@@ -933,8 +908,8 @@ static PyTypeObject Message_Type = {
     .tp_members = Message_members,
 };
 
-/* Parameter names of make_message, in the Python Message.__init__
- * order.  Interned at module init for pointer-compare kwarg matching. */
+/* Parameter names of make_message, in the Python make_message order.
+ * Interned at module init for pointer-compare kwarg matching. */
 #define MSG_NPARAMS 18
 static const char *const msg_param_names[MSG_NPARAMS] = {
     "kind", "src", "dst", "block", "data", "requester", "exclusive", "pic",
@@ -1454,7 +1429,7 @@ static PyTypeObject SendCore_Type = {
 static PyMethodDef hotcore_methods[] = {
     {"make_message", (PyCFunction)(void (*)(void))make_message,
      METH_FASTCALL | METH_KEYWORDS,
-     "Fast message factory (drop-in for Message(...))."},
+     "Fast message factory (drop-in for repro.net.messages.make_message)."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -1502,7 +1477,6 @@ PyInit__hotcore(void)
         return NULL;
     }
     if (PyModule_AddObjectRef(m, "Engine", (PyObject *)&Engine_Type) < 0 ||
-        PyModule_AddObjectRef(m, "Event", (PyObject *)&Event_Type) < 0 ||
         PyModule_AddObjectRef(m, "Message", (PyObject *)&Message_Type) < 0 ||
         PyModule_AddObjectRef(m, "Router", (PyObject *)&Router_Type) < 0 ||
         PyModule_AddObjectRef(m, "SendCore", (PyObject *)&SendCore_Type)

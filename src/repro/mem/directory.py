@@ -24,7 +24,7 @@ reference is all it takes.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, Dict, List, Optional, Set
 
 from .. import accel
 from ..net.messages import DIRECTORY, Message, MessageKind
@@ -102,7 +102,9 @@ class Directory:
         self.inv_rounds = 0
         self.memory_fetches = 0
         # Dense dispatch table indexed by ``MessageKind.idx``.
-        handlers: List[Optional[object]] = [None] * len(MessageKind)
+        handlers: List[Callable[[Message], None]] = (
+            [self._unexpected] * len(MessageKind)
+        )
         handlers[MessageKind.GETS.idx] = self._handle_request
         handlers[MessageKind.GETX.idx] = self._handle_request
         handlers[MessageKind.UPGRADE.idx] = self._handle_request
@@ -138,10 +140,12 @@ class Directory:
     # Message entry point.
     # ------------------------------------------------------------------
     def handle(self, msg: Message) -> None:
-        handler = self._handlers[msg.kind.idx]
-        if handler is None:  # pragma: no cover - protocol violation
-            raise RuntimeError(f"directory cannot handle {msg!r}")
-        handler(msg)
+        """Dispatch ``msg`` to its kind's handler.  The crossbar schedules
+        those handlers directly; this is for injecting a message by hand."""
+        self._handlers[msg.kind.idx](msg)
+
+    def _unexpected(self, msg: Message) -> None:
+        raise RuntimeError(f"directory cannot handle {msg!r}")
 
     def _handle_cancel(self, msg: Message) -> None:
         self._finish(msg.block)

@@ -167,8 +167,8 @@ class L1Controller:
         #: Set lazily by the simulator after cores are built.
         self.core: "Core" = None  # type: ignore[assignment]
         # Dense dispatch table indexed by ``MessageKind.idx``.
-        handlers: List[Optional[Callable[[Message], None]]] = (
-            [None] * len(MessageKind)
+        handlers: List[Callable[[Message], None]] = (
+            [self._unexpected] * len(MessageKind)
         )
         handlers[MessageKind.FWD_GETS.idx] = self._handle_forwarded_probe
         handlers[MessageKind.FWD_GETX.idx] = self._handle_forwarded_probe
@@ -420,10 +420,12 @@ class L1Controller:
     # Incoming message dispatch.
     # ------------------------------------------------------------------
     def handle(self, msg: Message) -> None:
-        handler = self._handlers[msg.kind.idx]
-        if handler is None:  # pragma: no cover - protocol violation
-            raise RuntimeError(f"L1 cannot handle {msg!r}")
-        handler(msg)
+        """Dispatch ``msg`` to its kind's handler.  The crossbar schedules
+        those handlers directly; this is for injecting a message by hand."""
+        self._handlers[msg.kind.idx](msg)
+
+    def _unexpected(self, msg: Message) -> None:
+        raise RuntimeError(f"L1 cannot handle {msg!r}")
 
     # -- Holder side: probes -------------------------------------------
     def _handle_forwarded_probe(self, msg: Message) -> None:

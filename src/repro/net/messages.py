@@ -7,7 +7,9 @@ flit count its ``SystemConfig`` gives.
 
 Hot-path design: a :class:`Message` is created for every hop of every
 coherence exchange, so it is a ``__slots__`` class (no per-instance
-``__dict__``) built by one plain allocation.  A message is a plain
+``__dict__``) built by :func:`make_message`, a plain function doing one
+allocation and the slot stores (the class has no ``__init__``; the
+compiled backend's factory has the same signature).  A message is a plain
 record that lives as long as something references it: a handler keeps
 one past its delivery (the directory queues requests and holds
 invalidation-round requests) by holding the reference, and nothing is
@@ -97,56 +99,67 @@ class Message:
         "action",
     )
 
-    def __init__(
-        self,
-        kind: MessageKind,
-        src: int = 0,
-        dst: int = 0,
-        block: int = 0,
-        data: Optional[Tuple[int, ...]] = None,
-        requester: Optional[int] = None,
-        exclusive: bool = False,
-        pic: Optional[int] = None,
-        power: bool = False,
-        timestamp: Optional[int] = None,
-        epoch: int = 0,
-        req_id: int = 0,
-        can_consume: bool = True,
-        is_validation: bool = False,
-        non_transactional: bool = False,
-        # LEVC-BE-Idealized: requester chain-endpoint flags (idealized —
-        # carried on every request at no cost, like its ideal timestamps).
-        req_produced: bool = False,
-        req_consumed: bool = False,
-        # UNBLOCK sub-action from a probed cache back to the directory:
-        # 'xfer' (ownership moved to requester), 'downgrade' (owner became
-        # sharer), 'aborted' (holder aborted; supply memory data),
-        # 'not_present' (stale owner; supply memory data), 'recv'
-        # (grantee acknowledges a directory-sourced response).
-        action: Optional[str] = None,
-    ):
-        self.kind = kind
-        self.src = src
-        self.dst = dst
-        self.block = block
-        self.data = data
-        self.requester = requester
-        self.exclusive = exclusive
-        self.pic = pic
-        self.power = power
-        self.timestamp = timestamp
-        self.epoch = epoch
-        self.req_id = req_id
-        self.can_consume = can_consume
-        self.is_validation = is_validation
-        self.non_transactional = non_transactional
-        self.req_produced = req_produced
-        self.req_consumed = req_consumed
-        self.action = action
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<{self.kind.value} {self.src}->{self.dst} blk={self.block:#x}"
             f"{' V' if self.is_validation else ''}"
             f"{' P' if self.power else ''} e{self.epoch}>"
         )
+
+
+_new_message = object.__new__
+
+
+def make_message(
+    kind: MessageKind,
+    src: int = 0,
+    dst: int = 0,
+    block: int = 0,
+    data: Optional[Tuple[int, ...]] = None,
+    requester: Optional[int] = None,
+    exclusive: bool = False,
+    pic: Optional[int] = None,
+    power: bool = False,
+    timestamp: Optional[int] = None,
+    epoch: int = 0,
+    req_id: int = 0,
+    can_consume: bool = True,
+    is_validation: bool = False,
+    non_transactional: bool = False,
+    # LEVC-BE-Idealized: requester chain-endpoint flags (idealized —
+    # carried on every request at no cost, like its ideal timestamps).
+    req_produced: bool = False,
+    req_consumed: bool = False,
+    # UNBLOCK sub-action from a probed cache back to the directory:
+    # 'xfer' (ownership moved to requester), 'downgrade' (owner became
+    # sharer), 'aborted' (holder aborted; supply memory data),
+    # 'not_present' (stale owner; supply memory data), 'recv'
+    # (grantee acknowledges a directory-sourced response).
+    action: Optional[str] = None,
+) -> Message:
+    """Build a :class:`Message` — its only constructor.
+
+    A plain function: calling a class whose ``__init__`` is Python code
+    with keywords packs them into a dict and binds them again, which
+    costs about twice this allocation plus 18 slot stores.
+    """
+    msg = _new_message(Message)
+    msg.kind = kind
+    msg.src = src
+    msg.dst = dst
+    msg.block = block
+    msg.data = data
+    msg.requester = requester
+    msg.exclusive = exclusive
+    msg.pic = pic
+    msg.power = power
+    msg.timestamp = timestamp
+    msg.epoch = epoch
+    msg.req_id = req_id
+    msg.can_consume = can_consume
+    msg.is_validation = is_validation
+    msg.non_transactional = non_transactional
+    msg.req_produced = req_produced
+    msg.req_consumed = req_consumed
+    msg.action = action
+    return msg

@@ -8,17 +8,18 @@ delivery time are broken by send order via the engine's FIFO tie-break.
 ``send`` is one of the two hottest functions in the simulator (with
 ``Engine.run``), so the per-message work is precomputed: flit counts are
 bound at construction, per-kind accounting indexes a dense list via
-``kind.idx`` instead of hashing enum members, and the deliver callback is
-scheduled directly (no wrapper frame).  The deliver callback only
-dispatches: a :class:`~repro.net.messages.Message` is a plain record
-that lives as long as something references it, so the network never
-recycles or invalidates one after delivery.
+``kind.idx`` instead of hashing enum members, and the destination's
+handler for the message's kind is scheduled as the event itself, so a
+delivery is one call with no routing frame.  A
+:class:`~repro.net.messages.Message` is a plain record that lives as long
+as something references it, so the network never recycles or
+invalidates one after delivery.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 from .. import accel
 from ..obs.events import MsgSent, SpecForward
@@ -26,6 +27,9 @@ from ..obs.probe import Probe
 from ..sim.config import SystemConfig
 from ..sim.engine import Engine
 from .messages import Message, MessageKind
+
+
+Handler = Callable[[Message], None]
 
 
 class Crossbar:
@@ -36,13 +40,14 @@ class Crossbar:
     and the engine is the compiled one — to the C ``SendCore``'s send,
     which keeps the flit accounting, probe gate, and delivery schedule
     entirely in C.  Counter reads (``stats``/``flits_by_kind``) are
-    transparent to the choice.
+    transparent to the choice.  Nothing is delivered before
+    :meth:`connect` gives the handler tables.
     """
 
     __slots__ = (
         "_engine",
         "_config",
-        "_deliver",
+        "_tables",
         "_probe",
         "_schedule",
         "_data_flits",
@@ -59,13 +64,12 @@ class Crossbar:
         self,
         engine: Engine,
         config: SystemConfig,
-        deliver: Callable[[Message], None],
         *,
         probe: Optional[Probe] = None,
     ):
         self._engine = engine
         self._config = config
-        self._deliver = deliver
+        self._tables: Optional[List[List[Handler]]] = None
         self._probe = probe if probe is not None else Probe()
         self._schedule = engine.schedule
         self._data_flits = config.data_message_flits
@@ -78,7 +82,7 @@ class Crossbar:
         if core is not None and isinstance(engine, core.Engine):
             self._sendcore = core.SendCore(
                 engine=engine,
-                deliver=deliver,
+                deliver=_unconnected,
                 probe=self._probe,
                 emit_hook=self._emit_traced,
                 link_latency=self._link_latency,
@@ -90,16 +94,25 @@ class Crossbar:
             self._sendcore = None
             self.send = self._send_python
 
-    def finalize_deliver(self, deliver: Callable[[Message], None]) -> None:
-        """Rebind the delivery callback once the handler tables exist.
+    def connect(self, tables: Sequence[List[Handler]]) -> None:
+        """Give the delivery tables once the controllers exist.
 
-        The crossbar is constructed before the L1s and directory, so the
-        simulator wires the real router (the compiled dense router, or
-        its own ``_route``) here.
+        ``tables[dst][kind.idx]`` handles a message of that kind sent to
+        ``dst``: cores ``0..N-1``, then the directory last, which
+        ``DIRECTORY == -1`` indexes.  The lists are used as given, not
+        copied.  A kind a destination cannot handle needs an entry that
+        raises: ``None`` is refused, because to the engine a ``None``
+        event is a cancelled one and would vanish silently.
         """
-        self._deliver = deliver
+        tables = list(tables)
+        if any(fn is None for table in tables for fn in table):
+            raise ValueError(
+                "a delivery table entry is None; give a handler that raises"
+            )
         if self._sendcore is not None:
-            self._sendcore.set_deliver(deliver)
+            self._sendcore.set_deliver(accel.hotcore().Router(tables))
+        else:
+            self._tables = tables
 
     def _counters(self):
         """(flits_sent, messages_sent, per-kind flit list) — whichever
@@ -161,10 +174,11 @@ class Crossbar:
         self._flits_by_idx[kind.idx] += flits
         if self._probe._subscribers:
             self._emit_traced(msg)
-        if extra_delay:
-            self._schedule(self._link_latency + extra_delay, self._deliver, msg)
-        else:
-            self._schedule(self._link_latency, self._deliver, msg)
+        self._schedule(
+            self._link_latency + extra_delay,
+            self._tables[msg.dst][kind.idx],
+            msg,
+        )
 
     def stats(self) -> Dict[str, int]:
         validation_kinds = (MessageKind.GETX, MessageKind.SPEC_RESP)
@@ -183,3 +197,7 @@ class Crossbar:
                 by_idx[kind.idx] for kind in validation_kinds
             ),
         }
+
+
+def _unconnected(msg: Message) -> None:
+    raise RuntimeError(f"crossbar not connected: cannot deliver {msg!r}")

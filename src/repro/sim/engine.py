@@ -6,10 +6,12 @@ deterministic for a given workload seed.
 
 Hot-path design (this module is the innermost loop of every experiment):
 
-* One allocation per event.  An :class:`Event` is a mutable record
-  ``[when, fn, args, engine]`` that is simultaneously the queue entry
-  and its own cancel handle.  It subclasses ``list`` (with empty
-  ``__slots__``, so no per-instance ``__dict__``).
+* One plain list per event.  A queue entry is ``[fn, args]``, and the
+  entry is also the opaque handle :meth:`Engine.schedule` returns for
+  :meth:`Engine.cancel`.  ``fn is None`` marks an entry that is fired or
+  cancelled; firing sets only that.  An entry carries no cycle: every
+  entry in the run lane belongs to the current cycle, so the clock is
+  set once per populated cycle, when the lane is seeded.
 * Calendar-bucket queue.  Future events live in a per-cycle FIFO bucket
   (``dict`` keyed by absolute cycle); the heap orders only the *distinct*
   cycle numbers.  Typical workloads schedule many events per cycle, so
@@ -29,12 +31,12 @@ Hot-path design (this module is the innermost loop of every experiment):
   *before* cycle ``T`` runs (a delay-1 schedule during ``T`` goes to
   ``_next``, anything longer lands past ``T+1``), so draining the bucket
   first and ``_next`` second is exactly global schedule order.
-* O(1) ``pending()`` via a live-event counter maintained on schedule,
-  cancel, and fire.
 * Cancelled entries are dropped lazily when their cycle drains, and the
   buckets are compacted in place once dead entries outnumber live ones,
   so a workload that arms and cancels millions of timers keeps a bounded
-  queue.
+  queue.  A cycle whose entries are all dead does not move the clock.
+* No live-event counter: only the dead entries are counted, and
+  :meth:`Engine.pending` (a test aid) counts the queue.
 """
 
 from __future__ import annotations
@@ -42,41 +44,6 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional
-
-
-class Event(list):
-    """A scheduled event: ``[when, fn, args, engine]``.
-
-    The record is its own cancel handle: :meth:`cancel` marks it dead in
-    place (the engine discards it lazily or during compaction).  Firing
-    clears ``fn`` as well, so a late ``cancel()`` on an already-fired
-    event is a harmless no-op.
-    """
-
-    __slots__ = ()
-
-    @property
-    def when(self) -> int:
-        return self[0]
-
-    @property
-    def cancelled(self) -> bool:
-        """True once the event can no longer fire (cancelled *or* fired)."""
-        return self[1] is None
-
-    def cancel(self) -> None:
-        if self[1] is None:
-            return
-        self[1] = None
-        self[2] = ()
-        engine = self[3]
-        engine._live -= 1
-        engine._dead += 1
-        if (
-            engine._dead >= engine.COMPACT_THRESHOLD
-            and engine._dead >= engine._live
-        ):
-            engine._compact()
 
 
 class Engine:
@@ -88,7 +55,6 @@ class Engine:
         "_lane",
         "_next",
         "_now",
-        "_live",
         "_dead",
         "events_processed",
     )
@@ -98,18 +64,17 @@ class Engine:
     COMPACT_THRESHOLD = 64
 
     def __init__(self) -> None:
-        # Future events: absolute cycle -> FIFO list of events, plus a heap
-        # of the distinct cycle keys.  A key is pushed exactly once, when
-        # its bucket is created, and popped when the clock reaches it.
-        self._buckets: Dict[int, List[Event]] = {}
+        # Future events: absolute cycle -> FIFO list of entries, plus a
+        # heap of the distinct cycle keys.  A key is pushed exactly once,
+        # when its bucket is created, and popped when the clock reaches it.
+        self._buckets: Dict[int, List[list]] = {}
         self._cycles: List[int] = []
-        # Events runnable at the current cycle, in FIFO order.
+        # Entries runnable at the current cycle, in FIFO order.
         self._lane: deque = deque()
-        # Events for cycle ``_now + 1`` (the dominant delay), bypassing
+        # Entries for cycle ``_now + 1`` (the dominant delay), bypassing
         # the bucket dict and the cycle heap entirely.
-        self._next: List[Event] = []
+        self._next: List[list] = []
         self._now = 0
-        self._live = 0
         self._dead = 0
         self.events_processed = 0
 
@@ -118,36 +83,48 @@ class Engine:
         """Current simulated cycle."""
         return self._now
 
-    def schedule(self, delay: int, fn: Callable, *args: Any) -> Event:
-        """Run ``fn(*args)`` after ``delay`` cycles; returns the event,
-        which doubles as its cancel handle."""
+    def schedule(self, delay: int, fn: Callable, *args: Any) -> list:
+        """Run ``fn(*args)`` after ``delay`` cycles; returns the opaque
+        handle :meth:`cancel` takes.  ``fn`` must not be None (None is
+        the engine's fired-or-cancelled mark)."""
+        entry = [fn, args]
         if delay == 1:
-            event = Event((self._now + 1, fn, args, self))
-            self._next.append(event)
+            self._next.append(entry)
         elif delay:
             if delay < 0:
                 raise ValueError("cannot schedule into the past")
             when = self._now + delay
-            event = Event((when, fn, args, self))
             bucket = self._buckets.get(when)
             if bucket is None:
-                self._buckets[when] = [event]
+                self._buckets[when] = [entry]
                 heapq.heappush(self._cycles, when)
             else:
-                bucket.append(event)
+                bucket.append(entry)
         else:
-            event = Event((self._now, fn, args, self))
-            self._lane.append(event)
-        self._live += 1
-        return event
+            self._lane.append(entry)
+        return entry
 
-    def schedule_at(self, cycle: int, fn: Callable, *args: Any) -> Event:
+    def schedule_at(self, cycle: int, fn: Callable, *args: Any) -> list:
         """Run ``fn(*args)`` at absolute ``cycle``."""
         return self.schedule(cycle - self._now, fn, *args)
 
+    def cancel(self, handle: list) -> None:
+        """Mark a scheduled entry dead in place (it is discarded lazily or
+        by compaction).  Cancelling a fired or cancelled entry is a
+        no-op."""
+        if handle[0] is None:
+            return
+        handle[0] = None
+        handle[1] = ()
+        dead = self._dead + 1
+        self._dead = dead
+        if dead >= self.COMPACT_THRESHOLD and dead + dead >= self._queued():
+            self._compact()
+
     # ------------------------------------------------------------------
     def _advance(self, until: Optional[int]) -> bool:
-        """Seed the empty lane with the next populated cycle's events.
+        """Seed the empty lane with the next populated cycle's entries and
+        move the clock to that cycle.
 
         Returns False when there is nothing left (or the next cycle lies
         beyond ``until``).  Invariant: every ``_next`` entry matures at
@@ -155,56 +132,65 @@ class Engine:
         cycle fires, and the clock cannot move before the lane drains),
         so the bucket for that cycle — sealed strictly earlier — drains
         first and ``_next`` second, preserving global schedule order.
+        A cycle left with no live entry (all cancelled, or emptied by
+        compaction) is drained without moving the clock, so the clock
+        always reads the cycle of the last event that fired.
         """
         cycles = self._cycles
         nxt = self._next
-        target = self._now + 1
-        if cycles:
-            cycle = cycles[0]
-            if nxt and target < cycle:
-                cycle = target
-        elif nxt:
-            cycle = target
-        else:
-            return False
-        if until is not None and cycle > until:
-            return False
-        lane = self._lane
-        if cycles and cycles[0] == cycle:
-            heapq.heappop(cycles)
-            lane.extend(self._buckets.pop(cycle))
-        if nxt and cycle == target:
-            lane.extend(nxt)
-            nxt.clear()
-        return True
-
-    def _next_event(self) -> Optional[Event]:
-        """Pop the next live event in deterministic order, or None."""
         lane = self._lane
         while True:
-            while lane:
-                event = lane.popleft()
-                if event[1] is None:
+            target = self._now + 1
+            if cycles:
+                cycle = cycles[0]
+                if nxt and target < cycle:
+                    cycle = target
+            elif nxt:
+                cycle = target
+            else:
+                return False
+            if until is not None and cycle > until:
+                return False
+            if cycles and cycles[0] == cycle:
+                heapq.heappop(cycles)
+                lane.extend(self._buckets.pop(cycle))
+            if nxt and cycle == target:
+                lane.extend(nxt)
+                nxt.clear()
+            if self._dead:
+                while lane and lane[0][0] is None:
+                    lane.popleft()
                     self._dead -= 1
-                    continue
-                return event
-            if not self._advance(None):
-                return None
+            if lane:
+                self._now = cycle
+                return True
+
+    def _has_live(self, until: Optional[int]) -> bool:
+        """Whether a live entry is queued past the lane at or before
+        ``until`` (a bounded run's budget check; off the hot path)."""
+        queued = [(self._now + 1, self._next), *self._buckets.items()]
+        return any(
+            (until is None or cycle <= until)
+            and any(entry[0] is not None for entry in entries)
+            for cycle, entries in queued
+        )
 
     def step(self) -> bool:
         """Process one event.  Returns False when the queue is empty."""
-        event = self._next_event()
-        if event is None:
-            return False
-        fn = event[1]
-        args = event[2]
-        event[1] = None  # consumed: a late cancel() must be a no-op
-        event[2] = ()
-        self._now = event[0]
-        self._live -= 1
-        self.events_processed += 1
-        fn(*args)
-        return True
+        lane = self._lane
+        while True:
+            while lane:
+                entry = lane.popleft()
+                fn = entry[0]
+                if fn is None:
+                    self._dead -= 1
+                    continue
+                entry[0] = None
+                self.events_processed += 1
+                fn(*entry[1])
+                return True
+            if not self._advance(None):
+                return False
 
     def run(self, *, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Drain the queue.
@@ -215,41 +201,38 @@ class Engine:
         Contract for bounded runs: after ``run(until=N)`` the clock reads
         ``N`` (unless it was already past ``N``) even when the queue
         drained early, so back-to-back bounded runs observe a consistent,
-        monotonic clock.
+        monotonic clock.  An event that would exceed ``max_events`` stays
+        queued, and the error names the cycle of the last event fired.
         """
         if until is not None and until < self._now:
             return self._now
         lane = self._lane
+        popleft = lane.popleft
+        advance = self._advance
+        # ``processed`` counts up from 0, so -1 never trips the budget.
+        limit = -1 if max_events is None else max(max_events, 0)
         processed = 0
         try:
             while True:
-                if lane:
-                    # Peek-then-pop so an event is never lost to the
-                    # ``max_events`` backstop.  ``_compact`` mutates the
-                    # containers in place, so the local binding stays
-                    # valid even when a callback triggers compaction.
-                    event = lane[0]
-                    fn = event[1]
+                # ``_compact`` mutates the lane in place, so the local
+                # bindings stay valid when a callback triggers it.
+                while lane:
+                    entry = popleft()
+                    fn = entry[0]
                     if fn is None:
-                        lane.popleft()
                         self._dead -= 1
                         continue
-                    if max_events is not None and processed >= max_events:
-                        raise RuntimeError(
-                            f"engine exceeded {max_events} events at cycle "
-                            f"{self._now}; likely livelock in the simulated "
-                            "machine"
-                        )
-                    lane.popleft()
-                    args = event[2]
-                    event[1] = None
-                    event[2] = ()
-                    self._now = event[0]
-                    self._live -= 1
+                    if processed == limit:
+                        lane.appendleft(entry)
+                        raise self._livelock(max_events)
+                    entry[0] = None
                     processed += 1
-                    fn(*args)
-                    continue
-                if not self._advance(until):
+                    fn(*entry[1])
+                # The cycle drained: an exhausted budget stops the run
+                # here, before the clock moves, if anything is left to fire.
+                if processed == limit and self._has_live(until):
+                    raise self._livelock(max_events)
+                if not advance(until):
                     break
         finally:
             self.events_processed += processed
@@ -257,25 +240,39 @@ class Engine:
             self._now = until
         return self._now
 
+    def _livelock(self, max_events: int) -> RuntimeError:
+        return RuntimeError(
+            f"engine exceeded {max_events} events at cycle {self._now}; "
+            "likely livelock in the simulated machine"
+        )
+
     def pending(self) -> int:
-        """Number of live (non-cancelled) queued events — O(1)."""
-        return self._live
+        """Number of live (non-cancelled) queued events."""
+        return self._queued() - self._dead
 
     # ------------------------------------------------------------------
+    def _queued(self) -> int:
+        """Every queued entry, live or dead."""
+        return (
+            len(self._lane)
+            + len(self._next)
+            + sum(map(len, self._buckets.values()))
+        )
+
     def _compact(self) -> None:
         """Drop cancelled entries, in place (callers hold aliases to the
         containers), preserving the deterministic order.
 
         Emptied buckets stay registered (their cycle key is already in the
-        heap); the drain loop skips them for free.
+        heap); ``_advance`` drains them without moving the clock.
         """
         for bucket in self._buckets.values():
-            bucket[:] = [event for event in bucket if event[1] is not None]
+            bucket[:] = [entry for entry in bucket if entry[0] is not None]
         nxt = self._next
-        nxt[:] = [event for event in nxt if event[1] is not None]
+        nxt[:] = [entry for entry in nxt if entry[0] is not None]
         lane = self._lane
         for _ in range(len(lane)):
-            event = lane.popleft()
-            if event[1] is not None:
-                lane.append(event)
+            entry = lane.popleft()
+            if entry[0] is not None:
+                lane.append(entry)
         self._dead = 0

@@ -12,7 +12,6 @@ from ..htm.stats import HTMStats
 from ..mem.directory import Directory
 from ..mem.l1controller import L1Controller
 from ..mem.memory import MainMemory
-from ..net.messages import Message
 from ..net.network import Crossbar
 from ..obs.interval import IntervalMetrics
 from ..obs.probe import Probe
@@ -53,9 +52,7 @@ class Simulator:
         #: simulator (and only this one); inert while nobody listens.
         self.probe = Probe()
         self.memory = MainMemory(workload.space.geometry)
-        self.network = Crossbar(
-            self.engine, self.config, self._route, probe=self.probe
-        )
+        self.network = Crossbar(self.engine, self.config, probe=self.probe)
         self.directory = Directory(
             self.engine, self.config, self.memory, self.network,
             probe=self.probe,
@@ -95,20 +92,10 @@ class Simulator:
         for l1, core in zip(self.l1s, self.cores):
             l1.core = core
 
-        # Dense delivery table indexed by ``msg.dst``: cores at 0..N-1 and
-        # the directory (dst == DIRECTORY == -1) in the last slot via
-        # Python's negative indexing.
-        self._dst_handlers = [l1.handle for l1 in self.l1s]
-        self._dst_handlers.append(self.directory.handle)
-        # Wire the delivery callback now that the handler tables exist:
-        # the compiled dense router (dst -> kind -> handler, one C call)
-        # when the compiled backend is active, else _route.
-        self.network.finalize_deliver(
-            accel.make_router(
-                [l1._handlers for l1 in self.l1s]
-                + [self.directory._handlers],
-                self._route,
-            )
+        # Delivery tables indexed by ``msg.dst``, then ``kind.idx``: cores
+        # at 0..N-1 and the directory (dst == DIRECTORY == -1) last.
+        self.network.connect(
+            [l1._handlers for l1 in self.l1s] + [self.directory._handlers]
         )
 
         self._timestamps = itertools.count(1)
@@ -118,9 +105,6 @@ class Simulator:
         workload.setup(self.memory)
 
     # ------------------------------------------------------------------
-    def _route(self, msg: Message) -> None:
-        self._dst_handlers[msg.dst](msg)
-
     def next_timestamp(self) -> int:
         """Ideal, never-rolling-over begin timestamps (Section VI-B) —
         drawn only by systems whose spec orders transactions by age."""

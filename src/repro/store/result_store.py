@@ -412,10 +412,16 @@ class ResultStore:
     def gc(self, max_bytes: int) -> List[str]:
         """Sweep ``*.tmp`` litter from killed writers, then evict the
         least-recently-used records (oldest mtime first) until the
-        record files fit ``max_bytes``."""
+        record files fit ``max_bytes``.
+
+        Only a temp file older than :data:`CLAIM_TTL_SECONDS` is litter:
+        a younger one may be another process's put about to be renamed
+        into place, or its claim about to be linked."""
+        cutoff = time.time() - CLAIM_TTL_SECONDS
         for tmp in self.base.rglob("*.tmp"):
             try:
-                tmp.unlink()
+                if tmp.stat().st_mtime < cutoff:
+                    tmp.unlink()
             except OSError:
                 pass
         candidates: List[Tuple[int, str, int, Path]] = []

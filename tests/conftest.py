@@ -7,6 +7,7 @@ import pytest
 from repro import accel
 from repro.mem.address import AddressSpace, Geometry
 from repro.mem.memory import MainMemory
+from repro.net.messages import MessageKind
 from repro.sim.config import HTMConfig, SystemConfig, table2_config
 from repro.sim.simulator import Simulator
 from repro.systems import SystemSpec, paper
@@ -32,6 +33,13 @@ def backend(request):
         pytest.skip("compiled backend not built (scripts/build_accel.py)")
     with accel.use(name):
         yield name
+
+
+def deliver_all(net, deliver, destinations: int = 17) -> None:
+    """Connect crossbar ``net`` so every message, whatever its kind and
+    destination (cores ``0..destinations-2``, then the directory), goes
+    to ``deliver``."""
+    net.connect([[deliver] * len(MessageKind)] * destinations)
 
 
 @pytest.fixture

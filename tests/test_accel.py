@@ -105,11 +105,11 @@ class TestSelection:
         with accel.use("python"):
             assert not accel.compiled_active()
             assert accel.hotcore() is None
-            from repro.net.messages import Message
+            from repro.net.messages import make_message
             from repro.sim.engine import Engine
 
             assert isinstance(accel.make_engine(), Engine)
-            assert accel.message_factory() is Message
+            assert accel.message_factory() is make_message
 
 
 class TestFallback:
@@ -172,7 +172,7 @@ class TestCompiledEngineParity:
             fired = []
             keep = engine.schedule(5, lambda: fired.append("keep"))
             kill = engine.schedule(5, lambda: fired.append("kill"))
-            kill.cancel()
+            engine.cancel(kill)
             engine.run()
             assert fired == ["keep"]
             assert engine.events_processed == 1
@@ -203,12 +203,49 @@ class TestCompiledEngineParity:
         # Enough cancels to trip compaction (threshold 64) repeatedly.
         for engine in self.both_engines():
             for i in range(500):
-                engine.schedule(1000 + i, lambda: None).cancel()
+                engine.cancel(engine.schedule(1000 + i, lambda: None))
             survivor = []
             engine.schedule(2000, lambda: survivor.append(True))
             engine.run()
             assert survivor == [True]
             assert engine.events_processed == 1
+
+    def test_compaction_of_a_wrapped_zero_delay_lane(self):
+        """Compaction triggered while the zero-delay ring has wrapped past
+        the end of its buffer keeps every live event, in order.
+
+        The 41 events of cycle 1 fill the compiled lane's 64-slot ring
+        from slot 0; by the time the 30 spawns have fired, their
+        zero-delay events sit in slots 41-63 and wrap to 0-6, and the
+        last event cancels 100 timers, enough to trip compaction."""
+
+        def fired_order(engine):
+            fired = []
+            timers = [
+                engine.schedule(10_000, fired.append, "timer")
+                for _ in range(100)
+            ]
+
+            def spawn(i):
+                fired.append(("spawn", i))
+                engine.schedule(0, fired.append, ("zero", i))
+
+            def cancel_timers():
+                fired.append("cancel")
+                for timer in timers:
+                    engine.cancel(timer)
+
+            for i in range(30):
+                engine.schedule(1, spawn, i)
+            for i in range(10):
+                engine.schedule(1, fired.append, ("plain", i))
+            engine.schedule(1, cancel_timers)
+            engine.run()
+            return fired, engine.events_processed
+
+        py, c = (fired_order(engine) for engine in self.both_engines())
+        assert py[1] == 71
+        assert c == py
 
 
 # ----------------------------------------------------------------------
@@ -226,10 +263,10 @@ class TestCompiledMessageParity:
     )
 
     def make_pair(self, **kwargs):
-        from repro.net.messages import Message
+        from repro.net.messages import make_message
 
         return (
-            Message(**kwargs),
+            make_message(**kwargs),
             accel._load_compiled().make_message(**kwargs),
         )
 

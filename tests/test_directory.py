@@ -11,7 +11,7 @@ import pytest
 from repro.mem.address import Geometry
 from repro.mem.directory import Directory
 from repro.mem.memory import MainMemory
-from repro.net.messages import DIRECTORY, Message, MessageKind
+from repro.net.messages import DIRECTORY, MessageKind, make_message
 from repro.net.network import Crossbar
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
@@ -25,20 +25,16 @@ class Harness:
         self.memory = MainMemory(Geometry())
         self.delivered = []
         self.config = SystemConfig(num_cores=4)
-        self.network = Crossbar(self.engine, self.config, self._deliver)
+        self.network = Crossbar(self.engine, self.config)
         self.directory = Directory(
             self.engine, self.config, self.memory, self.network
         )
-
-    def _deliver(self, msg):
-        if msg.dst == DIRECTORY:
-            self.directory.handle(msg)
-        else:
-            self.delivered.append(msg)
+        cores = [[self.delivered.append] * len(MessageKind)] * 4
+        self.network.connect(cores + [self.directory._handlers])
 
     def send(self, kind, src, *, block=BLOCK, req_id=1, **kw):
         self.directory.handle(
-            Message(kind=kind, src=src, dst=DIRECTORY, block=block, req_id=req_id, **kw)
+            make_message(kind=kind, src=src, dst=DIRECTORY, block=block, req_id=req_id, **kw)
         )
         self.engine.run()
 

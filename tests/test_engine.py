@@ -1,14 +1,35 @@
-"""Unit tests for the discrete-event engine."""
+"""Unit tests for the discrete-event engine, under each backend.
+
+Each class builds its engine through ``accel.make_engine()`` under its
+``BACKEND``.  The classes run the pure-Python engine, and each
+``...Compiled`` subclass at the end of the module reruns the same cases
+on the compiled engine (skipped when ``_hotcore`` is not built), so the
+two engines are held to one contract.  Subclasses rather than the
+``backend`` fixture keep the Python cases' test ids unparametrized.
+"""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.engine import Engine
+from repro import accel
+
+needs_compiled = pytest.mark.skipif(
+    not accel.compiled_available(),
+    reason="compiled backend not built (scripts/build_accel.py)",
+)
 
 
-class TestScheduling:
+class EngineCase:
+    BACKEND = "python"
+
+    def new_engine(self):
+        with accel.use(self.BACKEND):
+            return accel.make_engine()
+
+
+class TestScheduling(EngineCase):
     def test_events_fire_in_time_order(self):
-        engine = Engine()
+        engine = self.new_engine()
         fired = []
         engine.schedule(10, fired.append, "b")
         engine.schedule(5, fired.append, "a")
@@ -17,7 +38,7 @@ class TestScheduling:
         assert fired == ["a", "b", "c"]
 
     def test_fifo_tie_break(self):
-        engine = Engine()
+        engine = self.new_engine()
         fired = []
         for name in "abcde":
             engine.schedule(7, fired.append, name)
@@ -25,7 +46,7 @@ class TestScheduling:
         assert fired == list("abcde")
 
     def test_now_advances(self):
-        engine = Engine()
+        engine = self.new_engine()
         seen = []
         engine.schedule(5, lambda: seen.append(engine.now))
         engine.schedule(9, lambda: seen.append(engine.now))
@@ -34,7 +55,7 @@ class TestScheduling:
         assert final == 9
 
     def test_schedule_at_absolute(self):
-        engine = Engine()
+        engine = self.new_engine()
         seen = []
         engine.schedule(5, lambda: engine.schedule_at(30, lambda: seen.append(engine.now)))
         engine.run()
@@ -42,10 +63,10 @@ class TestScheduling:
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            Engine().schedule(-1, lambda: None)
+            self.new_engine().schedule(-1, lambda: None)
 
     def test_nested_scheduling(self):
-        engine = Engine()
+        engine = self.new_engine()
         fired = []
 
         def outer():
@@ -60,36 +81,48 @@ class TestScheduling:
         assert fired == [("outer", 2), ("inner", 5)]
 
 
-class TestCancellation:
+class TestCancellation(EngineCase):
     def test_cancelled_event_does_not_fire(self):
-        engine = Engine()
+        engine = self.new_engine()
         fired = []
         token = engine.schedule(5, fired.append, "x")
-        token.cancel()
+        engine.cancel(token)
         engine.run()
         assert fired == []
 
     def test_cancel_is_idempotent(self):
-        engine = Engine()
+        engine = self.new_engine()
         token = engine.schedule(5, lambda: None)
-        token.cancel()
-        token.cancel()
+        engine.cancel(token)
+        engine.cancel(token)
         engine.run()
 
     def test_pending_counts_live_events_only(self):
-        engine = Engine()
+        engine = self.new_engine()
         tokens = [engine.schedule(5, lambda: None) for _ in range(3)]
         assert engine.pending() == 3
-        tokens[1].cancel()
+        engine.cancel(tokens[1])
         assert engine.pending() == 2
-        tokens[0].cancel()
-        tokens[2].cancel()
+        engine.cancel(tokens[0])
+        engine.cancel(tokens[2])
+        assert engine.pending() == 0
+
+    def test_cancelled_tail_does_not_move_the_clock(self):
+        """A cycle left with only cancelled events is drained without
+        moving the clock: run() returns the last fired event's cycle."""
+        engine = self.new_engine()
+        engine.schedule(5, lambda: None)
+        engine.cancel(engine.schedule(9, lambda: None))
+        engine.cancel(engine.schedule(1, lambda: None))
+        assert engine.run() == 5
+        assert engine.now == 5
+        assert engine.events_processed == 1
         assert engine.pending() == 0
 
 
-class TestRunBounds:
+class TestRunBounds(EngineCase):
     def test_until_bound(self):
-        engine = Engine()
+        engine = self.new_engine()
         fired = []
         engine.schedule(5, fired.append, "early")
         engine.schedule(50, fired.append, "late")
@@ -100,18 +133,18 @@ class TestRunBounds:
     def test_bounded_run_advances_clock_to_bound(self):
         """Back-to-back bounded runs must observe a consistent clock:
         run(until=N) leaves now == N, not at the last processed event."""
-        engine = Engine()
+        engine = self.new_engine()
         engine.schedule(5, lambda: None)
         assert engine.run(until=10) == 10
         assert engine.now == 10
 
     def test_bounded_run_on_drained_queue_advances(self):
-        engine = Engine()
+        engine = self.new_engine()
         assert engine.run(until=7) == 7
         assert engine.now == 7
 
     def test_bounded_runs_are_monotonic(self):
-        engine = Engine()
+        engine = self.new_engine()
         engine.schedule(12, lambda: None)
         engine.run()
         assert engine.now == 12
@@ -119,7 +152,7 @@ class TestRunBounds:
         assert engine.run(until=5) == 12
 
     def test_back_to_back_bounded_runs_consistent(self):
-        engine = Engine()
+        engine = self.new_engine()
         seen = []
         engine.schedule(3, lambda: seen.append(engine.now))
         engine.schedule(25, lambda: seen.append(engine.now))
@@ -134,17 +167,17 @@ class TestRunBounds:
     def test_cancelled_head_does_not_leak_past_bound(self):
         """A cancelled event before the bound must not let a live event
         beyond the bound fire."""
-        engine = Engine()
+        engine = self.new_engine()
         fired = []
         token = engine.schedule(5, fired.append, "cancelled")
         engine.schedule(50, fired.append, "late")
-        token.cancel()
+        engine.cancel(token)
         engine.run(until=10)
         assert fired == []
         assert engine.pending() == 1
 
     def test_max_events_raises(self):
-        engine = Engine()
+        engine = self.new_engine()
 
         def loop():
             engine.schedule(1, loop)
@@ -153,53 +186,76 @@ class TestRunBounds:
         with pytest.raises(RuntimeError, match="livelock"):
             engine.run(max_events=100)
 
+    def test_max_events_keeps_the_next_event_queued(self):
+        """The error names the cycle of the last event fired, and the
+        event that would have exceeded the budget stays queued."""
+        engine = self.new_engine()
+        fired = []
+
+        def tick():
+            fired.append(engine.now)
+            engine.schedule(1, tick)
+
+        engine.schedule(1, tick)
+        with pytest.raises(RuntimeError, match="10 events at cycle 10;"):
+            engine.run(max_events=10)
+        assert engine.events_processed == 10
+        assert engine.pending() == 1
+        with pytest.raises(RuntimeError, match="2 events at cycle 12;"):
+            engine.run(max_events=2)
+        assert fired == list(range(1, 13))
+
     def test_step_returns_false_when_empty(self):
-        assert Engine().step() is False
+        assert self.new_engine().step() is False
 
     def test_events_processed_counter(self):
-        engine = Engine()
+        engine = self.new_engine()
         for _ in range(7):
             engine.schedule(1, lambda: None)
         engine.run()
         assert engine.events_processed == 7
 
 
-class TestDeterminism:
-    @given(
-        delays=st.lists(st.integers(min_value=0, max_value=100), min_size=1, max_size=40)
-    )
+def fired_trace(engine, delays):
+    """Schedule ``(delay, index)`` markers and return their firing order."""
+    out = []
+    for i, d in enumerate(delays):
+        engine.schedule(d, out.append, (d, i))
+    engine.run()
+    return out
+
+
+DELAYS_TO_100 = st.lists(
+    st.integers(min_value=0, max_value=100), min_size=1, max_size=40
+)
+DELAYS_TO_50 = st.lists(
+    st.integers(min_value=0, max_value=50), min_size=1, max_size=30
+)
+
+
+class TestDeterminism(EngineCase):
+    # Hypothesis refuses one test function run by two classes, so the
+    # compiled class repeats these two thin wrappers.
+    @given(delays=DELAYS_TO_100)
     def test_same_schedule_same_order(self, delays):
-        def trace(ds):
-            engine = Engine()
-            out = []
-            for i, d in enumerate(ds):
-                engine.schedule(d, out.append, (d, i))
-            engine.run()
-            return out
+        first = fired_trace(self.new_engine(), delays)
+        assert fired_trace(self.new_engine(), delays) == first
 
-        assert trace(delays) == trace(delays)
-
-    @given(
-        delays=st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=30)
-    )
+    @given(delays=DELAYS_TO_50)
     def test_order_is_stable_sort_by_time(self, delays):
-        engine = Engine()
-        out = []
-        for i, d in enumerate(delays):
-            engine.schedule(d, out.append, (d, i))
-        engine.run()
+        out = fired_trace(self.new_engine(), delays)
         # Events must be ordered by (time, insertion order).
         assert out == sorted(out, key=lambda pair: (pair[0], pair[1]))
 
 
-class TestFastLanes:
+class TestFastLanes(EngineCase):
     """Ordering across the zero-delay, next-cycle, and bucket paths."""
 
     def test_delay_one_fires_after_same_cycle_bucket_entries(self):
         # An entry scheduled two cycles early (bucket path) must fire
         # before a delay-1 entry for the same cycle (next-lane path):
         # bucket entries are always globally older.
-        engine = Engine()
+        engine = self.new_engine()
         order = []
         engine.schedule(2, order.append, "bucket")
 
@@ -211,7 +267,7 @@ class TestFastLanes:
         assert order == ["bucket", "next-lane"]
 
     def test_mixed_delays_interleave_in_schedule_order(self):
-        engine = Engine()
+        engine = self.new_engine()
         order = []
         # All three paths targeting the same cycle, scheduled from
         # different origins; global schedule order must win.
@@ -231,7 +287,7 @@ class TestFastLanes:
         assert order == ["a", "c", "b", "d"]
 
     def test_delay_one_respects_until(self):
-        engine = Engine()
+        engine = self.new_engine()
         fired = []
         engine.schedule(1, fired.append, 1)
         assert engine.run(until=0) == 0
@@ -240,7 +296,7 @@ class TestFastLanes:
         assert fired == [1]
 
     def test_delay_one_chain_advances_one_cycle_at_a_time(self):
-        engine = Engine()
+        engine = self.new_engine()
         cycles = []
 
         def tick(n):
@@ -253,12 +309,26 @@ class TestFastLanes:
         assert cycles == [1, 2, 3, 4, 5]
 
 
-class TestCancellationLeak:
+class CancelAfterFire(EngineCase):
+    def test_cancel_after_fire_is_noop(self):
+        engine = self.new_engine()
+        token = engine.schedule(1, lambda: None)
+        engine.run()
+        live = engine.pending()
+        engine.cancel(token)  # already fired: must not corrupt the counters
+        engine.cancel(token)
+        assert engine.pending() == live == 0
+        engine.schedule(1, lambda: None)
+        assert engine.pending() == 1
+
+
+class TestCancellationLeak(CancelAfterFire):
     """A workload that arms and cancels timers forever must keep the
-    queue bounded (regression test for the cancelled-event leak)."""
+    queue bounded (regression test for the cancelled-event leak).  The
+    bound is read from the Python engine's containers."""
 
     def test_cancelled_events_are_reclaimed(self):
-        engine = Engine()
+        engine = self.new_engine()
         rounds = 5_000
 
         def arm_and_cancel(n):
@@ -266,7 +336,7 @@ class TestCancellationLeak:
             # validation-controller pattern that used to accumulate dead
             # entries until the far-future cycle drained.
             token = engine.schedule(10_000, lambda: None)
-            token.cancel()
+            engine.cancel(token)
             if n:
                 engine.schedule(1, arm_and_cancel, n - 1)
 
@@ -278,24 +348,53 @@ class TestCancellationLeak:
         assert engine.pending() == 0
         queued = sum(len(b) for b in engine._buckets.values())
         queued += len(engine._lane) + len(engine._next)
-        assert queued <= 2 * Engine.COMPACT_THRESHOLD, (
+        assert queued <= 2 * type(engine).COMPACT_THRESHOLD, (
             f"{queued} dead entries retained after {rounds} cancels"
         )
 
     def test_cancel_in_next_lane_is_reclaimed(self):
-        engine = Engine()
+        engine = self.new_engine()
         for _ in range(1_000):
-            engine.schedule(1, lambda: None).cancel()
+            engine.cancel(engine.schedule(1, lambda: None))
         assert engine.pending() == 0
-        assert len(engine._next) <= 2 * Engine.COMPACT_THRESHOLD
+        assert len(engine._next) <= 2 * type(engine).COMPACT_THRESHOLD
 
-    def test_cancel_after_fire_is_noop(self):
-        engine = Engine()
-        token = engine.schedule(1, lambda: None)
-        engine.run()
-        live = engine.pending()
-        token.cancel()  # already fired: must not corrupt the counters
-        token.cancel()
-        assert engine.pending() == live == 0
-        engine.schedule(1, lambda: None)
-        assert engine.pending() == 1
+
+@needs_compiled
+class TestSchedulingCompiled(TestScheduling):
+    BACKEND = "compiled"
+
+
+@needs_compiled
+class TestCancellationCompiled(TestCancellation):
+    BACKEND = "compiled"
+
+
+@needs_compiled
+class TestRunBoundsCompiled(TestRunBounds):
+    BACKEND = "compiled"
+
+
+@needs_compiled
+class TestDeterminismCompiled(EngineCase):
+    BACKEND = "compiled"
+
+    @given(delays=DELAYS_TO_100)
+    def test_same_schedule_same_order(self, delays):
+        first = fired_trace(self.new_engine(), delays)
+        assert fired_trace(self.new_engine(), delays) == first
+
+    @given(delays=DELAYS_TO_50)
+    def test_order_is_stable_sort_by_time(self, delays):
+        out = fired_trace(self.new_engine(), delays)
+        assert out == sorted(out, key=lambda pair: (pair[0], pair[1]))
+
+
+@needs_compiled
+class TestFastLanesCompiled(TestFastLanes):
+    BACKEND = "compiled"
+
+
+@needs_compiled
+class TestCancelAfterFireCompiled(CancelAfterFire):
+    BACKEND = "compiled"

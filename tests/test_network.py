@@ -1,12 +1,15 @@
 """Unit tests for messages and the crossbar interconnect."""
 
+import pytest
+
 from repro import accel
-from repro.net.messages import DIRECTORY, Message, MessageKind
+from repro.net.messages import DIRECTORY, Message, MessageKind, make_message
 from repro.net.network import Crossbar
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
 from repro.sim.simulator import Simulator
 from repro.workloads.scripted import ScriptedWorkload
+from tests.conftest import deliver_all
 
 
 class TestMessageKinds:
@@ -24,7 +27,8 @@ class TestMessageKinds:
         ``SystemConfig``, charged by ``SendCore`` under ``compiled``."""
         config = SystemConfig(data_message_flits=9, control_message_flits=2)
         make = accel.message_factory()
-        net = Crossbar(accel.make_engine(), config, lambda m: None)
+        net = Crossbar(accel.make_engine(), config)
+        deliver_all(net, lambda m: None)
         assert (net._sendcore is not None) == (backend == "compiled")
         for kind in MessageKind:
             net.send(make(kind=kind, src=0, dst=1, block=1))
@@ -37,12 +41,13 @@ class TestCrossbar:
     def _net(self):
         engine = Engine()
         delivered = []
-        net = Crossbar(engine, SystemConfig(), delivered.append)
+        net = Crossbar(engine, SystemConfig())
+        deliver_all(net, delivered.append)
         return engine, net, delivered
 
     def test_delivery_after_link_latency(self):
         engine, net, delivered = self._net()
-        net.send(Message(kind=MessageKind.GETS, src=0, dst=1, block=1))
+        net.send(make_message(kind=MessageKind.GETS, src=0, dst=1, block=1))
         assert delivered == []
         engine.run()
         assert len(delivered) == 1
@@ -51,7 +56,7 @@ class TestCrossbar:
     def test_extra_delay(self):
         engine, net, delivered = self._net()
         net.send(
-            Message(kind=MessageKind.DATA, src=DIRECTORY, dst=1, block=1),
+            make_message(kind=MessageKind.DATA, src=DIRECTORY, dst=1, block=1),
             extra_delay=30,
         )
         engine.run()
@@ -59,8 +64,8 @@ class TestCrossbar:
 
     def test_flit_accounting(self):
         engine, net, _ = self._net()
-        net.send(Message(kind=MessageKind.GETS, src=0, dst=-1, block=1))
-        net.send(Message(kind=MessageKind.DATA, src=-1, dst=0, block=1))
+        net.send(make_message(kind=MessageKind.GETS, src=0, dst=-1, block=1))
+        net.send(make_message(kind=MessageKind.DATA, src=-1, dst=0, block=1))
         stats = net.stats()
         assert stats["messages"] == 2
         assert stats["flits"] == 6  # 1 control + 5 data
@@ -69,13 +74,13 @@ class TestCrossbar:
 
     def test_spec_resp_flits_tracked(self):
         engine, net, _ = self._net()
-        net.send(Message(kind=MessageKind.SPEC_RESP, src=0, dst=1, block=1))
+        net.send(make_message(kind=MessageKind.SPEC_RESP, src=0, dst=1, block=1))
         assert net.stats()["spec_resp_flits"] == 5
 
     def test_fifo_between_same_pair(self):
         engine, net, delivered = self._net()
         for i in range(5):
-            net.send(Message(kind=MessageKind.GETS, src=0, dst=1, block=i))
+            net.send(make_message(kind=MessageKind.GETS, src=0, dst=1, block=i))
         engine.run()
         assert [m.block for m in delivered] == list(range(5))
 
@@ -119,17 +124,18 @@ class TestMessageLifecycle:
         reads as sent after more traffic."""
         assert set(self.SENT) == set(Message.__slots__)
         engine, kept = Engine(), []
-        net = Crossbar(engine, SystemConfig(), kept.append)
-        net.send(Message(**self.SENT))
+        net = Crossbar(engine, SystemConfig())
+        deliver_all(net, kept.append)
+        net.send(make_message(**self.SENT))
         for i in range(4):
-            net.send(Message(kind=MessageKind.GETS, src=0, dst=1, block=i))
+            net.send(make_message(kind=MessageKind.GETS, src=0, dst=1, block=i))
         engine.run()
         assert {name: getattr(kept[0], name) for name in self.SENT} == self.SENT
 
     def test_router_poisons_only_unretained_deliveries(self):
-        """The router hands each delivery to its destination's handler and
-        poisons none: the one a handler keeps and the one a handler drops
-        both read as sent."""
+        """The crossbar hands each delivery to its destination's handler
+        and poisons none: the one a handler keeps and the one a handler
+        drops both read as sent."""
 
         def idle():
             yield from ()
@@ -139,10 +145,11 @@ class TestMessageLifecycle:
                 ScriptedWorkload([idle]), config=SystemConfig(num_cores=2)
             )
             kept = []
-            sim._dst_handlers[0] = lambda msg: None
-            sim._dst_handlers[1] = kept.append
-            dropped = Message(**{**self.SENT, "dst": 0})
-            held = Message(**self.SENT)
+            spec_resp = MessageKind.SPEC_RESP.idx
+            sim.l1s[0]._handlers[spec_resp] = lambda msg: None
+            sim.l1s[1]._handlers[spec_resp] = kept.append
+            dropped = make_message(**{**self.SENT, "dst": 0})
+            held = make_message(**self.SENT)
             sim.network.send(dropped)
             sim.network.send(held)
             sim.engine.run()
@@ -150,3 +157,53 @@ class TestMessageLifecycle:
         for msg, dst in ((dropped, 0), (held, 1)):
             sent = {**self.SENT, "dst": dst}
             assert {name: getattr(msg, name) for name in sent} == sent
+
+
+class TestDelivery:
+    """The crossbar schedules the destination's handler for the kind."""
+
+    def _sim(self):
+        def idle():
+            yield from ()
+
+        return Simulator(
+            ScriptedWorkload([idle]), config=SystemConfig(num_cores=2)
+        )
+
+    def test_each_kind_reaches_its_destinations_handler(self, backend):
+        sim = self._sim()
+        make = accel.message_factory()
+        seen = []
+        for dst, table in ((0, sim.l1s[0]._handlers),
+                           (1, sim.l1s[1]._handlers),
+                           (DIRECTORY, sim.directory._handlers)):
+            for kind in MessageKind:
+                table[kind.idx] = (
+                    lambda msg, dst=dst, kind=kind: seen.append((dst, kind))
+                )
+        sent = [(dst, kind) for dst in (1, DIRECTORY, 0) for kind in MessageKind]
+        for dst, kind in sent:
+            sim.network.send(make(kind=kind, src=0, dst=dst, block=1))
+        sim.engine.run()
+        assert seen == sent
+
+    def test_unhandled_kind_raises_at_delivery(self, backend):
+        """A kind its destination cannot handle raises on both backends;
+        it never vanishes as a cancelled event."""
+        sim = self._sim()
+        make = accel.message_factory()
+        sim.network.send(make(kind=MessageKind.GETS, src=1, dst=0, block=1))
+        with pytest.raises(RuntimeError, match="L1 cannot handle"):
+            sim.engine.run()
+        sim.network.send(
+            make(kind=MessageKind.DATA, src=0, dst=DIRECTORY, block=1)
+        )
+        with pytest.raises(RuntimeError, match="directory cannot handle"):
+            sim.engine.run()
+
+    def test_connect_refuses_a_none_handler(self, backend):
+        net = Crossbar(accel.make_engine(), SystemConfig(num_cores=1))
+        tables = [[lambda msg: None] * len(MessageKind) for _ in range(2)]
+        tables[1][MessageKind.ACK.idx] = None
+        with pytest.raises(ValueError, match="None"):
+            net.connect(tables)

@@ -10,7 +10,7 @@ from repro.htm.stats import AbortReason
 from repro.htm.txstate import TxState
 from repro.mem.address import Geometry
 from repro.mem.memory import MainMemory
-from repro.net.messages import Message, MessageKind
+from repro.net.messages import MessageKind, make_message
 from repro.sim.config import table2_config
 from repro.systems import ForwardClass, paper, registered_systems
 from repro.systems.compose import make_policy
@@ -58,7 +58,7 @@ def probe(
     req_produced=False,
     req_consumed=False,
 ):
-    return Message(
+    return make_message(
         kind=MessageKind.FWD_GETX,
         src=-1,
         dst=0,

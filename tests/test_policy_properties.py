@@ -8,7 +8,7 @@ from repro.htm.stats import AbortReason
 from repro.htm.txstate import TxState
 from repro.mem.address import Geometry
 from repro.mem.memory import MainMemory
-from repro.net.messages import Message, MessageKind
+from repro.net.messages import MessageKind, make_message
 from repro.sim.config import table2_config
 from repro.systems import paper
 from repro.systems.compose import make_policy
@@ -75,7 +75,7 @@ probe_strategy = st.fixed_dictionaries(
 
 
 def make_probe(p):
-    return Message(
+    return make_message(
         kind=MessageKind.FWD_GETX,
         src=-1,
         dst=0,

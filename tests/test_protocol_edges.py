@@ -6,7 +6,7 @@ import pytest
 from repro.mem.address import Geometry
 from repro.mem.directory import Directory
 from repro.mem.memory import MainMemory
-from repro.net.messages import DIRECTORY, Message, MessageKind
+from repro.net.messages import DIRECTORY, MessageKind, make_message
 from repro.net.network import Crossbar
 from repro.sim.config import SystemConfig
 from repro.sim.engine import Engine
@@ -47,21 +47,21 @@ class TestDirectoryProtocolErrors:
     def _directory(self):
         engine = Engine()
         memory = MainMemory(Geometry())
-        net = Crossbar(engine, SystemConfig(num_cores=2), lambda m: None)
+        net = Crossbar(engine, SystemConfig(num_cores=2))
         return Directory(engine, SystemConfig(num_cores=2), memory, net)
 
     def test_rejects_cache_bound_messages(self):
         d = self._directory()
         with pytest.raises(RuntimeError, match="cannot handle"):
             d.handle(
-                Message(kind=MessageKind.DATA, src=0, dst=DIRECTORY, block=1)
+                make_message(kind=MessageKind.DATA, src=0, dst=DIRECTORY, block=1)
             )
 
     def test_rejects_bad_unblock_action(self):
         d = self._directory()
         with pytest.raises(RuntimeError, match="unblock action"):
             d.handle(
-                Message(
+                make_message(
                     kind=MessageKind.UNBLOCK,
                     src=0,
                     dst=DIRECTORY,
@@ -84,7 +84,7 @@ class TestL1ProtocolErrors:
         )
         with pytest.raises(RuntimeError, match="cannot handle"):
             sim.l1s[0].handle(
-                Message(kind=MessageKind.GETS, src=1, dst=0, block=1)
+                make_message(kind=MessageKind.GETS, src=1, dst=0, block=1)
             )
 
 
@@ -110,7 +110,7 @@ class TestSimulatorGuards:
 
 class TestMessageRepr:
     def test_repr_is_compact(self):
-        msg = Message(
+        msg = make_message(
             kind=MessageKind.SPEC_RESP,
             src=2,
             dst=5,
@@ -122,7 +122,7 @@ class TestMessageRepr:
         assert "SpecResp" in text and "2->5" in text and "e3" in text
 
     def test_validation_marker(self):
-        msg = Message(
+        msg = make_message(
             kind=MessageKind.GETX,
             src=0,
             dst=DIRECTORY,

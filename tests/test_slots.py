@@ -17,7 +17,7 @@ from repro.htm.stats import AttemptRecord, HTMStats
 from repro.htm.txstate import TxState
 from repro.mem.cache import CacheLine, L1Cache
 from repro.mem.memory import MainMemory, SpeculativeStore
-from repro.net.messages import Message, MessageKind
+from repro.net.messages import MessageKind, make_message
 from repro.net.network import Crossbar
 from repro.obs import events as events_mod
 from repro.obs.events import ProbeEvent
@@ -25,7 +25,7 @@ from repro.obs.probe import Probe
 from repro.core.vsb import VSBEntry
 from repro.mem.address import Geometry
 from repro.sim.config import HTMConfig, SystemConfig
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim import ops as ops_mod
 
 
@@ -46,7 +46,7 @@ class TestEngineRecords:
     def test_event_is_slotted(self):
         engine = Engine()
         event = engine.schedule(3, lambda: None)
-        assert isinstance(event, Event)
+        assert type(event) is list  # the queue entry ``[fn, args]``
         assert_slotted(event)
 
     def test_engine_is_slotted(self):
@@ -55,7 +55,7 @@ class TestEngineRecords:
 
 class TestMessages:
     def test_message_is_slotted(self):
-        assert_slotted(Message(kind=MessageKind.GETS))
+        assert_slotted(make_message(kind=MessageKind.GETS))
 
 
 class TestOps:
@@ -141,5 +141,5 @@ class TestInfrastructure:
         assert_slotted(Probe())
 
     def test_crossbar_is_slotted(self):
-        net = Crossbar(Engine(), SystemConfig(), lambda msg: None)
+        net = Crossbar(Engine(), SystemConfig())
         assert_slotted(net)

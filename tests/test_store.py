@@ -20,7 +20,7 @@ import pytest
 
 from repro import store as store_pkg
 from repro.store import ResultStore, StoreInitError
-from repro.store.base import STORE_SCHEMA
+from repro.store.base import CLAIM_TTL_SECONDS, STORE_SCHEMA
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -147,7 +147,8 @@ class TestRoundTrip:
 
     def test_atomic_tmp_litter_ignored(self, kind, tmp_path):
         """A writer killed mid-commit leaves only ``*.tmp`` litter, which
-        readers never parse and ``gc`` sweeps."""
+        readers never parse and ``gc`` sweeps once it is older than the
+        grace period."""
         store = make_store(kind, tmp_path)
         key = "result/" + "aa" * 32
         store.put(key, b'{"good": true}')
@@ -156,12 +157,33 @@ class TestRoundTrip:
             tmp_path / "store" / "zz.json.tmp",
             record.with_name(record.name + ".4242.0badc0de.tmp"),
         ]
+        stale = time.time() - CLAIM_TTL_SECONDS - 60
         for path in litter:
             path.write_bytes(b"half-written")
+            os.utime(path, (stale, stale))
         assert store.keys() == [key]
         assert store.verify() == []
         assert store.gc(1 << 30) == []
         assert not any(path.exists() for path in litter)
+        assert store.peek(key) == b'{"good": true}'
+
+    def test_gc_keeps_in_flight_temp_files(self, kind, tmp_path):
+        """``gc`` leaves a fresh temp file alone: a claim about to be
+        linked in ``claims/`` and a put about to be renamed beside its
+        record belong to a live writer."""
+        store = make_store(kind, tmp_path)
+        key = "result/" + "aa" * 32
+        store.put(key, b'{"good": true}')
+        record = record_path(tmp_path, key)
+        (tmp_path / "store" / "claims").mkdir(exist_ok=True)
+        in_flight = [
+            tmp_path / "store" / "claims" / "result.claim.0badc0de.tmp",
+            record.with_name(record.name + ".4242.0badc0de.tmp"),
+        ]
+        for path in in_flight:
+            path.write_bytes(b"being written")
+        assert store.gc(1 << 30) == []
+        assert all(path.exists() for path in in_flight)
         assert store.peek(key) == b'{"good": true}'
 
 
