@@ -8,12 +8,9 @@ the suite can be bisected to a subsystem without profiling first.
 Usage::
 
     PYTHONPATH=src python benchmarks/perf/bench_micro.py [--repeat N]
-    PYTHONPATH=src python benchmarks/perf/bench_micro.py --backend compiled
 
 Each primitive reports operations per second, best of ``--repeat``
-timing loops.  ``--backend`` selects the engine/message implementation
-under test (the same selection layer as ``repro run --backend``), so a
-compiled-vs-python primitive delta can be read off directly.
+timing loops.
 """
 
 from __future__ import annotations
@@ -34,9 +31,9 @@ def timed(fn, n, repeat):
 
 def bench_engine_throughput(n):
     """Schedule + fire n self-rescheduling events (the run-loop cost)."""
-    from repro import accel
+    from repro.sim.engine import Engine
 
-    engine = accel.make_engine()
+    engine = Engine()
     remaining = [n]
 
     def tick():
@@ -50,9 +47,9 @@ def bench_engine_throughput(n):
 
 def bench_engine_schedule_cancel(n):
     """Arm-and-cancel churn (validation-timer pattern + compaction)."""
-    from repro import accel
+    from repro.sim.engine import Engine
 
-    engine = accel.make_engine()
+    engine = Engine()
     schedule, cancel = engine.schedule, engine.cancel
     for _ in range(n):
         cancel(schedule(100, lambda: None))
@@ -60,9 +57,9 @@ def bench_engine_schedule_cancel(n):
 
 def bench_engine_zero_delay(n):
     """Same-cycle chain through the zero-delay lane (delivery bursts)."""
-    from repro import accel
+    from repro.sim.engine import Engine
 
-    engine = accel.make_engine()
+    engine = Engine()
     remaining = [n]
 
     def tick():
@@ -79,10 +76,9 @@ def bench_message(n):
     the L1 does: through the factory it binds at construction."""
     from types import SimpleNamespace
 
-    from repro import accel
-    from repro.net.messages import DIRECTORY, MessageKind
+    from repro.net.messages import DIRECTORY, MessageKind, make_message
 
-    site = SimpleNamespace(Message=accel.message_factory())
+    site = SimpleNamespace(Message=make_message)
     for i in range(n):
         site.Message(
             kind=MessageKind.GETS,
@@ -103,10 +99,9 @@ def bench_directory_probe(n):
     factory; an attribute call passes its keywords on the stack."""
     from types import SimpleNamespace
 
-    from repro import accel
-    from repro.net.messages import DIRECTORY, MessageKind
+    from repro.net.messages import DIRECTORY, MessageKind, make_message
 
-    site = SimpleNamespace(Message=accel.message_factory())
+    site = SimpleNamespace(Message=make_message)
     for i in range(n):
         site.Message(
             kind=MessageKind.FWD_GETX,
@@ -135,14 +130,14 @@ def bench_message_hop(n):
     messages bounce at once, so each simulated cycle fires four."""
     from types import SimpleNamespace
 
-    from repro import accel
-    from repro.net.messages import MessageKind
+    from repro.net.messages import MessageKind, make_message
     from repro.net.network import Crossbar
     from repro.sim.config import SystemConfig
+    from repro.sim.engine import Engine
 
-    engine = accel.make_engine()
+    engine = Engine()
     net = Crossbar(engine, SystemConfig(num_cores=2))
-    site = SimpleNamespace(Message=accel.message_factory(), send=net.send)
+    site = SimpleNamespace(Message=make_message, send=net.send)
     remaining = [n]
 
     def bounce(msg):
@@ -218,11 +213,10 @@ def bench_holder_resolve(n):
     register unchanged, so every repeat takes the same path: the shared
     guards, the VSB membership test, the Rrestrict/W probe and the PiC
     decision."""
-    from repro import accel
     from repro.htm.txstate import TxState
     from repro.mem.address import Geometry
     from repro.mem.memory import MainMemory
-    from repro.net.messages import DIRECTORY, MessageKind
+    from repro.net.messages import DIRECTORY, MessageKind, make_message
     from repro.sim.config import table2_config
     from repro.systems import paper
     from repro.systems.compose import make_policy
@@ -233,7 +227,7 @@ def bench_holder_resolve(n):
     )
     holder.track_read(42)
     holder.pic.value = 20
-    msg = accel.message_factory()(
+    msg = make_message(
         kind=MessageKind.INV,
         src=DIRECTORY,
         dst=0,
@@ -271,19 +265,7 @@ BENCHES = (
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument(
-        "--backend",
-        choices=("python", "compiled"),
-        default=None,
-        help="engine/message implementation under test "
-        "(default: $REPRO_BACKEND or python)",
-    )
     args = parser.parse_args(argv)
-    from repro import accel
-
-    if args.backend is not None:
-        accel.select_backend(args.backend)
-    print(f"backend: {accel.resolved_backend()}")
     for name, fn, n in BENCHES:
         rate = timed(fn, n, args.repeat)
         print(f"{name:<46s} {rate:>14,.0f} ops/s")

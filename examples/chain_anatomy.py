@@ -70,8 +70,8 @@ def main() -> None:
 
     hot_block = wl.space.geometry.block_of(HOT)
 
-    # Every ``Crossbar.send`` — on any backend — emits a ``MsgSent``
-    # probe event, so a bus subscriber sees the complete traffic.
+    # Every ``Crossbar.send`` emits a ``MsgSent`` probe event, so a bus
+    # subscriber sees the complete traffic.
     def trace_message(event) -> None:
         if not isinstance(event, MsgSent) or event.block != hot_block:
             return

@@ -16,11 +16,6 @@ malformed report.
 The gate compares each measured case's ``events_per_sec`` against the
 reference in ``benchmarks/perf/baseline.json`` and fails when the
 measurement falls more than ``--tolerance`` (default 15%) below it.
-Floors are per-backend: the top-level ``cases`` are the pure-Python
-references and accelerated backends keep theirs under
-``backends.<name>``, so a report is only ever gated against floors
-measured under the same backend (a compiled run passing the Python
-floor says nothing; a Python run failing the compiled floor is noise).
 The committed references are deliberately conservative (roughly half of
 a developer laptop) so the gate catches real regressions — an engine
 change that halves throughput — rather than CI-runner weather.  After an
@@ -96,43 +91,9 @@ def validate_report(report: dict) -> list:
     return problems
 
 
-def backend_of(report: dict) -> str:
-    """The backend a report was measured under (pre-backend reports are
-    pure Python by construction)."""
-    return report.get("backend", "python")
-
-
-def baseline_section(baseline: dict, backend: str) -> dict | None:
-    """The baseline floors for ``backend``, or None when uncovered.
-
-    The top-level ``cases``/``max_peak_rss_kb`` are the pure-Python
-    floors (the shape every pre-backend baseline already has);
-    accelerated backends keep their own floors under
-    ``backends.<name>`` so a compiled measurement is never gated
-    against a pure-Python reference or vice versa.
-    """
-    if backend == "python":
-        return baseline
-    return baseline.get("backends", {}).get(backend)
-
-
 def gate(report: dict, baseline: dict, tolerance: float) -> int:
-    """Print the comparison; return the number of regressions.
-
-    Only same-backend floors gate: a report measured under an
-    accelerated backend with no committed floors for it passes with a
-    notice (record floors with ``--update-baseline``).
-    """
-    backend = backend_of(report)
-    section = baseline_section(baseline, backend)
-    if section is None:
-        print(
-            f"  SKIP all: baseline has no floors for backend "
-            f"{backend!r} (record them with --update-baseline)"
-        )
-        return 0
-    print(f"gating backend {backend!r} against its own floors")
-    refs = section.get("cases", {})
+    """Print the comparison; return the number of regressions."""
+    refs = baseline.get("cases", {})
     regressions = 0
     for key in sorted(report["cases"]):
         measured = report["cases"][key]["events_per_sec"]
@@ -148,7 +109,7 @@ def gate(report: dict, baseline: dict, tolerance: float) -> int:
             f"  {verdict:>10s} {key}: {measured:,.0f} ev/s "
             f"(floor {floor:,.0f} = {ref:,.0f} - {tolerance:.0%})"
         )
-    rss_max = section.get("max_peak_rss_kb")
+    rss_max = baseline.get("max_peak_rss_kb")
     rss = report.get("peak_rss_kb")
     if rss_max is not None and rss is not None:
         if rss > rss_max:
@@ -166,32 +127,26 @@ def gate(report: dict, baseline: dict, tolerance: float) -> int:
 
 
 def update_baseline(report: dict, baseline_path: Path) -> None:
-    """Write the report's numbers into its backend's baseline section."""
+    """Write the report's numbers into the baseline."""
     baseline = (
         json.loads(baseline_path.read_text()) if baseline_path.exists() else {}
     )
     baseline.setdefault("comment", "events/sec references; see check_bench.py")
-    backend = backend_of(report)
-    if backend == "python":
-        section = baseline
-    else:
-        section = baseline.setdefault("backends", {}).setdefault(backend, {})
-    section.setdefault("cases", {})
+    baseline.setdefault("cases", {})
     for key, case in report["cases"].items():
-        section["cases"][key] = round(case["events_per_sec"])
+        baseline["cases"][key] = round(case["events_per_sec"])
     rss = report.get("peak_rss_kb")
     if rss is not None:
         # Generous ceiling: double the observed peak.
-        section["max_peak_rss_kb"] = max(
-            2 * rss, section.get("max_peak_rss_kb", 0)
+        baseline["max_peak_rss_kb"] = max(
+            2 * rss, baseline.get("max_peak_rss_kb", 0)
         )
     baseline_path.parent.mkdir(parents=True, exist_ok=True)
     baseline_path.write_text(
         json.dumps(baseline, indent=2, sort_keys=True) + "\n"
     )
     print(
-        f"updated {baseline_path} with {len(report['cases'])} "
-        f"references for backend {backend!r}"
+        f"updated {baseline_path} with {len(report['cases'])} references"
     )
 
 
@@ -252,10 +207,7 @@ def main(argv=None) -> int:
         for problem in problems:
             print(f"schema: {problem}", file=sys.stderr)
         return 1
-    print(
-        f"schema ok: {len(report['cases'])} cases @ rev {report['rev']} "
-        f"(backend {backend_of(report)})"
-    )
+    print(f"schema ok: {len(report['cases'])} cases @ rev {report['rev']}")
 
     if args.update_baseline:
         update_baseline(report, args.baseline)

@@ -80,12 +80,6 @@ cache (default ``.repro_cache``, env ``REPRO_CACHE_DIR``), and
 takes the last two for its stored forensic documents.  A cache
 directory the result store cannot open on (see docs/ARCHITECTURE.md §6a)
 is an error: ``repro`` prints one line naming it and exits 2.
-
-``run``, ``report``, and ``bench`` take ``--backend
-{python,compiled}`` to select the simulation backend (default
-``$REPRO_BACKEND`` or pure Python); ``compiled`` uses the C hot core
-built by ``scripts/build_accel.py``, and every backend produces
-byte-identical results (see docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -96,7 +90,7 @@ import math
 import os
 import sys
 
-from . import accel, workload_names
+from . import workload_names
 from . import store as store_pkg
 from .experiments import runner
 from .experiments.registry import EXPERIMENTS, experiment_configs
@@ -139,7 +133,6 @@ def _print_result(result) -> None:
 
 def _apply_runner_flags(args: argparse.Namespace) -> None:
     """Propagate the shared cache/parallelism flags to the runner."""
-    _apply_backend_flag(args)
     if getattr(args, "scale", None) is not None:
         os.environ["REPRO_SCALE"] = str(args.scale)
     if getattr(args, "workers", None) is not None:
@@ -149,13 +142,6 @@ def _apply_runner_flags(args: argparse.Namespace) -> None:
         disk_cache=False if getattr(args, "no_cache", False) else None,
         progress=_progress_printer,
     )
-
-
-def _apply_backend_flag(args: argparse.Namespace) -> None:
-    """Select the simulation backend for ``--backend`` (or leave the
-    ``REPRO_BACKEND`` environment selection untouched without it)."""
-    if getattr(args, "backend", None) is not None:
-        accel.select_backend(args.backend)
 
 
 @contextlib.contextmanager
@@ -477,8 +463,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     from .experiments import bench
 
-    _apply_backend_flag(args)
-
     def progress(key: str) -> None:
         print(f"  [bench] {key}", file=sys.stderr)
 
@@ -597,16 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: $REPRO_WORKERS or 1 = serial)",
     )
 
-    backend_flags = argparse.ArgumentParser(add_help=False)
-    backend_flags.add_argument(
-        "--backend",
-        choices=accel.BACKENDS,
-        default=None,
-        help="simulation backend: pure Python (default) or the compiled "
-        "hot core (falls back to python with a warning when it is not "
-        "built).  Overrides $REPRO_BACKEND",
-    )
-
     telemetry_flags = argparse.ArgumentParser(add_help=False)
     telemetry_flags.add_argument(
         "--telemetry",
@@ -626,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser(
         "run",
         help="run one workload",
-        parents=[cache_flags, telemetry_flags, backend_flags],
+        parents=[cache_flags, telemetry_flags],
     )
     p_run.add_argument("workload", choices=workload_names())
     p_run.add_argument(
@@ -760,7 +734,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench",
         help="run the pinned performance regression suite",
-        parents=[backend_flags],
         description=(
             "Run the pinned benchmark cases (fixed workload/threads/seed/"
             "scale, so simulated work is identical across revisions), "
@@ -892,7 +865,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep = sub.add_parser(
         "report",
         help="regenerate the entire evaluation (all figures)",
-        parents=[cache_flags, telemetry_flags, backend_flags],
+        parents=[cache_flags, telemetry_flags],
     )
     p_rep.add_argument("--scale", type=float, default=None)
     p_rep.add_argument(

@@ -99,23 +99,8 @@ def trend_dict(
     ``tolerance`` below the same case's value in the previous report
     that measured it, or falls below the committed baseline floor
     (``ref * (1 - tolerance)``).
-
-    Backend transitions are annotated, never flagged: a delta whose
-    previous point was measured under a different backend says nothing
-    about a regression (a python report after a compiled one "drops"
-    ~40% by construction), so those points carry
-    ``backend_change: true`` and are exempt from the step check.
-    Baseline floors are looked up per-backend (the top-level ``cases``
-    are the pure-Python floors, accelerated ones live under
-    ``backends.<name>`` — the layout ``check_bench.py`` maintains).
     """
-
-    def floor_for(backend: str, key: str):
-        if backend == "python":
-            return (baseline or {}).get("cases", {}).get(key)
-        section = (baseline or {}).get("backends", {}).get(backend, {})
-        return section.get("cases", {}).get(key)
-
+    floors = (baseline or {}).get("cases", {})
     cases: Dict[str, List[Dict]] = {}
     regressions: List[Dict] = []
     for key in _case_keys(reports):
@@ -125,31 +110,24 @@ def trend_dict(
             case = report["cases"].get(key)
             if case is None:
                 continue
-            backend = report.get("backend", "python")
             eps = float(case["events_per_sec"])
             delta = None
-            backend_change = False
             if prev is not None:
                 delta = eps / prev["events_per_sec"] - 1.0
-                backend_change = prev["backend"] != backend
-            ref = floor_for(backend, key)
+            ref = floors.get(key)
             below_floor = (
                 ref is not None and eps < float(ref) * (1.0 - tolerance)
             )
             regressed = (
                 delta is not None and delta < -tolerance
-                and not backend_change
             ) or below_floor
             point = {
                 "rev": report["rev"],
                 # Position in the (sorted) reports list: the stable
-                # column key — two reports can share a rev (one per
-                # backend at the same revision).
+                # column key.
                 "report_index": report_index,
                 "created_unix": report["created_unix"],
                 "quick": bool(report.get("quick", False)),
-                "backend": backend,
-                "backend_change": backend_change,
                 "events_per_sec": eps,
                 "delta": round(delta, 4) if delta is not None else None,
                 "baseline_floor": (
@@ -171,22 +149,6 @@ def trend_dict(
                 )
             prev = point
         cases[key] = series
-    transitions: List[Dict] = []
-    prev_report: Optional[Dict] = None
-    for report in reports:
-        backend = report.get("backend", "python")
-        if prev_report is not None:
-            prev_backend = prev_report.get("backend", "python")
-            if prev_backend != backend:
-                transitions.append(
-                    {
-                        "rev": report["rev"],
-                        "prev_rev": prev_report["rev"],
-                        "from": prev_backend,
-                        "to": backend,
-                    }
-                )
-        prev_report = report
     return {
         "schema": SCHEMA,
         "tolerance": tolerance,
@@ -195,14 +157,12 @@ def trend_dict(
                 "rev": r["rev"],
                 "created_unix": r["created_unix"],
                 "quick": bool(r.get("quick", False)),
-                "backend": r.get("backend", "python"),
                 "python": r.get("python"),
                 "path": r["_path"],
             }
             for r in reports
         ],
         "cases": cases,
-        "backend_transitions": transitions,
         "regressions": regressions,
     }
 
@@ -231,12 +191,7 @@ def format_trend(
     (oldest left).  ``!`` marks a flagged point; quick-scale reports are
     starred (their case keys never collide with full-scale ones)."""
     trend = trend_dict(reports, baseline=baseline, tolerance=tolerance)
-    revs = [
-        r["rev"]
-        + ("" if r["backend"] == "python" else f"+{r['backend']}")
-        + ("*" if r["quick"] else "")
-        for r in trend["reports"]
-    ]
+    revs = [r["rev"] + ("*" if r["quick"] else "") for r in trend["reports"]]
     title = (
         f"perf history — {len(reports)} report(s), "
         f"{_fmt_when(reports[0]['created_unix'])} .. "
@@ -260,22 +215,9 @@ def format_trend(
                 text = _fmt_rate(point["events_per_sec"])
                 if point["regression"]:
                     text += "!"
-                if point["backend_change"]:
-                    text += "~"
                 cells.append(text.rjust(col_w))
         lines.append(key.ljust(label_w) + "".join(cells))
     lines.append("")
-    if trend["backend_transitions"]:
-        lines.append(
-            "backend transitions ('~' above: cross-backend delta, "
-            "never flagged):"
-        )
-        for t in trend["backend_transitions"]:
-            lines.append(
-                f"  {t['prev_rev']} ({t['from']}) -> "
-                f"{t['rev']} ({t['to']})"
-            )
-        lines.append("")
     if trend["regressions"]:
         lines.append(
             f"regression flags (tolerance {tolerance:.0%}; '!' above):"
@@ -299,7 +241,6 @@ def format_trend(
         lines.append(
             f"  [{i}] {report['rev']}{star} "
             f"{_fmt_when(report['created_unix'])}  "
-            f"py{report.get('python') or '?'}  "
-            f"{report['backend']:<8s}  {report['path']}"
+            f"py{report.get('python') or '?'}  {report['path']}"
         )
     return "\n".join(lines)

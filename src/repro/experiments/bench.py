@@ -193,15 +193,12 @@ def run_suite(
         results[case.key(quick=quick)] = run_case(
             case, quick=quick, repeat=repeat
         )
-    from .. import accel
-
     return {
         "schema": SCHEMA_VERSION,
         "rev": git_revision(),
         "created_unix": int(time.time()),
         "python": platform.python_version(),
         "platform": platform.platform(),
-        "backend": accel.resolved_backend(),
         "quick": quick,
         "repeat": repeat,
         "peak_rss_kb": peak_rss_kb(),
@@ -223,14 +220,9 @@ def default_output_path(report: Dict, directory: Optional[Path] = None) -> Path:
     Reports land in ``benchmarks/perf/history/`` when run from a source
     checkout, so the audit trail of measurements accumulates in one
     git-visible place; outside a checkout they fall back to the cwd.
-    Non-default backends are stamped into the filename
-    (``BENCH_<rev>+<backend>.json``) so a pure-Python report is never
-    silently overwritten by an accelerated one.
     """
     base = directory if directory is not None else history_dir() or Path.cwd()
-    backend = report.get("backend", "python")
-    stamp = "" if backend == "python" else f"+{backend}"
-    return base / f"BENCH_{report['rev']}{stamp}.json"
+    return base / f"BENCH_{report['rev']}.json"
 
 
 def write_report(report: Dict, path: Path) -> None:
@@ -241,7 +233,6 @@ def format_report(report: Dict) -> str:
     """Human-readable summary table."""
     lines = [
         f"bench @ {report['rev']}  python {report['python']}  "
-        f"backend={report.get('backend', 'python')}  "
         f"repeat={report['repeat']}{'  (quick)' if report['quick'] else ''}",
         f"{'case':<34s} {'events':>9s} {'best s':>8s} {'events/s':>12s}",
     ]

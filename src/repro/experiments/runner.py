@@ -68,7 +68,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 
-from .. import accel
 from .. import store as store_pkg
 from ..obs import telemetry as fleet
 from ..sim.config import HTMConfig, table2_config
@@ -210,18 +209,16 @@ _CODE_FINGERPRINT: Optional[str] = None
 
 
 def _code_fingerprint() -> str:
-    """SHA-256 over the package's source files, Python and C.
+    """SHA-256 over the package's ``*.py`` source files.
 
-    Any edit to the simulator (the ``_hotcore.c`` hot core included)
-    invalidates every disk-cache entry, so a cached result can never
-    silently disagree with the current code.
+    Any edit to the simulator invalidates every disk-cache entry, so a
+    cached result can never silently disagree with the current code.
     """
     global _CODE_FINGERPRINT
     if _CODE_FINGERPRINT is None:
         root = Path(__file__).resolve().parent.parent
         digest = hashlib.sha256()
-        sources = [*root.rglob("*.py"), *root.rglob("*.c")]
-        for path in sorted(sources):
+        for path in sorted(root.rglob("*.py")):
             digest.update(str(path.relative_to(root)).encode("utf-8"))
             digest.update(path.read_bytes())
         _CODE_FINGERPRINT = digest.hexdigest()
@@ -301,9 +298,6 @@ class RunManifest:
     """
 
     entries: List[ManifestEntry] = field(default_factory=list)
-    #: The execution backend resolved when the batch started; stamped on
-    #: the batch's ``run_many`` telemetry span.
-    backend: str = field(default_factory=accel.resolved_backend)
 
     @property
     def cached(self) -> int:
@@ -482,10 +476,6 @@ def _worker_resources(
         "events_per_sec": (
             round(result.events / wall_seconds, 3) if wall_seconds > 0 else 0.0
         ),
-        # Resolved in the process that actually simulated, so a pool
-        # worker reports what really executed (workers inherit the
-        # selection through REPRO_BACKEND).
-        "backend": accel.resolved_backend(),
     }
 
 
@@ -633,8 +623,7 @@ def run_many(
     unique: Dict[str, RunConfig] = {}
     for key, cfg in zip(keys, configs):
         unique.setdefault(key, cfg)
-    batch.open(configs=len(configs), unique=len(unique), workers=workers,
-               backend=manifest.backend)
+    batch.open(configs=len(configs), unique=len(unique), workers=workers)
     store = result_store() if disk_cache_enabled() else None
 
     results: Dict[str, SimulationResult] = {}

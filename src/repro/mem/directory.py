@@ -26,8 +26,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set
 
-from .. import accel
-from ..net.messages import DIRECTORY, Message, MessageKind
+from ..net.messages import DIRECTORY, Message, MessageKind, make_message
 from ..net.network import Crossbar
 from ..obs.events import DirForward, DirInvRound
 from ..obs.probe import Probe
@@ -95,7 +94,7 @@ class Directory:
         self._probe = probe if probe is not None else Probe()
         self._blocks: Dict[int, _BlockEntry] = {}
         self._ever_cached: Set[int] = set()
-        self._Message = accel.message_factory()
+        self._Message = make_message
         # Statistics.
         self.requests = 0
         self.forwards = 0

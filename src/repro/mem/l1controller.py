@@ -17,12 +17,11 @@ from __future__ import annotations
 import itertools
 from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
-from .. import accel
 from ..htm.fallback import OwnershipTable
 from ..htm.signature import FootprintOverflow
 from ..htm.stats import AbortReason, HTMStats
 from ..htm.txstate import TxState
-from ..net.messages import DIRECTORY, Message, MessageKind
+from ..net.messages import DIRECTORY, Message, MessageKind, make_message
 from ..net.network import Crossbar
 from ..obs.events import PicUpdate, VsbInsert
 from ..obs.probe import Probe
@@ -160,7 +159,7 @@ class L1Controller:
         self._hit_latency = config.l1_hit_latency
         self._send = network.send
         self._schedule = engine.schedule
-        self._Message = accel.message_factory()
+        self._Message = make_message
         # Bound once: the policy gets the Rrestrict/W probe on every
         # conflict.
         self._inflight_write = self.has_inflight_exclusive

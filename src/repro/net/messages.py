@@ -8,15 +8,14 @@ flit count its ``SystemConfig`` gives.
 Hot-path design: a :class:`Message` is created for every hop of every
 coherence exchange, so it is a ``__slots__`` class (no per-instance
 ``__dict__``) built by :func:`make_message`, a plain function doing one
-allocation and the slot stores (the class has no ``__init__``; the
-compiled backend's factory has the same signature).  A message is a plain
-record that lives as long as something references it: a handler keeps
-one past its delivery (the directory queues requests and holds
-invalidation-round requests) by holding the reference, and nothing is
-recycled or invalidated after delivery.  The per-kind hot attributes
-(``carries_data``, ``idx``) are precomputed once on the enum members, so
-the send path pays plain C-speed attribute loads instead of property
-calls and enum hashing.
+allocation and the slot stores (the class has no ``__init__``).  A
+message is a plain record that lives as long as something references
+it: a handler keeps one past its delivery (the directory queues
+requests and holds invalidation-round requests) by holding the
+reference, and nothing is recycled or invalidated after delivery.  The
+per-kind hot attributes (``carries_data``, ``idx``) are precomputed once
+on the enum members, so the send path pays plain C-speed attribute loads
+instead of property calls and enum hashing.
 """
 
 from __future__ import annotations

@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Dict, List, Optional, Sequence
 
-from .. import accel
 from ..obs.events import MsgSent, SpecForward
 from ..obs.probe import Probe
 from ..sim.config import SystemConfig
@@ -35,13 +34,7 @@ Handler = Callable[[Message], None]
 class Crossbar:
     """Delivers messages after ``link_latency`` cycles and accounts flits.
 
-    ``send`` is an *instance* slot, bound at construction to either the
-    pure-Python implementation or — when the compiled backend is active
-    and the engine is the compiled one — to the C ``SendCore``'s send,
-    which keeps the flit accounting, probe gate, and delivery schedule
-    entirely in C.  Counter reads (``stats``/``flits_by_kind``) are
-    transparent to the choice.  Nothing is delivered before
-    :meth:`connect` gives the handler tables.
+    Nothing is delivered before :meth:`connect` gives the handler tables.
     """
 
     __slots__ = (
@@ -56,8 +49,6 @@ class Crossbar:
         "flits_sent",
         "messages_sent",
         "_flits_by_idx",
-        "send",
-        "_sendcore",
     )
 
     def __init__(
@@ -78,21 +69,6 @@ class Crossbar:
         self.flits_sent: int = 0
         self.messages_sent: int = 0
         self._flits_by_idx = [0] * len(MessageKind)
-        core = accel.hotcore()
-        if core is not None and isinstance(engine, core.Engine):
-            self._sendcore = core.SendCore(
-                engine=engine,
-                deliver=_unconnected,
-                probe=self._probe,
-                emit_hook=self._emit_traced,
-                link_latency=self._link_latency,
-                data_flits=self._data_flits,
-                control_flits=self._control_flits,
-            )
-            self.send = self._sendcore.send
-        else:
-            self._sendcore = None
-            self.send = self._send_python
 
     def connect(self, tables: Sequence[List[Handler]]) -> None:
         """Give the delivery tables once the controllers exist.
@@ -109,23 +85,12 @@ class Crossbar:
             raise ValueError(
                 "a delivery table entry is None; give a handler that raises"
             )
-        if self._sendcore is not None:
-            self._sendcore.set_deliver(accel.hotcore().Router(tables))
-        else:
-            self._tables = tables
-
-    def _counters(self):
-        """(flits_sent, messages_sent, per-kind flit list) — whichever
-        side of the backend actually counted."""
-        core = self._sendcore
-        if core is None:
-            return self.flits_sent, self.messages_sent, self._flits_by_idx
-        return core.flits_sent, core.messages_sent, core.flits_list()
+        self._tables = tables
 
     @property
     def flits_by_kind(self) -> Counter:
         """Per-kind flit totals (Counter keyed by :class:`MessageKind`)."""
-        _, _, by_idx = self._counters()
+        by_idx = self._flits_by_idx
         return Counter(
             {
                 kind: by_idx[kind.idx]
@@ -135,8 +100,8 @@ class Crossbar:
         )
 
     def _emit_traced(self, msg: Message) -> None:
-        """Probe emission for a traced send; both backends' sends call
-        it only when the probe has subscribers."""
+        """Probe emission for a traced send; ``send`` calls it only when
+        the probe has subscribers."""
         kind = msg.kind
         now = self._engine.now
         probe = self._probe
@@ -165,7 +130,7 @@ class Crossbar:
                 )
             )
 
-    def _send_python(self, msg: Message, *, extra_delay: int = 0) -> None:
+    def send(self, msg: Message, *, extra_delay: int = 0) -> None:
         """Inject ``msg``; it is delivered after the link latency."""
         kind = msg.kind
         flits = self._data_flits if kind.carries_data else self._control_flits
@@ -182,10 +147,10 @@ class Crossbar:
 
     def stats(self) -> Dict[str, int]:
         validation_kinds = (MessageKind.GETX, MessageKind.SPEC_RESP)
-        flits_sent, messages_sent, by_idx = self._counters()
+        by_idx = self._flits_by_idx
         return {
-            "flits": flits_sent,
-            "messages": messages_sent,
+            "flits": self.flits_sent,
+            "messages": self.messages_sent,
             "data_flits": sum(
                 by_idx[kind.idx] for kind in MessageKind if kind.carries_data
             ),
@@ -197,7 +162,3 @@ class Crossbar:
                 by_idx[kind.idx] for kind in validation_kinds
             ),
         }
-
-
-def _unconnected(msg: Message) -> None:
-    raise RuntimeError(f"crossbar not connected: cannot deliver {msg!r}")

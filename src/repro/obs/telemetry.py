@@ -350,8 +350,7 @@ class NullBatch:
 
     __slots__ = ()
 
-    def open(self, *, configs: int, unique: int, workers: int,
-             backend: str) -> None:
+    def open(self, *, configs: int, unique: int, workers: int) -> None:
         pass
 
     def probe(self, cfg, key: str, *, outcome: str, layer: str,
@@ -389,14 +388,9 @@ class RunBatch(NullBatch):
         self._submits: Dict[str, Span] = {}
         self._retries: Dict[str, Span] = {}
 
-    def open(self, *, configs: int, unique: int, workers: int,
-             backend: str) -> None:
+    def open(self, *, configs: int, unique: int, workers: int) -> None:
         self._root = self._session.begin(
-            "run_many",
-            configs=configs,
-            unique=unique,
-            workers=workers,
-            backend=backend,
+            "run_many", configs=configs, unique=unique, workers=workers
         )
 
     def probe(self, cfg, key: str, *, outcome: str, layer: str,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional
 
-from .. import accel
 from ..htm.fallback import FallbackLock, OwnershipTable
 from ..htm.power import PowerTokenManager
 from ..htm.stats import HTMStats
@@ -19,6 +18,7 @@ from ..systems.compose import make_policy
 from ..systems.spec import SystemSpec
 from .config import HTMConfig, SystemConfig, table2_config
 from .core import Core
+from .engine import Engine
 from .results import SimulationResult
 
 
@@ -44,10 +44,7 @@ class Simulator:
                 f"machine has {self.config.num_cores} cores"
             )
 
-        # The selected backend decides the hot core: the compiled C
-        # engine or the pure-Python ``Engine``.  Both produce identical
-        # event orders (the golden suite is parametrized over backends).
-        self.engine = accel.make_engine()
+        self.engine = Engine()
         #: Instrumentation bus: subscribers see every probe event of this
         #: simulator (and only this one); inert while nobody listens.
         self.probe = Probe()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro import accel
 from repro.mem.address import AddressSpace, Geometry
 from repro.mem.memory import MainMemory
 from repro.net.messages import MessageKind
@@ -22,17 +21,6 @@ def private_cache_dir(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("REPRO_CACHE_DIR", str(tmp_path_factory.mktemp("cache")))
         yield
-
-
-@pytest.fixture(params=accel.BACKENDS)
-def backend(request):
-    """Run the test under each backend; ``compiled`` skips when the
-    extension is not built."""
-    name = request.param
-    if name == "compiled" and not accel.compiled_available():
-        pytest.skip("compiled backend not built (scripts/build_accel.py)")
-    with accel.use(name):
-        yield name
 
 
 def deliver_all(net, deliver, destinations: int = 17) -> None:

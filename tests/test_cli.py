@@ -64,7 +64,9 @@ class TestParser:
                      ["trace", "counter", "--cache-dir", "d"],
                      ["inspect", "counter", "--workers", "2"],
                      ["inspect", "counter", "--fresh"],
-                     ["run", "counter", "--backend", "auto"]):
+                     ["run", "counter", "--backend", "python"],
+                     ["report", "--backend", "compiled"],
+                     ["bench", "--backend", "python"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 

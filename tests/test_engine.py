@@ -1,30 +1,14 @@
-"""Unit tests for the discrete-event engine, under each backend.
-
-Each class builds its engine through ``accel.make_engine()`` under its
-``BACKEND``.  The classes run the pure-Python engine, and each
-``...Compiled`` subclass at the end of the module reruns the same cases
-on the compiled engine (skipped when ``_hotcore`` is not built), so the
-two engines are held to one contract.  Subclasses rather than the
-``backend`` fixture keep the Python cases' test ids unparametrized.
-"""
+"""Unit tests for the discrete-event engine."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import accel
-
-needs_compiled = pytest.mark.skipif(
-    not accel.compiled_available(),
-    reason="compiled backend not built (scripts/build_accel.py)",
-)
+from repro.sim.engine import Engine
 
 
 class EngineCase:
-    BACKEND = "python"
-
     def new_engine(self):
-        with accel.use(self.BACKEND):
-            return accel.make_engine()
+        return Engine()
 
 
 class TestScheduling(EngineCase):
@@ -62,8 +46,9 @@ class TestScheduling(EngineCase):
         assert seen == [30]
 
     def test_negative_delay_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             self.new_engine().schedule(-1, lambda: None)
+        assert str(exc.value) == "cannot schedule into the past"
 
     def test_nested_scheduling(self):
         engine = self.new_engine()
@@ -183,8 +168,12 @@ class TestRunBounds(EngineCase):
             engine.schedule(1, loop)
 
         engine.schedule(0, loop)
-        with pytest.raises(RuntimeError, match="livelock"):
+        with pytest.raises(RuntimeError) as exc:
             engine.run(max_events=100)
+        assert str(exc.value) == (
+            "engine exceeded 100 events at cycle 99; "
+            "likely livelock in the simulated machine"
+        )
 
     def test_max_events_keeps_the_next_event_queued(self):
         """The error names the cycle of the last event fired, and the
@@ -234,8 +223,6 @@ DELAYS_TO_50 = st.lists(
 
 
 class TestDeterminism(EngineCase):
-    # Hypothesis refuses one test function run by two classes, so the
-    # compiled class repeats these two thin wrappers.
     @given(delays=DELAYS_TO_100)
     def test_same_schedule_same_order(self, delays):
         first = fired_trace(self.new_engine(), delays)
@@ -286,6 +273,23 @@ class TestFastLanes(EngineCase):
         engine.run()
         assert order == ["a", "c", "b", "d"]
 
+    def test_zero_delay_runs_before_the_next_cycles_bucket(self):
+        """A zero-delay event fires in the cycle that scheduled it, after
+        the entry that scheduled it; a delay-1 event scheduled then fires
+        after the bucket entries already waiting for the next cycle."""
+        engine = self.new_engine()
+        order = []
+
+        def spawn():
+            order.append("a")
+            engine.schedule(0, order.append, "c")
+            engine.schedule(1, order.append, "b")
+
+        engine.schedule(1, spawn)
+        engine.schedule(2, order.append, "d")
+        engine.run()
+        assert order == ["a", "c", "d", "b"]
+
     def test_delay_one_respects_until(self):
         engine = self.new_engine()
         fired = []
@@ -309,7 +313,10 @@ class TestFastLanes(EngineCase):
         assert cycles == [1, 2, 3, 4, 5]
 
 
-class CancelAfterFire(EngineCase):
+class TestCancellationLeak(EngineCase):
+    """A workload that arms and cancels timers forever must keep the
+    queue bounded (regression test for the cancelled-event leak)."""
+
     def test_cancel_after_fire_is_noop(self):
         engine = self.new_engine()
         token = engine.schedule(1, lambda: None)
@@ -320,12 +327,6 @@ class CancelAfterFire(EngineCase):
         assert engine.pending() == live == 0
         engine.schedule(1, lambda: None)
         assert engine.pending() == 1
-
-
-class TestCancellationLeak(CancelAfterFire):
-    """A workload that arms and cancels timers forever must keep the
-    queue bounded (regression test for the cancelled-event leak).  The
-    bound is read from the Python engine's containers."""
 
     def test_cancelled_events_are_reclaimed(self):
         engine = self.new_engine()
@@ -360,41 +361,49 @@ class TestCancellationLeak(CancelAfterFire):
         assert len(engine._next) <= 2 * type(engine).COMPACT_THRESHOLD
 
 
-@needs_compiled
-class TestSchedulingCompiled(TestScheduling):
-    BACKEND = "compiled"
+    def test_compaction_churn_keeps_the_survivor(self):
+        """500 cancels trip compaction again and again; the one live
+        event still fires, and only it counts."""
+        engine = self.new_engine()
+        for i in range(500):
+            engine.cancel(engine.schedule(1000 + i, lambda: None))
+        survivor = []
+        engine.schedule(2000, survivor.append, True)
+        engine.run()
+        assert survivor == [True]
+        assert engine.events_processed == 1
 
+    def test_compaction_with_a_busy_zero_delay_lane(self):
+        """Compaction triggered while a cycle's zero-delay events are
+        queued keeps every live event, in order: the last of cycle 1's
+        41 events cancels 100 timers while the 30 zero-delay events its
+        spawns scheduled still wait in the lane."""
+        engine = self.new_engine()
+        fired = []
+        timers = [
+            engine.schedule(10_000, fired.append, "timer") for _ in range(100)
+        ]
 
-@needs_compiled
-class TestCancellationCompiled(TestCancellation):
-    BACKEND = "compiled"
+        def spawn(i):
+            fired.append(("spawn", i))
+            engine.schedule(0, fired.append, ("zero", i))
 
+        def cancel_timers():
+            fired.append("cancel")
+            for timer in timers:
+                engine.cancel(timer)
 
-@needs_compiled
-class TestRunBoundsCompiled(TestRunBounds):
-    BACKEND = "compiled"
-
-
-@needs_compiled
-class TestDeterminismCompiled(EngineCase):
-    BACKEND = "compiled"
-
-    @given(delays=DELAYS_TO_100)
-    def test_same_schedule_same_order(self, delays):
-        first = fired_trace(self.new_engine(), delays)
-        assert fired_trace(self.new_engine(), delays) == first
-
-    @given(delays=DELAYS_TO_50)
-    def test_order_is_stable_sort_by_time(self, delays):
-        out = fired_trace(self.new_engine(), delays)
-        assert out == sorted(out, key=lambda pair: (pair[0], pair[1]))
-
-
-@needs_compiled
-class TestFastLanesCompiled(TestFastLanes):
-    BACKEND = "compiled"
-
-
-@needs_compiled
-class TestCancelAfterFireCompiled(CancelAfterFire):
-    BACKEND = "compiled"
+        for i in range(30):
+            engine.schedule(1, spawn, i)
+        for i in range(10):
+            engine.schedule(1, fired.append, ("plain", i))
+        engine.schedule(1, cancel_timers)
+        engine.run()
+        assert fired == (
+            [("spawn", i) for i in range(30)]
+            + [("plain", i) for i in range(10)]
+            + ["cancel"]
+            + [("zero", i) for i in range(30)]
+        )
+        assert engine.events_processed == 71
+        assert engine.now == 1

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import accel
 from repro.net.messages import DIRECTORY, Message, MessageKind, make_message
 from repro.net.network import Crossbar
 from repro.sim.config import SystemConfig
@@ -22,16 +21,14 @@ class TestMessageKinds:
             MessageKind.WRITEBACK,
         }
 
-    def test_flit_classification(self, backend):
+    def test_flit_classification(self):
         """Each kind costs the flits its class has in the
-        ``SystemConfig``, charged by ``SendCore`` under ``compiled``."""
+        ``SystemConfig``."""
         config = SystemConfig(data_message_flits=9, control_message_flits=2)
-        make = accel.message_factory()
-        net = Crossbar(accel.make_engine(), config)
+        net = Crossbar(Engine(), config)
         deliver_all(net, lambda m: None)
-        assert (net._sendcore is not None) == (backend == "compiled")
         for kind in MessageKind:
-            net.send(make(kind=kind, src=0, dst=1, block=1))
+            net.send(make_message(kind=kind, src=0, dst=1, block=1))
         assert net.flits_by_kind == {
             kind: 9 if kind.carries_data else 2 for kind in MessageKind
         }
@@ -96,24 +93,23 @@ class TestMessageLifecycle:
         action="xfer",
     )
 
-    def test_kept_message_keeps_every_field(self, backend):
+    def test_kept_message_keeps_every_field(self):
         def idle():
             yield from ()
 
         sim = Simulator(
             ScriptedWorkload([idle]), config=SystemConfig(num_cores=2)
         )
-        make = accel.message_factory()
         kept = []
         spec_resp = MessageKind.SPEC_RESP.idx
         sim.l1s[1]._handlers[spec_resp] = kept.append  # keeps, no call
         sim.l1s[0]._handlers[spec_resp] = lambda msg: None
-        sim.network.send(make(**self.SENT))
+        sim.network.send(make_message(**self.SENT))
         sim.engine.run()
         # More traffic, each message dropped by its handler.
         for i in range(4):
             sim.network.send(
-                make(kind=MessageKind.SPEC_RESP, src=2, dst=0, block=i)
+                make_message(kind=MessageKind.SPEC_RESP, src=2, dst=0, block=i)
             )
         sim.engine.run()
         [msg] = kept
@@ -140,19 +136,18 @@ class TestMessageLifecycle:
         def idle():
             yield from ()
 
-        with accel.use("python"):
-            sim = Simulator(
-                ScriptedWorkload([idle]), config=SystemConfig(num_cores=2)
-            )
-            kept = []
-            spec_resp = MessageKind.SPEC_RESP.idx
-            sim.l1s[0]._handlers[spec_resp] = lambda msg: None
-            sim.l1s[1]._handlers[spec_resp] = kept.append
-            dropped = make_message(**{**self.SENT, "dst": 0})
-            held = make_message(**self.SENT)
-            sim.network.send(dropped)
-            sim.network.send(held)
-            sim.engine.run()
+        sim = Simulator(
+            ScriptedWorkload([idle]), config=SystemConfig(num_cores=2)
+        )
+        kept = []
+        spec_resp = MessageKind.SPEC_RESP.idx
+        sim.l1s[0]._handlers[spec_resp] = lambda msg: None
+        sim.l1s[1]._handlers[spec_resp] = kept.append
+        dropped = make_message(**{**self.SENT, "dst": 0})
+        held = make_message(**self.SENT)
+        sim.network.send(dropped)
+        sim.network.send(held)
+        sim.engine.run()
         assert kept == [held]
         for msg, dst in ((dropped, 0), (held, 1)):
             sent = {**self.SENT, "dst": dst}
@@ -170,9 +165,8 @@ class TestDelivery:
             ScriptedWorkload([idle]), config=SystemConfig(num_cores=2)
         )
 
-    def test_each_kind_reaches_its_destinations_handler(self, backend):
+    def test_each_kind_reaches_its_destinations_handler(self):
         sim = self._sim()
-        make = accel.message_factory()
         seen = []
         for dst, table in ((0, sim.l1s[0]._handlers),
                            (1, sim.l1s[1]._handlers),
@@ -183,26 +177,27 @@ class TestDelivery:
                 )
         sent = [(dst, kind) for dst in (1, DIRECTORY, 0) for kind in MessageKind]
         for dst, kind in sent:
-            sim.network.send(make(kind=kind, src=0, dst=dst, block=1))
+            sim.network.send(make_message(kind=kind, src=0, dst=dst, block=1))
         sim.engine.run()
         assert seen == sent
 
-    def test_unhandled_kind_raises_at_delivery(self, backend):
-        """A kind its destination cannot handle raises on both backends;
-        it never vanishes as a cancelled event."""
+    def test_unhandled_kind_raises_at_delivery(self):
+        """A kind its destination cannot handle raises; it never vanishes
+        as a cancelled event."""
         sim = self._sim()
-        make = accel.message_factory()
-        sim.network.send(make(kind=MessageKind.GETS, src=1, dst=0, block=1))
+        sim.network.send(
+            make_message(kind=MessageKind.GETS, src=1, dst=0, block=1)
+        )
         with pytest.raises(RuntimeError, match="L1 cannot handle"):
             sim.engine.run()
         sim.network.send(
-            make(kind=MessageKind.DATA, src=0, dst=DIRECTORY, block=1)
+            make_message(kind=MessageKind.DATA, src=0, dst=DIRECTORY, block=1)
         )
         with pytest.raises(RuntimeError, match="directory cannot handle"):
             sim.engine.run()
 
-    def test_connect_refuses_a_none_handler(self, backend):
-        net = Crossbar(accel.make_engine(), SystemConfig(num_cores=1))
+    def test_connect_refuses_a_none_handler(self):
+        net = Crossbar(Engine(), SystemConfig(num_cores=1))
         tables = [[lambda msg: None] * len(MessageKind) for _ in range(2)]
         tables[1][MessageKind.ACK.idx] = None
         with pytest.raises(ValueError, match="None"):

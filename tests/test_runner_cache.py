@@ -335,15 +335,16 @@ class TestExperimentConfigs:
 
 
 class TestCodeFingerprint:
-    def test_covers_the_c_hot_core(self, monkeypatch):
-        """Results cached under an older ``_hotcore.c`` must miss."""
+    def test_covers_the_engine_source(self, monkeypatch):
+        """Results cached under an older ``sim/engine.py`` must miss."""
         monkeypatch.setattr(runner, "_CODE_FINGERPRINT", None)
         before = runner._code_fingerprint()
         read_bytes = Path.read_bytes
 
         def edited(path):
             data = read_bytes(path)
-            return data + b"/* edited */" if path.name == "_hotcore.c" else data
+            edit = path.parts[-2:] == ("sim", "engine.py")
+            return data + b"# edited\n" if edit else data
 
         monkeypatch.setattr(Path, "read_bytes", edited)
         monkeypatch.setattr(runner, "_CODE_FINGERPRINT", None)
