@@ -186,6 +186,38 @@ def bench_spec_store(n):
         read(addr)
 
 
+def _filled_memory():
+    """A committed image with 64 written blocks of 8 words."""
+    from repro.mem.address import Geometry
+    from repro.mem.memory import MainMemory
+
+    memory = MainMemory(Geometry())
+    for addr in range(0, 64 * 64, 8):
+        memory.write_word(addr, addr)
+    return memory
+
+
+def bench_holder_payload(n):
+    """The payload of a holder's SpecResp: ``SpeculativeStore.block_value``
+    of a block the attempt read but did not write, so the value comes
+    from committed memory past an overlay holding one written block."""
+    from repro.mem.memory import SpeculativeStore
+
+    store = SpeculativeStore(_filled_memory())
+    store.write_word(63 * 64, 1)
+    block_value = store.block_value
+    for i in range(n):
+        block_value(i & 31)
+
+
+def bench_directory_grant(n):
+    """The payload of a directory Data/DataE grant from memory:
+    ``MainMemory.block_value`` of a written block."""
+    block_value = _filled_memory().block_value
+    for i in range(n):
+        block_value(i & 63)
+
+
 def bench_probe_emit(n):
     """Construct + emit typed events to one subscriber (the traced path).
 
@@ -257,6 +289,8 @@ BENCHES = (
     ("message hop (construct, send, deliver)", bench_message_hop, 200_000),
     ("L1 cache hit lookup", bench_cache_hit, 500_000),
     ("speculative store write+read", bench_spec_store, 200_000),
+    ("holder SpecResp payload (store block_value)", bench_holder_payload, 200_000),
+    ("directory data grant (memory block_value)", bench_directory_grant, 200_000),
     ("probe emit (one subscriber)", bench_probe_emit, 200_000),
     ("CHATS holder resolve (rule ii, INV)", bench_holder_resolve, 200_000),
 )

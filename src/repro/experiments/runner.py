@@ -165,8 +165,12 @@ class RunConfig:
         return self.htm.system
 
     def to_dict(self) -> Dict[str, object]:
-        """Canonical JSON-stable representation (used for hashing)."""
-        htm = dataclasses.asdict(self.htm)
+        """Canonical JSON-stable representation (used for hashing).
+
+        Every ``HTMConfig`` field is a scalar or an enum but ``system``,
+        which becomes its name: a shallow walk gives ``asdict``'s dict
+        without deep-copying the nested ``SystemSpec``."""
+        htm = {f.name: getattr(self.htm, f.name) for f in dataclasses.fields(self.htm)}
         htm["system"] = self.htm.system.name
         if self.htm.forward_class is not None:
             htm["forward_class"] = self.htm.forward_class.value

@@ -1,10 +1,9 @@
 """Address geometry helpers.
 
-The simulator uses a flat word-addressed memory.  Addresses are byte
-addresses; blocks are the coherence/versioning granularity (64 bytes by
-default) and words are the value granularity (8 bytes).  All helpers are
-pure functions parameterised by a :class:`Geometry` so tests can shrink the
-block size.
+The simulator's memory is flat.  Addresses are byte addresses; blocks
+are the coherence/versioning granularity (64 bytes by default) and words
+are the value granularity (8 bytes).  All helpers are pure functions
+parameterised by a :class:`Geometry` so tests can shrink the block size.
 """
 
 from __future__ import annotations
@@ -35,23 +34,6 @@ class Geometry:
     def block_of(self, addr: int) -> int:
         """Block number containing byte address ``addr``."""
         return addr // self.block_bytes
-
-    def word_of(self, addr: int) -> int:
-        """Word number containing byte address ``addr``."""
-        return addr // self.word_bytes
-
-    def block_of_word(self, word: int) -> int:
-        """Block number containing word number ``word``."""
-        return word * self.word_bytes // self.block_bytes
-
-    def words_in_block(self, block: int) -> range:
-        """Word numbers covered by ``block``."""
-        first = block * self.block_bytes // self.word_bytes
-        return range(first, first + self.words_per_block)
-
-    def align_word(self, addr: int) -> int:
-        """Byte address of the word containing ``addr``."""
-        return addr - (addr % self.word_bytes)
 
 
 DEFAULT_GEOMETRY = Geometry()

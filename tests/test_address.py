@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.mem.address import AddressSpace, Geometry
+from repro.mem.memory import MainMemory
 
 
 class TestGeometry:
@@ -20,28 +21,6 @@ class TestGeometry:
         assert g.block_of(64) == 1
         assert g.block_of(0x1000) == 64
 
-    def test_word_of(self):
-        g = Geometry()
-        assert g.word_of(0) == 0
-        assert g.word_of(7) == 0
-        assert g.word_of(8) == 1
-
-    def test_words_in_block(self):
-        g = Geometry()
-        assert list(g.words_in_block(0)) == list(range(8))
-        assert list(g.words_in_block(2)) == list(range(16, 24))
-
-    def test_block_of_word(self):
-        g = Geometry()
-        assert g.block_of_word(0) == 0
-        assert g.block_of_word(7) == 0
-        assert g.block_of_word(8) == 1
-
-    def test_align_word(self):
-        g = Geometry()
-        assert g.align_word(13) == 8
-        assert g.align_word(8) == 8
-
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             Geometry(block_bytes=48)
@@ -52,13 +31,27 @@ class TestGeometry:
 
     @given(st.integers(min_value=0, max_value=2**48))
     def test_word_and_block_consistent(self, addr):
+        """The memory image files a byte address's word in the block
+        ``block_of`` names, at the word's offset within it."""
         g = Geometry()
-        assert g.block_of_word(g.word_of(addr)) == g.block_of(addr)
+        memory = MainMemory(g)
+        memory.write_word(addr, 1)
+        value = memory.block_value(g.block_of(addr))
+        assert value.index(1) == addr % g.block_bytes // g.word_bytes
+        assert sum(value) == 1
 
     @given(st.integers(min_value=0, max_value=2**30))
     def test_word_in_its_block(self, addr):
+        """Every byte of a word reads the word; its neighbours do not."""
         g = Geometry()
-        assert g.word_of(addr) in g.words_in_block(g.block_of(addr))
+        memory = MainMemory(g)
+        memory.write_word(addr, 1)
+        first = addr - addr % g.word_bytes
+        for byte in range(first, first + g.word_bytes):
+            assert memory.read_word(byte) == 1
+        assert memory.read_word(first + g.word_bytes) == 0
+        if first:
+            assert memory.read_word(first - 1) == 0
 
 
 class TestAddressSpace:

@@ -4,6 +4,7 @@ the parallel ``run_many`` fan-out."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from repro.experiments.runner import (
 )
 from repro.sim.config import table2_config
 from repro.sim.results import SimulationResult
-from repro.systems import paper
+from repro.systems import ForwardClass, paper, registered_systems
 
 FAST = dict(threads=2, scale=0.1)
 
@@ -98,6 +99,47 @@ class TestKeyCompleteness:
         b = run_cached("counter", paper.BASELINE, **FAST)
         assert a is b
         assert sources() == ["memory"]
+
+    @staticmethod
+    def asdict_form(cfg: RunConfig) -> dict:
+        """``to_dict`` as it was built with ``dataclasses.asdict``."""
+        htm = dataclasses.asdict(cfg.htm)
+        htm["system"] = cfg.htm.system.name
+        if cfg.htm.forward_class is not None:
+            htm["forward_class"] = cfg.htm.forward_class.value
+        return {
+            "workload": cfg.workload,
+            "system": cfg.system.name,
+            "htm": htm,
+            "threads": cfg.threads,
+            "seed": cfg.seed,
+            "scale": cfg.scale,
+            "max_events": cfg.max_events,
+            "metrics_window": cfg.metrics_window,
+        }
+
+    def test_to_dict_is_the_asdict_form(self):
+        """Cache keys and pinned sweep digests hash ``json.dumps`` of
+        ``to_dict()``, so its text, key order included, must not move."""
+        configs = [
+            RunConfig.make("genome", spec, threads=4, seed=1, scale=0.2)
+            for spec in registered_systems()
+        ]
+        htm = table2_config(paper.CHATS).replace(forward_class=ForwardClass.W)
+        configs.append(
+            RunConfig.make("llb-h", paper.CHATS, htm=htm, threads=8, seed=2,
+                           scale=0.2, metrics_window=500)
+        )
+        assert len(configs) == 14
+        for cfg in configs:
+            assert json.dumps(cfg.to_dict()) == json.dumps(self.asdict_form(cfg))
+
+    def test_golden_key(self, monkeypatch):
+        monkeypatch.setattr(runner, "_CODE_FINGERPRINT", "0" * 64)
+        cfg = RunConfig.make("genome", "chats", threads=16, seed=3, scale=0.4)
+        assert cfg.key() == (
+            "9fce94690204ff0c96901486b969470ad331d6d115ec013e7026c3bcd8c899e8"
+        )
 
 
 class TestDiskCache:
