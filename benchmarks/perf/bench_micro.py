@@ -2,8 +2,8 @@
 """Microbenchmarks of the simulator's hot primitives.
 
 A developer tool (not CI-gated): times the individual building blocks
-that ``repro bench`` exercises end-to-end, so a regression flagged by
-the suite can be bisected to a subsystem without profiling first.
+that ``perfbench/run.py`` exercises end to end, so a regression it
+shows can be bisected to a subsystem without profiling first.
 
 Usage::
 

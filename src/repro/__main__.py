@@ -22,12 +22,6 @@ Subcommands:
       python -m repro trace synth --system chats --out trace.jsonl
       python -m repro trace synth --format chrome --out trace.json --chains
 
-* ``bench`` — run the pinned performance regression suite and write a
-  ``BENCH_<rev>.json`` report (gate it with ``scripts/check_bench.py``)::
-
-      python -m repro bench
-      python -m repro bench --quick synth
-
 * ``inspect`` — run one workload with the transaction ledger attached and
   print the forensic report (causal abort attribution, abort cascades,
   chain stats, wasted-work buckets); ``--json``/``--html`` export it::
@@ -40,12 +34,13 @@ Subcommands:
 
       python -m repro compare chats htm-be --workload cadd
 
-* ``trend`` — read every ``BENCH_*.json`` report in
-  ``benchmarks/perf/history/`` and render the cross-revision perf
-  trajectory with regression flags (exit 1 on a corrupt report)::
+* ``trend`` — print the parent and change medians of every perfbench
+  record in ``benchmarks/perf/history/pr<N>/``, per PR, workload and
+  metric (exit 1 on a missing, empty or unreadable history); the
+  performance itself is measured by ``perfbench/run.py``::
 
       python -m repro trend
-      python -m repro trend benchmarks/perf/history --json trend.json
+      python -m repro trend benchmarks/perf/history
 
 * ``cache`` — inspect and maintain the on-disk result store:
   ``stats`` (``--json`` emits the ``repro-store/2`` document),
@@ -458,68 +453,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from .experiments import bench
-
-    def progress(key: str) -> None:
-        print(f"  [bench] {key}", file=sys.stderr)
-
-    report = bench.run_suite(
-        workloads=args.workloads or None,
-        quick=args.quick,
-        repeat=args.repeat if args.repeat is not None else bench.DEFAULT_REPEAT,
-        progress=progress,
-    )
-    out = (
-        Path(args.out)
-        if args.out is not None
-        else bench.default_output_path(report)
-    )
-    bench.write_report(report, out)
-    print(bench.format_report(report))
-    print(f"\nreport           : {out}")
-    return 0
-
-
 def cmd_trend(args: argparse.Namespace) -> int:
-    import json
-    from pathlib import Path
+    from .analysis.trends import TrendError, format_trend, load_history
 
-    from .analysis.trends import (
-        TrendError,
-        format_trend,
-        load_history,
-        trend_dict,
-    )
-
-    baseline = None
-    baseline_path = Path(args.baseline)
-    if baseline_path.exists():
-        try:
-            baseline = json.loads(baseline_path.read_text("utf-8"))
-        except (OSError, ValueError) as exc:
-            print(f"cannot read baseline: {exc}", file=sys.stderr)
-            return 1
     try:
-        reports = load_history(Path(args.history))
+        history = load_history(args.history)
     except TrendError as exc:
         print(f"trend: {exc}", file=sys.stderr)
         return 1
-    trend = trend_dict(reports, baseline=baseline, tolerance=args.tolerance)
-    print(format_trend(reports, baseline=baseline, tolerance=args.tolerance))
-    if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(trend, fh, indent=2, sort_keys=True)
-        print(f"\njson             : {args.json}")
-    if args.strict and trend["regressions"]:
-        print(
-            f"trend: {len(trend['regressions'])} regression flag(s) "
-            "with --strict",
-            file=sys.stderr,
-        )
-        return 1
+    print(format_trend(history))
     return 0
 
 
@@ -731,44 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--scale", type=float, default=None)
     p_fig.set_defaults(fn=cmd_figure)
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the pinned performance regression suite",
-        description=(
-            "Run the pinned benchmark cases (fixed workload/threads/seed/"
-            "scale, so simulated work is identical across revisions), "
-            "report events/sec and peak RSS, and write BENCH_<rev>.json. "
-            "Gate against the committed baseline with "
-            "scripts/check_bench.py."
-        ),
-    )
-    p_bench.add_argument(
-        "workloads",
-        nargs="*",
-        metavar="WORKLOAD",
-        help="subset of pinned cases to run (default: all)",
-    )
-    p_bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced pinned scales for CI smoke runs",
-    )
-    p_bench.add_argument(
-        "--repeat",
-        type=int,
-        default=None,
-        metavar="N",
-        help="runs per case, best-of (default: 3)",
-    )
-    p_bench.add_argument(
-        "--out",
-        default=None,
-        metavar="FILE",
-        help="report path (default: benchmarks/perf/history/"
-        "BENCH_<rev>.json in a source checkout, else ./BENCH_<rev>.json)",
-    )
-    p_bench.set_defaults(fn=cmd_bench)
-
     p_cache = sub.add_parser(
         "cache",
         help="inspect and maintain the on-disk result store",
@@ -817,48 +721,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trend = sub.add_parser(
         "trend",
-        help="render the cross-revision perf trajectory from "
+        help="parent and change medians of the perfbench records in "
         "benchmarks/perf/history",
         description=(
-            "Read every BENCH_<rev>.json report in the history directory "
-            "(oldest first by creation time), render events/sec per pinned "
-            "case across revisions with per-step deltas, and flag "
-            "regressions against the previous report and the committed "
-            "baseline floors.  Exits 1 on a missing or corrupt report."
+            "Read the perfbench runs in every pr<N>/parent.jsonl and "
+            "pr<N>/change.jsonl of the history directory and print, per "
+            "PR, workload and metric, the parent median, the change "
+            "median and their delta.  Exits 1 on a missing or empty "
+            "history or a line that is not perfbench output."
         ),
     )
     p_trend.add_argument(
         "history",
         nargs="?",
         default="benchmarks/perf/history",
-        help="history directory of BENCH_*.json reports "
-        "(default: benchmarks/perf/history)",
-    )
-    p_trend.add_argument(
-        "--baseline",
-        default="benchmarks/perf/baseline.json",
-        metavar="FILE",
-        help="baseline floors to annotate (default: "
-        "benchmarks/perf/baseline.json)",
-    )
-    p_trend.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.15,
-        metavar="FRAC",
-        help="flag a case dropping more than FRAC below the previous "
-        "report (default: 0.15)",
-    )
-    p_trend.add_argument(
-        "--json",
-        default=None,
-        metavar="FILE",
-        help="also write the trend as JSON",
-    )
-    p_trend.add_argument(
-        "--strict",
-        action="store_true",
-        help="exit 1 when any regression is flagged (CI gating)",
+        help="history directory (default: benchmarks/perf/history)",
     )
     p_trend.set_defaults(fn=cmd_trend)
 

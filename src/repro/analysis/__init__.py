@@ -7,6 +7,7 @@ the heavier modules per subcommand:
 * :mod:`~repro.analysis.metrics` — derived figure-of-merit columns;
 * :mod:`~repro.analysis.tables` — ASCII tables/heatmaps/timelines;
 * :mod:`~repro.analysis.forensics` — abort attribution reports;
-* :mod:`~repro.analysis.trends` — cross-revision perf trajectory from
-  ``benchmarks/perf/history/`` (``repro trend``).
+* :mod:`~repro.analysis.trends` — the parent and change medians of the
+  perfbench records in ``benchmarks/perf/history/pr<N>/``
+  (``repro trend``).
 """

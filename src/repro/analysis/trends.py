@@ -1,246 +1,177 @@
-"""Cross-revision performance trends from ``benchmarks/perf/history/``.
+"""Per-PR performance records from ``benchmarks/perf/history/``.
 
-``repro bench`` appends one ``BENCH_<rev>.json`` report per revision to
-the history directory; this module reads the whole archive and renders
-the speed curve across PRs — per pinned case, oldest report to newest,
-with per-step deltas and regression flags — so the trajectory the
-ROADMAP asks for is visible in-repo instead of only as CI artifacts.
+Each PR that measures a change keeps the raw stdout of its perfbench
+runs (``python3 perfbench/run.py ... >> FILE``) in
+``pr<N>/parent.jsonl`` (the parent commit) and ``pr<N>/change.jsonl``
+(the change).  perfbench prints two lines per workload run: an
+``{"environment": {"workload": ...}}`` line, then a result line with
+``correct``, ``attempted``, ``failed`` and ``metrics`` (name -> value
+and unit).  A ``--workload all`` run ends with one more result line
+that only repeats the three above it under ``<workload>/<metric>``
+names; it follows no environment line and is skipped.
 
-Loading is strict: one unreadable, unparsable, or schema-violating
-report fails the whole load (:class:`TrendError`), because a silently
-skipped report would falsify the curve.  ``repro trend`` maps that to a
-nonzero exit.
+:func:`load_history` reads every ``pr<N>`` directory and
+:func:`format_trend` prints, per PR, workload and metric, the median of
+the parent's runs, the median of the change's runs and their delta.
+Runs made with ``--trace 1`` report the per-layer metrics, so those
+appear whenever a record holds traced runs.
+
+Loading is strict: a missing or empty history, a ``pr<N>`` directory
+without both files, or a line that is not a perfbench line raises
+:class:`TrendError`, because a silently skipped record would falsify
+the history.  ``repro trend`` maps that to exit 1.
 """
 
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
+import re
 from pathlib import Path
-from typing import Dict, List, Optional
+from statistics import median
+from typing import Dict, List, Tuple
 
-SCHEMA = "repro-trend/1"
+SIDES = ("parent", "change")
 
-#: Flag a case dropping more than this fraction below the previous
-#: report (matches ``scripts/check_bench.py``'s gate default).
-DEFAULT_TOLERANCE = 0.15
-
-#: Keys every history report must carry (subset of the bench schema).
-_REQUIRED = ("schema", "rev", "created_unix", "cases")
+_PR_DIR = re.compile(r"pr(\d+)")
 
 
 class TrendError(RuntimeError):
-    """History directory missing, empty, or holding a corrupt report."""
+    """History missing or empty, or a record that cannot be read."""
 
 
-def load_history(directory: Path) -> List[Dict]:
-    """Load every ``BENCH_*.json`` in ``directory``, oldest first.
+class WorkloadRuns:
+    """Every run of one workload in one record file."""
 
-    Reports are ordered by ``created_unix`` (filename as the
-    deterministic tie-break).  Each returned dict gains a ``_path`` key
-    naming its source file.  Raises :class:`TrendError` on a missing
-    directory, an empty history, or any corrupt report.
-    """
+    __slots__ = ("runs", "failed", "metrics")
+
+    def __init__(self) -> None:
+        self.runs = 0
+        #: Failed operations summed over the runs.
+        self.failed = 0
+        #: metric name -> (unit, one value per run that reported it).
+        self.metrics: Dict[str, Tuple[str, List[float]]] = {}
+
+
+#: ``(N, {"parent": records, "change": records})`` per ``pr<N>``, where
+#: records map a workload to its :class:`WorkloadRuns`.
+History = List[Tuple[int, Dict[str, Dict[str, WorkloadRuns]]]]
+
+def _metric_value(metric) -> Tuple[str, float]:
+    value = metric.get("value") if isinstance(metric, dict) else None
+    unit = metric.get("unit") if isinstance(metric, dict) else None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or not isinstance(unit, str)
+    ):
+        raise ValueError(f"metric {metric!r} has no numeric value and unit")
+    return unit, float(value)
+
+
+def _load_records(path: Path) -> Dict[str, WorkloadRuns]:
+    """The runs of one ``parent.jsonl`` or ``change.jsonl``, by workload."""
+    workloads: Dict[str, WorkloadRuns] = {}
+    workload = None  # named by the environment line just read
+    try:
+        lines = path.read_text("utf-8").splitlines()
+    except OSError as exc:
+        raise TrendError(f"cannot read {path}: {exc}") from exc
+    for number, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
+            if "environment" in doc:
+                workload = doc["environment"]["workload"]
+                if not isinstance(workload, str):
+                    raise ValueError("environment names no workload")
+                continue
+            metrics = {
+                name: _metric_value(metric)
+                for name, metric in doc["metrics"].items()
+            }
+            failed = int(doc["failed"])
+            if workload is None:
+                continue  # the total line of a ``--workload all`` run
+            runs = workloads.setdefault(workload, WorkloadRuns())
+            runs.runs += 1
+            runs.failed += failed
+            for name, (unit, value) in metrics.items():
+                runs.metrics.setdefault(name, (unit, []))[1].append(value)
+            workload = None
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise TrendError(
+                f"{path}:{number}: not a perfbench line ({exc})"
+            ) from exc
+    if not workloads:
+        raise TrendError(f"{path}: no perfbench result line")
+    return workloads
+
+
+def load_history(directory) -> History:
+    """Every ``pr<N>`` record under ``directory``, oldest PR first."""
     directory = Path(directory)
     if not directory.is_dir():
         raise TrendError(f"history directory {directory} does not exist")
-    paths = sorted(directory.glob("BENCH_*.json"))
-    if not paths:
+    prs = sorted(
+        (int(match.group(1)), path)
+        for path in directory.iterdir()
+        if path.is_dir() and (match := _PR_DIR.fullmatch(path.name))
+    )
+    if not prs:
         raise TrendError(
-            f"no BENCH_*.json reports in {directory} — run "
-            "`PYTHONPATH=src python -m repro bench` to record one"
+            f"no pr<N>/ records in {directory}: append perfbench's stdout "
+            "to pr<N>/parent.jsonl and pr<N>/change.jsonl"
         )
-    reports: List[Dict] = []
-    for path in paths:
-        try:
-            report = json.loads(path.read_text("utf-8"))
-        except (OSError, ValueError) as exc:
-            raise TrendError(f"corrupt report {path}: {exc}") from exc
-        if not isinstance(report, dict):
-            raise TrendError(f"corrupt report {path}: not a JSON object")
-        missing = [key for key in _REQUIRED if key not in report]
-        if missing:
-            raise TrendError(
-                f"corrupt report {path}: missing keys {missing}"
-            )
-        if not isinstance(report["cases"], dict) or not report["cases"]:
-            raise TrendError(f"corrupt report {path}: no cases")
-        for key, case in report["cases"].items():
-            eps = case.get("events_per_sec") if isinstance(case, dict) else None
-            if not isinstance(eps, (int, float)) or eps <= 0:
-                raise TrendError(
-                    f"corrupt report {path}: case {key!r} has no positive "
-                    "events_per_sec"
-                )
-        report["_path"] = str(path)
-        reports.append(report)
-    reports.sort(key=lambda r: (r["created_unix"], Path(r["_path"]).name))
-    return reports
+    history = []
+    for number, path in prs:
+        sides = {}
+        for side in SIDES:
+            record = path / f"{side}.jsonl"
+            if not record.is_file():
+                raise TrendError(f"{path} has no {side}.jsonl")
+            sides[side] = _load_records(record)
+        history.append((number, sides))
+    return history
 
 
-def _case_keys(reports: List[Dict]) -> List[str]:
-    keys: List[str] = []
-    for report in reports:
-        for key in report["cases"]:
-            if key not in keys:
-                keys.append(key)
-    return sorted(keys)
+def _fmt(value) -> str:
+    if value is None:
+        return "-"
+    if abs(value) >= 1000:
+        return f"{value:,.0f}"
+    return f"{value:.4g}"
 
 
-def trend_dict(
-    reports: List[Dict],
-    *,
-    baseline: Optional[Dict] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> Dict:
-    """Structured trend: per-case series across reports plus flags.
-
-    A point is flagged as a regression when it drops more than
-    ``tolerance`` below the same case's value in the previous report
-    that measured it, or falls below the committed baseline floor
-    (``ref * (1 - tolerance)``).
-    """
-    floors = (baseline or {}).get("cases", {})
-    cases: Dict[str, List[Dict]] = {}
-    regressions: List[Dict] = []
-    for key in _case_keys(reports):
-        series: List[Dict] = []
-        prev: Optional[Dict] = None
-        for report_index, report in enumerate(reports):
-            case = report["cases"].get(key)
-            if case is None:
-                continue
-            eps = float(case["events_per_sec"])
-            delta = None
-            if prev is not None:
-                delta = eps / prev["events_per_sec"] - 1.0
-            ref = floors.get(key)
-            below_floor = (
-                ref is not None and eps < float(ref) * (1.0 - tolerance)
-            )
-            regressed = (
-                delta is not None and delta < -tolerance
-            ) or below_floor
-            point = {
-                "rev": report["rev"],
-                # Position in the (sorted) reports list: the stable
-                # column key.
-                "report_index": report_index,
-                "created_unix": report["created_unix"],
-                "quick": bool(report.get("quick", False)),
-                "events_per_sec": eps,
-                "delta": round(delta, 4) if delta is not None else None,
-                "baseline_floor": (
-                    round(float(ref) * (1.0 - tolerance)) if ref else None
-                ),
-                "regression": regressed,
-            }
-            series.append(point)
-            if regressed:
-                regressions.append(
-                    {
-                        "case": key,
-                        "rev": report["rev"],
-                        "prev_rev": prev["rev"] if prev else None,
-                        "delta": point["delta"],
-                        "events_per_sec": eps,
-                        "below_baseline_floor": below_floor,
-                    }
-                )
-            prev = point
-        cases[key] = series
-    return {
-        "schema": SCHEMA,
-        "tolerance": tolerance,
-        "reports": [
-            {
-                "rev": r["rev"],
-                "created_unix": r["created_unix"],
-                "quick": bool(r.get("quick", False)),
-                "python": r.get("python"),
-                "path": r["_path"],
-            }
-            for r in reports
-        ],
-        "cases": cases,
-        "regressions": regressions,
-    }
+def _median(runs: WorkloadRuns, name: str):
+    return median(runs.metrics[name][1]) if name in runs.metrics else None
 
 
-def _fmt_rate(value: float) -> str:
-    if value >= 100_000:
-        return f"{value / 1000:,.0f}k"
-    if value >= 10_000:
-        return f"{value / 1000:.1f}k"
-    return f"{value:,.0f}"
-
-
-def _fmt_when(unix: float) -> str:
-    return datetime.fromtimestamp(unix, tz=timezone.utc).strftime(
-        "%Y-%m-%d"
-    )
-
-
-def format_trend(
-    reports: List[Dict],
-    *,
-    baseline: Optional[Dict] = None,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> str:
-    """Aligned text table: rows = pinned cases, columns = revisions
-    (oldest left).  ``!`` marks a flagged point; quick-scale reports are
-    starred (their case keys never collide with full-scale ones)."""
-    trend = trend_dict(reports, baseline=baseline, tolerance=tolerance)
-    revs = [r["rev"] + ("*" if r["quick"] else "") for r in trend["reports"]]
-    title = (
-        f"perf history — {len(reports)} report(s), "
-        f"{_fmt_when(reports[0]['created_unix'])} .. "
-        f"{_fmt_when(reports[-1]['created_unix'])}"
-    )
-    label_w = max([len(k) for k in trend["cases"]] + [10]) + 1
-    col_w = max([len(r) for r in revs] + [9]) + 2
-    lines = [title, "=" * len(title)]
-    lines.append(
-        "case".ljust(label_w) + "".join(rev.rjust(col_w) for rev in revs)
-    )
-    lines.append("-" * (label_w + col_w * len(revs)))
-    for key, series in trend["cases"].items():
-        by_index = {p["report_index"]: p for p in series}
-        cells = []
-        for report_index, report in enumerate(trend["reports"]):
-            point = by_index.get(report_index)
-            if point is None:
-                cells.append("-".rjust(col_w))
-            else:
-                text = _fmt_rate(point["events_per_sec"])
-                if point["regression"]:
-                    text += "!"
-                cells.append(text.rjust(col_w))
-        lines.append(key.ljust(label_w) + "".join(cells))
-    lines.append("")
-    if trend["regressions"]:
-        lines.append(
-            f"regression flags (tolerance {tolerance:.0%}; '!' above):"
-        )
-        for flag in trend["regressions"]:
-            reason = (
-                "below baseline floor"
-                if flag["below_baseline_floor"]
-                else f"{flag['delta']:+.1%} vs {flag['prev_rev']}"
+def format_trend(history: History) -> str:
+    """One block per PR: each workload's run counts, then one line per
+    metric with the parent median, the change median and the delta."""
+    lines = [f"{'':<38} {'parent':>12} {'change':>12} {'delta':>8}"]
+    for number, sides in history:
+        lines.append(f"pr{number}")
+        for workload in sorted(set(sides["parent"]) | set(sides["change"])):
+            parent, change = (
+                sides[side].get(workload, WorkloadRuns()) for side in SIDES
             )
             lines.append(
-                f"  {flag['case']} @ {flag['rev']}: "
-                f"{_fmt_rate(flag['events_per_sec'])} ev/s ({reason})"
+                f"  {workload}: parent {parent.runs} runs, {parent.failed} "
+                f"failed ops; change {change.runs} runs, {change.failed} "
+                "failed ops"
             )
-    else:
-        lines.append(f"no regressions flagged (tolerance {tolerance:.0%})")
-    lines.append("")
-    lines.append("reports (oldest first; * = --quick scales):")
-    for i, report in enumerate(trend["reports"], 1):
-        star = "*" if report["quick"] else " "
-        lines.append(
-            f"  [{i}] {report['rev']}{star} "
-            f"{_fmt_when(report['created_unix'])}  "
-            f"py{report.get('python') or '?'}  {report['path']}"
-        )
+            for name in sorted(set(parent.metrics) | set(change.metrics)):
+                unit = (parent.metrics.get(name) or change.metrics[name])[0]
+                old, new = _median(parent, name), _median(change, name)
+                delta = "-"
+                if old and new is not None:
+                    delta = f"{new / old - 1:+.1%}"
+                lines.append(
+                    f"    {name:<34} {_fmt(old):>12} {_fmt(new):>12} "
+                    f"{delta:>8}  {unit}"
+                )
     return "\n".join(lines)

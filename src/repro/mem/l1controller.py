@@ -735,6 +735,8 @@ class L1Controller:
     def _complete_validation(
         self, tx: TxState, out: _Outstanding, msg: Message
     ) -> None:
+        if self._orecs is not None and self._check_orec(out.block):
+            return  # a slow path took the block since it was consumed
         if msg.kind is MessageKind.DATA_E:
             # We are now the genuine owner of the block.
             line = self.cache.peek(out.block)

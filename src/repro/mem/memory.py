@@ -81,12 +81,6 @@ class MainMemory:
             return self._zero
         return tuple(words)
 
-    def apply_block(self, block: int, value: BlockValue) -> None:
-        """Overwrite the committed content of ``block``."""
-        if len(value) != self._wpb:
-            raise ValueError("block value has wrong arity")
-        self._blocks[block] = list(value)
-
 
 class SpeculativeStore:
     """Redo image of one transaction attempt.

@@ -119,17 +119,21 @@ class Intruder(Workload):
             raise AssertionError(
                 f"captured {popped} packets, expected {self.num_packets}"
             )
-        results = self.result_queue.final_size(memory)
-        if not 0 < results <= self.num_packets // self.fragments_per_flow + self.num_threads:
-            raise AssertionError(
-                f"deposited {results} results for {self.num_packets} packets"
-            )
-        processed = sum(
+        per_thread = [
             memory.read_word(self.processed.addr(t))
             for t in range(self.num_threads)
-        )
-        if processed != self.num_packets:
+        ]
+        if sum(per_thread) != self.num_packets:
             raise AssertionError("processed-count mismatch")
+        # Each thread deposits once per ``fragments_per_flow`` packets it
+        # handled.
+        results = self.result_queue.final_size(memory)
+        expected = sum(n // self.fragments_per_flow for n in per_thread)
+        if results != expected:
+            raise AssertionError(
+                f"deposited {results} results, expected {expected} for "
+                f"{self.num_packets} packets"
+            )
         keys = self.tree.host_keys(memory)
         if sorted(keys) != sorted(self.packet_ids):
             raise AssertionError(

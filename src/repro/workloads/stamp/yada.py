@@ -38,7 +38,13 @@ class Yada(Workload):
 
     def __init__(self, *, threads: int = 16, seed: int = 1, scale: float = 1.0):
         super().__init__(threads=threads, seed=seed, scale=scale)
-        self.num_records = self.scaled(192, floor=threads * self.cavity_size)
+        # Every cavity samples cavity_size + border_size distinct records.
+        self.num_records = self.scaled(
+            192,
+            floor=max(
+                threads * self.cavity_size, self.cavity_size + self.border_size
+            ),
+        )
         self.refinements_per_thread = self.scaled(12)
         self.records = SimArray(
             self.space, self.num_records * self.record_words, name="mesh"

@@ -66,7 +66,19 @@ class TestParser:
                      ["inspect", "counter", "--fresh"],
                      ["run", "counter", "--backend", "python"],
                      ["report", "--backend", "compiled"],
-                     ["bench", "--backend", "python"]):
+                     ["bench", "--backend", "python"],
+                     ["bench"],
+                     ["trend", "--strict"],
+                     ["trend", "--baseline", "b.json"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(argv)
+
+    def test_trend_takes_only_the_history_directory(self):
+        args = build_parser().parse_args(["trend"])
+        assert args.history == "benchmarks/perf/history"
+        assert build_parser().parse_args(["trend", "h"]).history == "h"
+        for argv in (["trend", "--json", "t.json"],
+                     ["trend", "--tolerance", "0.1"]):
             with pytest.raises(SystemExit):
                 build_parser().parse_args(argv)
 

@@ -30,15 +30,6 @@ class TestMainMemory:
         memory.write_word(0x78, 9)  # block 1, word 15
         assert memory.block_value(1) == (1, 0, 0, 0, 0, 0, 0, 9)
 
-    def test_apply_block(self, memory):
-        memory.apply_block(2, (1, 2, 3, 4, 5, 6, 7, 8))
-        assert memory.read_word(0x80) == 1
-        assert memory.read_word(0xB8) == 8
-
-    def test_apply_block_wrong_arity(self, memory):
-        with pytest.raises(ValueError):
-            memory.apply_block(2, (1, 2))
-
     def test_snapshot_is_a_copy(self, memory):
         # A block value is a snapshot: the VSB keeps the one a SpecResp
         # carried, so a later store must not show through it.
@@ -142,7 +133,8 @@ class TestSpeculativeStore:
     def test_block_value_overlay_property(self, base, overlay):
         g = Geometry()
         memory = MainMemory(g)
-        memory.apply_block(0, base)
+        for idx, value in enumerate(base):
+            memory.write_word(idx * 8, value)
         store = SpeculativeStore(memory)
         for idx, value in overlay.items():
             store.write_word(idx * 8, value)

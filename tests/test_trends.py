@@ -1,95 +1,164 @@
-"""Tests for the perf-history trend layer: ``repro.analysis.trends``,
-the ``repro trend`` CLI, and ``scripts/check_bench.py``'s directory
-mode (deterministic newest-report selection, empty-history error)."""
+"""Tests for the perf-history reader: ``repro.analysis.trends`` and the
+``repro trend`` CLI over ``pr<N>/{parent,change}.jsonl`` perfbench
+records."""
 
 from __future__ import annotations
 
 import json
-import os
-import sys
 from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.trends import (
-    TrendError,
-    format_trend,
-    load_history,
-    trend_dict,
-)
+from repro.analysis.trends import TrendError, format_trend, load_history
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-import check_bench  # noqa: E402
+HISTORY = Path(__file__).resolve().parent.parent / "benchmarks/perf/history"
 
 
-def _report(rev: str, created: int, eps: dict, quick=False) -> dict:
+def _env(workload: str) -> dict:
+    return {"environment": {"workload": workload, "seed": 1,
+                            "backend": "python", "python": "3.11.7",
+                            "nproc": 2}}
+
+
+def _result(metrics: dict, failed: int = 0) -> dict:
     return {
-        "schema": 1,
-        "rev": rev,
-        "created_unix": created,
-        "python": "3.11.9",
-        "quick": quick,
-        "repeat": 1,
-        "cases": {
-            key: {"events_per_sec": value} for key, value in eps.items()
+        "correct": failed == 0,
+        "attempted": 10,
+        "failed": failed,
+        "metrics": {
+            name: {"value": value, "unit": unit}
+            for name, (value, unit) in metrics.items()
         },
     }
 
 
+def _run(workload: str, metrics: dict, failed: int = 0) -> list:
+    """The stdout of one ``--workload <workload>`` run."""
+    return [_env(workload), _result(metrics, failed)]
+
+
+def _all_run(per_workload: dict) -> list:
+    """The stdout of one ``--workload all`` run, total line last."""
+    lines, total = [], {}
+    for workload, metrics in per_workload.items():
+        lines += _run(workload, metrics)
+        total.update({f"{workload}/{k}": v for k, v in metrics.items()})
+    return lines + [_result(total)]
+
+
+def _eps(value: float) -> dict:
+    return {"events_per_cpu_s": (value, "events/s")}
+
+
+def _write(path: Path, runs: list) -> None:
+    """Append each run's lines, as ``perfbench/run.py >> path`` does."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("a", encoding="utf-8") as fh:
+        for run in runs:
+            for doc in run:
+                fh.write(json.dumps(doc) + "\n")
+
+
 @pytest.fixture
 def history(tmp_path) -> Path:
+    """pr9: three single-workload runs a side.  pr12: two ``all`` runs a
+    side plus one traced run of llb-h, whose metrics are per-layer."""
     directory = tmp_path / "history"
-    directory.mkdir()
-    series = [
-        ("aaa1111", 1_700_000_000, {"synth/chats/t8/s1/x4": 100_000,
-                                    "vacation/chats/t8/s1/x4": 50_000}),
-        ("bbb2222", 1_700_086_400, {"synth/chats/t8/s1/x4": 104_000,
-                                    "vacation/chats/t8/s1/x4": 52_000}),
-        ("ccc3333", 1_700_172_800, {"synth/chats/t8/s1/x4": 102_000,
-                                    "vacation/chats/t8/s1/x4": 20_000}),
-    ]
-    for rev, created, eps in series:
-        path = directory / f"BENCH_{rev}.json"
-        path.write_text(json.dumps(_report(rev, created, eps)))
+    _write(directory / "pr9/parent.jsonl",
+           [_run("sim-chats-llbh", _eps(v)) for v in (120e3, 100e3, 110e3)])
+    _write(directory / "pr9/change.jsonl",
+           [_run("sim-chats-llbh", _eps(v)) for v in (132e3, 120e3, 125e3)])
+    for side, scale in (("parent", 1.0), ("change", 0.9)):
+        _write(directory / f"pr12/{side}.jsonl", [
+            _all_run({
+                "sim-chats-llbh": _eps(200e3 * scale * k),
+                "report-sweep": {"cold_wall_s": (4.0 / scale / k, "s")},
+            })
+            for k in (1.0, 1.1)
+        ] + [_run("sim-chats-llbh", {
+            "engine.share": (0.30 * scale, "ratio"),
+            "net.messages": (5000, "count"),
+        })])
+    (directory / "README.md").write_text("not a record\n")
     return directory
+
+
+def _line(text: str, pr: str, workload: str, metric: str) -> str:
+    """The rendered line of ``metric`` under ``workload`` in ``pr``."""
+    block = text.split(f"\n{pr}\n", 1)[1].split("\npr", 1)[0]
+    rows = block.split(f"  {workload}: ", 1)[1].splitlines()
+    return next(row for row in rows if row.split()[0] == metric)
 
 
 # ----------------------------------------------------------------------
 class TestLoadHistory:
-    def test_orders_by_created_then_filename(self, history):
-        reports = load_history(history)
-        assert [r["rev"] for r in reports] == ["aaa1111", "bbb2222", "ccc3333"]
-        assert all(r["_path"] for r in reports)
+    def test_orders_prs_by_number(self, history):
+        assert [number for number, _ in load_history(history)] == [9, 12]
 
-    def test_created_ties_break_on_filename(self, tmp_path):
-        for rev in ("zzz", "aaa"):
-            (tmp_path / f"BENCH_{rev}.json").write_text(
-                json.dumps(_report(rev, 1_700_000_000, {"c": 1000}))
-            )
-        assert [r["rev"] for r in load_history(tmp_path)] == ["aaa", "zzz"]
+    def test_collects_every_run_by_workload(self, history):
+        (_, pr9), (_, pr12) = load_history(history)
+        runs = pr9["parent"]["sim-chats-llbh"]
+        assert runs.runs == 3 and runs.failed == 0
+        assert runs.metrics["events_per_cpu_s"] == (
+            "events/s", [120e3, 100e3, 110e3]
+        )
+        llbh = pr12["change"]["sim-chats-llbh"]
+        assert llbh.runs == 3  # two ``all`` runs and the traced run
+        assert len(llbh.metrics["events_per_cpu_s"][1]) == 2
+        assert len(llbh.metrics["engine.share"][1]) == 1
+
+    def test_all_total_line_is_skipped(self, history):
+        (_, pr12) = load_history(history)[1]
+        assert set(pr12["parent"]) == {"sim-chats-llbh", "report-sweep"}
+        for runs in pr12["parent"].values():
+            assert not any("/" in name for name in runs.metrics)
+        assert pr12["parent"]["report-sweep"].runs == 2
+
+    def test_failed_operations_are_summed(self, tmp_path):
+        for side in ("parent", "change"):
+            _write(tmp_path / f"pr1/{side}.jsonl",
+                   [_run("sim-be-kmeansh", _eps(1e5), failed=2)] * 2)
+        (_, pr1), = load_history(tmp_path)
+        assert pr1["change"]["sim-be-kmeansh"].failed == 4
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(TrendError, match="does not exist"):
             load_history(tmp_path / "nope")
 
     def test_empty_directory(self, tmp_path):
-        with pytest.raises(TrendError, match="no BENCH_"):
+        with pytest.raises(TrendError, match=r"no pr<N>/ records"):
             load_history(tmp_path)
 
+    @pytest.mark.parametrize("missing", ["parent", "change"])
+    def test_pr_needs_both_records(self, history, missing):
+        (history / f"pr12/{missing}.jsonl").unlink()
+        with pytest.raises(TrendError, match=f"no {missing}.jsonl"):
+            load_history(history)
+
     @pytest.mark.parametrize(
-        "payload",
+        "line",
         [
             "{broken",
             json.dumps([1, 2]),
-            json.dumps({"schema": 1, "rev": "x"}),
-            json.dumps(_report("x", 1, {"c": 0})),
+            json.dumps({"correct": True, "failed": 0}),
+            json.dumps(_result({"events_per_cpu_s": ("fast", "events/s")})),
+            json.dumps({"environment": {"seed": 1}}),
         ],
-        ids=["not-json", "not-object", "missing-keys", "zero-rate"],
+        ids=["not-json", "not-object", "missing-keys", "no-value",
+             "no-workload"],
     )
-    def test_corrupt_report_fails_the_load(self, history, payload):
-        (history / "BENCH_bad.json").write_text(payload)
-        with pytest.raises(TrendError, match="corrupt report"):
+    def test_corrupt_report_fails_the_load(self, history, line):
+        with (history / "pr9/change.jsonl").open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(TrendError, match=r"change.jsonl:\d+: not a "):
+            load_history(history)
+
+    def test_record_without_a_result_fails(self, history):
+        (history / "pr9/parent.jsonl").write_text(
+            json.dumps(_env("sim-chats-llbh")) + "\n"
+        )
+        with pytest.raises(TrendError, match="no perfbench result line"):
             load_history(history)
 
 
@@ -97,41 +166,41 @@ class TestLoadHistory:
 class TestTrend:
     def test_renders_every_report_and_case(self, history):
         text = format_trend(load_history(history))
-        for rev in ("aaa1111", "bbb2222", "ccc3333"):
-            assert rev in text
-        assert "synth/chats/t8/s1/x4" in text
-        assert "vacation/chats/t8/s1/x4" in text
+        assert text.index("\npr9\n") < text.index("\npr12\n")
+        for workload in ("sim-chats-llbh", "report-sweep"):
+            assert f"  {workload}: " in text
 
-    def test_flags_a_drop_beyond_tolerance(self, history):
-        trend = trend_dict(load_history(history))
-        (flag,) = trend["regressions"]
-        assert flag["case"] == "vacation/chats/t8/s1/x4"
-        assert flag["rev"] == "ccc3333"
-        assert flag["prev_rev"] == "bbb2222"
-        assert flag["delta"] == pytest.approx(-0.615, abs=0.001)
-        assert "regression flags" in format_trend(load_history(history))
+    def test_medians_and_deltas(self, history):
+        text = format_trend(load_history(history))
+        assert _line(text, "pr9", "sim-chats-llbh", "events_per_cpu_s").split() == [
+            "events_per_cpu_s", "110,000", "125,000", "+13.6%", "events/s",
+        ]
+        # Two ``all`` runs a side: the median is their mean.
+        assert _line(text, "pr12", "sim-chats-llbh", "events_per_cpu_s").split() == [
+            "events_per_cpu_s", "210,000", "189,000", "-10.0%", "events/s",
+        ]
+        assert _line(text, "pr12", "report-sweep", "cold_wall_s").split()[1:] == [
+            "3.818", "4.242", "+11.1%", "s",
+        ]
+        assert "pr12\n  report-sweep: parent 2 runs, 0 failed ops; " in text
 
-    def test_steady_history_is_clean(self, history):
-        reports = load_history(history)[:2]  # drop the regressing report
-        trend = trend_dict(reports)
-        assert trend["regressions"] == []
-        assert "no regressions flagged" in format_trend(reports)
+    def test_per_layer_lines(self, history):
+        text = format_trend(load_history(history))
+        assert _line(text, "pr12", "sim-chats-llbh", "engine.share").split() == [
+            "engine.share", "0.3", "0.27", "-10.0%", "ratio",
+        ]
+        assert _line(text, "pr12", "sim-chats-llbh", "net.messages").split()[1:] == [
+            "5,000", "5,000", "+0.0%", "count",
+        ]
+        assert "engine.share" not in text.split("\npr12\n")[0]
 
-    def test_baseline_floor_flags_slow_cases(self, history):
-        baseline = {"cases": {"synth/chats/t8/s1/x4": 200_000}}
-        trend = trend_dict(load_history(history), baseline=baseline)
-        flagged = {f["case"] for f in trend["regressions"]}
-        assert "synth/chats/t8/s1/x4" in flagged
-        assert all(
-            f["below_baseline_floor"]
-            for f in trend["regressions"]
-            if f["case"] == "synth/chats/t8/s1/x4"
-        )
-
-    def test_tolerance_is_adjustable(self, history):
-        assert trend_dict(load_history(history), tolerance=0.99)[
-            "regressions"
-        ] == []
+    def test_metric_on_one_side_has_no_delta(self, history):
+        _write(history / "pr9/change.jsonl",
+               [_run("sim-chats-llbh", {"peak_rss_mb": (30.0, "MiB")})])
+        text = format_trend(load_history(history))
+        assert _line(text, "pr9", "sim-chats-llbh", "peak_rss_mb").split() == [
+            "peak_rss_mb", "-", "30", "-", "MiB",
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -139,59 +208,33 @@ class TestTrendCli:
     def test_renders_and_exits_zero(self, history, capsys):
         assert main(["trend", str(history)]) == 0
         out = capsys.readouterr().out
-        assert "perf history" in out
-        assert "ccc3333" in out
+        assert "\npr12\n" in out
+        assert "+13.6%" in out
 
     def test_missing_history_exits_nonzero(self, tmp_path, capsys):
         assert main(["trend", str(tmp_path / "nope")]) == 1
         assert "does not exist" in capsys.readouterr().err
 
+    def test_empty_history_exits_nonzero(self, tmp_path, capsys):
+        assert main(["trend", str(tmp_path)]) == 1
+        assert "no pr<N>/ records" in capsys.readouterr().err
+
     def test_corrupt_report_exits_nonzero(self, history, capsys):
-        (history / "BENCH_bad.json").write_text("{broken")
+        with (history / "pr12/parent.jsonl").open("a") as fh:
+            fh.write("{broken\n")
         assert main(["trend", str(history)]) == 1
-        assert "corrupt report" in capsys.readouterr().err
-
-    def test_strict_fails_on_regressions(self, history, capsys):
-        assert main(["trend", str(history), "--strict"]) == 1
-        assert "regression" in capsys.readouterr().out
-
-    def test_json_dump(self, history, tmp_path, capsys):
-        out = tmp_path / "trend.json"
-        assert main(["trend", str(history), "--json", str(out)]) == 0
-        payload = json.loads(out.read_text())
-        assert payload["schema"] == "repro-trend/1"
-        assert len(payload["reports"]) == 3
+        assert "not a perfbench line" in capsys.readouterr().err
 
     def test_committed_history_renders(self, capsys):
-        """The in-repo archive must always render (the bench CI job runs
-        this exact command on every push)."""
-        history = Path(__file__).resolve().parent.parent / (
-            "benchmarks/perf/history"
-        )
-        assert main(["trend", str(history)]) == 0
-        assert "perf history" in capsys.readouterr().out
-
-
-# ----------------------------------------------------------------------
-class TestCheckBenchDirectoryMode:
-    def test_mtime_tie_breaks_on_filename(self, history, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({"cases": {}}))
-        # Same mtime on every report: the lexicographically last filename
-        # must win deterministically.
-        for path in history.glob("BENCH_*.json"):
-            os.utime(path, (1_700_000_000, 1_700_000_000))
-        check_bench.main([str(history), "--baseline", str(baseline)])
-        assert "BENCH_ccc3333.json" in capsys.readouterr().out
-
-    def test_empty_history_errors_clearly(self, tmp_path, capsys):
-        empty = tmp_path / "history"
-        empty.mkdir()
-        assert check_bench.main([str(empty)]) == 1
-        err = capsys.readouterr().err
-        assert "empty history" in err
-        assert "repro bench" in err
-
-    def test_missing_report_file_errors(self, tmp_path, capsys):
-        assert check_bench.main([str(tmp_path / "BENCH_x.json")]) == 1
-        assert "does not exist" in capsys.readouterr().err
+        """The committed records render, and the runs behind them
+        reproduced every pinned result."""
+        assert main(["trend", str(HISTORY)]) == 0
+        out = capsys.readouterr().out
+        assert "\npr30\n" in out
+        for workload in ("sim-chats-llbh", "sim-be-kmeansh", "report-sweep"):
+            (counts,) = [
+                line for line in out.split("\npr30\n")[1].splitlines()
+                if line.startswith(f"  {workload}: ")
+            ]
+            assert counts.count(" 0 failed ops") == 2
+        assert "events_per_cpu_s" in out

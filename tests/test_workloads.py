@@ -116,6 +116,13 @@ class TestOraclesCatchCorruption:
 
         self._run_and_corrupt("intruder", corrupt)
 
+    def test_intruder_deposit_count_oracle(self):
+        def corrupt(wl, m):
+            tail = wl.result_queue.tail_addr
+            m.write_word(tail, m.read_word(tail) + 1)
+
+        self._run_and_corrupt("intruder", corrupt)
+
     def test_labyrinth_oracle(self):
         def corrupt(wl, m):
             # Claim a random cell for a route that never committed it.
@@ -147,6 +154,9 @@ class TestWorkloadScaling:
     def test_floor_respected(self):
         tiny = make_workload("yada", threads=4, scale=0.01)
         assert tiny.num_records >= 4 * tiny.cavity_size
+        # One thread: still enough records for one cavity and its border.
+        single = make_workload("yada", threads=1, scale=0.05)
+        assert single.num_records >= single.cavity_size + single.border_size
 
     def test_thread_count_respected(self):
         wl = make_workload("genome", threads=3, scale=0.2)
