@@ -18,10 +18,9 @@ cached at two levels:
   directory the store cannot open on raises
   :class:`~repro.store.StoreInitError`; a store that opens but cannot be
   written degrades to compute-only.
-  Concurrent ``run_many`` processes sharing one cache directory
-  deduplicate *across processes* through store claims: each miss is
-  claimed before execution, and a key some live peer already claimed is
-  awaited instead of recomputed.
+  Concurrent ``run_many`` processes may share one cache directory.  They
+  do not coordinate: each simulates its own misses, so two may both run
+  a cell, and both then store the same bytes.
 
 Cache keys are content-addressed: a SHA-256 over every field that can
 change a simulation's outcome — workload, system, the full
@@ -386,17 +385,10 @@ def _decode_result(doc: Dict[str, object]) -> SimulationResult:
     return SimulationResult.from_dict(doc["result"])
 
 
-def _disk_hit(key: str, *, recheck: bool = False) -> Optional[SimulationResult]:
+def _disk_hit(key: str) -> Optional[SimulationResult]:
     """The stored result for ``key``, promoted to the in-process cache;
-    ``None`` on a miss or an unreadable entry.
-
-    ``recheck=True`` re-reads a key whose lookup the store has already
-    counted (after claiming it, or once a peer stored it), so the read is
-    not counted again.
-    """
-    result = result_store().load(
-        result_key(key), SCHEMA_VERSION, _decode_result, count=not recheck
-    )
+    ``None`` on a miss or an unreadable entry."""
+    result = result_store().load(result_key(key), SCHEMA_VERSION, _decode_result)
     if result is not None:
         _CACHE[key] = result
     return result
@@ -561,29 +553,6 @@ class _InProcess(Executor):
 _IN_PROCESS = _InProcess()
 
 
-def _await_peer(
-    store: "store_pkg.ResultStore", key: str
-) -> Tuple[Optional[SimulationResult], Optional["store_pkg.Claim"]]:
-    """Wait for the live peer that claimed ``key`` to store its result.
-
-    Returns ``(result, None)`` on a hit.  Otherwise returns ``(None,
-    claim)`` for the caller to execute under: the peer gave up, so we
-    re-claimed the key.  A re-claim lost to another live peer waits
-    again.  The claim is ``None`` only after the timeout backstop, or
-    when the stored entry is unreadable and another peer holds the key.
-    """
-    while True:
-        t0 = time.monotonic()
-        raw = store.wait_for(result_key(key))
-        hit = _disk_hit(key, recheck=True) if raw is not None else None
-        if hit is not None:
-            return hit, None
-        claim = store.claim(result_key(key))
-        timed_out = time.monotonic() - t0 >= store_pkg.WAIT_TIMEOUT_SECONDS
-        if claim is not None or raw is not None or timed_out:
-            return None, claim
-
-
 def run_many(
     configs: Iterable[RunConfig],
     *,
@@ -631,7 +600,6 @@ def run_many(
     store = result_store() if disk_cache_enabled() else None
 
     results: Dict[str, SimulationResult] = {}
-    claims: Dict[str, store_pkg.Claim] = {}
     failed_once: set = set()  # keys whose first attempt failed
     total, done = len(unique), 0
 
@@ -646,8 +614,7 @@ def run_many(
         _notify(progress, done, total, cfg, layer)
 
     def _complete(key, cfg, outcome, retried):
-        """The one site that records an executed run: persist it, and
-        release its claim so cross-process waiters unblock."""
+        """The one site that records and persists an executed run."""
         nonlocal done
         result, seconds, digest, resources = outcome
         results[key] = result
@@ -658,13 +625,9 @@ def run_many(
             t0 = time.perf_counter()
             _store(cfg, key, result)
             batch.stored(cfg, key, time.perf_counter() - t0)
-        claim = claims.pop(key, None)
-        if claim is not None:
-            claim.release()
         _notify(progress, done, total, cfg, "run")
 
     queue: Deque[Tuple[str, RunConfig]] = deque()  # misses awaiting dispatch
-    foreign: Deque[Tuple[str, RunConfig]] = deque()  # claimed by a live peer
     pool: Optional[ProcessPoolExecutor] = None
     try:
         for key, cfg in unique.items():
@@ -679,41 +642,13 @@ def run_many(
                     continue
                 batch.probe(cfg, key, outcome="miss", layer="none",
                             seconds=seconds)
-            if use_cache and store is not None:
-                # Cross-process dedup: claim each miss so N ``run_many``
-                # processes sharing one cache directory never simulate
-                # the same key twice.  A key a live peer already claimed
-                # is awaited after our own work, overlapping the wait.
-                claim = store.claim(result_key(key))
-                if claim is None:
-                    foreign.append((key, cfg))
-                    continue
-                # The previous holder may have stored the result between
-                # our probe and our claim.
-                t0 = time.perf_counter()
-                hit = _disk_hit(key, recheck=True)
-                if hit is not None:
-                    claim.release()
-                    _hit(key, cfg, hit, time.perf_counter() - t0, "disk")
-                    continue
-                claims[key] = claim
             queue.append((key, cfg))
 
         if workers > 1 and len(queue) > 1:
             pool = ProcessPoolExecutor(max_workers=min(workers, len(queue)))
         executor: Executor = _IN_PROCESS if pool is None else pool
         pending: Dict[Future, Tuple[str, RunConfig]] = {}
-        while queue or pending or foreign:
-            if not queue and not pending:
-                key, cfg = foreign.popleft()
-                t0 = time.perf_counter()
-                hit, claim = _await_peer(store, key)
-                if hit is not None:
-                    _hit(key, cfg, hit, time.perf_counter() - t0, "disk")
-                    continue
-                if claim is not None:
-                    claims[key] = claim
-                queue.append((key, cfg))
+        while queue or pending:
             # In-process runs one config at a time; a pool takes every
             # queued config at once so workers never wait on the parent.
             while queue and (executor is pool or not pending):
@@ -749,11 +684,6 @@ def run_many(
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-        # A batch that raises (simulation failed twice) must not leave
-        # its claims behind: peers would block on them until the claim
-        # TTL or our process exit.
-        for claim in claims.values():
-            claim.release()
 
     batch.close(manifest)
     return [results[key] for key in keys]

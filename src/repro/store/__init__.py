@@ -1,8 +1,10 @@
 """The result store: one class, :class:`~repro.store.result_store.ResultStore`.
 
 It keeps one zlib-compressed, CRC-guarded record file per key, written
-by temp file and rename, with cross-process execution claims,
-``verify`` and an LRU-by-mtime ``gc``.  Every document goes in through
+by temp file and rename, with ``verify`` and an LRU-by-mtime ``gc``.
+Processes may share a cache directory: the rename is all they
+coordinate through, and two that compute one key store the same bytes.
+Every document goes in through
 :meth:`~repro.store.result_store.ResultStore.save` and comes back
 through :meth:`~repro.store.result_store.ResultStore.load`, which
 applies the one corrupt-entry policy and counts each read as exactly
@@ -20,15 +22,13 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict
 
-from .base import (  # noqa: F401  (re-exported API surface)
-    Claim,
+from .result_store import (  # noqa: F401  (re-exported API surface)
     STORE_SCHEMA,
+    TMP_GRACE_SECONDS,
+    ResultStore,
     StoreCounters,
-    StoreError,
     StoreInitError,
-    WAIT_TIMEOUT_SECONDS,
 )
-from .result_store import ResultStore
 
 # One store object per cache directory, so the runner, telemetry,
 # forensics and figures share its counters and corrupt-entry warning

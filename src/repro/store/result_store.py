@@ -13,7 +13,7 @@ policy:
   caller's ``decode`` rejects is counted as ``corrupt`` and warned about
   once per store; the caller re-computes it.  A killed writer can never
   poison later reads.
-* **Each counted read is one lookup**: exactly one of ``hits``,
+* **Each read is one counted lookup**: exactly one of ``hits``,
   ``misses`` or ``corrupt``.
 * **A store that opens but cannot be written runs compute-only**:
   :meth:`ResultStore.save` drops the write.
@@ -24,7 +24,6 @@ Layout under the cache directory:
 
     <cache_dir>/store/
       META.json                      layout schema
-      claims/                        cross-process execution claims
       entries/<key>.rec              one record file per key; each ``/``
                                      in a key is a directory level
 
@@ -36,16 +35,18 @@ A write goes to a temp file beside its record and ``os.replace``\\ s it
 into place.  The rename is the linearisation point: a reader, which
 takes no lock, opens either the old record or the new one, never a torn
 one, and a killed writer leaves only ``*.tmp`` litter, which no reader
-opens and :meth:`ResultStore.gc` sweeps.  No lock guards entries.
+opens and :meth:`ResultStore.gc` sweeps.  No lock guards entries, and
+processes that share a cache directory coordinate through nothing else:
+two that compute one key each store the same bytes, so the only cost
+is the duplicated work.
 
-A counted hit sets its record's mtime, the clock :meth:`ResultStore.gc`
-evicts by, so eviction is least-recently-used whichever process made
+A hit sets its record's mtime, the clock :meth:`ResultStore.gc` evicts
+by, so eviction is least-recently-used whichever process made
 the read.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import secrets
@@ -53,22 +54,18 @@ import struct
 import time
 import warnings
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, Union
 
-from .base import (
-    CLAIM_TTL_SECONDS,
-    STORE_SCHEMA,
-    WAIT_TIMEOUT_SECONDS,
-    Claim,
-    StoreCounters,
-    StoreInitError,
-    _claims_lock,
-    _pid_alive,
-    _publish_claim,
-    _read_claim,
-    atomic_write_bytes,
-)
+#: Schema tag of the ``stats()`` document (validated by
+#: ``scripts/check_doc.py store``).
+STORE_SCHEMA = "repro-store/2"
+
+#: How old a ``*.tmp`` file must be before :meth:`ResultStore.gc` takes
+#: it for a killed writer's litter; a younger one may be a live put
+#: about to be renamed into place.
+TMP_GRACE_SECONDS = 3600.0
 
 #: Layout version of META.json (not the stats document).
 LAYOUT_SCHEMA = "repro-store-layout/2"
@@ -82,6 +79,65 @@ _SUFFIX = ".rec"
 
 
 T = TypeVar("T")
+
+
+class StoreInitError(Exception):
+    """The store cannot open on this cache directory (``repro`` reports
+    it and exits 2)."""
+
+
+@dataclass
+class StoreCounters:
+    """Per-store-instance observability.  Each ``ResultStore.load``
+    adds one to exactly one of ``hits``, ``misses`` and ``corrupt``."""
+
+    hits: int = 0
+    misses: int = 0
+    puts: int = 0
+    deletes: int = 0
+    evictions: int = 0
+    corrupt: int = 0
+
+    def reset(self) -> None:
+        self.hits = 0
+        self.misses = 0
+        self.puts = 0
+        self.deletes = 0
+        self.evictions = 0
+        self.corrupt = 0
+
+    def to_dict(self) -> Dict[str, int]:
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "puts": self.puts,
+            "deletes": self.deletes,
+            "evictions": self.evictions,
+            "corrupt": self.corrupt,
+        }
+
+
+def atomic_write_bytes(path: Union[str, Path], payload: bytes) -> None:
+    """Temp-file + ``os.replace`` write: readers never see a torn file,
+    and a killed writer leaves only an ignorable ``*.tmp``.  The temp
+    name is unique per write, so concurrent writers of one path never
+    share one."""
+    tmp = f"{path}.{os.getpid()}.{secrets.token_hex(4)}.tmp"
+    try:
+        fh = open(tmp, "wb")
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(tmp), exist_ok=True)
+        fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
 
 
 def _decode_record(blob: bytes) -> Tuple[Optional[bytes], Optional[str]]:
@@ -180,11 +236,6 @@ class ResultStore:
             return None, f"unreadable record: {exc}"
         return _decode_record(blob)
 
-    def peek(self, key: str) -> Optional[bytes]:
-        """The raw payload of ``key``, without counting the read (the
-        :meth:`wait_for` poll)."""
-        return self._read(key)[0]
-
     def put(self, key: str, payload: bytes) -> None:
         stored = zlib.compress(payload)
         atomic_write_bytes(
@@ -212,8 +263,6 @@ class ResultStore:
         key: str,
         schema: object,
         decode: Optional[Callable[[Dict], T]] = None,
-        *,
-        count: bool = True,
     ) -> Optional[T]:
         """The document stored under ``key``, or ``None``.
 
@@ -223,9 +272,8 @@ class ResultStore:
         raising ``AttributeError``, ``KeyError``, ``TypeError`` or
         ``ValueError``.  An entry that fails any step is a corrupt miss,
         never an exception.  Counts exactly one of ``hits``, ``misses``
-        or ``corrupt``, and a counted hit marks the record as just used
-        for :meth:`gc`; ``count=False`` does neither, for a re-read of a
-        key whose lookup the caller has already counted.
+        or ``corrupt``, and a hit marks the record as just used for
+        :meth:`gc`.
         """
         payload, problem = self._read(key)
         doc = None
@@ -239,17 +287,16 @@ class ResultStore:
                     doc = decode(doc)
             except (AttributeError, KeyError, TypeError, ValueError) as exc:
                 doc, problem = None, f"unreadable document: {exc}"
-        if count:
-            if doc is not None:
-                self.counters.hits += 1
-                try:
-                    os.utime(self._path(key))
-                except OSError:
-                    pass  # read-only store, or evicted meanwhile
-            elif problem is None:
-                self.counters.misses += 1
-            else:
-                self._corrupt(key, problem)
+        if doc is not None:
+            self.counters.hits += 1
+            try:
+                os.utime(self._path(key))
+            except OSError:
+                pass  # read-only store, or evicted meanwhile
+        elif problem is None:
+            self.counters.misses += 1
+        else:
+            self._corrupt(key, problem)
         return doc
 
     def save(self, key: str, doc: Dict[str, object]) -> None:
@@ -273,99 +320,6 @@ class ResultStore:
                 RuntimeWarning,
                 stacklevel=3,
             )
-
-    # -- claims ----------------------------------------------------------
-    def _claim_path(self, key: str) -> Path:
-        name = hashlib.sha1(key.encode("utf-8")).hexdigest()
-        return self.base / "claims" / f"{name}.claim"
-
-    def claim(self, key: str) -> Optional[Claim]:
-        """Try to acquire the exclusive right to compute ``key``.
-
-        Returns a :class:`Claim` on success and ``None`` when another
-        *live* process holds it.  A stale claim (dead owner, or older
-        than :data:`CLAIM_TTL_SECONDS`) is broken and re-acquired.
-        """
-        path = self._claim_path(key)
-        token = secrets.token_hex(8)
-        payload = json.dumps(
-            {
-                "key": key,
-                "pid": os.getpid(),
-                "unix": round(time.time(), 3),
-                "token": token,
-            }
-        ).encode("utf-8")
-        claim = Claim(key, path, os.getpid(), token)
-        for _ in range(2):  # second pass after breaking a stale claim
-            try:
-                if _publish_claim(path, payload, token):
-                    return claim
-                holder = _read_claim(path)
-                if holder is None:
-                    continue  # released meanwhile
-                if not self._claim_stale(holder):
-                    return None
-                self._break_stale(path, holder)
-            except OSError:
-                # Unclaimable dir: degrade to "claimed" so the caller
-                # still executes.
-                return claim
-        return None
-
-    def _break_stale(self, path: Path, holder: Dict[str, object]) -> None:
-        """Delete the stale claim ``holder`` unless, under the claims
-        lock, ``path`` no longer carries it (a rival broke it and
-        claimed the key in the meantime)."""
-        with _claims_lock(path.parent):
-            if _read_claim(path) == holder:
-                path.unlink()
-
-    def claimed_by_other(self, key: str) -> bool:
-        holder = _read_claim(self._claim_path(key))
-        return (
-            holder is not None
-            and not self._claim_stale(holder)
-            and int(holder.get("pid", -1)) != os.getpid()
-        )
-
-    @staticmethod
-    def _claim_stale(holder: Dict[str, object]) -> bool:
-        try:
-            pid = int(holder.get("pid", -1))
-            unix = float(holder.get("unix", 0.0))
-        except (TypeError, ValueError):
-            return True
-        if time.time() - unix > CLAIM_TTL_SECONDS:
-            return True
-        return not _pid_alive(pid)
-
-    def wait_for(
-        self,
-        key: str,
-        *,
-        timeout: float = WAIT_TIMEOUT_SECONDS,
-        poll: float = 0.02,
-    ) -> Optional[bytes]:
-        """Block until ``key`` appears (another process is computing it
-        under a claim) or its claim disappears/goes stale.
-
-        Returns the payload, or ``None`` when the claim was abandoned
-        without a stored result (the caller should compute the key
-        itself).  The timeout is a deadlock backstop, not a contract.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            payload = self.peek(key)
-            if payload is not None:
-                return payload
-            if not self.claimed_by_other(key):
-                # Owner released (or died) without storing: one last
-                # look to close the release-after-put race.
-                return self.peek(key)
-            if time.monotonic() >= deadline:
-                return None
-            time.sleep(poll)
 
     # -- maintenance -----------------------------------------------------
     def stats(self) -> Dict[str, object]:
@@ -414,10 +368,10 @@ class ResultStore:
         least-recently-used records (oldest mtime first) until the
         record files fit ``max_bytes``.
 
-        Only a temp file older than :data:`CLAIM_TTL_SECONDS` is litter:
+        Only a temp file older than :data:`TMP_GRACE_SECONDS` is litter:
         a younger one may be another process's put about to be renamed
-        into place, or its claim about to be linked."""
-        cutoff = time.time() - CLAIM_TTL_SECONDS
+        into place."""
+        cutoff = time.time() - TMP_GRACE_SECONDS
         for tmp in self.base.rglob("*.tmp"):
             try:
                 if tmp.stat().st_mtime < cutoff:

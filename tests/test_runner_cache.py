@@ -224,8 +224,8 @@ class TestRunMany:
         ]
 
     def test_each_executed_config_is_one_store_miss(self):
-        """The re-check after claiming a miss must not count the key's
-        lookup a second time."""
+        """An executed config costs exactly one counted store lookup, a
+        miss, and one put."""
         run_many(SWEEP[:3], workers=1)
         store = runner.result_store()
         assert store.counters.misses == 3
@@ -391,32 +391,3 @@ class TestCodeFingerprint:
         monkeypatch.setattr(Path, "read_bytes", edited)
         monkeypatch.setattr(runner, "_CODE_FINGERPRINT", None)
         assert runner._code_fingerprint() != before
-
-
-class TestForeignClaims:
-    def test_lost_reclaim_waits_instead_of_executing(self, monkeypatch):
-        """A peer holds the claim, gives it up without storing, and a
-        third live peer wins the re-claim: ``run_many`` waits for that
-        peer's result instead of simulating the config itself."""
-        cfg = RunConfig.make("counter", paper.BASELINE, **FAST)
-        key = runner.result_key(cfg.key())
-        peer_result = runner.simulate(cfg)
-        store = runner.result_store()
-        waits = []
-
-        def wait_for(store_key, **kwargs):
-            waits.append(store_key)
-            if len(waits) == 1:
-                return None  # the first holder released without storing
-            store.save(store_key, {"schema": runner.SCHEMA_VERSION,
-                                   "result": peer_result.to_dict()})
-            return store.peek(store_key)
-
-        monkeypatch.setattr(store, "claim", lambda store_key: None)
-        monkeypatch.setattr(store, "wait_for", wait_for)
-        (result,) = run_many([cfg], workers=1)
-        assert sources() == ["disk"]
-        assert waits == [key, key]
-        assert result.to_dict() == peer_result.to_dict()
-        # The key's one counted lookup is the miss before the wait.
-        assert store.counters.misses == 1 and store.counters.hits == 0

@@ -1,17 +1,15 @@
 """Tests for the result store (``repro.store``): round-trips, opening
-a directory, corruption handling, LRU eviction, claims, and the
-N-process concurrent-writer guarantee."""
+a directory, corruption handling, LRU eviction, and the N-process
+concurrent-writer guarantee."""
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import struct
 import subprocess
 import sys
 import textwrap
-import threading
 import time
 import zlib
 from pathlib import Path
@@ -19,8 +17,12 @@ from pathlib import Path
 import pytest
 
 from repro import store as store_pkg
-from repro.store import ResultStore, StoreInitError
-from repro.store.base import CLAIM_TTL_SECONDS, STORE_SCHEMA
+from repro.store import (
+    STORE_SCHEMA,
+    TMP_GRACE_SECONDS,
+    ResultStore,
+    StoreInitError,
+)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
@@ -52,7 +54,7 @@ class TestRoundTrip:
     def test_put_get_bytes(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
         store.put("result/" + "ab" * 32, b"payload-bytes")
-        assert store.peek("result/" + "ab" * 32) == b"payload-bytes"
+        assert store._read("result/" + "ab" * 32)[0] == b"payload-bytes"
         assert store.counters.puts == 1
 
     def test_missing_key_is_counted_miss(self, kind, tmp_path):
@@ -60,19 +62,11 @@ class TestRoundTrip:
         assert store.load("result/" + "00" * 32, "x/1") is None
         assert store.counters.misses == 1
 
-    def test_peek_does_not_count(self, kind, tmp_path):
-        store = make_store(kind, tmp_path)
-        store.put("manifest/M1", b"x")
-        assert store.peek("manifest/M1") == b"x"
-        assert store.peek("manifest/M2") is None
-        assert store.counters.hits == 0
-        assert store.counters.misses == 0
-
     def test_overwrite_returns_newest(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
         store.put("result/" + "cd" * 32, b"old")
         store.put("result/" + "cd" * 32, b"new")
-        assert store.peek("result/" + "cd" * 32) == b"new"
+        assert store._read("result/" + "cd" * 32)[0] == b"new"
         assert store.stats()["entries"] == 1
 
     def test_json_round_trip(self, kind, tmp_path):
@@ -85,7 +79,7 @@ class TestRoundTrip:
 
     def test_load_counts_one_outcome_per_read(self, kind, tmp_path):
         """A foreign schema tag or a document ``decode`` rejects is a
-        corrupt miss, never also a hit; ``count=False`` counts nothing."""
+        corrupt miss, never also a hit."""
         store = make_store(kind, tmp_path)
         key = "figure/fig1/" + "ab" * 32
         store.save(key, {"schema": "x/1", "n": 1})
@@ -93,7 +87,6 @@ class TestRoundTrip:
             assert store.load(key, "x/2") is None
         assert store.load(key, "x/1", lambda doc: doc["missing"]) is None
         assert store.load(key, "x/1", lambda doc: doc["n"]) == 1
-        assert store.load(key, "x/1", count=False) == {"schema": "x/1", "n": 1}
         assert store.load("figure/fig1/" + "cd" * 32, "x/1") is None
         counts = store.counters
         assert (counts.hits, counts.misses, counts.corrupt) == (1, 1, 2)
@@ -103,7 +96,7 @@ class TestRoundTrip:
         store.put("result/" + "0f" * 32, b"x")
         assert store.delete("result/" + "0f" * 32) is True
         assert store.delete("result/" + "0f" * 32) is False
-        assert store.peek("result/" + "0f" * 32) is None
+        assert store._read("result/" + "0f" * 32)[0] is None
 
     def test_keys_prefix(self, kind, tmp_path):
         store = make_store(kind, tmp_path)
@@ -157,7 +150,7 @@ class TestRoundTrip:
             tmp_path / "store" / "zz.json.tmp",
             record.with_name(record.name + ".4242.0badc0de.tmp"),
         ]
-        stale = time.time() - CLAIM_TTL_SECONDS - 60
+        stale = time.time() - TMP_GRACE_SECONDS - 60
         for path in litter:
             path.write_bytes(b"half-written")
             os.utime(path, (stale, stale))
@@ -165,26 +158,20 @@ class TestRoundTrip:
         assert store.verify() == []
         assert store.gc(1 << 30) == []
         assert not any(path.exists() for path in litter)
-        assert store.peek(key) == b'{"good": true}'
+        assert store._read(key)[0] == b'{"good": true}'
 
     def test_gc_keeps_in_flight_temp_files(self, kind, tmp_path):
-        """``gc`` leaves a fresh temp file alone: a claim about to be
-        linked in ``claims/`` and a put about to be renamed beside its
-        record belong to a live writer."""
+        """``gc`` leaves a fresh temp file alone: a put about to be
+        renamed beside its record belongs to a live writer."""
         store = make_store(kind, tmp_path)
         key = "result/" + "aa" * 32
         store.put(key, b'{"good": true}')
         record = record_path(tmp_path, key)
-        (tmp_path / "store" / "claims").mkdir(exist_ok=True)
-        in_flight = [
-            tmp_path / "store" / "claims" / "result.claim.0badc0de.tmp",
-            record.with_name(record.name + ".4242.0badc0de.tmp"),
-        ]
-        for path in in_flight:
-            path.write_bytes(b"being written")
+        in_flight = record.with_name(record.name + ".4242.0badc0de.tmp")
+        in_flight.write_bytes(b"being written")
         assert store.gc(1 << 30) == []
-        assert all(path.exists() for path in in_flight)
-        assert store.peek(key) == b'{"good": true}'
+        assert in_flight.exists()
+        assert store._read(key)[0] == b'{"good": true}'
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +206,7 @@ class TestShardedInternals:
         assert (magic, raw_len) == (b"RST2", 10_000)
         assert crc == zlib.crc32(record[12:])
         assert zlib.decompress(record[12:]) == b"A" * 10_000
-        assert store.peek(key) == b"A" * 10_000
+        assert store._read(key)[0] == b"A" * 10_000
 
     def test_bit_flip_detected_as_corrupt_miss(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -247,7 +234,7 @@ class TestShardedInternals:
         )
         assert on_disk == store.stats()["stored_bytes"]
         assert on_disk == record_path(tmp_path, key).stat().st_size
-        assert json.loads(store.peek(key))["version"] == 19
+        assert json.loads(store._read(key)[0])["version"] == 19
         assert store.verify() == []
 
     def test_gc_evicts_lru_first(self, tmp_path):
@@ -293,6 +280,22 @@ class TestShardedInternals:
         assert ResultStore(tmp_path).gc(one_record) == [b]
         assert ResultStore(tmp_path).keys() == [a]
 
+    def test_claims_dir_from_older_code_is_ignored(self, tmp_path):
+        """Older code kept cross-process claims under ``store/claims/``:
+        no read, count or sweep sees such a directory."""
+        store = ResultStore(tmp_path)
+        key = "result/" + "ab" * 32
+        store.save(key, {"schema": "x/1"})
+        claims = tmp_path / "store" / "claims"
+        claims.mkdir()
+        (claims / "LOCK").write_bytes(b"")
+        (claims / ("cd" * 20 + ".claim")).write_text('{"pid": 1}')
+        assert store.keys() == [key]
+        assert store.stats()["entries"] == 1
+        assert store.verify() == []
+        assert store.gc(1 << 30) == []
+        assert store.load(key, "x/1") == {"schema": "x/1"}
+
     def test_keys_cannot_leave_the_store(self, tmp_path):
         store = ResultStore(tmp_path)
         for key in ("../escape", "result/../../escape", "/abs", "a//b", ""):
@@ -318,113 +321,6 @@ class TestShardedInternals:
         assert str(tmp_path / "store") in message
         assert "older code" in message and "never hit" in message
         assert "can be deleted" in message
-
-
-# ----------------------------------------------------------------------
-class TestClaims:
-    def test_claim_is_exclusive_until_released(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = "result/" + "aa" * 32
-        claim = store.claim(key)
-        assert claim is not None
-        assert store.claim(key) is None  # held (even by our own pid)
-        claim.release()
-        reclaim = store.claim(key)
-        assert reclaim is not None
-        reclaim.release()
-
-    def test_claimed_by_other_sees_live_foreign_pid(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = "result/" + "aa" * 32
-        claim = store.claim(key)
-        # Forge a foreign live owner (pid 1 is always alive).
-        claim.path.write_text(
-            json.dumps({"key": key, "pid": 1, "unix": __import__("time").time()})
-        )
-        assert store.claimed_by_other(key) is True
-        assert store.claim(key) is None
-        claim.release()
-        # Our release leaves a claim that names another owner in place.
-        assert claim.path.exists()
-        assert store.claimed_by_other(key) is True
-        claim.path.unlink()
-
-    def test_stale_dead_pid_claim_is_broken(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = "result/" + "bb" * 32
-        path = store._claim_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps({"key": key, "pid": 2 ** 22 + 12345,
-                                    "unix": __import__("time").time()}))
-        claim = store.claim(key)
-        assert claim is not None and claim.pid == os.getpid()
-        claim.release()
-
-    def test_unclaimable_dir_degrades_to_executing(self, tmp_path):
-        store = ResultStore(tmp_path)
-        (tmp_path / "store" / "claims").write_text("not a directory")
-        claim = store.claim("result/" + "cc" * 32)
-        assert claim is not None  # the caller executes instead of waiting
-        claim.release()
-
-    def test_concurrent_claimants_never_overlap(self, tmp_path):
-        """Two threads race claim/release on one key: at most one may
-        hold it at any time, and both must keep getting it.
-
-        A refused claimant retries after a random pause of up to 200 us.
-        Retrying at once phase-locks it with the holder's release and
-        re-claim, so it never tries while the key is free: it starves,
-        and the race this test is about never runs."""
-        store = ResultStore(tmp_path)
-        key = "result/" + "ee" * 32
-        guard = threading.Lock()
-        holders = []
-        overlaps = []
-        acquired = [0, 0]
-        deadline = time.monotonic() + 2.0
-
-        def contend(me):
-            rng = random.Random(me)
-            while time.monotonic() < deadline:
-                claim = store.claim(key)
-                if claim is None:
-                    time.sleep(rng.random() * 2e-4)
-                    continue
-                with guard:
-                    if holders:
-                        overlaps.append((me, list(holders)))
-                    holders.append(me)
-                acquired[me] += 1
-                time.sleep(0.001)
-                with guard:
-                    holders.remove(me)
-                claim.release()
-
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=contend, args=(i,)) for i in (0, 1)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(switch)
-        assert not any(t.is_alive() for t in threads)
-        assert overlaps == []
-        assert min(acquired) >= 50, acquired
-
-    def test_wait_for_returns_stored_payload(self, tmp_path):
-        store = ResultStore(tmp_path)
-        key = "result/" + "cc" * 32
-        store.put(key, b"done")
-        assert store.wait_for(key, timeout=1.0) == b"done"
-
-    def test_wait_for_unclaimed_missing_key_returns_none(self, tmp_path):
-        store = ResultStore(tmp_path)
-        assert store.wait_for("result/" + "dd" * 32, timeout=0.2) is None
 
 
 # ----------------------------------------------------------------------
@@ -505,12 +401,13 @@ class TestConcurrentWriters:
         assert store.verify() == []
         for i in range(10):
             key = "result/ffff%02d" % i + "ab" * 29
-            assert json.loads(store.peek(key)) == {"shared": i}
+            assert json.loads(store._read(key)[0]) == {"shared": i}
 
-    def test_concurrent_run_many_never_double_runs(self, tmp_path):
-        """Four processes race the same 6-cell sweep; the claim protocol
-        must hand each cell to exactly one process and every process
-        must converge on identical results."""
+    def test_concurrent_run_many_agree(self, tmp_path):
+        """Four processes race the same 6-cell sweep with no
+        coordination: a cell may run in several of them, but every
+        process returns the same results and the store ends up holding
+        one sound record per cell."""
         cache = tmp_path / "cache"
         env = self._env(cache)
         procs = [
@@ -521,15 +418,11 @@ class TestConcurrentWriters:
             out, err = p.communicate(timeout=300)
             assert p.returncode == 0, err
             reports.append(json.loads(out.strip().splitlines()[-1]))
+        # Each cell ran at least once, and at most once per process.
         total_sims = sum(r["simulations"] for r in reports)
-        assert total_sims == 6, reports  # each cell executed exactly once
+        assert 6 <= total_sims <= 6 * self.N, reports
         # Every process saw the same bit-identical results.
         assert len({tuple(r["cycles"]) for r in reports}) == 1
         store = ResultStore(cache)
         assert len(store.keys("result/")) == 6
         assert store.verify() == []
-        # No claims left behind.
-        claims = list((cache / "store" / "claims").glob("*.claim")) if (
-            cache / "store" / "claims"
-        ).is_dir() else []
-        assert claims == []

@@ -5,6 +5,7 @@ records."""
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -226,15 +227,24 @@ class TestTrendCli:
         assert "not a perfbench line" in capsys.readouterr().err
 
     def test_committed_history_renders(self, capsys):
-        """The committed records render, and the runs behind them
-        reproduced every pinned result."""
+        """The committed records render, and the runs behind every PR's
+        records reproduced every pinned result."""
         assert main(["trend", str(HISTORY)]) == 0
         out = capsys.readouterr().out
-        assert "\npr30\n" in out
-        for workload in ("sim-chats-llbh", "sim-be-kmeansh", "report-sweep"):
-            (counts,) = [
-                line for line in out.split("\npr30\n")[1].splitlines()
-                if line.startswith(f"  {workload}: ")
-            ]
-            assert counts.count(" 0 failed ops") == 2
+        # Each "pr<N>" header line opens that PR's section.
+        parts = re.split(r"^(pr\d+)$", out, flags=re.M)
+        sections = dict(zip(parts[1::2], parts[2::2]))
+        for pr, text in sections.items():
+            counts = {
+                line.split(":")[0].strip(): line
+                for line in text.splitlines()
+                if line.endswith(" failed ops")
+            }
+            if pr in ("pr30", "pr31"):
+                assert set(counts) == {
+                    "sim-chats-llbh", "sim-be-kmeansh", "report-sweep"
+                }, pr
+            for workload, line in counts.items():
+                assert line.count(" 0 failed ops") == 2, (pr, workload)
+        assert {"pr30", "pr31"} <= set(sections)
         assert "events_per_cpu_s" in out
