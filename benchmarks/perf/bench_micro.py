@@ -160,6 +160,42 @@ def bench_message_hop(n):
     engine.run()
 
 
+def bench_invalidation_round(n):
+    """One invalidation round: a directory whose block has 8 sharers
+    handles a GETX from one of them, and ``Engine.run`` delivers the INVs
+    to the other 7 cores' no-op handlers.  The round's state is reset
+    after each, so every repeat takes the same path."""
+    from repro.mem.address import Geometry
+    from repro.mem.directory import Directory
+    from repro.mem.memory import MainMemory
+    from repro.net.messages import DIRECTORY, MessageKind, make_message
+    from repro.net.network import Crossbar
+    from repro.sim.config import SystemConfig
+    from repro.sim.engine import Engine
+
+    engine = Engine()
+    config = SystemConfig(num_cores=8)
+    net = Crossbar(engine, config)
+    directory = Directory(engine, config, MainMemory(Geometry()), net)
+
+    def ignore(msg):
+        pass
+
+    net.connect([[ignore] * len(MessageKind)] * 8 + [directory._handlers])
+    entry = directory._entry(1)
+    entry.sharers = set(range(8))
+    getx = make_message(
+        kind=MessageKind.GETX, src=0, dst=DIRECTORY, block=1, epoch=1, req_id=1
+    )
+    handle = directory._handlers[MessageKind.GETX.idx]
+    run = engine.run
+    for _ in range(n):
+        handle(getx)
+        run()
+        entry.busy = False
+        entry.inv_round = None
+
+
 def bench_cache_hit(n):
     """Install once, then hot lookups (the L1 hit path)."""
     from repro.mem.cache import L1Cache
@@ -287,6 +323,7 @@ BENCHES = (
     ("message construct", bench_message, 200_000),
     ("directory probe construct (16 fields)", bench_directory_probe, 200_000),
     ("message hop (construct, send, deliver)", bench_message_hop, 200_000),
+    ("invalidation round (8 sharers, 7 INVs)", bench_invalidation_round, 50_000),
     ("L1 cache hit lookup", bench_cache_hit, 500_000),
     ("speculative store write+read", bench_spec_store, 200_000),
     ("holder SpecResp payload (store block_value)", bench_holder_payload, 200_000),

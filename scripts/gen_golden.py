@@ -10,8 +10,16 @@ a digest mismatch.
 
 The checked-in file ``tests/golden_digests.json`` was produced by the
 pre-optimisation (seed) engine; ``tests/test_golden_determinism.py``
-replays the same matrix on the current engine and compares.  Regenerate
-only when an *intentional* behaviour change lands::
+replays the same matrix on the current engine and compares.
+
+A result digest does not see *how* messages were sent, only their
+totals.  So a few small traced runs with multi-sharer invalidation
+rounds are hashed too: each digest is the sha256 of the JSONL probe
+stream, byte for byte the file ``python -m repro trace WORKLOAD
+--system SYSTEM --threads T --scale X --seed N --out F.jsonl`` writes.
+They live beside the result digests in ``tests/golden_trace_digests.json``.
+
+Regenerate only when an *intentional* behaviour change lands::
 
     PYTHONPATH=src python scripts/gen_golden.py --write
 
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
@@ -30,6 +39,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 GOLDEN_PATH = Path(__file__).resolve().parent.parent / "tests" / "golden_digests.json"
+TRACE_GOLDEN_PATH = GOLDEN_PATH.with_name("golden_trace_digests.json")
 
 #: The replay matrix.  Small scales keep the whole sweep interactive while
 #: still exercising conflicts, forwarding, validation, and the fallback
@@ -70,6 +80,31 @@ def case_key(workload: str, system: str, seed: int) -> str:
     return f"{workload}/{system}/t{THREADS}/s{seed}/x{SCALE}"
 
 
+#: The traced runs, as (workload, system, threads, scale, seed).  Both
+#: have invalidation rounds with several sharers: llb-h under CHATS
+#: answers most of its INVs with SpecResps, kmeans-h under the baseline
+#: with aborts.
+TRACE_CASES = (
+    ("llb-h", "chats", 8, 0.1, 1),
+    ("kmeans-h", "baseline", 8, 0.1, 1),
+)
+
+
+def trace_digest(workload: str, system: str, threads: int, scale: float, seed: int) -> str:
+    """sha256 of the JSONL probe stream of one traced run."""
+    from repro.experiments.runner import RunConfig, simulate
+    from repro.obs import JsonlTraceWriter
+
+    cfg = RunConfig.make(workload, system, threads=threads, seed=seed, scale=scale)
+    stream = io.StringIO()
+    simulate(cfg, JsonlTraceWriter(stream))
+    return hashlib.sha256(stream.getvalue().encode("utf-8")).hexdigest()
+
+
+def trace_key(workload: str, system: str, threads: int, scale: float, seed: int) -> str:
+    return f"trace:{workload}/{system}/t{threads}/s{seed}/x{scale}"
+
+
 def generate() -> dict:
     digests = {}
     for workload in STAMP_WORKLOADS:
@@ -80,34 +115,47 @@ def generate() -> dict:
     return digests
 
 
+def generate_traces() -> dict:
+    return {trace_key(*case): trace_digest(*case) for case in TRACE_CASES}
+
+
+def compare(digests: dict, path: Path, what: str) -> bool:
+    """Report ``digests`` against the checked-in file at ``path``."""
+    golden = json.loads(path.read_text())
+    bad = {k for k in golden if digests.get(k) != golden[k]}
+    bad |= set(digests) - set(golden)
+    for key in sorted(bad):
+        print(
+            f"MISMATCH {key}: golden={golden.get(key, '<absent>')[:12]} "
+            f"now={digests.get(key, '<absent>')[:12]}",
+            file=sys.stderr,
+        )
+    if not bad:
+        print(f"OK: {len(digests)} {what} match {path.name}")
+    return not bad
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
         "--write",
         action="store_true",
-        help=f"overwrite {GOLDEN_PATH.name} with freshly generated digests",
+        help=f"overwrite {GOLDEN_PATH.name} and {TRACE_GOLDEN_PATH.name} "
+        "with freshly generated digests",
     )
     args = parser.parse_args(argv)
 
-    digests = generate()
+    outputs = (
+        (generate(), GOLDEN_PATH, "digests"),
+        (generate_traces(), TRACE_GOLDEN_PATH, "trace digests"),
+    )
     if args.write:
-        GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-        print(f"wrote {len(digests)} digests -> {GOLDEN_PATH}")
+        for digests, path, what in outputs:
+            path.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+            print(f"wrote {len(digests)} {what} -> {path}")
         return 0
-
-    golden = json.loads(GOLDEN_PATH.read_text())
-    bad = {k for k in golden if digests.get(k) != golden[k]}
-    bad |= set(digests) - set(golden)
-    if bad:
-        for key in sorted(bad):
-            print(
-                f"MISMATCH {key}: golden={golden.get(key, '<absent>')[:12]} "
-                f"now={digests.get(key, '<absent>')[:12]}",
-                file=sys.stderr,
-            )
-        return 1
-    print(f"OK: {len(digests)} digests match {GOLDEN_PATH.name}")
-    return 0
+    ok = [compare(digests, path, what) for digests, path, what in outputs]
+    return 0 if all(ok) else 1
 
 
 if __name__ == "__main__":

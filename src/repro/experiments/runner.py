@@ -597,7 +597,7 @@ def run_many(
     for key, cfg in zip(keys, configs):
         unique.setdefault(key, cfg)
     batch.open(configs=len(configs), unique=len(unique), workers=workers)
-    store = result_store() if disk_cache_enabled() else None
+    store = result_store() if use_cache and disk_cache_enabled() else None
 
     results: Dict[str, SimulationResult] = {}
     failed_once: set = set()  # keys whose first attempt failed

@@ -18,7 +18,8 @@ records, and the message entry point dispatches through a dense
 per-kind table (``kind.idx``) instead of an if/elif ladder.  Queued
 requests and invalidation-round requests are kept as the delivered
 messages themselves: a message is a plain record, so holding a
-reference is all it takes.
+reference is all it takes.  An invalidation round builds one INV and
+the crossbar multicasts that record to every sharer.
 """
 
 from __future__ import annotations
@@ -220,16 +221,19 @@ class Directory:
                         requester=msg.src, sharers=len(others),
                     )
                 )
-            for sharer in sorted(others):
-                self._network.send(
-                    self._forward(MessageKind.INV, sharer, msg),
-                    extra_delay=self._config.directory_latency,
-                )
+            self._network.multicast(
+                self._forward(MessageKind.INV, None, msg),
+                sorted(others),
+                extra_delay=self._config.directory_latency,
+            )
             return
         self._grant_exclusive(entry, msg)
 
-    def _forward(self, kind: MessageKind, dst: int, req: Message) -> Message:
-        """Build a probe carrying the requester's identity and chain info."""
+    def _forward(
+        self, kind: MessageKind, dst: Optional[int], req: Message
+    ) -> Message:
+        """Build a probe carrying the requester's identity and chain info
+        (``dst`` None for an INV, which goes to every sharer)."""
         return self._Message(
             kind=kind,
             src=DIRECTORY,

@@ -443,7 +443,7 @@ class L1Controller:
             tx.conflicts_with_read(block) if exclusive else tx.conflicts_with_write(block)
         )
         if conflict:
-            self._resolve_conflict(tx, msg, invalidate_on_abort=True)
+            self._resolve_conflict(tx, msg)
             return
         # Plain MESI service.
         data = self._memory.block_value(block)
@@ -461,18 +461,13 @@ class L1Controller:
         tx = self._tx()
         conflict = tx is not None and tx.conflicts_with_read(block)
         if conflict:
-            self._resolve_conflict(tx, msg, invalidate_on_abort=True, via_inv=True)
+            self._resolve_conflict(tx, msg, via_inv=True)
             return
         self.cache.invalidate(block)
         self._ack_inv(msg, "invalidated")
 
     def _resolve_conflict(
-        self,
-        tx: TxState,
-        msg: Message,
-        *,
-        invalidate_on_abort: bool,
-        via_inv: bool = False,
+        self, tx: TxState, msg: Message, *, via_inv: bool = False
     ) -> None:
         """Apply the conflict policy as the holder of ``msg.block``."""
         pic_before = tx.pic.value

@@ -12,7 +12,9 @@ allocation and the slot stores (the class has no ``__init__``).  A
 message is a plain record that lives as long as something references
 it: a handler keeps one past its delivery (the directory queues
 requests and holds invalidation-round requests) by holding the
-reference, and nothing is recycled or invalidated after delivery.  The
+reference, and nothing is recycled or invalidated after delivery.  One
+record may serve several deliveries (an invalidation round's INV goes to
+every sharer), so a handler never writes a delivered message.  The
 per-kind hot attributes (``carries_data``, ``idx``) are precomputed once
 on the enum members, so the send path pays plain C-speed attribute loads
 instead of property calls and enum hashing.
@@ -74,7 +76,9 @@ class Message:
     Section IV-C).  ``power`` marks messages from an elevated-priority
     transaction.  ``epoch`` tags the requester's transaction attempt so that
     responses to a dead attempt can be recognised and dropped.  ``req_id``
-    threads a response back to the request that caused it.
+    threads a response back to the request that caused it.  ``dst`` is
+    None on a record multicast to several nodes; only the crossbar reads
+    it.
     """
 
     __slots__ = (
@@ -112,7 +116,7 @@ _new_message = object.__new__
 def make_message(
     kind: MessageKind,
     src: int = 0,
-    dst: int = 0,
+    dst: Optional[int] = 0,
     block: int = 0,
     data: Optional[Tuple[int, ...]] = None,
     requester: Optional[int] = None,

@@ -14,6 +14,12 @@ delivery is one call with no routing frame.  A
 :class:`~repro.net.messages.Message` is a plain record that lives as long
 as something references it, so the network never recycles or
 invalidates one after delivery.
+
+``multicast`` delivers one record to several destinations: the
+directory's invalidation round builds one INV and the crossbar hands it
+to every sharer, each delivery accounted as one message.  So a handler
+never writes a delivered message, which another destination may still
+be about to read.
 """
 
 from __future__ import annotations
@@ -99,9 +105,9 @@ class Crossbar:
             }
         )
 
-    def _emit_traced(self, msg: Message) -> None:
-        """Probe emission for a traced send; ``send`` calls it only when
-        the probe has subscribers."""
+    def _emit_traced(self, msg: Message, dst: int) -> None:
+        """Probe emission for a traced delivery to ``dst``; ``send`` and
+        ``multicast`` call it only when the probe has subscribers."""
         kind = msg.kind
         now = self._engine.now
         probe = self._probe
@@ -109,7 +115,7 @@ class Crossbar:
             MsgSent(
                 cycle=now,
                 src=msg.src,
-                dst=msg.dst,
+                dst=dst,
                 msg_kind=kind.value,
                 block=msg.block,
                 pic=msg.pic,
@@ -124,7 +130,7 @@ class Crossbar:
                 SpecForward(
                     cycle=now,
                     producer=msg.src,
-                    consumer=msg.dst,
+                    consumer=dst,
                     block=msg.block,
                     pic=msg.pic,
                 )
@@ -138,12 +144,38 @@ class Crossbar:
         self.messages_sent += 1
         self._flits_by_idx[kind.idx] += flits
         if self._probe._subscribers:
-            self._emit_traced(msg)
+            self._emit_traced(msg, msg.dst)
         self._schedule(
             self._link_latency + extra_delay,
             self._tables[msg.dst][kind.idx],
             msg,
         )
+
+    def multicast(
+        self, msg: Message, dsts: Sequence[int], *, extra_delay: int = 0
+    ) -> None:
+        """Deliver the one record ``msg`` to every node of ``dsts``, in
+        order, after the link latency.
+
+        Each destination costs what a ``send`` to it would: one message,
+        its flits and, when traced, one ``MsgSent``.  ``msg.dst`` is not
+        read, since the record has no single destination.
+        """
+        kind = msg.kind
+        idx = kind.idx
+        count = len(dsts)
+        flits = self._data_flits if kind.carries_data else self._control_flits
+        self.flits_sent += flits * count
+        self.messages_sent += count
+        self._flits_by_idx[idx] += flits * count
+        traced = self._probe._subscribers
+        schedule = self._schedule
+        tables = self._tables
+        delay = self._link_latency + extra_delay
+        for dst in dsts:
+            if traced:
+                self._emit_traced(msg, dst)
+            schedule(delay, tables[dst][idx], msg)
 
     def stats(self) -> Dict[str, int]:
         validation_kinds = (MessageKind.GETX, MessageKind.SPEC_RESP)

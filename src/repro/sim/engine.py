@@ -122,49 +122,6 @@ class Engine:
             self._compact()
 
     # ------------------------------------------------------------------
-    def _advance(self, until: Optional[int]) -> bool:
-        """Seed the empty lane with the next populated cycle's entries and
-        move the clock to that cycle.
-
-        Returns False when there is nothing left (or the next cycle lies
-        beyond ``until``).  Invariant: every ``_next`` entry matures at
-        exactly ``_now + 1`` (entries are appended only while the current
-        cycle fires, and the clock cannot move before the lane drains),
-        so the bucket for that cycle — sealed strictly earlier — drains
-        first and ``_next`` second, preserving global schedule order.
-        A cycle left with no live entry (all cancelled, or emptied by
-        compaction) is drained without moving the clock, so the clock
-        always reads the cycle of the last event that fired.
-        """
-        cycles = self._cycles
-        nxt = self._next
-        lane = self._lane
-        while True:
-            target = self._now + 1
-            if cycles:
-                cycle = cycles[0]
-                if nxt and target < cycle:
-                    cycle = target
-            elif nxt:
-                cycle = target
-            else:
-                return False
-            if until is not None and cycle > until:
-                return False
-            if cycles and cycles[0] == cycle:
-                heapq.heappop(cycles)
-                lane.extend(self._buckets.pop(cycle))
-            if nxt and cycle == target:
-                lane.extend(nxt)
-                nxt.clear()
-            if self._dead:
-                while lane and lane[0][0] is None:
-                    lane.popleft()
-                    self._dead -= 1
-            if lane:
-                self._now = cycle
-                return True
-
     def _has_live(self, until: Optional[int]) -> bool:
         """Whether a live entry is queued past the lane at or before
         ``until`` (a bounded run's budget check; off the hot path)."""
@@ -174,23 +131,6 @@ class Engine:
             and any(entry[0] is not None for entry in entries)
             for cycle, entries in queued
         )
-
-    def step(self) -> bool:
-        """Process one event.  Returns False when the queue is empty."""
-        lane = self._lane
-        while True:
-            while lane:
-                entry = lane.popleft()
-                fn = entry[0]
-                if fn is None:
-                    self._dead -= 1
-                    continue
-                entry[0] = None
-                self.events_processed += 1
-                fn(*entry[1])
-                return True
-            if not self._advance(None):
-                return False
 
     def run(self, *, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Drain the queue.
@@ -206,16 +146,20 @@ class Engine:
         """
         if until is not None and until < self._now:
             return self._now
+        # ``_compact`` mutates these containers in place, and nothing
+        # rebinds them, so the local bindings stay valid when a callback
+        # triggers it.
         lane = self._lane
         popleft = lane.popleft
-        advance = self._advance
+        nxt = self._next
+        cycles = self._cycles
+        buckets = self._buckets
+        heappop = heapq.heappop
         # ``processed`` counts up from 0, so -1 never trips the budget.
         limit = -1 if max_events is None else max(max_events, 0)
         processed = 0
         try:
             while True:
-                # ``_compact`` mutates the lane in place, so the local
-                # bindings stay valid when a callback triggers it.
                 while lane:
                     entry = popleft()
                     fn = entry[0]
@@ -232,8 +176,41 @@ class Engine:
                 # here, before the clock moves, if anything is left to fire.
                 if processed == limit and self._has_live(until):
                     raise self._livelock(max_events)
-                if not advance(until):
+                # Seed the empty lane with the next populated cycle's
+                # entries, and stop when there is none (or it lies beyond
+                # ``until``).  Invariant: every ``_next`` entry matures at
+                # exactly ``_now + 1`` (entries are appended only while
+                # the current cycle fires, and the clock cannot move
+                # before the lane drains), so the bucket for that cycle —
+                # sealed strictly earlier — drains first and ``_next``
+                # second, preserving global schedule order.  A cycle left
+                # with no live entry (all cancelled, or emptied by
+                # compaction) is drained without moving the clock, so the
+                # clock always reads the cycle of the last event that
+                # fired.
+                target = self._now + 1
+                if cycles:
+                    cycle = cycles[0]
+                    if nxt and target < cycle:
+                        cycle = target
+                elif nxt:
+                    cycle = target
+                else:
                     break
+                if until is not None and cycle > until:
+                    break
+                if cycles and cycles[0] == cycle:
+                    heappop(cycles)
+                    lane.extend(buckets.pop(cycle))
+                if nxt and cycle == target:
+                    lane.extend(nxt)
+                    nxt.clear()
+                if self._dead:
+                    while lane and lane[0][0] is None:
+                        popleft()
+                        self._dead -= 1
+                if lane:
+                    self._now = cycle
         finally:
             self.events_processed += processed
         if until is not None and until > self._now:
@@ -264,7 +241,7 @@ class Engine:
         containers), preserving the deterministic order.
 
         Emptied buckets stay registered (their cycle key is already in the
-        heap); ``_advance`` drains them without moving the clock.
+        heap); ``run`` drains them without moving the clock.
         """
         for bucket in self._buckets.values():
             bucket[:] = [entry for entry in bucket if entry[0] is not None]

@@ -23,14 +23,22 @@ class Harness:
     def __init__(self):
         self.engine = Engine()
         self.memory = MainMemory(Geometry())
+        # (core, message) per delivery, the core taken from the delivery
+        # table: one INV record reaches every sharer, so a message's own
+        # ``dst`` does not say where it was delivered.
         self.delivered = []
         self.config = SystemConfig(num_cores=4)
         self.network = Crossbar(self.engine, self.config)
         self.directory = Directory(
             self.engine, self.config, self.memory, self.network
         )
-        cores = [[self.delivered.append] * len(MessageKind)] * 4
+        cores = [
+            [self._recorder(core)] * len(MessageKind) for core in range(4)
+        ]
         self.network.connect(cores + [self.directory._handlers])
+
+    def _recorder(self, core):
+        return lambda msg: self.delivered.append((core, msg))
 
     def send(self, kind, src, *, block=BLOCK, req_id=1, **kw):
         self.directory.handle(
@@ -39,7 +47,7 @@ class Harness:
         self.engine.run()
 
     def to_core(self, core):
-        return [m for m in self.delivered if m.dst == core]
+        return [m for dst, m in self.delivered if dst == core]
 
     def clear(self):
         self.delivered.clear()
@@ -184,8 +192,10 @@ class TestInvalidationRounds:
     def test_getx_invalidates_sharers(self, h):
         self._share(h, 0, 1, 2)
         h.send(MessageKind.GETX, src=0, req_id=2)
-        invs = [m for m in h.delivered if m.kind is MessageKind.INV]
-        assert {m.dst for m in invs} == {1, 2}  # requester excluded
+        invs = [(dst, m) for dst, m in h.delivered if m.kind is MessageKind.INV]
+        assert {dst for dst, _ in invs} == {1, 2}  # requester excluded
+        (_, first), (_, second) = invs
+        assert first is second  # one record for the round
         for core in (1, 2):
             h.send(MessageKind.ACK, src=core, action="invalidated", req_id=2)
         grant = h.to_core(0)[-1]

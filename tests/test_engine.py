@@ -194,9 +194,6 @@ class TestRunBounds(EngineCase):
             engine.run(max_events=2)
         assert fired == list(range(1, 13))
 
-    def test_step_returns_false_when_empty(self):
-        assert self.new_engine().step() is False
-
     def test_events_processed_counter(self):
         engine = self.new_engine()
         for _ in range(7):

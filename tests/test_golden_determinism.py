@@ -9,6 +9,10 @@ altered event ordering, conflict resolution, stats accounting, or even
 the number of processed events: none of the hot-path optimisations are
 allowed to do that.
 
+A few small traced runs are pinned the same way, by the sha256 of their
+JSONL probe stream (``tests/golden_trace_digests.json``): a result digest
+sees message totals, the stream sees every message and its destination.
+
 Regenerate the digests only for an *intentional* behaviour change::
 
     PYTHONPATH=src python scripts/gen_golden.py --write
@@ -26,6 +30,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 import gen_golden  # noqa: E402
 
 GOLDEN = json.loads(gen_golden.GOLDEN_PATH.read_text())
+TRACE_GOLDEN = json.loads(gen_golden.TRACE_GOLDEN_PATH.read_text())
 
 CASES = [
     (workload, system, seed)
@@ -56,4 +61,25 @@ def test_digest_is_golden(workload, system, seed):
         f"behavioural drift in {key}: digest "
         f"{digest[:12]} != golden {GOLDEN[key][:12]} — if this change is "
         f"intentional, regenerate with scripts/gen_golden.py --write"
+    )
+
+
+def test_trace_cases_match_checked_in_digests():
+    """The checked-in trace file covers exactly the generator's cases."""
+    expected = {gen_golden.trace_key(*case) for case in gen_golden.TRACE_CASES}
+    assert set(TRACE_GOLDEN) == expected
+
+
+@pytest.mark.parametrize(
+    "case",
+    gen_golden.TRACE_CASES,
+    ids=[gen_golden.trace_key(*case) for case in gen_golden.TRACE_CASES],
+)
+def test_trace_digest_is_golden(case):
+    digest = gen_golden.trace_digest(*case)
+    key = gen_golden.trace_key(*case)
+    assert digest == TRACE_GOLDEN[key], (
+        f"probe stream drift in {key}: digest {digest[:12]} != golden "
+        f"{TRACE_GOLDEN[key][:12]} — if this change is intentional, "
+        f"regenerate with scripts/gen_golden.py --write"
     )

@@ -1,12 +1,18 @@
 """Unit tests for messages and the crossbar interconnect."""
 
+from collections import defaultdict
+
 import pytest
 
 from repro.net.messages import DIRECTORY, Message, MessageKind, make_message
 from repro.net.network import Crossbar
-from repro.sim.config import SystemConfig
+from repro.obs.events import MsgSent
+from repro.obs.probe import Probe
+from repro.sim.config import SystemConfig, table2_config
 from repro.sim.engine import Engine
+from repro.sim.ops import Read, Txn, Work, Write
 from repro.sim.simulator import Simulator
+from repro.systems import paper
 from repro.workloads.scripted import ScriptedWorkload
 from tests.conftest import deliver_all
 
@@ -202,3 +208,114 @@ class TestDelivery:
         tables[1][MessageKind.ACK.idx] = None
         with pytest.raises(ValueError, match="None"):
             net.connect(tables)
+
+
+def slots(msg):
+    """Every field of ``msg``, by slot name."""
+    return {name: getattr(msg, name) for name in Message.__slots__}
+
+
+class TestMulticast:
+    """``multicast`` delivers one record to several destinations, each
+    delivery costing what a ``send`` to that destination costs."""
+
+    DSTS = (1, 2, 5)
+
+    def _net(self, probe=None):
+        engine = Engine()
+        delivered = []
+        net = Crossbar(engine, SystemConfig(), probe=probe)
+        net.connect(
+            [
+                [lambda msg, dst=dst: delivered.append((engine.now, dst, msg))]
+                * len(MessageKind)
+                for dst in range(17)
+            ]
+        )
+        return engine, net, delivered
+
+    @pytest.mark.parametrize("kind", [MessageKind.INV, MessageKind.SPEC_RESP])
+    def test_costs_what_one_send_per_destination_costs(self, kind):
+        _, sent, _ = self._net()
+        for dst in self.DSTS:
+            sent.send(make_message(kind=kind, src=DIRECTORY, dst=dst, block=1))
+        _, multicast, _ = self._net()
+        multicast.multicast(
+            make_message(kind=kind, src=DIRECTORY, dst=None, block=1), self.DSTS
+        )
+        assert multicast.flits_sent == sent.flits_sent
+        assert multicast.messages_sent == sent.messages_sent == len(self.DSTS)
+        assert multicast.flits_by_kind == sent.flits_by_kind
+        assert multicast.stats() == sent.stats()
+
+    def test_delivers_the_record_in_destination_order(self):
+        engine, net, delivered = self._net()
+        inv = make_message(kind=MessageKind.INV, src=DIRECTORY, dst=None, block=1)
+        net.multicast(inv, (5, 1, 2), extra_delay=6)
+        engine.run()
+        assert [(cycle, dst) for cycle, dst, _ in delivered] == [
+            (7, 5), (7, 1), (7, 2)  # link latency 1 + extra delay 6
+        ]
+        assert all(msg is inv for _, _, msg in delivered)
+
+    def test_traced_multicast_emits_one_msg_sent_per_destination(self):
+        probe = Probe()
+        events = []
+        probe.subscribe(events.append)
+        _, net, _ = self._net(probe)
+        inv = make_message(
+            kind=MessageKind.INV, src=DIRECTORY, dst=None, block=4,
+            requester=3, pic=2,
+        )
+        net.multicast(inv, self.DSTS)
+        assert all(isinstance(ev, MsgSent) for ev in events)
+        assert [ev.dst for ev in events] == list(self.DSTS)
+        assert {(ev.src, ev.msg_kind, ev.block, ev.pic) for ev in events} == {
+            (DIRECTORY, "Inv", 4, 2)
+        }
+
+    def test_shared_inv_reads_as_sent_after_its_holders_handled_it(self):
+        """Three CHATS readers hold a block when a fourth core writes it:
+        the round's one INV record reaches all three conflicting holders,
+        and no handler writes it."""
+        x = 0x10_0000
+
+        def reader():
+            def body():
+                yield Read(x)
+                yield Work(600)
+
+            yield Txn(body, ())
+
+        def writer():
+            yield Work(150)
+
+            def body():
+                yield Write(x, 1)
+
+            yield Txn(body, ())
+
+        sim = Simulator(
+            ScriptedWorkload([reader, reader, reader, writer]),
+            htm=table2_config(paper.CHATS),
+            config=SystemConfig(num_cores=4),
+        )
+        seen = []  # (core, record, its fields at delivery)
+
+        def watch(core, handle):
+            def handler(msg):
+                seen.append((core, msg, slots(msg)))
+                handle(msg)
+
+            return handler
+
+        inv = MessageKind.INV.idx
+        for core, l1 in enumerate(sim.l1s):
+            l1._handlers[inv] = watch(core, l1._handlers[inv])
+        sim.run(max_events=1_000_000)
+        holders = defaultdict(list)
+        for core, msg, _ in seen:
+            holders[id(msg)].append(core)
+        assert [0, 1, 2] in holders.values()
+        assert sim.stats.spec_forwards >= 3  # the holders conflicted
+        assert all(slots(msg) == sent for _, msg, sent in seen)

@@ -269,6 +269,19 @@ class TestRunMany:
             )
             assert sources() == ["memory"]
 
+    def test_uncached_batch_never_opens_the_store(self, tmp_path, monkeypatch):
+        """``use_cache=False`` neither reads nor writes the store, so a
+        cache directory whose store cannot open does not stop the run."""
+        squatted = tmp_path / "squatted"
+        squatted.mkdir()
+        (squatted / "store").write_text("")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(squatted))
+        cfg = RunConfig.make("synth", "chats", threads=2, scale=0.05, seed=1)
+        [result] = run_many([cfg], workers=1, use_cache=False)
+        assert result.workload == "synth"
+        assert sources() == ["run"]
+        assert (squatted / "store").is_file()
+
     def test_failure_surfaces_offending_config(self):
         bad = RunConfig.make("no-such-workload", paper.BASELINE, **FAST)
         with pytest.raises(RuntimeError, match="no-such-workload"):
