@@ -18,6 +18,10 @@ from __future__ import annotations
 import argparse
 import time
 
+# Module globals, as the simulator's handlers see them: ``bounce`` and the
+# two load cases below read these through a global load.
+from repro.net.messages import DATA, GETS, GETX, MessageKind
+
 
 def timed(fn, n, repeat):
     """Best-of-``repeat`` ops/sec of ``fn(n)`` performing ``n`` ops."""
@@ -130,7 +134,7 @@ def bench_message_hop(n):
     messages bounce at once, so each simulated cycle fires four."""
     from types import SimpleNamespace
 
-    from repro.net.messages import MessageKind, make_message
+    from repro.net.messages import make_message
     from repro.net.network import Crossbar
     from repro.sim.config import SystemConfig
     from repro.sim.engine import Engine
@@ -145,7 +149,7 @@ def bench_message_hop(n):
         if remaining[0] >= 4:
             site.send(
                 site.Message(
-                    kind=MessageKind.DATA,
+                    kind=DATA,
                     src=msg.dst,
                     dst=msg.src,
                     block=msg.block,
@@ -156,7 +160,7 @@ def bench_message_hop(n):
 
     net.connect([[bounce] * len(MessageKind)] * 3)
     for block in range(4):
-        site.send(site.Message(kind=MessageKind.GETS, src=0, dst=1, block=block))
+        site.send(site.Message(kind=GETS, src=0, dst=1, block=block))
     engine.run()
 
 
@@ -168,7 +172,7 @@ def bench_invalidation_round(n):
     from repro.mem.address import Geometry
     from repro.mem.directory import Directory
     from repro.mem.memory import MainMemory
-    from repro.net.messages import DIRECTORY, MessageKind, make_message
+    from repro.net.messages import DIRECTORY, make_message
     from repro.net.network import Crossbar
     from repro.sim.config import SystemConfig
     from repro.sim.engine import Engine
@@ -185,15 +189,32 @@ def bench_invalidation_round(n):
     entry = directory._entry(1)
     entry.sharers = set(range(8))
     getx = make_message(
-        kind=MessageKind.GETX, src=0, dst=DIRECTORY, block=1, epoch=1, req_id=1
+        kind=GETX, src=0, dst=DIRECTORY, block=1, epoch=1, req_id=1
     )
-    handle = directory._handlers[MessageKind.GETX.idx]
+    handle = directory._handlers[GETX.idx]
     run = engine.run
     for _ in range(n):
         handle(getx)
         run()
         entry.busy = False
         entry.inv_round = None
+
+
+def bench_enum_member_load(n):
+    """``kind is MessageKind.DATA`` inside a function: on Python 3.10
+    and 3.11 each member load through its class runs ``EnumType``'s
+    ``__getattr__`` hook."""
+    kind = GETS
+    for _ in range(n):
+        kind is MessageKind.DATA
+
+
+def bench_module_constant_load(n):
+    """``kind is DATA``: the same test through the module constant that
+    the simulator's event path uses (one global load)."""
+    kind = GETS
+    for _ in range(n):
+        kind is DATA
 
 
 def bench_cache_hit(n):
@@ -324,6 +345,8 @@ BENCHES = (
     ("directory probe construct (16 fields)", bench_directory_probe, 200_000),
     ("message hop (construct, send, deliver)", bench_message_hop, 200_000),
     ("invalidation round (8 sharers, 7 INVs)", bench_invalidation_round, 50_000),
+    ("enum member load (kind is MessageKind.DATA)", bench_enum_member_load, 2_000_000),
+    ("module constant load (kind is DATA)", bench_module_constant_load, 2_000_000),
     ("L1 cache hit lookup", bench_cache_hit, 500_000),
     ("speculative store write+read", bench_spec_store, 200_000),
     ("holder SpecResp payload (store block_value)", bench_holder_payload, 200_000),

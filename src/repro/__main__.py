@@ -36,7 +36,9 @@ Subcommands:
 
 * ``trend`` — print the parent and change medians of every perfbench
   record in ``benchmarks/perf/history/pr<N>/``, per PR, workload and
-  metric (exit 1 on a missing, empty or unreadable history); the
+  metric, with the runs paired by benchmark seed: pairs, pairs read
+  higher on the change side, the median pair ratio and the parent's
+  quartiles (exit 1 on a missing, empty or unreadable history); the
   performance itself is measured by ``perfbench/run.py``::
 
       python -m repro trend
@@ -727,8 +729,11 @@ def build_parser() -> argparse.ArgumentParser:
             "Read the perfbench runs in every pr<N>/parent.jsonl and "
             "pr<N>/change.jsonl of the history directory and print, per "
             "PR, workload and metric, the parent median, the change "
-            "median and their delta.  Exits 1 on a missing or empty "
-            "history or a line that is not perfbench output."
+            "median and their delta, then the runs paired by benchmark "
+            "seed: the number of pairs, how many read higher on the "
+            "change side, the median change/parent ratio and the "
+            "parent's inclusive quartiles.  Exits 1 on a missing or "
+            "empty history or a line that is not perfbench output."
         ),
     )
     p_trend.add_argument(

@@ -16,6 +16,17 @@ the parent's runs, the median of the change's runs and their delta.
 Runs made with ``--trace 1`` report the per-layer metrics, so those
 appear whenever a record holds traced runs.
 
+Each metric line also carries the pair rule's numbers
+(docs/PERFORMANCE.md).  A parent run pairs with the change run of the
+same workload and benchmark seed (the environment line's ``seed``), in
+file order, metric by metric: the k-th parent value of a metric at seed
+N with the k-th change value at seed N.  Traced runs report only the
+per-layer metrics, so they pair only with each other.  A run with no
+partner stays unpaired.  The line gives the number of pairs, how many
+read higher on the change side, the median of the per-pair ratios
+(change over parent) and the parent's inclusive quartiles.  Which way
+is better is each metric's ``better`` in ``BENCHMARK.json``.
+
 Loading is strict: a missing or empty history, a ``pr<N>`` directory
 without both files, or a line that is not a perfbench line raises
 :class:`TrendError`, because a silently skipped record would falsify
@@ -26,9 +37,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import defaultdict, deque
 from pathlib import Path
-from statistics import median
-from typing import Dict, List, Tuple
+from statistics import median, quantiles
+from typing import Deque, Dict, List, Tuple
 
 SIDES = ("parent", "change")
 
@@ -42,7 +54,7 @@ class TrendError(RuntimeError):
 class WorkloadRuns:
     """Every run of one workload in one record file."""
 
-    __slots__ = ("runs", "failed", "metrics")
+    __slots__ = ("runs", "failed", "metrics", "seeds")
 
     def __init__(self) -> None:
         self.runs = 0
@@ -50,6 +62,8 @@ class WorkloadRuns:
         self.failed = 0
         #: metric name -> (unit, one value per run that reported it).
         self.metrics: Dict[str, Tuple[str, List[float]]] = {}
+        #: metric name -> the benchmark seed of each of its values.
+        self.seeds: Dict[str, List[int]] = {}
 
 
 #: ``(N, {"parent": records, "change": records})`` per ``pr<N>``, where
@@ -85,8 +99,11 @@ def _load_records(path: Path) -> Dict[str, WorkloadRuns]:
                 raise ValueError("not a JSON object")
             if "environment" in doc:
                 workload = doc["environment"]["workload"]
+                seed = doc["environment"]["seed"]
                 if not isinstance(workload, str):
                     raise ValueError("environment names no workload")
+                if isinstance(seed, bool) or not isinstance(seed, int):
+                    raise ValueError("environment names no seed")
                 continue
             metrics = {
                 name: _metric_value(metric)
@@ -100,6 +117,7 @@ def _load_records(path: Path) -> Dict[str, WorkloadRuns]:
             runs.failed += failed
             for name, (unit, value) in metrics.items():
                 runs.metrics.setdefault(name, (unit, []))[1].append(value)
+                runs.seeds.setdefault(name, []).append(seed)
             workload = None
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise TrendError(
@@ -149,10 +167,49 @@ def _median(runs: WorkloadRuns, name: str):
     return median(runs.metrics[name][1]) if name in runs.metrics else None
 
 
+def pairs(
+    parent: WorkloadRuns, change: WorkloadRuns, name: str
+) -> List[Tuple[float, float]]:
+    """``(parent, change)`` values of ``name`` paired by benchmark seed,
+    in file order; a value with no partner is left out."""
+    if name not in parent.metrics or name not in change.metrics:
+        return []
+    waiting: Dict[int, Deque[float]] = defaultdict(deque)
+    for seed, value in zip(change.seeds[name], change.metrics[name][1]):
+        waiting[seed].append(value)
+    return [
+        (value, waiting[seed].popleft())
+        for seed, value in zip(parent.seeds[name], parent.metrics[name][1])
+        if waiting[seed]
+    ]
+
+
+def _pair_columns(parent: WorkloadRuns, change: WorkloadRuns, name: str):
+    """Pairs, pairs read higher on the change side, median pair ratio,
+    and the parent's inclusive first and third quartiles."""
+    paired = pairs(parent, change, name)
+    higher = sum(new > old for old, new in paired) if paired else None
+    ratios = [new / old for old, new in paired if old]
+    ratio = f"{median(ratios):.3f}" if ratios else "-"
+    q1 = q3 = None
+    if name in parent.metrics:
+        values = parent.metrics[name][1]
+        if len(values) > 1:
+            q1, _, q3 = quantiles(values, n=4, method="inclusive")
+        else:
+            q1 = q3 = values[0]
+    return str(len(paired)), _fmt(higher), ratio, _fmt(q1), _fmt(q3)
+
+
 def format_trend(history: History) -> str:
     """One block per PR: each workload's run counts, then one line per
-    metric with the parent median, the change median and the delta."""
-    lines = [f"{'':<38} {'parent':>12} {'change':>12} {'delta':>8}"]
+    metric with the parent median, the change median, the delta and the
+    pair columns (:func:`pairs`)."""
+    lines = [
+        f"{'':<38} {'parent':>12} {'change':>12} {'delta':>8} "
+        f"{'pairs':>5} {'higher':>6} {'ratio':>6} {'parent q1':>12} "
+        f"{'parent q3':>12}"
+    ]
     for number, sides in history:
         lines.append(f"pr{number}")
         for workload in sorted(set(sides["parent"]) | set(sides["change"])):
@@ -170,8 +227,12 @@ def format_trend(history: History) -> str:
                 delta = "-"
                 if old and new is not None:
                     delta = f"{new / old - 1:+.1%}"
+                count, higher, ratio, q1, q3 = _pair_columns(
+                    parent, change, name
+                )
                 lines.append(
                     f"    {name:<34} {_fmt(old):>12} {_fmt(new):>12} "
-                    f"{delta:>8}  {unit}"
+                    f"{delta:>8} {count:>5} {higher:>6} {ratio:>6} "
+                    f"{q1:>12} {q3:>12}  {unit}"
                 )
     return "\n".join(lines)

@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from ..htm.stats import AbortReason
-from ..net.messages import Message, MessageKind
+from ..htm.stats import VALIDATION
+from ..net.messages import NACK, SPEC_RESP, Message
 from ..obs.events import ValidationMismatch, ValidationOk, ValidationStart, VsbDrain
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,7 +93,7 @@ class ValidationController:
             # Entry vanished (should not happen while active); keep going.
             self._reschedule(tx)
             return
-        if msg.kind is MessageKind.NACK:
+        if msg.kind is NACK:
             self._reschedule(tx)
             return
         # The responder is the abort's proximate source when it is a core
@@ -101,11 +101,11 @@ class ValidationController:
         # blame — the forensics layer then walks the forwarding edges to
         # find the producer whose abort let memory serve stale data.
         src = msg.src if msg.src >= 0 else None
-        if msg.kind is MessageKind.SPEC_RESP:
+        if msg.kind is SPEC_RESP:
             if msg.data != copy:
                 core.stats.validation_mismatches += 1
                 self._emit_mismatch(tx, msg.block)
-                core.abort_tx(AbortReason.VALIDATION, src=src, block=msg.block)
+                core.abort_tx(VALIDATION, src=src, block=msg.block)
                 return
             # The system's validation scheme judges the fruitless attempt
             # (the generic PiC cycle check — or its budget-bounded
@@ -120,7 +120,7 @@ class ValidationController:
         if msg.data != copy:
             core.stats.validation_mismatches += 1
             self._emit_mismatch(tx, msg.block)
-            core.abort_tx(AbortReason.VALIDATION, src=src, block=msg.block)
+            core.abort_tx(VALIDATION, src=src, block=msg.block)
             return
         tx.vsb.retire(msg.block)
         core.stats.validations_succeeded += 1

@@ -31,28 +31,36 @@ class AbortReason(Enum):
     POWER = "power"  # lost a conflict against a power transaction
     HYBRID = "hybrid-slowpath"  # conflicted with a software slow-path txn
 
-    @property
-    def conflict_induced(self) -> bool:
-        """Whether the abort counts against the retry/power thresholds.
-
-        The paper's retry thresholds and PowerTM elevation trigger count
-        *conflict-induced* aborts; capacity and explicit aborts go straight
-        to other handling.
-        """
-        return self in (
-            AbortReason.CONFLICT,
-            AbortReason.VALIDATION,
-            AbortReason.CYCLE,
-            AbortReason.NAIVE_LIMIT,
-            AbortReason.POWER,
-            AbortReason.LOCK,
-            AbortReason.HYBRID,
-        )
-
 
 class AttemptOutcome(Enum):
     COMMITTED = "committed"
     ABORTED = "aborted"
+
+
+# Module constants for event-path code, which names no member through
+# its class (docs/PERFORMANCE.md, "Enum members on the event path").
+CONFLICT = AbortReason.CONFLICT
+VALIDATION = AbortReason.VALIDATION
+CYCLE = AbortReason.CYCLE
+CAPACITY = AbortReason.CAPACITY
+LOCK = AbortReason.LOCK
+NAIVE_LIMIT = AbortReason.NAIVE_LIMIT
+EXPLICIT = AbortReason.EXPLICIT
+POWER = AbortReason.POWER
+HYBRID = AbortReason.HYBRID
+COMMITTED = AttemptOutcome.COMMITTED
+ABORTED = AttemptOutcome.ABORTED
+
+# ``conflict_induced``: whether the abort counts against the retry/power
+# thresholds.  The paper's retry thresholds and PowerTM elevation trigger
+# count *conflict-induced* aborts; capacity and explicit aborts go
+# straight to other handling.  A plain bool on each member (read-only by
+# convention), as ``MessageKind.idx`` is.
+_CONFLICT_INDUCED = frozenset(
+    (CONFLICT, VALIDATION, CYCLE, NAIVE_LIMIT, POWER, LOCK, HYBRID)
+)
+for _reason in AbortReason:
+    _reason.conflict_induced = _reason in _CONFLICT_INDUCED
 
 
 #: HTMStats fields that never serialize (see ``HTMStats.to_dict``).
@@ -113,7 +121,7 @@ class HTMStats:
     consumer_aborted: int = 0
 
     def record_attempt(self, record: AttemptRecord) -> None:
-        committed = record.outcome is AttemptOutcome.COMMITTED
+        committed = record.outcome is COMMITTED
         if record.conflicted:
             if committed:
                 self.conflicted_committed += 1

@@ -32,6 +32,16 @@ class TxStatus(Enum):
     ABORTED = "aborted"
 
 
+# Module constants for event-path code, which names no member through
+# its class (docs/PERFORMANCE.md, "Enum members on the event path").
+# ``repro.htm.stats`` binds ``COMMITTED`` and ``ABORTED`` to
+# ``AttemptOutcome`` members; a module needing both imports one renamed.
+ACTIVE = TxStatus.ACTIVE
+ABORTING = TxStatus.ABORTING
+COMMITTED = TxStatus.COMMITTED
+ABORTED = TxStatus.ABORTED
+
+
 class TxState:
     """State of one hardware transaction attempt on one core."""
 
@@ -70,7 +80,7 @@ class TxState:
     ):
         self.core_id = core_id
         self.epoch = epoch
-        self.status = TxStatus.ACTIVE
+        self.status = ACTIVE
         #: Hot-path mirror of ``status is TxStatus.ACTIVE`` — checked on
         #: every coherence response and probe, so it is a plain attribute
         #: maintained at the (rare) status transitions.
@@ -197,11 +207,11 @@ class TxState:
     # ------------------------------------------------------------------
     def begin_abort(self, reason: AbortReason) -> None:
         """Transition to ABORTING (cleanup happens at the core driver)."""
-        if self.status in (TxStatus.COMMITTED, TxStatus.ABORTED):
+        if self.status in (COMMITTED, ABORTED):
             raise RuntimeError(f"abort of finished transaction ({self.status})")
-        if self.status is TxStatus.ABORTING:
+        if self.status is ABORTING:
             return  # already dying; first reason wins
-        self.status = TxStatus.ABORTING
+        self.status = ABORTING
         self.active = False
         self.abort_reason = reason
 
@@ -211,12 +221,12 @@ class TxState:
         self.pic.reset()
         self.read_sig.clear()
         self.write_set.clear()
-        self.status = TxStatus.ABORTED
+        self.status = ABORTED
         self.active = False
 
     def can_commit(self) -> bool:
         """Commit gate: every speculatively received block validated."""
-        return self.status is TxStatus.ACTIVE and self.vsb.empty
+        return self.status is ACTIVE and self.vsb.empty
 
     def commit(self) -> None:
         if not self.can_commit():
@@ -225,5 +235,5 @@ class TxState:
         self.read_sig.clear()
         self.write_set.clear()
         self.pic.reset()
-        self.status = TxStatus.COMMITTED
+        self.status = COMMITTED
         self.active = False

@@ -27,7 +27,24 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Dict, List, Optional, Set
 
-from ..net.messages import DIRECTORY, Message, MessageKind, make_message
+from ..net.messages import (
+    ACK,
+    CANCEL,
+    DATA,
+    DATA_E,
+    DIRECTORY,
+    FWD_GETS,
+    FWD_GETX,
+    GETS,
+    GETX,
+    INV,
+    UNBLOCK,
+    UPGRADE,
+    WRITEBACK,
+    Message,
+    MessageKind,
+    make_message,
+)
 from ..net.network import Crossbar
 from ..obs.events import DirForward, DirInvRound
 from ..obs.probe import Probe
@@ -105,13 +122,13 @@ class Directory:
         handlers: List[Callable[[Message], None]] = (
             [self._unexpected] * len(MessageKind)
         )
-        handlers[MessageKind.GETS.idx] = self._handle_request
-        handlers[MessageKind.GETX.idx] = self._handle_request
-        handlers[MessageKind.UPGRADE.idx] = self._handle_request
-        handlers[MessageKind.CANCEL.idx] = self._handle_cancel
-        handlers[MessageKind.UNBLOCK.idx] = self._handle_unblock
-        handlers[MessageKind.WRITEBACK.idx] = self._handle_writeback
-        handlers[MessageKind.ACK.idx] = self._handle_inv_ack
+        handlers[GETS.idx] = self._handle_request
+        handlers[GETX.idx] = self._handle_request
+        handlers[UPGRADE.idx] = self._handle_request
+        handlers[CANCEL.idx] = self._handle_cancel
+        handlers[UNBLOCK.idx] = self._handle_unblock
+        handlers[WRITEBACK.idx] = self._handle_writeback
+        handlers[ACK.idx] = self._handle_inv_ack
         self._handlers = handlers
 
     # ------------------------------------------------------------------
@@ -163,7 +180,7 @@ class Directory:
 
     def _process_request(self, entry: _BlockEntry, msg: Message) -> None:
         self.requests += 1
-        if msg.kind is MessageKind.GETS:
+        if msg.kind is GETS:
             self._process_gets(entry, msg)
         else:
             self._process_getx(entry, msg)
@@ -181,7 +198,7 @@ class Directory:
                     )
                 )
             self._network.send(
-                self._forward(MessageKind.FWD_GETS, owner, msg),
+                self._forward(FWD_GETS, owner, msg),
                 extra_delay=self._config.directory_latency,
             )
             return
@@ -203,7 +220,7 @@ class Directory:
                     )
                 )
             self._network.send(
-                self._forward(MessageKind.FWD_GETX, owner, msg),
+                self._forward(FWD_GETX, owner, msg),
                 extra_delay=self._config.directory_latency,
             )
             return
@@ -222,7 +239,7 @@ class Directory:
                     )
                 )
             self._network.multicast(
-                self._forward(MessageKind.INV, None, msg),
+                self._forward(INV, None, msg),
                 sorted(others),
                 extra_delay=self._config.directory_latency,
             )
@@ -240,7 +257,7 @@ class Directory:
             dst=dst,
             block=req.block,
             requester=req.src,
-            exclusive=req.kind is not MessageKind.GETS,
+            exclusive=req.kind is not GETS,
             pic=req.pic,
             power=req.power,
             timestamp=req.timestamp,
@@ -262,7 +279,7 @@ class Directory:
         entry.busy = True
         self._network.send(
             self._Message(
-                kind=MessageKind.DATA,
+                kind=DATA,
                 src=DIRECTORY,
                 dst=msg.src,
                 block=msg.block,
@@ -279,7 +296,7 @@ class Directory:
         entry.busy = True  # until the grantee's 'recv' unblock
         self._network.send(
             self._Message(
-                kind=MessageKind.DATA_E,
+                kind=DATA_E,
                 src=DIRECTORY,
                 dst=msg.src,
                 block=msg.block,
@@ -313,7 +330,7 @@ class Directory:
             # request from memory (non-speculative data, Section III).
             entry.owner = None
             original = self._Message(
-                kind=MessageKind.GETS if not msg.exclusive else MessageKind.GETX,
+                kind=GETS if not msg.exclusive else GETX,
                 src=msg.requester,
                 dst=DIRECTORY,
                 block=msg.block,

@@ -19,16 +19,35 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from ..htm.fallback import OwnershipTable
 from ..htm.signature import FootprintOverflow
-from ..htm.stats import AbortReason, HTMStats
+from ..htm.stats import CAPACITY, CONFLICT, HYBRID, LOCK, POWER, HTMStats
 from ..htm.txstate import TxState
-from ..net.messages import DIRECTORY, Message, MessageKind, make_message
+from ..net.messages import (
+    ACK,
+    CANCEL,
+    DATA,
+    DATA_E,
+    DIRECTORY,
+    FWD_GETS,
+    FWD_GETX,
+    GETS,
+    GETX,
+    INV,
+    NACK,
+    SPEC_RESP,
+    UNBLOCK,
+    UPGRADE,
+    WRITEBACK,
+    Message,
+    MessageKind,
+    make_message,
+)
 from ..net.network import Crossbar
 from ..obs.events import PicUpdate, VsbInsert
 from ..obs.probe import Probe
 from ..sim.config import HTMConfig, SystemConfig
 from ..sim.engine import Engine
 from ..systems.base import ConflictPolicy
-from ..systems.outcome import Resolution
+from ..systems.outcome import RESOLUTION_FORWARD_SPEC, RESOLUTION_NACK
 from .address import Geometry
 from .cache import CapacityAbort, L1Cache
 from .memory import MainMemory
@@ -169,13 +188,13 @@ class L1Controller:
         handlers: List[Callable[[Message], None]] = (
             [self._unexpected] * len(MessageKind)
         )
-        handlers[MessageKind.FWD_GETS.idx] = self._handle_forwarded_probe
-        handlers[MessageKind.FWD_GETX.idx] = self._handle_forwarded_probe
-        handlers[MessageKind.INV.idx] = self._handle_inv
-        handlers[MessageKind.DATA.idx] = self._handle_response
-        handlers[MessageKind.DATA_E.idx] = self._handle_response
-        handlers[MessageKind.SPEC_RESP.idx] = self._handle_response
-        handlers[MessageKind.NACK.idx] = self._handle_response
+        handlers[FWD_GETS.idx] = self._handle_forwarded_probe
+        handlers[FWD_GETX.idx] = self._handle_forwarded_probe
+        handlers[INV.idx] = self._handle_inv
+        handlers[DATA.idx] = self._handle_response
+        handlers[DATA_E.idx] = self._handle_response
+        handlers[SPEC_RESP.idx] = self._handle_response
+        handlers[NACK.idx] = self._handle_response
         self._handlers = handlers
 
     # ------------------------------------------------------------------
@@ -239,7 +258,7 @@ class L1Controller:
         self._schedule(self._hit_latency, fn, *args)
 
     def _abort_capacity(self, tx: TxState, block: int) -> None:
-        self.core.abort_tx(AbortReason.CAPACITY, block=block)
+        self.core.abort_tx(CAPACITY, block=block)
 
     def _check_orec(self, block: int) -> bool:
         """Hybrid instrumentation: a hardware transaction touching a block
@@ -249,9 +268,7 @@ class L1Controller:
         when the access killed the attempt."""
         owner = self._orecs.owner(block)
         if owner is not None and owner != self.core_id:
-            self.core.abort_tx(
-                AbortReason.HYBRID, src=owner, block=block
-            )
+            self.core.abort_tx(HYBRID, src=owner, block=block)
             return True
         return False
 
@@ -271,7 +288,7 @@ class L1Controller:
             # forwarding to us; shared victims are evicted silently.
             self._send(
                 self._Message(
-                    kind=MessageKind.WRITEBACK,
+                    kind=WRITEBACK,
                     src=self.core_id,
                     dst=DIRECTORY,
                     block=victim.block,
@@ -305,7 +322,7 @@ class L1Controller:
             on_value=callback,
             addr=addr,
         )
-        self._send_request(MessageKind.GETS, block, out)
+        self._send_request(GETS, block, out)
 
     def tx_write(
         self, tx: TxState, addr: int, value: int, callback: ValueCallback
@@ -335,7 +352,7 @@ class L1Controller:
             on_value=callback,
             addr=addr,
         )
-        kind = MessageKind.UPGRADE if line is not None else MessageKind.GETX
+        kind = UPGRADE if line is not None else GETX
         self._send_request(kind, block, out)
 
     def issue_validation(
@@ -350,7 +367,7 @@ class L1Controller:
             is_validation=True,
             on_message=callback,
         )
-        self._send_request(MessageKind.GETX, block, out, is_validation=True)
+        self._send_request(GETX, block, out, is_validation=True)
 
     # ------------------------------------------------------------------
     # Non-transactional operations.
@@ -370,7 +387,7 @@ class L1Controller:
             on_value=callback,
             addr=addr,
         )
-        self._send_request(MessageKind.GETS, block, out, non_transactional=True)
+        self._send_request(GETS, block, out, non_transactional=True)
 
     def nontx_write(self, addr: int, value: int, callback: ValueCallback) -> None:
         block = self._block_of(addr)
@@ -390,7 +407,7 @@ class L1Controller:
             addr=addr,
             write_value=value,
         )
-        self._send_request(MessageKind.GETX, block, out, non_transactional=True)
+        self._send_request(GETX, block, out, non_transactional=True)
 
     def nontx_cas(
         self, addr: int, expect: int, new: int, callback: ValueCallback
@@ -413,7 +430,7 @@ class L1Controller:
             addr=addr,
             cas=(expect, new),
         )
-        self._send_request(MessageKind.GETX, block, out, non_transactional=True)
+        self._send_request(GETX, block, out, non_transactional=True)
 
     # ------------------------------------------------------------------
     # Incoming message dispatch.
@@ -438,7 +455,7 @@ class L1Controller:
             self._unblock(msg, "not_present")
             return
         tx = self._tx()
-        exclusive = msg.kind is MessageKind.FWD_GETX
+        exclusive = msg.kind is FWD_GETX
         conflict = tx is not None and (
             tx.conflicts_with_read(block) if exclusive else tx.conflicts_with_write(block)
         )
@@ -449,11 +466,11 @@ class L1Controller:
         data = self._memory.block_value(block)
         if exclusive:
             self.cache.invalidate(block)
-            self._respond_data(msg, MessageKind.DATA_E, data)
+            self._respond_data(msg, DATA_E, data)
             self._unblock(msg, "xfer")
         else:
             line.state = "S"
-            self._respond_data(msg, MessageKind.DATA, data)
+            self._respond_data(msg, DATA, data)
             self._unblock(msg, "downgrade")
 
     def _handle_inv(self, msg: Message) -> None:
@@ -472,7 +489,7 @@ class L1Controller:
         """Apply the conflict policy as the holder of ``msg.block``."""
         pic_before = tx.pic.value
         outcome = self._policy.resolve(tx, msg, self._inflight_write)
-        if outcome.resolution is Resolution.FORWARD_SPEC:
+        if outcome.resolution is RESOLUTION_FORWARD_SPEC:
             tx.mark_forwarded()
             self._stats.spec_forwards += 1
             if self._probe._subscribers and tx.pic.value != pic_before:
@@ -484,7 +501,7 @@ class L1Controller:
                 )
             self._send(
                 self._Message(
-                    kind=MessageKind.SPEC_RESP,
+                    kind=SPEC_RESP,
                     src=self.core_id,
                     dst=msg.requester,
                     block=msg.block,
@@ -500,11 +517,11 @@ class L1Controller:
             else:
                 self._cancel(msg)
             return
-        if outcome.resolution is Resolution.NACK:
+        if outcome.resolution is RESOLUTION_NACK:
             tx.mark_conflicted()
             self._send(
                 self._Message(
-                    kind=MessageKind.NACK,
+                    kind=NACK,
                     src=self.core_id,
                     dst=msg.requester,
                     block=msg.block,
@@ -521,11 +538,11 @@ class L1Controller:
         tx.mark_conflicted()
         reason = outcome.abort_reason
         if msg.block == self._lock_block:
-            reason = AbortReason.LOCK
-        elif msg.power and reason is AbortReason.CONFLICT:
-            reason = AbortReason.POWER
+            reason = LOCK
+        elif msg.power and reason is CONFLICT:
+            reason = POWER
         elif (
-            reason is AbortReason.CONFLICT
+            reason is CONFLICT
             and msg.non_transactional
             and self._orecs is not None
             and self._orecs.in_slowpath(msg.requester)
@@ -533,7 +550,7 @@ class L1Controller:
             # The requester is a hybrid software slow path (reading a
             # block it is about to own, or publishing its redo log): the
             # same cause as a failed orec check, so classify it alike.
-            reason = AbortReason.HYBRID
+            reason = HYBRID
         self.core.abort_tx(reason, src=msg.requester, block=msg.block)
         # Gang invalidation dropped the SM lines, but the probed block may
         # be cached *non-speculatively* (e.g. the fallback lock block, or a
@@ -562,7 +579,7 @@ class L1Controller:
     def _unblock(self, probe: Message, action: str) -> None:
         self._send(
             self._Message(
-                kind=MessageKind.UNBLOCK,
+                kind=UNBLOCK,
                 src=self.core_id,
                 dst=DIRECTORY,
                 block=probe.block,
@@ -577,7 +594,7 @@ class L1Controller:
     def _cancel(self, probe: Message) -> None:
         self._send(
             self._Message(
-                kind=MessageKind.CANCEL,
+                kind=CANCEL,
                 src=self.core_id,
                 dst=DIRECTORY,
                 block=probe.block,
@@ -590,7 +607,7 @@ class L1Controller:
     def _ack_inv(self, probe: Message, action: str) -> None:
         self._send(
             self._Message(
-                kind=MessageKind.ACK,
+                kind=ACK,
                 src=self.core_id,
                 dst=DIRECTORY,
                 block=probe.block,
@@ -603,16 +620,13 @@ class L1Controller:
 
     # -- Requester side: responses --------------------------------------
     def _handle_response(self, msg: Message) -> None:
-        if msg.src == DIRECTORY and msg.kind in (
-            MessageKind.DATA,
-            MessageKind.DATA_E,
-        ):
+        if msg.src == DIRECTORY and msg.kind in (DATA, DATA_E):
             # Directory-sourced grants keep the block busy until this
             # acknowledgement — sent unconditionally, even for responses
             # addressed to a rolled-back attempt.
             self._send(
                 self._Message(
-                    kind=MessageKind.UNBLOCK,
+                    kind=UNBLOCK,
                     src=self.core_id,
                     dst=DIRECTORY,
                     block=msg.block,
@@ -630,10 +644,10 @@ class L1Controller:
                 # line — drop any older cached copy too, so no read can hit
                 # a line the directory no longer associates with us (the
                 # next probe heals the directory via 'not_present').
-                if msg.kind in (MessageKind.DATA, MessageKind.DATA_E):
+                if msg.kind in (DATA, DATA_E):
                     self.cache.invalidate(msg.block)
                 if (
-                    msg.kind is MessageKind.DATA_E
+                    msg.kind is DATA_E
                     and tx is not None
                     and (tx.reads(msg.block) or tx.writes(msg.block))
                 ):
@@ -643,7 +657,7 @@ class L1Controller:
                     # already read it.  Its isolation can no longer be
                     # policed; it must roll back.  (A directory race, not
                     # another core's action: no ``src`` to attribute.)
-                    self.core.abort_tx(AbortReason.CONFLICT, block=msg.block)
+                    self.core.abort_tx(CONFLICT, block=msg.block)
                 return
             if out.is_validation:
                 self._complete_validation(tx, out, msg)
@@ -655,17 +669,17 @@ class L1Controller:
     def _complete_tx_request(
         self, tx: TxState, out: _Outstanding, msg: Message
     ) -> None:
-        if msg.kind is MessageKind.NACK:
+        if msg.kind is NACK:
             # Requester-stall: retry the access later (Power/LEVC holders).
             self._engine.schedule(
                 self._htm.nack_retry_delay, self._retry_tx_request, tx.epoch, out
             )
             return
-        if msg.kind is MessageKind.SPEC_RESP:
+        if msg.kind is SPEC_RESP:
             self._consume_spec_resp(tx, out, msg)
             return
         # Ordinary data response.
-        state = "E" if msg.kind is MessageKind.DATA_E else "S"
+        state = "E" if msg.kind is DATA_E else "S"
         if out.exclusive:
             state = "M"
         if not self._install(out.block, state, speculative=out.exclusive):
@@ -677,7 +691,7 @@ class L1Controller:
         tx = self._tx()
         if tx is None or tx.epoch != epoch:
             return
-        kind = MessageKind.GETX if out.exclusive else MessageKind.GETS
+        kind = GETX if out.exclusive else GETS
         self._send_request(kind, out.block, out)
 
     def _consume_spec_resp(
@@ -732,7 +746,7 @@ class L1Controller:
     ) -> None:
         if self._orecs is not None and self._check_orec(out.block):
             return  # a slow path took the block since it was consumed
-        if msg.kind is MessageKind.DATA_E:
+        if msg.kind is DATA_E:
             # We are now the genuine owner of the block.
             line = self.cache.peek(out.block)
             if line is not None:
@@ -746,12 +760,12 @@ class L1Controller:
         out.on_message(msg)
 
     def _complete_nontx_request(self, out: _Outstanding, msg: Message) -> None:
-        if msg.kind is MessageKind.NACK:
+        if msg.kind is NACK:
             self._engine.schedule(
                 self._htm.nack_retry_delay, self._retry_nontx_request, out
             )
             return
-        if msg.kind is MessageKind.SPEC_RESP:  # pragma: no cover - forbidden
+        if msg.kind is SPEC_RESP:  # pragma: no cover - forbidden
             raise RuntimeError("speculative response to a non-transactional request")
         result = 0
         if out.cas is not None:
@@ -765,10 +779,10 @@ class L1Controller:
             self._install(out.block, "M")
         else:
             result = self._memory.read_word(out.addr)
-            self._install(out.block, "E" if msg.kind is MessageKind.DATA_E else "S")
+            self._install(out.block, "E" if msg.kind is DATA_E else "S")
         assert out.on_value is not None
         out.on_value(result)
 
     def _retry_nontx_request(self, out: _Outstanding) -> None:
-        kind = MessageKind.GETX if out.exclusive else MessageKind.GETS
+        kind = GETX if out.exclusive else GETS
         self._send_request(kind, out.block, out, non_transactional=True)

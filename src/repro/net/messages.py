@@ -17,7 +17,9 @@ record may serve several deliveries (an invalidation round's INV goes to
 every sharer), so a handler never writes a delivered message.  The
 per-kind hot attributes (``carries_data``, ``idx``) are precomputed once
 on the enum members, so the send path pays plain C-speed attribute loads
-instead of property calls and enum hashing.
+instead of property calls and enum hashing, and every kind is also a
+module constant (``DATA``), so handlers test kinds without a class
+attribute load.
 """
 
 from __future__ import annotations
@@ -62,6 +64,23 @@ _DATA_KINDS = frozenset(
 for _i, _kind in enumerate(MessageKind):
     _kind.idx = _i
     _kind.carries_data = _kind in _DATA_KINDS
+
+# Module constants for event-path code, which names no member through
+# its class (docs/PERFORMANCE.md, "Enum members on the event path").
+GETS = MessageKind.GETS
+GETX = MessageKind.GETX
+UPGRADE = MessageKind.UPGRADE
+FWD_GETS = MessageKind.FWD_GETS
+FWD_GETX = MessageKind.FWD_GETX
+INV = MessageKind.INV
+DATA = MessageKind.DATA
+DATA_E = MessageKind.DATA_E
+SPEC_RESP = MessageKind.SPEC_RESP
+NACK = MessageKind.NACK
+ACK = MessageKind.ACK
+CANCEL = MessageKind.CANCEL
+UNBLOCK = MessageKind.UNBLOCK
+WRITEBACK = MessageKind.WRITEBACK
 
 
 #: Node id of the directory in message src/dst fields.

@@ -31,7 +31,7 @@ from ..obs.events import MsgSent, SpecForward
 from ..obs.probe import Probe
 from ..sim.config import SystemConfig
 from ..sim.engine import Engine
-from .messages import Message, MessageKind
+from .messages import GETX, SPEC_RESP, Message, MessageKind
 
 
 Handler = Callable[[Message], None]
@@ -125,7 +125,7 @@ class Crossbar:
                 action=msg.action,
             )
         )
-        if kind is MessageKind.SPEC_RESP:
+        if kind is SPEC_RESP:
             probe.emit(
                 SpecForward(
                     cycle=now,
@@ -178,7 +178,7 @@ class Crossbar:
             schedule(delay, tables[dst][idx], msg)
 
     def stats(self) -> Dict[str, int]:
-        validation_kinds = (MessageKind.GETX, MessageKind.SPEC_RESP)
+        validation_kinds = (GETX, SPEC_RESP)
         by_idx = self._flits_by_idx
         return {
             "flits": self.flits_sent,
@@ -189,7 +189,7 @@ class Crossbar:
             "control_flits": sum(
                 by_idx[kind.idx] for kind in MessageKind if not kind.carries_data
             ),
-            "spec_resp_flits": by_idx[MessageKind.SPEC_RESP.idx],
+            "spec_resp_flits": by_idx[SPEC_RESP.idx],
             "_validation_kinds": sum(
                 by_idx[kind.idx] for kind in validation_kinds
             ),

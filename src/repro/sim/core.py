@@ -24,7 +24,7 @@ from typing import Any, Generator, Optional, TYPE_CHECKING
 
 from ..core.validation import ValidationController
 from ..htm.fallback import LOCK_FREE, LOCK_HELD
-from ..htm.stats import AbortReason, AttemptOutcome
+from ..htm.stats import ABORTED, CAPACITY, COMMITTED, EXPLICIT, AbortReason
 from ..htm.txstate import TxState
 from ..obs import events as obs
 from .ops import Abort, AtomicCAS, Read, Txn, Work, Write
@@ -203,7 +203,7 @@ class Core:
         """Roll back an attempt that never ran user code (lock was held)."""
         tx = self.tx
         assert tx is not None
-        tx.begin_abort(AbortReason.EXPLICIT)
+        tx.begin_abort(EXPLICIT)
         self.l1.cache.gang_invalidate_speculative()
         tx.finish_abort()
         self.validation.cancel()
@@ -248,7 +248,7 @@ class Core:
     def _explicit_abort(self, op: Abort) -> None:
         if op.no_retry:
             self._conflict_aborts = self.htm.retries + 1
-        self.abort_tx(AbortReason.EXPLICIT)
+        self.abort_tx(EXPLICIT)
 
     # ------------------------------------------------------------------
     # Commit.
@@ -281,7 +281,7 @@ class Core:
     def _do_commit(self) -> None:
         tx = self.tx
         assert tx is not None and tx.active
-        tx.record.outcome = AttemptOutcome.COMMITTED
+        tx.record.outcome = COMMITTED
         self.stats.record_attempt(tx.record)
         probe = self.sim.probe
         if probe._subscribers:
@@ -350,7 +350,7 @@ class Core:
         self._fence_since = None
         tx.begin_abort(reason)
         self._write_history |= tx.write_set
-        tx.record.outcome = AttemptOutcome.ABORTED
+        tx.record.outcome = ABORTED
         tx.record.reason = reason
         self.stats.record_attempt(tx.record)
         self.stats.aborts[reason] += 1
@@ -361,7 +361,7 @@ class Core:
         self.validation.cancel()
         self.tx = None
         self._tgen = None
-        if reason.conflict_induced or reason is AbortReason.EXPLICIT:
+        if reason.conflict_induced or reason is EXPLICIT:
             # Conflict-induced aborts drive the paper's thresholds;
             # explicit (_xabort-style) aborts burn retry budget too, as in
             # RTM runtimes.
@@ -375,7 +375,7 @@ class Core:
                 return
             self.engine.schedule(self._backoff(), self._begin_attempt)
             return
-        if reason is AbortReason.CAPACITY:
+        if reason is CAPACITY:
             # The RTM abort code would carry "retry not helpful": a
             # transaction that overflows the L1 will overflow it again, so
             # the runtime serializes immediately.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from ..htm.stats import AbortReason
+from ..htm.stats import CYCLE, AbortReason
 from .forwardrules import InflightWriteProbe, block_is_forwardable
 from .outcome import ABORT, PolicyOutcome
 
@@ -55,13 +55,13 @@ class ConflictPolicy:
         """
         if self.htm.validation_pic_check:
             if tx.pic.validation_check(message_pic):
-                return AbortReason.CYCLE
+                return CYCLE
         else:
             # Ablation: with the PiC check disabled, undetected cycles
             # can only be broken by bounding fruitless validations.
             tx.naive_budget -= 1
             if tx.naive_budget <= 0:
-                return AbortReason.CYCLE
+                return CYCLE
         return self.on_unsuccessful_validation(tx)
 
     def on_unsuccessful_validation(self, tx: "TxState") -> Optional[AbortReason]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Callable, TYPE_CHECKING
 
-from .spec import ForwardClass
+from .spec import FORWARD_R_RESTRICT_W, FORWARD_RW, FORWARD_W, ForwardClass
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..htm.txstate import TxState
@@ -45,11 +45,11 @@ def block_is_forwardable(
     if not (written or read):
         # Not a conflicting block at all; the caller should not have asked.
         return False
-    if forward_class is ForwardClass.W:
+    if forward_class is FORWARD_W:
         return written
-    if forward_class is ForwardClass.RW:
+    if forward_class is FORWARD_RW:
         return True
-    if forward_class is ForwardClass.R_RESTRICT_W:
+    if forward_class is FORWARD_R_RESTRICT_W:
         # The restriction applies to the *read* set (the R in Rrestrict):
         # a read block with an in-flight local GETX is about to be
         # speculatively written, so its current value would be poison.

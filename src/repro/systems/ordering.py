@@ -26,7 +26,12 @@ from __future__ import annotations
 import functools
 from typing import TYPE_CHECKING, Tuple
 
-from .outcome import ABORT_CYCLE, FORWARD_NO_PIC, PolicyOutcome, Resolution
+from .outcome import (
+    ABORT_CYCLE,
+    FORWARD_NO_PIC,
+    RESOLUTION_FORWARD_SPEC,
+    PolicyOutcome,
+)
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..htm.txstate import TxState
@@ -54,7 +59,7 @@ def pic_forward_outcomes(pic_limit: int) -> Tuple[PolicyOutcome, ...]:
     Built once per register width (the PiC ablation sweeps ``pic_bits``)
     and shared by every simulation using it."""
     return tuple(
-        PolicyOutcome(Resolution.FORWARD_SPEC, message_pic=pic)
+        PolicyOutcome(RESOLUTION_FORWARD_SPEC, message_pic=pic)
         for pic in range(pic_limit)
     )
 

@@ -35,6 +35,14 @@ class Resolution(Enum):
     NACK = "nack"
 
 
+# Module constants for event-path code, which names no member through
+# its class (docs/PERFORMANCE.md, "Enum members on the event path").
+# ``NACK`` and the ``FORWARD_*`` names below are outcomes, so these carry
+# the class name.
+RESOLUTION_FORWARD_SPEC = Resolution.FORWARD_SPEC
+RESOLUTION_NACK = Resolution.NACK
+
+
 @dataclass(frozen=True, slots=True)
 class PolicyOutcome:
     resolution: Resolution

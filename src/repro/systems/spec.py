@@ -53,6 +53,13 @@ class ForwardClass(Enum):
     R_RESTRICT_W = "Rrestrict/W"
 
 
+# Module constants for event-path code, which names no member through
+# its class (docs/PERFORMANCE.md, "Enum members on the event path").
+FORWARD_RW = ForwardClass.RW
+FORWARD_W = ForwardClass.W
+FORWARD_R_RESTRICT_W = ForwardClass.R_RESTRICT_W
+
+
 #: The closed vocabulary of each mechanism layer.
 CONFLICT_LAYERS = ("requester-wins", "requester-speculates", "requester-stalls")
 ORDERING_LAYERS = ("none", "pic", "ideal-timestamp", "levc-flags")

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Optional, TYPE_CHECKING
 
-from ..htm.stats import AbortReason
+from ..htm.stats import NAIVE_LIMIT, AbortReason
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..htm.txstate import TxState
@@ -56,7 +56,7 @@ class NaiveBudgetValidation(ValidationScheme):
     def on_unsuccessful(self, tx: "TxState") -> Optional[AbortReason]:
         tx.naive_budget -= 1
         if tx.naive_budget <= 0:
-            return AbortReason.NAIVE_LIMIT
+            return NAIVE_LIMIT
         return None
 
     def on_successful(self, tx: "TxState") -> None:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.pic import PiCRegister
+from repro.experiments.runner import RunConfig, simulate
+from repro.htm.stats import AbortReason
 from repro.sim.config import HTMConfig
 
 
@@ -162,6 +164,35 @@ class TestValidationCheck:
     def test_no_pic_no_check(self):
         assert not make_pic(value=None).validation_check(5)
         assert not make_pic(value=10).validation_check(None)
+
+
+class TestValidationCheckEndToEnd:
+    """The policy consults the validation-time PiC check in a full run.
+
+    vacation under PCHATS (16 threads, scale 0.2, workload seed 2) is a
+    config whose run fires the check: one unsuccessful validation sees a
+    SpecResp PiC at or below its own and aborts with ``cycle``.  With the
+    check bypassed the stale chain is left to resolve itself, and the run
+    ends later with no ``cycle`` abort at all.
+    """
+
+    def run(self):
+        return simulate(
+            RunConfig.make("vacation", "pchats", threads=16, scale=0.2, seed=2)
+        )
+
+    def test_check_fires_once(self):
+        result = self.run()
+        assert result.cycles == 2992
+        assert result.stats.aborts[AbortReason.CYCLE] == 1
+
+    def test_bypassed_check_changes_the_run(self, monkeypatch):
+        monkeypatch.setattr(
+            PiCRegister, "validation_check", lambda self, message_pic: False
+        )
+        result = self.run()
+        assert result.cycles == 3103
+        assert result.stats.aborts[AbortReason.CYCLE] == 0
 
 
 class TestLifecycle:

@@ -19,6 +19,26 @@ class TestAbortReason:
         assert not AbortReason.CAPACITY.conflict_induced
         assert not AbortReason.EXPLICIT.conflict_induced
 
+    def test_conflict_induced_is_a_plain_bool_on_every_member(self):
+        # Read on every abort, so it is set once at import rather than
+        # computed by a property.
+        assert not isinstance(
+            vars(AbortReason).get("conflict_induced"), property
+        )
+        assert {r.value: r.conflict_induced for r in AbortReason} == {
+            "conflict": True,
+            "validation": True,
+            "cycle": True,
+            "capacity": False,
+            "lock": True,
+            "naive-limit": True,
+            "explicit": False,
+            "power": True,
+            "hybrid-slowpath": True,
+        }
+        for reason in AbortReason:
+            assert type(reason.__dict__["conflict_induced"]) is bool
+
 
 class TestAttemptRecording:
     def test_conflicted_committed(self):

@@ -11,13 +11,13 @@ from pathlib import Path
 import pytest
 
 from repro.__main__ import main
-from repro.analysis.trends import TrendError, format_trend, load_history
+from repro.analysis.trends import TrendError, format_trend, load_history, pairs
 
 HISTORY = Path(__file__).resolve().parent.parent / "benchmarks/perf/history"
 
 
-def _env(workload: str) -> dict:
-    return {"environment": {"workload": workload, "seed": 1,
+def _env(workload: str, seed: int = 1) -> dict:
+    return {"environment": {"workload": workload, "seed": seed,
                             "backend": "python", "python": "3.11.7",
                             "nproc": 2}}
 
@@ -34,9 +34,9 @@ def _result(metrics: dict, failed: int = 0) -> dict:
     }
 
 
-def _run(workload: str, metrics: dict, failed: int = 0) -> list:
-    """The stdout of one ``--workload <workload>`` run."""
-    return [_env(workload), _result(metrics, failed)]
+def _run(workload: str, metrics: dict, failed: int = 0, seed: int = 1) -> list:
+    """The stdout of one ``--workload <workload> --seed <seed>`` run."""
+    return [_env(workload, seed), _result(metrics, failed)]
 
 
 def _all_run(per_workload: dict) -> list:
@@ -155,6 +155,13 @@ class TestLoadHistory:
         with pytest.raises(TrendError, match=r"change.jsonl:\d+: not a "):
             load_history(history)
 
+    def test_environment_without_a_seed_fails_the_load(self, history):
+        env = _env("sim-chats-llbh")
+        del env["environment"]["seed"]
+        _write(history / "pr9/change.jsonl", [[env, _result(_eps(1e5))]])
+        with pytest.raises(TrendError, match="change.jsonl:.*'seed'"):
+            load_history(history)
+
     def test_record_without_a_result_fails(self, history):
         (history / "pr9/parent.jsonl").write_text(
             json.dumps(_env("sim-chats-llbh")) + "\n"
@@ -173,25 +180,31 @@ class TestTrend:
 
     def test_medians_and_deltas(self, history):
         text = format_trend(load_history(history))
+        # Three pairs at seed 1 in file order: ratios 1.1, 1.2 and 1.136.
         assert _line(text, "pr9", "sim-chats-llbh", "events_per_cpu_s").split() == [
-            "events_per_cpu_s", "110,000", "125,000", "+13.6%", "events/s",
+            "events_per_cpu_s", "110,000", "125,000", "+13.6%",
+            "3", "3", "1.136", "105,000", "115,000", "events/s",
         ]
         # Two ``all`` runs a side: the median is their mean.
         assert _line(text, "pr12", "sim-chats-llbh", "events_per_cpu_s").split() == [
-            "events_per_cpu_s", "210,000", "189,000", "-10.0%", "events/s",
+            "events_per_cpu_s", "210,000", "189,000", "-10.0%",
+            "2", "0", "0.900", "205,000", "215,000", "events/s",
         ]
         assert _line(text, "pr12", "report-sweep", "cold_wall_s").split()[1:] == [
-            "3.818", "4.242", "+11.1%", "s",
+            "3.818", "4.242", "+11.1%", "2", "2", "1.111", "3.727", "3.909",
+            "s",
         ]
         assert "pr12\n  report-sweep: parent 2 runs, 0 failed ops; " in text
 
     def test_per_layer_lines(self, history):
         text = format_trend(load_history(history))
         assert _line(text, "pr12", "sim-chats-llbh", "engine.share").split() == [
-            "engine.share", "0.3", "0.27", "-10.0%", "ratio",
+            "engine.share", "0.3", "0.27", "-10.0%",
+            "1", "0", "0.900", "0.3", "0.3", "ratio",
         ]
         assert _line(text, "pr12", "sim-chats-llbh", "net.messages").split()[1:] == [
-            "5,000", "5,000", "+0.0%", "count",
+            "5,000", "5,000", "+0.0%", "1", "0", "1.000", "5,000", "5,000",
+            "count",
         ]
         assert "engine.share" not in text.split("\npr12\n")[0]
 
@@ -200,7 +213,78 @@ class TestTrend:
                [_run("sim-chats-llbh", {"peak_rss_mb": (30.0, "MiB")})])
         text = format_trend(load_history(history))
         assert _line(text, "pr9", "sim-chats-llbh", "peak_rss_mb").split() == [
-            "peak_rss_mb", "-", "30", "-", "MiB",
+            "peak_rss_mb", "-", "30", "-", "0", "-", "-", "-", "-", "MiB",
+        ]
+
+
+# ----------------------------------------------------------------------
+class TestPairs:
+    """Runs pair by workload and benchmark seed, in file order, metric by
+    metric."""
+
+    @staticmethod
+    def _pairs(directory: Path, parent_runs, change_runs, metric: str):
+        _write(directory / "pr1/parent.jsonl", parent_runs)
+        _write(directory / "pr1/change.jsonl", change_runs)
+        (_, sides), = load_history(directory)
+        return pairs(
+            sides["parent"]["sim-be-kmeansh"],
+            sides["change"]["sim-be-kmeansh"],
+            metric,
+        )
+
+    def test_pairs_by_seed_not_by_position(self, tmp_path):
+        parent = [_run("sim-be-kmeansh", _eps(v), seed=s)
+                  for s, v in ((1, 100.0), (2, 200.0), (3, 300.0))]
+        change = [_run("sim-be-kmeansh", _eps(v), seed=s)
+                  for s, v in ((3, 330.0), (1, 110.0), (2, 190.0))]
+        assert self._pairs(tmp_path, parent, change, "events_per_cpu_s") == [
+            (100.0, 110.0), (200.0, 190.0), (300.0, 330.0),
+        ]
+        text = format_trend(load_history(tmp_path))
+        row = _line(text, "pr1", "sim-be-kmeansh", "events_per_cpu_s").split()
+        assert row[4:] == ["3", "2", "1.100", "150", "250", "events/s"]
+
+    def test_run_without_a_partner_stays_unpaired(self, tmp_path):
+        parent = [_run("sim-be-kmeansh", _eps(v), seed=s)
+                  for s, v in ((1, 100.0), (1, 101.0), (2, 200.0))]
+        change = [_run("sim-be-kmeansh", _eps(v), seed=s)
+                  for s, v in ((1, 120.0), (4, 400.0))]
+        assert self._pairs(tmp_path, parent, change, "events_per_cpu_s") == [
+            (100.0, 120.0),
+        ]
+        text = format_trend(load_history(tmp_path))
+        row = _line(text, "pr1", "sim-be-kmeansh", "events_per_cpu_s").split()
+        # The parent quartiles still read every parent run.
+        assert row[4:] == ["1", "1", "1.200", "100.5", "150.5", "events/s"]
+
+    def test_traced_runs_pair_only_with_each_other(self, tmp_path):
+        """A traced run reports only per-layer metrics, so its seed-1
+        partner is the other side's traced run, whichever comes first."""
+        parent = [_run("sim-be-kmeansh", _eps(100.0)),
+                  _run("sim-be-kmeansh", {"l1.share": (0.2, "ratio")})]
+        change = [_run("sim-be-kmeansh", {"l1.share": (0.19, "ratio")}),
+                  _run("sim-be-kmeansh", _eps(108.0))]
+        assert self._pairs(tmp_path, parent, change, "events_per_cpu_s") == [
+            (100.0, 108.0),
+        ]
+        (_, sides), = load_history(tmp_path)
+        assert pairs(
+            sides["parent"]["sim-be-kmeansh"],
+            sides["change"]["sim-be-kmeansh"],
+            "l1.share",
+        ) == [(0.2, 0.19)]
+
+    def test_committed_record_reads_its_hand_computed_pairs(self):
+        """The committed ``pr32/`` record's llb-h claim, whose pairs,
+        wins, ratio and parent quartiles were computed by hand when it
+        was recorded."""
+        text = format_trend(
+            [entry for entry in load_history(HISTORY) if entry[0] == 32]
+        )
+        row = _line(text, "pr32", "sim-chats-llbh", "events_per_cpu_s").split()
+        assert row[4:] == [
+            "23", "23", "1.065", "283,283", "296,190", "events/s",
         ]
 
 
