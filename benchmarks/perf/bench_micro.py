@@ -186,7 +186,7 @@ def bench_invalidation_round(n):
         pass
 
     net.connect([[ignore] * len(MessageKind)] * 8 + [directory._handlers])
-    entry = directory._entry(1)
+    entry = directory._blocks[1]
     entry.sharers = set(range(8))
     getx = make_message(
         kind=GETX, src=0, dst=DIRECTORY, block=1, epoch=1, req_id=1
@@ -215,6 +215,119 @@ def bench_module_constant_load(n):
     kind = GETS
     for _ in range(n):
         kind is DATA
+
+
+class _KeywordOutstanding:
+    """An MSHR record with a Python ``__init__``, as ``_Outstanding`` was
+    before it got its constructor function."""
+
+    __slots__ = (
+        "block",
+        "exclusive",
+        "transactional",
+        "epoch",
+        "is_validation",
+        "on_value",
+        "on_message",
+        "write_value",
+        "addr",
+        "cas",
+    )
+
+    def __init__(
+        self,
+        block,
+        exclusive,
+        transactional,
+        epoch,
+        is_validation,
+        on_value=None,
+        on_message=None,
+        write_value=None,
+        addr=0,
+        cas=None,
+    ):
+        self.block = block
+        self.exclusive = exclusive
+        self.transactional = transactional
+        self.epoch = epoch
+        self.is_validation = is_validation
+        self.on_value = on_value
+        self.on_message = on_message
+        self.write_value = write_value
+        self.addr = addr
+        self.cas = cas
+
+
+def bench_mshr_record_class(n):
+    """A transactional load miss's MSHR record through a keyword call to
+    a class with a Python ``__init__``: CPython packs the keywords into
+    a dict and binds them again."""
+    for i in range(n):
+        _KeywordOutstanding(
+            block=i,
+            exclusive=False,
+            transactional=True,
+            epoch=1,
+            is_validation=False,
+            on_value=print,
+            addr=i,
+        )
+
+
+def bench_mshr_record_function(n):
+    """The same record through ``_make_outstanding``, the L1's plain
+    constructor function: ``object.__new__`` plus 10 slot stores."""
+    from repro.mem.l1controller import _make_outstanding
+
+    for i in range(n):
+        _make_outstanding(
+            block=i,
+            exclusive=False,
+            transactional=True,
+            epoch=1,
+            is_validation=False,
+            on_value=print,
+            addr=i,
+        )
+
+
+class _OpSite:
+    """A core-shaped caller: ``issue_*`` hands an L1-shaped function one
+    op's completion callback, and that function calls it at once."""
+
+    def complete(self, epoch, value):
+        pass
+
+    def issue_closure(self, epoch, value, l1):
+        l1(lambda v: self.complete(epoch, v), value)
+
+    def issue_bound(self, epoch, value, l1):
+        l1(self.complete, epoch, value)
+
+
+def _l1_value(callback, value):
+    callback(value)
+
+
+def _l1_epoch_value(callback, epoch, value):
+    callback(epoch, value)
+
+
+def bench_op_callback_closure(n):
+    """One op's completion through a lambda built per op that forwards
+    to the core's method with the captured epoch."""
+    issue = _OpSite().issue_closure
+    for i in range(n):
+        issue(1, i, _l1_value)
+
+
+def bench_op_callback_bound(n):
+    """The same completion through the core's bound method, with the L1
+    passing the epoch."""
+    issue = _OpSite().issue_bound
+    for i in range(n):
+        issue(1, i, _l1_epoch_value)
 
 
 def bench_cache_hit(n):
@@ -347,6 +460,10 @@ BENCHES = (
     ("invalidation round (8 sharers, 7 INVs)", bench_invalidation_round, 50_000),
     ("enum member load (kind is MessageKind.DATA)", bench_enum_member_load, 2_000_000),
     ("module constant load (kind is DATA)", bench_module_constant_load, 2_000_000),
+    ("MSHR record (keyword class call)", bench_mshr_record_class, 200_000),
+    ("MSHR record (plain function)", bench_mshr_record_function, 200_000),
+    ("op callback (closure per op)", bench_op_callback_closure, 500_000),
+    ("op callback (bound method)", bench_op_callback_bound, 500_000),
     ("L1 cache hit lookup", bench_cache_hit, 500_000),
     ("speculative store write+read", bench_spec_store, 200_000),
     ("holder SpecResp payload (store block_value)", bench_holder_payload, 200_000),

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Generate (or verify) the golden determinism digests.
 
-For every STAMP workload, two seeds, and a spread of HTM systems, run a
-small fixed-scale simulation and hash the *complete* canonical
+For every STAMP workload, two seeds, and every registered HTM system,
+run a small fixed-scale simulation and hash the *complete* canonical
 ``SimulationResult`` (``to_dict`` serialized with sorted keys).  The
 digests pin the simulator's observable behaviour bit-for-bit: any change
 to event ordering, coherence resolution, or stats accounting shows up as
-a digest mismatch.
+a digest mismatch.  Covering every system pins the power-token, capacity
+and hybrid slow-path code too, not only the paper's three systems.
 
 The checked-in file ``tests/golden_digests.json`` was produced by the
-pre-optimisation (seed) engine; ``tests/test_golden_determinism.py``
-replays the same matrix on the current engine and compares.
+pre-optimisation (seed) engine for baseline, chats and pchats, and for
+the other ten systems by commit 3b75d8b, before the L1's completion
+callbacks were rewritten; ``tests/test_golden_determinism.py`` replays
+the same matrix on the current engine and compares.
 
 A result digest does not see *how* messages were sent, only their
 totals.  So a few small traced runs with multi-sharer invalidation
@@ -54,7 +57,23 @@ STAMP_WORKLOADS = (
     "yada",
 )
 SEEDS = (1, 2)
-SYSTEMS = ("baseline", "chats", "pchats")
+#: Every registered system, in registry order (a test checks that none
+#: is missing).
+SYSTEMS = (
+    "baseline",
+    "naive-rs",
+    "chats",
+    "power",
+    "pchats",
+    "levc-be-idealized",
+    "stall",
+    "chats-ts",
+    "cap-be",
+    "cap-chats",
+    "bloom-be",
+    "hybrid-be",
+    "hybrid-chats",
+)
 THREADS = 4
 SCALE = 0.2
 

@@ -68,21 +68,20 @@ class ValidationController:
         if entry is None:  # pragma: no cover - vsb.empty already checked
             return
         self._inflight = True
-        epoch = tx.epoch
         self._core.stats.validations_attempted += 1
         probe = self._core.sim.probe
         if probe._subscribers:
             probe.emit(
                 ValidationStart(
                     cycle=self._core.engine.now, core=self._core.core_id,
-                    block=entry.block, epoch=epoch,
+                    block=entry.block, epoch=tx.epoch,
                 )
             )
-        self._core.l1.issue_validation(
-            tx, entry.block, lambda msg: self._on_response(epoch, msg)
-        )
+        self._core.l1.issue_validation(tx, entry.block, self._on_response)
 
     def _on_response(self, epoch: int, msg: Message) -> None:
+        """The L1's completion callback: ``epoch`` is the attempt that
+        issued the request, so a response to a dead attempt is ignored."""
         self._inflight = False
         core = self._core
         tx = core.tx

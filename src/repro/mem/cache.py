@@ -22,9 +22,13 @@ instead of O(cache).
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Dict, List, Optional
 
 from ..sim.config import SystemConfig
+
+#: LRU key for victim selection.
+_last_use = attrgetter("last_use")
 
 
 class CacheLine:
@@ -92,7 +96,6 @@ class L1Cache:
         self,
         block: int,
         state: str,
-        *,
         speculative: bool = False,
         spec_received: bool = False,
     ) -> Optional[CacheLine]:
@@ -138,7 +141,7 @@ class L1Cache:
             pool = non_spec if non_spec else list(cset.values())
         else:
             pool = list(cset.values())
-        return min(pool, key=lambda ln: ln.last_use).block
+        return min(pool, key=_last_use).block
 
     def mark_speculative(self, block: int) -> None:
         line = self._sets[block % self._nsets].get(block)

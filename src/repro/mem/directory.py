@@ -14,18 +14,20 @@ sharer change, exactly as Section IV-A prescribes ("the directory is
 oblivious to the forwarding").
 
 Hot-path notes: per-block state and invalidation rounds are ``__slots__``
-records, and the message entry point dispatches through a dense
-per-kind table (``kind.idx``) instead of an if/elif ladder.  Queued
-requests and invalidation-round requests are kept as the delivered
-messages themselves: a message is a plain record, so holding a
-reference is all it takes.  An invalidation round builds one INV and
-the crossbar multicasts that record to every sharer.
+records, the block map creates a block's entry on its first lookup
+(``__missing__``), so every handler finds its entry with one subscript,
+and the message entry point dispatches through a dense per-kind table
+(``kind.idx``) instead of an if/elif ladder.  Queued requests and
+invalidation-round requests are kept as the delivered messages
+themselves: a message is a plain record, so holding a reference is all
+it takes.  An invalidation round builds one INV and the crossbar
+multicasts that record to every sharer.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Dict, List, Optional, Set
+from typing import Callable, Deque, List, Optional, Set
 
 from ..net.messages import (
     ACK,
@@ -77,6 +79,17 @@ class _BlockEntry:
         self.inv_round: Optional[_InvRound] = None
 
 
+class _BlockMap(dict):
+    """block -> :class:`_BlockEntry`; a block's first lookup creates its
+    entry."""
+
+    __slots__ = ()
+
+    def __missing__(self, block: int) -> _BlockEntry:
+        entry = self[block] = _BlockEntry()
+        return entry
+
+
 class Directory:
     """The coherence directory (co-located with the shared L3)."""
 
@@ -110,7 +123,7 @@ class Directory:
         self._memory = memory
         self._network = network
         self._probe = probe if probe is not None else Probe()
-        self._blocks: Dict[int, _BlockEntry] = {}
+        self._blocks = _BlockMap()
         self._ever_cached: Set[int] = set()
         self._Message = make_message
         # Statistics.
@@ -132,18 +145,11 @@ class Directory:
         self._handlers = handlers
 
     # ------------------------------------------------------------------
-    def _entry(self, block: int) -> _BlockEntry:
-        entry = self._blocks.get(block)
-        if entry is None:
-            entry = _BlockEntry()
-            self._blocks[block] = entry
-        return entry
-
     def owner_of(self, block: int) -> Optional[int]:
-        return self._entry(block).owner
+        return self._blocks[block].owner
 
     def sharers_of(self, block: int) -> Set[int]:
-        return set(self._entry(block).sharers)
+        return set(self._blocks[block].sharers)
 
     def _fetch_latency(self, block: int) -> int:
         """L3 roundtrip for warm blocks, DRAM for cold ones."""
@@ -165,11 +171,11 @@ class Directory:
         raise RuntimeError(f"directory cannot handle {msg!r}")
 
     def _handle_cancel(self, msg: Message) -> None:
-        self._finish(msg.block)
+        self._finish(self._blocks[msg.block])
 
     # ------------------------------------------------------------------
     def _handle_request(self, msg: Message) -> None:
-        entry = self._entry(msg.block)
+        entry = self._blocks[msg.block]
         if entry.busy or entry.queue:
             # Strict FIFO: while older requests wait, new arrivals may not
             # jump ahead (otherwise retry convoys — e.g. CAS spinners on
@@ -229,7 +235,7 @@ class Directory:
         others = entry.sharers - {msg.src}
         if others:
             entry.busy = True
-            entry.inv_round = _InvRound(request=msg, pending=len(others))
+            entry.inv_round = _InvRound(msg, len(others))
             self.inv_rounds += 1
             if self._probe._subscribers:
                 self._probe.emit(
@@ -310,21 +316,21 @@ class Directory:
     # ------------------------------------------------------------------
     def _handle_unblock(self, msg: Message) -> None:
         """A probed owner resolved the request; update state accordingly."""
-        entry = self._entry(msg.block)
+        entry = self._blocks[msg.block]
         action = msg.action
         if action == "recv":
             # Grantee confirms it received a directory-sourced response.
-            self._finish(msg.block)
+            self._finish(entry)
         elif action == "xfer":
             entry.owner = msg.requester
             entry.sharers = set()
-            self._finish(msg.block)
+            self._finish(entry)
         elif action == "downgrade":
             entry.sharers.add(msg.src)
             if msg.requester is not None:
                 entry.sharers.add(msg.requester)
             entry.owner = None
-            self._finish(msg.block)
+            self._finish(entry)
         elif action in ("aborted", "not_present"):
             # The holder no longer has the block; satisfy the original
             # request from memory (non-speculative data, Section III).
@@ -345,14 +351,14 @@ class Directory:
             raise RuntimeError(f"bad unblock action {action!r}")
 
     def _handle_writeback(self, msg: Message) -> None:
-        entry = self._entry(msg.block)
+        entry = self._blocks[msg.block]
         if entry.owner == msg.src:
             entry.owner = None
         # Values are already reflected in committed memory (commit-time
         # flush); the message exists for timing/flit accounting.
 
     def _handle_inv_ack(self, msg: Message) -> None:
-        entry = self._entry(msg.block)
+        entry = self._blocks[msg.block]
         round_ = entry.inv_round
         if round_ is None:
             # Ack from a stale sharer outside any round (silent eviction
@@ -372,22 +378,16 @@ class Directory:
         if round_.refused:
             # At least one sharer kept its copy and answered the requester
             # directly (SpecResp or NACK): no ownership change.
-            self._finish(msg.block)
+            self._finish(entry)
         else:
             self._grant_exclusive(entry, request)
 
     # ------------------------------------------------------------------
-    def _finish(self, block: int) -> None:
-        entry = self._entry(block)
+    def _finish(self, entry: _BlockEntry) -> None:
+        """Unbusy the block and start its oldest queued request."""
         entry.busy = False
-        self._drain(block)
-
-    def _drain(self, block: int) -> None:
-        entry = self._entry(block)
-        if entry.busy or not entry.queue:
-            return
-        nxt = entry.queue.popleft()
-        # Process synchronously so nothing can slip in between the pop and
-        # the processing (recursion is bounded: every request either
-        # busies the block or finishes by sending messages).
-        self._process_request(entry, nxt)
+        if entry.queue:
+            # Process synchronously so nothing can slip in between the pop
+            # and the processing (recursion is bounded: every request
+            # either busies the block or finishes by sending messages).
+            self._process_request(entry, entry.queue.popleft())

@@ -10,6 +10,12 @@ Request/response bookkeeping uses per-request ids plus the transaction
 attempt *epoch*: responses addressed to a dead attempt are dropped, which
 is how the hardware's "ignore stale replies after rollback" behaviour is
 modelled.
+
+Completion callbacks are the caller's bound methods, called with plain
+positional arguments: a transactional request's as ``fn(epoch, value)``
+(the epoch of the attempt that issued it), a validation's as
+``fn(epoch, msg)`` and a non-transactional request's as ``fn(value)``.
+A write completes with ``None``.
 """
 
 from __future__ import annotations
@@ -55,15 +61,20 @@ from .memory import MainMemory
 if TYPE_CHECKING:  # pragma: no cover
     from ..sim.core import Core
 
-ValueCallback = Callable[[int], None]
-MsgCallback = Callable[[Message], None]
+#: ``fn(epoch, value)``: a transactional load or store completed.
+TxCallback = Callable[[int, Optional[int]], None]
+#: ``fn(value)``: a non-transactional load, store or CAS completed.
+ValueCallback = Callable[[Optional[int]], None]
+#: ``fn(epoch, msg)``: a validation request got its response.
+MsgCallback = Callable[[int, Message], None]
 
 
 class _Outstanding:
     """One MSHR entry: an in-flight request and its completion context.
 
     A ``__slots__`` record — one is allocated per coherence request, so
-    it must stay a single compact allocation with no ``__dict__``.
+    it must stay a single compact allocation with no ``__dict__``.  It
+    has no ``__init__``: :func:`_make_outstanding` builds it.
     """
 
     __slots__ = (
@@ -79,31 +90,41 @@ class _Outstanding:
         "cas",
     )
 
-    def __init__(
-        self,
-        block: int,
-        exclusive: bool,
-        transactional: bool,
-        epoch: int,
-        is_validation: bool,
-        # Exactly one of the two callbacks is set.
-        on_value: Optional[ValueCallback] = None,
-        on_message: Optional[MsgCallback] = None,
-        # Pending non-transactional side effects applied at completion.
-        write_value: Optional[int] = None,
-        addr: int = 0,
-        cas: Optional[tuple] = None,  # (expect, new)
-    ):
-        self.block = block
-        self.exclusive = exclusive
-        self.transactional = transactional
-        self.epoch = epoch
-        self.is_validation = is_validation
-        self.on_value = on_value
-        self.on_message = on_message
-        self.write_value = write_value
-        self.addr = addr
-        self.cas = cas
+
+_new_record = object.__new__
+
+
+def _make_outstanding(
+    block: int,
+    exclusive: bool,
+    transactional: bool,
+    epoch: int,
+    is_validation: bool,
+    # Exactly one of the two callbacks is set: ``on_value`` is a
+    # TxCallback or a ValueCallback, as ``transactional`` says.
+    on_value: Optional[Callable] = None,
+    on_message: Optional[MsgCallback] = None,
+    # Pending non-transactional side effects applied at completion.
+    write_value: Optional[int] = None,
+    addr: int = 0,
+    cas: Optional[tuple] = None,  # (expect, new)
+) -> _Outstanding:
+    """Build an :class:`_Outstanding`, as ``make_message`` builds a
+    message: a keyword call to a class with a Python ``__init__`` packs
+    the keywords into a dict and binds them again, which costs more than
+    twice this function."""
+    out = _new_record(_Outstanding)
+    out.block = block
+    out.exclusive = exclusive
+    out.transactional = transactional
+    out.epoch = epoch
+    out.is_validation = is_validation
+    out.on_value = on_value
+    out.on_message = on_message
+    out.write_value = write_value
+    out.addr = addr
+    out.cas = cas
+    return out
 
 
 class L1Controller:
@@ -254,9 +275,6 @@ class L1Controller:
         self._send(msg)
         return req_id
 
-    def _hit_latency_callback(self, fn: Callable, *args) -> None:
-        self._schedule(self._hit_latency, fn, *args)
-
     def _abort_capacity(self, tx: TxState, block: int) -> None:
         self.core.abort_tx(CAPACITY, block=block)
 
@@ -272,11 +290,17 @@ class L1Controller:
             return True
         return False
 
-    def _install(self, block: int, state: str, **flags) -> bool:
+    def _install(
+        self,
+        block: int,
+        state: str,
+        speculative: bool = False,
+        spec_received: bool = False,
+    ) -> bool:
         """Install a line; on a capacity abort of the running transaction
         returns False (the caller's operation dies with the attempt)."""
         try:
-            victim = self.cache.install(block, state, **flags)
+            victim = self.cache.install(block, state, speculative, spec_received)
         except CapacityAbort:
             tx = self._tx()
             if tx is not None:
@@ -300,7 +324,7 @@ class L1Controller:
     # ------------------------------------------------------------------
     # Transactional operations (called by the core driver).
     # ------------------------------------------------------------------
-    def tx_read(self, tx: TxState, addr: int, callback: ValueCallback) -> None:
+    def tx_read(self, tx: TxState, addr: int, callback: TxCallback) -> None:
         block = self._block_of(addr)
         if self._orecs is not None and self._check_orec(block):
             return  # hybrid slow-path owner: the attempt just died
@@ -311,9 +335,11 @@ class L1Controller:
             return
         line = self.cache.lookup(block)
         if line is not None:
-            self._hit_latency_callback(callback, tx.store.read_word(addr))
+            self._schedule(
+                self._hit_latency, callback, tx.epoch, tx.store.read_word(addr)
+            )
             return
-        out = _Outstanding(
+        out = _make_outstanding(
             block=block,
             exclusive=False,
             transactional=True,
@@ -325,7 +351,7 @@ class L1Controller:
         self._send_request(GETS, block, out)
 
     def tx_write(
-        self, tx: TxState, addr: int, value: int, callback: ValueCallback
+        self, tx: TxState, addr: int, value: int, callback: TxCallback
     ) -> None:
         block = self._block_of(addr)
         if self._orecs is not None and self._check_orec(block):
@@ -341,9 +367,9 @@ class L1Controller:
             line.state = "M"
             if not line.speculative:
                 self.cache.mark_speculative(block)
-            self._hit_latency_callback(callback, 0)
+            self._schedule(self._hit_latency, callback, tx.epoch, None)
             return
-        out = _Outstanding(
+        out = _make_outstanding(
             block=block,
             exclusive=True,
             transactional=True,
@@ -359,7 +385,7 @@ class L1Controller:
         self, tx: TxState, block: int, callback: MsgCallback
     ) -> None:
         """Validation controller path: exclusive re-request of a VSB block."""
-        out = _Outstanding(
+        out = _make_outstanding(
             block=block,
             exclusive=True,
             transactional=True,
@@ -376,9 +402,11 @@ class L1Controller:
         block = self._block_of(addr)
         line = self.cache.lookup(block)
         if line is not None:
-            self._hit_latency_callback(callback, self._memory.read_word(addr))
+            self._schedule(
+                self._hit_latency, callback, self._memory.read_word(addr)
+            )
             return
-        out = _Outstanding(
+        out = _make_outstanding(
             block=block,
             exclusive=False,
             transactional=False,
@@ -395,9 +423,9 @@ class L1Controller:
         if line is not None and line.state in ("E", "M") and not line.speculative:
             line.state = "M"
             self._memory.write_word(addr, value)
-            self._hit_latency_callback(callback, 0)
+            self._schedule(self._hit_latency, callback, None)
             return
-        out = _Outstanding(
+        out = _make_outstanding(
             block=block,
             exclusive=True,
             transactional=False,
@@ -418,9 +446,9 @@ class L1Controller:
             observed = self._memory.read_word(addr)
             if observed == expect:
                 self._memory.write_word(addr, new)
-            self._hit_latency_callback(callback, observed)
+            self._schedule(self._hit_latency, callback, observed)
             return
-        out = _Outstanding(
+        out = _make_outstanding(
             block=block,
             exclusive=True,
             transactional=False,
@@ -684,8 +712,7 @@ class L1Controller:
             state = "M"
         if not self._install(out.block, state, speculative=out.exclusive):
             return  # capacity abort killed the attempt
-        assert out.on_value is not None
-        out.on_value(tx.store.read_word(out.addr))
+        self._complete_tx_access(tx, out)
 
     def _retry_tx_request(self, epoch: int, out: _Outstanding) -> None:
         tx = self._tx()
@@ -738,8 +765,15 @@ class L1Controller:
         ):
             return  # capacity abort
         self.core.validation.arm(tx)
+        self._complete_tx_access(tx, out)
+
+    def _complete_tx_access(self, tx: TxState, out: _Outstanding) -> None:
+        """Hand a load its word, or complete a store with ``None``."""
         assert out.on_value is not None
-        out.on_value(tx.store.read_word(out.addr))
+        if out.exclusive:
+            out.on_value(out.epoch, None)
+        else:
+            out.on_value(out.epoch, tx.store.read_word(out.addr))
 
     def _complete_validation(
         self, tx: TxState, out: _Outstanding, msg: Message
@@ -757,7 +791,7 @@ class L1Controller:
                 # a missing line means the attempt already died.
                 return
         assert out.on_message is not None
-        out.on_message(msg)
+        out.on_message(out.epoch, msg)
 
     def _complete_nontx_request(self, out: _Outstanding, msg: Message) -> None:
         if msg.kind is NACK:
@@ -767,7 +801,6 @@ class L1Controller:
             return
         if msg.kind is SPEC_RESP:  # pragma: no cover - forbidden
             raise RuntimeError("speculative response to a non-transactional request")
-        result = 0
         if out.cas is not None:
             expect, new = out.cas
             result = self._memory.read_word(out.addr)
@@ -777,6 +810,7 @@ class L1Controller:
         elif out.write_value is not None:
             self._memory.write_word(out.addr, out.write_value)
             self._install(out.block, "M")
+            result = None
         else:
             result = self._memory.read_word(out.addr)
             self._install(out.block, "E" if msg.kind is DATA_E else "S")

@@ -90,6 +90,13 @@ class Core:
         # order) and the redo log of buffered writes (addr -> value).
         self._orecs_held: list = []
         self._redo: dict = {}
+        # Redo-log items still to publish, newest first (``pop`` takes
+        # the oldest).
+        self._unpublished: list = []
+        # The running Txn's return value, sent into its thread once the
+        # commit completes: after the VSB drains, the fallback lock is
+        # released or the slow path's redo log is published.
+        self._tx_result: Any = None
         # Cycle at which the current attempt entered the commit fence
         # (waiting for the VSB to drain); feeds ``vsb_stall_cycles``.
         self._fence_since: Optional[int] = None
@@ -128,7 +135,7 @@ class Core:
         elif cls is Read:
             self.l1.nontx_read(op.addr, self._advance_thread)
         elif cls is Write:
-            self.l1.nontx_write(op.addr, op.value, lambda _v: self._advance_thread(None))
+            self.l1.nontx_write(op.addr, op.value, self._advance_thread)
         elif cls is AtomicCAS:
             self.l1.nontx_cas(op.addr, op.expect, op.new, self._advance_thread)
         elif cls is Work:
@@ -171,10 +178,7 @@ class Core:
         if self._tx_machinery is None:
             self._tx_machinery = self.tx.machinery()
         # Eager lock subscription.
-        epoch = self._epoch
-        self.l1.tx_read(
-            self.tx, self.sim.lock.addr, lambda v: self._after_subscribe(epoch, v)
-        )
+        self.l1.tx_read(self.tx, self.sim.lock.addr, self._after_subscribe)
 
     def _after_subscribe(self, epoch: int, lock_value: int) -> None:
         tx = self.tx
@@ -231,11 +235,9 @@ class Core:
             return
         cls = op.__class__
         if cls is Read:
-            self.l1.tx_read(tx, op.addr, lambda v: self._advance_tx(epoch, v))
+            self.l1.tx_read(tx, op.addr, self._advance_tx)
         elif cls is Write:
-            self.l1.tx_write(
-                tx, op.addr, op.value, lambda _v: self._advance_tx(epoch, None)
-            )
+            self.l1.tx_write(tx, op.addr, op.value, self._advance_tx)
         elif cls is Work:
             self.engine.schedule(
                 max(1, op.cycles), self._advance_tx, epoch, None
@@ -466,9 +468,7 @@ class Core:
         if cls is Read:
             self.l1.nontx_read(op.addr, self._advance_fallback)
         elif cls is Write:
-            self.l1.nontx_write(
-                op.addr, op.value, lambda _v: self._advance_fallback(None)
-            )
+            self.l1.nontx_write(op.addr, op.value, self._advance_fallback)
         elif cls is Work:
             self.engine.schedule(max(1, op.cycles), self._advance_fallback, None)
         elif cls is Abort:
@@ -497,13 +497,13 @@ class Core:
             self.stats.label_commits[self._txn.label] += 1
         self._txn = None
         self._tgen = None
+        self._tx_result = result
         # Release the global lock; the releasing store is an ordinary
         # non-transactional write.
-        self.l1.nontx_write(
-            self.sim.lock.addr,
-            LOCK_FREE,
-            lambda _v: self.engine.schedule(1, self._advance_thread, result),
-        )
+        self.l1.nontx_write(self.sim.lock.addr, LOCK_FREE, self._lock_released)
+
+    def _lock_released(self, _value: None) -> None:
+        self.engine.schedule(1, self._advance_thread, self._tx_result)
 
     # ------------------------------------------------------------------
     # Hybrid software slow path (spec.fallback == "hybrid").
@@ -548,7 +548,9 @@ class Core:
             op = self._tgen.send(send_value)
         except StopIteration as stop:
             self._tx_result = stop.value
-            self._publish_slowpath(list(self._redo.items()), 0)
+            self._unpublished = list(self._redo.items())
+            self._unpublished.reverse()
+            self._publish_slowpath(None)
             return
         cls = op.__class__
         if cls is Read:
@@ -616,19 +618,16 @@ class Core:
         self._redo = {}
         self._tgen = None
 
-    def _publish_slowpath(self, items: list, index: int) -> None:
+    def _publish_slowpath(self, _value: None) -> None:
         """Drain the redo log into committed memory, one non-transactional
         store at a time (each one's GETX aborts conflicting hardware
-        transactions through the ordinary coherence path).  Ownership
-        records are held until the last store lands, so no hardware
-        transaction can observe a half-published redo log."""
-        if index < len(items):
-            addr, value = items[index]
-            self.l1.nontx_write(
-                addr,
-                value,
-                lambda _v: self._publish_slowpath(items, index + 1),
-            )
+        transactions through the ordinary coherence path); each store's
+        completion publishes the next.  Ownership records are held until
+        the last store lands, so no hardware transaction can observe a
+        half-published redo log."""
+        if self._unpublished:
+            addr, value = self._unpublished.pop()
+            self.l1.nontx_write(addr, value, self._publish_slowpath)
             return
         self._finish_slowpath()
 

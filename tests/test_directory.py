@@ -76,7 +76,7 @@ class TestGrants:
 
     def test_block_busy_until_recv(self, h):
         h.send(MessageKind.GETX, src=0)
-        entry = h.directory._entry(BLOCK)
+        entry = h.directory._blocks[BLOCK]
         assert entry.busy, "grant in flight: block must be busy"
         h.send(MessageKind.UNBLOCK, src=0, action="recv")
         assert not entry.busy
@@ -148,7 +148,7 @@ class TestOwnerForwarding:
         h.send(MessageKind.CANCEL, src=0, requester=1, req_id=2)
         assert h.directory.owner_of(BLOCK) == 0
         assert 1 not in h.directory.sharers_of(BLOCK)
-        assert not h.directory._entry(BLOCK).busy
+        assert not h.directory._blocks[BLOCK].busy
 
     def test_aborted_unblock_heals_from_memory(self, h):
         self._own(h)

@@ -1,13 +1,14 @@
 """Golden determinism: the simulator's observable behaviour, bit-for-bit.
 
-Every STAMP workload is replayed for two seeds under three HTM systems
-(the matrix defined in ``scripts/gen_golden.py``) and the complete
-canonical ``SimulationResult`` is hashed against the digests checked in
-at ``tests/golden_digests.json`` — produced by the pre-optimisation
-(seed) event engine.  A mismatch means an engine or protocol change
-altered event ordering, conflict resolution, stats accounting, or even
-the number of processed events: none of the hot-path optimisations are
-allowed to do that.
+Every STAMP workload is replayed for two seeds under every registered
+HTM system (the matrix defined in ``scripts/gen_golden.py``: 7 x 2 x 13
+= 182 cases) and the complete canonical ``SimulationResult`` is hashed
+against the digests checked in at ``tests/golden_digests.json``.  Those
+of baseline, chats and pchats were produced by the pre-optimisation
+(seed) event engine, the rest by commit 3b75d8b.  A mismatch means an
+engine or protocol change altered event ordering, conflict resolution,
+stats accounting, or even the number of processed events: none of the
+hot-path optimisations are allowed to do that.
 
 A few small traced runs are pinned the same way, by the sha256 of their
 JSONL probe stream (``tests/golden_trace_digests.json``): a result digest
@@ -38,6 +39,12 @@ CASES = [
     for system in gen_golden.SYSTEMS
     for seed in gen_golden.SEEDS
 ]
+
+
+def test_matrix_covers_every_registered_system():
+    from repro.systems.spec import registered_systems
+
+    assert gen_golden.SYSTEMS == tuple(s.name for s in registered_systems())
 
 
 def test_matrix_matches_checked_in_digests():

@@ -5,8 +5,16 @@ On Python 3.10 and 3.11 ``EnumType`` defines ``__getattr__``, so every
 path: about 100 ns more than a module global on a 2-vCPU Xeon VM, and
 still about 20 ns more on 3.12 and 3.13, which dropped the hook.
 Event-path code therefore names enum members through the module
-constants bound beside each class (``DATA = MessageKind.DATA``).  This
-rule works from each module's AST, so it reads the same on every
+constants bound beside each class (``DATA = MessageKind.DATA``).
+
+A ``lambda`` inside a function builds a closure each time the line runs,
+and calling it adds a frame that only forwards to the real target.  On
+the event path that happened once per memory op, so completion
+callbacks are bound methods and the L1 passes the attempt's epoch
+itself (docs/PERFORMANCE.md, "Callbacks and records on the event
+path").  No event-path function may contain a ``lambda``.
+
+Both rules work from each module's AST, so they read the same on every
 supported Python.
 """
 
@@ -111,4 +119,51 @@ def test_rule_flags_loads_in_functions_and_lambdas_only():
         "m:7 Kind.A",
         "m:8 Kind.B",
         "m:12 Kind.B",
+    ]
+
+
+def lambdas_in_functions(source: str, name: str) -> List[str]:
+    """``module:line`` of each ``lambda`` inside a function body.
+    Module-level code and a function's defaults run once, so their
+    lambdas are not counted."""
+    sites = {
+        (node.lineno, node.col_offset)
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for stmt in func.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Lambda)
+    }
+    return [f"{name}:{line}" for line, _ in sorted(sites)]
+
+
+def test_event_path_builds_no_lambdas():
+    sites = [
+        site
+        for module in event_path_modules()
+        for site in lambdas_in_functions(
+            Path(module.__file__).read_text(), module.__name__
+        )
+    ]
+    assert not sites, (
+        f"{len(sites)} lambdas inside event-path functions; pass a bound "
+        f"method (a completion callback gets the epoch from the L1) or "
+        f"keep the state on the object:\n" + "\n".join(sites)
+    )
+
+
+def test_lambda_rule_flags_function_bodies_only():
+    source = (
+        "f = lambda: 0\n"
+        "def g(key=lambda x: x):\n"
+        "    return sorted([], key=lambda x: x)\n"
+        "class C:\n"
+        "    h = lambda self: 1\n"
+        "    def m(self):\n"
+        "        def inner():\n"
+        "            return lambda: 2\n"
+        "        return inner, (lambda: 3, lambda: 4)\n"
+    )
+    assert lambdas_in_functions(source, "m") == [
+        "m:3", "m:8", "m:9", "m:9",
     ]

@@ -16,6 +16,8 @@ from repro.htm.signature import BloomSignature, PerfectSignature
 from repro.htm.stats import AttemptRecord, HTMStats
 from repro.htm.txstate import TxState
 from repro.mem.cache import CacheLine, L1Cache
+from repro.mem.directory import Directory, _InvRound
+from repro.mem.l1controller import _make_outstanding
 from repro.mem.memory import MainMemory, SpeculativeStore
 from repro.net.messages import MessageKind, make_message
 from repro.net.network import Crossbar
@@ -88,6 +90,28 @@ class TestMemoryRecords:
         assert line is None
         assert_slotted(cache.lookup(0x40))
         assert_slotted(CacheLine(1, "S"))
+
+
+class TestCoherenceRecords:
+    """One MSHR record per coherence request, one directory entry per
+    block and one round per invalidation round."""
+
+    def test_mshr_record(self):
+        out = _make_outstanding(
+            block=1, exclusive=False, transactional=True, epoch=1,
+            is_validation=False, addr=8,
+        )
+        assert_slotted(out)
+
+    def test_directory_records(self):
+        engine = Engine()
+        config = SystemConfig()
+        directory = Directory(
+            engine, config, MainMemory(Geometry()), Crossbar(engine, config)
+        )
+        assert_slotted(directory._blocks)
+        assert_slotted(directory._blocks[1])  # built on first lookup
+        assert_slotted(_InvRound(make_message(kind=MessageKind.GETX), 2))
 
 
 class TestHtmRecords:
