@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import argparse
 import time
+from collections import deque
+
+from repro.net.network import Crossbar
 
 # Module globals, as the simulator's handlers see them: ``bounce`` and the
 # two load cases below read these through a global load.
@@ -76,27 +79,61 @@ def bench_engine_zero_delay(n):
 
 
 def bench_message(n):
-    """Construct a 6-field request (one coherence hop's worth) the way
-    the L1 does: through the factory it binds at construction."""
+    """Construct a transactional request the way
+    ``L1Controller._send_request`` does: through the factory it binds at
+    construction, every field positional."""
     from types import SimpleNamespace
 
-    from repro.net.messages import DIRECTORY, MessageKind, make_message
+    from repro.net.messages import DIRECTORY, make_message
 
     site = SimpleNamespace(Message=make_message)
     for i in range(n):
         site.Message(
-            kind=MessageKind.GETS,
-            src=0,
-            dst=DIRECTORY,
-            block=i & 0xFFFF,
-            epoch=1,
-            req_id=i,
+            GETS, 0, DIRECTORY, i & 0xFFFF, 1, i, None, None, False, None,
+            3, False, 7, True, False, False, False, False,
         )
 
 
-def bench_directory_probe(n):
-    """Construct a 16-field probe the way ``Directory._forward`` does,
-    through an attribute, so the cost per keyword shows.
+def bench_unblock_keywords(n):
+    """A holder's 9-field UNBLOCK through a keyword call, as the L1
+    built it before ``make_message``'s parameters were ordered by
+    message shape."""
+    from types import SimpleNamespace
+
+    from repro.net.messages import DIRECTORY, UNBLOCK, make_message
+
+    site = SimpleNamespace(Message=make_message)
+    for i in range(n):
+        site.Message(
+            kind=UNBLOCK,
+            src=1,
+            dst=DIRECTORY,
+            block=i & 0xFFFF,
+            requester=0,
+            exclusive=True,
+            epoch=1,
+            req_id=i,
+            action="xfer",
+        )
+
+
+def bench_unblock_positional(n):
+    """The same UNBLOCK as ``L1Controller._unblock`` builds it: a
+    positional prefix (``data`` spelled out as ``None``)."""
+    from types import SimpleNamespace
+
+    from repro.net.messages import DIRECTORY, UNBLOCK, make_message
+
+    site = SimpleNamespace(Message=make_message)
+    for i in range(n):
+        site.Message(
+            UNBLOCK, 1, DIRECTORY, i & 0xFFFF, 1, i, None, 0, True, "xfer"
+        )
+
+
+def bench_probe_keywords(n):
+    """A 16-field probe through a keyword call, as ``Directory._forward``
+    built it before, through an attribute, so the cost per keyword shows.
 
     CPython compiles a plain-name call with 16 keywords into a dict
     build and ``CALL_FUNCTION_EX``, which would time the dict, not the
@@ -127,6 +164,22 @@ def bench_directory_probe(n):
         )
 
 
+def bench_directory_probe(n):
+    """The same probe as ``Directory._forward`` builds it: all 18
+    fields positional (``data`` and ``action`` spelled out as
+    ``None``)."""
+    from types import SimpleNamespace
+
+    from repro.net.messages import DIRECTORY, MessageKind, make_message
+
+    site = SimpleNamespace(Message=make_message)
+    for i in range(n):
+        site.Message(
+            MessageKind.FWD_GETX, DIRECTORY, 1, i & 0xFFFF, 1, i, None, 0,
+            True, None, None, False, None, True, False, False, False, False,
+        )
+
+
 def bench_message_hop(n):
     """One coherence hop end to end: build a message through the bound
     factory, ``Crossbar.send`` it, and let ``Engine.run`` deliver it to
@@ -149,19 +202,133 @@ def bench_message_hop(n):
         if remaining[0] >= 4:
             site.send(
                 site.Message(
-                    kind=DATA,
-                    src=msg.dst,
-                    dst=msg.src,
-                    block=msg.block,
-                    epoch=1,
-                    req_id=remaining[0],
+                    DATA, msg.dst, msg.src, msg.block, 1, remaining[0]
                 )
             )
 
     net.connect([[bounce] * len(MessageKind)] * 3)
     for block in range(4):
-        site.send(site.Message(kind=GETS, src=0, dst=1, block=block))
+        site.send(site.Message(GETS, 0, 1, block))
     engine.run()
+
+
+class _NoEngine:
+    """An engine that drops what is scheduled, so a send bench times the
+    crossbar's own work and queues nothing."""
+
+    now = 0
+
+    def schedule(self, delay, fn, msg):
+        pass
+
+
+class _RunningTotalsCrossbar(Crossbar):
+    """A crossbar whose ``send`` keeps three running totals (flits,
+    messages, flits by kind) behind a data/control branch, as
+    ``Crossbar.send`` did before it counted deliveries per kind."""
+
+    __slots__ = ("_flits", "_messages", "_by_idx")
+
+    def __init__(self, engine, config):
+        super().__init__(engine, config)
+        self._flits = self._messages = 0
+        self._by_idx = [0] * len(MessageKind)
+
+    def send(self, msg, extra_delay=0):
+        kind = msg.kind
+        flits = self._data_flits if kind.carries_data else self._control_flits
+        self._flits += flits
+        self._messages += 1
+        self._by_idx[kind.idx] += flits
+        if self._probe._subscribers:
+            self._emit_traced(msg, msg.dst)
+        self._schedule(
+            self._link_latency + extra_delay,
+            self._tables[msg.dst][kind.idx],
+            msg,
+        )
+
+
+def _bench_send(net, n):
+    """Send ``n`` messages, data and control alternating, through
+    ``net``."""
+    from repro.net.messages import make_message
+
+    def ignore(msg):
+        pass
+
+    net.connect([[ignore] * len(MessageKind)] * 3)
+    messages = [make_message(DATA, 0, 1, 1), make_message(GETS, 1, 0, 1)]
+    send = net.send
+    for i in range(n):
+        send(messages[i & 1])
+
+
+def bench_send_running_totals(n):
+    from repro.sim.config import SystemConfig
+
+    _bench_send(_RunningTotalsCrossbar(_NoEngine(), SystemConfig(num_cores=2)), n)
+
+
+def bench_send_per_kind_count(n):
+    """The same sends through ``Crossbar.send``: one increment of the
+    kind's delivery count."""
+    from repro.sim.config import SystemConfig
+
+    _bench_send(Crossbar(_NoEngine(), SystemConfig(num_cores=2)), n)
+
+
+def _one_event_cycles(n, swap):
+    """``n`` one-event cycles, each event scheduling the next cycle's
+    only event, as a delay-1 chain does, through the lane handling of
+    ``Engine.run`` alone.  ``swap=False`` seeds the lane as it did before
+    the swap: the next-cycle list is copied into a deque lane, then
+    cleared, and the lane is drained with ``popleft``.  ``swap=True`` as
+    it does now: the drained list lane and the next-cycle list trade
+    places, and the lane is walked with one list iterator."""
+
+    class Queue:
+        __slots__ = ("next",)
+
+    queue = Queue()
+    queue.next = []
+    remaining = [n]
+
+    def tick():
+        remaining[0] -= 1
+        if remaining[0]:
+            queue.next.append([tick, ()])
+
+    queue.next.append([tick, ()])
+    if swap:
+        lane = []
+        while queue.next:
+            lane.clear()
+            lane, queue.next = queue.next, lane
+            for entry in lane:
+                fn = entry[0]
+                entry[0] = None
+                fn(*entry[1])
+    else:
+        lane = deque()
+        popleft = lane.popleft
+        nxt = queue.next
+        while nxt:
+            lane.extend(nxt)
+            nxt.clear()
+            while lane:
+                entry = popleft()
+                fn = entry[0]
+                entry[0] = None
+                fn(*entry[1])
+
+
+def bench_cycle_deque_lane(n):
+    _one_event_cycles(n, swap=False)
+
+
+def bench_cycle_swapped_lane(n):
+    _one_event_cycles(n, swap=True)
 
 
 def bench_invalidation_round(n):
@@ -277,19 +444,12 @@ def bench_mshr_record_class(n):
 
 def bench_mshr_record_function(n):
     """The same record through ``_make_outstanding``, the L1's plain
-    constructor function: ``object.__new__`` plus 10 slot stores."""
+    constructor function (``object.__new__`` plus 10 slot stores),
+    called positionally as the L1 calls it."""
     from repro.mem.l1controller import _make_outstanding
 
     for i in range(n):
-        _make_outstanding(
-            block=i,
-            exclusive=False,
-            transactional=True,
-            epoch=1,
-            is_validation=False,
-            on_value=print,
-            addr=i,
-        )
+        _make_outstanding(i, False, True, 1, False, print, None, None, i)
 
 
 class _OpSite:
@@ -454,8 +614,15 @@ BENCHES = (
     ("engine run loop (delay-1 chain)", bench_engine_throughput, 200_000),
     ("engine schedule+cancel churn", bench_engine_schedule_cancel, 200_000),
     ("engine zero-delay lane chain", bench_engine_zero_delay, 200_000),
-    ("message construct", bench_message, 200_000),
-    ("directory probe construct (16 fields)", bench_directory_probe, 200_000),
+    ("engine one-event cycles (deque lane copy)", bench_cycle_deque_lane, 200_000),
+    ("engine one-event cycles (swapped list lane)", bench_cycle_swapped_lane, 200_000),
+    ("message construct (tx request, positional)", bench_message, 200_000),
+    ("UNBLOCK construct (9 keywords)", bench_unblock_keywords, 200_000),
+    ("UNBLOCK construct (positional prefix)", bench_unblock_positional, 200_000),
+    ("directory probe construct (16 keywords)", bench_probe_keywords, 200_000),
+    ("directory probe construct (positional)", bench_directory_probe, 200_000),
+    ("crossbar send (three running totals)", bench_send_running_totals, 500_000),
+    ("crossbar send (one per-kind count)", bench_send_per_kind_count, 500_000),
     ("message hop (construct, send, deliver)", bench_message_hop, 200_000),
     ("invalidation round (8 sharers, 7 INVs)", bench_invalidation_round, 50_000),
     ("enum member load (kind is MessageKind.DATA)", bench_enum_member_load, 2_000_000),

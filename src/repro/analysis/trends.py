@@ -24,8 +24,12 @@ N with the k-th change value at seed N.  Traced runs report only the
 per-layer metrics, so they pair only with each other.  A run with no
 partner stays unpaired.  The line gives the number of pairs, how many
 read higher on the change side, the median of the per-pair ratios
-(change over parent) and the parent's inclusive quartiles.  Which way
-is better is each metric's ``better`` in ``BENCHMARK.json``.
+(change over parent) with their inclusive first and third quartiles,
+and the parent's inclusive quartiles.  The ratio quartiles show how
+widely the pairs spread around their median: a drift of the host moves
+both runs of a pair, so it widens the parent's unpaired quartiles but
+not the ratios'.  Which way is better is each metric's ``better`` in
+``BENCHMARK.json``.
 
 Loading is strict: a missing or empty history, a ``pr<N>`` directory
 without both files, or a line that is not a perfbench line raises
@@ -184,21 +188,29 @@ def pairs(
     ]
 
 
+def _quartiles(values: List[float]):
+    """Inclusive first and third quartiles; ``None`` for no values."""
+    if len(values) > 1:
+        q1, _, q3 = quantiles(values, n=4, method="inclusive")
+        return q1, q3
+    return (values[0], values[0]) if values else (None, None)
+
+
 def _pair_columns(parent: WorkloadRuns, change: WorkloadRuns, name: str):
-    """Pairs, pairs read higher on the change side, median pair ratio,
-    and the parent's inclusive first and third quartiles."""
+    """Pairs, pairs read higher on the change side, the median pair
+    ratio and its first and third quartiles, and the parent's first and
+    third quartiles."""
     paired = pairs(parent, change, name)
     higher = sum(new > old for old, new in paired) if paired else None
     ratios = [new / old for old, new in paired if old]
-    ratio = f"{median(ratios):.3f}" if ratios else "-"
-    q1 = q3 = None
-    if name in parent.metrics:
-        values = parent.metrics[name][1]
-        if len(values) > 1:
-            q1, _, q3 = quantiles(values, n=4, method="inclusive")
-        else:
-            q1 = q3 = values[0]
-    return str(len(paired)), _fmt(higher), ratio, _fmt(q1), _fmt(q3)
+    ratio_columns = ["-"] * 3
+    if ratios:
+        ratio_columns = [
+            f"{value:.3f}" for value in (median(ratios), *_quartiles(ratios))
+        ]
+    values = parent.metrics[name][1] if name in parent.metrics else []
+    q1, q3 = _quartiles(values)
+    return (str(len(paired)), _fmt(higher), *ratio_columns, _fmt(q1), _fmt(q3))
 
 
 def format_trend(history: History) -> str:
@@ -207,8 +219,8 @@ def format_trend(history: History) -> str:
     pair columns (:func:`pairs`)."""
     lines = [
         f"{'':<38} {'parent':>12} {'change':>12} {'delta':>8} "
-        f"{'pairs':>5} {'higher':>6} {'ratio':>6} {'parent q1':>12} "
-        f"{'parent q3':>12}"
+        f"{'pairs':>5} {'higher':>6} {'ratio':>6} {'ratio q1':>8} "
+        f"{'ratio q3':>8} {'parent q1':>12} {'parent q3':>12}"
     ]
     for number, sides in history:
         lines.append(f"pr{number}")
@@ -227,12 +239,12 @@ def format_trend(history: History) -> str:
                 delta = "-"
                 if old and new is not None:
                     delta = f"{new / old - 1:+.1%}"
-                count, higher, ratio, q1, q3 = _pair_columns(
-                    parent, change, name
+                count, higher, ratio, ratio_q1, ratio_q3, q1, q3 = (
+                    _pair_columns(parent, change, name)
                 )
                 lines.append(
                     f"    {name:<34} {_fmt(old):>12} {_fmt(new):>12} "
                     f"{delta:>8} {count:>5} {higher:>6} {ratio:>6} "
-                    f"{q1:>12} {q3:>12}  {unit}"
+                    f"{ratio_q1:>8} {ratio_q3:>8} {q1:>12} {q3:>12}  {unit}"
                 )
     return "\n".join(lines)

@@ -104,14 +104,14 @@ class ValidationController:
             if msg.data != copy:
                 core.stats.validation_mismatches += 1
                 self._emit_mismatch(tx, msg.block)
-                core.abort_tx(VALIDATION, src=src, block=msg.block)
+                core.abort_tx(VALIDATION, src, msg.block)
                 return
             # The system's validation scheme judges the fruitless attempt
             # (the generic PiC cycle check — or its budget-bounded
             # ablation — plus any policy-specific escape counter).
             reason = core.policy.check_unsuccessful_validation(tx, msg.pic)
             if reason is not None:
-                core.abort_tx(reason, src=src, block=msg.block)
+                core.abort_tx(reason, src, msg.block)
                 return
             self._reschedule(tx)
             return
@@ -119,7 +119,7 @@ class ValidationController:
         if msg.data != copy:
             core.stats.validation_mismatches += 1
             self._emit_mismatch(tx, msg.block)
-            core.abort_tx(VALIDATION, src=src, block=msg.block)
+            core.abort_tx(VALIDATION, src, msg.block)
             return
         tx.vsb.retire(msg.block)
         core.stats.validations_succeeded += 1

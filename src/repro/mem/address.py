@@ -56,7 +56,7 @@ class AddressSpace:
     def geometry(self) -> Geometry:
         return self._geometry
 
-    def alloc(self, nbytes: int, *, align_block: bool = True) -> int:
+    def alloc(self, nbytes: int, align_block: bool = True) -> int:
         """Reserve ``nbytes`` and return the base byte address."""
         if nbytes <= 0:
             raise ValueError("allocation size must be positive")
@@ -70,7 +70,7 @@ class AddressSpace:
 
     def alloc_words(self, nwords: int, *, align_block: bool = True) -> int:
         """Reserve ``nwords`` words and return the base byte address."""
-        return self.alloc(nwords * self._geometry.word_bytes, align_block=align_block)
+        return self.alloc(nwords * self._geometry.word_bytes, align_block)
 
     def word_addr(self, base: int, index: int) -> int:
         """Byte address of the ``index``-th word of a region at ``base``."""

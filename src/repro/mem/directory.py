@@ -205,7 +205,7 @@ class Directory:
                 )
             self._network.send(
                 self._forward(FWD_GETS, owner, msg),
-                extra_delay=self._config.directory_latency,
+                self._config.directory_latency,
             )
             return
         if owner == msg.src:
@@ -227,7 +227,7 @@ class Directory:
                 )
             self._network.send(
                 self._forward(FWD_GETX, owner, msg),
-                extra_delay=self._config.directory_latency,
+                self._config.directory_latency,
             )
             return
         if owner == msg.src:
@@ -247,7 +247,7 @@ class Directory:
             self._network.multicast(
                 self._forward(INV, None, msg),
                 sorted(others),
-                extra_delay=self._config.directory_latency,
+                self._config.directory_latency,
             )
             return
         self._grant_exclusive(entry, msg)
@@ -258,22 +258,10 @@ class Directory:
         """Build a probe carrying the requester's identity and chain info
         (``dst`` None for an INV, which goes to every sharer)."""
         return self._Message(
-            kind=kind,
-            src=DIRECTORY,
-            dst=dst,
-            block=req.block,
-            requester=req.src,
-            exclusive=req.kind is not GETS,
-            pic=req.pic,
-            power=req.power,
-            timestamp=req.timestamp,
-            epoch=req.epoch,
-            req_id=req.req_id,
-            can_consume=req.can_consume,
-            is_validation=req.is_validation,
-            non_transactional=req.non_transactional,
-            req_produced=req.req_produced,
-            req_consumed=req.req_consumed,
+            kind, DIRECTORY, dst, req.block, req.epoch, req.req_id, None,
+            req.src, req.kind is not GETS, None, req.pic, req.power,
+            req.timestamp, req.can_consume, req.is_validation,
+            req.non_transactional, req.req_produced, req.req_consumed,
         )
 
     # ------------------------------------------------------------------
@@ -285,15 +273,10 @@ class Directory:
         entry.busy = True
         self._network.send(
             self._Message(
-                kind=DATA,
-                src=DIRECTORY,
-                dst=msg.src,
-                block=msg.block,
-                data=self._memory.block_value(msg.block),
-                epoch=msg.epoch,
-                req_id=msg.req_id,
+                DATA, DIRECTORY, msg.src, msg.block, msg.epoch, msg.req_id,
+                self._memory.block_value(msg.block),
             ),
-            extra_delay=self._fetch_latency(msg.block),
+            self._fetch_latency(msg.block),
         )
 
     def _grant_exclusive(self, entry: _BlockEntry, msg: Message) -> None:
@@ -302,15 +285,10 @@ class Directory:
         entry.busy = True  # until the grantee's 'recv' unblock
         self._network.send(
             self._Message(
-                kind=DATA_E,
-                src=DIRECTORY,
-                dst=msg.src,
-                block=msg.block,
-                data=self._memory.block_value(msg.block),
-                epoch=msg.epoch,
-                req_id=msg.req_id,
+                DATA_E, DIRECTORY, msg.src, msg.block, msg.epoch, msg.req_id,
+                self._memory.block_value(msg.block),
             ),
-            extra_delay=self._fetch_latency(msg.block),
+            self._fetch_latency(msg.block),
         )
 
     # ------------------------------------------------------------------
@@ -336,12 +314,8 @@ class Directory:
             # request from memory (non-speculative data, Section III).
             entry.owner = None
             original = self._Message(
-                kind=GETS if not msg.exclusive else GETX,
-                src=msg.requester,
-                dst=DIRECTORY,
-                block=msg.block,
-                epoch=msg.epoch,
-                req_id=msg.req_id,
+                GETS if not msg.exclusive else GETX, msg.requester, DIRECTORY,
+                msg.block, msg.epoch, msg.req_id,
             )
             if msg.exclusive:
                 self._grant_exclusive(entry, original)

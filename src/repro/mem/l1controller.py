@@ -148,7 +148,7 @@ class L1Controller:
         "_handlers",
         "core",
         "_forwards",
-        "_block_of",
+        "_bshift",
         "_hit_latency",
         "_send",
         "_schedule",
@@ -191,11 +191,12 @@ class L1Controller:
         self.cache = L1Cache(config)
         self._outstanding: Dict[int, _Outstanding] = {}
         # Hot-path constants/bound methods: the spec's forwarding hook
-        # (derived from its conflict layer), the address→block map, the
-        # L1 hit latency, the network injector and the engine scheduler
-        # are all invariant after construction.
+        # (derived from its conflict layer), the address→block shift
+        # (``Geometry`` forces a power-of-two block size), the L1 hit
+        # latency, the network injector and the engine scheduler are all
+        # invariant after construction.
         self._forwards = htm.system.forwards
-        self._block_of = geometry.block_of
+        self._bshift = geometry.block_bytes.bit_length() - 1
         self._hit_latency = config.l1_hit_latency
         self._send = network.send
         self._schedule = engine.schedule
@@ -244,39 +245,35 @@ class L1Controller:
         kind: MessageKind,
         block: int,
         out: _Outstanding,
-        *,
         non_transactional: bool = False,
         is_validation: bool = False,
-    ) -> int:
+    ) -> None:
         req_id = next(self._req_ids)
         self._outstanding[req_id] = out
         tx = self._tx() if not non_transactional else None
-        msg = self._Message(
-            kind=kind,
-            src=self.core_id,
-            dst=DIRECTORY,
-            block=block,
-            epoch=out.epoch,
-            req_id=req_id,
-            non_transactional=non_transactional,
-            is_validation=is_validation,
-        )
         if tx is not None:
-            msg.pic = tx.pic.value
-            msg.power = tx.power
-            msg.timestamp = tx.timestamp
-            msg.req_produced = tx.levc_has_produced
-            msg.req_consumed = tx.levc_has_consumed
-            msg.can_consume = is_validation or (
-                self._forwards and not tx.power and not tx.vsb.full
+            self._send(
+                self._Message(
+                    kind, self.core_id, DIRECTORY, block, out.epoch, req_id,
+                    None, None, False, None,
+                    tx.pic.value, tx.power, tx.timestamp,
+                    is_validation
+                    or (self._forwards and not tx.power and not tx.vsb.full),
+                    is_validation, non_transactional,
+                    tx.levc_has_produced, tx.levc_has_consumed,
+                )
             )
         else:
-            msg.can_consume = False
-        self._send(msg)
-        return req_id
+            self._send(
+                self._Message(
+                    kind, self.core_id, DIRECTORY, block, out.epoch, req_id,
+                    None, None, False, None,
+                    None, False, None, False, is_validation, non_transactional,
+                )
+            )
 
     def _abort_capacity(self, tx: TxState, block: int) -> None:
-        self.core.abort_tx(CAPACITY, block=block)
+        self.core.abort_tx(CAPACITY, None, block)
 
     def _check_orec(self, block: int) -> bool:
         """Hybrid instrumentation: a hardware transaction touching a block
@@ -286,7 +283,7 @@ class L1Controller:
         when the access killed the attempt."""
         owner = self._orecs.owner(block)
         if owner is not None and owner != self.core_id:
-            self.core.abort_tx(HYBRID, src=owner, block=block)
+            self.core.abort_tx(HYBRID, owner, block)
             return True
         return False
 
@@ -312,11 +309,8 @@ class L1Controller:
             # forwarding to us; shared victims are evicted silently.
             self._send(
                 self._Message(
-                    kind=WRITEBACK,
-                    src=self.core_id,
-                    dst=DIRECTORY,
-                    block=victim.block,
-                    data=self._memory.block_value(victim.block),
+                    WRITEBACK, self.core_id, DIRECTORY, victim.block, 0, 0,
+                    self._memory.block_value(victim.block),
                 )
             )
         return True
@@ -325,7 +319,7 @@ class L1Controller:
     # Transactional operations (called by the core driver).
     # ------------------------------------------------------------------
     def tx_read(self, tx: TxState, addr: int, callback: TxCallback) -> None:
-        block = self._block_of(addr)
+        block = addr >> self._bshift
         if self._orecs is not None and self._check_orec(block):
             return  # hybrid slow-path owner: the attempt just died
         try:
@@ -340,20 +334,14 @@ class L1Controller:
             )
             return
         out = _make_outstanding(
-            block=block,
-            exclusive=False,
-            transactional=True,
-            epoch=tx.epoch,
-            is_validation=False,
-            on_value=callback,
-            addr=addr,
+            block, False, True, tx.epoch, False, callback, None, None, addr
         )
         self._send_request(GETS, block, out)
 
     def tx_write(
         self, tx: TxState, addr: int, value: int, callback: TxCallback
     ) -> None:
-        block = self._block_of(addr)
+        block = addr >> self._bshift
         if self._orecs is not None and self._check_orec(block):
             return  # hybrid slow-path owner: the attempt just died
         try:
@@ -370,13 +358,7 @@ class L1Controller:
             self._schedule(self._hit_latency, callback, tx.epoch, None)
             return
         out = _make_outstanding(
-            block=block,
-            exclusive=True,
-            transactional=True,
-            epoch=tx.epoch,
-            is_validation=False,
-            on_value=callback,
-            addr=addr,
+            block, True, True, tx.epoch, False, callback, None, None, addr
         )
         kind = UPGRADE if line is not None else GETX
         self._send_request(kind, block, out)
@@ -385,21 +367,14 @@ class L1Controller:
         self, tx: TxState, block: int, callback: MsgCallback
     ) -> None:
         """Validation controller path: exclusive re-request of a VSB block."""
-        out = _make_outstanding(
-            block=block,
-            exclusive=True,
-            transactional=True,
-            epoch=tx.epoch,
-            is_validation=True,
-            on_message=callback,
-        )
-        self._send_request(GETX, block, out, is_validation=True)
+        out = _make_outstanding(block, True, True, tx.epoch, True, None, callback)
+        self._send_request(GETX, block, out, False, True)
 
     # ------------------------------------------------------------------
     # Non-transactional operations.
     # ------------------------------------------------------------------
     def nontx_read(self, addr: int, callback: ValueCallback) -> None:
-        block = self._block_of(addr)
+        block = addr >> self._bshift
         line = self.cache.lookup(block)
         if line is not None:
             self._schedule(
@@ -407,18 +382,12 @@ class L1Controller:
             )
             return
         out = _make_outstanding(
-            block=block,
-            exclusive=False,
-            transactional=False,
-            epoch=0,
-            is_validation=False,
-            on_value=callback,
-            addr=addr,
+            block, False, False, 0, False, callback, None, None, addr
         )
-        self._send_request(GETS, block, out, non_transactional=True)
+        self._send_request(GETS, block, out, True)
 
     def nontx_write(self, addr: int, value: int, callback: ValueCallback) -> None:
-        block = self._block_of(addr)
+        block = addr >> self._bshift
         line = self.cache.lookup(block)
         if line is not None and line.state in ("E", "M") and not line.speculative:
             line.state = "M"
@@ -426,21 +395,14 @@ class L1Controller:
             self._schedule(self._hit_latency, callback, None)
             return
         out = _make_outstanding(
-            block=block,
-            exclusive=True,
-            transactional=False,
-            epoch=0,
-            is_validation=False,
-            on_value=callback,
-            addr=addr,
-            write_value=value,
+            block, True, False, 0, False, callback, None, value, addr
         )
-        self._send_request(GETX, block, out, non_transactional=True)
+        self._send_request(GETX, block, out, True)
 
     def nontx_cas(
         self, addr: int, expect: int, new: int, callback: ValueCallback
     ) -> None:
-        block = self._block_of(addr)
+        block = addr >> self._bshift
         line = self.cache.lookup(block)
         if line is not None and line.state in ("E", "M") and not line.speculative:
             observed = self._memory.read_word(addr)
@@ -449,16 +411,10 @@ class L1Controller:
             self._schedule(self._hit_latency, callback, observed)
             return
         out = _make_outstanding(
-            block=block,
-            exclusive=True,
-            transactional=False,
-            epoch=0,
-            is_validation=False,
-            on_value=callback,
-            addr=addr,
-            cas=(expect, new),
+            block, True, False, 0, False, callback, None, None, addr,
+            (expect, new),
         )
-        self._send_request(GETX, block, out, non_transactional=True)
+        self._send_request(GETX, block, out, True)
 
     # ------------------------------------------------------------------
     # Incoming message dispatch.
@@ -506,13 +462,13 @@ class L1Controller:
         tx = self._tx()
         conflict = tx is not None and tx.conflicts_with_read(block)
         if conflict:
-            self._resolve_conflict(tx, msg, via_inv=True)
+            self._resolve_conflict(tx, msg, True)
             return
         self.cache.invalidate(block)
         self._ack_inv(msg, "invalidated")
 
     def _resolve_conflict(
-        self, tx: TxState, msg: Message, *, via_inv: bool = False
+        self, tx: TxState, msg: Message, via_inv: bool = False
     ) -> None:
         """Apply the conflict policy as the holder of ``msg.block``."""
         pic_before = tx.pic.value
@@ -529,15 +485,9 @@ class L1Controller:
                 )
             self._send(
                 self._Message(
-                    kind=SPEC_RESP,
-                    src=self.core_id,
-                    dst=msg.requester,
-                    block=msg.block,
-                    data=tx.store.block_value(msg.block),
-                    pic=outcome.message_pic,
-                    power=outcome.from_power,
-                    epoch=msg.epoch,
-                    req_id=msg.req_id,
+                    SPEC_RESP, self.core_id, msg.requester, msg.block,
+                    msg.epoch, msg.req_id, tx.store.block_value(msg.block),
+                    None, False, None, outcome.message_pic, outcome.from_power,
                 )
             )
             if via_inv:
@@ -549,12 +499,8 @@ class L1Controller:
             tx.mark_conflicted()
             self._send(
                 self._Message(
-                    kind=NACK,
-                    src=self.core_id,
-                    dst=msg.requester,
-                    block=msg.block,
-                    epoch=msg.epoch,
-                    req_id=msg.req_id,
+                    NACK, self.core_id, msg.requester, msg.block, msg.epoch,
+                    msg.req_id,
                 )
             )
             if via_inv:
@@ -579,7 +525,7 @@ class L1Controller:
             # block it is about to own, or publishing its redo log): the
             # same cause as a failed orec check, so classify it alike.
             reason = HYBRID
-        self.core.abort_tx(reason, src=msg.requester, block=msg.block)
+        self.core.abort_tx(reason, msg.requester, msg.block)
         # Gang invalidation dropped the SM lines, but the probed block may
         # be cached *non-speculatively* (e.g. the fallback lock block, or a
         # block owned before the transaction began).  The directory will
@@ -594,55 +540,32 @@ class L1Controller:
     def _respond_data(self, probe: Message, kind: MessageKind, data) -> None:
         self._send(
             self._Message(
-                kind=kind,
-                src=self.core_id,
-                dst=probe.requester,
-                block=probe.block,
-                data=data,
-                epoch=probe.epoch,
-                req_id=probe.req_id,
+                kind, self.core_id, probe.requester, probe.block, probe.epoch,
+                probe.req_id, data,
             )
         )
 
     def _unblock(self, probe: Message, action: str) -> None:
         self._send(
             self._Message(
-                kind=UNBLOCK,
-                src=self.core_id,
-                dst=DIRECTORY,
-                block=probe.block,
-                requester=probe.requester,
-                exclusive=probe.exclusive,
-                epoch=probe.epoch,
-                req_id=probe.req_id,
-                action=action,
+                UNBLOCK, self.core_id, DIRECTORY, probe.block, probe.epoch,
+                probe.req_id, None, probe.requester, probe.exclusive, action,
             )
         )
 
     def _cancel(self, probe: Message) -> None:
         self._send(
             self._Message(
-                kind=CANCEL,
-                src=self.core_id,
-                dst=DIRECTORY,
-                block=probe.block,
-                requester=probe.requester,
-                epoch=probe.epoch,
-                req_id=probe.req_id,
+                CANCEL, self.core_id, DIRECTORY, probe.block, probe.epoch,
+                probe.req_id, None, probe.requester,
             )
         )
 
     def _ack_inv(self, probe: Message, action: str) -> None:
         self._send(
             self._Message(
-                kind=ACK,
-                src=self.core_id,
-                dst=DIRECTORY,
-                block=probe.block,
-                requester=probe.requester,
-                epoch=probe.epoch,
-                req_id=probe.req_id,
-                action=action,
+                ACK, self.core_id, DIRECTORY, probe.block, probe.epoch,
+                probe.req_id, None, probe.requester, False, action,
             )
         )
 
@@ -654,11 +577,8 @@ class L1Controller:
             # addressed to a rolled-back attempt.
             self._send(
                 self._Message(
-                    kind=UNBLOCK,
-                    src=self.core_id,
-                    dst=DIRECTORY,
-                    block=msg.block,
-                    action="recv",
+                    UNBLOCK, self.core_id, DIRECTORY, msg.block, 0, 0, None,
+                    None, False, "recv",
                 )
             )
         out = self._outstanding.pop(msg.req_id, None)
@@ -685,7 +605,7 @@ class L1Controller:
                     # already read it.  Its isolation can no longer be
                     # policed; it must roll back.  (A directory race, not
                     # another core's action: no ``src`` to attribute.)
-                    self.core.abort_tx(CONFLICT, block=msg.block)
+                    self.core.abort_tx(CONFLICT, None, msg.block)
                 return
             if out.is_validation:
                 self._complete_validation(tx, out, msg)
@@ -710,7 +630,7 @@ class L1Controller:
         state = "E" if msg.kind is DATA_E else "S"
         if out.exclusive:
             state = "M"
-        if not self._install(out.block, state, speculative=out.exclusive):
+        if not self._install(out.block, state, out.exclusive):
             return  # capacity abort killed the attempt
         self._complete_tx_access(tx, out)
 
@@ -760,9 +680,7 @@ class L1Controller:
                         value=tx.pic.value, source="adopt",
                     )
                 )
-        if not self._install(
-            out.block, "M", speculative=True, spec_received=True
-        ):
+        if not self._install(out.block, "M", True, True):
             return  # capacity abort
         self.core.validation.arm(tx)
         self._complete_tx_access(tx, out)
@@ -819,4 +737,4 @@ class L1Controller:
 
     def _retry_nontx_request(self, out: _Outstanding) -> None:
         kind = GETX if out.exclusive else GETS
-        self._send_request(kind, out.block, out, non_transactional=True)
+        self._send_request(kind, out.block, out, True)

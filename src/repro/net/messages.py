@@ -137,14 +137,28 @@ def make_message(
     src: int = 0,
     dst: Optional[int] = 0,
     block: int = 0,
+    # The request a message belongs to: set on requests, probes and
+    # every answer to them.
+    epoch: int = 0,
+    req_id: int = 0,
+    # The payload of Data, DataE, SpecResp and Writeback.
     data: Optional[Tuple[int, ...]] = None,
+    # A probe's requester, and what a probed cache tells the directory
+    # about it.
     requester: Optional[int] = None,
     exclusive: bool = False,
+    # UNBLOCK sub-action from a probed cache back to the directory:
+    # 'xfer' (ownership moved to requester), 'downgrade' (owner became
+    # sharer), 'aborted' (holder aborted; supply memory data),
+    # 'not_present' (stale owner; supply memory data), 'recv'
+    # (grantee acknowledges a directory-sourced response); an ACK's
+    # 'invalidated' or 'refused'.
+    action: Optional[str] = None,
+    # The requesting transaction's chain state, carried by requests and
+    # probes.
     pic: Optional[int] = None,
     power: bool = False,
     timestamp: Optional[int] = None,
-    epoch: int = 0,
-    req_id: int = 0,
     can_consume: bool = True,
     is_validation: bool = False,
     non_transactional: bool = False,
@@ -152,36 +166,36 @@ def make_message(
     # carried on every request at no cost, like its ideal timestamps).
     req_produced: bool = False,
     req_consumed: bool = False,
-    # UNBLOCK sub-action from a probed cache back to the directory:
-    # 'xfer' (ownership moved to requester), 'downgrade' (owner became
-    # sharer), 'aborted' (holder aborted; supply memory data),
-    # 'not_present' (stale owner; supply memory data), 'recv'
-    # (grantee acknowledges a directory-sourced response).
-    action: Optional[str] = None,
 ) -> Message:
     """Build a :class:`Message` — its only constructor.
 
     A plain function: calling a class whose ``__init__`` is Python code
     with keywords packs them into a dict and binds them again, which
-    costs about twice this allocation plus 18 slot stores.
+    costs about twice this allocation plus 18 slot stores.  The
+    parameters are ordered so that every message the L1 and the
+    directory build is a positional prefix, and they pass it
+    positionally, since binding keywords costs more than the few
+    defaults a prefix spells out: a NACK stops at ``req_id``, a grant
+    at ``data``, an UNBLOCK, ACK or CANCEL at ``action`` or
+    ``requester``, and a request or a probe passes every field.
     """
     msg = _new_message(Message)
     msg.kind = kind
     msg.src = src
     msg.dst = dst
     msg.block = block
+    msg.epoch = epoch
+    msg.req_id = req_id
     msg.data = data
     msg.requester = requester
     msg.exclusive = exclusive
+    msg.action = action
     msg.pic = pic
     msg.power = power
     msg.timestamp = timestamp
-    msg.epoch = epoch
-    msg.req_id = req_id
     msg.can_consume = can_consume
     msg.is_validation = is_validation
     msg.non_transactional = non_transactional
     msg.req_produced = req_produced
     msg.req_consumed = req_consumed
-    msg.action = action
     return msg

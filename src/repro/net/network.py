@@ -6,11 +6,13 @@ network never reorders messages between the same (src, dst) pair: ties in
 delivery time are broken by send order via the engine's FIFO tie-break.
 
 ``send`` is one of the two hottest functions in the simulator (with
-``Engine.run``), so the per-message work is precomputed: flit counts are
-bound at construction, per-kind accounting indexes a dense list via
-``kind.idx`` instead of hashing enum members, and the destination's
-handler for the message's kind is scheduled as the event itself, so a
-delivery is one call with no routing frame.  A
+``Engine.run``), so the per-message work is precomputed and minimal: the
+crossbar keeps one delivery count per message kind (a dense list indexed
+by ``kind.idx``, so no enum member is hashed), and the flit totals are
+derived from those counts, each kind's count times its class's flits
+(Table I), when they are read; the destination's handler for the
+message's kind is scheduled as the event itself, so a delivery is one
+call with no routing frame.  A
 :class:`~repro.net.messages.Message` is a plain record that lives as long
 as something references it, so the network never recycles or
 invalidates one after delivery.
@@ -52,9 +54,7 @@ class Crossbar:
         "_data_flits",
         "_control_flits",
         "_link_latency",
-        "flits_sent",
-        "messages_sent",
-        "_flits_by_idx",
+        "_sent_by_idx",
     )
 
     def __init__(
@@ -72,9 +72,8 @@ class Crossbar:
         self._data_flits = config.data_message_flits
         self._control_flits = config.control_message_flits
         self._link_latency = config.link_latency
-        self.flits_sent: int = 0
-        self.messages_sent: int = 0
-        self._flits_by_idx = [0] * len(MessageKind)
+        #: Deliveries of each kind, by ``kind.idx``.
+        self._sent_by_idx = [0] * len(MessageKind)
 
     def connect(self, tables: Sequence[List[Handler]]) -> None:
         """Give the delivery tables once the controllers exist.
@@ -94,14 +93,32 @@ class Crossbar:
         self._tables = tables
 
     @property
+    def messages_sent(self) -> int:
+        """Messages delivered (a multicast counts one per destination)."""
+        return sum(self._sent_by_idx)
+
+    @property
+    def flits_sent(self) -> int:
+        """Flits of every message delivered."""
+        return sum(self._flit_totals())
+
+    def _flit_totals(self) -> List[int]:
+        """Flits delivered of each kind, by ``kind.idx``: its count times
+        its class's flits (Table I)."""
+        data, control = self._data_flits, self._control_flits
+        return [
+            count * (data if kind.carries_data else control)
+            for kind, count in zip(MessageKind, self._sent_by_idx)
+        ]
+
+    @property
     def flits_by_kind(self) -> Counter:
         """Per-kind flit totals (Counter keyed by :class:`MessageKind`)."""
-        by_idx = self._flits_by_idx
         return Counter(
             {
-                kind: by_idx[kind.idx]
-                for kind in MessageKind
-                if by_idx[kind.idx]
+                kind: flits
+                for kind, flits in zip(MessageKind, self._flit_totals())
+                if flits
             }
         )
 
@@ -136,23 +153,19 @@ class Crossbar:
                 )
             )
 
-    def send(self, msg: Message, *, extra_delay: int = 0) -> None:
-        """Inject ``msg``; it is delivered after the link latency."""
-        kind = msg.kind
-        flits = self._data_flits if kind.carries_data else self._control_flits
-        self.flits_sent += flits
-        self.messages_sent += 1
-        self._flits_by_idx[kind.idx] += flits
+    def send(self, msg: Message, extra_delay: int = 0) -> None:
+        """Inject ``msg``; it is delivered after the link latency plus
+        ``extra_delay``."""
+        idx = msg.kind.idx
+        self._sent_by_idx[idx] += 1
         if self._probe._subscribers:
             self._emit_traced(msg, msg.dst)
         self._schedule(
-            self._link_latency + extra_delay,
-            self._tables[msg.dst][kind.idx],
-            msg,
+            self._link_latency + extra_delay, self._tables[msg.dst][idx], msg
         )
 
     def multicast(
-        self, msg: Message, dsts: Sequence[int], *, extra_delay: int = 0
+        self, msg: Message, dsts: Sequence[int], extra_delay: int = 0
     ) -> None:
         """Deliver the one record ``msg`` to every node of ``dsts``, in
         order, after the link latency.
@@ -161,13 +174,8 @@ class Crossbar:
         its flits and, when traced, one ``MsgSent``.  ``msg.dst`` is not
         read, since the record has no single destination.
         """
-        kind = msg.kind
-        idx = kind.idx
-        count = len(dsts)
-        flits = self._data_flits if kind.carries_data else self._control_flits
-        self.flits_sent += flits * count
-        self.messages_sent += count
-        self._flits_by_idx[idx] += flits * count
+        idx = msg.kind.idx
+        self._sent_by_idx[idx] += len(dsts)
         traced = self._probe._subscribers
         schedule = self._schedule
         tables = self._tables
@@ -179,7 +187,7 @@ class Crossbar:
 
     def stats(self) -> Dict[str, int]:
         validation_kinds = (GETX, SPEC_RESP)
-        by_idx = self._flits_by_idx
+        by_idx = self._flit_totals()
         return {
             "flits": self.flits_sent,
             "messages": self.messages_sent,

@@ -318,7 +318,6 @@ class Core:
     def abort_tx(
         self,
         reason: AbortReason,
-        *,
         src: Optional[int] = None,
         block: Optional[int] = None,
     ) -> None:

@@ -31,10 +31,19 @@ Hot-path design (this module is the innermost loop of every experiment):
   *before* cycle ``T`` runs (a delay-1 schedule during ``T`` goes to
   ``_next``, anything longer lands past ``T+1``), so draining the bucket
   first and ``_next`` second is exactly global schedule order.
+* A swapped run lane.  The lane is a plain list that ``run`` walks with
+  one list iterator, so firing an event is one iterator step, and a
+  zero-delay entry appended while the lane is walked is reached in
+  order.  At a cycle boundary nothing is copied: when only ``_next`` is
+  due, it becomes the lane and the drained lane, emptied, becomes
+  ``_next``; when a bucket is due, ``_next`` (if due too) is appended to
+  the bucket, which becomes the lane.
 * Cancelled entries are dropped lazily when their cycle drains, and the
-  buckets are compacted in place once dead entries outnumber live ones,
-  so a workload that arms and cancels millions of timers keeps a bounded
-  queue.  A cycle whose entries are all dead does not move the clock.
+  buckets and ``_next`` are compacted in place once dead entries
+  outnumber live ones, so a workload that arms and cancels millions of
+  timers keeps a bounded queue.  Compaction leaves the run lane alone,
+  since ``run`` may be walking it; the walk drops its dead entries.  A
+  cycle whose entries are all dead does not move the clock.
 * No live-event counter: only the dead entries are counted, and
   :meth:`Engine.pending` (a test aid) counts the queue.
 """
@@ -42,7 +51,6 @@ Hot-path design (this module is the innermost loop of every experiment):
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional
 
 
@@ -53,9 +61,11 @@ class Engine:
         "_buckets",
         "_cycles",
         "_lane",
+        "_lane_iter",
         "_next",
         "_now",
         "_dead",
+        "_compact_at",
         "events_processed",
     )
 
@@ -69,13 +79,21 @@ class Engine:
         # when its bucket is created, and popped when the clock reaches it.
         self._buckets: Dict[int, List[list]] = {}
         self._cycles: List[int] = []
-        # Entries runnable at the current cycle, in FIFO order.
-        self._lane: deque = deque()
+        # Entries runnable at the current cycle, in FIFO order, and the
+        # iterator that walks them: ``run``'s while it runs, a fresh one
+        # otherwise.  Its length hint is the number of entries not yet
+        # reached.
+        self._lane: List[list] = []
+        self._lane_iter = iter(self._lane)
         # Entries for cycle ``_now + 1`` (the dominant delay), bypassing
         # the bucket dict and the cycle heap entirely.
         self._next: List[list] = []
         self._now = 0
         self._dead = 0
+        # The dead count that triggers the next compaction: the threshold,
+        # plus the dead entries the last compaction had to leave in the
+        # lane (reset when the lane is next reseeded).
+        self._compact_at = self.COMPACT_THRESHOLD
         self.events_processed = 0
 
     @property
@@ -104,10 +122,6 @@ class Engine:
             self._lane.append(entry)
         return entry
 
-    def schedule_at(self, cycle: int, fn: Callable, *args: Any) -> list:
-        """Run ``fn(*args)`` at absolute ``cycle``."""
-        return self.schedule(cycle - self._now, fn, *args)
-
     def cancel(self, handle: list) -> None:
         """Mark a scheduled entry dead in place (it is discarded lazily or
         by compaction).  Cancelling a fired or cancelled entry is a
@@ -118,7 +132,7 @@ class Engine:
         handle[1] = ()
         dead = self._dead + 1
         self._dead = dead
-        if dead >= self.COMPACT_THRESHOLD and dead + dead >= self._queued():
+        if dead >= self._compact_at and dead + dead >= self._queued():
             self._compact()
 
     # ------------------------------------------------------------------
@@ -142,15 +156,16 @@ class Engine:
         ``N`` (unless it was already past ``N``) even when the queue
         drained early, so back-to-back bounded runs observe a consistent,
         monotonic clock.  An event that would exceed ``max_events`` stays
-        queued, and the error names the cycle of the last event fired.
+        queued with the rest of its cycle, in order, and the error names
+        the cycle of the last event fired.
         """
         if until is not None and until < self._now:
             return self._now
-        # ``_compact`` mutates these containers in place, and nothing
-        # rebinds them, so the local bindings stay valid when a callback
-        # triggers it.
+        # ``_compact`` mutates ``_next`` and the buckets in place, and only
+        # this loop rebinds the lane and ``_next``, so the local bindings
+        # stay valid when a callback triggers it.
         lane = self._lane
-        popleft = lane.popleft
+        it = self._lane_iter = iter(lane)
         nxt = self._next
         cycles = self._cycles
         buckets = self._buckets
@@ -158,16 +173,18 @@ class Engine:
         # ``processed`` counts up from 0, so -1 never trips the budget.
         limit = -1 if max_events is None else max(max_events, 0)
         processed = 0
+        # Entries the iterator reached that stay queued: the one an
+        # exhausted budget stops at.
+        kept = 0
         try:
             while True:
-                while lane:
-                    entry = popleft()
+                for entry in it:
                     fn = entry[0]
                     if fn is None:
                         self._dead -= 1
                         continue
                     if processed == limit:
-                        lane.appendleft(entry)
+                        kept = 1
                         raise self._livelock(max_events)
                     entry[0] = None
                     processed += 1
@@ -176,18 +193,14 @@ class Engine:
                 # here, before the clock moves, if anything is left to fire.
                 if processed == limit and self._has_live(until):
                     raise self._livelock(max_events)
-                # Seed the empty lane with the next populated cycle's
-                # entries, and stop when there is none (or it lies beyond
+                # Seed the lane with the next populated cycle's entries,
+                # and stop when there is none (or it lies beyond
                 # ``until``).  Invariant: every ``_next`` entry matures at
                 # exactly ``_now + 1`` (entries are appended only while
                 # the current cycle fires, and the clock cannot move
                 # before the lane drains), so the bucket for that cycle —
-                # sealed strictly earlier — drains first and ``_next``
-                # second, preserving global schedule order.  A cycle left
-                # with no live entry (all cancelled, or emptied by
-                # compaction) is drained without moving the clock, so the
-                # clock always reads the cycle of the last event that
-                # fired.
+                # sealed strictly earlier — fires first and ``_next``
+                # second, preserving global schedule order.
                 target = self._now + 1
                 if cycles:
                     cycle = cycles[0]
@@ -201,18 +214,35 @@ class Engine:
                     break
                 if cycles and cycles[0] == cycle:
                     heappop(cycles)
-                    lane.extend(buckets.pop(cycle))
-                if nxt and cycle == target:
-                    lane.extend(nxt)
-                    nxt.clear()
-                if self._dead:
-                    while lane and lane[0][0] is None:
-                        popleft()
-                        self._dead -= 1
-                if lane:
+                    lane = buckets.pop(cycle)
+                    if nxt and cycle == target:
+                        lane.extend(nxt)
+                        nxt.clear()
+                else:
+                    lane.clear()
+                    lane, nxt = nxt, lane
+                    self._next = nxt
+                self._lane = lane
+                it = self._lane_iter = iter(lane)
+                # A cycle left with no live entry (all cancelled, or
+                # emptied by compaction) is walked without moving the
+                # clock, so the clock always reads the cycle of the last
+                # event that fired.
+                if not self._dead:
                     self._now = cycle
+                    continue
+                # The lane a compaction had to leave alone is drained.
+                self._compact_at = self.COMPACT_THRESHOLD
+                for entry in lane:
+                    if entry[0] is not None:
+                        self._now = cycle
+                        break
         finally:
             self.events_processed += processed
+            # The iterator reached these: fired entries, and dead ones
+            # already uncounted.
+            del lane[: len(lane) - it.__length_hint__() - kept]
+            self._lane_iter = iter(lane)
         if until is not None and until > self._now:
             self._now = until
         return self._now
@@ -229,27 +259,31 @@ class Engine:
 
     # ------------------------------------------------------------------
     def _queued(self) -> int:
-        """Every queued entry, live or dead."""
+        """Every queued entry, live or dead: the lane's entries not yet
+        reached, ``_next`` and the buckets."""
         return (
-            len(self._lane)
+            self._lane_iter.__length_hint__()
             + len(self._next)
             + sum(map(len, self._buckets.values()))
         )
 
     def _compact(self) -> None:
-        """Drop cancelled entries, in place (callers hold aliases to the
-        containers), preserving the deterministic order.
+        """Drop cancelled entries from ``_next`` and the buckets, in place
+        (``run`` holds aliases to the containers), preserving the
+        deterministic order.
 
+        The run lane is left alone: ``run`` may be walking it, and drops
+        its dead entries as it reaches them.  So ``_dead`` loses only what
+        was removed here, and the next compaction waits for
+        ``COMPACT_THRESHOLD`` more cancels beyond the dead entries left in
+        the lane; otherwise every later cancel would compact again.
         Emptied buckets stay registered (their cycle key is already in the
         heap); ``run`` drains them without moving the clock.
         """
-        for bucket in self._buckets.values():
-            bucket[:] = [entry for entry in bucket if entry[0] is not None]
-        nxt = self._next
-        nxt[:] = [entry for entry in nxt if entry[0] is not None]
-        lane = self._lane
-        for _ in range(len(lane)):
-            entry = lane.popleft()
-            if entry[0] is not None:
-                lane.append(entry)
-        self._dead = 0
+        removed = 0
+        for entries in (self._next, *self._buckets.values()):
+            live = [entry for entry in entries if entry[0] is not None]
+            removed += len(entries) - len(live)
+            entries[:] = live
+        self._dead -= removed
+        self._compact_at = self._dead + self.COMPACT_THRESHOLD

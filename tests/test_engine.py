@@ -38,13 +38,6 @@ class TestScheduling(EngineCase):
         assert seen == [5, 9]
         assert final == 9
 
-    def test_schedule_at_absolute(self):
-        engine = self.new_engine()
-        seen = []
-        engine.schedule(5, lambda: engine.schedule_at(30, lambda: seen.append(engine.now)))
-        engine.run()
-        assert seen == [30]
-
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError) as exc:
             self.new_engine().schedule(-1, lambda: None)
@@ -404,3 +397,118 @@ class TestCancellationLeak(EngineCase):
         )
         assert engine.events_processed == 71
         assert engine.now == 1
+
+
+class TestSwappedLane(EngineCase):
+    """The run lane is a list that ``run`` walks and swaps with ``_next``
+    at a cycle boundary: a spent budget, an exception and compaction must
+    all leave exactly the entries not yet reached."""
+
+    def test_budget_spent_mid_cycle_keeps_the_rest_of_the_cycle(self):
+        """A budget that runs out in the middle of cycle 3 leaves the rest
+        of that cycle queued, in order, the zero-delay entry included;
+        pending() counts it exactly, and the next run fires it at cycle 3,
+        before cycle 4."""
+        engine = self.new_engine()
+        fired = []
+
+        def note(tag):
+            fired.append((tag, engine.now))
+
+        def spawn():
+            note("spawn")
+            engine.schedule(0, note, "zero")
+
+        engine.schedule(3, note, "a")
+        engine.schedule(3, spawn)
+        engine.schedule(3, note, "b")
+        engine.cancel(engine.schedule(3, note, "cancelled"))
+        engine.schedule(3, note, "c")
+        engine.schedule(4, note, "later")
+        with pytest.raises(RuntimeError, match="3 events at cycle 3;"):
+            engine.run(max_events=3)
+        assert fired == [("a", 3), ("spawn", 3), ("b", 3)]
+        assert engine.pending() == 3  # c and zero at cycle 3, later at 4
+        assert engine.now == 3
+        engine.run()
+        assert fired[3:] == [("c", 3), ("zero", 3), ("later", 4)]
+        assert engine.events_processed == 6
+        assert engine.pending() == 0
+        assert engine._lane == [] and engine._dead == 0
+
+    def test_pending_inside_a_callback_counts_what_is_left(self):
+        """Mid-cycle, pending() counts the lane entries not yet reached,
+        not the ones already fired."""
+        engine = self.new_engine()
+        seen = []
+        for _ in range(3):
+            engine.schedule(1, lambda: seen.append(engine.pending()))
+        engine.schedule(2, lambda: None)
+        engine.run()
+        assert seen == [3, 2, 1]
+
+    def test_a_raising_callback_leaves_the_rest_queued(self):
+        engine = self.new_engine()
+        fired = []
+
+        def boom():
+            raise ValueError("boom")
+
+        engine.schedule(1, fired.append, "a")
+        engine.schedule(1, boom)
+        engine.schedule(1, fired.append, "b")
+        with pytest.raises(ValueError, match="boom"):
+            engine.run()
+        assert engine.pending() == 1
+        engine.run()
+        assert fired == ["a", "b"]
+        assert engine.now == 1
+
+    def test_compaction_leaves_the_walked_lane_alone(self, monkeypatch):
+        """One event cancels 80 of the 100 entries still waiting in its
+        own cycle and 200 future timers.  Compaction drops the timers but
+        not the lane's dead entries, which run() is walking, and
+        subtracts only what it removed, so pending() stays exact; and it
+        does not run again on every later cancel just because the lane's
+        dead entries are still there (without the raised threshold, the
+        last ~60 timer cancels would each compact)."""
+        threshold = Engine.COMPACT_THRESHOLD
+        compactions = []
+        compact = Engine._compact
+
+        def counting(engine):
+            compactions.append(engine._dead)
+            compact(engine)
+
+        monkeypatch.setattr(Engine, "_compact", counting)
+        engine = self.new_engine()
+        fired = []
+        seen = {}
+
+        def cancel_all():
+            fired.append("cancel")
+            for i, handle in enumerate(waiting):
+                if i % 5:
+                    engine.cancel(handle)
+            seen["after lane"] = engine.pending()
+            for timer in timers:
+                engine.cancel(timer)
+            seen["after timers"] = engine.pending()
+            seen["outside lane"] = len(engine._next) + sum(
+                map(len, engine._buckets.values())
+            )
+
+        engine.schedule(1, cancel_all)
+        waiting = [engine.schedule(1, fired.append, i) for i in range(100)]
+        timers = [
+            engine.schedule(10_000, fired.append, "timer") for _ in range(200)
+        ]
+        engine.run()
+        assert fired == ["cancel"] + list(range(0, 100, 5))
+        assert seen["after lane"] == 20 + 200
+        assert seen["after timers"] == 20
+        assert seen["outside lane"] <= 2 * threshold
+        assert len(compactions) <= 1 + len(timers) // threshold
+        assert engine.events_processed == 21
+        assert engine.pending() == 0 and engine._dead == 0
+        assert engine.now == 1  # the all-dead timer cycle moved nothing

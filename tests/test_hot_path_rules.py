@@ -14,16 +14,29 @@ callbacks are bound methods and the L1 passes the attempt's epoch
 itself (docs/PERFORMANCE.md, "Callbacks and records on the event
 path").  No event-path function may contain a ``lambda``.
 
-Both rules work from each module's AST, so they read the same on every
+A call that passes keyword arguments makes the callee match each one
+to a parameter by name, and Python 3.11 never specialises such a call
+(its call specialisations take positional arguments only).  Every
+coherence hop used to pay for several: the message itself (``make_message`` with up
+to 16 keywords), its MSHR record, the crossbar's ``extra_delay``, line
+installs and aborts.  So no function of ``repro.net`` or ``repro.mem``
+passes keyword arguments, except to the probe event classes of
+``repro.obs.events``, which are built only when the probe has
+subscribers, and to named C builtins such as ``min(..., key=)``, which
+bind keywords in C.
+
+The rules work from each module's AST, so they read the same on every
 supported Python.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import enum
 import importlib
 import pkgutil
+import types
 from pathlib import Path
 from typing import Dict, List
 
@@ -38,9 +51,13 @@ EVENT_PATH_PACKAGES = (
 )
 
 
-def event_path_modules() -> List[object]:
+#: The packages of the message hop, whose functions pass no keywords.
+NO_KEYWORD_PACKAGES = ("repro.net", "repro.mem")
+
+
+def event_path_modules(packages=EVENT_PATH_PACKAGES) -> List[object]:
     modules = []
-    for name in EVENT_PATH_PACKAGES:
+    for name in packages:
         package = importlib.import_module(name)
         modules.append(package)
         for info in pkgutil.iter_modules(package.__path__, name + "."):
@@ -167,3 +184,67 @@ def test_lambda_rule_flags_function_bodies_only():
     assert lambdas_in_functions(source, "m") == [
         "m:3", "m:8", "m:9", "m:9",
     ]
+
+
+def _keywords_allowed(func: ast.expr, namespace: dict) -> bool:
+    """Whether a call of ``func`` may pass keywords: a name bound to a
+    probe event class of ``repro.obs.events`` or to a C builtin."""
+    if not isinstance(func, ast.Name):
+        return False
+    target = namespace.get(func.id, getattr(builtins, func.id, None))
+    if isinstance(target, types.BuiltinFunctionType):
+        return True
+    return isinstance(target, type) and target.__module__ == "repro.obs.events"
+
+
+def keyword_calls(source: str, namespace: dict) -> List[str]:
+    """``module:line`` of each call inside a function body that passes
+    keyword arguments (``**mapping`` included) to anything but the
+    allowed callees.  Module-level code, class bodies and a function's
+    defaults run once, so their calls are not counted."""
+    sites = {
+        node.lineno
+        for func in ast.walk(ast.parse(source))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for stmt in func.body
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+        and node.keywords
+        and not _keywords_allowed(node.func, namespace)
+    }
+    name = namespace["__name__"]
+    return [f"{name}:{line}" for line in sorted(sites)]
+
+
+def test_message_hop_passes_no_keywords():
+    sites = [
+        site
+        for module in event_path_modules(NO_KEYWORD_PACKAGES)
+        for site in keyword_calls(Path(module.__file__).read_text(), vars(module))
+    ]
+    assert not sites, (
+        f"{len(sites)} keyword calls inside functions of "
+        f"{' and '.join(NO_KEYWORD_PACKAGES)}; pass the arguments "
+        f"positionally (make_message's parameters are ordered so that "
+        f"each message shape is a positional prefix):\n" + "\n".join(sites)
+    )
+
+
+def test_keyword_rule_flags_function_bodies_only():
+    source = (
+        "from repro.obs.events import MsgSent\n"
+        "f = dict(a=1)\n"
+        "def g(x, default=dict(b=2)):\n"
+        "    h(x, flag=True)\n"
+        "    if x:\n"
+        "        MsgSent(cycle=1)\n"
+        "    return min(x, key=abs), h(**x)\n"
+        "class C:\n"
+        "    k = dict(c=3)\n"
+        "    def m(self):\n"
+        "        self.min(1, key=abs)\n"
+        "        return lambda: h(y=1)\n"
+    )
+    namespace = {"__name__": "m"}
+    exec(compile(source, "m", "exec"), namespace)
+    assert keyword_calls(source, namespace) == ["m:4", "m:7", "m:11", "m:12"]

@@ -319,3 +319,82 @@ class TestMulticast:
         assert [0, 1, 2] in holders.values()
         assert sim.stats.spec_forwards >= 3  # the holders conflicted
         assert all(slots(msg) == sent for _, msg, sent in seen)
+
+
+class TestPerKindCounts:
+    """The crossbar counts deliveries per kind; every total is derived
+    from those counts and the class flits (Table I)."""
+
+    def test_mixed_sends_and_a_multicast(self):
+        """Pinned numbers, equal to what the former running totals (one
+        each for flits, messages and flits per kind) gave."""
+        K = MessageKind
+        net = Crossbar(
+            Engine(), SystemConfig(data_message_flits=9, control_message_flits=2)
+        )
+        deliver_all(net, lambda msg: None)
+        for kind, src, dst in [
+            (K.GETS, 0, DIRECTORY),
+            (K.DATA, DIRECTORY, 0),
+            (K.GETX, 1, DIRECTORY),
+            (K.SPEC_RESP, 2, 1),
+            (K.UNBLOCK, 0, DIRECTORY),
+            (K.GETS, 3, DIRECTORY),
+            (K.DATA_E, DIRECTORY, 3),
+            (K.WRITEBACK, 1, DIRECTORY),
+            (K.DATA, 0, 2),
+        ]:
+            net.send(make_message(kind=kind, src=src, dst=dst, block=1))
+        net.multicast(
+            make_message(kind=K.INV, src=DIRECTORY, dst=None, block=1), (0, 2, 3)
+        )
+        # 7 control messages at 2 flits, 5 data messages at 9.
+        assert net.messages_sent == 12
+        assert net.flits_sent == 59
+        assert net.flits_by_kind == {
+            K.GETS: 4, K.GETX: 2, K.UNBLOCK: 2, K.INV: 6,
+            K.DATA: 18, K.DATA_E: 9, K.SPEC_RESP: 9, K.WRITEBACK: 9,
+        }
+        assert net.stats() == {
+            "flits": 59,
+            "messages": 12,
+            "data_flits": 45,
+            "control_flits": 14,
+            "spec_resp_flits": 9,
+            "_validation_kinds": 11,  # GETX 2 + SPEC_RESP 9
+        }
+
+
+class TestPositionalShapes:
+    def test_each_shape_is_a_positional_prefix(self):
+        """The L1 and the directory build every message positionally;
+        each shape fills the same fields as its keyword call."""
+        K = MessageKind
+        shapes = [
+            (
+                (K.NACK, 2, 1, 0x40, 3, 11),
+                dict(kind=K.NACK, src=2, dst=1, block=0x40, epoch=3, req_id=11),
+            ),
+            (
+                (K.DATA, DIRECTORY, 1, 0x40, 3, 11, (1, 2)),
+                dict(kind=K.DATA, src=DIRECTORY, dst=1, block=0x40, epoch=3,
+                     req_id=11, data=(1, 2)),
+            ),
+            (
+                (K.UNBLOCK, 0, DIRECTORY, 0x40, 3, 11, None, 1, True, "xfer"),
+                dict(kind=K.UNBLOCK, src=0, dst=DIRECTORY, block=0x40,
+                     epoch=3, req_id=11, requester=1, exclusive=True,
+                     action="xfer"),
+            ),
+            (
+                (K.FWD_GETX, DIRECTORY, 0, 0x40, 3, 11, None, 1, True, None,
+                 7, True, 9, False, True, True, True, True),
+                dict(kind=K.FWD_GETX, src=DIRECTORY, dst=0, block=0x40,
+                     epoch=3, req_id=11, requester=1, exclusive=True, pic=7,
+                     power=True, timestamp=9, can_consume=False,
+                     is_validation=True, non_transactional=True,
+                     req_produced=True, req_consumed=True),
+            ),
+        ]
+        for args, kwargs in shapes:
+            assert slots(make_message(*args)) == slots(make_message(**kwargs))

@@ -183,16 +183,18 @@ class TestTrend:
         # Three pairs at seed 1 in file order: ratios 1.1, 1.2 and 1.136.
         assert _line(text, "pr9", "sim-chats-llbh", "events_per_cpu_s").split() == [
             "events_per_cpu_s", "110,000", "125,000", "+13.6%",
-            "3", "3", "1.136", "105,000", "115,000", "events/s",
+            "3", "3", "1.136", "1.118", "1.168", "105,000", "115,000",
+            "events/s",
         ]
         # Two ``all`` runs a side: the median is their mean.
         assert _line(text, "pr12", "sim-chats-llbh", "events_per_cpu_s").split() == [
             "events_per_cpu_s", "210,000", "189,000", "-10.0%",
-            "2", "0", "0.900", "205,000", "215,000", "events/s",
+            "2", "0", "0.900", "0.900", "0.900", "205,000", "215,000",
+            "events/s",
         ]
         assert _line(text, "pr12", "report-sweep", "cold_wall_s").split()[1:] == [
-            "3.818", "4.242", "+11.1%", "2", "2", "1.111", "3.727", "3.909",
-            "s",
+            "3.818", "4.242", "+11.1%", "2", "2", "1.111", "1.111", "1.111",
+            "3.727", "3.909", "s",
         ]
         assert "pr12\n  report-sweep: parent 2 runs, 0 failed ops; " in text
 
@@ -200,11 +202,11 @@ class TestTrend:
         text = format_trend(load_history(history))
         assert _line(text, "pr12", "sim-chats-llbh", "engine.share").split() == [
             "engine.share", "0.3", "0.27", "-10.0%",
-            "1", "0", "0.900", "0.3", "0.3", "ratio",
+            "1", "0", "0.900", "0.900", "0.900", "0.3", "0.3", "ratio",
         ]
         assert _line(text, "pr12", "sim-chats-llbh", "net.messages").split()[1:] == [
-            "5,000", "5,000", "+0.0%", "1", "0", "1.000", "5,000", "5,000",
-            "count",
+            "5,000", "5,000", "+0.0%", "1", "0", "1.000", "1.000", "1.000",
+            "5,000", "5,000", "count",
         ]
         assert "engine.share" not in text.split("\npr12\n")[0]
 
@@ -213,7 +215,8 @@ class TestTrend:
                [_run("sim-chats-llbh", {"peak_rss_mb": (30.0, "MiB")})])
         text = format_trend(load_history(history))
         assert _line(text, "pr9", "sim-chats-llbh", "peak_rss_mb").split() == [
-            "peak_rss_mb", "-", "30", "-", "0", "-", "-", "-", "-", "MiB",
+            "peak_rss_mb", "-", "30", "-", "0", "-", "-", "-", "-", "-", "-",
+            "MiB",
         ]
 
 
@@ -243,7 +246,10 @@ class TestPairs:
         ]
         text = format_trend(load_history(tmp_path))
         row = _line(text, "pr1", "sim-be-kmeansh", "events_per_cpu_s").split()
-        assert row[4:] == ["3", "2", "1.100", "150", "250", "events/s"]
+        # Ratios 1.1, 0.95 and 1.1.
+        assert row[4:] == [
+            "3", "2", "1.100", "1.025", "1.100", "150", "250", "events/s",
+        ]
 
     def test_run_without_a_partner_stays_unpaired(self, tmp_path):
         parent = [_run("sim-be-kmeansh", _eps(v), seed=s)
@@ -256,7 +262,9 @@ class TestPairs:
         text = format_trend(load_history(tmp_path))
         row = _line(text, "pr1", "sim-be-kmeansh", "events_per_cpu_s").split()
         # The parent quartiles still read every parent run.
-        assert row[4:] == ["1", "1", "1.200", "100.5", "150.5", "events/s"]
+        assert row[4:] == [
+            "1", "1", "1.200", "1.200", "1.200", "100.5", "150.5", "events/s",
+        ]
 
     def test_traced_runs_pair_only_with_each_other(self, tmp_path):
         """A traced run reports only per-layer metrics, so its seed-1
@@ -284,7 +292,43 @@ class TestPairs:
         )
         row = _line(text, "pr32", "sim-chats-llbh", "events_per_cpu_s").split()
         assert row[4:] == [
-            "23", "23", "1.065", "283,283", "296,190", "events/s",
+            "23", "23", "1.065", "1.049", "1.089", "283,283", "296,190",
+            "events/s",
+        ]
+
+    def test_ratio_quartiles_read_the_pairs_not_the_sides(self, tmp_path):
+        """A host that slows down between pairs widens the parent's
+        quartiles, but both runs of a pair drift together, so the ratio
+        quartiles stay tight and above 1."""
+        parent = [_run("sim-be-kmeansh", _eps(v), seed=s)
+                  for s, v in ((1, 300.0), (2, 280.0), (3, 260.0), (4, 240.0))]
+        change = [_run("sim-be-kmeansh", _eps(v), seed=s)
+                  for s, v in ((1, 312.0), (2, 294.0), (3, 273.0), (4, 247.2))]
+        _write(tmp_path / "pr1/parent.jsonl", parent)
+        _write(tmp_path / "pr1/change.jsonl", change)
+        text = format_trend(load_history(tmp_path))
+        row = _line(text, "pr1", "sim-be-kmeansh", "events_per_cpu_s").split()
+        # Ratios 1.04, 1.05, 1.05 and 1.03: medians 270 and 283.5 are 13.5
+        # apart, inside the parent's interquartile range of 30.
+        assert row[1:] == [
+            "270", "283.5", "+5.0%", "4", "4", "1.045", "1.038", "1.050",
+            "255", "285", "events/s",
+        ]
+
+    def test_first_ten_pairs_of_a_committed_record(self, tmp_path):
+        """``pr32/``'s first ten llb-h pairs (seeds 1-10): all ten higher,
+        medians 16.4k apart against a parent interquartile range of
+        16.8k, and the ratio quartiles all above 1."""
+        for side in ("parent", "change"):
+            lines = (HISTORY / f"pr32/{side}.jsonl").read_text().splitlines()
+            record = tmp_path / f"pr32/{side}.jsonl"
+            record.parent.mkdir(parents=True, exist_ok=True)
+            record.write_text("\n".join(lines[:20]) + "\n")
+        text = format_trend(load_history(tmp_path))
+        row = _line(text, "pr32", "sim-chats-llbh", "events_per_cpu_s").split()
+        assert row[1:] == [
+            "299,058", "315,472", "+5.5%", "10", "10", "1.048", "1.028",
+            "1.097", "291,962", "308,733", "events/s",
         ]
 
 
