@@ -10,12 +10,15 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/bench_micro.py [--repeat N]
 
 Each primitive reports operations per second, best of ``--repeat``
-timing loops.
+timing loops.  The two halves of a paired case (the old form of a
+primitive and the form the simulator uses now) take turns, one timing
+loop each, so both see the same phase of a noisy host.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import time
 from collections import deque
 
@@ -26,14 +29,17 @@ from repro.net.network import Crossbar
 from repro.net.messages import DATA, GETS, GETX, MessageKind
 
 
-def timed(fn, n, repeat):
-    """Best-of-``repeat`` ops/sec of ``fn(n)`` performing ``n`` ops."""
-    best = float("inf")
+def timed(cases, repeat):
+    """Best-of-``repeat`` ops/sec of each ``(name, fn, n)`` case, where
+    ``fn(n)`` performs ``n`` ops.  The cases' timing loops interleave:
+    every repeat times each case once, in order."""
+    best = [float("inf")] * len(cases)
     for _ in range(repeat):
-        start = time.perf_counter()
-        fn(n)
-        best = min(best, time.perf_counter() - start)
-    return n / best
+        for i, (_, fn, n) in enumerate(cases):
+            start = time.perf_counter()
+            fn(n)
+            best[i] = min(best[i], time.perf_counter() - start)
+    return [n / seconds for (_, _, n), seconds in zip(cases, best)]
 
 
 def bench_engine_throughput(n):
@@ -490,6 +496,41 @@ def bench_op_callback_bound(n):
         issue(1, i, _l1_epoch_value)
 
 
+@functools.cache
+def _kmeans_points(n):
+    """A kmeans-h workload and ``n`` of its points, cycled (built once,
+    outside every timing loop but the first)."""
+    from repro.workloads.base import make_workload
+
+    wl = make_workload("kmeans-h", threads=16, seed=1, scale=0.5)
+    points = [p for thread_points in wl.points for p in thread_points]
+    return wl, [points[i % len(points)] for i in range(n)]
+
+
+def bench_kmeans_nearest_loop(n):
+    """kmeans' nearest centre as the workload found it before: a full
+    squared distance to each of kmeans-h's 6 centres, a generator over
+    the 16 coordinates each."""
+    wl, points = _kmeans_points(n)
+    centres = wl.num_centers
+    for point in points:
+        best, best_d = 0, None
+        for c in range(centres):
+            pos = (c * 100) // centres + 50 // centres
+            d = sum((x - pos) ** 2 for x in point)
+            if best_d is None or d < best_d:
+                best, best_d = c, d
+
+
+def bench_kmeans_nearest_closed(n):
+    """The same assignment through the workload's ``_nearest``: one sum
+    of the point, then two integer terms per centre."""
+    wl, points = _kmeans_points(n)
+    nearest = wl._nearest
+    for point in points:
+        nearest(point)
+
+
 def bench_cache_hit(n):
     """Install once, then hot lookups (the L1 hit path)."""
     from repro.mem.cache import L1Cache
@@ -610,33 +651,53 @@ def bench_holder_resolve(n):
         resolve(holder, msg, no_inflight_write)
 
 
+#: One tuple per row group: a single case, or the two halves of a
+#: paired case, whose timing loops interleave.
 BENCHES = (
-    ("engine run loop (delay-1 chain)", bench_engine_throughput, 200_000),
-    ("engine schedule+cancel churn", bench_engine_schedule_cancel, 200_000),
-    ("engine zero-delay lane chain", bench_engine_zero_delay, 200_000),
-    ("engine one-event cycles (deque lane copy)", bench_cycle_deque_lane, 200_000),
-    ("engine one-event cycles (swapped list lane)", bench_cycle_swapped_lane, 200_000),
-    ("message construct (tx request, positional)", bench_message, 200_000),
-    ("UNBLOCK construct (9 keywords)", bench_unblock_keywords, 200_000),
-    ("UNBLOCK construct (positional prefix)", bench_unblock_positional, 200_000),
-    ("directory probe construct (16 keywords)", bench_probe_keywords, 200_000),
-    ("directory probe construct (positional)", bench_directory_probe, 200_000),
-    ("crossbar send (three running totals)", bench_send_running_totals, 500_000),
-    ("crossbar send (one per-kind count)", bench_send_per_kind_count, 500_000),
-    ("message hop (construct, send, deliver)", bench_message_hop, 200_000),
-    ("invalidation round (8 sharers, 7 INVs)", bench_invalidation_round, 50_000),
-    ("enum member load (kind is MessageKind.DATA)", bench_enum_member_load, 2_000_000),
-    ("module constant load (kind is DATA)", bench_module_constant_load, 2_000_000),
-    ("MSHR record (keyword class call)", bench_mshr_record_class, 200_000),
-    ("MSHR record (plain function)", bench_mshr_record_function, 200_000),
-    ("op callback (closure per op)", bench_op_callback_closure, 500_000),
-    ("op callback (bound method)", bench_op_callback_bound, 500_000),
-    ("L1 cache hit lookup", bench_cache_hit, 500_000),
-    ("speculative store write+read", bench_spec_store, 200_000),
-    ("holder SpecResp payload (store block_value)", bench_holder_payload, 200_000),
-    ("directory data grant (memory block_value)", bench_directory_grant, 200_000),
-    ("probe emit (one subscriber)", bench_probe_emit, 200_000),
-    ("CHATS holder resolve (rule ii, INV)", bench_holder_resolve, 200_000),
+    (("engine run loop (delay-1 chain)", bench_engine_throughput, 200_000),),
+    (("engine schedule+cancel churn", bench_engine_schedule_cancel, 200_000),),
+    (("engine zero-delay lane chain", bench_engine_zero_delay, 200_000),),
+    (
+        ("engine one-event cycles (deque lane copy)", bench_cycle_deque_lane, 200_000),
+        ("engine one-event cycles (swapped list lane)", bench_cycle_swapped_lane, 200_000),
+    ),
+    (("message construct (tx request, positional)", bench_message, 200_000),),
+    (
+        ("UNBLOCK construct (9 keywords)", bench_unblock_keywords, 200_000),
+        ("UNBLOCK construct (positional prefix)", bench_unblock_positional, 200_000),
+    ),
+    (
+        ("directory probe construct (16 keywords)", bench_probe_keywords, 200_000),
+        ("directory probe construct (positional)", bench_directory_probe, 200_000),
+    ),
+    (
+        ("crossbar send (three running totals)", bench_send_running_totals, 500_000),
+        ("crossbar send (one per-kind count)", bench_send_per_kind_count, 500_000),
+    ),
+    (("message hop (construct, send, deliver)", bench_message_hop, 200_000),),
+    (("invalidation round (8 sharers, 7 INVs)", bench_invalidation_round, 50_000),),
+    (
+        ("enum member load (kind is MessageKind.DATA)", bench_enum_member_load, 2_000_000),
+        ("module constant load (kind is DATA)", bench_module_constant_load, 2_000_000),
+    ),
+    (
+        ("MSHR record (keyword class call)", bench_mshr_record_class, 200_000),
+        ("MSHR record (plain function)", bench_mshr_record_function, 200_000),
+    ),
+    (
+        ("op callback (closure per op)", bench_op_callback_closure, 500_000),
+        ("op callback (bound method)", bench_op_callback_bound, 500_000),
+    ),
+    (
+        ("kmeans nearest centre (loop)", bench_kmeans_nearest_loop, 20_000),
+        ("kmeans nearest centre (closed form)", bench_kmeans_nearest_closed, 20_000),
+    ),
+    (("L1 cache hit lookup", bench_cache_hit, 500_000),),
+    (("speculative store write+read", bench_spec_store, 200_000),),
+    (("holder SpecResp payload (store block_value)", bench_holder_payload, 200_000),),
+    (("directory data grant (memory block_value)", bench_directory_grant, 200_000),),
+    (("probe emit (one subscriber)", bench_probe_emit, 200_000),),
+    (("CHATS holder resolve (rule ii, INV)", bench_holder_resolve, 200_000),),
 )
 
 
@@ -644,9 +705,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args(argv)
-    for name, fn, n in BENCHES:
-        rate = timed(fn, n, args.repeat)
-        print(f"{name:<46s} {rate:>14,.0f} ops/s")
+    for cases in BENCHES:
+        for (name, _, _), rate in zip(cases, timed(cases, args.repeat)):
+            print(f"{name:<46s} {rate:>14,.0f} ops/s")
     return 0
 
 

@@ -30,9 +30,10 @@ changes) and a fingerprint of the package's source code, so stale results
 can never survive a code change.
 
 :func:`run_many` fans a batch of configurations out over a
-``ProcessPoolExecutor`` (``REPRO_WORKERS`` processes, default 1 = serial),
-deduplicating identical configs before dispatch; each config gets at most
-two attempts, and a second failure surfaces the offending configuration.
+``ProcessPoolExecutor`` (``REPRO_WORKERS`` processes, default 1 = serial)
+in chunks of configs, deduplicating identical configs before dispatch;
+each config gets at most two attempts, and a second failure surfaces the
+offending configuration.
 
 Environment knobs:
 
@@ -54,6 +55,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
@@ -500,6 +502,54 @@ def _execute_timed(cfg: RunConfig, forensics: bool = False) -> ExecOutcome:
     return result, wall, report.digest() if forensics else None, resources
 
 
+class _RemoteTraceback(Exception):
+    """A pool worker's traceback text, chained as the ``__cause__`` of
+    the exception it belongs to, as ``concurrent.futures`` chains a
+    failed task's."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class _Failed:
+    """A config's exception in its chunk's outcome list.  Pickled back
+    from a pool worker, it keeps the worker's traceback text as the
+    exception's ``__cause__``."""
+
+    __slots__ = ("exc",)
+
+    def __init__(self, exc: Exception):
+        self.exc = exc
+
+    def __reduce__(self):
+        exc = self.exc
+        text = "".join(
+            traceback.format_exception(type(exc), exc, exc.__traceback__)
+        )
+        return _failed_in_worker, (exc, text)
+
+
+def _failed_in_worker(exc: Exception, text: str) -> _Failed:
+    exc.__cause__ = _RemoteTraceback(text)
+    return _Failed(exc)
+
+
+def _execute_chunk(
+    cfgs: List[RunConfig], forensics: bool
+) -> List["ExecOutcome | _Failed"]:
+    """The executor's entry point: :func:`_execute_timed` for each config
+    of a chunk, one outcome per config, in order.  A config that raises
+    gets a :class:`_Failed` in its slot and the rest of the chunk still
+    runs."""
+    outcomes: List["ExecOutcome | _Failed"] = []
+    for cfg in cfgs:
+        try:
+            outcomes.append(_execute_timed(cfg, forensics))
+        except Exception as exc:
+            outcomes.append(_Failed(exc))
+    return outcomes
+
+
 def run_cached(
     workload: str,
     system: "SystemSpec | str",
@@ -539,14 +589,13 @@ def _notify(
 
 
 class _InProcess(Executor):
-    """Executor that runs each task at submit time, in this process."""
+    """Executor that runs each task at submit time, in this process.
+    Its one task, :func:`_execute_chunk`, returns a config's exception in
+    that config's slot, so the task itself never raises one."""
 
     def submit(self, fn, /, *args, **kwargs) -> Future:
         future: Future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
+        future.set_result(fn(*args, **kwargs))
         return future
 
 
@@ -567,11 +616,14 @@ def run_many(
     simulation runs exactly once; results come back in input order.  With
     one worker (the ``REPRO_WORKERS`` default) or one miss, everything
     runs in-process, one config at a time; otherwise every miss is queued
-    on a process pool at once.  Each config gets at most two attempts: a
-    failed first attempt is resubmitted, and a second failure raises with
-    the offending configuration.  A worker that dies hard (a broken pool)
-    counts as a failed attempt for every config in flight, and the rest
-    of the batch runs in-process.
+    on a process pool at once, in chunks: each takes
+    ``ceil(remaining / (4 * workers))`` of the configs still queued, so
+    the chunks shrink to one config toward the end of the queue.  Each
+    config gets at most two attempts: a failed first attempt is
+    resubmitted, and a second failure raises with the offending
+    configuration.  A worker that dies hard (a broken pool) counts as a
+    failed attempt for every config of every chunk in flight, and the
+    rest of the batch runs in-process.
 
     ``forensics=True`` attaches a transaction ledger to every simulation
     that actually executes and records each run's forensic digest on its
@@ -647,30 +699,41 @@ def run_many(
         if workers > 1 and len(queue) > 1:
             pool = ProcessPoolExecutor(max_workers=min(workers, len(queue)))
         executor: Executor = _IN_PROCESS if pool is None else pool
-        pending: Dict[Future, Tuple[str, RunConfig]] = {}
+        pending: Dict[Future, List[Tuple[str, RunConfig]]] = {}
         while queue or pending:
-            # In-process runs one config at a time; a pool takes every
-            # queued config at once so workers never wait on the parent.
+            # In-process runs one config at a time.  A pool takes every
+            # queued config at once, so workers never wait on the parent,
+            # in chunks that shrink toward the end of the queue, so the
+            # last tasks are single configs and the workers end together.
             while queue and (executor is pool or not pending):
-                key, cfg = queue.popleft()
-                if key not in failed_once:  # a retry nests under its submit
-                    batch.submitted(cfg, key)
+                size = -(-len(queue) // (4 * workers)) if executor is pool else 1
+                chunk = [queue.popleft() for _ in range(size)]
+                for key, cfg in chunk:
+                    if key not in failed_once:  # a retry nests under its submit
+                        batch.submitted(cfg, key)
+                cfgs = [cfg for _, cfg in chunk]
                 try:
-                    future = executor.submit(_execute_timed, cfg, forensics)
-                except BrokenProcessPool:  # broke before taking this one
+                    future = executor.submit(_execute_chunk, cfgs, forensics)
+                except BrokenProcessPool:  # broke before taking this chunk
                     executor = _IN_PROCESS
-                    future = executor.submit(_execute_timed, cfg, forensics)
-                pending[future] = (key, cfg)
+                    future = executor.submit(_execute_chunk, cfgs, forensics)
+                pending[future] = chunk
             finished, _ = wait(pending, return_when=FIRST_COMPLETED)
             for future in finished:
-                key, cfg = pending.pop(future)
+                chunk = pending.pop(future)
                 try:
-                    outcome = future.result()
+                    outcomes = future.result()
                 except Exception as exc:
                     if isinstance(exc, BrokenProcessPool):
                         # A worker died hard: every config in flight lost
                         # an attempt, and the rest of the batch runs here.
                         executor = _IN_PROCESS
+                    outcomes = [_Failed(exc)] * len(chunk)
+                for (key, cfg), outcome in zip(chunk, outcomes):
+                    if not isinstance(outcome, _Failed):
+                        _complete(key, cfg, outcome, key in failed_once)
+                        continue
+                    exc = outcome.exc
                     batch.failed(cfg, key, exc)
                     if key in failed_once:
                         raise RuntimeError(
@@ -679,8 +742,6 @@ def run_many(
                         ) from exc
                     failed_once.add(key)
                     queue.appendleft((key, cfg))
-                else:
-                    _complete(key, cfg, outcome, key in failed_once)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

@@ -73,7 +73,6 @@ class TxState:
         epoch: int,
         memory: MainMemory,
         htm: HTMConfig,
-        *,
         power: bool = False,
         timestamp: Optional[int] = None,
         machinery: Optional[tuple] = None,

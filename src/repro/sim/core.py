@@ -167,13 +167,13 @@ class Core:
         self._attempts += 1
         self._attempt_begin = None
         self.tx = TxState(
-            core_id=self.core_id,
-            epoch=self._epoch,
-            memory=self.sim.memory,
-            htm=self.htm,
-            power=self._power,
-            timestamp=self._levc_timestamp,
-            machinery=self._tx_machinery,
+            self.core_id,
+            self._epoch,
+            self.sim.memory,
+            self.htm,
+            self._power,
+            self._levc_timestamp,
+            self._tx_machinery,
         )
         if self._tx_machinery is None:
             self._tx_machinery = self.tx.machinery()

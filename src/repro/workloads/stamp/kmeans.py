@@ -65,11 +65,16 @@ class _KMeansBase(Workload):
 
     def _nearest(self, point: List[int]) -> int:
         # Initial centres at lattice positions c*100/num_centers repeated
-        # across dimensions; nearest by squared distance.
+        # across dimensions; nearest by squared distance.  Every centre
+        # repeats one coordinate ``pos``, so the distance is
+        # sum(x*x) - 2*pos*sum(x) + dims*pos*pos, and sum(x*x) is the same
+        # for every centre: compare the rest.  Integers, so the first
+        # minimum wins exactly as a loop over the full distances would.
+        total = sum(point)
         best, best_d = 0, None
         for c in range(self.num_centers):
             pos = (c * 100) // self.num_centers + 50 // self.num_centers
-            d = sum((x - pos) ** 2 for x in point)
+            d = (self.dims * pos - 2 * total) * pos
             if best_d is None or d < best_d:
                 best, best_d = c, d
         return best

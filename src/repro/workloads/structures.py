@@ -53,17 +53,22 @@ class SimArray:
         self.length = length
         self.name = name
         self.padded = padded
+        geometry = space.geometry
         if padded:
-            self._stride = space.geometry.block_bytes // space.geometry.word_bytes
-            self.base = space.alloc_words(length * self._stride)
+            self.base = space.alloc_words(
+                length * (geometry.block_bytes // geometry.word_bytes)
+            )
+            #: Bytes between consecutive elements, so ``addr`` is one
+            #: multiply-add (every simulated access calls it).
+            self._stride = geometry.block_bytes
         else:
-            self._stride = 1
             self.base = space.alloc_words(length)
+            self._stride = geometry.word_bytes
 
     def addr(self, index: int) -> int:
         if not 0 <= index < self.length:
             raise IndexError(f"{self.name}[{index}] out of range")
-        return self.space.word_addr(self.base, index * self._stride)
+        return self.base + index * self._stride
 
     def init(self, memory: MainMemory, values) -> None:
         for i, v in enumerate(values):
@@ -100,6 +105,8 @@ class NodePool:
         self.space = space
         self.words_per_node = words_per_node
         self.name = name
+        #: Bytes per field, so ``field`` is one multiply-add.
+        self._word_bytes = space.geometry.word_bytes
         self._nodes = [
             space.alloc_words(words_per_node) for _ in range(capacity)
         ]
@@ -151,7 +158,7 @@ class NodePool:
     def field(self, node: int, index: int) -> int:
         if not 0 <= index < self.words_per_node:
             raise IndexError(f"{self.name}: field {index} out of range")
-        return self.space.word_addr(node, index)
+        return node + index * self._word_bytes
 
 
 class SimLinkedList:

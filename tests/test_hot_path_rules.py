@@ -20,10 +20,11 @@ to a parameter by name, and Python 3.11 never specialises such a call
 coherence hop used to pay for several: the message itself (``make_message`` with up
 to 16 keywords), its MSHR record, the crossbar's ``extra_delay``, line
 installs and aborts.  So no function of ``repro.net`` or ``repro.mem``
-passes keyword arguments, except to the probe event classes of
-``repro.obs.events``, which are built only when the probe has
-subscribers, and to named C builtins such as ``min(..., key=)``, which
-bind keywords in C.
+passes keyword arguments, nor does ``repro.sim.core``, which builds each
+transaction attempt's ``TxState``, except to the probe event classes of
+``repro.obs.events`` (by name or through the module), which are built
+only when the probe has subscribers, and to named C builtins such as
+``min(..., key=)``, which bind keywords in C.
 
 The rules work from each module's AST, so they read the same on every
 supported Python.
@@ -51,16 +52,20 @@ EVENT_PATH_PACKAGES = (
 )
 
 
-#: The packages of the message hop, whose functions pass no keywords.
-NO_KEYWORD_PACKAGES = ("repro.net", "repro.mem")
+#: The packages of the message hop and the module of the simulated cores,
+#: whose functions pass no keywords.
+NO_KEYWORD_PACKAGES = ("repro.net", "repro.mem", "repro.sim.core")
 
 
 def event_path_modules(packages=EVENT_PATH_PACKAGES) -> List[object]:
+    """Each named package with its modules, or each named module."""
     modules = []
     for name in packages:
         package = importlib.import_module(name)
         modules.append(package)
-        for info in pkgutil.iter_modules(package.__path__, name + "."):
+        for info in pkgutil.iter_modules(
+            getattr(package, "__path__", ()), name + "."
+        ):
             modules.append(importlib.import_module(info.name))
     return modules
 
@@ -188,10 +193,17 @@ def test_lambda_rule_flags_function_bodies_only():
 
 def _keywords_allowed(func: ast.expr, namespace: dict) -> bool:
     """Whether a call of ``func`` may pass keywords: a name bound to a
-    probe event class of ``repro.obs.events`` or to a C builtin."""
-    if not isinstance(func, ast.Name):
+    probe event class of ``repro.obs.events`` or to a C builtin, or such
+    a class named through its module (``obs.Commit``)."""
+    if isinstance(func, ast.Name):
+        target = namespace.get(func.id, getattr(builtins, func.id, None))
+    elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        module = namespace.get(func.value.id)
+        if not isinstance(module, types.ModuleType):
+            return False
+        target = getattr(module, func.attr, None)
+    else:
         return False
-    target = namespace.get(func.id, getattr(builtins, func.id, None))
     if isinstance(target, types.BuiltinFunctionType):
         return True
     return isinstance(target, type) and target.__module__ == "repro.obs.events"
@@ -224,7 +236,7 @@ def test_message_hop_passes_no_keywords():
     ]
     assert not sites, (
         f"{len(sites)} keyword calls inside functions of "
-        f"{' and '.join(NO_KEYWORD_PACKAGES)}; pass the arguments "
+        f"{', '.join(NO_KEYWORD_PACKAGES)}; pass the arguments "
         f"positionally (make_message's parameters are ordered so that "
         f"each message shape is a positional prefix):\n" + "\n".join(sites)
     )
@@ -248,3 +260,17 @@ def test_keyword_rule_flags_function_bodies_only():
     namespace = {"__name__": "m"}
     exec(compile(source, "m", "exec"), namespace)
     assert keyword_calls(source, namespace) == ["m:4", "m:7", "m:11", "m:12"]
+
+
+def test_keyword_rule_allows_probe_events_through_their_module():
+    source = (
+        "from repro.obs import events as obs\n"
+        "import json\n"
+        "def f(x):\n"
+        "    obs.Commit(cycle=1, core=0, epoch=x)\n"
+        "    json.dumps(x, sort_keys=True)\n"
+        "    return x.Commit(cycle=1)\n"
+    )
+    namespace = {"__name__": "m"}
+    exec(compile(source, "m", "exec"), namespace)
+    assert keyword_calls(source, namespace) == ["m:5", "m:6"]

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -404,3 +405,62 @@ class TestCodeFingerprint:
         monkeypatch.setattr(Path, "read_bytes", edited)
         monkeypatch.setattr(runner, "_CODE_FINGERPRINT", None)
         assert runner._code_fingerprint() != before
+
+
+class _CountingPool(runner.ProcessPoolExecutor):
+    """A process pool that records how many configs each task carries."""
+
+    chunks: list = []
+
+    def submit(self, fn, /, *args, **kwargs):
+        _CountingPool.chunks.append(len(args[0]))
+        return super().submit(fn, *args, **kwargs)
+
+
+class TestChunkedDispatch:
+    """A pooled batch's misses travel to the workers in chunks of
+    configs, while each config keeps its own attempt, spans, manifest
+    entry, store put and progress line."""
+
+    CONFIGS = [RunConfig.make("counter", "htm-be", seed=s, **FAST) for s in range(1, 25)]
+
+    @pytest.fixture
+    def pool_tasks(self, monkeypatch):
+        monkeypatch.setattr(_CountingPool, "chunks", [])
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", _CountingPool)
+        return _CountingPool.chunks
+
+    def test_chunks_shrink_by_the_queue_rule(self, pool_tasks):
+        # ceil(remaining / (4 * 2)) of the 24 configs still queued.
+        run_many(self.CONFIGS, workers=2, use_cache=False)
+        assert pool_tasks == [3, 3, 3, 2, 2, 2, 2] + [1] * 7
+
+    def test_small_batches_keep_one_config_per_task(self, pool_tasks):
+        run_many(self.CONFIGS[:8], workers=2, use_cache=False)
+        assert pool_tasks == [1] * 8
+
+    def test_chunked_batch_matches_serial(self, pool_tasks):
+        from repro.obs import telemetry as fleet
+
+        serial = run_many(self.CONFIGS, workers=1, use_cache=False)
+        assert pool_tasks == []
+        seen = []
+        with fleet.session_scope() as session:
+            pooled = run_many(
+                self.CONFIGS,
+                workers=2,
+                progress=lambda done, total, cfg, src: seen.append((done, src)),
+            )
+        assert [r.to_dict() for r in pooled] == [r.to_dict() for r in serial]
+        assert last_manifest().executed == 24
+        assert seen == [(n, "run") for n in range(1, 25)]
+        assert max(pool_tasks) > 1
+        described = sorted(cfg.describe() for cfg in self.CONFIGS)
+        submits = [s for s in session.spans if s.name == "submit"]
+        executes = [s for s in session.spans if s.name == "execute"]
+        assert sorted(s.attrs["config"] for s in submits) == described
+        assert sorted(s.attrs["config"] for s in executes) == described
+        assert all(s.status == "ok" for s in executes)
+        assert {s.parent_id for s in executes} == {s.span_id for s in submits}
+        assert os.getpid() not in {s.attrs["pid"] for s in executes}
+        assert runner.result_store().counters.puts == 24

@@ -298,3 +298,92 @@ class TestBrokenPool:
             run_many([a, b], workers=2, use_cache=False)
         assert f"seed={a.seed} " in str(exc.value)
         assert _attempts(crash_markers, "break-1") <= 2
+
+
+# ----------------------------------------------------------------------
+# Chunked pool tasks: a pooled batch of more than 4 x workers misses
+# travels in multi-config chunks, and each config keeps its own attempts.
+# ----------------------------------------------------------------------
+
+#: Enough distinct misses that ``workers=2`` sends chunks of 3 first.
+CHUNKED = 24
+
+
+@register
+class ChunkKillingCounter(CounterWorkload):
+    """Counter workload that records every attempt; seed 2's first
+    attempt in a pool worker kills that worker, in the middle of the
+    batch's first chunk (seeds 1-3)."""
+
+    name = "chunk-killing-counter"
+
+    def __init__(self, *, threads: int = 16, seed: int = 1, scale: float = 1.0):
+        marker_dir = os.environ.get(CRASH_DIR_ENV)
+        if marker_dir:
+            attempt = _record_attempt(Path(marker_dir), f"chunk-{seed}")
+            if seed == 2 and attempt == 1 and _in_pool_worker():
+                os._exit(1)
+        super().__init__(threads=threads, seed=seed, scale=scale)
+
+
+def _clean_runs(seeds):
+    return run_many(
+        [RunConfig.make("counter", "htm-be", seed=s, **FAST) for s in seeds],
+        workers=1,
+        use_cache=False,
+    )
+
+
+class TestChunkedRetry:
+    def test_only_the_failed_config_of_a_chunk_runs_again(self, flaky_markers):
+        from repro.obs import telemetry as fleet
+
+        cfgs = [RunConfig.make("counter", "htm-be", seed=s, **FAST)
+                for s in range(1, CHUNKED + 1)]
+        # The first chunk holds configs 0-2; the middle one is flaky.
+        cfgs[1] = _flaky(seed=2)
+        with fleet.session_scope() as session:
+            results = run_many(cfgs, workers=2, use_cache=False)
+        assert (flaky_markers / "attempt-2").exists()
+        assert last_manifest().executed == CHUNKED
+        executes = [s for s in session.spans if s.name == "execute"]
+        failed = [s for s in executes if s.status == "error"]
+        assert [s.attrs["config"] for s in failed] == [cfgs[1].describe()]
+        assert len(executes) == CHUNKED + 1
+        retries = [s for s in session.spans if s.name == "retry"]
+        assert [s.attrs["config"] for s in retries] == [cfgs[1].describe()]
+        clean = _clean_runs(range(1, CHUNKED + 1))
+        for result, expected in zip(results, clean):
+            assert result.cycles == expected.cycles
+            assert result.stats == expected.stats
+
+    def test_killed_worker_costs_its_chunk_one_attempt(self, crash_markers):
+        cfgs = [RunConfig.make("chunk-killing-counter", "htm-be", seed=s, **FAST)
+                for s in range(1, CHUNKED + 1)]
+        results = run_many(cfgs, workers=2, use_cache=False)
+        attempts = {s: _attempts(crash_markers, f"chunk-{s}")
+                    for s in range(1, CHUNKED + 1)}
+        assert max(attempts.values()) == 2
+        # The killer and the config that ran before it in the same chunk
+        # both lost their first attempt with the worker.
+        assert attempts[1] == attempts[2] == 2
+        assert last_manifest().executed == CHUNKED
+        clean = _clean_runs(range(1, CHUNKED + 1))
+        for result, expected in zip(results, clean):
+            assert result.cycles == expected.cycles
+            assert result.stats == expected.stats
+
+    def test_a_pooled_failure_keeps_its_worker_traceback(self):
+        bad = RunConfig.make("broken-counter", "htm-be", **FAST)
+        cfgs = [bad] + [RunConfig.make("counter", "htm-be", seed=s, **FAST)
+                        for s in range(1, CHUNKED)]
+        with pytest.raises(RuntimeError, match="failed twice") as info:
+            run_many(cfgs, workers=2, use_cache=False)
+        cause = info.value.__cause__
+        assert str(cause) == "injected permanent failure"
+        # The worker's traceback text, chained as the pool chains it for
+        # a failed task, names the line that raised.
+        assert "test_runner_retry.py" in str(cause.__cause__)
+        assert 'raise RuntimeError("injected permanent failure")' in str(
+            cause.__cause__
+        )

@@ -161,3 +161,38 @@ class TestWorkloadScaling:
     def test_thread_count_respected(self):
         wl = make_workload("genome", threads=3, scale=0.2)
         assert len(wl.segments) == 3
+
+
+def _nearest_by_loop(wl, point):
+    """kmeans' nearest-centre rule as a loop over full squared distances
+    (the form the workload computed before it compared only the terms
+    that differ between centres)."""
+    best, best_d = 0, None
+    for c in range(wl.num_centers):
+        pos = (c * 100) // wl.num_centers + 50 // wl.num_centers
+        d = sum((x - pos) ** 2 for x in point)
+        if best_d is None or d < best_d:
+            best, best_d = c, d
+    return best
+
+
+class TestKMeansAssignment:
+    @pytest.mark.parametrize("name", ["kmeans-h", "kmeans-l"])
+    def test_closed_form_matches_the_loop(self, name):
+        for seed in range(1, 31):
+            for scale in (0.2, 0.5, 1.0):
+                for threads in (4, 16):
+                    wl = make_workload(
+                        name, threads=threads, seed=seed, scale=scale
+                    )
+                    assert wl.assignment == [
+                        [_nearest_by_loop(wl, p) for p in points]
+                        for points in wl.points
+                    ], (name, seed, scale, threads)
+
+    def test_ties_go_to_the_first_centre(self):
+        wl = make_workload("kmeans-h", threads=4, seed=1, scale=0.2)
+        # Centres sit at 8, 24, 41, 58, 74 and 91: a point whose every
+        # coordinate is midway between the first two is a tie.
+        tie = [16] * wl.dims
+        assert _nearest_by_loop(wl, tie) == wl._nearest(tie) == 0
