@@ -59,7 +59,8 @@ def bench_engine_throughput(n):
 
 
 def bench_engine_schedule_cancel(n):
-    """Arm-and-cancel churn (validation-timer pattern + compaction)."""
+    """Arm-and-cancel churn (the validation-timer pattern): every dead
+    entry waits in one bucket, since the engine has no compaction."""
     from repro.sim.engine import Engine
 
     engine = Engine()

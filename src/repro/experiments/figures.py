@@ -548,9 +548,7 @@ def _figure_from_doc(doc: Dict[str, object]) -> FigureResult:
     )
 
 
-def run_figure(
-    figure_id: str, *, use_store: bool = True, **kwargs
-) -> FigureResult:
+def run_figure(figure_id: str, **kwargs) -> FigureResult:
     """Run one figure by id (``fig1`` ... ``fig11``).
 
     When the disk cache is enabled the assembled figure document
@@ -559,7 +557,7 @@ def run_figure(
     same code fingerprint and parameters is served from the store
     without touching the simulator.  Store hits return an empty
     ``extra`` dict — raw :class:`SimulationResult` objects are not
-    serialised.  Pass ``use_store=False`` to force assembly.
+    serialised.
     """
     try:
         fn = FIGURES[figure_id]
@@ -570,11 +568,7 @@ def run_figure(
 
     from . import runner
 
-    store = (
-        runner.result_store()
-        if use_store and runner.disk_cache_enabled()
-        else None
-    )
+    store = runner.result_store() if runner.disk_cache_enabled() else None
     if store is not None:
         key = _figure_doc_key(figure_id, kwargs)
         hit = store.load(key, FIGURE_DOC_SCHEMA, _figure_from_doc)

@@ -72,7 +72,7 @@ from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
 from .. import store as store_pkg
 from ..obs import telemetry as fleet
 from ..sim.config import HTMConfig, table2_config
-from ..systems.spec import SystemSpec, get_spec
+from ..systems.spec import ForwardClass, SystemSpec, get_spec
 from ..sim.results import SimulationResult
 from ..sim.simulator import Simulator
 from ..workloads.base import make_workload
@@ -200,6 +200,9 @@ class RunConfig:
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def describe(self) -> str:
+        """One line naming every field of the config: each ``HTMConfig``
+        field that differs from the system's Table II configuration is
+        appended, so distinct configs never print alike."""
         text = (
             f"{self.workload}/{self.system.name} "
             f"threads={self.threads} seed={self.seed} scale={self.scale} "
@@ -207,6 +210,13 @@ class RunConfig:
         )
         if self.metrics_window is not None:
             text += f" metrics_window={self.metrics_window}"
+        table2 = table2_config(self.system)
+        for f in dataclasses.fields(self.htm):
+            value = getattr(self.htm, f.name)
+            if value != getattr(table2, f.name):
+                if isinstance(value, ForwardClass):
+                    value = value.value
+                text += f" {f.name}={value}"
         return text
 
 

@@ -21,14 +21,10 @@ class PowerTokenManager:
         self._holder: Optional[int] = None
         self._queue: Deque[tuple] = deque()
         self.grants: int = 0
-        self.max_queue_depth: int = 0
 
     @property
     def holder(self) -> Optional[int]:
         return self._holder
-
-    def is_power(self, core_id: int) -> bool:
-        return self._holder == core_id
 
     def request(self, core_id: int, granted: Callable[[], None]) -> None:
         """Ask for the token; ``granted`` fires (possibly immediately) when
@@ -44,7 +40,6 @@ class PowerTokenManager:
         if any(cid == core_id for cid, _ in self._queue):
             raise RuntimeError(f"core {core_id} already queued for the token")
         self._queue.append((core_id, granted))
-        self.max_queue_depth = max(self.max_queue_depth, len(self._queue))
 
     def release(self, core_id: int) -> None:
         """Commit (or final failure) of the power transaction."""
@@ -58,8 +53,3 @@ class PowerTokenManager:
             self._holder = next_core
             self.grants += 1
             granted()
-
-    def cancel(self, core_id: int) -> None:
-        """Remove a queued (not yet granted) request, e.g. because the
-        waiting transaction moved to the lock fallback instead."""
-        self._queue = deque((c, g) for c, g in self._queue if c != core_id)

@@ -195,29 +195,3 @@ class HTMStats:
             else:
                 kwargs[f.name] = int(value)
         return cls(**kwargs)
-
-    def merge(self, other: "HTMStats") -> None:
-        """Accumulate another core's counters into this one."""
-        self.label_commits.update(other.label_commits)
-        self.label_aborts.update(other.label_aborts)
-        self.tx_attempts += other.tx_attempts
-        self.tx_commits += other.tx_commits
-        self.tx_fallback_commits += other.tx_fallback_commits
-        self.power_commits += other.power_commits
-        self.aborts.update(other.aborts)
-        self.spec_forwards += other.spec_forwards
-        self.validations_attempted += other.validations_attempted
-        self.validations_succeeded += other.validations_succeeded
-        self.validation_mismatches += other.validation_mismatches
-        # A gauge, not a counter: the merged high water is the max.
-        self.vsb_high_water = max(self.vsb_high_water, other.vsb_high_water)
-        self.vsb_stall_cycles += other.vsb_stall_cycles
-        self.committed_cycles += other.committed_cycles
-        self.aborted_cycles += other.aborted_cycles
-        self.fallback_cycles += other.fallback_cycles
-        self.conflicted_committed += other.conflicted_committed
-        self.conflicted_aborted += other.conflicted_aborted
-        self.forwarder_committed += other.forwarder_committed
-        self.forwarder_aborted += other.forwarder_aborted
-        self.consumer_committed += other.consumer_committed
-        self.consumer_aborted += other.consumer_aborted

@@ -61,9 +61,6 @@ class TxState:
         "write_limit",
         "abort_reason",
         "record",
-        "levc_has_consumer",
-        "levc_has_consumed",
-        "levc_has_produced",
         "commit_pending",
     )
 
@@ -131,12 +128,9 @@ class TxState:
         self.write_limit = htm.write_set_limit
 
         self.abort_reason: Optional[AbortReason] = None
+        #: Fig. 6 attempt record; its ``forwarded`` and ``consumed`` flags
+        #: are also what LEVC's restrictions read.
         self.record = AttemptRecord()
-
-        # LEVC restrictions bookkeeping.
-        self.levc_has_consumer = False
-        self.levc_has_consumed = False
-        self.levc_has_produced = False
 
         # Whether the attempt is waiting in the commit fence for the VSB
         # to drain (Section III-A: commit requires an empty VSB).
@@ -195,13 +189,10 @@ class TxState:
     def mark_forwarded(self) -> None:
         self.record.conflicted = True
         self.record.forwarded = True
-        self.levc_has_consumer = True
-        self.levc_has_produced = True
 
     def mark_consumed(self) -> None:
         self.record.conflicted = True
         self.record.consumed = True
-        self.levc_has_consumed = True
 
     # ------------------------------------------------------------------
     def begin_abort(self, reason: AbortReason) -> None:

@@ -260,7 +260,7 @@ class L1Controller:
                     is_validation
                     or (self._forwards and not tx.power and not tx.vsb.full),
                     is_validation, non_transactional,
-                    tx.levc_has_produced, tx.levc_has_consumed,
+                    tx.record.forwarded, tx.record.consumed,
                 )
             )
         else:

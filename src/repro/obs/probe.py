@@ -8,8 +8,9 @@ can never cross-talk, unlike the retired class-attribute monkey-patching
 ``Tracer``.
 
 Emission is *zero-cost when nobody listens*: every emit site guards the
-event construction with ``if probe: ...``, and an unsubscribed probe is
-falsy, so the hot path pays one attribute load and one branch.
+event construction with ``if probe._subscribers: ...``, and an
+unsubscribed probe's tuple is empty, so the hot path pays one attribute
+load and one branch.
 
 Example::
 
@@ -42,15 +43,6 @@ class Probe:
 
     def __init__(self) -> None:
         self._subscribers: Tuple[Subscriber, ...] = ()
-
-    def __bool__(self) -> bool:
-        """Truthy only while at least one subscriber is attached — emit
-        sites use this to skip event construction entirely."""
-        return bool(self._subscribers)
-
-    @property
-    def active(self) -> bool:
-        return bool(self._subscribers)
 
     def subscribe(self, fn: Subscriber) -> Subscriber:
         """Attach ``fn``; it receives every subsequent event."""

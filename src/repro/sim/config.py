@@ -32,9 +32,11 @@ class SystemConfig:
 
     Latencies are expressed in simulated cycles.  The defaults follow the
     Golden-Cove-like setup of the paper: 16 cores, 48KiB/12-way L1D with
-    1-cycle hits, private L2 (4-cycle roundtrip), shared L3 (30-cycle
-    roundtrip), DDR4 memory, and a single-cycle crossbar with 16-byte flits
-    (5 flits per data message, 1 per control message).
+    1-cycle hits, shared L3 (30-cycle roundtrip), DDR4 memory, and a
+    single-cycle crossbar with 16-byte flits (5 flits per data message, 1
+    per control message).  The paper's private L2 (4-cycle roundtrip) has
+    no latency of its own: an L1 miss pays ``directory_latency``, which
+    counts an L2 miss plus the L3 lookup.
     """
 
     num_cores: int = 16
@@ -47,7 +49,6 @@ class SystemConfig:
 
     # Latencies (cycles).
     l1_hit_latency: int = 1
-    l2_roundtrip: int = 4
     l3_roundtrip: int = 30
     memory_latency: int = 120
     link_latency: int = 1

@@ -66,6 +66,9 @@ class Simulator:
             OwnershipTable() if self.htm.system.fallback == "hybrid" else None
         )
 
+        # One L1 and one core per workload thread: a core that runs no
+        # thread never sends or receives a message, so the machine's idle
+        # cores are not built (``num_cores`` bounds the thread count).
         self.l1s: List[L1Controller] = [
             L1Controller(
                 core_id=i,
@@ -81,10 +84,10 @@ class Simulator:
                 probe=self.probe,
                 orecs=self.orecs,
             )
-            for i in range(self.config.num_cores)
+            for i in range(workload.num_threads)
         ]
         self.cores: List[Core] = [
-            Core(i, self) for i in range(self.config.num_cores)
+            Core(i, self) for i in range(workload.num_threads)
         ]
         for l1, core in zip(self.l1s, self.cores):
             l1.core = core
@@ -137,7 +140,7 @@ class Simulator:
             if collector is not None:
                 self.probe.unsubscribe(collector)
         if self._finished != self._started:
-            stuck = [c.core_id for c in self.cores if not c.done and c.core_id < self._started]
+            stuck = [c.core_id for c in self.cores if not c.done]
             raise DeadlockError(
                 f"simulation wedged at cycle {cycles}: threads {stuck} never "
                 f"finished (lock={self.memory.read_word(self.lock.addr)}, "

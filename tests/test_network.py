@@ -104,7 +104,7 @@ class TestMessageLifecycle:
             yield from ()
 
         sim = Simulator(
-            ScriptedWorkload([idle]), config=SystemConfig(num_cores=2)
+            ScriptedWorkload([idle, idle]), config=SystemConfig(num_cores=2)
         )
         kept = []
         spec_resp = MessageKind.SPEC_RESP.idx
@@ -143,7 +143,7 @@ class TestMessageLifecycle:
             yield from ()
 
         sim = Simulator(
-            ScriptedWorkload([idle]), config=SystemConfig(num_cores=2)
+            ScriptedWorkload([idle, idle]), config=SystemConfig(num_cores=2)
         )
         kept = []
         spec_resp = MessageKind.SPEC_RESP.idx
@@ -168,7 +168,7 @@ class TestDelivery:
             yield from ()
 
         return Simulator(
-            ScriptedWorkload([idle]), config=SystemConfig(num_cores=2)
+            ScriptedWorkload([idle, idle]), config=SystemConfig(num_cores=2)
         )
 
     def test_each_kind_reaches_its_destinations_handler(self):
@@ -196,6 +196,7 @@ class TestDelivery:
         )
         with pytest.raises(RuntimeError, match="L1 cannot handle"):
             sim.engine.run()
+        sim = self._sim()  # a run that raised is not resumed
         sim.network.send(
             make_message(kind=MessageKind.DATA, src=0, dst=DIRECTORY, block=1)
         )

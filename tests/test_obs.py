@@ -47,14 +47,13 @@ def _sim(system=paper.CHATS, **kwargs):
 class TestProbe:
     def test_inert_without_subscribers(self):
         probe = Probe()
-        assert not probe
-        assert not probe.active
+        assert probe._subscribers == ()
 
     def test_subscribe_unsubscribe(self):
         probe = Probe()
         seen = []
         probe.subscribe(seen.append)
-        assert probe
+        assert probe._subscribers == (seen.append,)
         probe.emit(Commit(cycle=1, core=0, epoch=1))
         probe.unsubscribe(seen.append)
         probe.emit(Commit(cycle=2, core=0, epoch=2))
@@ -322,14 +321,10 @@ class TestChains:
 
 # ----------------------------------------------------------------------
 class TestVsbGauges:
-    def test_round_trip_and_merge(self):
+    def test_round_trip(self):
         a = HTMStats(vsb_high_water=3, vsb_stall_cycles=40)
-        b = HTMStats(vsb_high_water=5, vsb_stall_cycles=2)
         assert HTMStats.from_dict(a.to_dict()).vsb_high_water == 3
         assert HTMStats.from_dict(a.to_dict()).vsb_stall_cycles == 40
-        a.merge(b)
-        assert a.vsb_high_water == 5  # gauge: max
-        assert a.vsb_stall_cycles == 42  # counter: sum
 
     def test_chats_run_records_vsb_activity(self):
         result = _sim().run()

@@ -260,13 +260,13 @@ class TestLEVCPolicy:
 
     def test_single_consumer_restriction(self, mem):
         tx = self.fresh(mem)
-        tx.levc_has_consumer = True
+        tx.mark_forwarded()
         out = self.policy().resolve(tx, probe(timestamp=20), no_inflight)
         assert out.resolution is Resolution.NACK  # younger requester stalls
 
     def test_chain_length_restriction(self, mem):
         tx = self.fresh(mem)
-        tx.levc_has_consumed = True
+        tx.mark_consumed()
         out = self.policy().resolve(tx, probe(timestamp=20), no_inflight)
         assert out.resolution is Resolution.NACK
 
@@ -281,7 +281,7 @@ class TestLEVCPolicy:
         """The forwarding-oblivious victim selection the paper criticises:
         even a holder that has forwarded loses to an older requester."""
         tx = self.fresh(mem)
-        tx.levc_has_consumer = True  # it has a dependent consumer!
+        tx.mark_forwarded()  # it has a dependent consumer!
         out = self.policy().resolve(tx, probe(timestamp=5), no_inflight)
         assert out.resolution is Resolution.ABORT_LOCAL
 

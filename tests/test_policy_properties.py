@@ -43,8 +43,8 @@ def make_holder(
         tx.track_read(BLOCK)
     tx.pic.value = pic
     tx.pic.cons = cons
-    tx.levc_has_consumer = has_consumer
-    tx.levc_has_consumed = has_consumed
+    tx.record.forwarded = has_consumer
+    tx.record.consumed = has_consumed
     return tx
 
 

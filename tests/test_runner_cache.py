@@ -378,6 +378,28 @@ class TestExperimentConfigs:
     def test_tables_have_no_cells(self):
         assert experiment_configs("table1") == []
 
+    def test_every_config_of_the_report_describes_itself_uniquely(self):
+        """Progress lines, telemetry spans and the retry error name a
+        config by ``describe()``: over the union of every figure's
+        configs, distinct configs print distinct descriptions."""
+        union = [c for fid in sorted(FIGURES) for c in experiment_configs(fid)]
+        configs = {c.key(): c for c in union}.values()
+        assert len({c.describe() for c in configs}) == len(configs) > 300
+
+    def test_describe_names_the_htm_fields_off_table2(self):
+        htm = table2_config(paper.CHATS).replace(
+            retries=1, forward_class=ForwardClass.W
+        )
+        cfg = RunConfig.make("llb-h", paper.CHATS, htm=htm, threads=4,
+                             seed=1, scale=0.2)
+        assert cfg.describe() == (
+            "llb-h/chats threads=4 seed=1 scale=0.2 max_events=40000000 "
+            "retries=1 forward_class=W"
+        )
+        plain = RunConfig.make("llb-h", paper.CHATS, threads=4, seed=1,
+                               scale=0.2)
+        assert plain.describe().endswith("max_events=40000000")
+
     def test_figure_prefetch_covers_figure_needs(self, monkeypatch):
         """Every figure's declared set must be a superset of what the
         figure actually consumes: after run_many(configs), assembling

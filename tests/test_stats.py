@@ -82,16 +82,3 @@ class TestAggregation:
         assert breakdown["validation"] == 1
         assert set(breakdown) == {r.value for r in AbortReason}
 
-    def test_merge(self):
-        a, b = HTMStats(), HTMStats()
-        a.tx_commits = 5
-        b.tx_commits = 7
-        a.aborts[AbortReason.CONFLICT] = 1
-        b.aborts[AbortReason.CONFLICT] = 2
-        b.spec_forwards = 4
-        b.consumer_committed = 3
-        a.merge(b)
-        assert a.tx_commits == 12
-        assert a.aborts[AbortReason.CONFLICT] == 3
-        assert a.spec_forwards == 4
-        assert a.consumer_committed == 3

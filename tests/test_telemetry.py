@@ -278,13 +278,12 @@ class TestObserverEffect:
         """Fleet telemetry never reaches inside a simulation: the
         per-simulator probe gains no subscribers, so the engine hot loop
         allocates nothing for telemetry (emission is gated on ``if
-        probe:``, which stays False)."""
+        probe._subscribers:``, which stays False)."""
         with fleet.session_scope():
             wl = make_workload("counter", threads=2, seed=1, scale=0.1)
             sim = Simulator(wl, htm=table2_config(paper.CHATS))
-            assert not sim.probe.active
+            assert sim.probe._subscribers == ()
             sim.run()
-            assert not sim.probe.active
             assert sim.probe._subscribers == ()
 
     def test_disabled_telemetry_allocates_nothing_per_run(self):

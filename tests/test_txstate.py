@@ -119,16 +119,17 @@ class TestAbort:
 
 class TestRoles:
     def test_mark_forwarded_sets_levc_flags(self, memory):
+        """LEVC's restrictions read the attempt record's flags."""
         tx = make_tx(memory)
         tx.mark_forwarded()
         assert tx.record.forwarded and tx.record.conflicted
-        assert tx.levc_has_consumer and tx.levc_has_produced
+        assert not tx.record.consumed
 
     def test_mark_consumed(self, memory):
         tx = make_tx(memory)
         tx.mark_consumed()
-        assert tx.record.consumed
-        assert tx.levc_has_consumed
+        assert tx.record.consumed and tx.record.conflicted
+        assert not tx.record.forwarded
 
     def test_power_flag(self, memory):
         tx = make_tx(memory, power=True)
