@@ -623,7 +623,7 @@ def bench_holder_resolve(n):
     from repro.net.messages import DIRECTORY, MessageKind, make_message
     from repro.sim.config import table2_config
     from repro.systems import paper
-    from repro.systems.compose import make_policy
+    from repro.systems.conflict import make_policy
 
     htm = table2_config(paper.CHATS)
     holder = TxState(

@@ -4,8 +4,8 @@ Effective Concurrency Management in Hardware Transactional Memory*
 
 The package contains an event-driven multicore simulator (cores, MESI
 directory coherence, L1 caches with speculative versioning, a crossbar
-interconnect), a registry of best-effort HTM systems composed from
-pluggable mechanism layers (the paper's six — requester-wins baseline,
+interconnect), a registry of best-effort HTM systems, each naming its
+conflict policy (the paper's six — requester-wins baseline,
 naive requester-speculates, CHATS, PowerTM, PCHATS, LEVC-BE-Idealized —
 plus registry-defined extras), re-implementations of the STAMP benchmarks
 plus the paper's two microbenchmarks, and a harness regenerating every
@@ -19,7 +19,7 @@ Quickstart::
     chats = run_workload("kmeans-h", system="chats", scale=0.1)
     print(chats.normalized_time(base))  # < 1.0: CHATS is faster
 
-New systems are composed and registered without touching the simulator —
+New systems are registered without touching the simulator —
 see :mod:`repro.systems` (``register``/``SystemSpec``) and the "Systems
 registry" section of ``docs/ARCHITECTURE.md``.
 """

@@ -83,7 +83,7 @@ class TxState:
         self.active = True
         self.power = power
         #: Ideal begin timestamp (kept across retries by the core driver);
-        #: ``None`` unless the spec's ordering layer ranks transactions by
+        #: ``None`` unless the spec's conflict policy ranks transactions by
         #: age (``spec.uses_timestamps``).
         self.timestamp = timestamp
 
@@ -115,7 +115,7 @@ class TxState:
             self.write_set = set()
             self.store = SpeculativeStore(memory)
             self.pic = PiCRegister(limit=htm.pic_limit, init=htm.pic_init)
-            # Spec hook: only specs whose conflict layer speculates get a
+            # Spec hook: only specs whose conflict policy forwards get a
             # real VSB; others carry a 1-slot stub (never filled).
             self.vsb = (
                 ValidationStateBuffer(htm.vsb_size)

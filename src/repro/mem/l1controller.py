@@ -191,7 +191,7 @@ class L1Controller:
         self.cache = L1Cache(config)
         self._outstanding: Dict[int, _Outstanding] = {}
         # Hot-path constants/bound methods: the spec's forwarding hook
-        # (derived from its conflict layer), the address→block shift
+        # (derived from its conflict policy), the address→block shift
         # (``Geometry`` forces a power-of-two block size), the L1 hit
         # latency, the network injector and the engine scheduler are all
         # invariant after construction.

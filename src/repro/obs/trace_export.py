@@ -124,11 +124,6 @@ class ChromeTraceExporter:
         """Trace entries buffered so far (excluding metadata)."""
         return len(self._events)
 
-    @property
-    def dropped_kinds(self) -> Dict[str, int]:
-        """Event kinds seen but not rendered, with occurrence counts."""
-        return dict(self._dropped)
-
     def _track(self, core: int) -> int:
         if core == _DIRECTORY:
             self._directory_seen = True

@@ -15,7 +15,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from ..systems.spec import ForwardClass, SystemSpec, get_spec
+from ..systems.spec import ForwardClass, SystemSpec, check_table2, get_spec
 from ..systems import paper as _paper
 
 __all__ = [
@@ -141,27 +141,7 @@ class HTMConfig:
     write_set_limit: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.retries < 0:
-            raise ValueError("retries must be >= 0")
-        if self.read_set_limit is not None:
-            if self.signature_bits is not None:
-                raise ValueError(
-                    "read_set_limit and signature_bits are mutually "
-                    "exclusive read-set models"
-                )
-            if self.read_set_limit < 1:
-                raise ValueError("read_set_limit must be positive")
-        if self.write_set_limit is not None and self.write_set_limit < 1:
-            raise ValueError("write_set_limit must be positive")
-        if self.system.forwards:
-            if self.vsb_size is None or self.vsb_size < 1:
-                raise ValueError(f"{self.system} requires a positive VSB size")
-            if self.validation_interval is None or self.validation_interval < 0:
-                raise ValueError(
-                    f"{self.system} requires a validation interval >= 0"
-                )
-            if self.forward_class is None:
-                raise ValueError(f"{self.system} requires a forward class")
+        check_table2(self, self.system)
         if self.pic_bits < 2:
             raise ValueError("PiC needs at least 2 bits")
 

@@ -75,7 +75,7 @@ class Core:
         self._attempts = 0
         self._power = False
         self._power_attempts = 0
-        # Spec hooks resolved once: whether this system's ordering layer
+        # Spec hooks resolved once: whether this system's conflict policy
         # needs ideal begin timestamps, and whether its fallback path is
         # the power token or the global lock.
         self._uses_timestamps = self.htm.system.uses_timestamps

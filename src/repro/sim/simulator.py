@@ -14,7 +14,7 @@ from ..mem.memory import MainMemory
 from ..net.network import Crossbar
 from ..obs.interval import IntervalMetrics
 from ..obs.probe import Probe
-from ..systems.compose import make_policy
+from ..systems.conflict import make_policy
 from ..systems.spec import SystemSpec
 from .config import HTMConfig, SystemConfig, table2_config
 from .core import Core

@@ -1,14 +1,15 @@
-"""The conflict-policy strategy interface and its shared guards.
+"""The conflict-policy interface and its shared guards.
 
 One :class:`ConflictPolicy` instance exists per simulation run; it is
 consulted by the L1 controller of the *holder* (the cache that detects a
 conflict on an incoming probe) and by the consumer-side validation
-controller.  Concrete policies are *compositions* built by
-:func:`repro.systems.compose.make_policy` from the layers named in the
-run's :class:`~repro.systems.spec.SystemSpec`.
+controller.  The concrete policies live in :mod:`repro.systems.conflict`,
+one class per :attr:`~repro.systems.spec.SystemSpec.policy` name, and
+:func:`repro.systems.conflict.make_policy` builds the one a run's system
+names.
 
-Policies mutate holder-side chain state (PiC, LEVC flags) as a side
-effect of deciding, exactly where the hardware would.
+Policies mutate holder-side chain state (PiC) as a side effect of
+deciding, exactly where the hardware would.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class ConflictPolicy:
-    """Strategy interface; one instance per simulation run."""
+    """Policy interface; one instance per simulation run."""
 
     def __init__(self, htm: "HTMConfig"):
         self.htm = htm
@@ -50,8 +51,8 @@ class ConflictPolicy:
         The PiC cycle check (``local >= remote`` aborts — stale-PiC races,
         Section IV-C) applies to every forwarding system; the
         ``validation_pic_check`` ablation replaces it with a bounded
-        fruitless-validation budget.  The system's own validation scheme
-        then gets a say via :meth:`on_unsuccessful_validation`.
+        fruitless-validation budget.  The policy's own hook then gets a
+        say via :meth:`on_unsuccessful_validation`.
         """
         if self.htm.validation_pic_check:
             if tx.pic.validation_check(message_pic):

@@ -39,7 +39,7 @@ CAP_BE = register(
     SystemSpec(
         name="cap-be",
         label="Cap-BE",
-        conflict="requester-wins",
+        policy="requester-wins",
         retries=6,
         read_set_limit=DEFAULT_READ_SET_LIMIT,
         write_set_limit=DEFAULT_WRITE_SET_LIMIT,
@@ -50,9 +50,7 @@ CAP_CHATS = register(
     SystemSpec(
         name="cap-chats",
         label="Cap-CHATS",
-        conflict="requester-speculates",
-        ordering="pic",
-        validation="pic-check",
+        policy="speculates-pic",
         retries=6,
         forward_class=ForwardClass.R_RESTRICT_W,
         vsb_size=4,
@@ -66,7 +64,7 @@ BLOOM_BE = register(
     SystemSpec(
         name="bloom-be",
         label="Bloom-BE",
-        conflict="requester-wins",
+        policy="requester-wins",
         retries=6,
         signature_bits=256,
     )

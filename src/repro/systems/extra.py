@@ -1,8 +1,8 @@
 """Non-paper systems, registered purely through the registry API.
 
 These two entries are the registry's proof of openness: neither required
-touching ``mem/``, ``core/validation.py``, or ``sim/`` — they are plain
-layer compositions the simulator can already execute.
+touching ``mem/``, ``core/validation.py``, or ``sim/`` — each names a
+conflict policy the simulator can already execute.
 
 * ``stall`` — a pure requester-stalls NACK baseline: conflicting
   requesters are NACKed and retry after ``nack_retry_delay`` cycles,
@@ -13,9 +13,10 @@ layer compositions the simulator can already execute.
 * ``chats-ts`` — CHATS with the Position-in-Chain register replaced by
   ideal timestamps: the holder forwards only to strictly younger
   requesters, which keeps chains acyclic by construction without any
-  bounded register or re-anchoring protocol.  SpecResps carry no PiC, so
-  consumers escape pathological waits through the naive-budget validation
-  counter.  An upper bound on what PiC's 5 bits approximate.
+  bounded register or re-anchoring protocol (``speculates-timestamp``).
+  SpecResps carry no PiC, so consumers escape pathological waits through
+  the naive validation budget.  An upper bound on what PiC's 5 bits
+  approximate.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ STALL = register(
     SystemSpec(
         name="stall",
         label="Stall (NACK)",
-        conflict="requester-stalls",
-        ordering="ideal-timestamp",
+        policy="requester-stalls",
         retries=6,
     )
 )
@@ -36,9 +36,7 @@ CHATS_TS = register(
     SystemSpec(
         name="chats-ts",
         label="CHATS-TS",
-        conflict="requester-speculates",
-        ordering="ideal-timestamp",
-        validation="naive-budget",
+        policy="speculates-timestamp",
         retries=32,
         forward_class=ForwardClass.R_RESTRICT_W,
         vsb_size=4,

@@ -33,7 +33,7 @@ HYBRID_BE = register(
     SystemSpec(
         name="hybrid-be",
         label="Hybrid-BE",
-        conflict="requester-wins",
+        policy="requester-wins",
         fallback="hybrid",
         retries=6,
     )
@@ -43,9 +43,7 @@ HYBRID_CHATS = register(
     SystemSpec(
         name="hybrid-chats",
         label="Hybrid-CHATS",
-        conflict="requester-speculates",
-        ordering="pic",
-        validation="pic-check",
+        policy="speculates-pic",
         fallback="hybrid",
         retries=6,
         forward_class=ForwardClass.R_RESTRICT_W,

@@ -1,4 +1,4 @@
-"""Conflict-resolution outcome records shared by every mechanism layer.
+"""Conflict-resolution outcome records shared by every policy.
 
 A policy names one of three resolutions for a conflict detected at the
 *holder*:
@@ -13,7 +13,7 @@ A policy names one of three resolutions for a conflict detected at the
 
 Every outcome a policy returns is a shared instance: the module-level
 constants below, or the per-PiC forward table of
-:func:`repro.systems.ordering.pic_forward_outcomes`.  Resolving a
+:func:`repro.systems.conflict.pic_forward_outcomes`.  Resolving a
 conflict therefore allocates nothing.  :class:`PolicyOutcome` is frozen
 (and slotted) because of that sharing: an accidental caller-side
 mutation would silently cross-contaminate later resolutions, and

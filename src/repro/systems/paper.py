@@ -1,6 +1,6 @@
 """Registry entries for the paper's six evaluated systems (Section VI-B).
 
-Each entry records the system's layer composition and its best
+Each entry records the system's conflict policy and its best
 cost-effective Table II parameters: Baseline retries=6; Naive R-S
 retries=2, VSB=4, 50-cycle validation; CHATS retries=32, VSB=4, 50-cycle
 validation; Power retries=2; PCHATS retries=1; LEVC-BE-Idealized
@@ -15,7 +15,7 @@ BASELINE = register(
     SystemSpec(
         name="baseline",
         label="Baseline",
-        conflict="requester-wins",
+        policy="requester-wins",
         retries=6,
     ),
     paper=True,
@@ -25,9 +25,7 @@ NAIVE_RS = register(
     SystemSpec(
         name="naive-rs",
         label="Naive R-S",
-        conflict="requester-speculates",
-        ordering="none",
-        validation="naive-budget",
+        policy="speculates-naive",
         retries=2,
         forward_class=ForwardClass.R_RESTRICT_W,
         vsb_size=4,
@@ -40,9 +38,7 @@ CHATS = register(
     SystemSpec(
         name="chats",
         label="CHATS",
-        conflict="requester-speculates",
-        ordering="pic",
-        validation="pic-check",
+        policy="speculates-pic",
         retries=32,
         forward_class=ForwardClass.R_RESTRICT_W,
         vsb_size=4,
@@ -55,7 +51,7 @@ POWER = register(
     SystemSpec(
         name="power",
         label="Power",
-        conflict="requester-wins",
+        policy="requester-wins",
         priority="power",
         retries=2,
     ),
@@ -66,10 +62,8 @@ PCHATS = register(
     SystemSpec(
         name="pchats",
         label="PCHATS",
-        conflict="requester-speculates",
-        ordering="pic",
+        policy="speculates-pic",
         priority="power",
-        validation="pic-check",
         retries=1,
         forward_class=ForwardClass.R_RESTRICT_W,
         vsb_size=4,
@@ -82,9 +76,7 @@ LEVC = register(
     SystemSpec(
         name="levc-be-idealized",
         label="LEVC-BE-Id",
-        conflict="requester-speculates",
-        ordering="levc-flags",
-        validation="interval",
+        policy="speculates-levc",
         retries=64,
         forward_class=ForwardClass.R_RESTRICT_W,
         vsb_size=4,

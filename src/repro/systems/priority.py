@@ -1,17 +1,17 @@
 """The priority-token layer (``priority == "power"``).
 
-:class:`PowerPriority` wraps any base conflict component with PowerTM's
+:class:`PowerPriority` wraps any conflict policy with PowerTM's
 dual-priority rules (Section VI-B): the (single) power transaction wins
 every conflict.  As a *holder* it refuses to die — it NACKs plain
-requesters, or, when the base component forwards and the block is
-eligible, answers with a PiC-less ``SpecResp`` (PCHATS: power producers
+requesters, or, when the wrapped policy forwards and the shared guards
+pass, answers with a PiC-less ``SpecResp`` (PCHATS: power producers
 sit above every chain and consumers keep their PiC).  As a *requester* it
 aborts the holder.  Conflicts not involving the power transaction fall
-through to the wrapped base component untouched.
+through to the wrapped policy untouched.
 
 Wrapping ``BaselineRW`` reproduces PowerTM; wrapping CHATS reproduces
-PCHATS — and wrapping any future registry entry gives it a power token
-for free.
+PCHATS — and any registered policy with ``priority="power"`` gets a
+power token for free.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .base import ConflictPolicy
-from .forwardrules import block_is_forwardable
 from .outcome import ABORT, ABORT_POWER, FORWARD_POWER, NACK
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -27,13 +26,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class PowerPriority(ConflictPolicy):
-    """Power-token rules layered over a base conflict component."""
+    """Power-token rules layered over a base conflict policy."""
 
     def __init__(self, htm: "HTMConfig", base: ConflictPolicy):
         super().__init__(htm)
         self.base = base
         # Whether a power *holder* may answer with a SpecResp at all:
-        # only in systems whose base component forwards (PCHATS, not
+        # only in systems whose base policy forwards (PCHATS, not
         # PowerTM).
         self._base_forwards = htm.system.forwards
 
@@ -43,11 +42,7 @@ class PowerPriority(ConflictPolicy):
         if holder.power:
             if (
                 self._base_forwards
-                and msg.can_consume
-                and self.htm.forward_class is not None
-                and block_is_forwardable(
-                    self.htm.forward_class, holder, msg.block, inflight_write
-                )
+                and self._common_guards(holder, msg, inflight_write) is None
             ):
                 return FORWARD_POWER
             return NACK
@@ -56,7 +51,7 @@ class PowerPriority(ConflictPolicy):
             return ABORT_POWER
         return self.base.resolve(holder, msg, inflight_write)
 
-    # Validation hooks delegate to the wrapped component (the power
+    # Validation hooks delegate to the wrapped policy (the power
     # transaction itself never consumes, so they only fire for plain
     # transactions governed by the base rules).
     def on_unsuccessful_validation(self, tx):

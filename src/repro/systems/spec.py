@@ -1,34 +1,26 @@
 """System descriptors and the string-keyed system registry.
 
-An HTM system in this codebase is not a monolith: it is a *composition*
-of four orthogonal mechanism layers (Section VI-B of the paper reads as a
-cross-product of exactly these):
+The paper's systems differ in one decision: what a transaction holding a
+block does with a conflicting request.  A :class:`SystemSpec` names that
+decision as its ``policy``, one of the closed set :data:`POLICIES`: the
+holder aborts (``requester-wins``), stalls the requester
+(``requester-stalls``), or forwards its speculative value under one of
+four ordering rules (``speculates-naive``, ``-pic``, ``-timestamp`` and
+``-levc``).  Each name is one class in :mod:`repro.systems.conflict`.
 
-* **conflict** — what the holder does with a conflicting requester:
-  ``requester-wins`` (holder aborts), ``requester-speculates`` (holder
-  forwards a speculative value), or ``requester-stalls`` (holder NACKs).
-* **ordering** — how chains of speculative forwardings are kept acyclic:
-  ``none`` (no tracking — the naive scheme), ``pic`` (the Position-in-
-  Chain register of CHATS), ``ideal-timestamp`` (never-rolling-over
-  begin timestamps), or ``levc-flags`` (LEVC's endpoint restrictions).
-* **priority** — an optional elevated-priority token: ``none`` or
-  ``power`` (the PowerTM single-token scheme).
-* **validation** — the consumer-side validation scheme: ``none`` (the
-  system never consumes), ``interval`` (plain periodic validation),
-  ``pic-check`` (periodic validation plus the PiC cycle check), or
-  ``naive-budget`` (periodic validation with a bounded unsuccessful-
-  validation escape counter).
-
-A :class:`SystemSpec` freezes one choice per layer plus the system's
-Table II parameters.  Specs are registered under their string name in a
-process-global registry; everything that enumerates or dispatches on
-systems — policy construction, the CLI, the experiment registry, cache
-keys — goes through :func:`get_spec` / :func:`registered_systems` /
+Two more fields complete a system: ``priority`` (``none`` or PowerTM's
+``power`` token, which wraps any policy) and ``fallback`` (``lock`` or
+the ``hybrid`` software slow path), plus its Table II parameters.  Specs
+are registered under their string name in a process-global registry;
+everything that enumerates or dispatches on systems — policy
+construction, the CLI, the experiment registry, cache keys — goes
+through :func:`get_spec` / :func:`registered_systems` /
 :func:`paper_systems`.  Registering a new system is one :func:`register`
 call; no core module needs editing.
 
-A spec serializes as its ``.name``, and ``.forwards`` / ``.powered`` are
-derived from the layers instead of hardwired membership lists.
+A spec serializes as its ``.name``, and ``.forwards`` / ``.powered`` /
+``.uses_timestamps`` are derived from ``policy`` and ``priority``
+instead of hardwired membership lists.
 """
 
 from __future__ import annotations
@@ -60,11 +52,18 @@ FORWARD_W = ForwardClass.W
 FORWARD_R_RESTRICT_W = ForwardClass.R_RESTRICT_W
 
 
-#: The closed vocabulary of each mechanism layer.
-CONFLICT_LAYERS = ("requester-wins", "requester-speculates", "requester-stalls")
-ORDERING_LAYERS = ("none", "pic", "ideal-timestamp", "levc-flags")
+#: What a holder does with a conflicting request: one name per class in
+#: :mod:`repro.systems.conflict`.
+POLICIES = (
+    "requester-wins",
+    "requester-stalls",
+    "speculates-naive",
+    "speculates-pic",
+    "speculates-timestamp",
+    "speculates-levc",
+)
+#: The priority-token layer: ``power`` wraps the policy in PowerTM's rules.
 PRIORITY_LAYERS = ("none", "power")
-VALIDATION_LAYERS = ("none", "interval", "pic-check", "naive-budget")
 #: Fallback-path layer: ``lock`` serialises give-up transactions behind
 #: the global fallback lock (the paper's model, and PowerTM's token when
 #: the priority layer is ``power``); ``hybrid`` runs an instrumented
@@ -73,10 +72,39 @@ VALIDATION_LAYERS = ("none", "interval", "pic-check", "naive-budget")
 FALLBACK_LAYERS = ("lock", "hybrid")
 
 
+def check_table2(params, system: "SystemSpec") -> None:
+    """Check the Table II values ``params`` carries for ``system``.
+
+    ``params`` is the spec itself or an
+    :class:`~repro.sim.config.HTMConfig` (both name these fields alike),
+    so a spec registers only with values its configurations accept."""
+    where = f"system {system.name!r}"
+    if params.retries < 0:
+        raise ValueError(f"{where}: retries must be >= 0")
+    if params.read_set_limit is not None and params.signature_bits is not None:
+        raise ValueError(
+            f"{where}: read_set_limit and signature_bits are mutually "
+            f"exclusive read-set models"
+        )
+    for knob in ("signature_bits", "read_set_limit", "write_set_limit"):
+        bound = getattr(params, knob)
+        if bound is not None and bound < 1:
+            raise ValueError(f"{where}: {knob} must be positive")
+    if system.forwards:
+        if params.forward_class is None:
+            raise ValueError(f"{where} forwards but has no forward class")
+        if params.vsb_size is None or params.vsb_size < 1:
+            raise ValueError(f"{where} forwards but has no positive VSB size")
+        if params.validation_interval is None or params.validation_interval < 0:
+            raise ValueError(
+                f"{where} forwards but has no validation interval >= 0"
+            )
+
+
 @dataclass(frozen=True)
 class SystemSpec:
-    """One registered HTM system: a layer composition plus its Table II
-    parameters.
+    """One registered HTM system: its conflict policy, priority and
+    fallback layers, plus its Table II parameters.
 
     Frozen and hashable so specs can key experiment dictionaries and ride
     inside :class:`~repro.sim.config.HTMConfig` (itself frozen and hashed
@@ -88,10 +116,10 @@ class SystemSpec:
     name: str
     #: Human-readable label used by figures and tables, e.g. ``"CHATS"``.
     label: str
-    conflict: str = "requester-wins"
-    ordering: str = "none"
+    #: What a holder does with a conflicting request (one of
+    #: :data:`POLICIES`).
+    policy: str = "requester-wins"
     priority: str = "none"
-    validation: str = "none"
     #: What a transaction that exhausts its retries does: serialise
     #: behind the global lock (``"lock"``) or enter the instrumented
     #: concurrent software slow path (``"hybrid"``).
@@ -113,64 +141,29 @@ class SystemSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("system name must be non-empty")
-        if self.conflict not in CONFLICT_LAYERS:
-            raise ValueError(
-                f"unknown conflict layer {self.conflict!r}; "
-                f"choose from {list(CONFLICT_LAYERS)}"
-            )
-        if self.ordering not in ORDERING_LAYERS:
-            raise ValueError(
-                f"unknown ordering layer {self.ordering!r}; "
-                f"choose from {list(ORDERING_LAYERS)}"
-            )
-        if self.priority not in PRIORITY_LAYERS:
-            raise ValueError(
-                f"unknown priority layer {self.priority!r}; "
-                f"choose from {list(PRIORITY_LAYERS)}"
-            )
-        if self.validation not in VALIDATION_LAYERS:
-            raise ValueError(
-                f"unknown validation layer {self.validation!r}; "
-                f"choose from {list(VALIDATION_LAYERS)}"
-            )
-        if self.fallback not in FALLBACK_LAYERS:
-            raise ValueError(
-                f"unknown fallback layer {self.fallback!r}; "
-                f"choose from {list(FALLBACK_LAYERS)}"
-            )
+        for field, value, choices in (
+            ("policy", self.policy, POLICIES),
+            ("priority layer", self.priority, PRIORITY_LAYERS),
+            ("fallback layer", self.fallback, FALLBACK_LAYERS),
+        ):
+            if value not in choices:
+                raise ValueError(
+                    f"unknown {field} {value!r}; choose from {list(choices)}"
+                )
         if self.fallback == "hybrid" and self.priority == "power":
             raise ValueError(
                 f"system {self.name!r}: the power token is itself a "
                 f"fallback path; combine it with fallback='lock'"
             )
-        if self.read_set_limit is not None and self.signature_bits is not None:
-            raise ValueError(
-                f"system {self.name!r}: read_set_limit and signature_bits "
-                f"are mutually exclusive read-set models"
-            )
-        for knob in ("signature_bits", "read_set_limit", "write_set_limit"):
-            bound = getattr(self, knob)
-            if bound is not None and bound < 1:
-                raise ValueError(f"system {self.name!r}: {knob} must be positive")
-        if self.forwards:
-            # A forwarding system must carry the full forwarding
-            # parameter set so ``table2_config`` always yields a valid
-            # HTMConfig (checked again at registration time).
-            if self.forward_class is None:
-                raise ValueError(f"system {self.name!r} forwards but has no forward class")
-            if self.vsb_size is None or self.vsb_size < 1:
-                raise ValueError(f"system {self.name!r} forwards but has no VSB size")
-            if self.validation_interval is None or self.validation_interval < 0:
-                raise ValueError(
-                    f"system {self.name!r} forwards but has no validation interval"
-                )
+        # HTMConfig's own checks, so ``table2_config`` of a registered
+        # spec always yields a valid configuration.
+        check_table2(self, self)
 
-    # -- derived from the layers ----------------------------------------
+    # -- derived from the policy ----------------------------------------
     @property
     def forwards(self) -> bool:
-        """Whether this system ever sends speculative responses (derived
-        from the conflict layer, not a hardwired membership list)."""
-        return self.conflict == "requester-speculates"
+        """Whether this system ever sends speculative responses."""
+        return self.policy.startswith("speculates-")
 
     @property
     def powered(self) -> bool:
@@ -179,17 +172,18 @@ class SystemSpec:
 
     @property
     def uses_timestamps(self) -> bool:
-        """Whether transactions need an ideal begin timestamp drawn at
-        start (LEVC's and the wound-wait/chats-ts orderings)."""
-        return self.ordering in ("ideal-timestamp", "levc-flags")
+        """Whether transactions draw an ideal begin timestamp at start
+        (wound-wait stalls, timestamp-ordered forwarding and LEVC)."""
+        return self.policy in (
+            "requester-stalls",
+            "speculates-timestamp",
+            "speculates-levc",
+        )
 
     # -- presentation ---------------------------------------------------
     def describe_layers(self) -> str:
-        """One-line layer composition, for ``repro list`` and docs."""
-        text = (
-            f"conflict={self.conflict} ordering={self.ordering} "
-            f"priority={self.priority} validation={self.validation}"
-        )
+        """One-line policy and layer summary, for ``repro list`` and docs."""
+        text = f"policy={self.policy} priority={self.priority}"
         if self.fallback != "lock":
             text += f" fallback={self.fallback}"
         return text

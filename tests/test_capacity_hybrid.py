@@ -54,6 +54,13 @@ class TestSpecValidation:
     def test_capacity_knobs_must_be_positive(self, knob):
         with pytest.raises(ValueError, match="positive"):
             SystemSpec(name="x", label="x", **{knob: 0})
+        with pytest.raises(ValueError, match="positive"):
+            table2_config("baseline").replace(**{knob: 0})
+
+    def test_negative_retries_rejected_when_the_spec_is_built(self):
+        # At construction, not at the first table2_config after register.
+        with pytest.raises(ValueError, match="retries"):
+            SystemSpec(name="x", label="x", retries=-1)
 
     def test_paper_systems_leave_knobs_inert(self):
         for spec in ("htm-be", "chats", "pchats", "power", "levc-be-idealized"):

@@ -13,8 +13,7 @@ from repro.mem.memory import MainMemory
 from repro.net.messages import MessageKind, make_message
 from repro.sim.config import table2_config
 from repro.systems import ForwardClass, paper, registered_systems
-from repro.systems.compose import make_policy
-from repro.systems.conflict import BaselineRW
+from repro.systems.conflict import BaselineRW, make_policy
 from repro.systems.outcome import Resolution
 
 BLOCK = 42

@@ -11,7 +11,7 @@ from repro.mem.memory import MainMemory
 from repro.net.messages import MessageKind, make_message
 from repro.sim.config import table2_config
 from repro.systems import paper
-from repro.systems.compose import make_policy
+from repro.systems.conflict import make_policy
 from repro.systems.outcome import Resolution
 
 BLOCK = 5

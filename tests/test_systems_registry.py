@@ -14,6 +14,7 @@ import repro.systems
 from repro.__main__ import main
 from repro.sim.config import HTMConfig, table2_config
 from repro.systems import (
+    POLICIES,
     ForwardClass,
     SystemSpec,
     UnknownSystemError,
@@ -23,9 +24,18 @@ from repro.systems import (
     register,
     registered_systems,
 )
-from repro.systems.compose import make_policy
-from repro.systems.conflict import BaselineRW, RequesterSpeculates, RequesterStalls
+from repro.systems.conflict import (
+    CHATS,
+    BaselineRW,
+    LEVCBEIdealized,
+    NaiveRS,
+    RequesterSpeculates,
+    RequesterStalls,
+    TimestampRS,
+    make_policy,
+)
 from repro.systems.outcome import ABORT, PolicyOutcome
+from repro.systems.priority import PowerPriority
 
 
 class TestRegistry:
@@ -64,8 +74,12 @@ class TestRegistry:
             register(clash)
 
     def test_layer_vocabulary_enforced(self):
-        with pytest.raises(ValueError, match="conflict"):
-            SystemSpec(name="x", label="X", conflict="requester-prays")
+        with pytest.raises(ValueError, match="policy"):
+            SystemSpec(name="x", label="X", policy="requester-prays")
+        # The retired layer fields are not accepted under any value.
+        for field in ("conflict", "ordering", "validation"):
+            with pytest.raises(TypeError):
+                SystemSpec(name="x", label="X", **{field: "none"})
 
     def test_spec_repr_and_str(self):
         assert str(get_spec("chats")) == "chats"
@@ -98,6 +112,9 @@ class TestCompatShim:
             ("systems", "compat"),
             ("core", "policies"),
             ("core", "forwarding"),
+            ("systems", "ordering"),
+            ("systems", "validation"),
+            ("systems", "compose"),
         ):
             with pytest.raises(ModuleNotFoundError):
                 importlib.import_module(f"repro.{package}.{module}")
@@ -132,6 +149,48 @@ class TestConfigValidation:
         )
         assert isinstance(
             make_policy(table2_config("stall")), RequesterStalls
+        )
+
+
+#: The class each policy name builds.
+POLICY_CLASS = {
+    "requester-wins": BaselineRW,
+    "requester-stalls": RequesterStalls,
+    "speculates-naive": NaiveRS,
+    "speculates-pic": CHATS,
+    "speculates-timestamp": TimestampRS,
+    "speculates-levc": LEVCBEIdealized,
+}
+
+
+class TestPolicyTable:
+    """The closed policy set: each registered system runs the class its
+    ``policy`` names, and the derived spec properties follow the name."""
+
+    def test_policy_names_are_closed(self):
+        assert set(POLICIES) == set(POLICY_CLASS)
+
+    @pytest.mark.parametrize(
+        "spec", registered_systems(), ids=lambda spec: spec.name
+    )
+    def test_registered_system_policy(self, spec):
+        policy = make_policy(table2_config(spec))
+        if spec.powered:
+            assert type(policy) is PowerPriority
+            policy = policy.base
+        assert type(policy) is POLICY_CLASS[spec.policy]
+        assert spec.forwards == (
+            spec.policy
+            in (
+                "speculates-naive",
+                "speculates-pic",
+                "speculates-timestamp",
+                "speculates-levc",
+            )
+        )
+        assert spec.forwards == isinstance(policy, RequesterSpeculates)
+        assert spec.uses_timestamps == (
+            spec.name in ("stall", "chats-ts", "levc-be-idealized")
         )
 
 
@@ -187,15 +246,13 @@ class TestNewSystemsEndToEnd:
 
 class TestCustomRegistration:
     def test_register_and_run_without_core_edits(self):
-        # A brand-new system composed purely from existing layers: naive
+        # A brand-new system from an existing policy: naive
         # requester-speculates restricted to write-forwarding.
         spec = register(
             SystemSpec(
                 name="test-naive-w",
                 label="Naive W (test)",
-                conflict="requester-speculates",
-                ordering="none",
-                validation="naive-budget",
+                policy="speculates-naive",
                 retries=8,
                 forward_class=ForwardClass.W,
                 vsb_size=2,
@@ -214,4 +271,4 @@ class TestCustomRegistration:
         out = capsys.readouterr().out
         assert "stall" in out
         assert "chats-ts" in out
-        assert "requester-speculates" in out  # layer description printed
+        assert "policy=speculates-timestamp" in out  # policy printed
